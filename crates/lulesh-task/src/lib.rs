@@ -1,9 +1,8 @@
 //! # lulesh-task — the paper's many-task LULESH
 //!
 //! The contribution of Kalkhof & Koch (SC'24), rebuilt on the
-//! HPX-substitute [`taskrt`] runtime. Per iteration of the leapfrog the
-//! driver **pre-creates the whole task graph** with futures and
-//! continuations, applying the paper's tricks:
+//! HPX-substitute [`taskrt`] runtime. The driver **pre-creates the whole
+//! task graph** of a leapfrog iteration, applying the paper's tricks:
 //!
 //! * **T1 — manual partitioning**: each loop becomes `⌈N/P⌉` tasks of `P`
 //!   iterations, with `P` from [`PartitionPlan`] (Table I).
@@ -20,8 +19,8 @@
 //!   their own stack/heap; only the per-corner force arrays and `vnewc`
 //!   stay global (they cross task boundaries by design).
 //!
-//! Six synchronization points per iteration (five `when_all` barriers
-//! inside the graph plus the iteration-end join), exactly where element-
+//! Six synchronization points per iteration (five sync nodes inside the
+//! graph plus the iteration-end join), exactly where element-
 //! and node-indexed phases meet. The paper reports seven; our port needs
 //! one fewer because the acceleration boundary condition is fused into the
 //! per-partition node chains (it is node-local when expressed via index
@@ -32,6 +31,23 @@
 //! after every loop, global scratch), which the ablation bench compares
 //! against. Results are bit-identical to the serial reference in *all*
 //! feature combinations; the tests assert it.
+//!
+//! ## Deliberate deviation: the graph is recorded once
+//!
+//! The paper's HPX code re-creates its futures graph every iteration. Here
+//! the graph is a [`taskrt::StepGraph`]: recorded once per partition plan,
+//! then re-armed iteration after iteration by the worker that finishes the
+//! iteration-end join. That worker runs the leapfrog bookkeeping
+//! (`time_increment`, error flags, dt minima, `reduce_dt`, tuner window)
+//! as the graph's epilogue, so the control thread sleeps for the whole run
+//! (or until the auto-tuner changes the plan) and a steady-state iteration
+//! allocates nothing. Task bodies read the step's `dt` from the shared
+//! scratch instead of capturing it. This preserves behaviour — the same
+//! nodes, the same edges, the same six sync points, executed by the same
+//! work-stealing pool — and changes only the graph's lifetime: at
+//! microsecond task grain (`--s 10`) building 177 closures and ~200
+//! promise pairs per step cost more than running them. The [`Features`]
+//! toggles change the graph's *shape* exactly as before.
 
 #![warn(missing_docs)]
 
@@ -51,11 +67,12 @@ use lulesh_core::types::{LuleshError, Real};
 use obs::{SpanKind, Tracer};
 use parking_lot::Mutex;
 use parutil::{chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use taskrt::topology::{self, Topology};
-use taskrt::{Future, NodeStealStat, PhaseStat, Runtime, RuntimeConfig};
+use taskrt::{GraphBuilder, NodeId, NodeStealStat, PhaseStat, Runtime, RuntimeConfig, StepGraph};
 
 /// How the driver picks partition sizes for a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -292,6 +309,8 @@ struct TaskScratch {
     x8n: SharedVec<Real>,
     y8n: SharedVec<Real>,
     z8n: SharedVec<Real>,
+    /// The current iteration's time increment, as `f64` bits.
+    dt: AtomicU64,
     volume_error: AtomicBool,
     qstop_error: AtomicBool,
     /// (dtcourant, dthydro) running minima for the current iteration.
@@ -335,16 +354,27 @@ impl TaskScratch {
             x8n: g(8 * num_elem),
             y8n: g(8 * num_elem),
             z8n: g(8 * num_elem),
+            dt: AtomicU64::new(0),
             volume_error: AtomicBool::new(false),
             qstop_error: AtomicBool::new(false),
             dt_mins: Mutex::new((1.0e20, 1.0e20)),
         }
     }
 
-    fn reset_iteration(&self) {
+    /// Publish the step's `dt` and clear the per-iteration flags. Runs
+    /// between two iterations (no task in flight); the tasks see the stores
+    /// through the queue operations that start the iteration, so `Relaxed`
+    /// is enough here and in [`dt`](Self::dt).
+    fn begin_iteration(&self, dt: Real) {
+        self.dt.store(dt.to_bits(), Ordering::Relaxed);
         self.volume_error.store(false, Ordering::Relaxed);
         self.qstop_error.store(false, Ordering::Relaxed);
         *self.dt_mins.lock() = (1.0e20, 1.0e20);
+    }
+
+    /// The current iteration's time increment.
+    fn dt(&self) -> Real {
+        Real::from_bits(self.dt.load(Ordering::Relaxed))
     }
 
     /// The calling thread's kernel scratch slot: workers use their own
@@ -356,30 +386,66 @@ impl TaskScratch {
     }
 }
 
-/// One task body.
-type Stage = Box<dyn FnOnce() + Send + 'static>;
+/// One task body. The iteration graph is built once and run every
+/// iteration, so bodies are `Fn` and read the step's `dt` from the
+/// [`TaskScratch`] instead of capturing it.
+type Stage = Box<dyn Fn() + Send + Sync>;
 
-/// A group of independent items (partitions), each a chain of stages.
-/// Within a group all items have the same number of stages.
-struct Group {
-    items: Vec<Vec<Stage>>,
+/// The iteration graph under construction.
+struct IterationBuilder {
+    g: GraphBuilder,
+    /// T2: chain a partition's stages instead of synchronizing per stage.
+    chain: bool,
 }
 
-impl Group {
-    fn new() -> Self {
-        Self { items: Vec::new() }
+impl IterationBuilder {
+    /// Add a group of independent items (partitions), each a list of
+    /// stages, all starting after `start`: every item becomes a chain of
+    /// its stages (T2 on) or a layered sequence with a barrier between
+    /// stages (T2 off; items must then be stage-uniform). `label` names the
+    /// kernel phase of every task. Returns each item's final node.
+    fn group(
+        &mut self,
+        label: &'static str,
+        start: Option<NodeId>,
+        items: Vec<Vec<Stage>>,
+    ) -> Vec<NodeId> {
+        if self.chain {
+            return items
+                .into_iter()
+                .map(|stages| {
+                    let mut dep = start;
+                    for stage in stages {
+                        dep = Some(self.g.task(label, SpanKind::Task, dep.as_slice(), stage));
+                    }
+                    dep.expect("group items are non-empty")
+                })
+                .collect();
+        }
+        // Layered: global barrier between consecutive stages (Fig 5).
+        let n_stages = items.first().map_or(0, Vec::len);
+        let mut items: Vec<_> = items.into_iter().map(Vec::into_iter).collect();
+        let mut dep = start;
+        let mut layer = Vec::new();
+        for l in 0..n_stages {
+            if l > 0 {
+                dep = Some(self.g.sync("barrier-stage", &layer));
+            }
+            layer = items
+                .iter_mut()
+                .map(|item| {
+                    let stage = item.next().expect("groups must be stage-uniform");
+                    self.g.task(label, SpanKind::Task, dep.as_slice(), stage)
+                })
+                .collect();
+        }
+        layer
     }
 
-    fn push(&mut self, stages: Vec<Stage>) {
-        debug_assert!(
-            self.items.is_empty() || self.items[0].len() == stages.len(),
-            "groups must be stage-uniform"
-        );
-        self.items.push(stages);
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
+    /// Add a communication hook as a task of its own after `dep`.
+    fn halo(&mut self, label: &'static str, dep: NodeId, hook: &Hook) -> NodeId {
+        let hook = Arc::clone(hook);
+        self.g.task(label, SpanKind::Halo, &[dep], move || hook())
     }
 }
 
@@ -556,7 +622,9 @@ impl TaskLulesh {
         plan: PartitionPlan,
         max_cycles: u64,
         hooks: &IterationHooks,
-        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>,
+        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>
+            + Send
+            + Sync,
     ) -> Result<SimState, LuleshError> {
         self.run_policy_with_hooks(
             d,
@@ -575,450 +643,206 @@ impl TaskLulesh {
     /// [`AutoTuneReport`] is retrievable via
     /// [`auto_report`](Self::auto_report). Partition sizes never affect
     /// the physics, so mid-run resizes are invisible to the results.
+    ///
+    /// The iteration graph is built once per plan and re-armed every
+    /// iteration by the worker that finishes it; `reduce_dt` therefore runs
+    /// on a worker thread, and this thread sleeps until the run ends or the
+    /// tuner changes the plan.
     pub fn run_policy_with_hooks(
         &self,
         d: &Arc<Domain>,
         policy: PartitionPolicy,
         max_cycles: u64,
         hooks: &IterationHooks,
-        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>,
+        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>
+            + Send
+            + Sync,
     ) -> Result<SimState, LuleshError> {
-        let mut tuner = match policy {
-            PartitionPolicy::Fixed(_) => None,
+        let threads = self.rt.threads();
+        let (tuner, plan) = match policy {
+            PartitionPolicy::Fixed(plan) => (None, plan),
             PartitionPolicy::Auto(cfg) => {
-                let threads = self.rt.threads();
                 let start = PartitionPlan::for_size_threads(d.size(), threads);
-                Some(AutoTuner::new(start, threads, d.num_elem(), cfg))
+                let tuner = AutoTuner::new(start, threads, d.num_elem(), cfg);
+                let plan = tuner.plan();
+                (Some(tuner), plan)
             }
         };
-        let mut plan = match (&tuner, policy) {
-            (Some(t), _) => t.plan(),
-            (None, PartitionPolicy::Fixed(p)) => p,
-            (None, PartitionPolicy::Auto(_)) => unreachable!(),
-        };
-        let mut win_iters: u32 = 0;
-        let mut win_t0 = Instant::now();
-        let mut win_base = phase_totals(&self.rt.phase_stats());
-
-        let mut state = SimState::new(d.initial_dt());
         let scratch = Arc::new(TaskScratch::new(
             d.num_elem(),
             self.features.merge_kernels,
-            self.rt.threads(),
+            threads,
         ));
-        while state.time < d.params.stoptime && state.cycle < max_cycles {
-            time_increment(&mut state, &d.params);
-            scratch.reset_iteration();
-
-            // Pre-create the entire iteration graph, then join once.
-            let iter_start = self.rt.tracer().map(|t| (Arc::clone(t), t.now_ns()));
-            let end = self.build_iteration(d, &scratch, plan, state.deltatime, hooks);
-            end.get();
-            if let Some((tracer, start)) = iter_start {
-                // One region span per leapfrog iteration on the control
-                // lane, bracketing the whole graph: build + execute + join.
-                tracer.record_interval(
-                    self.rt.current_lane(),
-                    SpanKind::Region,
-                    "iteration",
-                    start,
-                    tracer.now_ns(),
-                );
-            }
-
-            let local_err = if scratch.volume_error.load(Ordering::Relaxed) {
-                Some(LuleshError::VolumeError)
-            } else if scratch.qstop_error.load(Ordering::Relaxed) {
-                Some(LuleshError::QStopError)
-            } else {
-                None
-            };
-            let (c, h) = *scratch.dt_mins.lock();
-            let (c, h) = reduce_dt(c, h, local_err)?;
-            state.dtcourant = c;
-            state.dthydro = h;
-
-            if let Some(t) = tuner.as_mut() {
-                win_iters += 1;
-                if win_iters >= t.config().window && !t.converged() {
-                    let wall = win_t0.elapsed().as_nanos() as f64 / f64::from(win_iters);
-                    let now = phase_totals(&self.rt.phase_stats());
-                    let d_busy = now.0.saturating_sub(win_base.0);
-                    let d_tasks = now.1.saturating_sub(win_base.1);
-                    let mean_task_ns = if d_tasks > 0 {
-                        d_busy as f64 / d_tasks as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    t.record_window(WindowSample {
-                        wall_per_iter_ns: wall,
-                        mean_task_ns,
-                    });
-                    plan = t.plan();
-                    if t.config().tune_width {
-                        // `--simd auto`: the next window runs at the
-                        // tuner's width. Safe mid-run — every width is
-                        // bit-identical, so only speed changes.
-                        lulesh_core::simd::set_active(t.width());
-                    }
-                    // Re-derive the kernels' cache-block budget from the
-                    // same per-phase busy counters that feed the
-                    // granularity guard.
-                    lulesh_core::simd::set_l1_budget(lulesh_core::simd::budget_for_task_grain(
-                        mean_task_ns,
-                    ));
-                    win_iters = 0;
-                    win_t0 = Instant::now();
-                    win_base = now;
-                }
-            }
+        let mut lf = Leapfrog {
+            d,
+            sc: &scratch,
+            rt: &self.rt,
+            reduce_dt: &reduce_dt,
+            max_cycles,
+            state: SimState::new(d.initial_dt()),
+            error: None,
+            plan,
+            tuner,
+            win_iters: 0,
+            win_t0: Instant::now(),
+            win_base: phase_totals(&self.rt.phase_stats()),
+            // Called here, off the workers: the control lane.
+            region_lane: self.rt.current_lane(),
+            region_start: 0,
+        };
+        while lf.live() {
+            let mut graph = self.build_iteration(d, &scratch, lf.plan, hooks);
+            lf.begin_iteration();
+            self.rt.run_graph(&mut graph, || lf.end_iteration());
         }
-        self.auto_report.replace(tuner.map(|t| t.report()));
-        Ok(state)
-    }
-
-    /// Spawn a group: every item becomes a chain of its stages (T2 on) or a
-    /// layered sequence with a barrier between stages (T2 off). `starts`
-    /// must hold one future per item, or be empty to spawn immediately.
-    /// `label` names the kernel phase on every task's trace span.
-    fn run_group(
-        &self,
-        label: &'static str,
-        starts: Vec<Future<()>>,
-        group: Group,
-        tasks: &mut usize,
-        barriers: &mut usize,
-    ) -> Vec<Future<()>> {
-        let k = group.len();
-        debug_assert!(starts.is_empty() || starts.len() == k);
-
-        if self.features.chain_continuations {
-            // Per-item chains.
-            let mut finals = Vec::with_capacity(k);
-            let mut starts = starts.into_iter();
-            for stages in group.items {
-                let mut stages = stages.into_iter();
-                let first = stages.next().expect("group items are non-empty");
-                let mut fut = match starts.next() {
-                    Some(s) => s.then_labeled(&self.rt, label, move |_| first()),
-                    None => self.rt.spawn_labeled(label, first),
-                };
-                *tasks += 1;
-                for stage in stages {
-                    fut = fut.then_labeled(&self.rt, label, move |_| stage());
-                    *tasks += 1;
-                }
-                finals.push(fut);
-            }
-            finals
-        } else {
-            // Layered: global barrier between consecutive stages (Fig 5).
-            let n_stages = group.items.first().map_or(0, |s| s.len());
-            // Transpose into stage-major order.
-            let mut layers: Vec<Vec<Stage>> =
-                (0..n_stages).map(|_| Vec::with_capacity(k)).collect();
-            for stages in group.items {
-                for (l, s) in stages.into_iter().enumerate() {
-                    layers[l].push(s);
-                }
-            }
-            let mut starts = starts;
-            let mut futs: Vec<Future<()>> = Vec::new();
-            for (l, layer) in layers.into_iter().enumerate() {
-                if l > 0 {
-                    let barrier = self
-                        .rt
-                        .when_all_unit_labeled("barrier-stage", std::mem::take(&mut futs));
-                    *barriers += 1;
-                    starts = barrier.fork(k);
-                }
-                futs = if starts.is_empty() {
-                    layer
-                        .into_iter()
-                        .map(|s| {
-                            *tasks += 1;
-                            self.rt.spawn_labeled(label, s)
-                        })
-                        .collect()
-                } else {
-                    std::mem::take(&mut starts)
-                        .into_iter()
-                        .zip(layer)
-                        .map(|(f, s)| {
-                            *tasks += 1;
-                            f.then_labeled(&self.rt, label, move |_| s())
-                        })
-                        .collect()
-                };
-            }
-            futs
+        self.auto_report.replace(lf.tuner.map(|t| t.report()));
+        match lf.error {
+            Some(e) => Err(e),
+            None => Ok(lf.state),
         }
     }
 
-    /// Fan a barrier out over several independent groups and return every
-    /// item's final future (the fork/drain boilerplate shared by phases D,
-    /// E and F). Each group carries its phase label.
-    fn run_groups_from(
-        &self,
-        barrier: Future<()>,
-        groups: Vec<(&'static str, Group)>,
-        tasks: &mut usize,
-        barriers: &mut usize,
-    ) -> Vec<Future<()>> {
-        let total: usize = groups.iter().map(|(_, g)| g.len()).sum();
-        let mut starts = barrier.fork(total);
-        let mut finals = Vec::with_capacity(total);
-        for (label, g) in groups {
-            let s: Vec<_> = starts.drain(..g.len()).collect();
-            finals.extend(self.run_group(label, s, g, tasks, barriers));
-        }
-        finals
-    }
-
-    /// Build the full task graph for one `LagrangeLeapFrog` iteration and
-    /// return the iteration-end future.
+    /// Build the task graph of one `LagrangeLeapFrog` iteration.
     fn build_iteration(
         &self,
         d: &Arc<Domain>,
         sc: &Arc<TaskScratch>,
         plan: PartitionPlan,
-        dt: Real,
         hooks: &IterationHooks,
-    ) -> Future<()> {
+    ) -> StepGraph {
         let num_elem = d.num_elem();
         let num_node = d.num_node();
         let f = self.features;
-        let mut tasks = 0usize;
-        let mut barriers = 0usize;
+        let merged = f.merge_kernels;
+        let mut b = IterationBuilder {
+            g: GraphBuilder::new(),
+            chain: f.chain_continuations,
+        };
+        // One single-stage item per `plan.elements` chunk of a region.
+        let region_items = |r: usize, stage: &dyn Fn(Chunk) -> Stage| -> Vec<Vec<Stage>> {
+            chunks_of(d.regions.reg_elem_list[r].len(), plan.elements)
+                .map(|c| vec![stage(c)])
+                .collect()
+        };
 
         // ---------------- Phase A: element force chains ----------------
-        let mut stress_group = Group::new();
-        for c in chunks_of(num_elem, plan.nodal) {
-            stress_group.push(stress_stages(d, sc, c, f.merge_kernels));
-        }
-        let mut hg_group = Group::new();
-        for c in chunks_of(num_elem, plan.nodal) {
-            hg_group.push(hourglass_stages(d, sc, c, f.merge_kernels));
-        }
-
+        let stress = chunks_of(num_elem, plan.nodal)
+            .map(|c| stress_stages(d, sc, c, merged))
+            .collect();
+        let hg = chunks_of(num_elem, plan.nodal)
+            .map(|c| hourglass_stages(d, sc, c, merged))
+            .collect();
         let b1 = if f.parallel_force_chains {
-            let mut finals = self.run_group(
-                "stress",
-                Vec::new(),
-                stress_group,
-                &mut tasks,
-                &mut barriers,
-            );
-            finals.extend(self.run_group(
-                "hourglass",
-                Vec::new(),
-                hg_group,
-                &mut tasks,
-                &mut barriers,
-            ));
-            self.rt.when_all_unit_labeled("barrier-forces", finals)
+            let mut finals = b.group("stress", None, stress);
+            finals.extend(b.group("hourglass", None, hg));
+            b.g.sync("barrier-forces", &finals)
         } else {
             // Reference-like ordering: all stress, barrier, all hourglass.
-            let sf = self.run_group(
-                "stress",
-                Vec::new(),
-                stress_group,
-                &mut tasks,
-                &mut barriers,
-            );
-            let sb = self.rt.when_all_unit_labeled("barrier-stress-hg", sf);
-            barriers += 1;
-            let k = hg_group.len();
-            let hf = self.run_group("hourglass", sb.fork(k), hg_group, &mut tasks, &mut barriers);
-            self.rt.when_all_unit_labeled("barrier-forces", hf)
+            let sf = b.group("stress", None, stress);
+            let sb = b.g.sync("barrier-stress-hg", &sf);
+            let hf = b.group("hourglass", Some(sb), hg);
+            b.g.sync("barrier-forces", &hf)
         };
-        barriers += 1;
 
         // ---------------- Phase B: node chains ----------------
+        let gathers = |ranges: &[std::ops::Range<usize>]| -> Vec<Vec<Stage>> {
+            ranges
+                .iter()
+                .flat_map(|r| chunks_in(r.clone(), plan.nodal))
+                .map(|c| vec![node_gather_stage(d, sc, c)])
+                .collect()
+        };
+        let updates = || -> Vec<Vec<Stage>> {
+            chunks_of(num_node, plan.nodal)
+                .map(|c| node_update_stages(d, sc, c, merged))
+                .collect()
+        };
         let b2 = if let Some(ov) = &hooks.overlap_forces {
             // Comm/compute overlap: boundary gathers feed the send task the
             // moment they finish; the receive+combine continuation runs
             // while the interior gathers are still in flight. One join
             // before the node update replaces the gather barrier.
+            let gfb = b.group("node-gather", Some(b1), gathers(&ov.boundary));
             let interior = complement(&ov.boundary, num_node);
-            let mut bgather = Group::new();
-            for r in &ov.boundary {
-                for c in chunks_in(r.clone(), plan.nodal) {
-                    bgather.push(vec![node_gather_stage(d, sc, c)]);
-                }
-            }
-            let mut igather = Group::new();
-            for r in &interior {
-                for c in chunks_in(r.clone(), plan.nodal) {
-                    igather.push(vec![node_gather_stage(d, sc, c)]);
-                }
-            }
-            let kb = bgather.len();
-            let ki = igather.len();
-            let mut starts = b1.fork(kb + ki);
-            let bstarts: Vec<_> = starts.drain(..kb).collect();
-            let gfb = self.run_group("node-gather", bstarts, bgather, &mut tasks, &mut barriers);
-            let gfi = self.run_group("node-gather", starts, igather, &mut tasks, &mut barriers);
-
-            let bg = self.rt.when_all_unit_labeled("barrier-gather", gfb);
-            barriers += 1;
-            let send = Arc::clone(&ov.send);
-            tasks += 1;
-            let sent = bg.then_kind(&self.rt, "halo-send", SpanKind::Halo, move |_| send());
-            let recv = Arc::clone(&ov.recv_combine);
-            tasks += 1;
-            let received = sent.then_kind(&self.rt, "halo-recv", SpanKind::Halo, move |_| recv());
-
-            let mut joined = gfi;
-            joined.push(received);
-            let all = self.rt.when_all_unit_labeled("barrier-halo", joined);
-            barriers += 1;
-
-            let mut update_group = Group::new();
-            for c in chunks_of(num_node, plan.nodal) {
-                update_group.push(node_update_stages(d, c, dt, f.merge_kernels));
-            }
-            let k = update_group.len();
-            let uf = self.run_group(
-                "node-update",
-                all.fork(k),
-                update_group,
-                &mut tasks,
-                &mut barriers,
+            let mut joined = b.group("node-gather", Some(b1), gathers(&interior));
+            let bg = b.g.sync("barrier-gather", &gfb);
+            let sent = b.halo("halo-send", bg, &ov.send);
+            joined.push(b.halo("halo-recv", sent, &ov.recv_combine));
+            let all = b.g.sync("barrier-halo", &joined);
+            let uf = b.group("node-update", Some(all), updates());
+            b.g.sync("barrier-nodes", &uf)
+        } else if let Some(hook) = &hooks.after_forces {
+            // Multi-domain: the halo force sum needs the gathered nodal
+            // forces, so phase B splits at the gather (reference order:
+            // gather, CommSBN, then the node update) — one extra
+            // barrier, exactly like the MPI version.
+            let whole = 0..num_node;
+            let gf = b.group(
+                "node-gather",
+                Some(b1),
+                gathers(std::slice::from_ref(&whole)),
             );
-            let b2 = self.rt.when_all_unit_labeled("barrier-nodes", uf);
-            barriers += 1;
-            b2
+            let bg = b.g.sync("barrier-gather", &gf);
+            let hooked = b.halo("halo-forces", bg, hook);
+            let uf = b.group("node-update", Some(hooked), updates());
+            b.g.sync("barrier-nodes", &uf)
         } else {
-            match &hooks.after_forces {
-                None => {
-                    let mut node_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        node_group.push(node_stages(d, sc, c, dt, f.merge_kernels));
-                    }
-                    let k = node_group.len();
-                    let bf =
-                        self.run_group("node", b1.fork(k), node_group, &mut tasks, &mut barriers);
-                    let b2 = self.rt.when_all_unit_labeled("barrier-nodes", bf);
-                    barriers += 1;
-                    b2
-                }
-                Some(hook) => {
-                    // Multi-domain: the halo force sum needs the gathered nodal
-                    // forces, so phase B splits at the gather (reference order:
-                    // gather, CommSBN, then the node update) — one extra
-                    // barrier, exactly like the MPI version.
-                    let mut gather_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        gather_group.push(vec![node_gather_stage(d, sc, c)]);
-                    }
-                    let k = gather_group.len();
-                    let gf = self.run_group(
-                        "node-gather",
-                        b1.fork(k),
-                        gather_group,
-                        &mut tasks,
-                        &mut barriers,
-                    );
-                    let bg = self.rt.when_all_unit_labeled("barrier-gather", gf);
-                    barriers += 1;
-                    let hook = Arc::clone(hook);
-                    tasks += 1;
-                    let hooked =
-                        bg.then_kind(&self.rt, "halo-forces", SpanKind::Halo, move |_| hook());
-
-                    let mut update_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        update_group.push(node_update_stages(d, c, dt, f.merge_kernels));
-                    }
-                    let k = update_group.len();
-                    let uf = self.run_group(
-                        "node-update",
-                        hooked.fork(k),
-                        update_group,
-                        &mut tasks,
-                        &mut barriers,
-                    );
-                    let b2 = self.rt.when_all_unit_labeled("barrier-nodes", uf);
-                    barriers += 1;
-                    b2
-                }
-            }
+            let nodes = chunks_of(num_node, plan.nodal)
+                .map(|c| node_stages(d, sc, c, merged))
+                .collect();
+            let bf = b.group("node", Some(b1), nodes);
+            b.g.sync("barrier-nodes", &bf)
         };
 
         // ---------------- Phase C: element kinematics chains ----------------
-        let mut kin_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            kin_group.push(kinematics_stages(d, sc, c, dt, f.merge_kernels));
-        }
-        let k = kin_group.len();
-        let cf = self.run_group(
-            "kinematics",
-            b2.fork(k),
-            kin_group,
-            &mut tasks,
-            &mut barriers,
-        );
-        let b3 = self.rt.when_all_unit_labeled("barrier-kinematics", cf);
-        barriers += 1;
-
+        let kin = chunks_of(num_elem, plan.elements)
+            .map(|c| kinematics_stages(d, sc, c, merged))
+            .collect();
+        let cf = b.group("kinematics", Some(b2), kin);
+        let mut b3 = b.g.sync("barrier-kinematics", &cf);
         // Inter-domain gradient-ghost exchange (multi-domain runs).
-        let b3 = match &hooks.after_gradients {
-            Some(hook) => {
-                let hook = Arc::clone(hook);
-                tasks += 1;
-                b3.then_kind(&self.rt, "halo-gradients", SpanKind::Halo, move |_| hook())
-            }
-            None => b3,
-        };
+        if let Some(hook) = &hooks.after_gradients {
+            b3 = b.halo("halo-gradients", b3, hook);
+        }
 
         // ---------------- Phase D: monotonic Q + vnewc prep ----------------
-        let mut d_groups: Vec<(&'static str, Group)> = Vec::new();
-        let mut q_group = Group::new();
-        for r in 0..d.num_reg() {
-            let reg_len = d.regions.reg_elem_list[r].len();
-            for c in chunks_of(reg_len, plan.elements) {
-                let dd = Arc::clone(d);
-                q_group.push(vec![Box::new(move || {
-                    let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                    monoq::calc_monotonic_q_region_for_elems(&dd, elems, &dd.params);
-                }) as Stage]);
-            }
-        }
-        d_groups.push(("monoq", q_group));
-
-        let mut vnewc_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            vnewc_group.push(vnewc_stages(d, sc, c, f.merge_kernels));
-        }
-        d_groups.push(("vnewc", vnewc_group));
-
-        let mut qstop_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            let dd = Arc::clone(d);
-            let ss = Arc::clone(sc);
-            qstop_group.push(vec![Box::new(move || {
-                if monoq::check_q_stop(&dd, dd.params.qstop, c).is_err() {
-                    ss.qstop_error.store(true, Ordering::Relaxed);
-                }
-            }) as Stage]);
-        }
-        d_groups.push(("qstop", qstop_group));
-
-        let d_finals = self.run_groups_from(b3, d_groups, &mut tasks, &mut barriers);
-        let b4 = self.rt.when_all_unit_labeled("barrier-q", d_finals);
-        barriers += 1;
-
-        // ---------------- Phase E: per-region EOS ----------------
-        let mut region_groups: Vec<(&'static str, Group)> = Vec::new();
-        for r in 0..d.num_reg() {
-            let mut g = Group::new();
-            let reg_len = d.regions.reg_elem_list[r].len();
-            let rep = d.regions.rep(r);
-            for c in chunks_of(reg_len, plan.elements) {
+        let monoq_items = (0..d.num_reg())
+            .flat_map(|r| {
+                region_items(r, &|c| {
+                    let dd = Arc::clone(d);
+                    Box::new(move || {
+                        let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
+                        monoq::calc_monotonic_q_region_for_elems(&dd, elems, &dd.params);
+                    })
+                })
+            })
+            .collect();
+        let mut d_finals = b.group("monoq", Some(b3), monoq_items);
+        let vnewc = chunks_of(num_elem, plan.elements)
+            .map(|c| vnewc_stages(d, sc, c, merged))
+            .collect();
+        d_finals.extend(b.group("vnewc", Some(b3), vnewc));
+        let qstop = chunks_of(num_elem, plan.elements)
+            .map(|c| {
                 let dd = Arc::clone(d);
                 let ss = Arc::clone(sc);
-                g.push(vec![Box::new(move || {
+                vec![Box::new(move || {
+                    if monoq::check_q_stop(&dd, dd.params.qstop, c).is_err() {
+                        ss.qstop_error.store(true, Ordering::Relaxed);
+                    }
+                }) as Stage]
+            })
+            .collect();
+        d_finals.extend(b.group("qstop", Some(b3), qstop));
+        let b4 = b.g.sync("barrier-q", &d_finals);
+
+        // ---------------- Phase E: per-region EOS ----------------
+        let eos_items = |r: usize| {
+            let rep = d.regions.rep(r);
+            region_items(r, &|c| {
+                let dd = Arc::clone(d);
+                let ss = Arc::clone(sc);
+                Box::new(move || {
                     // SAFETY: vnewc was fully written in phase D (barrier
                     // b4) and is read-only during EOS.
                     let vnewc = unsafe { ss.vnewc.as_slice() };
@@ -1033,78 +857,192 @@ impl TaskLulesh {
                     let mut ks = ss.kernel_scratch();
                     ks.eos.reset(elems.len());
                     eos::eval_eos_for_elems(&dd, vnewc, elems, rep, &dd.params, &mut ks.eos);
-                }) as Stage]);
-            }
-            region_groups.push(("eos", g));
-        }
-
+                })
+            })
+        };
         let b5 = if f.parallel_region_eos {
-            let finals = self.run_groups_from(b4, region_groups, &mut tasks, &mut barriers);
-            self.rt.when_all_unit_labeled("barrier-eos", finals)
+            let finals: Vec<_> = (0..d.num_reg())
+                .flat_map(|r| b.group("eos", Some(b4), eos_items(r)))
+                .collect();
+            b.g.sync("barrier-eos", &finals)
         } else {
             // Sequential regions: barrier between consecutive regions.
             // Empty regions are skipped so they don't sever the chain.
             let mut barrier = b4;
-            let mut first = true;
-            for (label, g) in region_groups {
-                if g.len() == 0 {
-                    continue;
-                }
-                if !first {
-                    barriers += 1;
-                }
-                first = false;
-                let k = g.len();
-                let finals = self.run_group(label, barrier.fork(k), g, &mut tasks, &mut barriers);
-                barrier = self.rt.when_all_unit_labeled("barrier-eos-region", finals);
+            for items in (0..d.num_reg()).map(eos_items).filter(|i| !i.is_empty()) {
+                let finals = b.group("eos", Some(barrier), items);
+                barrier = b.g.sync("barrier-eos-region", &finals);
             }
             barrier
         };
-        barriers += 1;
 
         // ---------------- Phase F: volume commit + dt constraints ----------------
-        let mut f_groups: Vec<(&'static str, Group)> = Vec::new();
-        let mut upd_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            let dd = Arc::clone(d);
-            upd_group.push(vec![Box::new(move || {
-                kinematics::update_volumes_for_elems(&dd, dd.params.v_cut, c);
-            }) as Stage]);
-        }
-        f_groups.push(("volume", upd_group));
-
-        let mut con_group = Group::new();
-        for r in 0..d.num_reg() {
-            let reg_len = d.regions.reg_elem_list[r].len();
-            for c in chunks_of(reg_len, plan.elements) {
+        let volume = chunks_of(num_elem, plan.elements)
+            .map(|c| {
                 let dd = Arc::clone(d);
-                let ss = Arc::clone(sc);
-                con_group.push(vec![Box::new(move || {
-                    let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                    let cc =
-                        constraints::calc_courant_constraint_for_elems(&dd, elems, dd.params.qqc);
-                    let hh =
-                        constraints::calc_hydro_constraint_for_elems(&dd, elems, dd.params.dvovmax);
-                    if cc.is_some() || hh.is_some() {
-                        let mut mins = ss.dt_mins.lock();
-                        if let Some(c) = cc {
-                            mins.0 = mins.0.min(c);
+                vec![Box::new(move || {
+                    kinematics::update_volumes_for_elems(&dd, dd.params.v_cut, c);
+                }) as Stage]
+            })
+            .collect();
+        let mut f_finals = b.group("volume", Some(b5), volume);
+        let constraint_items = (0..d.num_reg())
+            .flat_map(|r| {
+                region_items(r, &|c| {
+                    let dd = Arc::clone(d);
+                    let ss = Arc::clone(sc);
+                    Box::new(move || {
+                        let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
+                        let p = &dd.params;
+                        let cc = constraints::calc_courant_constraint_for_elems(&dd, elems, p.qqc);
+                        let hh =
+                            constraints::calc_hydro_constraint_for_elems(&dd, elems, p.dvovmax);
+                        if cc.is_some() || hh.is_some() {
+                            let mut mins = ss.dt_mins.lock();
+                            if let Some(c) = cc {
+                                mins.0 = mins.0.min(c);
+                            }
+                            if let Some(h) = hh {
+                                mins.1 = mins.1.min(h);
+                            }
                         }
-                        if let Some(h) = hh {
-                            mins.1 = mins.1.min(h);
-                        }
-                    }
-                }) as Stage]);
+                    })
+                })
+            })
+            .collect();
+        f_finals.extend(b.group("constraints", Some(b5), constraint_items));
+        b.g.sync("barrier-end", &f_finals); // the iteration-end join
+
+        let graph = b.g.build(&self.rt);
+        self.stats.set(GraphStats {
+            tasks: graph.tasks(),
+            barriers: graph.syncs(),
+        });
+        graph
+    }
+}
+
+/// The leapfrog bookkeeping around the iteration graph: owned by the
+/// control thread while it builds a graph, and by the graph's epilogue —
+/// on whichever worker finished the iteration — while one runs.
+struct Leapfrog<'a, R> {
+    d: &'a Domain,
+    sc: &'a TaskScratch,
+    rt: &'a Runtime,
+    reduce_dt: &'a R,
+    max_cycles: u64,
+    state: SimState,
+    /// The error that ended the run, if one did.
+    error: Option<LuleshError>,
+    plan: PartitionPlan,
+    tuner: Option<AutoTuner>,
+    win_iters: u32,
+    win_t0: Instant,
+    win_base: (u64, u64),
+    /// Traced runs: lane and start of the running iteration's region span.
+    region_lane: usize,
+    region_start: u64,
+}
+
+impl<R> Leapfrog<'_, R>
+where
+    R: Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>,
+{
+    fn live(&self) -> bool {
+        self.error.is_none()
+            && self.state.time < self.d.params.stoptime
+            && self.state.cycle < self.max_cycles
+    }
+
+    /// Advance the clock and publish the step's inputs to the task bodies.
+    fn begin_iteration(&mut self) {
+        time_increment(&mut self.state, &self.d.params);
+        self.sc.begin_iteration(self.state.deltatime);
+        if let Some(tracer) = self.rt.tracer() {
+            self.region_start = tracer.now_ns();
+        }
+    }
+
+    /// The graph's epilogue: close the iteration just executed and either
+    /// start the next one on the same graph (`Continue`) or hand back to
+    /// the control thread (`Break`: run over, or the plan changed).
+    fn end_iteration(&mut self) -> ControlFlow<()> {
+        if let Some(tracer) = self.rt.tracer() {
+            // One region span per leapfrog iteration, on the control lane.
+            let now = tracer.now_ns();
+            tracer.record_interval(
+                self.region_lane,
+                SpanKind::Region,
+                "iteration",
+                self.region_start,
+                now,
+            );
+        }
+        let local_err = if self.sc.volume_error.load(Ordering::Relaxed) {
+            Some(LuleshError::VolumeError)
+        } else if self.sc.qstop_error.load(Ordering::Relaxed) {
+            Some(LuleshError::QStopError)
+        } else {
+            None
+        };
+        let (c, h) = *self.sc.dt_mins.lock();
+        match (self.reduce_dt)(c, h, local_err) {
+            Ok((c, h)) => {
+                self.state.dtcourant = c;
+                self.state.dthydro = h;
+            }
+            Err(e) => {
+                self.error = Some(e);
+                return ControlFlow::Break(());
             }
         }
-        f_groups.push(("constraints", con_group));
+        let replan = self.close_tuner_window();
+        if replan || !self.live() {
+            return ControlFlow::Break(());
+        }
+        self.begin_iteration();
+        ControlFlow::Continue(())
+    }
 
-        let f_finals = self.run_groups_from(b5, f_groups, &mut tasks, &mut barriers);
-        let end = self.rt.when_all_unit_labeled("barrier-end", f_finals);
-        barriers += 1; // the iteration-end join
-
-        self.stats.set(GraphStats { tasks, barriers });
-        end
+    /// Auto policy: count the iteration into the tuner's window and, when
+    /// the window is full, let the tuner move. Returns whether the plan
+    /// changed (the graph must then be rebuilt).
+    fn close_tuner_window(&mut self) -> bool {
+        let Some(t) = self.tuner.as_mut() else {
+            return false;
+        };
+        self.win_iters += 1;
+        if self.win_iters < t.config().window || t.converged() {
+            return false;
+        }
+        let wall = self.win_t0.elapsed().as_nanos() as f64 / f64::from(self.win_iters);
+        let now = phase_totals(&self.rt.phase_stats());
+        let d_busy = now.0.saturating_sub(self.win_base.0);
+        let d_tasks = now.1.saturating_sub(self.win_base.1);
+        let mean_task_ns = if d_tasks > 0 {
+            d_busy as f64 / d_tasks as f64
+        } else {
+            f64::INFINITY
+        };
+        t.record_window(WindowSample {
+            wall_per_iter_ns: wall,
+            mean_task_ns,
+        });
+        if t.config().tune_width {
+            // `--simd auto`: the next window runs at the tuner's width.
+            // Safe mid-run — no task is running between two iterations,
+            // and every width is bit-identical, so only speed changes.
+            lulesh_core::simd::set_active(t.width());
+        }
+        // Re-derive the kernels' cache-block budget from the same
+        // per-phase busy counters that feed the granularity guard.
+        lulesh_core::simd::set_l1_budget(lulesh_core::simd::budget_for_task_grain(mean_task_ns));
+        self.win_iters = 0;
+        self.win_t0 = Instant::now();
+        self.win_base = now;
+        let replan = t.plan() != self.plan;
+        self.plan = t.plan();
+        replan
     }
 }
 
@@ -1362,10 +1300,17 @@ fn node_gather_stage(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk) -> Stage 
     })
 }
 
-fn node_update_stages(d: &Arc<Domain>, c: Chunk, dt: Real, merged: bool) -> Vec<Stage> {
+fn node_update_stages(
+    d: &Arc<Domain>,
+    sc: &Arc<TaskScratch>,
+    c: Chunk,
+    merged: bool,
+) -> Vec<Stage> {
     if merged {
         let d = Arc::clone(d);
+        let sc = Arc::clone(sc);
         vec![Box::new(move || {
+            let dt = sc.dt();
             nodal::calc_acceleration_for_nodes(&d, c);
             nodal::apply_acceleration_bc_by_node_range(&d, c);
             nodal::calc_velocity_for_nodes(&d, dt, d.params.u_cut, c);
@@ -1374,26 +1319,20 @@ fn node_update_stages(d: &Arc<Domain>, c: Chunk, dt: Real, merged: bool) -> Vec<
     } else {
         let d1 = Arc::clone(d);
         let d2 = Arc::clone(d);
-        let d3 = Arc::clone(d);
-        let d4 = Arc::clone(d);
+        let (d3, s3) = (Arc::clone(d), Arc::clone(sc));
+        let (d4, s4) = (Arc::clone(d), Arc::clone(sc));
         vec![
             Box::new(move || nodal::calc_acceleration_for_nodes(&d1, c)),
             Box::new(move || nodal::apply_acceleration_bc_by_node_range(&d2, c)),
-            Box::new(move || nodal::calc_velocity_for_nodes(&d3, dt, d3.params.u_cut, c)),
-            Box::new(move || nodal::calc_position_for_nodes(&d4, dt, c)),
+            Box::new(move || nodal::calc_velocity_for_nodes(&d3, s3.dt(), d3.params.u_cut, c)),
+            Box::new(move || nodal::calc_position_for_nodes(&d4, s4.dt(), c)),
         ]
     }
 }
 
-fn node_stages(
-    d: &Arc<Domain>,
-    sc: &Arc<TaskScratch>,
-    c: Chunk,
-    dt: Real,
-    merged: bool,
-) -> Vec<Stage> {
+fn node_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
     let gather = node_gather_stage(d, sc, c);
-    let updates = node_update_stages(d, c, dt, merged);
+    let updates = node_update_stages(d, sc, c, merged);
     if merged {
         // One fused task: gather + the whole node update.
         let update = updates.into_iter().next().expect("merged update stage");
@@ -1408,30 +1347,24 @@ fn node_stages(
     }
 }
 
-fn kinematics_stages(
-    d: &Arc<Domain>,
-    sc: &Arc<TaskScratch>,
-    c: Chunk,
-    dt: Real,
-    merged: bool,
-) -> Vec<Stage> {
+fn kinematics_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
     if merged {
         let d = Arc::clone(d);
         let sc = Arc::clone(sc);
         vec![Box::new(move || {
-            kinematics::calc_kinematics_for_elems(&d, dt, c);
+            kinematics::calc_kinematics_for_elems(&d, sc.dt(), c);
             if kinematics::calc_lagrange_elements_finish(&d, c).is_err() {
                 sc.volume_error.store(true, Ordering::Relaxed);
             }
             monoq::calc_monotonic_q_gradients_for_elems(&d, c);
         })]
     } else {
-        let d1 = Arc::clone(d);
+        let (d1, s1) = (Arc::clone(d), Arc::clone(sc));
         let d2 = Arc::clone(d);
         let s2 = Arc::clone(sc);
         let d3 = Arc::clone(d);
         vec![
-            Box::new(move || kinematics::calc_kinematics_for_elems(&d1, dt, c)),
+            Box::new(move || kinematics::calc_kinematics_for_elems(&d1, s1.dt(), c)),
             Box::new(move || {
                 if kinematics::calc_lagrange_elements_finish(&d2, c).is_err() {
                     s2.volume_error.store(true, Ordering::Relaxed);

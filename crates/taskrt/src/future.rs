@@ -4,10 +4,10 @@
 //!
 //! A [`Future`] is single-owner (like a C++ `hpx::future`): it is consumed
 //! by [`Future::get`] or [`Future::then`]. At most one continuation can be
-//! attached; [`Future::shared_value`] splits a future in two for diamond
-//! dependencies (the role of `hpx::shared_future`).
+//! attached; [`Future::fork`] splits a future for diamond dependencies (the
+//! role of `hpx::shared_future`).
 
-use crate::scheduler::Runtime;
+use crate::scheduler::{Runtime, Task};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -157,63 +157,19 @@ impl<T: Send + 'static> Future<T> {
         U: Send + 'static,
         F: FnOnce(T) -> U + Send + 'static,
     {
-        self.then_kind(rt, "task", obs::SpanKind::Task, f)
-    }
-
-    /// [`then`](Self::then) with a phase label for the continuation's trace
-    /// span.
-    pub fn then_labeled<U, F>(self, rt: &Runtime, label: &'static str, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        self.then_kind(rt, label, obs::SpanKind::Task, f)
-    }
-
-    /// [`then`](Self::then) with full control over the span's label and
-    /// kind (e.g. [`obs::SpanKind::Halo`] for a halo-exchange
-    /// continuation).
-    pub fn then_kind<U, F>(
-        self,
-        rt: &Runtime,
-        label: &'static str,
-        kind: obs::SpanKind,
-        f: F,
-    ) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
         let (promise, out) = promise_pair();
         let rt = rt.clone();
         self.attach_inner(Box::new(move |value: T| {
-            rt.submit(Box::new(move || {
-                let result = crate::scheduler::exec_timed(label, kind, move || f(value));
+            rt.submit(Task::Closure(Box::new(move || {
+                let result = crate::scheduler::exec_timed("task", move || f(value));
                 promise.set_value(result);
-            }));
+            })));
         }));
         out
     }
 
-    /// Split into two futures carrying clones of the value (the job of
-    /// `hpx::shared_future` in the C++ code).
-    pub fn shared_value(self, rt: &Runtime) -> (Future<T>, Future<T>)
-    where
-        T: Clone,
-    {
-        let (p1, f1) = promise_pair();
-        let (p2, f2) = promise_pair();
-        let _ = rt; // symmetry with `then`; the fan-out itself is inline.
-        self.attach_inner(Box::new(move |value: T| {
-            p1.set_value(value.clone());
-            p2.set_value(value);
-        }));
-        (f1, f2)
-    }
-
     /// Fan a future out to `n` futures, each receiving a clone of the value
-    /// (a multi-consumer `hpx::shared_future`). This is how the LULESH task
-    /// driver pre-creates all tasks that depend on one `when_all` barrier.
+    /// (a multi-consumer `hpx::shared_future`).
     pub fn fork(self, n: usize) -> Vec<Future<T>>
     where
         T: Clone,

@@ -9,11 +9,19 @@
 //!   (the paper's non-blocking barrier).
 //! * [`wait_all`] — block until all futures are ready (`hpx::wait_all`).
 //!
+//! Beside them, for a graph that is the same every time step:
+//! [`GraphBuilder`] records it once into a dependency-counted
+//! [`StepGraph`], and [`Runtime::run_graph`] runs it round after round on
+//! the same workers and deques, re-armed from the worker side, with no
+//! allocation per round.
+//!
 //! Scheduling follows HPX's default *priority local* policy minus
 //! priorities (the paper uses none): each OS worker thread owns a LIFO
 //! work-stealing deque (crossbeam), new tasks spawned from a worker go to
 //! its local deque, external spawns go to a global FIFO injector, and idle
-//! workers steal FIFO from victims.
+//! workers steal FIFO from victims. A worker that finds nothing polls the
+//! queues for a bounded number of scans, then yields its core between
+//! scans, then parks until a submitter wakes it.
 //!
 //! **Deliberate simplification** (documented in DESIGN.md): tasks are
 //! run-to-completion closures with continuation-passing rather than
@@ -28,13 +36,15 @@
 #![warn(missing_docs)]
 
 mod future;
+mod graph;
 mod phases;
 mod scheduler;
 pub mod topology;
 
 pub use future::{dataflow, when_all, when_all_unit, Future, Promise};
+pub use graph::{GraphBuilder, NodeId, StepGraph};
 pub use phases::{NodeStealStat, PhaseStat};
-pub use scheduler::{in_task_body, worker_index, Runtime, RuntimeConfig, RuntimeStats};
+pub use scheduler::{worker_index, Runtime, RuntimeConfig, RuntimeStats};
 pub use topology::{NumaNode, PinError, PinResolution, Topology};
 
 /// Block until every future in the collection is ready and collect the
@@ -160,9 +170,9 @@ mod tests {
         //   \ /
         //    d
         let rt = Runtime::new(2);
-        let (a1, a2) = rt.spawn(|| 2).shared_value(&rt);
-        let b = a1.then(&rt, |x| x + 1);
-        let c = a2.then(&rt, |x| x * 10);
+        let mut a = rt.spawn(|| 2).fork(2);
+        let b = a.pop().unwrap().then(&rt, |x| x + 1);
+        let c = a.pop().unwrap().then(&rt, |x| x * 10);
         let d = when_all(&rt, vec![b, c]).then(&rt, |v| v[0] + v[1]);
         assert_eq!(d.get(), 23);
     }
@@ -440,29 +450,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traced_barrier_records_one_span() {
-        let tracer = obs::Tracer::shared(3);
-        let rt = Runtime::with_tracer(2, Arc::clone(&tracer), 0);
-        let fs: Vec<_> = (0..8).map(|i| rt.spawn(move || i)).collect();
-        rt.when_all_unit_labeled("barrier-test", fs).get();
-        let spans = tracer.drain();
-        let barriers: Vec<_> = spans
-            .iter()
-            .filter(|s| s.kind == obs::SpanKind::Barrier)
+    /// `rounds` rounds of a fan-out/fan-in graph: root → `width` "leaf"
+    /// tasks → sync "join" → "tail" task (the sink). Returns the thread
+    /// each epilogue call ran on.
+    fn run_fan_graph(rt: &Runtime, width: usize, rounds: usize) -> Vec<std::thread::ThreadId> {
+        let hits = Arc::new(AtomicUsize::new(0));
+        let mut b = GraphBuilder::new();
+        let root = b.task("root", obs::SpanKind::Task, &[], || ());
+        let leaves: Vec<NodeId> = (0..width)
+            .map(|_| {
+                let hits = Arc::clone(&hits);
+                b.task("leaf", obs::SpanKind::Task, &[root], move || {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                })
+            })
             .collect();
-        assert_eq!(barriers.len(), 1);
-        assert_eq!(barriers[0].label, "barrier-test");
-        assert!(barriers[0].end_ns >= barriers[0].start_ns);
+        let join = b.sync("join", &leaves);
+        b.task("tail", obs::SpanKind::Halo, &[join], || ());
+        let mut graph = b.build(rt);
+        assert_eq!((graph.tasks(), graph.syncs()), (width + 2, 1));
+
+        let mut epilogue_threads = Vec::new();
+        rt.run_graph(&mut graph, || {
+            epilogue_threads.push(std::thread::current().id());
+            if epilogue_threads.len() < rounds {
+                std::ops::ControlFlow::Continue(())
+            } else {
+                std::ops::ControlFlow::Break(())
+            }
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), width * rounds);
+        epilogue_threads
     }
 
     #[test]
-    fn untraced_runtime_records_nothing_and_still_counts() {
+    fn graph_rounds_are_driven_from_the_workers() {
+        // N rounds ⇒ N epilogue calls, every one on a worker thread: the
+        // caller blocks once, in `run_graph`, and never drives a round.
         let rt = Runtime::new(2);
-        assert!(rt.tracer().is_none());
-        let fs: Vec<_> = (0..16).map(|i| rt.spawn(move || i)).collect();
-        rt.when_all_unit_labeled("ignored", fs).get();
-        assert_eq!(rt.stats().tasks, 16);
+        let epilogues = run_fan_graph(&rt, 7, 25);
+        assert_eq!(epilogues.len(), 25);
+        assert!(!epilogues.contains(&std::thread::current().id()));
+        // Bodies only: the sync node is not a task.
+        assert_eq!(rt.stats().tasks, 25 * 9);
+        let phases = rt.phase_stats();
+        let tasks_of = |l: &str| phases.iter().find(|p| p.label == l).map(|p| p.tasks);
+        assert_eq!(tasks_of("leaf"), Some(25 * 7));
+        assert_eq!(tasks_of("join"), None);
+        // The futures API still works on the same pool afterwards.
+        assert_eq!(rt.spawn(|| 3).then(&rt, |x| x + 1).get(), 4);
+    }
+
+    #[test]
+    fn traced_graph_records_one_barrier_span_per_sync_per_round() {
+        let tracer = obs::Tracer::shared(3);
+        let rt = Runtime::with_tracer(2, Arc::clone(&tracer), 0);
+        run_fan_graph(&rt, 5, 4);
+        let spans = tracer.drain();
+        let count = |kind, label| {
+            spans
+                .iter()
+                .filter(|s| s.kind == kind && s.label == label)
+                .count()
+        };
+        assert_eq!(count(obs::SpanKind::Barrier, "join"), 4);
+        assert_eq!(count(obs::SpanKind::Task, "leaf"), 20);
+        assert_eq!(count(obs::SpanKind::Halo, "tail"), 4);
+        assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
+        // Single clock: busy time is exactly the body spans' durations.
+        let body_ns: u64 = spans
+            .iter()
+            .filter(|s| s.kind != obs::SpanKind::Barrier)
+            .map(|s| s.dur_ns())
+            .sum();
+        assert_eq!(rt.stats().busy_ns, body_ns);
+    }
+
+    #[test]
+    fn phase_labels_are_keyed_by_content_not_address() {
+        // Two labels that share a start address must not share a slot...
+        static BUF: &str = "node-gather";
+        let (short, long): (&'static str, &'static str) = (&BUF[..4], &BUF[..11]);
+        assert_eq!(short.as_ptr(), long.as_ptr());
+        // ... and one label at two addresses must not take two.
+        let twin_a: &'static str = Box::leak(String::from("twin").into_boxed_str());
+        let twin_b: &'static str = Box::leak(String::from("twin").into_boxed_str());
+        assert_ne!(twin_a.as_ptr(), twin_b.as_ptr());
+
+        let rt = Runtime::new(2);
+        let mut fs = Vec::new();
+        for (label, n) in [(short, 3), (long, 5), (twin_a, 2), (twin_b, 4)] {
+            fs.extend((0..n).map(|_| rt.spawn_labeled(label, || ())));
+        }
+        wait_all(fs);
+        let seen: Vec<(&str, u64)> = rt
+            .phase_stats()
+            .iter()
+            .map(|p| (p.label, p.tasks))
+            .collect();
+        assert_eq!(seen, [("node", 3), ("node-gather", 5), ("twin", 6)]);
     }
 
     #[test]
@@ -554,16 +640,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_index_and_task_body_flag() {
+    fn worker_index_is_set_on_workers_only() {
         assert_eq!(worker_index(), None);
-        assert!(!in_task_body());
         let rt = Runtime::new(2);
-        let f = rt.spawn(|| (worker_index(), in_task_body()));
-        let (idx, flagged) = f.get();
+        let idx = rt.spawn(worker_index).get();
         assert!(idx.is_some_and(|i| i < 2));
-        assert!(flagged);
-        // The flag is scoped to the measured closure: a continuation's
-        // bookkeeping thread still reports its own task body correctly.
-        assert!(!in_task_body());
     }
 }

@@ -2,23 +2,29 @@
 //!
 //! The partition auto-tuner needs per-phase timing even when span tracing
 //! is off, and it must not drain the tracer mid-run (that would steal
-//! spans from the final trace export). Each worker therefore owns a small
-//! fixed array of label slots and attributes every `exec_timed` duration
-//! to its label's slot — the *same* measurement that feeds the busy clock
-//! and the span, so all three views agree exactly.
+//! spans from the final trace export). The runtime therefore interns every
+//! phase label **by content** into one small table ([`PhaseLabels`]) and
+//! each worker owns a counter array indexed by that table's slots. Every
+//! timed body adds its duration to its label's slot — the *same*
+//! measurement that feeds the busy clock and the span, so all three views
+//! agree exactly.
 //!
-//! Concurrency contract: a slot array has a single writer (the owning
+//! Graph nodes resolve their slot once, when the graph is built; the
+//! `spawn_labeled` path resolves it per task, matching `(ptr, len)` first
+//! and falling back to a content compare, so neither labels that share a
+//! start address nor equal labels at different addresses are confused.
+//!
+//! Concurrency contract: a counter array has a single writer (the owning
 //! worker); readers race only against in-flight increments, which is fine
-//! for a monitoring signal. Labels are `&'static str`, so publishing
-//! `(ptr, len)` with release/acquire ordering lets a reader reconstruct
-//! the label without ever observing a dangling pointer.
+//! for a monitoring signal.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Label slots per worker. LULESH uses ~12 distinct phase labels; the rest
-/// is headroom. Overflowing labels are dropped (bounded memory beats
-/// completeness for a runtime-internal counter).
-const PHASE_SLOTS: usize = 32;
+/// Distinct phase labels a runtime can attribute time to. LULESH uses ~15;
+/// the rest is headroom. One more label is a bug in the caller (debug
+/// builds assert); release builds leave its time out of the phase view.
+pub(crate) const PHASE_SLOTS: usize = 32;
 
 /// Per-NUMA-node steal counters (see [`crate::Runtime::node_steal_stats`]).
 /// Kept beside [`PhaseStat`] because both are the runtime's always-on
@@ -38,24 +44,59 @@ pub struct NodeStealStat {
 /// Aggregated execution statistics for one phase label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// The `spawn_labeled` label the tasks carried.
+    /// The label the bodies carried.
     pub label: &'static str,
-    /// Σ busy nanoseconds of this phase's tasks since the last reset.
+    /// Σ busy nanoseconds of this phase's bodies since the last reset.
     pub busy_ns: u64,
-    /// Tasks of this phase executed since the last reset.
+    /// Bodies of this phase executed since the last reset.
     pub tasks: u64,
+}
+
+/// The runtime's label table: slot `i` holds the `i`-th distinct label
+/// (by content) any body was given. Append-only and lock-free.
+pub(crate) struct PhaseLabels {
+    labels: [OnceLock<&'static str>; PHASE_SLOTS],
+}
+
+impl PhaseLabels {
+    pub(crate) fn new() -> Self {
+        Self {
+            labels: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The slot of `label`, claiming the first free one on first sight.
+    /// Returns [`PHASE_SLOTS`] (which [`PhaseCounters::add`] ignores) when
+    /// the table is full.
+    pub(crate) fn slot(&self, label: &'static str) -> usize {
+        for (i, cell) in self.labels.iter().enumerate() {
+            // A racing claimant may have put a different label here; the
+            // compare below then moves on to the next slot.
+            let known = *cell.get_or_init(|| label);
+            let same_str =
+                std::ptr::eq(known.as_ptr(), label.as_ptr()) && known.len() == label.len();
+            if same_str || known == label {
+                return i;
+            }
+        }
+        debug_assert!(false, "more than {PHASE_SLOTS} distinct phase labels");
+        PHASE_SLOTS
+    }
+
+    /// The labels claimed so far, in slot order.
+    fn claimed(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.labels.iter().map_while(|cell| cell.get().copied())
+    }
 }
 
 #[derive(Default)]
 struct PhaseSlot {
-    /// Label address; 0 ⇒ slot unclaimed. Written once (by the owner).
-    ptr: AtomicUsize,
-    len: AtomicUsize,
     busy_ns: AtomicU64,
     tasks: AtomicU64,
 }
 
-/// One worker's slot array (single-writer, many-reader).
+/// One worker's counters, indexed by [`PhaseLabels`] slot (single-writer,
+/// many-reader).
 pub(crate) struct PhaseCounters {
     slots: [PhaseSlot; PHASE_SLOTS],
 }
@@ -67,50 +108,15 @@ impl PhaseCounters {
         }
     }
 
-    /// Attribute `ns` of busy time (one task) to `label`. Only the owning
-    /// worker calls this, so claiming a free slot needs no CAS.
-    pub(crate) fn add(&self, label: &'static str, ns: u64) {
-        let p = label.as_ptr() as usize;
-        for slot in &self.slots {
-            let sp = slot.ptr.load(Ordering::Relaxed);
-            if sp == 0 {
-                // Claim: publish len before ptr so a concurrent reader
-                // that sees the pointer also sees the matching length.
-                slot.len.store(label.len(), Ordering::Relaxed);
-                slot.ptr.store(p, Ordering::Release);
-            } else if sp != p {
-                continue;
-            }
-            slot.busy_ns.fetch_add(ns, Ordering::Relaxed);
-            slot.tasks.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// Attribute `ns` of busy time (one body) to `slot`.
+    pub(crate) fn add(&self, slot: usize, ns: u64) {
+        if let Some(s) = self.slots.get(slot) {
+            s.busy_ns.fetch_add(ns, Ordering::Relaxed);
+            s.tasks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Append this worker's claimed slots to `out`.
-    pub(crate) fn snapshot_into(&self, out: &mut Vec<PhaseStat>) {
-        for slot in &self.slots {
-            let sp = slot.ptr.load(Ordering::Acquire);
-            if sp == 0 {
-                // Slots are claimed in order; the first empty one ends the
-                // claimed prefix.
-                break;
-            }
-            let len = slot.len.load(Ordering::Relaxed);
-            // SAFETY: (sp, len) were published, release/acquire paired,
-            // from a `&'static str`'s own pointer and length.
-            let label: &'static str = unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(sp as *const u8, len))
-            };
-            out.push(PhaseStat {
-                label,
-                busy_ns: slot.busy_ns.load(Ordering::Relaxed),
-                tasks: slot.tasks.load(Ordering::Relaxed),
-            });
-        }
-    }
-
-    /// Zero the counters (labels stay claimed — they are still `'static`).
+    /// Zero the counters.
     pub(crate) fn reset(&self) {
         for slot in &self.slots {
             slot.busy_ns.store(0, Ordering::Relaxed);
@@ -119,21 +125,26 @@ impl PhaseCounters {
     }
 }
 
-/// Merge per-worker snapshots into one label-sorted aggregate.
-pub(crate) fn merge(per_worker: Vec<PhaseStat>) -> Vec<PhaseStat> {
-    let mut by_label: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for s in per_worker {
-        let e = by_label.entry(s.label).or_insert((0, 0));
-        e.0 += s.busy_ns;
-        e.1 += s.tasks;
-    }
-    by_label
-        .into_iter()
-        .map(|(label, (busy_ns, tasks))| PhaseStat {
+/// Sum every worker's counters per claimed label, sorted by label.
+pub(crate) fn snapshot<'a>(
+    labels: &PhaseLabels,
+    workers: impl Iterator<Item = &'a PhaseCounters> + Clone,
+) -> Vec<PhaseStat> {
+    let mut out: Vec<PhaseStat> = labels
+        .claimed()
+        .enumerate()
+        .map(|(i, label)| PhaseStat {
             label,
-            busy_ns,
-            tasks,
+            busy_ns: workers
+                .clone()
+                .map(|w| w.slots[i].busy_ns.load(Ordering::Relaxed))
+                .sum(),
+            tasks: workers
+                .clone()
+                .map(|w| w.slots[i].tasks.load(Ordering::Relaxed))
+                .sum(),
         })
-        .collect()
+        .collect();
+    out.sort_by_key(|p| p.label);
+    out
 }

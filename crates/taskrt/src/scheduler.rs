@@ -4,14 +4,15 @@
 //! (without priorities, which the paper does not use).
 
 use crate::future::{promise_pair, Future};
-use crate::phases::{self, NodeStealStat, PhaseCounters, PhaseStat};
+use crate::graph::{self, NodeRef};
+use crate::phases::{self, NodeStealStat, PhaseCounters, PhaseLabels, PhaseStat};
 use crate::topology::{self, Topology};
 use crossbeam::deque::{Injector, Stealer, Worker};
 use obs::{Span, SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
 use parutil::{BusyIdleClock, CachePadded};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,7 +35,25 @@ const UTILIZATION_EPS: f64 = 0.05;
 /// while still letting a starved node drain a loaded one.
 const REMOTE_STEAL_AFTER: u32 = 4;
 
-pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+/// Failed scans of every queue an idle worker makes back to back before it
+/// starts yielding its core between scans: ~20 µs, a few task grains of a
+/// microsecond-grain graph, so the gap at a sync point is bridged without
+/// a sleep/wake round trip.
+const POLL_SCANS: u32 = 200;
+
+/// Further failed scans, each followed by `yield_now`, before the worker
+/// parks. Yielding keeps an idle worker from starving a runnable one when
+/// the pool has more threads than cores (pure spinning there is several
+/// times slower than parking); the bound (~1 ms of an otherwise idle
+/// core) keeps an idle pool from burning CPU.
+const YIELD_SCANS: u32 = 2000;
+
+/// What the deques hold: a one-shot closure (`spawn`, continuations) or a
+/// node of a running [`crate::StepGraph`].
+pub(crate) enum Task {
+    Closure(Box<dyn FnOnce() + Send + 'static>),
+    Node(NodeRef),
+}
 
 /// Tracing attachment: where this runtime's workers record spans.
 /// `lane_base + worker_index` is a worker's lane; `lane_base + threads`
@@ -49,8 +68,10 @@ struct Inner {
     stealers: Vec<Stealer<Task>>,
     clocks: Vec<CachePadded<BusyIdleClock>>,
     /// Per-worker per-phase busy counters (always on; the auto-tuner's
-    /// timing signal when span tracing is disabled).
+    /// timing signal when span tracing is disabled), indexed by the slots
+    /// of `phase_labels`.
     phase_counters: Vec<CachePadded<PhaseCounters>>,
+    phase_labels: PhaseLabels,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
@@ -77,10 +98,6 @@ struct Inner {
 
 thread_local! {
     static CURRENT: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
-    /// `true` while a worker is inside a task's *user closure* (the part
-    /// `exec_timed` measures). The allocation-regression test keys its
-    /// counting allocator off this flag.
-    static IN_TASK_BODY: Cell<bool> = const { Cell::new(false) };
 }
 
 struct WorkerCtx {
@@ -107,14 +124,6 @@ impl WorkerCtx {
         self.rng.set(x);
         x
     }
-}
-
-/// `true` while the calling thread is executing a task's user closure
-/// (the measured region of [`Runtime::spawn_labeled`]). Used by the
-/// steady-state allocation test to attribute heap traffic to kernel
-/// bodies specifically, not runtime bookkeeping.
-pub fn in_task_body() -> bool {
-    IN_TASK_BODY.with(|f| f.get())
 }
 
 /// Worker index of the calling thread within its runtime, or `None` off
@@ -296,6 +305,7 @@ impl Runtime {
             stealers,
             clocks,
             phase_counters,
+            phase_labels: PhaseLabels::new(),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -352,12 +362,12 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let (promise, fut) = promise_pair();
-        self.submit(Box::new(move || {
+        self.submit(Task::Closure(Box::new(move || {
             // Only the user closure is timed; promise/continuation
             // bookkeeping stays outside the busy clock and the span.
-            let value = exec_timed(label, SpanKind::Task, f);
+            let value = exec_timed(label, f);
             promise.set_value(value);
-        }));
+        })));
         fut
     }
 
@@ -388,55 +398,6 @@ impl Runtime {
         tc.lane_base + idx.unwrap_or(self.threads())
     }
 
-    /// [`crate::when_all_unit`] with a barrier span: when tracing is on,
-    /// records a [`SpanKind::Barrier`] span covering first-dependency-done
-    /// → last-dependency-done (the barrier's skew) on the lane of the
-    /// worker that completed it. Counts as one synchronization point.
-    pub fn when_all_unit_labeled<T: Send + 'static>(
-        &self,
-        label: &'static str,
-        futures: Vec<Future<T>>,
-    ) -> Future<()> {
-        let Some(tc) = self.inner.trace.as_ref() else {
-            return crate::future::when_all_unit(futures);
-        };
-        let tracer = Arc::clone(&tc.tracer);
-        let n = futures.len();
-        if n == 0 {
-            let now = tracer.now_ns();
-            tracer.record_interval(self.current_lane(), SpanKind::Barrier, label, now, now);
-            return Future::ready(());
-        }
-        let (promise, out) = promise_pair();
-        let remaining = Arc::new(AtomicUsize::new(n));
-        let first_done = Arc::new(AtomicU64::new(u64::MAX));
-        let promise = Arc::new(Mutex::new(Some(promise)));
-        let rt = self.clone();
-        let rt = Arc::new(rt);
-        for f in futures {
-            let remaining = Arc::clone(&remaining);
-            let first_done = Arc::clone(&first_done);
-            let promise = Arc::clone(&promise);
-            let tracer = Arc::clone(&tracer);
-            let rt = Arc::clone(&rt);
-            f.attach_inner(Box::new(move |_value: T| {
-                let now = tracer.now_ns();
-                let _ =
-                    first_done.compare_exchange(u64::MAX, now, Ordering::AcqRel, Ordering::Acquire);
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let start = first_done.load(Ordering::Acquire);
-                    tracer.record_interval(rt.current_lane(), SpanKind::Barrier, label, start, now);
-                    let p = promise
-                        .lock()
-                        .take()
-                        .expect("when_all_unit_labeled fulfilled twice");
-                    p.set_value(());
-                }
-            }));
-        }
-        out
-    }
-
     /// Enqueue a raw task: to the local deque when called from one of this
     /// runtime's workers (HPX "local" policy), to the injector otherwise.
     pub(crate) fn submit(&self, task: Task) {
@@ -453,26 +414,17 @@ impl Runtime {
         if let Some(task) = leftover {
             self.inner.injector.push(task);
         }
-        self.wake_one();
+        self.inner.wake(1);
     }
 
-    fn wake_one(&self) {
-        // Dekker-style handshake with the park path in `worker_loop`. The
-        // submitter's order is push-queue → read-sleepers; the parker's is
-        // increment-sleepers → scan-queues. With weaker orderings both
-        // sides can read the other's *old* value (store-buffer reordering)
-        // — submitter sees sleepers == 0, parker sees empty queues — and
-        // the task sits until a timeout. The seq-cst fences on both sides
-        // make that outcome impossible: at least one side observes the
-        // other's store, so either we notify or the parker's re-scan finds
-        // the task.
-        fence(Ordering::SeqCst);
-        if self.inner.sleepers.load(Ordering::Relaxed) > 0 {
-            // Lock before notifying so the wakeup cannot slip into the
-            // window between the parker's queue scan and its wait.
-            let _g = self.inner.sleep_lock.lock();
-            self.inner.sleep_cv.notify_one();
-        }
+    /// Identity of this runtime's worker pool (shared by clones).
+    pub(crate) fn id(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
+    /// The phase-counter slot of `label` on this runtime.
+    pub(crate) fn phase_slot(&self, label: &'static str) -> usize {
+        self.inner.phase_labels.slot(label)
     }
 
     /// Counter snapshot since the last [`reset_counters`](Self::reset_counters).
@@ -556,11 +508,39 @@ impl Runtime {
     /// label. Always available (independent of span tracing); zeroed by
     /// [`reset_counters`](Self::reset_counters).
     pub fn phase_stats(&self) -> Vec<PhaseStat> {
-        let mut all = Vec::new();
-        for pc in &self.inner.phase_counters {
-            pc.snapshot_into(&mut all);
+        phases::snapshot(
+            &self.inner.phase_labels,
+            self.inner.phase_counters.iter().map(|pc| &pc.0),
+        )
+    }
+}
+
+impl Inner {
+    /// Wake up to `n` parked workers after queueing work, with one lock
+    /// acquisition.
+    fn wake(&self, n: usize) {
+        if n == 0 {
+            return;
         }
-        phases::merge(all)
+        // Dekker-style handshake with the park path in `worker_loop`. The
+        // submitter's order is push-queue → read-sleepers; the parker's is
+        // increment-sleepers → scan-queues. With weaker orderings both
+        // sides can read the other's *old* value (store-buffer reordering)
+        // — submitter sees sleepers == 0, parker sees empty queues — and
+        // the task sits until a timeout. The seq-cst fences on both sides
+        // make that outcome impossible: at least one side observes the
+        // other's store, so either we notify or the parker's re-scan finds
+        // the task.
+        fence(Ordering::SeqCst);
+        let sleepers = self.sleepers.load(Ordering::Relaxed);
+        if sleepers > 0 {
+            // Lock before notifying so the wakeup cannot slip into the
+            // window between the parker's queue scan and its wait.
+            let _g = self.sleep_lock.lock();
+            for _ in 0..n.min(sleepers) {
+                self.sleep_cv.notify_one();
+            }
+        }
     }
 }
 
@@ -617,7 +597,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
         });
     });
 
-    let mut idle_spins = 0u32;
+    let mut idle_scans = 0u32;
     loop {
         let task = CURRENT.with(|c| {
             let ctx = c.borrow();
@@ -626,8 +606,8 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
         });
 
         match task {
-            Some(task) => {
-                idle_spins = 0;
+            Some(Task::Closure(task)) => {
+                idle_scans = 0;
                 // Busy time is NOT accounted here: the task body times its
                 // user closure via `exec_timed`, so promise/continuation
                 // bookkeeping never pollutes the busy clock (the paper's
@@ -638,15 +618,22 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
                 // "broken promise" instead of a hang).
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             }
+            Some(Task::Node(node)) => {
+                idle_scans = 0;
+                with_worker(|w| graph::execute(node, w.expect("on a worker")));
+            }
             None => {
                 if inner.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                idle_spins += 1;
-                if idle_spins < 64 {
+                // Idle policy: bounded poll, then poll-and-yield, then park.
+                idle_scans = idle_scans.saturating_add(1);
+                if idle_scans < POLL_SCANS {
                     std::hint::spin_loop();
+                } else if idle_scans < POLL_SCANS + YIELD_SCANS {
+                    std::thread::yield_now();
                 } else {
-                    // Seq-cst half of the handshake with `wake_one`:
+                    // Seq-cst half of the handshake with `Inner::wake`:
                     // publish the sleeper registration before scanning the
                     // queues, so a submitter whose push we miss is
                     // guaranteed to see sleepers > 0 and notify (it takes
@@ -672,25 +659,50 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
     CURRENT.with(|c| *c.borrow_mut() = None);
 }
 
-/// Run `f` on the calling thread, timing only `f` itself. On a worker
-/// thread the single measured duration feeds both the worker's busy clock
-/// and (when tracing is attached) a span of the given kind — one
-/// measurement, two consumers — so `Runtime::stats().busy_ns` equals the
-/// summed durations of the spans this function records, exactly. Off a
-/// worker thread `f` runs unmeasured.
-pub(crate) fn exec_timed<R>(label: &'static str, kind: SpanKind, f: impl FnOnce() -> R) -> R {
+/// The calling worker's view of its runtime, as handed to the code that
+/// runs on it (`exec_timed`, graph nodes).
+pub(crate) struct WorkerRef<'a> {
+    inner: &'a Inner,
+    ctx: &'a WorkerCtx,
+}
+
+/// Call `f` with the calling thread's [`WorkerRef`], or `None` off the
+/// worker pool.
+fn with_worker<R>(f: impl FnOnce(Option<&WorkerRef<'_>>) -> R) -> R {
     CURRENT.with(|c| {
         let guard = c.borrow();
-        let Some(ctx) = guard.as_ref() else {
-            drop(guard);
-            return f();
-        };
-        // SAFETY: `ctx.inner` points into the `Arc<Inner>` kept alive by
-        // this worker's `worker_loop` stack frame for the thread's whole
-        // lifetime; we only read it from that same thread.
-        let inner = unsafe { &*ctx.inner };
-        let clock = &inner.clocks[ctx.index];
-        match inner.trace.as_ref() {
+        match guard.as_ref() {
+            // SAFETY: `ctx.inner` points into the `Arc<Inner>` kept alive
+            // by this worker's `worker_loop` stack frame for the thread's
+            // whole lifetime; we only read it from that same thread.
+            Some(ctx) => f(Some(&WorkerRef {
+                inner: unsafe { &*ctx.inner },
+                ctx,
+            })),
+            None => {
+                drop(guard);
+                f(None)
+            }
+        }
+    })
+}
+
+impl WorkerRef<'_> {
+    /// Run `f`, timing only `f` itself. The single measured duration feeds
+    /// the worker's busy clock, the phase counter `slot` and (when tracing
+    /// is attached) a span of the given label and kind — one measurement,
+    /// three consumers — so `Runtime::stats().busy_ns` equals the summed
+    /// durations of the spans this function records, exactly.
+    pub(crate) fn timed<R>(
+        &self,
+        slot: usize,
+        label: &'static str,
+        kind: SpanKind,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let index = self.ctx.index;
+        let clock = &self.inner.clocks[index];
+        let (r, dur) = match self.inner.trace.as_ref() {
             Some(tc) => {
                 // Both endpoints come from the tracer's clock: the span
                 // interval, the busy increment, and the per-phase counter
@@ -699,13 +711,9 @@ pub(crate) fn exec_timed<R>(label: &'static str, kind: SpanKind, f: impl FnOnce(
                 // align with every other timestamp the tracer hands out
                 // (the drift report compares them directly).
                 let start = tc.tracer.now_ns();
-                let r = run_flagged(f);
+                let r = f();
                 let end = tc.tracer.now_ns();
-                let dur = end - start;
-                clock.add_busy_ns(dur);
-                clock.count_task();
-                inner.phase_counters[ctx.index].add(label, dur);
-                let lane = tc.lane_base + ctx.index;
+                let lane = tc.lane_base + index;
                 tc.tracer.record(
                     lane,
                     Span {
@@ -719,35 +727,46 @@ pub(crate) fn exec_timed<R>(label: &'static str, kind: SpanKind, f: impl FnOnce(
                         peer: -1,
                     },
                 );
-                r
+                (r, end - start)
             }
             None => {
                 let t0 = Instant::now();
-                let r = run_flagged(f);
-                let dur = t0.elapsed().as_nanos() as u64;
-                clock.add_busy_ns(dur);
-                clock.count_task();
-                inner.phase_counters[ctx.index].add(label, dur);
-                r
+                let r = f();
+                (r, t0.elapsed().as_nanos() as u64)
             }
-        }
-    })
+        };
+        clock.add_busy_ns(dur);
+        clock.count_task();
+        self.inner.phase_counters[index].add(slot, dur);
+        r
+    }
+
+    /// Queue `task` on this worker's own deque (no wake-up: see
+    /// [`wake`](Self::wake)).
+    pub(crate) fn push(&self, task: Task) {
+        self.ctx.queue.push(task);
+    }
+
+    /// Wake up to `n` parked workers.
+    pub(crate) fn wake(&self, n: usize) {
+        self.inner.wake(n);
+    }
+
+    /// The attached tracer and this worker's lane, when tracing is on.
+    pub(crate) fn trace(&self) -> Option<(&Tracer, usize)> {
+        let tc = self.inner.trace.as_ref()?;
+        Some((&*tc.tracer, tc.lane_base + self.ctx.index))
+    }
 }
 
-/// Run `f` with the in-task-body thread-local raised (see
-/// [`in_task_body`]).
-fn run_flagged<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            // Drop guard so a panicking task (caught in `worker_loop`)
-            // can't leave the flag stuck on.
-            IN_TASK_BODY.with(|flag| flag.set(false));
-        }
-    }
-    IN_TASK_BODY.with(|flag| flag.set(true));
-    let _reset = Reset;
-    f()
+/// Run the body of a `spawn`ed task or continuation: timed as a
+/// [`SpanKind::Task`] under `label` on a worker thread
+/// ([`WorkerRef::timed`]), unmeasured off one.
+pub(crate) fn exec_timed<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
+    with_worker(|w| match w {
+        Some(w) => w.timed(w.inner.phase_labels.slot(label), label, SpanKind::Task, f),
+        None => f(),
+    })
 }
 
 /// splitmix64 finalizer — turns a small integer seed into a well-mixed

@@ -2,6 +2,8 @@
 //! task runs exactly once, strictly after all of its dependencies, for any
 //! graph shape and worker count.
 
+mod dag_gen;
+
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,15 +63,7 @@ proptest! {
         edges in proptest::collection::vec((0usize..60, 0usize..60), 0..120),
         threads in 1usize..5,
     ) {
-        // Normalize the random edges into deps[i] ⊂ 0..i, deduplicated.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            let (a, b) = (a % n, b % n);
-            let (lo, hi) = (a.min(b), a.max(b));
-            if lo != hi && !deps[hi].contains(&lo) {
-                deps[hi].push(lo);
-            }
-        }
+        let deps = dag_gen::deps_from_edges(n, &edges);
         let rt = Runtime::new(threads);
         let stamps = run_dag(&rt, &deps);
         // Everyone ran exactly once (stamps are a permutation of 0..n)...

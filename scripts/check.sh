@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge check gate: formatting, lints, the tier-1 suite, and a smoke
-# test of the observability layer (a tiny traced run whose Chrome-trace
-# output must pass trace_lint with the expected barrier count).
+# Pre-merge check gate: formatting, lints, the tier-1 suite, a build and
+# smoke run of the benchmark workspace, and a smoke test of the
+# observability layer (a tiny traced run whose Chrome-trace output must
+# pass trace_lint with the expected barrier count).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -16,6 +17,14 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== tier-1: cargo build && cargo test =="
 cargo build -q --workspace
 cargo test -q --workspace 2>&1 | tail -3
+
+echo "== benchmark workspace: build + smoke run against these crates =="
+# `benchmark/` is a workspace of its own whose `probe` links the crates'
+# public API; build it and run one short workload so an API change that
+# breaks it fails here rather than at the benchmark gate.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml \
+  -p runner -- run --workload small_s10_full --smoke > /dev/null
 
 echo "== traced smoke run (s=5, 3 iterations => 18 barrier spans) =="
 TMP="$(mktemp -d)"
