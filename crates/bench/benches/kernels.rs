@@ -90,6 +90,21 @@ fn bench_kernels(c: &mut Criterion) {
             )
         })
     });
+    // The fused control + FB kernel every driver but the fork-join one
+    // runs: compare against hourglass_control + hourglass_fb above.
+    g.bench_function("hourglass_fused", |b| {
+        b.iter(|| {
+            hourglass::calc_hourglass_force_for_elems(
+                &d,
+                d.params.hgcoef,
+                &mut fx,
+                &mut fy,
+                &mut fz,
+                elems,
+            )
+            .unwrap()
+        })
+    });
     g.bench_function("kinematics", |b| {
         b.iter(|| kinematics::calc_kinematics_for_elems(&d, 1e-6, elems))
     });

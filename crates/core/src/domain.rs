@@ -444,40 +444,6 @@ impl Domain {
         /// Position gradient ζ (scratch).
         delx_zeta set_delx_zeta m_delx_zeta;
     }
-
-    /// Gather the coordinates of element `e`'s corners into local arrays.
-    #[inline]
-    pub fn collect_domain_nodes_to_elem_nodes(
-        &self,
-        e: Index,
-        xl: &mut [Real; 8],
-        yl: &mut [Real; 8],
-        zl: &mut [Real; 8],
-    ) {
-        let nl = self.nodelist(e);
-        for c in 0..8 {
-            xl[c] = self.x(nl[c]);
-            yl[c] = self.y(nl[c]);
-            zl[c] = self.z(nl[c]);
-        }
-    }
-
-    /// Gather the velocities of element `e`'s corners into local arrays.
-    #[inline]
-    pub fn collect_elem_velocities(
-        &self,
-        e: Index,
-        xdl: &mut [Real; 8],
-        ydl: &mut [Real; 8],
-        zdl: &mut [Real; 8],
-    ) {
-        let nl = self.nodelist(e);
-        for c in 0..8 {
-            xdl[c] = self.xd(nl[c]);
-            ydl[c] = self.yd(nl[c]);
-            zdl[c] = self.zd(nl[c]);
-        }
-    }
 }
 
 impl std::fmt::Debug for Domain {
@@ -570,7 +536,7 @@ mod tests {
         let mut x = [0.0; 8];
         let mut y = [0.0; 8];
         let mut z = [0.0; 8];
-        d.collect_domain_nodes_to_elem_nodes(0, &mut x, &mut y, &mut z);
+        crate::kernels::shape::gather_elem_coords(&d, 0, &mut x, &mut y, &mut z);
         let v = crate::kernels::volume::calc_elem_volume(&x, &y, &z);
         assert!((v - d.volo(0)).abs() < 1e-15);
     }

@@ -14,13 +14,9 @@
 
 use crate::domain::Domain;
 use crate::params::Params;
-use crate::simd::{self, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{AlignedBuf, Chunk};
-
-/// Approximate per-element working set of the fused EOS lane path (seven
-/// gathered inputs, `vnewc`, four stores), used for cache blocking.
-const EOS_BYTES_PER_ELEM: usize = 96;
 
 /// Region-length scratch for one EOS evaluation. Reusable across regions
 /// (`resize` keeps capacity).
@@ -744,11 +740,11 @@ pub fn eos_elem_kernel<V: SimdReal>(
     (p_new, e_new, q_new, ss)
 }
 
-/// Lane-blocked implementation of [`eval_eos_for_elems`] for `rep ≥ 1`:
-/// the region list is walked in cache-sized blocks of `W`-lane groups, each
-/// group running the fused [`eos_elem_kernel`]; no scratch arrays are
-/// touched. The repetition loop stays outermost like the reference (the
-/// recomputation is idempotent), and only the final repetition stores.
+/// Lane implementation of [`eval_eos_for_elems`] for `rep ≥ 1`: the region
+/// list is walked in `W`-lane groups, each running the fused
+/// [`eos_elem_kernel`]; no scratch arrays are touched. The repetition loop
+/// stays outermost like the reference (the recomputation is idempotent),
+/// and only the final repetition stores.
 pub fn eval_eos_for_elems_lanes<const W: usize>(
     d: &Domain,
     vnewc: &[Real],
@@ -757,23 +753,11 @@ pub fn eval_eos_for_elems_lanes<const W: usize>(
     p: &Params,
 ) {
     let rho0 = p.refdens;
-    let block = simd::block_len(EOS_BYTES_PER_ELEM, W);
     for r in 0..rep {
         let store = r + 1 == rep;
-        let mut lo = 0;
-        while lo < elems.len() {
-            let hi = (lo + block).min(elems.len());
-            let mut i = lo;
-            while i + W <= hi {
-                eos_lane_group::<W>(d, vnewc, elems, i, p, rho0, store);
-                i += W;
-            }
-            while i < hi {
-                eos_lane_group::<1>(d, vnewc, elems, i, p, rho0, store);
-                i += 1;
-            }
-            lo = hi;
-        }
+        lane_groups!(W, 0, elems.len(), |i| eos_lane_group(
+            d, vnewc, elems, i, p, rho0, store
+        ));
     }
 }
 

@@ -1,27 +1,27 @@
 //! Flanagan-Belytschko hourglass control: `CalcHourglassControlForElems`,
 //! `CalcFBHourglassForceForElems` and `CalcElemFBHourglassForce`.
 //!
-//! Like the stress kernels, these operate on a chunk of the element index
-//! space with chunk-local scratch (`dvdx`, `x8n`, `determ`, `f*_elem`), so
-//! the task driver can keep all hourglass temporaries task-local (paper
-//! trick T6) while the serial driver passes whole-mesh arrays.
+//! Two shapes of the same arithmetic. The reference's two passes
+//! ([`calc_hourglass_control_for_elems`] then
+//! [`calc_fb_hourglass_force_for_elems`]) stream 48 doubles per zone of
+//! geometry (`dvdx/dvdy/dvdz`, `x8n/y8n/z8n`) through chunk-local scratch;
+//! the fork-join driver and the unmerged task ablation keep that structure
+//! on purpose. Every other driver runs the fused
+//! [`calc_hourglass_force_for_elems`], whose temporaries never leave the
+//! stack (paper trick T6 taken to the element) and which is the lane path.
 
 // Indexed Γ-matrix loops and wide signatures mirror the reference kernels one-to-one.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #![cfg_attr(test, allow(clippy::type_complexity))]
 use crate::domain::Domain;
 use crate::kernels::shape::{
-    gather_elem_coords, gather_elem_velocities, gather_elem_velocities_lanes,
+    gather_elem_coords, gather_elem_coords_lanes, gather_elem_velocities,
+    gather_elem_velocities_lanes, scatter_elem_corners_lanes,
 };
 use crate::kernels::volume::calc_elem_volume_derivative;
-use crate::simd::{self, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
-
-/// Approximate per-element working set of the FB hourglass force phase
-/// (six 8-wide scratch streams, determinant, velocities and corner forces),
-/// used to size the cache blocks of the lane-blocked variant.
-const HOURGLASS_BYTES_PER_ELEM: usize = 776;
 
 /// The four hourglass base vectors Γ (`gamma` in the reference).
 pub const GAMMA: [[Real; 8]; 4] = [
@@ -88,10 +88,7 @@ fn calc_elem_fb_hourglass_force<V: SimdReal>(
     zd: &[V; 8],
     hourgam: &[[V; 4]; 8],
     coefficient: V,
-    hgfx: &mut [V; 8],
-    hgfy: &mut [V; 8],
-    hgfz: &mut [V; 8],
-) {
+) -> ([V; 8], [V; 8], [V; 8]) {
     let mut hxx = [V::zero(); 4];
     let mut hyy = [V::zero(); 4];
     let mut hzz = [V::zero(); 4];
@@ -108,6 +105,9 @@ fn calc_elem_fb_hourglass_force<V: SimdReal>(
         hyy[i] = sy;
         hzz[i] = sz;
     }
+    let mut hgfx = [V::zero(); 8];
+    let mut hgfy = [V::zero(); 8];
+    let mut hgfz = [V::zero(); 8];
     for i in 0..8 {
         hgfx[i] = coefficient
             * (hourgam[i][0] * hxx[0]
@@ -125,13 +125,67 @@ fn calc_elem_fb_hourglass_force<V: SimdReal>(
                 + hourgam[i][2] * hzz[2]
                 + hourgam[i][3] * hzz[3]);
     }
+    (hgfx, hgfy, hgfz)
 }
 
-/// Second phase: compute the FB hourglass restoring forces per corner into
-/// chunk-local `f*_elem` arrays. `hourg` is the `hgcoef` parameter.
+/// Element geometry the hourglass force is built from: corner coordinates,
+/// their volume derivatives and the absolute volume `volo·v`.
+struct HourglassGeometry<V> {
+    x: [V; 8],
+    y: [V; 8],
+    z: [V; 8],
+    dvdx: [V; 8],
+    dvdy: [V; 8],
+    dvdz: [V; 8],
+    determ: V,
+}
+
+/// The per-element body of `CalcFBHourglassForceForElems`: Γ-projection of
+/// the geometry (`hourgam`), force coefficient, corner forces. `c0` is the
+/// hoisted scalar prefix `-hourg · 0.01` of the coefficient. The one body
+/// behind both the two-pass path (`V = f64`, geometry read back from
+/// scratch) and the fused kernel (`V = Lanes<W>`, geometry in registers).
+fn elem_hourglass_force<V: SimdReal>(
+    g: &HourglassGeometry<V>,
+    xd: &[V; 8],
+    yd: &[V; 8],
+    zd: &[V; 8],
+    ss: V,
+    mass: V,
+    c0: Real,
+) -> ([V; 8], [V; 8], [V; 8]) {
+    let volinv = V::splat(1.0) / g.determ;
+    let mut hourgam = [[V::zero(); 4]; 8];
+    for i1 in 0..4 {
+        let mut hourmodx = V::zero();
+        let mut hourmody = V::zero();
+        let mut hourmodz = V::zero();
+        for j in 0..8 {
+            let gamma = V::splat(GAMMA[i1][j]);
+            hourmodx = hourmodx + g.x[j] * gamma;
+            hourmody = hourmody + g.y[j] * gamma;
+            hourmodz = hourmodz + g.z[j] * gamma;
+        }
+        for j in 0..8 {
+            hourgam[j][i1] = V::splat(GAMMA[i1][j])
+                - volinv * (g.dvdx[j] * hourmodx + g.dvdy[j] * hourmody + g.dvdz[j] * hourmodz);
+        }
+    }
+
+    let volume13 = g.determ.cbrt();
+    let coefficient = V::splat(c0) * ss * mass / volume13;
+    calc_elem_fb_hourglass_force(xd, yd, zd, &hourgam, coefficient)
+}
+
+/// Second phase of the two-pass path: compute the FB hourglass restoring
+/// forces per corner into chunk-local `f*_elem` arrays from the geometry
+/// [`calc_hourglass_control_for_elems`] left in scratch. `hourg` is the
+/// `hgcoef` parameter.
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]); all widths
-/// are bit-identical to the scalar reference.
+/// Scalar at every `--simd` width: a lane body here pays 48 strided
+/// transposes per group to read the scratch back and measured slower than
+/// this loop; the lane path is the fused [`calc_hourglass_force_for_elems`],
+/// which never writes the scratch at all.
 #[allow(clippy::too_many_arguments)]
 pub fn calc_fb_hourglass_force_for_elems(
     d: &Domain,
@@ -148,90 +202,31 @@ pub fn calc_fb_hourglass_force_for_elems(
     fz_elem: &mut [Real],
     range: Chunk,
 ) {
-    match simd::active() {
-        LaneWidth::W1 => calc_fb_hourglass_force_for_elems_scalar(
-            d, determ, x8n, y8n, z8n, dvdx, dvdy, dvdz, hourg, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W2 => calc_fb_hourglass_force_for_elems_lanes::<2>(
-            d, determ, x8n, y8n, z8n, dvdx, dvdy, dvdz, hourg, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W4 => calc_fb_hourglass_force_for_elems_lanes::<4>(
-            d, determ, x8n, y8n, z8n, dvdx, dvdy, dvdz, hourg, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W8 => calc_fb_hourglass_force_for_elems_lanes::<8>(
-            d, determ, x8n, y8n, z8n, dvdx, dvdy, dvdz, hourg, fx_elem, fy_elem, fz_elem, range,
-        ),
-    }
-}
-
-/// Scalar reference implementation of [`calc_fb_hourglass_force_for_elems`].
-#[allow(clippy::too_many_arguments)]
-pub fn calc_fb_hourglass_force_for_elems_scalar(
-    d: &Domain,
-    determ: &[Real],
-    x8n: &[Real],
-    y8n: &[Real],
-    z8n: &[Real],
-    dvdx: &[Real],
-    dvdy: &[Real],
-    dvdz: &[Real],
-    hourg: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) {
     debug_assert_eq!(fx_elem.len(), 8 * range.len());
 
-    let mut hourgam = [[0.0; 4]; 8];
+    let c0 = -hourg * 0.01;
+    let corners = |s: &[Real], i3: usize| -> [Real; 8] {
+        s[i3..i3 + 8].try_into().expect("8 corners per element")
+    };
     let mut xd1 = [0.0; 8];
     let mut yd1 = [0.0; 8];
     let mut zd1 = [0.0; 8];
-    let mut hgfx = [0.0; 8];
-    let mut hgfy = [0.0; 8];
-    let mut hgfz = [0.0; 8];
 
     for i2 in range.iter() {
         let k = i2 - range.begin;
         let i3 = 8 * k;
-        let volinv = 1.0 / determ[k];
-
-        for i1 in 0..4 {
-            let mut hourmodx = 0.0;
-            let mut hourmody = 0.0;
-            let mut hourmodz = 0.0;
-            for j in 0..8 {
-                hourmodx += x8n[i3 + j] * GAMMA[i1][j];
-                hourmody += y8n[i3 + j] * GAMMA[i1][j];
-                hourmodz += z8n[i3 + j] * GAMMA[i1][j];
-            }
-            for j in 0..8 {
-                hourgam[j][i1] = GAMMA[i1][j]
-                    - volinv
-                        * (dvdx[i3 + j] * hourmodx
-                            + dvdy[i3 + j] * hourmody
-                            + dvdz[i3 + j] * hourmodz);
-            }
-        }
-
-        // Compute forces: store forces into h arrays (force arrays).
-        let ss1 = d.ss(i2);
-        let mass1 = d.elem_mass(i2);
-        let volume13 = determ[k].cbrt();
+        let g = HourglassGeometry {
+            x: corners(x8n, i3),
+            y: corners(y8n, i3),
+            z: corners(z8n, i3),
+            dvdx: corners(dvdx, i3),
+            dvdy: corners(dvdy, i3),
+            dvdz: corners(dvdz, i3),
+            determ: determ[k],
+        };
         gather_elem_velocities(d, i2, &mut xd1, &mut yd1, &mut zd1);
-
-        let coefficient = -hourg * 0.01 * ss1 * mass1 / volume13;
-
-        calc_elem_fb_hourglass_force(
-            &xd1,
-            &yd1,
-            &zd1,
-            &hourgam,
-            coefficient,
-            &mut hgfx,
-            &mut hgfy,
-            &mut hgfz,
-        );
+        let (hgfx, hgfy, hgfz) =
+            elem_hourglass_force(&g, &xd1, &yd1, &zd1, d.ss(i2), d.elem_mass(i2), c0);
 
         fx_elem[i3..i3 + 8].copy_from_slice(&hgfx);
         fy_elem[i3..i3 + 8].copy_from_slice(&hgfy);
@@ -239,166 +234,118 @@ pub fn calc_fb_hourglass_force_for_elems_scalar(
     }
 }
 
-/// Lane-blocked implementation of [`calc_fb_hourglass_force_for_elems`]:
-/// cache-sized blocks, `W`-element lane groups, and a ragged tail handled by
-/// the same generic body at `W = 1`.
-#[allow(clippy::too_many_arguments)]
-pub fn calc_fb_hourglass_force_for_elems_lanes<const W: usize>(
+/// The fused hourglass kernel: control and FB force in one pass per
+/// element — gather the corner coordinates once, volume derivatives,
+/// Γ-projection, force, per-corner store into chunk-local `f*_elem` — with
+/// every temporary on the stack (paper trick T6 taken to the element).
+/// Bit-identical to [`calc_hourglass_control_for_elems`] followed by
+/// [`calc_fb_hourglass_force_for_elems`], including the volume error when
+/// any relative volume is non-positive (the forces are still written).
+///
+/// Dispatches on the process-wide SIMD width ([`simd::active`]).
+pub fn calc_hourglass_force_for_elems(
     d: &Domain,
-    determ: &[Real],
-    x8n: &[Real],
-    y8n: &[Real],
-    z8n: &[Real],
-    dvdx: &[Real],
-    dvdy: &[Real],
-    dvdz: &[Real],
     hourg: Real,
     fx_elem: &mut [Real],
     fy_elem: &mut [Real],
     fz_elem: &mut [Real],
     range: Chunk,
-) {
-    debug_assert_eq!(fx_elem.len(), 8 * range.len());
-
-    // Hoisted scalar prefix of the force coefficient; matches the scalar
-    // path's `-hourg * 0.01 * ss1 * ...` association exactly.
-    let c0 = -hourg * 0.01;
-    let block = simd::block_len(HOURGLASS_BYTES_PER_ELEM, W);
-    let mut lo = range.begin;
-    while lo < range.end {
-        let hi = (lo + block).min(range.end);
-        let mut e = lo;
-        while e + W <= hi {
-            hourglass_lane_group::<W>(
-                d,
-                range.begin,
-                e,
-                determ,
-                x8n,
-                y8n,
-                z8n,
-                dvdx,
-                dvdy,
-                dvdz,
-                c0,
-                fx_elem,
-                fy_elem,
-                fz_elem,
-            );
-            e += W;
+) -> Result<(), LuleshError> {
+    match simd::active() {
+        LaneWidth::W1 => {
+            calc_hourglass_force_for_elems_lanes::<1>(d, hourg, fx_elem, fy_elem, fz_elem, range)
         }
-        while e < hi {
-            hourglass_lane_group::<1>(
-                d,
-                range.begin,
-                e,
-                determ,
-                x8n,
-                y8n,
-                z8n,
-                dvdx,
-                dvdy,
-                dvdz,
-                c0,
-                fx_elem,
-                fy_elem,
-                fz_elem,
-            );
-            e += 1;
+        LaneWidth::W2 => {
+            calc_hourglass_force_for_elems_lanes::<2>(d, hourg, fx_elem, fy_elem, fz_elem, range)
         }
-        lo = hi;
+        LaneWidth::W4 => {
+            calc_hourglass_force_for_elems_lanes::<4>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+        }
+        LaneWidth::W8 => {
+            calc_hourglass_force_for_elems_lanes::<8>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+        }
     }
 }
 
-/// One group of `W` consecutive elements starting at `e0`: strided lane
-/// loads of the per-corner scratch streams, the Γ-projection and force
-/// distribution in lane registers, then a per-lane scatter.
+/// [`calc_hourglass_force_for_elems`] at a fixed lane width (`W = 1` is
+/// the scalar instantiation of the same body).
+pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
+    d: &Domain,
+    hourg: Real,
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) -> Result<(), LuleshError> {
+    debug_assert_eq!(fx_elem.len(), 8 * range.len());
+
+    let c0 = -hourg * 0.01;
+    let mut failed = false;
+    lane_groups!(W, range.begin, range.end, |e| hourglass_lane_group(
+        d,
+        range.begin,
+        e,
+        c0,
+        fx_elem,
+        fy_elem,
+        fz_elem,
+        &mut failed
+    ));
+    if failed {
+        Err(LuleshError::VolumeError)
+    } else {
+        Ok(())
+    }
+}
+
+/// One group of `W` consecutive elements starting at `e0` of the fused
+/// kernel; sets `failed` when a lane's relative volume is non-positive.
 #[allow(clippy::too_many_arguments)]
 fn hourglass_lane_group<const W: usize>(
     d: &Domain,
     begin: Index,
     e0: Index,
-    determ: &[Real],
-    x8n: &[Real],
-    y8n: &[Real],
-    z8n: &[Real],
-    dvdx: &[Real],
-    dvdy: &[Real],
-    dvdz: &[Real],
     c0: Real,
     fx_elem: &mut [Real],
     fy_elem: &mut [Real],
     fz_elem: &mut [Real],
+    failed: &mut bool,
 ) {
+    let zero = Lanes::<W>::zero();
+    let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
+    gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
+    let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
+    let v = Lanes::<W>::gather(|l| d.v(e0 + l));
+    *failed |= v.0.iter().any(|&v| v <= 0.0);
+    let g = HourglassGeometry {
+        x,
+        y,
+        z,
+        dvdx,
+        dvdy,
+        dvdz,
+        determ: Lanes::gather(|l| d.volo(e0 + l)) * v,
+    };
+
+    let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
+    gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
+    let ss = Lanes::gather(|l| d.ss(e0 + l));
+    let mass = Lanes::gather(|l| d.elem_mass(e0 + l));
+    let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, c0);
+
     let k0 = e0 - begin;
-    let zero = Lanes::<W>::splat(0.0);
+    scatter_elem_corners_lanes(fx_elem, k0, &hgfx);
+    scatter_elem_corners_lanes(fy_elem, k0, &hgfy);
+    scatter_elem_corners_lanes(fz_elem, k0, &hgfz);
+}
 
-    // Transpose the 8-per-element scratch streams into per-corner lanes:
-    // corner j of lane l lives at 8·(k0 + l) + j.
-    let mut x8l = [zero; 8];
-    let mut y8l = [zero; 8];
-    let mut z8l = [zero; 8];
-    let mut dvxl = [zero; 8];
-    let mut dvyl = [zero; 8];
-    let mut dvzl = [zero; 8];
-    for j in 0..8 {
-        x8l[j] = Lanes::gather(|l| x8n[8 * (k0 + l) + j]);
-        y8l[j] = Lanes::gather(|l| y8n[8 * (k0 + l) + j]);
-        z8l[j] = Lanes::gather(|l| z8n[8 * (k0 + l) + j]);
-        dvxl[j] = Lanes::gather(|l| dvdx[8 * (k0 + l) + j]);
-        dvyl[j] = Lanes::gather(|l| dvdy[8 * (k0 + l) + j]);
-        dvzl[j] = Lanes::gather(|l| dvdz[8 * (k0 + l) + j]);
-    }
-
-    let det = Lanes::<W>::load(determ, k0);
-    let volinv = Lanes::<W>::splat(1.0) / det;
-    let mut hourgam = [[zero; 4]; 8];
-    for i1 in 0..4 {
-        let mut hourmodx = zero;
-        let mut hourmody = zero;
-        let mut hourmodz = zero;
-        for j in 0..8 {
-            let g = Lanes::<W>::splat(GAMMA[i1][j]);
-            hourmodx = hourmodx + x8l[j] * g;
-            hourmody = hourmody + y8l[j] * g;
-            hourmodz = hourmodz + z8l[j] * g;
-        }
-        for j in 0..8 {
-            hourgam[j][i1] = Lanes::<W>::splat(GAMMA[i1][j])
-                - volinv * (dvxl[j] * hourmodx + dvyl[j] * hourmody + dvzl[j] * hourmodz);
-        }
-    }
-
-    let ss1 = Lanes::<W>::gather(|l| d.ss(e0 + l));
-    let mass1 = Lanes::<W>::gather(|l| d.elem_mass(e0 + l));
-    let volume13 = det.cbrt();
-    let mut xd1 = [zero; 8];
-    let mut yd1 = [zero; 8];
-    let mut zd1 = [zero; 8];
-    gather_elem_velocities_lanes(d, e0, &mut xd1, &mut yd1, &mut zd1);
-
-    let coefficient = Lanes::<W>::splat(c0) * ss1 * mass1 / volume13;
-
-    let mut hgfx = [zero; 8];
-    let mut hgfy = [zero; 8];
-    let mut hgfz = [zero; 8];
-    calc_elem_fb_hourglass_force(
-        &xd1,
-        &yd1,
-        &zd1,
-        &hourgam,
-        coefficient,
-        &mut hgfx,
-        &mut hgfy,
-        &mut hgfz,
-    );
-
-    for l in 0..W {
-        for c in 0..8 {
-            fx_elem[8 * (k0 + l) + c] = hgfx[c].0[l];
-            fy_elem[8 * (k0 + l) + c] = hgfy[c].0[l];
-            fz_elem[8 * (k0 + l) + c] = hgfz[c].0[l];
-        }
+/// The volume check of [`calc_hourglass_control_for_elems`] alone, for a
+/// step with hourglass control switched off (`hgcoef == 0`).
+pub fn check_relative_volumes(d: &Domain, range: Chunk) -> Result<(), LuleshError> {
+    if range.iter().any(|i| d.v(i) <= 0.0) {
+        Err(LuleshError::VolumeError)
+    } else {
+        Ok(())
     }
 }
 

@@ -3,54 +3,75 @@
 //! and the deviatoric strain rate.
 
 use crate::domain::Domain;
-use crate::kernels::shape::{calc_elem_shape_function_derivatives, calc_elem_velocity_gradient};
+use crate::kernels::shape::{
+    calc_elem_shape_function_derivatives, calc_elem_velocity_gradient, gather_elem_coords_lanes,
+    gather_elem_velocities_lanes,
+};
 use crate::kernels::volume::{calc_elem_characteristic_length, calc_elem_volume};
-use crate::types::{LuleshError, Real};
+use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
+use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
 /// Per element: new relative volume (`vnew`), volume change (`delv`),
 /// characteristic length (`arealg`), and principal strain rates
 /// (`dxx/dyy/dzz`) evaluated at the half-step geometry.
+///
+/// Dispatches on the process-wide SIMD width ([`simd::active`]); every
+/// width, scalar included, is the same generic body at a different `W`.
 pub fn calc_kinematics_for_elems(d: &Domain, dt: Real, range: Chunk) {
-    let mut b = [[0.0; 8]; 3];
-    let mut x_local = [0.0; 8];
-    let mut y_local = [0.0; 8];
-    let mut z_local = [0.0; 8];
-    let mut xd_local = [0.0; 8];
-    let mut yd_local = [0.0; 8];
-    let mut zd_local = [0.0; 8];
+    match simd::active() {
+        LaneWidth::W1 => calc_kinematics_for_elems_lanes::<1>(d, dt, range),
+        LaneWidth::W2 => calc_kinematics_for_elems_lanes::<2>(d, dt, range),
+        LaneWidth::W4 => calc_kinematics_for_elems_lanes::<4>(d, dt, range),
+        LaneWidth::W8 => calc_kinematics_for_elems_lanes::<8>(d, dt, range),
+    }
+}
 
-    for k in range.iter() {
-        d.collect_domain_nodes_to_elem_nodes(k, &mut x_local, &mut y_local, &mut z_local);
+/// [`calc_kinematics_for_elems`] at a fixed lane width (`W = 1` is the
+/// scalar reference).
+pub fn calc_kinematics_for_elems_lanes<const W: usize>(d: &Domain, dt: Real, range: Chunk) {
+    lane_groups!(W, range.begin, range.end, |e| kinematics_lane_group(
+        d, dt, e
+    ));
+}
 
-        // Volume calculations.
-        let volume = calc_elem_volume(&x_local, &y_local, &z_local);
-        let relative_volume = volume / d.volo(k);
-        d.set_vnew(k, relative_volume);
-        d.set_delv(k, relative_volume - d.v(k));
+/// One group of `W` consecutive elements starting at `e0`.
+fn kinematics_lane_group<const W: usize>(d: &Domain, dt: Real, e0: Index) {
+    let zero = Lanes::<W>::zero();
+    let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
+    gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
 
-        // Characteristic length for time increment.
-        d.set_arealg(
-            k,
-            calc_elem_characteristic_length(&x_local, &y_local, &z_local, volume),
-        );
+    // Volume calculations.
+    let volume = calc_elem_volume(&x, &y, &z);
+    let relative_volume = volume / Lanes::gather(|l| d.volo(e0 + l));
+    let delv = relative_volume - Lanes::gather(|l| d.v(e0 + l));
 
-        d.collect_elem_velocities(k, &mut xd_local, &mut yd_local, &mut zd_local);
+    // Characteristic length for time increment.
+    let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
 
-        // Move the geometry half a timestep back.
-        let dt2 = 0.5 * dt;
-        for j in 0..8 {
-            x_local[j] -= dt2 * xd_local[j];
-            y_local[j] -= dt2 * yd_local[j];
-            z_local[j] -= dt2 * zd_local[j];
-        }
+    let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
+    gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
 
-        let detj = calc_elem_shape_function_derivatives(&x_local, &y_local, &z_local, &mut b);
-        let dvg = calc_elem_velocity_gradient(&xd_local, &yd_local, &zd_local, &b, detj);
+    // Move the geometry half a timestep back.
+    let dt2 = Lanes::splat(0.5 * dt);
+    for j in 0..8 {
+        x[j] = x[j] - dt2 * xd[j];
+        y[j] = y[j] - dt2 * yd[j];
+        z[j] = z[j] - dt2 * zd[j];
+    }
 
-        d.set_dxx(k, dvg[0]);
-        d.set_dyy(k, dvg[1]);
-        d.set_dzz(k, dvg[2]);
+    let mut b = [[zero; 8]; 3];
+    let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
+    let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
+
+    for l in 0..W {
+        let k = e0 + l;
+        d.set_vnew(k, relative_volume.0[l]);
+        d.set_delv(k, delv.0[l]);
+        d.set_arealg(k, arealg.0[l]);
+        d.set_dxx(k, dvg[0].0[l]);
+        d.set_dyy(k, dvg[1].0[l]);
+        d.set_dzz(k, dvg[2].0[l]);
     }
 }
 

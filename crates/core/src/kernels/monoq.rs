@@ -8,39 +8,19 @@
 //! between the two (one of the 7 per iteration).
 
 use crate::domain::Domain;
-use crate::kernels::shape::{gather_elem_coords_lanes, gather_elem_velocities_lanes};
 use crate::params::Params;
-use crate::simd::{self, LaneWidth, Lanes, SimdReal};
-use crate::types::{bc, Index, LuleshError, Real};
+use crate::types::{bc, LuleshError, Real};
 use parutil::Chunk;
 
 const PTINY: Real = 1.0e-36;
 
-/// Approximate per-element working set of the gradient kernel (coordinates,
-/// velocities, volumes, six gradient stores).
-const MONOQ_GRAD_BYTES_PER_ELEM: usize = 448;
-
-/// Approximate per-element working set of the region limiter (own and
-/// neighbour gradients, element state, two stores).
-const MONOQ_REGION_BYTES_PER_ELEM: usize = 128;
-
 /// Velocity and position gradients in the three logical directions
 /// (`delv_xi/eta/zeta`, `delx_xi/eta/zeta`).
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]); all widths
-/// are bit-identical to the scalar reference.
+/// Scalar at every `--simd` width: the kernel is bound by its 48 nodal
+/// gathers and six scattered stores, and a lane body measured slower than
+/// this loop at every width (EXPERIMENTS.md), so none is kept.
 pub fn calc_monotonic_q_gradients_for_elems(d: &Domain, range: Chunk) {
-    match simd::active() {
-        LaneWidth::W1 => calc_monotonic_q_gradients_for_elems_scalar(d, range),
-        LaneWidth::W2 => calc_monotonic_q_gradients_for_elems_lanes::<2>(d, range),
-        LaneWidth::W4 => calc_monotonic_q_gradients_for_elems_lanes::<4>(d, range),
-        LaneWidth::W8 => calc_monotonic_q_gradients_for_elems_lanes::<8>(d, range),
-    }
-}
-
-/// Scalar reference implementation of
-/// [`calc_monotonic_q_gradients_for_elems`].
-pub fn calc_monotonic_q_gradients_for_elems_scalar(d: &Domain, range: Chunk) {
     for i in range.iter() {
         let nl = d.nodelist(i);
         let n0 = nl[0];
@@ -174,136 +154,13 @@ pub fn calc_monotonic_q_gradients_for_elems_scalar(d: &Domain, range: Chunk) {
     }
 }
 
-/// Lane-blocked implementation of [`calc_monotonic_q_gradients_for_elems`]:
-/// cache-sized blocks, `W`-element lane groups, ragged tail at `W = 1`.
-pub fn calc_monotonic_q_gradients_for_elems_lanes<const W: usize>(d: &Domain, range: Chunk) {
-    let block = simd::block_len(MONOQ_GRAD_BYTES_PER_ELEM, W);
-    let mut lo = range.begin;
-    while lo < range.end {
-        let hi = (lo + block).min(range.end);
-        let mut e = lo;
-        while e + W <= hi {
-            monoq_gradients_lane_group::<W>(d, e);
-            e += W;
-        }
-        while e < hi {
-            monoq_gradients_lane_group::<1>(d, e);
-            e += 1;
-        }
-        lo = hi;
-    }
-}
-
-/// One group of `W` consecutive elements of the gradient kernel, computed
-/// in lane registers with per-lane stores of the six gradients.
-fn monoq_gradients_lane_group<const W: usize>(d: &Domain, e0: Index) {
-    let quart = Lanes::<W>::splat(0.25);
-    let nquart = Lanes::<W>::splat(-0.25);
-    let ptiny = Lanes::<W>::splat(PTINY);
-    let one = Lanes::<W>::splat(1.0);
-
-    let mut x = [Lanes::<W>::splat(0.0); 8];
-    let mut y = [Lanes::<W>::splat(0.0); 8];
-    let mut z = [Lanes::<W>::splat(0.0); 8];
-    gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
-    let mut xv = [Lanes::<W>::splat(0.0); 8];
-    let mut yv = [Lanes::<W>::splat(0.0); 8];
-    let mut zv = [Lanes::<W>::splat(0.0); 8];
-    gather_elem_velocities_lanes(d, e0, &mut xv, &mut yv, &mut zv);
-
-    let vol = Lanes::<W>::gather(|l| d.volo(e0 + l)) * Lanes::<W>::gather(|l| d.vnew(e0 + l));
-    let norm = one / (vol + ptiny);
-
-    let dxj = nquart * ((x[0] + x[1] + x[5] + x[4]) - (x[3] + x[2] + x[6] + x[7]));
-    let dyj = nquart * ((y[0] + y[1] + y[5] + y[4]) - (y[3] + y[2] + y[6] + y[7]));
-    let dzj = nquart * ((z[0] + z[1] + z[5] + z[4]) - (z[3] + z[2] + z[6] + z[7]));
-
-    let dxi = quart * ((x[1] + x[2] + x[6] + x[5]) - (x[0] + x[3] + x[7] + x[4]));
-    let dyi = quart * ((y[1] + y[2] + y[6] + y[5]) - (y[0] + y[3] + y[7] + y[4]));
-    let dzi = quart * ((z[1] + z[2] + z[6] + z[5]) - (z[0] + z[3] + z[7] + z[4]));
-
-    let dxk = quart * ((x[4] + x[5] + x[6] + x[7]) - (x[0] + x[1] + x[2] + x[3]));
-    let dyk = quart * ((y[4] + y[5] + y[6] + y[7]) - (y[0] + y[1] + y[2] + y[3]));
-    let dzk = quart * ((z[4] + z[5] + z[6] + z[7]) - (z[0] + z[1] + z[2] + z[3]));
-
-    // find delvk and delxk ( i cross j ).
-    let mut ax = dyi * dzj - dzi * dyj;
-    let mut ay = dzi * dxj - dxi * dzj;
-    let mut az = dxi * dyj - dyi * dxj;
-
-    let delx_zeta = vol / (ax * ax + ay * ay + az * az + ptiny).sqrt();
-
-    ax = ax * norm;
-    ay = ay * norm;
-    az = az * norm;
-
-    let mut dxv = quart * ((xv[4] + xv[5] + xv[6] + xv[7]) - (xv[0] + xv[1] + xv[2] + xv[3]));
-    let mut dyv = quart * ((yv[4] + yv[5] + yv[6] + yv[7]) - (yv[0] + yv[1] + yv[2] + yv[3]));
-    let mut dzv = quart * ((zv[4] + zv[5] + zv[6] + zv[7]) - (zv[0] + zv[1] + zv[2] + zv[3]));
-
-    let delv_zeta = ax * dxv + ay * dyv + az * dzv;
-
-    // find delxi and delvi ( j cross k ).
-    ax = dyj * dzk - dzj * dyk;
-    ay = dzj * dxk - dxj * dzk;
-    az = dxj * dyk - dyj * dxk;
-
-    let delx_xi = vol / (ax * ax + ay * ay + az * az + ptiny).sqrt();
-
-    ax = ax * norm;
-    ay = ay * norm;
-    az = az * norm;
-
-    dxv = quart * ((xv[1] + xv[2] + xv[6] + xv[5]) - (xv[0] + xv[3] + xv[7] + xv[4]));
-    dyv = quart * ((yv[1] + yv[2] + yv[6] + yv[5]) - (yv[0] + yv[3] + yv[7] + yv[4]));
-    dzv = quart * ((zv[1] + zv[2] + zv[6] + zv[5]) - (zv[0] + zv[3] + zv[7] + zv[4]));
-
-    let delv_xi = ax * dxv + ay * dyv + az * dzv;
-
-    // find delxj and delvj ( k cross i ).
-    ax = dyk * dzi - dzk * dyi;
-    ay = dzk * dxi - dxk * dzi;
-    az = dxk * dyi - dyk * dxi;
-
-    let delx_eta = vol / (ax * ax + ay * ay + az * az + ptiny).sqrt();
-
-    ax = ax * norm;
-    ay = ay * norm;
-    az = az * norm;
-
-    dxv = nquart * ((xv[0] + xv[1] + xv[5] + xv[4]) - (xv[3] + xv[2] + xv[6] + xv[7]));
-    dyv = nquart * ((yv[0] + yv[1] + yv[5] + yv[4]) - (yv[3] + yv[2] + yv[6] + yv[7]));
-    dzv = nquart * ((zv[0] + zv[1] + zv[5] + zv[4]) - (zv[3] + zv[2] + zv[6] + zv[7]));
-
-    let delv_eta = ax * dxv + ay * dyv + az * dzv;
-
-    for l in 0..W {
-        let i = e0 + l;
-        d.set_delx_zeta(i, delx_zeta.0[l]);
-        d.set_delv_zeta(i, delv_zeta.0[l]);
-        d.set_delx_xi(i, delx_xi.0[l]);
-        d.set_delv_xi(i, delv_xi.0[l]);
-        d.set_delx_eta(i, delx_eta.0[l]);
-        d.set_delv_eta(i, delv_eta.0[l]);
-    }
-}
-
 /// The monotonic-q limiter for a slice of one region's element list:
 /// computes `qq` (quadratic term) and `ql` (linear term) per element.
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]); all widths
-/// are bit-identical to the scalar reference.
+/// Scalar at every `--simd` width: the boundary-condition neighbour fetches
+/// are irregular per element, and a lane body measured slower than this
+/// loop at every width (EXPERIMENTS.md), so none is kept.
 pub fn calc_monotonic_q_region_for_elems(d: &Domain, elems: &[usize], p: &Params) {
-    match simd::active() {
-        LaneWidth::W1 => calc_monotonic_q_region_for_elems_scalar(d, elems, p),
-        LaneWidth::W2 => calc_monotonic_q_region_for_elems_lanes::<2>(d, elems, p),
-        LaneWidth::W4 => calc_monotonic_q_region_for_elems_lanes::<4>(d, elems, p),
-        LaneWidth::W8 => calc_monotonic_q_region_for_elems_lanes::<8>(d, elems, p),
-    }
-}
-
-/// Scalar reference implementation of [`calc_monotonic_q_region_for_elems`].
-pub fn calc_monotonic_q_region_for_elems_scalar(d: &Domain, elems: &[usize], p: &Params) {
     let monoq_limiter_mult = p.monoq_limiter_mult;
     let monoq_max_slope = p.monoq_max_slope;
     let qlc_monoq = p.qlc_monoq;
@@ -460,158 +317,6 @@ pub fn calc_monotonic_q_region_for_elems_scalar(d: &Domain, elems: &[usize], p: 
 
         d.set_qq(i, qquad);
         d.set_ql(i, qlin);
-    }
-}
-
-/// One direction's limiter: normalize the neighbour gradients, average,
-/// then clamp by the limited neighbours, zero and the max slope. The select
-/// chain performs, per lane, exactly the scalar `if` cascade.
-fn monoq_phi<V: SimdReal>(delvm0: V, delvp0: V, norm: V, limiter_mult: Real, max_slope: Real) -> V {
-    let delvm = delvm0 * norm;
-    let delvp = delvp0 * norm;
-    let mut phi = V::splat(0.5) * (delvm + delvp);
-    let delvm = delvm * V::splat(limiter_mult);
-    let delvp = delvp * V::splat(limiter_mult);
-    phi = delvm.select_lt(phi, delvm, phi);
-    phi = delvp.select_lt(phi, delvp, phi);
-    phi = phi.select_lt(V::zero(), V::zero(), phi);
-    phi = phi.select_gt(V::splat(max_slope), V::splat(max_slope), phi);
-    phi
-}
-
-/// Lane-blocked implementation of [`calc_monotonic_q_region_for_elems`]:
-/// the region's element list is walked in cache-sized blocks of `W`-lane
-/// groups; the boundary-condition neighbour fetches stay per-lane scalar
-/// (they are irregular), everything after is lane arithmetic.
-pub fn calc_monotonic_q_region_for_elems_lanes<const W: usize>(
-    d: &Domain,
-    elems: &[usize],
-    p: &Params,
-) {
-    let block = simd::block_len(MONOQ_REGION_BYTES_PER_ELEM, W);
-    let mut lo = 0;
-    while lo < elems.len() {
-        let hi = (lo + block).min(elems.len());
-        let mut i = lo;
-        while i + W <= hi {
-            monoq_region_lane_group::<W>(d, elems, i, p);
-            i += W;
-        }
-        while i < hi {
-            monoq_region_lane_group::<1>(d, elems, i, p);
-            i += 1;
-        }
-        lo = hi;
-    }
-}
-
-/// One group of `W` entries of the region element list.
-fn monoq_region_lane_group<const W: usize>(d: &Domain, elems: &[usize], i0: usize, p: &Params) {
-    let idx = |l: usize| elems[i0 + l];
-    let ptiny = Lanes::<W>::splat(PTINY);
-    let one = Lanes::<W>::splat(1.0);
-    let zero = Lanes::<W>::splat(0.0);
-
-    // Phi ξ.
-    let delv_xi = Lanes::<W>::gather(|l| d.delv_xi(idx(l)));
-    let norm = one / (delv_xi + ptiny);
-    let delvm = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::XI_M {
-            0 | bc::XI_M_COMM => d.delv_xi(d.m_lxim[i]),
-            bc::XI_M_SYMM => d.delv_xi(i),
-            bc::XI_M_FREE => 0.0,
-            other => unreachable!("bad ξ− boundary flags {other:#x}"),
-        }
-    });
-    let delvp = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::XI_P {
-            0 | bc::XI_P_COMM => d.delv_xi(d.m_lxip[i]),
-            bc::XI_P_SYMM => d.delv_xi(i),
-            bc::XI_P_FREE => 0.0,
-            other => unreachable!("bad ξ+ boundary flags {other:#x}"),
-        }
-    });
-    let phixi = monoq_phi(delvm, delvp, norm, p.monoq_limiter_mult, p.monoq_max_slope);
-
-    // Phi η.
-    let delv_eta = Lanes::<W>::gather(|l| d.delv_eta(idx(l)));
-    let norm = one / (delv_eta + ptiny);
-    let delvm = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::ETA_M {
-            0 | bc::ETA_M_COMM => d.delv_eta(d.m_letam[i]),
-            bc::ETA_M_SYMM => d.delv_eta(i),
-            bc::ETA_M_FREE => 0.0,
-            other => unreachable!("bad η− boundary flags {other:#x}"),
-        }
-    });
-    let delvp = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::ETA_P {
-            0 | bc::ETA_P_COMM => d.delv_eta(d.m_letap[i]),
-            bc::ETA_P_SYMM => d.delv_eta(i),
-            bc::ETA_P_FREE => 0.0,
-            other => unreachable!("bad η+ boundary flags {other:#x}"),
-        }
-    });
-    let phieta = monoq_phi(delvm, delvp, norm, p.monoq_limiter_mult, p.monoq_max_slope);
-
-    // Phi ζ.
-    let delv_zeta = Lanes::<W>::gather(|l| d.delv_zeta(idx(l)));
-    let norm = one / (delv_zeta + ptiny);
-    let delvm = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::ZETA_M {
-            0 | bc::ZETA_M_COMM => d.delv_zeta(d.m_lzetam[i]),
-            bc::ZETA_M_SYMM => d.delv_zeta(i),
-            bc::ZETA_M_FREE => 0.0,
-            other => unreachable!("bad ζ− boundary flags {other:#x}"),
-        }
-    });
-    let delvp = Lanes::<W>::gather(|l| {
-        let i = idx(l);
-        match d.m_elem_bc[i] & bc::ZETA_P {
-            0 | bc::ZETA_P_COMM => d.delv_zeta(d.m_lzetap[i]),
-            bc::ZETA_P_SYMM => d.delv_zeta(i),
-            bc::ZETA_P_FREE => 0.0,
-            other => unreachable!("bad ζ+ boundary flags {other:#x}"),
-        }
-    });
-    let phizeta = monoq_phi(delvm, delvp, norm, p.monoq_limiter_mult, p.monoq_max_slope);
-
-    // Remove length scale. Both sides of the `vdov > 0` branch are
-    // computed; the select discards the untaken lane's value.
-    let mut delvxxi = delv_xi * Lanes::<W>::gather(|l| d.delx_xi(idx(l)));
-    let mut delvxeta = delv_eta * Lanes::<W>::gather(|l| d.delx_eta(idx(l)));
-    let mut delvxzeta = delv_zeta * Lanes::<W>::gather(|l| d.delx_zeta(idx(l)));
-
-    delvxxi = delvxxi.select_gt(zero, zero, delvxxi);
-    delvxeta = delvxeta.select_gt(zero, zero, delvxeta);
-    delvxzeta = delvxzeta.select_gt(zero, zero, delvxzeta);
-
-    let rho = Lanes::<W>::gather(|l| d.elem_mass(idx(l)))
-        / (Lanes::<W>::gather(|l| d.volo(idx(l))) * Lanes::<W>::gather(|l| d.vnew(idx(l))));
-
-    let qlin = Lanes::<W>::splat(-p.qlc_monoq)
-        * rho
-        * (delvxxi * (one - phixi) + delvxeta * (one - phieta) + delvxzeta * (one - phizeta));
-
-    let qquad = Lanes::<W>::splat(p.qqc_monoq)
-        * rho
-        * (delvxxi * delvxxi * (one - phixi * phixi)
-            + delvxeta * delvxeta * (one - phieta * phieta)
-            + delvxzeta * delvxzeta * (one - phizeta * phizeta));
-
-    let vdov = Lanes::<W>::gather(|l| d.vdov(idx(l)));
-    let qlin = vdov.select_gt(zero, zero, qlin);
-    let qquad = vdov.select_gt(zero, zero, qquad);
-
-    for l in 0..W {
-        let i = idx(l);
-        d.set_qq(i, qquad.0[l]);
-        d.set_ql(i, qlin.0[l]);
     }
 }
 

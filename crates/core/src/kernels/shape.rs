@@ -87,6 +87,19 @@ pub fn gather_elem_velocities_lanes<const W: usize>(
     }
 }
 
+/// Transposed per-corner store for a lane group, the inverse of the gathers:
+/// corner `c` of lane `l` goes to `dst[8·(k0 + l) + c]`, where `k0` is the
+/// group's first chunk-local element slot.
+#[inline]
+pub fn scatter_elem_corners_lanes<const W: usize>(dst: &mut [Real], k0: usize, v: &[Lanes<W>; 8]) {
+    let dst = &mut dst[8 * k0..8 * (k0 + W)];
+    for l in 0..W {
+        for c in 0..8 {
+            dst[8 * l + c] = v[c].0[l];
+        }
+    }
+}
+
 /// Shape-function derivatives `b[dim][corner]` and the Jacobian-based
 /// element volume. Generic over [`SimdReal`]: the `f64` instantiation is
 /// the scalar reference; `Lanes<W>` processes `W` elements at once with a
@@ -227,20 +240,21 @@ pub fn sum_elem_stresses_to_node_forces<V: SimdReal>(
 
 /// Principal components of the element velocity gradient
 /// (`CalcElemVelocityGradient`; only `d[0..3]` are consumed downstream but
-/// we compute all six like the reference).
-pub fn calc_elem_velocity_gradient(
-    xvel: &[Real; 8],
-    yvel: &[Real; 8],
-    zvel: &[Real; 8],
-    b: &[[Real; 8]; 3],
-    detj: Real,
-) -> [Real; 6] {
-    let inv_detj = 1.0 / detj;
+/// we compute all six like the reference). Generic over [`SimdReal`].
+pub fn calc_elem_velocity_gradient<V: SimdReal>(
+    xvel: &[V; 8],
+    yvel: &[V; 8],
+    zvel: &[V; 8],
+    b: &[[V; 8]; 3],
+    detj: V,
+) -> [V; 6] {
+    let inv_detj = V::splat(1.0) / detj;
+    let half = V::splat(0.5);
     let pfx = &b[0];
     let pfy = &b[1];
     let pfz = &b[2];
 
-    let mut d = [0.0; 6];
+    let mut d = [V::zero(); 6];
     d[0] = inv_detj
         * (pfx[0] * (xvel[0] - xvel[6])
             + pfx[1] * (xvel[1] - xvel[7])
@@ -288,9 +302,9 @@ pub fn calc_elem_velocity_gradient(
             + pfz[2] * (yvel[2] - yvel[4])
             + pfz[3] * (yvel[3] - yvel[5]));
 
-    d[5] = 0.5 * (dxddy + dyddx);
-    d[4] = 0.5 * (dxddz + dzddx);
-    d[3] = 0.5 * (dzddy + dyddz);
+    d[5] = half * (dxddy + dyddx);
+    d[4] = half * (dxddz + dzddx);
+    d[3] = half * (dzddy + dyddz);
     d
 }
 

@@ -18,16 +18,11 @@
 use crate::domain::Domain;
 use crate::kernels::shape::{
     calc_elem_node_normals, calc_elem_shape_function_derivatives, gather_elem_coords,
-    gather_elem_coords_lanes, sum_elem_stresses_to_node_forces,
+    gather_elem_coords_lanes, scatter_elem_corners_lanes, sum_elem_stresses_to_node_forces,
 };
-use crate::simd::{self, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
-
-/// Approximate per-element working set of the stress integration (gathered
-/// coordinates, stresses, determinant and per-corner forces), used to size
-/// the cache blocks of the lane-blocked variant.
-const STRESS_BYTES_PER_ELEM: usize = 416;
 
 /// Zero the nodal force arrays (`CalcForceForNodes` prologue).
 pub fn zero_forces(d: &Domain, range: Chunk) {
@@ -141,10 +136,10 @@ pub fn integrate_stress_for_elems_scalar(
     }
 }
 
-/// Lane-blocked implementation of [`integrate_stress_for_elems`]: the chunk
-/// is walked in cache-sized blocks, each block in groups of `W` elements
-/// computed with [`Lanes<W>`]; the ragged tail reuses the same generic body
-/// at `W = 1`, which is operation-identical to the scalar reference.
+/// Lane implementation of [`integrate_stress_for_elems`]: the chunk is
+/// walked in groups of `W` elements computed with [`Lanes<W>`]; the ragged
+/// tail reuses the same generic body at `W = 1`, which is
+/// operation-identical to the scalar reference.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_stress_for_elems_lanes<const W: usize>(
     d: &Domain,
@@ -160,43 +155,18 @@ pub fn integrate_stress_for_elems_lanes<const W: usize>(
     debug_assert_eq!(determ.len(), range.len());
     debug_assert_eq!(fx_elem.len(), 8 * range.len());
 
-    let block = simd::block_len(STRESS_BYTES_PER_ELEM, W);
-    let mut lo = range.begin;
-    while lo < range.end {
-        let hi = (lo + block).min(range.end);
-        let mut e = lo;
-        while e + W <= hi {
-            stress_lane_group::<W>(
-                d,
-                range.begin,
-                e,
-                sigxx,
-                sigyy,
-                sigzz,
-                determ,
-                fx_elem,
-                fy_elem,
-                fz_elem,
-            );
-            e += W;
-        }
-        while e < hi {
-            stress_lane_group::<1>(
-                d,
-                range.begin,
-                e,
-                sigxx,
-                sigyy,
-                sigzz,
-                determ,
-                fx_elem,
-                fy_elem,
-                fz_elem,
-            );
-            e += 1;
-        }
-        lo = hi;
-    }
+    lane_groups!(W, range.begin, range.end, |e| stress_lane_group(
+        d,
+        range.begin,
+        e,
+        sigxx,
+        sigyy,
+        sigzz,
+        determ,
+        fx_elem,
+        fy_elem,
+        fz_elem
+    ));
 }
 
 /// One group of `W` consecutive elements starting at `e0` (chunk-local slot
@@ -235,13 +205,9 @@ fn stress_lane_group<const W: usize>(
     sum_elem_stresses_to_node_forces(&b, sx, sy, sz, &mut fxl, &mut fyl, &mut fzl);
 
     det.store(determ, k0);
-    for l in 0..W {
-        for c in 0..8 {
-            fx_elem[8 * (k0 + l) + c] = fxl[c].0[l];
-            fy_elem[8 * (k0 + l) + c] = fyl[c].0[l];
-            fz_elem[8 * (k0 + l) + c] = fzl[c].0[l];
-        }
-    }
+    scatter_elem_corners_lanes(fx_elem, k0, &fxl);
+    scatter_elem_corners_lanes(fy_elem, k0, &fyl);
+    scatter_elem_corners_lanes(fz_elem, k0, &fzl);
 }
 
 /// Fail with [`LuleshError::VolumeError`] if any determinant in the slice is

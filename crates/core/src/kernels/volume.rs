@@ -1,32 +1,24 @@
 //! Element geometry: volumes, face areas, characteristic lengths, and
 //! volume derivatives — straight ports of `CalcElemVolume`, `AreaFace`,
 //! `CalcElemCharacteristicLength`, `VoluDer` and `CalcElemVolumeDerivative`
-//! from the LULESH 2.0 reference.
+//! from the LULESH 2.0 reference, generic over [`SimdReal`] (`f64` is the
+//! scalar reference; `Lanes<W>` runs `W` elements in lockstep with the same
+//! per-element operation sequence).
 
 // Signatures and branch structure mirror `CalcElemVolume`/`VoluDer`/`AreaFace` one-to-one.
-#![allow(clippy::too_many_arguments, clippy::if_same_then_else)]
+#![allow(clippy::too_many_arguments)]
+use crate::simd::SimdReal;
 use crate::types::Real;
 
 #[inline]
-fn triple_product(
-    x1: Real,
-    y1: Real,
-    z1: Real,
-    x2: Real,
-    y2: Real,
-    z2: Real,
-    x3: Real,
-    y3: Real,
-    z3: Real,
-) -> Real {
+fn triple_product<V: SimdReal>(x1: V, y1: V, z1: V, x2: V, y2: V, z2: V, x3: V, y3: V, z3: V) -> V {
     x1 * (y2 * z3 - z2 * y3) + x2 * (z1 * y3 - y1 * z3) + x3 * (y1 * z2 - z1 * y2)
 }
 
 /// Volume of a hexahedron given its 8 node coordinates in LULESH corner
 /// order. Positive for a right-handed, non-degenerate element.
-pub fn calc_elem_volume(x: &[Real; 8], y: &[Real; 8], z: &[Real; 8]) -> Real {
-    let twelveth: Real = 1.0 / 12.0;
-
+pub fn calc_elem_volume<V: SimdReal>(x: &[V; 8], y: &[V; 8], z: &[V; 8]) -> V {
+    let twelveth = V::splat(1.0 / 12.0);
     let dx61 = x[6] - x[1];
     let dy61 = y[6] - y[1];
     let dz61 = z[6] - z[1];
@@ -113,20 +105,20 @@ pub fn calc_elem_volume(x: &[Real; 8], y: &[Real; 8], z: &[Real; 8]) -> Real {
 /// The squared-area metric of a quadrilateral face used by the
 /// characteristic-length computation (`AreaFace` in the reference).
 #[inline]
-pub fn area_face(
-    x0: Real,
-    x1: Real,
-    x2: Real,
-    x3: Real,
-    y0: Real,
-    y1: Real,
-    y2: Real,
-    y3: Real,
-    z0: Real,
-    z1: Real,
-    z2: Real,
-    z3: Real,
-) -> Real {
+pub fn area_face<V: SimdReal>(
+    x0: V,
+    x1: V,
+    x2: V,
+    x3: V,
+    y0: V,
+    y1: V,
+    y2: V,
+    y3: V,
+    z0: V,
+    z1: V,
+    z2: V,
+    z3: V,
+) -> V {
     let fx = (x2 - x0) - (x3 - x1);
     let fy = (y2 - y0) - (y3 - y1);
     let fz = (z2 - z0) - (z3 - z1);
@@ -138,73 +130,58 @@ pub fn area_face(
 }
 
 /// Characteristic length of an element: `4·V / √(max face area metric)`.
-pub fn calc_elem_characteristic_length(
-    x: &[Real; 8],
-    y: &[Real; 8],
-    z: &[Real; 8],
-    volume: Real,
-) -> Real {
-    let mut char_length: Real = 0.0;
-
-    let mut a = area_face(
-        x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3], z[0], z[1], z[2], z[3],
-    );
-    char_length = char_length.max(a);
-
-    a = area_face(
-        x[4], x[5], x[6], x[7], y[4], y[5], y[6], y[7], z[4], z[5], z[6], z[7],
-    );
-    char_length = char_length.max(a);
-
-    a = area_face(
-        x[0], x[1], x[5], x[4], y[0], y[1], y[5], y[4], z[0], z[1], z[5], z[4],
-    );
-    char_length = char_length.max(a);
-
-    a = area_face(
-        x[1], x[2], x[6], x[5], y[1], y[2], y[6], y[5], z[1], z[2], z[6], z[5],
-    );
-    char_length = char_length.max(a);
-
-    a = area_face(
-        x[2], x[3], x[7], x[6], y[2], y[3], y[7], y[6], z[2], z[3], z[7], z[6],
-    );
-    char_length = char_length.max(a);
-
-    a = area_face(
-        x[3], x[0], x[4], x[7], y[3], y[0], y[4], y[7], z[3], z[0], z[4], z[7],
-    );
-    char_length = char_length.max(a);
-
-    4.0 * volume / char_length.sqrt()
+pub fn calc_elem_characteristic_length<V: SimdReal>(
+    x: &[V; 8],
+    y: &[V; 8],
+    z: &[V; 8],
+    volume: V,
+) -> V {
+    // The six faces in reference order. The running maximum is a select
+    // (`a > max ? a : max`): the metric is never NaN or −0.0 for finite
+    // coordinates, so this is the reference's `std::max` bit for bit.
+    const FACES: [[usize; 4]; 6] = [
+        [0, 1, 2, 3],
+        [4, 5, 6, 7],
+        [0, 1, 5, 4],
+        [1, 2, 6, 5],
+        [2, 3, 7, 6],
+        [3, 0, 4, 7],
+    ];
+    let mut char_length = V::zero();
+    for [i, j, k, l] in FACES {
+        let a = area_face(
+            x[i], x[j], x[k], x[l], y[i], y[j], y[k], y[l], z[i], z[j], z[k], z[l],
+        );
+        char_length = a.select_gt(char_length, a, char_length);
+    }
+    V::splat(4.0) * volume / char_length.sqrt()
 }
 
 /// Partial derivative of element volume w.r.t. one corner's coordinates
 /// (`VoluDer`). The six node arguments are the corner's neighbours in the
 /// stencil order the reference uses.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn volu_der(
-    x0: Real,
-    x1: Real,
-    x2: Real,
-    x3: Real,
-    x4: Real,
-    x5: Real,
-    y0: Real,
-    y1: Real,
-    y2: Real,
-    y3: Real,
-    y4: Real,
-    y5: Real,
-    z0: Real,
-    z1: Real,
-    z2: Real,
-    z3: Real,
-    z4: Real,
-    z5: Real,
-) -> (Real, Real, Real) {
-    let twelfth: Real = 1.0 / 12.0;
+pub fn volu_der<V: SimdReal>(
+    x0: V,
+    x1: V,
+    x2: V,
+    x3: V,
+    x4: V,
+    x5: V,
+    y0: V,
+    y1: V,
+    y2: V,
+    y3: V,
+    y4: V,
+    y5: V,
+    z0: V,
+    z1: V,
+    z2: V,
+    z3: V,
+    z4: V,
+    z5: V,
+) -> (V, V, V) {
+    let twelfth = V::splat(1.0 / 12.0);
 
     let dvdx = (y1 + y2) * (z0 + z1) - (y0 + y1) * (z1 + z2) + (y0 + y4) * (z3 + z4)
         - (y3 + y4) * (z0 + z4)
@@ -223,14 +200,14 @@ pub fn volu_der(
 }
 
 /// Volume derivatives at all 8 corners (`CalcElemVolumeDerivative`).
-pub fn calc_elem_volume_derivative(
-    x: &[Real; 8],
-    y: &[Real; 8],
-    z: &[Real; 8],
-) -> ([Real; 8], [Real; 8], [Real; 8]) {
-    let mut dvdx = [0.0; 8];
-    let mut dvdy = [0.0; 8];
-    let mut dvdz = [0.0; 8];
+pub fn calc_elem_volume_derivative<V: SimdReal>(
+    x: &[V; 8],
+    y: &[V; 8],
+    z: &[V; 8],
+) -> ([V; 8], [V; 8], [V; 8]) {
+    let mut dvdx = [V::zero(); 8];
+    let mut dvdy = [V::zero(); 8];
+    let mut dvdz = [V::zero(); 8];
 
     // Stencils per corner, copied from the reference call sequence:
     // (corner index, [six neighbour node indices]).

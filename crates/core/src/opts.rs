@@ -9,20 +9,25 @@ use crate::types::Index;
 /// Kernel lane-width policy, `--simd scalar|w2|w4|w8|auto`.
 ///
 /// Every width is bit-identical to the scalar reference (see
-/// [`crate::simd`]), so this flag is purely a performance knob: `scalar`
-/// (the default) runs the reference inner loops, `wN` pins the lane-blocked
-/// kernels to N lanes, and `auto` lets the task driver's online tuner
-/// co-tune lane width with the partition sizes (drivers without a tuner
-/// resolve `auto` to the static w4 sweet spot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`crate::simd`]), so this flag is purely a performance knob: `wN` pins
+/// the lane kernels to N lanes (the default is [`LaneWidth::DEFAULT`]),
+/// `scalar` runs the reference inner loops, and `auto` lets the task
+/// driver's online tuner co-tune lane width with the partition sizes
+/// (drivers without a tuner resolve `auto` to the default width).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdMode {
-    /// Scalar reference loops (`--simd scalar`, alias `w1`). The default.
-    #[default]
+    /// Scalar reference loops (`--simd scalar`, alias `w1`).
     Scalar,
     /// A fixed lane width (`--simd w2|w4|w8`).
     Fixed(LaneWidth),
-    /// Online width tuning where a tuner runs; static w4 elsewhere.
+    /// Online width tuning where a tuner runs; the default width elsewhere.
     Auto,
+}
+
+impl Default for SimdMode {
+    fn default() -> Self {
+        Self::Fixed(LaneWidth::DEFAULT)
+    }
 }
 
 impl SimdMode {
@@ -33,7 +38,7 @@ impl SimdMode {
         match self {
             SimdMode::Scalar => LaneWidth::W1,
             SimdMode::Fixed(w) => w,
-            SimdMode::Auto => LaneWidth::W4,
+            SimdMode::Auto => LaneWidth::DEFAULT,
         }
     }
 }
@@ -250,7 +255,8 @@ pub struct Opts {
     pub trace_dir: Option<String>,
     /// Partition policy for the task driver, `--partition auto|fixed:N|table`.
     pub partition: PartitionMode,
-    /// Kernel lane width, `--simd scalar|w2|w4|w8|auto`. Default scalar.
+    /// Kernel lane width, `--simd scalar|w2|w4|w8|auto`. Default
+    /// [`LaneWidth::DEFAULT`].
     pub simd: SimdMode,
     /// Inter-rank transport for the multi-domain drivers,
     /// `--transport channel|tcp|tcp:HOST:PORT`.
@@ -308,7 +314,7 @@ impl Default for Opts {
             metrics: None,
             trace_dir: None,
             partition: PartitionMode::Table,
-            simd: SimdMode::Scalar,
+            simd: SimdMode::default(),
             transport: TransportMode::Channel,
             recv_deadline_ms: 10_000,
             pin: PinMode::None,
@@ -485,16 +491,17 @@ impl Opts {
              [--slow-rank RANK:MS] [--ckpt-dir DIR] [--ckpt-period K] \
              [--resume-cycle C] [--respawn]\n\
              Defaults: --s 30 --r 11 --b 1 --c 1 --threads 1 \
-             --partition table --transport channel --recv-deadline-ms 10000 \
-             --pin none, run to stoptime.\n\
+             --partition table --simd {default_width} --transport channel \
+             --recv-deadline-ms 10000 --pin none, run to stoptime.\n\
              --trace writes a Chrome-trace timeline (load in Perfetto); \
              --metrics writes a per-phase metrics snapshot; \
              --trace-dir collects per-rank traces, a merged clock-aligned \
              timeline, and an overhead-taxonomy report (multi-domain); \
              --partition auto tunes partition sizes online (task driver); \
              --simd picks the kernel lane width (every width is bit-identical \
-             to scalar); --simd auto co-tunes width with the partition sizes \
-             on the task driver and resolves to w4 elsewhere; \
+             to --simd scalar, the reference loops); --simd auto co-tunes \
+             width with the partition sizes on the task driver and resolves \
+             to {default_width} elsewhere; \
              --transport tcp exchanges halos over loopback sockets \
              (multi-domain drivers); \
              --pin pins workers to NUMA nodes with locality-aware stealing \
@@ -509,7 +516,8 @@ impl Opts {
              (async writer thread, checksummed files); \
              --respawn rolls back to the newest globally consistent \
              checkpoint after a rank failure and reruns (launcher); \
-             --resume-cycle resumes one run from a specific wave."
+             --resume-cycle resumes one run from a specific wave.",
+            default_width = LaneWidth::DEFAULT,
         )
     }
 }
@@ -582,11 +590,14 @@ mod tests {
 
     #[test]
     fn simd_modes() {
+        // A plain run takes the one default width, the same constant the
+        // kernels' global starts at.
         let o = Opts::parse(Vec::<String>::new()).unwrap();
-        assert_eq!(o.simd, SimdMode::Scalar);
-        assert_eq!(o.simd.static_width(), LaneWidth::W1);
+        assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::DEFAULT));
+        assert_eq!(o.simd.static_width(), crate::simd::active());
         let o = Opts::parse(["--simd", "scalar"]).unwrap();
         assert_eq!(o.simd, SimdMode::Scalar);
+        assert_eq!(o.simd.static_width(), LaneWidth::W1);
         // `w1` is an alias for scalar (handy in width sweeps).
         let o = Opts::parse(["--simd=w1"]).unwrap();
         assert_eq!(o.simd, SimdMode::Scalar);
@@ -599,7 +610,7 @@ mod tests {
         assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::W8));
         let o = Opts::parse(["--simd", "auto"]).unwrap();
         assert_eq!(o.simd, SimdMode::Auto);
-        assert_eq!(o.simd.static_width(), LaneWidth::W4);
+        assert_eq!(o.simd.static_width(), LaneWidth::DEFAULT);
         assert!(Opts::parse(["--simd", "w16"]).is_err());
         assert!(Opts::parse(["--simd", "avx"]).is_err());
         assert!(Opts::parse(["--simd"]).is_err());

@@ -36,18 +36,6 @@ pub struct SerialScratch {
     pub fy_hg: Vec<Real>,
     /// See [`Self::fx_hg`].
     pub fz_hg: Vec<Real>,
-    /// Hourglass volume derivatives, `8·num_elem`.
-    pub dvdx: Vec<Real>,
-    /// See [`Self::dvdx`].
-    pub dvdy: Vec<Real>,
-    /// See [`Self::dvdx`].
-    pub dvdz: Vec<Real>,
-    /// Hourglass corner coordinates, `8·num_elem`.
-    pub x8n: Vec<Real>,
-    /// See [`Self::x8n`].
-    pub y8n: Vec<Real>,
-    /// See [`Self::x8n`].
-    pub z8n: Vec<Real>,
     /// Clamped new relative volumes, mesh length.
     pub vnewc: Vec<Real>,
     /// Region-length EOS scratch.
@@ -68,12 +56,6 @@ impl SerialScratch {
             fx_hg: vec![0.0; 8 * num_elem],
             fy_hg: vec![0.0; 8 * num_elem],
             fz_hg: vec![0.0; 8 * num_elem],
-            dvdx: vec![0.0; 8 * num_elem],
-            dvdy: vec![0.0; 8 * num_elem],
-            dvdz: vec![0.0; 8 * num_elem],
-            x8n: vec![0.0; 8 * num_elem],
-            y8n: vec![0.0; 8 * num_elem],
-            z8n: vec![0.0; 8 * num_elem],
             vnewc: vec![0.0; num_elem],
             eos: eos::EosScratch::default(),
         }
@@ -99,7 +81,6 @@ fn nodes(d: &Domain) -> Chunk {
 /// multi-domain driver can exchange boundary-plane forces before the node
 /// state advance.
 pub fn calc_force_for_nodes(d: &Domain, s: &mut SerialScratch) -> Result<(), LuleshError> {
-    stress::zero_forces(d, nodes(d));
     stress::init_stress_terms_for_elems(d, &mut s.sigxx, &mut s.sigyy, &mut s.sigzz, elems(d));
     stress::integrate_stress_for_elems(
         d,
@@ -113,36 +94,31 @@ pub fn calc_force_for_nodes(d: &Domain, s: &mut SerialScratch) -> Result<(), Lul
         elems(d),
     );
     stress::check_volume_error(&s.determ)?;
-    stress::gather_forces_set(d, &s.fx_elem, &s.fy_elem, &s.fz_elem, nodes(d));
 
-    hourglass::calc_hourglass_control_for_elems(
-        d,
-        &mut s.dvdx,
-        &mut s.dvdy,
-        &mut s.dvdz,
-        &mut s.x8n,
-        &mut s.y8n,
-        &mut s.z8n,
-        &mut s.determ,
-        elems(d),
-    )?;
+    // One walk over the corner lists sets every nodal force: bit-identical
+    // to the reference's zero + stress gather + hourglass gather-add.
     if d.params.hgcoef > 0.0 {
-        hourglass::calc_fb_hourglass_force_for_elems(
+        hourglass::calc_hourglass_force_for_elems(
             d,
-            &s.determ,
-            &s.x8n,
-            &s.y8n,
-            &s.z8n,
-            &s.dvdx,
-            &s.dvdy,
-            &s.dvdz,
             d.params.hgcoef,
             &mut s.fx_hg,
             &mut s.fy_hg,
             &mut s.fz_hg,
             elems(d),
+        )?;
+        stress::gather_forces_sum2(
+            d,
+            &s.fx_elem,
+            &s.fy_elem,
+            &s.fz_elem,
+            &s.fx_hg,
+            &s.fy_hg,
+            &s.fz_hg,
+            nodes(d),
         );
-        stress::gather_forces_add(d, &s.fx_hg, &s.fy_hg, &s.fz_hg, nodes(d));
+    } else {
+        hourglass::check_relative_volumes(d, elems(d))?;
+        stress::gather_forces_set(d, &s.fx_elem, &s.fy_elem, &s.fz_elem, nodes(d));
     }
     Ok(())
 }

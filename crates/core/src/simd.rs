@@ -16,12 +16,16 @@
 //! lane's value discarded, which preserves bit-identity because the taken
 //! side's operation sequence is unchanged.
 //!
-//! The active width is a process-global ([`set_active`]/[`active`]) that
-//! the kernel entry points dispatch on internally, so driver call sites
-//! need no signature changes and every driver (serial, OpenMP-style, task,
-//! multi-domain) picks up `--simd` uniformly. Because all widths are
-//! bit-identical, concurrently running tests that flip the global cannot
-//! change any result.
+//! The active width is a process-global ([`set_active`]/[`active`],
+//! initially [`LaneWidth::DEFAULT`]) that the kernel entry points dispatch
+//! on internally, so driver call sites need no signature changes and every
+//! driver (serial, OpenMP-style, task, multi-domain) picks up `--simd`
+//! uniformly. Because all widths are bit-identical, concurrently running
+//! tests that flip the global cannot change any result.
+//!
+//! Every lane kernel is a single pass per element, so a chunk is walked
+//! as plain `W`-element groups ([`lane_groups!`]) — there is no cache
+//! blocking layer to tune.
 
 // The elementwise loops index several arrays at once; iterator zips would
 // obscure the per-lane operation.
@@ -29,7 +33,7 @@
 
 use crate::types::Real;
 use std::ops::{Add, Div, Mul, Neg, Sub};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// `W` elements processed in lockstep. `W` must be a power of two ≤ 8 in
 /// practice (2, 4, 8); `Lanes<1>` is legal and equivalent to `f64`.
@@ -232,6 +236,27 @@ impl<const W: usize> SimdReal for Lanes<W> {
     lanes_select!(select_ge, >=);
 }
 
+/// Walk `$lo..$hi` in groups of `$w` consecutive elements, then the ragged
+/// tail one element at a time through the same group function at `W = 1`
+/// (operation-identical to the scalar reference): expands to
+/// `$group::<$w>($args)` / `$group::<1>($args)` with `$e` bound to each
+/// group's first element.
+macro_rules! lane_groups {
+    ($w:ident, $lo:expr, $hi:expr, |$e:ident| $group:ident($($arg:expr),* $(,)?)) => {{
+        let hi = $hi;
+        let mut $e = $lo;
+        while $e + $w <= hi {
+            $group::<$w>($($arg),*);
+            $e += $w;
+        }
+        while $e < hi {
+            $group::<1>($($arg),*);
+            $e += 1;
+        }
+    }};
+}
+pub(crate) use lane_groups;
+
 /// The lane widths the kernels are instantiated at.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LaneWidth {
@@ -249,9 +274,14 @@ impl LaneWidth {
     /// Every width, scalar first.
     pub const ALL: [LaneWidth; 4] = [Self::W1, Self::W2, Self::W4, Self::W8];
 
+    /// The width a plain run uses: [`ACTIVE`]'s initial value and the
+    /// `--simd` default. Measured in release (EXPERIMENTS.md): w4 wins or
+    /// ties on every lane kernel; w2 and w8 are within a few percent.
+    pub const DEFAULT: LaneWidth = Self::W4;
+
     /// The element count per lane group.
     #[inline]
-    pub fn lanes(self) -> usize {
+    pub const fn lanes(self) -> usize {
         match self {
             Self::W1 => 1,
             Self::W2 => 2,
@@ -283,8 +313,8 @@ impl std::fmt::Display for LaneWidth {
     }
 }
 
-/// Process-global active width, encoded as the lane count. Default scalar.
-static ACTIVE: AtomicU8 = AtomicU8::new(1);
+/// Process-global active width, encoded as the lane count.
+static ACTIVE: AtomicU8 = AtomicU8::new(LaneWidth::DEFAULT.lanes() as u8);
 
 /// Set the lane width every ported kernel dispatches to from now on.
 /// Safe to call at any time: all widths produce bit-identical results, so
@@ -296,56 +326,6 @@ pub fn set_active(w: LaneWidth) {
 /// The width the ported kernels currently dispatch to.
 pub fn active() -> LaneWidth {
     LaneWidth::from_lanes(ACTIVE.load(Ordering::Relaxed) as usize).unwrap_or(LaneWidth::W1)
-}
-
-/// Cache-blocking budget (bytes of per-element working set the inner block
-/// loop targets keeping resident). Default: half a typical 32 KiB L1D.
-static L1_BUDGET: AtomicUsize = AtomicUsize::new(16 * 1024);
-
-/// Override the block budget (bytes). The task driver derives this from the
-/// per-phase busy counters in `taskrt::phases`: long mean task times mean
-/// partitions far exceed L1 and blocking pays, short ones mean the
-/// partition already fits and larger blocks reduce loop overhead. Purely a
-/// performance knob — block size never changes results.
-pub fn set_l1_budget(bytes: usize) {
-    L1_BUDGET.store(bytes.clamp(4 * 1024, 512 * 1024), Ordering::Relaxed);
-}
-
-/// Current block budget in bytes.
-pub fn l1_budget() -> usize {
-    L1_BUDGET.load(Ordering::Relaxed)
-}
-
-/// Map the runtime's per-phase granularity signal (mean busy nanoseconds
-/// per executed task, from `taskrt::phases`) to a block budget for
-/// [`set_l1_budget`]. Short tasks stream so little data per invocation
-/// that their partition already fits in cache — a large budget effectively
-/// disables the extra blocking loop. Long tasks stream far past L1, so the
-/// block budget drops back to the L1-resident default. Non-finite input
-/// (no tasks executed yet) keeps the default.
-pub fn budget_for_task_grain(mean_task_ns: f64) -> usize {
-    if !mean_task_ns.is_finite() {
-        16 * 1024
-    } else if mean_task_ns < 20_000.0 {
-        // ≲20 µs of busy time touches well under any L1: one block.
-        512 * 1024
-    } else if mean_task_ns < 200_000.0 {
-        // Mid-grain tasks: tile at the full 32 KiB L1D.
-        32 * 1024
-    } else {
-        // Coarse tasks stream megabytes: keep blocks L1-resident with
-        // headroom for the stack and gather buffers.
-        16 * 1024
-    }
-}
-
-/// Elements per cache block for a kernel streaming `bytes_per_elem`, rounded
-/// down to a multiple of the lane count `w` (so lane groups never straddle a
-/// block boundary) and floored at one lane group.
-pub fn block_len(bytes_per_elem: usize, w: usize) -> usize {
-    let raw = l1_budget() / bytes_per_elem.max(1);
-    let blocks = (raw / w.max(1)) * w.max(1);
-    blocks.max(w.max(1))
 }
 
 #[cfg(test)]
@@ -365,21 +345,30 @@ mod tests {
 
     #[test]
     fn lanes_ops_match_scalar_bitwise() {
-        // The core bit-identity property: each lane equals the scalar op.
-        let xs = [1.75, -0.3, 1e-40, 7.7];
-        let ys = [3.25, 0.7, 1e20, -0.1];
-        let a = Lanes(xs);
-        let b = Lanes(ys);
-        for i in 0..4 {
-            assert_eq!((a + b).0[i].to_bits(), (xs[i] + ys[i]).to_bits());
-            assert_eq!((a * b).0[i].to_bits(), (xs[i] * ys[i]).to_bits());
-            assert_eq!((a / b).0[i].to_bits(), (xs[i] / ys[i]).to_bits());
-            assert_eq!(a.sqrt().0[i].to_bits(), xs[i].sqrt().to_bits());
-            assert_eq!(a.cbrt().0[i].to_bits(), xs[i].cbrt().to_bits());
-            assert_eq!(
-                a.select_le(b, a, b).0[i].to_bits(),
-                SimdReal::select_le(xs[i], ys[i], xs[i], ys[i]).to_bits()
-            );
+        // The core bit-identity property: each lane equals the scalar op,
+        // NaNs included, also for signed zeros, subnormals, infinities and
+        // division by zero.
+        fn same(lane: Real, scalar: Real) -> bool {
+            lane.to_bits() == scalar.to_bits()
+        }
+        let xs = [1.75, -0.3, 1e-40, 7.7, -0.0];
+        let ys = [3.25, 0.7, 1e20, -0.1, 2.0];
+        let big = [Real::INFINITY, 4.9e-324, -2.5, 1.0e308, -1.0e-310];
+        for (xs, ys) in [(xs, ys), (ys, xs), (big, xs), (xs, big)] {
+            let a = Lanes(xs);
+            let b = Lanes(ys);
+            for i in 0..5 {
+                assert!(same((a + b).0[i], xs[i] + ys[i]), "{} + {}", xs[i], ys[i]);
+                assert!(same((a - b).0[i], xs[i] - ys[i]), "{} - {}", xs[i], ys[i]);
+                assert!(same((a * b).0[i], xs[i] * ys[i]), "{} * {}", xs[i], ys[i]);
+                assert!(same((a / b).0[i], xs[i] / ys[i]), "{} / {}", xs[i], ys[i]);
+                assert!(same(a.sqrt().0[i], xs[i].sqrt()), "sqrt {}", xs[i]);
+                assert!(same(a.cbrt().0[i], xs[i].cbrt()), "cbrt {}", xs[i]);
+                assert!(same(
+                    a.select_le(b, a, b).0[i],
+                    SimdReal::select_le(xs[i], ys[i], xs[i], ys[i])
+                ));
+            }
         }
     }
 
@@ -418,41 +407,5 @@ mod tests {
         }
         set_active(prior);
         assert_eq!(LaneWidth::from_lanes(3), None);
-    }
-
-    #[test]
-    fn block_len_is_lane_aligned_and_positive() {
-        for w in [1usize, 2, 4, 8] {
-            for bpe in [1usize, 64, 416, 1 << 20] {
-                let b = block_len(bpe, w);
-                assert!(b >= w, "block_len({bpe}, {w}) = {b}");
-                assert_eq!(b % w, 0);
-            }
-        }
-        let prior = l1_budget();
-        set_l1_budget(8 * 1024);
-        assert_eq!(l1_budget(), 8 * 1024);
-        set_l1_budget(1); // clamped to the floor
-        assert_eq!(l1_budget(), 4 * 1024);
-        set_l1_budget(prior);
-    }
-
-    #[test]
-    fn task_grain_budget_is_monotone_in_task_length() {
-        // No signal yet ⇒ keep the default.
-        assert_eq!(budget_for_task_grain(f64::INFINITY), 16 * 1024);
-        assert_eq!(budget_for_task_grain(f64::NAN), 16 * 1024);
-        // Fine tasks get the largest budget, coarse ones the smallest.
-        let fine = budget_for_task_grain(5_000.0);
-        let mid = budget_for_task_grain(50_000.0);
-        let coarse = budget_for_task_grain(2_000_000.0);
-        assert!(fine > mid && mid > coarse);
-        // Every tier survives the set_l1_budget clamp unchanged.
-        let prior = l1_budget();
-        for b in [fine, mid, coarse] {
-            set_l1_budget(b);
-            assert_eq!(l1_budget(), b);
-        }
-        set_l1_budget(prior);
     }
 }

@@ -1,12 +1,14 @@
 //! Bitwise scalar-vs-lane equivalence for every SIMD-ported kernel.
 //!
-//! Each test runs the scalar reference and every lane width (2, 4, 8) on
-//! the same state and compares outputs with `f64::to_bits` — not approximate
+//! Each test runs the scalar reference and every lane width on the same
+//! state and compares outputs with `f64::to_bits` — not approximate
 //! equality. Element counts are deliberately non-multiples of every width
-//! (27 dense elements; region lists of odd lengths) so the ragged-tail
-//! paths are always exercised.
+//! (27 or 125 dense elements; region lists of odd lengths) so the
+//! ragged-tail paths are always exercised. The references are the scalar
+//! twin (stress, EOS), the reference's two-pass path (fused hourglass) and
+//! a frozen copy of the pre-lane scalar body (kinematics).
 
-use lulesh_core::kernels::{eos, hourglass, kinematics, monoq, stress};
+use lulesh_core::kernels::{eos, hourglass, kinematics, stress};
 use lulesh_core::simd::{self, LaneWidth};
 use lulesh_core::types::Real;
 use lulesh_core::{Domain, Params};
@@ -95,16 +97,29 @@ fn stress_every_width_matches_scalar_bitwise() {
 
 // ------------------------------------------------------------- hourglass --
 
-fn hourglass_lanes_case<const W: usize>(d: &Domain, range: Chunk) {
+/// A 5³ mesh 25 iterations into the blast: 125 elements (ragged at every
+/// width), distorted geometry, nonzero velocities and sound speeds.
+fn mid_blast_domain() -> Domain {
+    let d = Domain::build(5, 2, 1, 1, 0);
+    lulesh_core::serial::run(&d, 25).unwrap();
+    d
+}
+
+type CornerForces = (Vec<Real>, Vec<Real>, Vec<Real>);
+
+/// The reference's two passes (control, then FB force) through chunk-local
+/// scratch: the scalar path the fused kernel must reproduce.
+fn hourglass_two_pass(
+    d: &Domain,
+    hourg: Real,
+    range: Chunk,
+) -> (Result<(), lulesh_core::LuleshError>, CornerForces) {
     let n = range.len();
-    let mut dvdx = vec![0.0; 8 * n];
-    let mut dvdy = vec![0.0; 8 * n];
-    let mut dvdz = vec![0.0; 8 * n];
-    let mut x8n = vec![0.0; 8 * n];
-    let mut y8n = vec![0.0; 8 * n];
-    let mut z8n = vec![0.0; 8 * n];
+    let geom = || vec![0.0; 8 * n];
+    let (mut dvdx, mut dvdy, mut dvdz) = (geom(), geom(), geom());
+    let (mut x8n, mut y8n, mut z8n) = (geom(), geom(), geom());
     let mut determ = vec![0.0; n];
-    hourglass::calc_hourglass_control_for_elems(
+    let status = hourglass::calc_hourglass_control_for_elems(
         d,
         &mut dvdx,
         &mut dvdy,
@@ -114,124 +129,237 @@ fn hourglass_lanes_case<const W: usize>(d: &Domain, range: Chunk) {
         &mut z8n,
         &mut determ,
         range,
-    )
-    .unwrap();
+    );
+    let (mut fx, mut fy, mut fz) = (geom(), geom(), geom());
+    hourglass::calc_fb_hourglass_force_for_elems(
+        d, &determ, &x8n, &y8n, &z8n, &dvdx, &dvdy, &dvdz, hourg, &mut fx, &mut fy, &mut fz, range,
+    );
+    (status, (fx, fy, fz))
+}
 
+fn fused_hourglass_case<const W: usize>(d: &Domain, range: Chunk) {
     let hourg = 3.0;
-    let mut fx1 = vec![0.0; 8 * n];
-    let mut fy1 = vec![0.0; 8 * n];
-    let mut fz1 = vec![0.0; 8 * n];
-    hourglass::calc_fb_hourglass_force_for_elems_scalar(
-        d, &determ, &x8n, &y8n, &z8n, &dvdx, &dvdy, &dvdz, hourg, &mut fx1, &mut fy1, &mut fz1,
-        range,
+    let (status1, (fx1, fy1, fz1)) = hourglass_two_pass(d, hourg, range);
+
+    let n = range.len();
+    // Poisoned outputs: the fused kernel must write every corner slot.
+    let mut fx2 = vec![Real::NAN; 8 * n];
+    let mut fy2 = vec![Real::NAN; 8 * n];
+    let mut fz2 = vec![Real::NAN; 8 * n];
+    let status2 = hourglass::calc_hourglass_force_for_elems_lanes::<W>(
+        d, hourg, &mut fx2, &mut fy2, &mut fz2, range,
     );
 
-    let mut fx2 = vec![0.0; 8 * n];
-    let mut fy2 = vec![0.0; 8 * n];
-    let mut fz2 = vec![0.0; 8 * n];
-    hourglass::calc_fb_hourglass_force_for_elems_lanes::<W>(
-        d, &determ, &x8n, &y8n, &z8n, &dvdx, &dvdy, &dvdz, hourg, &mut fx2, &mut fy2, &mut fz2,
-        range,
-    );
+    assert_eq!(status1, status2, "fused hourglass status w{W}");
+    assert_bits_eq(&fx1, &fx2, &format!("fused hg fx_elem w{W}"));
+    assert_bits_eq(&fy1, &fy2, &format!("fused hg fy_elem w{W}"));
+    assert_bits_eq(&fz1, &fz2, &format!("fused hg fz_elem w{W}"));
+}
 
-    assert_bits_eq(&fx1, &fx2, &format!("hg fx_elem w{W}"));
-    assert_bits_eq(&fy1, &fy2, &format!("hg fy_elem w{W}"));
-    assert_bits_eq(&fz1, &fz2, &format!("hg fz_elem w{W}"));
+fn fused_hourglass_every_width(d: &Domain, range: Chunk) {
+    fused_hourglass_case::<1>(d, range);
+    fused_hourglass_case::<2>(d, range);
+    fused_hourglass_case::<4>(d, range);
+    fused_hourglass_case::<8>(d, range);
 }
 
 #[test]
-fn hourglass_every_width_matches_scalar_bitwise() {
-    let d = seeded_domain();
+fn fused_hourglass_every_width_matches_two_pass_bitwise() {
+    let d = mid_blast_domain();
     let full = Chunk {
         begin: 0,
         end: d.num_elem(),
     };
+    // A task-style chunk: nonzero begin (chunk-local slot = e - begin) and
+    // a length (114) that leaves a ragged tail at every width.
     let off = Chunk {
-        begin: 4,
-        end: d.num_elem() - 2,
+        begin: 7,
+        end: d.num_elem() - 4,
     };
     for range in [full, off] {
-        hourglass_lanes_case::<2>(&d, range);
-        hourglass_lanes_case::<4>(&d, range);
-        hourglass_lanes_case::<8>(&d, range);
+        fused_hourglass_every_width(&d, range);
+    }
+    // The dispatcher runs the same kernel at whatever width is active.
+    let hourg = d.params.hgcoef;
+    let (_, (fx1, fy1, fz1)) = hourglass_two_pass(&d, hourg, full);
+    let poisoned = || vec![Real::NAN; 8 * d.num_elem()];
+    let (mut fx2, mut fy2, mut fz2) = (poisoned(), poisoned(), poisoned());
+    hourglass::calc_hourglass_force_for_elems(&d, hourg, &mut fx2, &mut fy2, &mut fz2, full)
+        .unwrap();
+    assert_bits_eq(&fx1, &fx2, "fused hg dispatcher fx_elem");
+    assert_bits_eq(&fy1, &fy2, "fused hg dispatcher fy_elem");
+    assert_bits_eq(&fz1, &fz2, "fused hg dispatcher fz_elem");
+}
+
+#[test]
+fn fused_hourglass_reports_non_positive_volume_like_control() {
+    use lulesh_core::LuleshError::VolumeError;
+    let d = mid_blast_domain();
+    let full = Chunk {
+        begin: 0,
+        end: d.num_elem(),
+    };
+    // An inverted element inside a lane group: both paths flag the error
+    // and still write the same forces for every element.
+    d.set_v(42, -0.25);
+    assert_eq!(hourglass_two_pass(&d, 3.0, full).0, Err(VolumeError));
+    fused_hourglass_every_width(&d, full);
+    assert_eq!(
+        hourglass::check_relative_volumes(&d, full),
+        Err(VolumeError)
+    );
+    d.set_v(42, 1.0);
+    assert_eq!(hourglass::check_relative_volumes(&d, full), Ok(()));
+
+    // An exactly-zero volume in the ragged tail divides by zero: the forces
+    // are non-finite garbage, but the kernel reports the error, not a panic.
+    d.set_v(d.num_elem() - 1, 0.0);
+    let corners = || vec![0.0; 8 * d.num_elem()];
+    let (mut fx, mut fy, mut fz) = (corners(), corners(), corners());
+    assert_eq!(
+        hourglass::calc_hourglass_force_for_elems_lanes::<4>(
+            &d, 3.0, &mut fx, &mut fy, &mut fz, full
+        ),
+        Err(VolumeError)
+    );
+}
+
+// ------------------------------------------------------------ kinematics --
+
+/// Frozen copy of the scalar `calc_kinematics_for_elems` body as it stood
+/// before the kernel moved onto the lane engine (including the
+/// `f64::max`-based characteristic length), kept as the reference.
+fn frozen_scalar_kinematics(d: &Domain, dt: Real, range: Chunk) {
+    use lulesh_core::kernels::shape::{
+        calc_elem_shape_function_derivatives, calc_elem_velocity_gradient, gather_elem_coords,
+        gather_elem_velocities,
+    };
+    use lulesh_core::kernels::volume::{area_face, calc_elem_volume};
+    const FACES: [[usize; 4]; 6] = [
+        [0, 1, 2, 3],
+        [4, 5, 6, 7],
+        [0, 1, 5, 4],
+        [1, 2, 6, 5],
+        [2, 3, 7, 6],
+        [3, 0, 4, 7],
+    ];
+    let mut b = [[0.0; 8]; 3];
+    let (mut x, mut y, mut z) = ([0.0; 8], [0.0; 8], [0.0; 8]);
+    let (mut xd, mut yd, mut zd) = ([0.0; 8], [0.0; 8], [0.0; 8]);
+    for k in range.iter() {
+        gather_elem_coords(d, k, &mut x, &mut y, &mut z);
+        let volume: Real = calc_elem_volume(&x, &y, &z);
+        let relative_volume = volume / d.volo(k);
+        d.set_vnew(k, relative_volume);
+        d.set_delv(k, relative_volume - d.v(k));
+
+        let mut char_length: Real = 0.0;
+        for [i, j, m, n] in FACES {
+            char_length = char_length.max(area_face(
+                x[i], x[j], x[m], x[n], y[i], y[j], y[m], y[n], z[i], z[j], z[m], z[n],
+            ));
+        }
+        d.set_arealg(k, 4.0 * volume / char_length.sqrt());
+
+        gather_elem_velocities(d, k, &mut xd, &mut yd, &mut zd);
+        let dt2 = 0.5 * dt;
+        for j in 0..8 {
+            x[j] -= dt2 * xd[j];
+            y[j] -= dt2 * yd[j];
+            z[j] -= dt2 * zd[j];
+        }
+        let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
+        let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
+        d.set_dxx(k, dvg[0]);
+        d.set_dyy(k, dvg[1]);
+        d.set_dzz(k, dvg[2]);
     }
 }
 
-// ----------------------------------------------------------------- monoq --
-
-/// Run kinematics so `vnew`/`vdov` and the positions reflect the seeded
-/// velocity field.
-fn prep_kinematics(d: &Domain) {
-    let full = Chunk {
-        begin: 0,
-        end: d.num_elem(),
-    };
-    kinematics::calc_kinematics_for_elems(d, 0.0, full);
-    kinematics::calc_lagrange_elements_finish(d, full).unwrap();
-}
-
-fn grad_outputs(d: &Domain) -> Vec<Real> {
+fn kinematics_outputs(d: &Domain) -> Vec<Real> {
     (0..d.num_elem())
         .flat_map(|i| {
             [
-                d.delx_xi(i),
-                d.delx_eta(i),
-                d.delx_zeta(i),
-                d.delv_xi(i),
-                d.delv_eta(i),
-                d.delv_zeta(i),
+                d.vnew(i),
+                d.delv(i),
+                d.arealg(i),
+                d.dxx(i),
+                d.dyy(i),
+                d.dzz(i),
             ]
         })
         .collect()
 }
 
 #[test]
-fn monoq_gradients_every_width_matches_scalar_bitwise() {
-    let d = seeded_domain();
-    prep_kinematics(&d);
+fn kinematics_every_width_matches_frozen_scalar_bitwise() {
+    let d = mid_blast_domain();
+    let dt = 3.0e-4;
     let full = Chunk {
         begin: 0,
         end: d.num_elem(),
     };
     let off = Chunk {
-        begin: 3,
-        end: d.num_elem(),
+        begin: 5,
+        end: d.num_elem() - 2,
     };
     for range in [full, off] {
-        monoq::calc_monotonic_q_gradients_for_elems_scalar(&d, range);
-        let reference = grad_outputs(&d);
-        monoq::calc_monotonic_q_gradients_for_elems_lanes::<2>(&d, range);
-        assert_bits_eq(&grad_outputs(&d), &reference, "monoq grad w2");
-        monoq::calc_monotonic_q_gradients_for_elems_lanes::<4>(&d, range);
-        assert_bits_eq(&grad_outputs(&d), &reference, "monoq grad w4");
-        monoq::calc_monotonic_q_gradients_for_elems_lanes::<8>(&d, range);
-        assert_bits_eq(&grad_outputs(&d), &reference, "monoq grad w8");
+        frozen_scalar_kinematics(&d, dt, range);
+        let reference = kinematics_outputs(&d);
+        kinematics::calc_kinematics_for_elems_lanes::<1>(&d, dt, range);
+        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w1");
+        kinematics::calc_kinematics_for_elems_lanes::<2>(&d, dt, range);
+        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w2");
+        kinematics::calc_kinematics_for_elems_lanes::<4>(&d, dt, range);
+        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w4");
+        kinematics::calc_kinematics_for_elems_lanes::<8>(&d, dt, range);
+        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w8");
+        // The dispatcher, at whatever width is active.
+        kinematics::calc_kinematics_for_elems(&d, dt, range);
+        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics dispatch");
     }
 }
 
+// ---------------------------------------------------------- force gather --
+
 #[test]
-fn monoq_region_every_width_matches_scalar_bitwise() {
-    let d = seeded_domain();
-    prep_kinematics(&d);
-    let full = Chunk {
+fn single_force_gather_matches_set_then_add_bitwise() {
+    // Real stress and hourglass corner forces of a mid-blast step.
+    let d = mid_blast_domain();
+    let n = d.num_elem();
+    let full = Chunk { begin: 0, end: n };
+    let nodes = Chunk {
         begin: 0,
-        end: d.num_elem(),
+        end: d.num_node(),
     };
-    monoq::calc_monotonic_q_gradients_for_elems_scalar(&d, full);
-    let p = Params::default();
-    let qq_ql =
-        |d: &Domain| -> Vec<Real> { (0..d.num_elem()).flat_map(|i| [d.qq(i), d.ql(i)]).collect() };
-    for r in 0..d.num_reg() {
-        let elems = &d.regions.reg_elem_list[r];
-        monoq::calc_monotonic_q_region_for_elems_scalar(&d, elems, &p);
-        let reference = qq_ql(&d);
-        monoq::calc_monotonic_q_region_for_elems_lanes::<2>(&d, elems, &p);
-        assert_bits_eq(&qq_ql(&d), &reference, "monoq region w2");
-        monoq::calc_monotonic_q_region_for_elems_lanes::<4>(&d, elems, &p);
-        assert_bits_eq(&qq_ql(&d), &reference, "monoq region w4");
-        monoq::calc_monotonic_q_region_for_elems_lanes::<8>(&d, elems, &p);
-        assert_bits_eq(&qq_ql(&d), &reference, "monoq region w8");
-    }
+    let (mut sx, mut sy, mut sz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    stress::init_stress_terms_for_elems(&d, &mut sx, &mut sy, &mut sz, full);
+    let mut determ = vec![0.0; n];
+    let (mut ax, mut ay, mut az) = (vec![0.0; 8 * n], vec![0.0; 8 * n], vec![0.0; 8 * n]);
+    stress::integrate_stress_for_elems(
+        &d,
+        &sx,
+        &sy,
+        &sz,
+        &mut determ,
+        &mut ax,
+        &mut ay,
+        &mut az,
+        full,
+    );
+    let (_, (bx, by, bz)) = hourglass_two_pass(&d, d.params.hgcoef, full);
+
+    let nodal = |d: &Domain| -> Vec<Real> {
+        (0..d.num_node())
+            .flat_map(|i| [d.fx(i), d.fy(i), d.fz(i)])
+            .collect()
+    };
+    stress::zero_forces(&d, nodes);
+    stress::gather_forces_set(&d, &ax, &ay, &az, nodes);
+    stress::gather_forces_add(&d, &bx, &by, &bz, nodes);
+    let reference = nodal(&d);
+    stress::gather_forces_sum2(&d, &ax, &ay, &az, &bx, &by, &bz, nodes);
+    assert_bits_eq(&nodal(&d), &reference, "nodal force");
 }
 
 // ------------------------------------------------------------------- eos --

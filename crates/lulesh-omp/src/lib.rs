@@ -16,13 +16,43 @@
 use lulesh_core::domain::Domain;
 use lulesh_core::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
 use lulesh_core::params::SimState;
-use lulesh_core::serial::SerialScratch as Scratch;
+use lulesh_core::serial::SerialScratch;
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{Index, LuleshError, Real};
 use obs::{SpanKind, Tracer};
 use ompsim::Pool;
 use parutil::{static_split, Chunk, SharedSlice};
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Mesh-length scratch of one run. On top of the serial driver's arrays it
+/// carries the reference's six hourglass geometry streams (`8·num_elem`
+/// each): this driver keeps `CalcHourglassControlForElems` and
+/// `CalcFBHourglassForceForElems` as two barrier-separated loops on
+/// purpose, so the geometry has to cross that barrier through memory.
+struct Scratch {
+    core: SerialScratch,
+    dvdx: Vec<Real>,
+    dvdy: Vec<Real>,
+    dvdz: Vec<Real>,
+    x8n: Vec<Real>,
+    y8n: Vec<Real>,
+    z8n: Vec<Real>,
+}
+
+impl Scratch {
+    fn new(num_elem: usize) -> Self {
+        let g = || vec![0.0; 8 * num_elem];
+        Self {
+            core: SerialScratch::new(num_elem),
+            dvdx: g(),
+            dvdy: g(),
+            dvdz: g(),
+            x8n: g(),
+            y8n: g(),
+            z8n: g(),
+        }
+    }
+}
 
 /// The fork-join LULESH runner. Owns its thread pool; reusable across runs.
 pub struct OmpLulesh {
@@ -104,7 +134,7 @@ impl OmpLulesh {
     ) -> Result<(), LuleshError> {
         let dt = state.deltatime;
         self.lagrange_nodal(d, s, dt)?;
-        self.lagrange_elements(d, s, dt)?;
+        self.lagrange_elements(d, &mut s.core, dt)?;
 
         // CalcTimeConstraintsForElems: per-region parallel min reductions.
         let nthreads = self.pool.nthreads();
@@ -151,6 +181,15 @@ impl OmpLulesh {
         let num_elem = d.num_elem();
         let num_node = d.num_node();
         let failed = AtomicBool::new(false);
+        let Scratch {
+            core: s,
+            dvdx,
+            dvdy,
+            dvdz,
+            x8n,
+            y8n,
+            z8n,
+        } = s;
 
         // CalcForceForNodes prologue.
         self.pool
@@ -222,12 +261,12 @@ impl OmpLulesh {
 
         // CalcHourglassControlForElems + CalcFBHourglassForceForElems.
         {
-            let dvdx = SharedSlice::new(&mut s.dvdx);
-            let dvdy = SharedSlice::new(&mut s.dvdy);
-            let dvdz = SharedSlice::new(&mut s.dvdz);
-            let x8n = SharedSlice::new(&mut s.x8n);
-            let y8n = SharedSlice::new(&mut s.y8n);
-            let z8n = SharedSlice::new(&mut s.z8n);
+            let dvdx = SharedSlice::new(dvdx);
+            let dvdy = SharedSlice::new(dvdy);
+            let dvdz = SharedSlice::new(dvdz);
+            let x8n = SharedSlice::new(x8n);
+            let y8n = SharedSlice::new(y8n);
+            let z8n = SharedSlice::new(z8n);
             let determ = SharedSlice::new(&mut s.determ);
             let fx = SharedSlice::new(&mut s.fx_hg);
             let fy = SharedSlice::new(&mut s.fy_hg);
@@ -315,7 +354,7 @@ impl OmpLulesh {
     fn lagrange_elements(
         &mut self,
         d: &Domain,
-        s: &mut Scratch,
+        s: &mut SerialScratch,
         dt: Real,
     ) -> Result<(), LuleshError> {
         let num_elem = d.num_elem();
@@ -396,7 +435,7 @@ impl OmpLulesh {
     fn eval_eos_region(
         &mut self,
         d: &Domain,
-        s: &mut Scratch,
+        s: &mut SerialScratch,
         region: usize,
         rep: usize,
     ) -> Result<(), LuleshError> {

@@ -262,28 +262,17 @@ impl Features {
 /// allocator round-trip per task *and* let pages migrate with the
 /// allocator's whims. Each worker now owns one warm scratch slot — still
 /// local to the executing thread (and, pinned, to its NUMA node), but
-/// allocation-free once the capacities have grown to steady state. Buffers
-/// are reset to the exact state a fresh `vec![0.0; len]` would have, so
-/// results stay bit-identical.
+/// allocation-free once the capacities have grown to steady state. The
+/// stress kernels overwrite every element they are handed, so the buffers
+/// are only re-sized per task (`reset_len`), never cleared. The hourglass
+/// geometry needs no slot at all: the fused kernel keeps it on the stack.
 #[derive(Default)]
 struct KernelScratch {
     sigxx: AlignedBuf<Real>,
     sigyy: AlignedBuf<Real>,
     sigzz: AlignedBuf<Real>,
     determ: AlignedBuf<Real>,
-    dvdx: AlignedBuf<Real>,
-    dvdy: AlignedBuf<Real>,
-    dvdz: AlignedBuf<Real>,
-    x8n: AlignedBuf<Real>,
-    y8n: AlignedBuf<Real>,
-    z8n: AlignedBuf<Real>,
     eos: eos::EosScratch,
-}
-
-/// `buf` := `len` zeros, reusing capacity (equivalent to `vec![0.0; len]`
-/// without the allocation once warmed up).
-fn reset_buf(buf: &mut AlignedBuf<Real>, len: usize) {
-    buf.reset_zeroed(len);
 }
 
 /// Mesh-length scratch shared between tasks. The per-corner force arrays
@@ -1034,9 +1023,6 @@ where
             // and every width is bit-identical, so only speed changes.
             lulesh_core::simd::set_active(t.width());
         }
-        // Re-derive the kernels' cache-block budget from the same
-        // per-phase busy counters that feed the granularity guard.
-        lulesh_core::simd::set_l1_budget(lulesh_core::simd::budget_for_task_grain(mean_task_ns));
         self.win_iters = 0;
         self.win_t0 = Instant::now();
         self.win_base = now;
@@ -1058,14 +1044,15 @@ fn stress_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool)
         let sc = Arc::clone(sc);
         vec![Box::new(move || {
             let len = c.len();
-            // Worker-local warm scratch instead of per-task `vec!`s: same
-            // zeroed state, no allocation at steady state.
+            // Worker-local warm scratch instead of per-task `vec!`s: no
+            // allocation at steady state, and no clearing — the two
+            // kernels below write all `len` elements of each buffer.
             let mut ks = sc.kernel_scratch();
             let ks = &mut *ks;
-            reset_buf(&mut ks.sigxx, len);
-            reset_buf(&mut ks.sigyy, len);
-            reset_buf(&mut ks.sigzz, len);
-            reset_buf(&mut ks.determ, len);
+            ks.sigxx.reset_len(len);
+            ks.sigyy.reset_len(len);
+            ks.sigzz.reset_len(len);
+            ks.determ.reset_len(len);
             stress::init_stress_terms_for_elems(&d, &mut ks.sigxx, &mut ks.sigyy, &mut ks.sigzz, c);
             // SAFETY: per-corner slots of this chunk belong to this task.
             let (fx, fy, fz) = unsafe {
@@ -1112,7 +1099,7 @@ fn stress_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool)
                 // previous stage of this same item.
                 let mut ks = s2.kernel_scratch();
                 let ks = &mut *ks;
-                reset_buf(&mut ks.determ, c.len());
+                ks.determ.reset_len(c.len());
                 unsafe {
                     stress::integrate_stress_for_elems(
                         &d2,
@@ -1139,35 +1126,9 @@ fn hourglass_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bo
         let d = Arc::clone(d);
         let sc = Arc::clone(sc);
         vec![Box::new(move || {
-            let len = c.len();
-            // Worker-local warm scratch instead of per-task `vec!`s: same
-            // zeroed state, no allocation at steady state.
-            let mut ks = sc.kernel_scratch();
-            let ks = &mut *ks;
-            reset_buf(&mut ks.dvdx, 8 * len);
-            reset_buf(&mut ks.dvdy, 8 * len);
-            reset_buf(&mut ks.dvdz, 8 * len);
-            reset_buf(&mut ks.x8n, 8 * len);
-            reset_buf(&mut ks.y8n, 8 * len);
-            reset_buf(&mut ks.z8n, 8 * len);
-            reset_buf(&mut ks.determ, len);
-            if hourglass::calc_hourglass_control_for_elems(
-                &d,
-                &mut ks.dvdx,
-                &mut ks.dvdy,
-                &mut ks.dvdz,
-                &mut ks.x8n,
-                &mut ks.y8n,
-                &mut ks.z8n,
-                &mut ks.determ,
-                c,
-            )
-            .is_err()
-            {
-                sc.volume_error.store(true, Ordering::Relaxed);
-                return;
-            }
-            if d.params.hgcoef > 0.0 {
+            // Control and FB force fused per element: the geometry the
+            // reference streams through `dvd*`/`*8n` stays on the stack.
+            let r = if d.params.hgcoef > 0.0 {
                 // SAFETY: this chunk's per-corner slots belong to this task.
                 let (fx, fy, fz) = unsafe {
                     (
@@ -1176,21 +1137,12 @@ fn hourglass_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bo
                         sc.fz_hg.slice_mut(8 * c.begin, 8 * c.end),
                     )
                 };
-                hourglass::calc_fb_hourglass_force_for_elems(
-                    &d,
-                    &ks.determ,
-                    &ks.x8n,
-                    &ks.y8n,
-                    &ks.z8n,
-                    &ks.dvdx,
-                    &ks.dvdy,
-                    &ks.dvdz,
-                    d.params.hgcoef,
-                    fx,
-                    fy,
-                    fz,
-                    c,
-                );
+                hourglass::calc_hourglass_force_for_elems(&d, d.params.hgcoef, fx, fy, fz, c)
+            } else {
+                hourglass::check_relative_volumes(&d, c)
+            };
+            if r.is_err() {
+                sc.volume_error.store(true, Ordering::Relaxed);
             }
         })]
     } else {

@@ -20,6 +20,9 @@ use std::alloc::Layout;
 /// `KernelScratch` pools rely on).
 pub struct AlignedBuf<T: ZeroBits> {
     /// Aligned allocation of `cap` elements, dangling when `cap == 0`.
+    /// All `cap` elements are initialised at all times, not only the first
+    /// `len`: every path that allocates (`reset_zeroed`, `resize_zeroed`,
+    /// `clone`) writes the whole new capacity before returning.
     ptr: *mut T,
     len: usize,
     cap: usize,
@@ -71,7 +74,8 @@ impl<T: ZeroBits> AlignedBuf<T> {
         self.ptr as *const T
     }
 
-    /// Ensure capacity for `n` elements; contents unspecified afterwards.
+    /// Ensure capacity for `n` elements; contents unspecified afterwards,
+    /// so a caller that grew the buffer must write all `n` before returning.
     fn reserve_exact(&mut self, n: usize) {
         if n <= self.cap {
             return;
@@ -101,6 +105,21 @@ impl<T: ZeroBits> AlignedBuf<T> {
         // `T` per the `ZeroBits` bound.
         unsafe { std::ptr::write_bytes(self.ptr, 0u8, n) };
         self.len = n;
+    }
+
+    /// Make the buffer `n` elements long without touching its contents
+    /// when they fit the current capacity: the elements keep whatever
+    /// (stale) values they last held. For scratch whose every element the
+    /// next kernel overwrites, where [`reset_zeroed`](Self::reset_zeroed)'s
+    /// `memset` would be pure memory traffic. Growth past the capacity
+    /// falls back to `reset_zeroed`.
+    pub fn reset_len(&mut self, n: usize) {
+        if n > self.cap {
+            self.reset_zeroed(n);
+        } else {
+            // Sound because all `cap` elements are initialised (see `ptr`).
+            self.len = n;
+        }
     }
 
     /// Resize to `n` elements, keeping the current prefix and zero-filling
@@ -212,6 +231,21 @@ mod tests {
         assert_eq!(b.as_ptr(), p, "no reallocation when shrinking");
         assert_eq!(b.len(), 40);
         assert!(b.iter().all(|&v| v == 0.0), "stale contents re-zeroed");
+    }
+
+    #[test]
+    fn reset_len_changes_only_the_length_within_capacity() {
+        let mut b = AlignedBuf::<f64>::zeroed(8);
+        b.iter_mut().for_each(|v| *v = 7.0);
+        let p = b.as_ptr();
+        b.reset_len(4);
+        b.reset_len(8); // regrow within capacity: stale values, no memset
+        assert_eq!((b.len(), b.as_ptr()), (8, p));
+        assert!(b.iter().all(|&v| v == 7.0));
+        b.reset_len(100); // past the capacity: a fresh zeroed allocation
+        assert_eq!(b.len(), 100);
+        assert!(b.iter().all(|&v| v == 0.0));
+        assert_eq!(b.as_ptr() as usize % CACHE_LINE, 0);
     }
 
     #[test]

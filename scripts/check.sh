@@ -46,7 +46,7 @@ grep -q "autotune: converged" "$TMP/autotune.log" || {
   echo "auto-tuner did not converge:"; cat "$TMP/autotune.log"; exit 1;
 }
 
-echo "== simd smoke runs (--simd auto converges; --simd w4 is bit-identical) =="
+echo "== simd smoke runs (--simd auto converges; w4 and the default are bit-identical to scalar) =="
 # The 2-D co-tuner: --simd auto starts the run scalar and must log a
 # verdict naming both the partition plan and the lane width it landed on.
 # (clippy above already covers crates/core, including the lane engine.)
@@ -56,8 +56,8 @@ grep -q "autotune:" "$TMP/simd_auto.log" && grep -q "simd=" "$TMP/simd_auto.log"
   echo "--simd auto logged no 2-D verdict:"; cat "$TMP/simd_auto.log"; exit 1;
 }
 # Lane width is a pure performance knob: a w4 run's CSV (all columns but
-# wall clock) must match the scalar run bit for bit.
-./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q \
+# wall clock) must match the scalar reference run bit for bit.
+./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --simd scalar \
   | cut -d, -f1-4,6 > "$TMP/simd_scalar.csv"
 ./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --simd w4 \
   | cut -d, -f1-4,6 > "$TMP/simd_w4.csv"
@@ -66,6 +66,17 @@ if ! cmp -s "$TMP/simd_scalar.csv" "$TMP/simd_w4.csv"; then
   diff "$TMP/simd_scalar.csv" "$TMP/simd_w4.csv" || true
   exit 1
 fi
+# So is the default: a plain run (kernels at LaneWidth::DEFAULT) must print
+# what --simd scalar prints, single-domain and split 1x1x2.
+for run in "lulesh-serial --s 6 --i 10" "lulesh-multidom --s 6 --i 10 --grid 1x1x2"; do
+  ./target/debug/$run --q | cut -d, -f1-4,6 > "$TMP/default.csv"
+  ./target/debug/$run --q --simd scalar | cut -d, -f1-4,6 > "$TMP/scalar.csv"
+  if ! cmp -s "$TMP/default.csv" "$TMP/scalar.csv"; then
+    echo "$run: default width diverged from --simd scalar:"
+    diff "$TMP/default.csv" "$TMP/scalar.csv" || true
+    exit 1
+  fi
+done
 
 echo "== NUMA pinning smoke run (--pin must not change the physics) =="
 # On a multi-node host this exercises pinning + first-touch end to end; on

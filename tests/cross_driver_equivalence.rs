@@ -217,6 +217,59 @@ fn auto_width_cotuning_is_bit_identical_while_switching_widths() {
     );
 }
 
+/// Every field `max_field_difference` looks at, as raw bits.
+fn field_bits(d: &Domain) -> Vec<u64> {
+    let elem = (0..d.num_elem()).flat_map(|e| [d.e(e), d.p(e), d.q(e), d.v(e), d.ss(e)]);
+    let node = (0..d.num_node()).flat_map(|n| [d.x(n), d.y(n), d.z(n), d.xd(n), d.yd(n), d.zd(n)]);
+    elem.chain(node).map(f64::to_bits).collect()
+}
+
+#[test]
+fn default_width_runs_are_bitwise_equal_to_scalar_in_every_driver() {
+    // The default-width contract: what a plain run of any driver computes
+    // (kernels at `LaneWidth::DEFAULT`, the global's initial value) is,
+    // bit for bit, what the same run computes on the scalar reference
+    // loops. Other tests of this binary may flip the global meanwhile;
+    // that can only change which widths a run mixes, never a result.
+    use lulesh::core::simd::{self, LaneWidth};
+    let (size, regs, cycles) = (8, 5, 20);
+    let decomp = multidom::Decomposition::new(size, 2);
+    let run_all = || -> Vec<(&'static str, Vec<u64>)> {
+        let d_serial = serial_ref(size, regs, cycles);
+        let d_omp = Domain::build(size, regs, 1, 1, 0);
+        OmpLulesh::new(2).run(&d_omp, cycles).unwrap();
+        let d_task = Arc::new(Domain::build(size, regs, 1, 1, 0));
+        TaskLulesh::new(2)
+            .run(&d_task, PartitionPlan::fixed(48, 48), cycles)
+            .unwrap();
+        let mut world = multidom::World::build(decomp, regs, 1, 1, 0);
+        world.run(cycles).unwrap();
+        vec![
+            ("serial", field_bits(&d_serial)),
+            ("omp", field_bits(&d_omp)),
+            ("task", field_bits(&d_task)),
+            (
+                "lockstep multidom",
+                world.domains.iter().flat_map(field_bits).collect(),
+            ),
+        ]
+    };
+
+    let prior = simd::active();
+    let at_default = run_all();
+    simd::set_active(LaneWidth::W1);
+    let at_scalar = run_all();
+    simd::set_active(prior);
+
+    for ((driver, default), (_, scalar)) in at_default.iter().zip(&at_scalar) {
+        assert!(default == scalar, "{driver}: default width vs scalar");
+    }
+    // And across drivers (the single-domain ones share one mesh).
+    for (driver, bits) in &at_default[1..3] {
+        assert!(bits == &at_default[0].1, "{driver} vs serial");
+    }
+}
+
 #[test]
 fn pinned_run_is_bit_identical_to_unpinned() {
     // The NUMA correctness gate: worker pinning, locality-aware stealing
