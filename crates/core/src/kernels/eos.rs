@@ -14,7 +14,7 @@
 
 use crate::domain::Domain;
 use crate::params::Params;
-use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{AlignedBuf, Chunk};
 
@@ -551,10 +551,11 @@ pub fn calc_sound_speed_for_elems(
 /// The full `EvalEOSForElems` for one region sublist, including the `rep`
 /// repetition loop, ending with the store and sound-speed update.
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]): the lane
-/// path fuses the whole per-element pipeline (gather → compression → energy
-/// steps → pressure → sound speed) into registers, skipping the scratch
-/// arrays entirely, and is bit-identical to the scalar reference.
+/// Dispatches on the process-wide SIMD width and the host's ISA
+/// ([`simd::dispatch!`]): the lane path fuses the whole per-element pipeline
+/// (gather → compression → energy steps → pressure → sound speed) into
+/// registers, never touching `s`, and is bit-identical to the scalar
+/// reference.
 pub fn eval_eos_for_elems(
     d: &Domain,
     vnewc: &[Real],
@@ -566,12 +567,13 @@ pub fn eval_eos_for_elems(
     // `rep == 0` performs no energy evaluation in the reference (the store
     // reads whatever the scratch holds); only the scalar path reproduces
     // that, so route the degenerate case there too.
-    match simd::active() {
-        LaneWidth::W2 if rep > 0 => eval_eos_for_elems_lanes::<2>(d, vnewc, elems, rep, p),
-        LaneWidth::W4 if rep > 0 => eval_eos_for_elems_lanes::<4>(d, vnewc, elems, rep, p),
-        LaneWidth::W8 if rep > 0 => eval_eos_for_elems_lanes::<8>(d, vnewc, elems, rep, p),
-        _ => eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s),
+    if rep == 0 {
+        return eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s);
     }
+    simd::dispatch!(
+        eval_eos_for_elems_lanes / eval_eos_for_elems_avx2(d, vnewc, elems, rep, p),
+        scalar: eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s)
+    )
 }
 
 /// Scalar reference implementation of [`eval_eos_for_elems`].
@@ -584,7 +586,14 @@ pub fn eval_eos_for_elems_scalar(
     s: &mut EosScratch,
 ) {
     let rho0 = p.refdens;
-    s.resize(elems.len());
+    // Every repetition rewrites each array before reading it, so only the
+    // degenerate `rep == 0` store needs defined contents: the zeros of a
+    // fresh scratch, whatever a pooled one held before.
+    if rep == 0 {
+        s.reset(elems.len());
+    } else {
+        s.resize(elems.len());
+    }
 
     // Loop to add load imbalance based on region number.
     for _ in 0..rep {
@@ -626,6 +635,7 @@ pub fn eval_eos_for_elems_scalar(
 
 /// `CalcPressureForElems` for one value: returns `(p_new, bvc)`. `pbvc` is
 /// the constant `C1S` and is inlined at the call sites.
+#[inline(always)]
 fn eos_pressure<V: SimdReal>(e: V, compression: V, vz: V, p: &Params) -> (V, V) {
     const C1S: Real = 2.0 / 3.0;
     let bvc = V::splat(C1S) * (compression + V::splat(1.0));
@@ -642,6 +652,7 @@ fn eos_pressure<V: SimdReal>(e: V, compression: V, vz: V, p: &Params) -> (V, V) 
 /// low-value floor, `pbvc = C1S`. Used by energy steps 2/4/5 and
 /// `CalcSoundSpeedForElems` — in the scalar reference these are four
 /// textually identical computations.
+#[inline(always)]
 fn eos_ssc<V: SimdReal>(e: V, v: V, bvc: V, pres: V, rho0: Real) -> V {
     const C1S: Real = 2.0 / 3.0;
     let ssc = (V::splat(C1S) * e + v * v * bvc * pres) / V::splat(rho0);
@@ -653,6 +664,7 @@ fn eos_ssc<V: SimdReal>(e: V, v: V, bvc: V, pres: V, rho0: Real) -> V {
 /// with their three pressure evaluations, and the sound speed — entirely in
 /// registers, in the exact operation order of the scalar step functions.
 /// Returns `(p_new, e_new, q_new, ss)`.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn eos_elem_kernel<V: SimdReal>(
     vz: V,
@@ -745,6 +757,7 @@ pub fn eos_elem_kernel<V: SimdReal>(
 /// [`eos_elem_kernel`]; no scratch arrays are touched. The repetition loop
 /// stays outermost like the reference (the recomputation is idempotent),
 /// and only the final repetition stores.
+#[inline(always)]
 pub fn eval_eos_for_elems_lanes<const W: usize>(
     d: &Domain,
     vnewc: &[Real],
@@ -755,14 +768,49 @@ pub fn eval_eos_for_elems_lanes<const W: usize>(
     let rho0 = p.refdens;
     for r in 0..rep {
         let store = r + 1 == rep;
-        lane_groups!(W, 0, elems.len(), |i| eos_lane_group(
-            d, vnewc, elems, i, p, rho0, store
-        ));
+        lane_groups!(W, 0, elems.len(), |i| eos_lane_group
+            / eos_tail(d, vnewc, elems, i, p, rho0, store));
+    }
+}
+
+/// [`eval_eos_for_elems_lanes::<4>`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn eval_eos_for_elems_avx2(
+    d: &Domain,
+    vnewc: &[Real],
+    elems: &[Index],
+    rep: usize,
+    p: &Params,
+) {
+    eval_eos_for_elems_lanes::<4>(d, vnewc, elems, rep, p)
+}
+
+/// List entries `i0..end` one at a time: the ragged tail of every width
+/// and the whole of `W = 1` (see [`lane_groups!`]).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn eos_tail(
+    d: &Domain,
+    vnewc: &[Real],
+    elems: &[Index],
+    i0: usize,
+    p: &Params,
+    rho0: Real,
+    store: bool,
+    end: usize,
+) {
+    for i in i0..end {
+        eos_lane_group::<1>(d, vnewc, elems, i, p, rho0, store);
     }
 }
 
 /// One group of `W` entries of the region element list: gather the seven
 /// inputs, run the fused kernel, optionally scatter the four outputs.
+#[inline(always)]
 fn eos_lane_group<const W: usize>(
     d: &Domain,
     vnewc: &[Real],

@@ -19,7 +19,7 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes, scatter_elem_corners_lanes,
 };
 use crate::kernels::volume::calc_elem_volume_derivative;
-use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -82,6 +82,7 @@ pub fn calc_hourglass_control_for_elems(
 /// `CalcElemFBHourglassForce`: project velocities onto the hourglass modes
 /// and distribute the restoring force to the corners. Generic over the lane
 /// type; the `V = f64` instantiation is the scalar reference.
+#[inline(always)]
 fn calc_elem_fb_hourglass_force<V: SimdReal>(
     xd: &[V; 8],
     yd: &[V; 8],
@@ -145,6 +146,7 @@ struct HourglassGeometry<V> {
 /// hoisted scalar prefix `-hourg · 0.01` of the coefficient. The one body
 /// behind both the two-pass path (`V = f64`, geometry read back from
 /// scratch) and the fused kernel (`V = Lanes<W>`, geometry in registers).
+#[inline(always)]
 fn elem_hourglass_force<V: SimdReal>(
     g: &HourglassGeometry<V>,
     xd: &[V; 8],
@@ -242,7 +244,8 @@ pub fn calc_fb_hourglass_force_for_elems(
 /// [`calc_fb_hourglass_force_for_elems`], including the volume error when
 /// any relative volume is non-positive (the forces are still written).
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]).
+/// Dispatches on the process-wide SIMD width and the host's ISA
+/// ([`simd::dispatch!`]).
 pub fn calc_hourglass_force_for_elems(
     d: &Domain,
     hourg: Real,
@@ -251,24 +254,16 @@ pub fn calc_hourglass_force_for_elems(
     fz_elem: &mut [Real],
     range: Chunk,
 ) -> Result<(), LuleshError> {
-    match simd::active() {
-        LaneWidth::W1 => {
-            calc_hourglass_force_for_elems_lanes::<1>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-        }
-        LaneWidth::W2 => {
-            calc_hourglass_force_for_elems_lanes::<2>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-        }
-        LaneWidth::W4 => {
-            calc_hourglass_force_for_elems_lanes::<4>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-        }
-        LaneWidth::W8 => {
-            calc_hourglass_force_for_elems_lanes::<8>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-        }
-    }
+    simd::dispatch!(
+        calc_hourglass_force_for_elems_lanes
+            / calc_hourglass_force_for_elems_avx2(d, hourg, fx_elem, fy_elem, fz_elem, range),
+        scalar: calc_hourglass_force_for_elems_lanes::<1>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+    )
 }
 
 /// [`calc_hourglass_force_for_elems`] at a fixed lane width (`W = 1` is
 /// the scalar instantiation of the same body).
+#[inline(always)]
 pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
     d: &Domain,
     hourg: Real,
@@ -281,16 +276,17 @@ pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
 
     let c0 = -hourg * 0.01;
     let mut failed = false;
-    lane_groups!(W, range.begin, range.end, |e| hourglass_lane_group(
-        d,
-        range.begin,
-        e,
-        c0,
-        fx_elem,
-        fy_elem,
-        fz_elem,
-        &mut failed
-    ));
+    lane_groups!(W, range.begin, range.end, |e| hourglass_lane_group
+        / hourglass_tail(
+            d,
+            range.begin,
+            e,
+            c0,
+            fx_elem,
+            fy_elem,
+            fz_elem,
+            &mut failed
+        ));
     if failed {
         Err(LuleshError::VolumeError)
     } else {
@@ -298,8 +294,46 @@ pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
     }
 }
 
+/// [`calc_hourglass_force_for_elems_lanes::<4>`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn calc_hourglass_force_for_elems_avx2(
+    d: &Domain,
+    hourg: Real,
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) -> Result<(), LuleshError> {
+    calc_hourglass_force_for_elems_lanes::<4>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+}
+
+/// Elements `e0..end` one at a time: the ragged tail of every width and
+/// the whole of `W = 1` (see [`lane_groups!`]).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn hourglass_tail(
+    d: &Domain,
+    begin: Index,
+    e0: Index,
+    c0: Real,
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    failed: &mut bool,
+    end: Index,
+) {
+    for e in e0..end {
+        hourglass_lane_group::<1>(d, begin, e, c0, fx_elem, fy_elem, fz_elem, failed);
+    }
+}
+
 /// One group of `W` consecutive elements starting at `e0` of the fused
 /// kernel; sets `failed` when a lane's relative volume is non-positive.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn hourglass_lane_group<const W: usize>(
     d: &Domain,

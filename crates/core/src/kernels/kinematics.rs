@@ -8,7 +8,7 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes,
 };
 use crate::kernels::volume::{calc_elem_characteristic_length, calc_elem_volume};
-use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -16,26 +16,45 @@ use parutil::Chunk;
 /// characteristic length (`arealg`), and principal strain rates
 /// (`dxx/dyy/dzz`) evaluated at the half-step geometry.
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]); every
-/// width, scalar included, is the same generic body at a different `W`.
+/// Dispatches on the process-wide SIMD width and the host's ISA
+/// ([`simd::dispatch!`]); every arm, scalar included, is the same generic
+/// body at a different `W`.
 pub fn calc_kinematics_for_elems(d: &Domain, dt: Real, range: Chunk) {
-    match simd::active() {
-        LaneWidth::W1 => calc_kinematics_for_elems_lanes::<1>(d, dt, range),
-        LaneWidth::W2 => calc_kinematics_for_elems_lanes::<2>(d, dt, range),
-        LaneWidth::W4 => calc_kinematics_for_elems_lanes::<4>(d, dt, range),
-        LaneWidth::W8 => calc_kinematics_for_elems_lanes::<8>(d, dt, range),
-    }
+    simd::dispatch!(
+        calc_kinematics_for_elems_lanes / calc_kinematics_for_elems_avx2(d, dt, range),
+        scalar: calc_kinematics_for_elems_lanes::<1>(d, dt, range)
+    )
 }
 
 /// [`calc_kinematics_for_elems`] at a fixed lane width (`W = 1` is the
 /// scalar reference).
+#[inline(always)]
 pub fn calc_kinematics_for_elems_lanes<const W: usize>(d: &Domain, dt: Real, range: Chunk) {
-    lane_groups!(W, range.begin, range.end, |e| kinematics_lane_group(
-        d, dt, e
-    ));
+    lane_groups!(W, range.begin, range.end, |e| kinematics_lane_group
+        / kinematics_tail(d, dt, e));
+}
+
+/// [`calc_kinematics_for_elems_lanes::<4>`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn calc_kinematics_for_elems_avx2(d: &Domain, dt: Real, range: Chunk) {
+    calc_kinematics_for_elems_lanes::<4>(d, dt, range)
+}
+
+/// Elements `begin..end` one at a time: the ragged tail of every width and
+/// the whole of `W = 1` (see [`lane_groups!`]).
+#[inline(never)]
+fn kinematics_tail(d: &Domain, dt: Real, begin: Index, end: Index) {
+    for e in begin..end {
+        kinematics_lane_group::<1>(d, dt, e);
+    }
 }
 
 /// One group of `W` consecutive elements starting at `e0`.
+#[inline(always)]
 fn kinematics_lane_group<const W: usize>(d: &Domain, dt: Real, e0: Index) {
     let zero = Lanes::<W>::zero();
     let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);

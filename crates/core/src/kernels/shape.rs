@@ -49,7 +49,7 @@ pub fn gather_elem_velocities(
 /// Transposed coordinate gather for a lane group: corner `c` of elements
 /// `e0 .. e0 + W` lands in `xl[c]`'s `W` lanes. Each lane performs exactly
 /// the loads of [`gather_elem_coords`] for its element.
-#[inline]
+#[inline(always)]
 pub fn gather_elem_coords_lanes<const W: usize>(
     d: &Domain,
     e0: Index,
@@ -69,7 +69,7 @@ pub fn gather_elem_coords_lanes<const W: usize>(
 
 /// Transposed velocity gather for a lane group (see
 /// [`gather_elem_coords_lanes`]).
-#[inline]
+#[inline(always)]
 pub fn gather_elem_velocities_lanes<const W: usize>(
     d: &Domain,
     e0: Index,
@@ -90,7 +90,7 @@ pub fn gather_elem_velocities_lanes<const W: usize>(
 /// Transposed per-corner store for a lane group, the inverse of the gathers:
 /// corner `c` of lane `l` goes to `dst[8·(k0 + l) + c]`, where `k0` is the
 /// group's first chunk-local element slot.
-#[inline]
+#[inline(always)]
 pub fn scatter_elem_corners_lanes<const W: usize>(dst: &mut [Real], k0: usize, v: &[Lanes<W>; 8]) {
     let dst = &mut dst[8 * k0..8 * (k0 + W)];
     for l in 0..W {
@@ -104,6 +104,7 @@ pub fn scatter_elem_corners_lanes<const W: usize>(dst: &mut [Real], k0: usize, v
 /// element volume. Generic over [`SimdReal`]: the `f64` instantiation is
 /// the scalar reference; `Lanes<W>` processes `W` elements at once with a
 /// bit-identical per-element operation sequence.
+#[inline(always)]
 pub fn calc_elem_shape_function_derivatives<V: SimdReal>(
     x: &[V; 8],
     y: &[V; 8],
@@ -168,7 +169,7 @@ pub fn calc_elem_shape_function_derivatives<V: SimdReal>(
     V::splat(8.0) * (fjxet * cjxet + fjyet * cjyet + fjzet * cjzet)
 }
 
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn sum_elem_face_normal<V: SimdReal>(
     normal_x: &mut [V; 8],
@@ -200,6 +201,7 @@ fn sum_elem_face_normal<V: SimdReal>(
 
 /// Outward-ish node normals of an element: the sum over the element's six
 /// faces of each face's area vector, distributed to the face's four corners.
+#[inline(always)]
 pub fn calc_elem_node_normals<V: SimdReal>(
     pfx: &mut [V; 8],
     pfy: &mut [V; 8],
@@ -222,6 +224,7 @@ pub fn calc_elem_node_normals<V: SimdReal>(
 
 /// Per-corner forces from the (diagonal, isotropic) element stress:
 /// `f = −σ · normal`.
+#[inline(always)]
 pub fn sum_elem_stresses_to_node_forces<V: SimdReal>(
     b: &[[V; 8]; 3],
     stress_xx: V,
@@ -241,6 +244,7 @@ pub fn sum_elem_stresses_to_node_forces<V: SimdReal>(
 /// Principal components of the element velocity gradient
 /// (`CalcElemVelocityGradient`; only `d[0..3]` are consumed downstream but
 /// we compute all six like the reference). Generic over [`SimdReal`].
+#[inline(always)]
 pub fn calc_elem_velocity_gradient<V: SimdReal>(
     xvel: &[V; 8],
     yvel: &[V; 8],

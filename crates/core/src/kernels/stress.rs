@@ -20,7 +20,7 @@ use crate::kernels::shape::{
     calc_elem_node_normals, calc_elem_shape_function_derivatives, gather_elem_coords,
     gather_elem_coords_lanes, scatter_elem_corners_lanes, sum_elem_stresses_to_node_forces,
 };
-use crate::simd::{self, lane_groups, LaneWidth, Lanes, SimdReal};
+use crate::simd::{self, lane_groups, Lanes, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -57,9 +57,10 @@ pub fn init_stress_terms_for_elems(
 /// (`IntegrateStressForElems`, threaded variant). Writes `determ` (for the
 /// volume-error check) and `f*_elem[8·(i − range.begin) + c]`.
 ///
-/// Dispatches on the process-wide SIMD width ([`simd::active`]): the scalar
-/// path is the reference, the lane paths are bit-identical by construction
-/// (same per-element IEEE operation sequence, no reassociation).
+/// Dispatches on the process-wide SIMD width and the host's ISA
+/// ([`simd::dispatch!`]): the scalar path is the reference, the lane paths
+/// are bit-identical by construction (same per-element IEEE operation
+/// sequence, no reassociation).
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_stress_for_elems(
     d: &Domain,
@@ -72,20 +73,15 @@ pub fn integrate_stress_for_elems(
     fz_elem: &mut [Real],
     range: Chunk,
 ) {
-    match simd::active() {
-        LaneWidth::W1 => integrate_stress_for_elems_scalar(
-            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W2 => integrate_stress_for_elems_lanes::<2>(
-            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W4 => integrate_stress_for_elems_lanes::<4>(
-            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-        ),
-        LaneWidth::W8 => integrate_stress_for_elems_lanes::<8>(
-            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-        ),
-    }
+    simd::dispatch!(
+        integrate_stress_for_elems_lanes
+            / integrate_stress_for_elems_avx2(
+                d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range
+            ),
+        scalar: integrate_stress_for_elems_scalar(
+            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range
+        )
+    )
 }
 
 /// Scalar reference implementation of [`integrate_stress_for_elems`].
@@ -140,6 +136,7 @@ pub fn integrate_stress_for_elems_scalar(
 /// walked in groups of `W` elements computed with [`Lanes<W>`]; the ragged
 /// tail reuses the same generic body at `W = 1`, which is
 /// operation-identical to the scalar reference.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_stress_for_elems_lanes<const W: usize>(
     d: &Domain,
@@ -155,22 +152,71 @@ pub fn integrate_stress_for_elems_lanes<const W: usize>(
     debug_assert_eq!(determ.len(), range.len());
     debug_assert_eq!(fx_elem.len(), 8 * range.len());
 
-    lane_groups!(W, range.begin, range.end, |e| stress_lane_group(
-        d,
-        range.begin,
-        e,
-        sigxx,
-        sigyy,
-        sigzz,
-        determ,
-        fx_elem,
-        fy_elem,
-        fz_elem
-    ));
+    lane_groups!(W, range.begin, range.end, |e| stress_lane_group
+        / stress_tail(
+            d,
+            range.begin,
+            e,
+            sigxx,
+            sigyy,
+            sigzz,
+            determ,
+            fx_elem,
+            fy_elem,
+            fz_elem
+        ));
+}
+
+/// [`integrate_stress_for_elems_lanes::<4>`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+pub fn integrate_stress_for_elems_avx2(
+    d: &Domain,
+    sigxx: &[Real],
+    sigyy: &[Real],
+    sigzz: &[Real],
+    determ: &mut [Real],
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) {
+    integrate_stress_for_elems_lanes::<4>(
+        d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
+    )
+}
+
+/// Elements `e0..end` one at a time: the ragged tail of every width and
+/// the whole of `W = 1` (see [`lane_groups!`]).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn stress_tail(
+    d: &Domain,
+    begin: Index,
+    e0: Index,
+    sigxx: &[Real],
+    sigyy: &[Real],
+    sigzz: &[Real],
+    determ: &mut [Real],
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    end: Index,
+) {
+    for e in e0..end {
+        stress_lane_group::<1>(
+            d, begin, e, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem,
+        );
+    }
 }
 
 /// One group of `W` consecutive elements starting at `e0` (chunk-local slot
 /// `e0 - begin`), computed entirely in lane registers and scattered back.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn stress_lane_group<const W: usize>(
     d: &Domain,

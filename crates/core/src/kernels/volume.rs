@@ -10,13 +10,14 @@
 use crate::simd::SimdReal;
 use crate::types::Real;
 
-#[inline]
+#[inline(always)]
 fn triple_product<V: SimdReal>(x1: V, y1: V, z1: V, x2: V, y2: V, z2: V, x3: V, y3: V, z3: V) -> V {
     x1 * (y2 * z3 - z2 * y3) + x2 * (z1 * y3 - y1 * z3) + x3 * (y1 * z2 - z1 * y2)
 }
 
 /// Volume of a hexahedron given its 8 node coordinates in LULESH corner
 /// order. Positive for a right-handed, non-degenerate element.
+#[inline(always)]
 pub fn calc_elem_volume<V: SimdReal>(x: &[V; 8], y: &[V; 8], z: &[V; 8]) -> V {
     let twelveth = V::splat(1.0 / 12.0);
     let dx61 = x[6] - x[1];
@@ -104,7 +105,7 @@ pub fn calc_elem_volume<V: SimdReal>(x: &[V; 8], y: &[V; 8], z: &[V; 8]) -> V {
 
 /// The squared-area metric of a quadrilateral face used by the
 /// characteristic-length computation (`AreaFace` in the reference).
-#[inline]
+#[inline(always)]
 pub fn area_face<V: SimdReal>(
     x0: V,
     x1: V,
@@ -130,6 +131,7 @@ pub fn area_face<V: SimdReal>(
 }
 
 /// Characteristic length of an element: `4·V / √(max face area metric)`.
+#[inline(always)]
 pub fn calc_elem_characteristic_length<V: SimdReal>(
     x: &[V; 8],
     y: &[V; 8],
@@ -160,7 +162,7 @@ pub fn calc_elem_characteristic_length<V: SimdReal>(
 /// Partial derivative of element volume w.r.t. one corner's coordinates
 /// (`VoluDer`). The six node arguments are the corner's neighbours in the
 /// stencil order the reference uses.
-#[inline]
+#[inline(always)]
 pub fn volu_der<V: SimdReal>(
     x0: V,
     x1: V,
@@ -200,6 +202,7 @@ pub fn volu_der<V: SimdReal>(
 }
 
 /// Volume derivatives at all 8 corners (`CalcElemVolumeDerivative`).
+#[inline(always)]
 pub fn calc_elem_volume_derivative<V: SimdReal>(
     x: &[V; 8],
     y: &[V; 8],

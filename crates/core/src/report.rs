@@ -4,6 +4,7 @@
 
 use crate::domain::Domain;
 use crate::params::SimState;
+use crate::simd;
 use crate::validate::{final_origin_energy, symmetry_check};
 use std::time::Duration;
 
@@ -69,13 +70,16 @@ impl RunReport {
         )
     }
 
-    /// The verbose block the reference prints after a run.
+    /// The verbose block the reference prints after a run, plus the lane
+    /// kernel body (`width/isa`) the dispatchers resolve to right now.
     pub fn verbose(&self) -> String {
+        let width = simd::active();
         format!(
             "Run completed:\n\
              \x20  Problem size        =  {}\n\
              \x20  MPI tasks           =  1\n\
              \x20  Iteration count     =  {}\n\
+             \x20  Kernel lanes        =  {width}/{}\n\
              \x20  Final Origin Energy =  {:.6e}\n\
              \x20  Testing Plane 0 of Energy Array on rank 0:\n\
              \x20       MaxAbsDiff   = {:.6e}\n\
@@ -84,6 +88,7 @@ impl RunReport {
              Elapsed time         = {:>10.2} (s)",
             self.size,
             self.iterations,
+            simd::Isa::detect(width),
             self.final_energy,
             self.max_abs_diff,
             self.total_abs_diff,

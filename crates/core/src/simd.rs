@@ -5,8 +5,15 @@
 //! *elementwise*, so a lane-blocked kernel performs, per element, exactly
 //! the same IEEE-754 operation sequence as the scalar loop — results are
 //! bit-identical at every width (no reassociation, no horizontal
-//! reductions). LLVM auto-vectorizes the fixed-length `[f64; W]` loops into
-//! SSE/AVX code; correctness never depends on that happening.
+//! reductions). How the fixed-length `[f64; W]` loops become instructions
+//! is the compiler's business and correctness never depends on it — but
+//! speed does: built for baseline x86_64 (SSE2) LLVM leaves most of the
+//! kinematics and EOS lane bodies scalar, so the four hot kernels compile
+//! their `Lanes<4>` body a second time under
+//! `#[target_feature(enable = "avx2")]` ([`Isa::Avx2`]; no `fma`, so the
+//! operation sequence and every bit stay the same) and [`dispatch!`] runs
+//! that copy when the CPU has AVX2. The choice is made from the platform
+//! alone ([`Isa::detect`]); there is no flag for it.
 //!
 //! The shared per-element math of each ported kernel is written once,
 //! generic over [`SimdReal`], and instantiated with `f64` (the `W = 1`
@@ -26,6 +33,15 @@
 //! Every lane kernel is a single pass per element, so a chunk is walked
 //! as plain `W`-element groups ([`lane_groups!`]) — there is no cache
 //! blocking layer to tune.
+//!
+//! Inlining is load-bearing here: a helper LLVM declines to inline into an
+//! AVX2 entry point stays baseline code and the entry degenerates into a
+//! list of calls. The kernels' helper chain (`volume.rs`, `shape.rs`, the
+//! `*_lane_group` bodies) is therefore `#[inline(always)]`. The lane
+//! operations in this module are not: each is a few instructions once
+//! optimised, so the cost model always takes them, whereas forcing them
+//! copies thousands of unoptimised `0..W` loops into each kernel and LLVM's
+//! loop passes then take 30× as long over the crate (3 s → 90 s).
 
 // The elementwise loops index several arrays at once; iterator zips would
 // obscure the per-lane operation.
@@ -236,26 +252,50 @@ impl<const W: usize> SimdReal for Lanes<W> {
     lanes_select!(select_ge, >=);
 }
 
-/// Walk `$lo..$hi` in groups of `$w` consecutive elements, then the ragged
-/// tail one element at a time through the same group function at `W = 1`
-/// (operation-identical to the scalar reference): expands to
-/// `$group::<$w>($args)` / `$group::<1>($args)` with `$e` bound to each
-/// group's first element.
+/// Walk `$lo..$hi` in groups of `$w` consecutive elements through
+/// `$group::<$w>($args)` with `$e` bound to each group's first element,
+/// then hand the ragged tail `$e..$hi` to `$tail($args, $hi)`. `$tail` is
+/// the kernel's `W = 1` loop (operation-identical to the scalar reference)
+/// behind `#[inline(never)]`, and at `$w == 1` it is the whole walk: one
+/// baseline copy of the scalar body per kernel instead of one inlined into
+/// every width × ISA instantiation.
 macro_rules! lane_groups {
-    ($w:ident, $lo:expr, $hi:expr, |$e:ident| $group:ident($($arg:expr),* $(,)?)) => {{
+    ($w:ident, $lo:expr, $hi:expr, |$e:ident| $group:ident / $tail:ident($($arg:expr),* $(,)?)) => {{
         let hi = $hi;
         let mut $e = $lo;
-        while $e + $w <= hi {
+        while $w > 1 && $e + $w <= hi {
             $group::<$w>($($arg),*);
             $e += $w;
         }
-        while $e < hi {
-            $group::<1>($($arg),*);
-            $e += 1;
+        if $e < hi {
+            $tail($($arg),*, hi);
         }
     }};
 }
 pub(crate) use lane_groups;
+
+/// The width × ISA choice of a lane kernel's entry point, in one place:
+/// `$scalar` at [`LaneWidth::W1`], `$lanes::<W>($args)` at the lane widths,
+/// and at [`LaneWidth::W4`] on a CPU with AVX2 the `$avx2($args)` copy of
+/// the same `Lanes<4>` body.
+macro_rules! dispatch {
+    ($lanes:ident / $avx2:ident($($arg:expr),* $(,)?), scalar: $scalar:expr) => {{
+        use $crate::simd::{Isa, LaneWidth};
+        let width = $crate::simd::active();
+        match (width, Isa::detect(width)) {
+            (LaneWidth::W1, _) => $scalar,
+            (LaneWidth::W2, _) => $lanes::<2>($($arg),*),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::detect` answers `Avx2` only after
+            // `is_x86_feature_detected!("avx2")` held on this CPU, and AVX2
+            // is the one feature `$avx2` is compiled with.
+            (LaneWidth::W4, Isa::Avx2) => unsafe { $avx2($($arg),*) },
+            (LaneWidth::W4, _) => $lanes::<4>($($arg),*),
+            (LaneWidth::W8, _) => $lanes::<8>($($arg),*),
+        }
+    }};
+}
+pub(crate) use dispatch;
 
 /// The lane widths the kernels are instantiated at.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -310,6 +350,42 @@ impl std::fmt::Display for LaneWidth {
             Self::W4 => write!(f, "w4"),
             Self::W8 => write!(f, "w8"),
         }
+    }
+}
+
+/// The instruction set a lane body is compiled for.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Isa {
+    /// The build's target features (SSE2 on x86_64).
+    Baseline,
+    /// x86_64 AVX2, without `fma`: same IEEE operations, wider registers.
+    Avx2,
+}
+
+impl Isa {
+    /// The ISA the kernel dispatchers run `width` at on this host. AVX2
+    /// bodies exist at w4 only: scalar gains nothing from the wider ISA and
+    /// w8 loses to w4 under it (EXPERIMENTS.md), and each copy costs text.
+    #[inline]
+    pub fn detect(width: LaneWidth) -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if width == LaneWidth::W4 && avx2 {
+            Isa::Avx2
+        } else {
+            Isa::Baseline
+        }
+    }
+}
+
+impl std::fmt::Display for Isa {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::Baseline => "baseline",
+            Self::Avx2 => "avx2",
+        })
     }
 }
 
@@ -407,5 +483,16 @@ mod tests {
         }
         set_active(prior);
         assert_eq!(LaneWidth::from_lanes(3), None);
+    }
+
+    #[test]
+    fn only_w4_ever_runs_an_avx2_body() {
+        for w in [LaneWidth::W1, LaneWidth::W2, LaneWidth::W8] {
+            assert_eq!(Isa::detect(w), Isa::Baseline, "{w}");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(Isa::detect(LaneWidth::W4), Isa::Baseline);
+        assert_eq!(format!("{}/{}", LaneWidth::W4, Isa::Avx2), "w4/avx2");
+        assert_eq!(Isa::Baseline.to_string(), "baseline");
     }
 }

@@ -1,7 +1,9 @@
 //! Bitwise scalar-vs-lane equivalence for every SIMD-ported kernel.
 //!
-//! Each test runs the scalar reference and every lane width on the same
-//! state and compares outputs with `f64::to_bits` — not approximate
+//! Each test runs the scalar reference and every fixed-(width, ISA) entry
+//! point — `*_lanes::<1|2|4|8>`, and the `*_avx2` compilation of the
+//! `Lanes<4>` body where the CPU has AVX2 (a skip line where not) — on the
+//! same state and compares outputs with `f64::to_bits`, not approximate
 //! equality. Element counts are deliberately non-multiples of every width
 //! (27 or 125 dense elements; region lists of odd lengths) so the
 //! ragged-tail paths are always exercised. The references are the scalar
@@ -9,10 +11,36 @@
 //! a frozen copy of the pre-lane scalar body (kinematics).
 
 use lulesh_core::kernels::{eos, hourglass, kinematics, stress};
-use lulesh_core::simd::{self, LaneWidth};
-use lulesh_core::types::Real;
-use lulesh_core::{Domain, Params};
+use lulesh_core::simd::{self, LaneWidth, Lanes, SimdReal};
+use lulesh_core::types::{Index, Real};
+use lulesh_core::{Domain, LuleshError, Params};
 use parutil::Chunk;
+
+/// `[(label, entry point)]` of one lane kernel as `$ty` fn pointers:
+/// `$m::$lanes::<1|2|4|8>`, then `$m::$avx2` behind a closure taking
+/// `|$a, ..|` where AVX2 is detected.
+macro_rules! entry_points {
+    ($ty:ty, $m:ident::$lanes:ident / $avx2:ident, |$($a:ident),*|) => {{
+        let mut v: Vec<(&'static str, $ty)> = vec![
+            ("w1", $m::$lanes::<1>),
+            ("w2", $m::$lanes::<2>),
+            ("w4", $m::$lanes::<4>),
+            ("w8", $m::$lanes::<8>),
+        ];
+        let avx2 = simd::Isa::detect(LaneWidth::W4) == simd::Isa::Avx2;
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `Isa::detect` found AVX2, the one feature the entry
+            // point is compiled with, on this CPU.
+            let f: $ty = |$($a),*| unsafe { $m::$avx2($($a),*) };
+            v.push(("w4/avx2", f));
+        }
+        if !avx2 {
+            println!("skip: no AVX2 on this host, {} not run", stringify!($avx2));
+        }
+        v
+    }};
+}
 
 /// Deterministically perturbed domain: 27 elements (3³), two regions,
 /// mixed-sign pressures, viscosities and velocities.
@@ -46,7 +74,19 @@ fn assert_bits_eq(a: &[Real], b: &[Real], what: &str) {
 
 // ---------------------------------------------------------------- stress --
 
-fn stress_lanes_case<const W: usize>(d: &Domain, range: Chunk) {
+type StressKernel = fn(
+    &Domain,
+    &[Real],
+    &[Real],
+    &[Real],
+    &mut [Real],
+    &mut [Real],
+    &mut [Real],
+    &mut [Real],
+    Chunk,
+);
+
+fn stress_case(d: &Domain, range: Chunk, w: &str, kernel: StressKernel) {
     let n = range.len();
     let mut sx = vec![0.0; n];
     let mut sy = vec![0.0; n];
@@ -61,37 +101,45 @@ fn stress_lanes_case<const W: usize>(d: &Domain, range: Chunk) {
         d, &sx, &sy, &sz, &mut det1, &mut fx1, &mut fy1, &mut fz1, range,
     );
 
-    let mut det2 = vec![0.0; n];
-    let mut fx2 = vec![0.0; 8 * n];
-    let mut fy2 = vec![0.0; 8 * n];
-    let mut fz2 = vec![0.0; 8 * n];
-    stress::integrate_stress_for_elems_lanes::<W>(
+    // Poisoned outputs: the kernel must write every slot.
+    let mut det2 = vec![Real::NAN; n];
+    let mut fx2 = vec![Real::NAN; 8 * n];
+    let mut fy2 = vec![Real::NAN; 8 * n];
+    let mut fz2 = vec![Real::NAN; 8 * n];
+    kernel(
         d, &sx, &sy, &sz, &mut det2, &mut fx2, &mut fy2, &mut fz2, range,
     );
 
-    assert_bits_eq(&det1, &det2, &format!("determ w{W}"));
-    assert_bits_eq(&fx1, &fx2, &format!("fx_elem w{W}"));
-    assert_bits_eq(&fy1, &fy2, &format!("fy_elem w{W}"));
-    assert_bits_eq(&fz1, &fz2, &format!("fz_elem w{W}"));
+    assert_bits_eq(&det1, &det2, &format!("determ {w}"));
+    assert_bits_eq(&fx1, &fx2, &format!("fx_elem {w}"));
+    assert_bits_eq(&fy1, &fy2, &format!("fy_elem {w}"));
+    assert_bits_eq(&fz1, &fz2, &format!("fz_elem {w}"));
 }
 
 #[test]
 fn stress_every_width_matches_scalar_bitwise() {
-    let d = seeded_domain();
-    // 27 elements: ragged for every width; also a nonzero chunk begin
-    // (19 elements: ragged again) to catch chunk-local offset bugs.
-    let full = Chunk {
-        begin: 0,
-        end: d.num_elem(),
-    };
-    let off = Chunk {
-        begin: 8,
-        end: d.num_elem(),
-    };
-    for range in [full, off] {
-        stress_lanes_case::<2>(&d, range);
-        stress_lanes_case::<4>(&d, range);
-        stress_lanes_case::<8>(&d, range);
+    let kernels = entry_points!(
+        StressKernel,
+        stress::integrate_stress_for_elems_lanes / integrate_stress_for_elems_avx2,
+        |d, sx, sy, sz, det, fx, fy, fz, range|
+    );
+    // 27 and 125 elements: ragged for every width; also a nonzero chunk
+    // begin (19 and 114 elements: ragged again) to catch chunk-local offset
+    // bugs, on flat and on blast-distorted geometry.
+    for (d, begin, trim) in [(seeded_domain(), 8, 0), (mid_blast_domain(), 7, 4)] {
+        let full = Chunk {
+            begin: 0,
+            end: d.num_elem(),
+        };
+        let off = Chunk {
+            begin,
+            end: d.num_elem() - trim,
+        };
+        for range in [full, off] {
+            for &(w, kernel) in &kernels {
+                stress_case(&d, range, w, kernel);
+            }
+        }
     }
 }
 
@@ -113,7 +161,7 @@ fn hourglass_two_pass(
     d: &Domain,
     hourg: Real,
     range: Chunk,
-) -> (Result<(), lulesh_core::LuleshError>, CornerForces) {
+) -> (Result<(), LuleshError>, CornerForces) {
     let n = range.len();
     let geom = || vec![0.0; 8 * n];
     let (mut dvdx, mut dvdy, mut dvdz) = (geom(), geom(), geom());
@@ -137,30 +185,33 @@ fn hourglass_two_pass(
     (status, (fx, fy, fz))
 }
 
-fn fused_hourglass_case<const W: usize>(d: &Domain, range: Chunk) {
-    let hourg = 3.0;
-    let (status1, (fx1, fy1, fz1)) = hourglass_two_pass(d, hourg, range);
+type HourglassKernel =
+    fn(&Domain, Real, &mut [Real], &mut [Real], &mut [Real], Chunk) -> Result<(), LuleshError>;
 
-    let n = range.len();
-    // Poisoned outputs: the fused kernel must write every corner slot.
-    let mut fx2 = vec![Real::NAN; 8 * n];
-    let mut fy2 = vec![Real::NAN; 8 * n];
-    let mut fz2 = vec![Real::NAN; 8 * n];
-    let status2 = hourglass::calc_hourglass_force_for_elems_lanes::<W>(
-        d, hourg, &mut fx2, &mut fy2, &mut fz2, range,
-    );
-
-    assert_eq!(status1, status2, "fused hourglass status w{W}");
-    assert_bits_eq(&fx1, &fx2, &format!("fused hg fx_elem w{W}"));
-    assert_bits_eq(&fy1, &fy2, &format!("fused hg fy_elem w{W}"));
-    assert_bits_eq(&fz1, &fz2, &format!("fused hg fz_elem w{W}"));
+fn hourglass_kernels() -> Vec<(&'static str, HourglassKernel)> {
+    entry_points!(
+        HourglassKernel,
+        hourglass::calc_hourglass_force_for_elems_lanes / calc_hourglass_force_for_elems_avx2,
+        |d, hourg, fx, fy, fz, range|
+    )
 }
 
 fn fused_hourglass_every_width(d: &Domain, range: Chunk) {
-    fused_hourglass_case::<1>(d, range);
-    fused_hourglass_case::<2>(d, range);
-    fused_hourglass_case::<4>(d, range);
-    fused_hourglass_case::<8>(d, range);
+    let hourg = 3.0;
+    let (status1, (fx1, fy1, fz1)) = hourglass_two_pass(d, hourg, range);
+    let n = range.len();
+    for (w, kernel) in hourglass_kernels() {
+        // Poisoned outputs: the fused kernel must write every corner slot.
+        let mut fx2 = vec![Real::NAN; 8 * n];
+        let mut fy2 = vec![Real::NAN; 8 * n];
+        let mut fz2 = vec![Real::NAN; 8 * n];
+        let status2 = kernel(d, hourg, &mut fx2, &mut fy2, &mut fz2, range);
+
+        assert_eq!(status1, status2, "fused hourglass status {w}");
+        assert_bits_eq(&fx1, &fx2, &format!("fused hg fx_elem {w}"));
+        assert_bits_eq(&fy1, &fy2, &format!("fused hg fy_elem {w}"));
+        assert_bits_eq(&fz1, &fz2, &format!("fused hg fz_elem {w}"));
+    }
 }
 
 #[test]
@@ -193,7 +244,7 @@ fn fused_hourglass_every_width_matches_two_pass_bitwise() {
 
 #[test]
 fn fused_hourglass_reports_non_positive_volume_like_control() {
-    use lulesh_core::LuleshError::VolumeError;
+    use LuleshError::VolumeError;
     let d = mid_blast_domain();
     let full = Chunk {
         begin: 0,
@@ -215,13 +266,14 @@ fn fused_hourglass_reports_non_positive_volume_like_control() {
     // are non-finite garbage, but the kernel reports the error, not a panic.
     d.set_v(d.num_elem() - 1, 0.0);
     let corners = || vec![0.0; 8 * d.num_elem()];
-    let (mut fx, mut fy, mut fz) = (corners(), corners(), corners());
-    assert_eq!(
-        hourglass::calc_hourglass_force_for_elems_lanes::<4>(
-            &d, 3.0, &mut fx, &mut fy, &mut fz, full
-        ),
-        Err(VolumeError)
-    );
+    for (w, kernel) in hourglass_kernels() {
+        let (mut fx, mut fy, mut fz) = (corners(), corners(), corners());
+        assert_eq!(
+            kernel(&d, 3.0, &mut fx, &mut fy, &mut fz, full),
+            Err(VolumeError),
+            "zero volume in the tail, {w}"
+        );
+    }
 }
 
 // ------------------------------------------------------------ kinematics --
@@ -293,6 +345,11 @@ fn kinematics_outputs(d: &Domain) -> Vec<Real> {
 
 #[test]
 fn kinematics_every_width_matches_frozen_scalar_bitwise() {
+    let kernels = entry_points!(
+        fn(&Domain, Real, Chunk),
+        kinematics::calc_kinematics_for_elems_lanes / calc_kinematics_for_elems_avx2,
+        |d, dt, range|
+    );
     let d = mid_blast_domain();
     let dt = 3.0e-4;
     let full = Chunk {
@@ -306,14 +363,23 @@ fn kinematics_every_width_matches_frozen_scalar_bitwise() {
     for range in [full, off] {
         frozen_scalar_kinematics(&d, dt, range);
         let reference = kinematics_outputs(&d);
-        kinematics::calc_kinematics_for_elems_lanes::<1>(&d, dt, range);
-        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w1");
-        kinematics::calc_kinematics_for_elems_lanes::<2>(&d, dt, range);
-        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w2");
-        kinematics::calc_kinematics_for_elems_lanes::<4>(&d, dt, range);
-        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w4");
-        kinematics::calc_kinematics_for_elems_lanes::<8>(&d, dt, range);
-        assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics w8");
+        for &(w, kernel) in &kernels {
+            // Poisoned outputs: the kernel must write all six per element.
+            for e in range.iter() {
+                d.set_vnew(e, Real::NAN);
+                d.set_delv(e, Real::NAN);
+                d.set_arealg(e, Real::NAN);
+                d.set_dxx(e, Real::NAN);
+                d.set_dyy(e, Real::NAN);
+                d.set_dzz(e, Real::NAN);
+            }
+            kernel(&d, dt, range);
+            assert_bits_eq(
+                &kinematics_outputs(&d),
+                &reference,
+                &format!("kinematics {w}"),
+            );
+        }
         // The dispatcher, at whatever width is active.
         kinematics::calc_kinematics_for_elems(&d, dt, range);
         assert_bits_eq(&kinematics_outputs(&d), &reference, "kinematics dispatch");
@@ -386,7 +452,9 @@ fn eos_outputs(d: &Domain) -> Vec<Real> {
         .collect()
 }
 
-fn eos_lanes_case<const W: usize>(rep: usize) {
+type EosKernel = fn(&Domain, &[Real], &[Index], usize, &Params);
+
+fn eos_case(w: &str, kernel: EosKernel, rep: usize) {
     let d1 = seeded_domain();
     let d2 = seeded_domain();
     seed_eos_state(&d1);
@@ -398,18 +466,119 @@ fn eos_lanes_case<const W: usize>(rep: usize) {
         let elems = &d1.regions.reg_elem_list[r];
         let mut s = eos::EosScratch::new(elems.len());
         eos::eval_eos_for_elems_scalar(&d1, &vnewc, elems, rep, &p, &mut s);
-        eos::eval_eos_for_elems_lanes::<W>(&d2, &vnewc, elems, rep, &p);
+        kernel(&d2, &vnewc, elems, rep, &p);
     }
-    assert_bits_eq(&eos_outputs(&d2), &eos_outputs(&d1), &format!("eos w{W}"));
+    assert_bits_eq(
+        &eos_outputs(&d2),
+        &eos_outputs(&d1),
+        &format!("eos {w} rep {rep}"),
+    );
 }
 
 #[test]
 fn eos_every_width_matches_scalar_bitwise() {
-    eos_lanes_case::<2>(1);
-    eos_lanes_case::<4>(1);
-    eos_lanes_case::<8>(1);
+    let kernels = entry_points!(
+        EosKernel,
+        eos::eval_eos_for_elems_lanes / eval_eos_for_elems_avx2,
+        |d, vnewc, elems, rep, p|
+    );
     // The rep loop re-runs the whole pipeline; results must not depend on it.
-    eos_lanes_case::<4>(3);
+    for rep in [1, 3] {
+        for &(w, kernel) in &kernels {
+            eos_case(w, kernel, rep);
+        }
+    }
+}
+
+#[test]
+fn eos_rep_zero_stores_fresh_zeros_whatever_the_scratch_held() {
+    // `rep == 0` evaluates nothing and stores the scratch: a pooled scratch
+    // must behave like a fresh one, at every width (all route to scalar).
+    let d = seeded_domain();
+    seed_eos_state(&d);
+    let p = Params::default();
+    let vnewc: Vec<Real> = (0..d.num_elem()).map(|e| d.vnew(e)).collect();
+    let elems = &d.regions.reg_elem_list[0];
+    let mut s = eos::EosScratch::new(elems.len());
+    eos::eval_eos_for_elems_scalar(&d, &vnewc, elems, 1, &p, &mut s);
+    assert!(elems.iter().any(|&z| d.e(z) != 0.0), "scratch left dirty");
+    eos::eval_eos_for_elems(&d, &vnewc, elems, 0, &p, &mut s);
+    for &z in elems {
+        assert_eq!((d.p(z), d.e(z), d.q(z)), (0.0, 0.0, 0.0), "element {z}");
+    }
+}
+
+// ------------------------------------------------------------- lane ops --
+
+type Lanes4Ops = fn(Lanes<4>, Lanes<4>) -> [Lanes<4>; 12];
+
+/// Every `SimdReal` operation on one pair of values.
+#[inline(always)]
+fn simd_ops<V: SimdReal>(a: V, b: V) -> [V; 12] {
+    [
+        a + b,
+        a - b,
+        a * b,
+        a / b,
+        -a,
+        a.sqrt(),
+        a.cbrt(),
+        a.abs(),
+        a.select_lt(b, a, b),
+        a.select_le(b, a, b),
+        a.select_gt(b, a, b),
+        a.select_ge(b, a, b),
+    ]
+}
+
+/// [`simd_ops`] on `Lanes<4>` compiled for AVX2, as the `*_avx2` kernels
+/// compile the lane operations they inline.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn simd_ops_avx2(a: Lanes<4>, b: Lanes<4>) -> [Lanes<4>; 12] {
+    simd_ops(a, b)
+}
+
+#[test]
+fn lane_ops_match_scalar_bitwise_on_non_finite_inputs_under_every_isa() {
+    // NaN (one operand at a time: which payload survives NaN ∘ NaN is not
+    // defined), infinities of both signs, signed zeros, a subnormal, and
+    // the invalid operations ∞ − ∞, 0 · ∞, 0 / 0, √−1 that make fresh NaNs.
+    let inf = Real::INFINITY;
+    let xs = [Real::NAN, inf, -inf, 0.0, -0.0, 4.9e-324, -1.0, 2.5];
+    let ys = [1.5, inf, inf, inf, 0.0, -0.0, Real::NAN, -inf];
+    let mut isas: Vec<(&str, Lanes4Ops)> = vec![("baseline", simd_ops::<Lanes<4>>)];
+    let avx2 = simd::Isa::detect(LaneWidth::W4) == simd::Isa::Avx2;
+    #[cfg(target_arch = "x86_64")]
+    if avx2 {
+        // SAFETY: `Isa::detect` found AVX2 on this CPU.
+        isas.push(("avx2", |a, b| unsafe { simd_ops_avx2(a, b) }));
+    }
+    if !avx2 {
+        println!("skip: no AVX2 on this host, simd_ops_avx2 not run");
+    }
+    for (isa, ops) in isas {
+        for (xs, ys) in [(xs, ys), (ys, xs)] {
+            for g in [0, 4] {
+                // black_box: compare run-time arithmetic, not LLVM's folding.
+                let lane = |v: &[Real; 8]| {
+                    Lanes(std::hint::black_box([v[g], v[g + 1], v[g + 2], v[g + 3]]))
+                };
+                let packed = ops(lane(&xs), lane(&ys));
+                for l in 0..4 {
+                    let (x, y) = std::hint::black_box((xs[g + l], ys[g + l]));
+                    for (op, scalar) in simd_ops(x, y).into_iter().enumerate() {
+                        assert_eq!(
+                            packed[op].0[l].to_bits(),
+                            scalar.to_bits(),
+                            "{isa} op {op} on ({x}, {y}): {} vs {scalar}",
+                            packed[op].0[l]
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------- dispatch --

@@ -841,10 +841,9 @@ impl TaskLulesh {
                     // per-worker pool keeps T6's locality (the scratch
                     // lives on the executing worker — and, pinned, on its
                     // NUMA node) while dropping the per-task allocation.
-                    // `reset` restores the exact `EosScratch::new` state,
-                    // so results are bit-identical.
+                    // Only the scalar arm sizes and touches it; the lane
+                    // arms keep the whole pipeline in registers.
                     let mut ks = ss.kernel_scratch();
-                    ks.eos.reset(elems.len());
                     eos::eval_eos_for_elems(&dd, vnewc, elems, rep, &dd.params, &mut ks.eos);
                 })
             })

@@ -46,7 +46,7 @@ grep -q "autotune: converged" "$TMP/autotune.log" || {
   echo "auto-tuner did not converge:"; cat "$TMP/autotune.log"; exit 1;
 }
 
-echo "== simd smoke runs (--simd auto converges; w4 and the default are bit-identical to scalar) =="
+echo "== simd smoke runs (--simd auto converges; every driver's default, w4, is bit-identical to scalar) =="
 # The 2-D co-tuner: --simd auto starts the run scalar and must log a
 # verdict naming both the partition plan and the lane width it landed on.
 # (clippy above already covers crates/core, including the lane engine.)
@@ -55,20 +55,14 @@ echo "== simd smoke runs (--simd auto converges; w4 and the default are bit-iden
 grep -q "autotune:" "$TMP/simd_auto.log" && grep -q "simd=" "$TMP/simd_auto.log" || {
   echo "--simd auto logged no 2-D verdict:"; cat "$TMP/simd_auto.log"; exit 1;
 }
-# Lane width is a pure performance knob: a w4 run's CSV (all columns but
-# wall clock) must match the scalar reference run bit for bit.
-./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --simd scalar \
-  | cut -d, -f1-4,6 > "$TMP/simd_scalar.csv"
-./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --simd w4 \
-  | cut -d, -f1-4,6 > "$TMP/simd_w4.csv"
-if ! cmp -s "$TMP/simd_scalar.csv" "$TMP/simd_w4.csv"; then
-  echo "--simd w4 diverged from scalar:"
-  diff "$TMP/simd_scalar.csv" "$TMP/simd_w4.csv" || true
-  exit 1
-fi
-# So is the default: a plain run (kernels at LaneWidth::DEFAULT) must print
-# what --simd scalar prints, single-domain and split 1x1x2.
-for run in "lulesh-serial --s 6 --i 10" "lulesh-multidom --s 6 --i 10 --grid 1x1x2"; do
+# Lane width and ISA are pure performance knobs: a plain run of every
+# driver (kernels at LaneWidth::DEFAULT = w4, compiled for the ISA this
+# host was detected to have) must print what --simd scalar — the baseline
+# reference body — prints in every CSV column but wall clock,
+# single-domain and split 1x1x2.
+for run in "lulesh-serial --s 6 --i 10" "lulesh-omp --s 6 --i 10 --threads 2" \
+           "lulesh-task --s 6 --i 10 --threads 2" \
+           "lulesh-multidom --s 6 --i 10 --grid 1x1x2"; do
   ./target/debug/$run --q | cut -d, -f1-4,6 > "$TMP/default.csv"
   ./target/debug/$run --q --simd scalar | cut -d, -f1-4,6 > "$TMP/scalar.csv"
   if ! cmp -s "$TMP/default.csv" "$TMP/scalar.csv"; then
