@@ -12,7 +12,7 @@
 //! the one cluster-free experiment that exercises actual sockets.
 
 use lulesh_bench::render_table;
-use multidom::{taskpar, Decomposition, FaultPlan, SimArgs, TransportKind};
+use multidom::{taskpar, Decomposition, RunPlan, SimArgs, TransportKind};
 use simsched::multinode::{strong_scaling, task_compute_1node_ns, weak_scaling, ClusterParams};
 use simsched::{CostModel, LuleshConfig, LuleshModel};
 use std::time::{Duration, Instant};
@@ -158,15 +158,17 @@ fn measured_overlap() {
     ] {
         let run = |overlap: bool| {
             let t0 = Instant::now();
-            let results = taskpar::run_transport(
+            let results = taskpar::run(
                 Decomposition::new(size, ranks),
-                TransportKind::TcpLoopback,
-                Duration::from_secs(20),
+                SimArgs::new(11, 1, 1, 0, iters),
                 workers,
                 lulesh_task::PartitionPlan::fixed(2048, 2048),
                 overlap,
-                SimArgs::new(11, 1, 1, 0, iters),
-                FaultPlan::NONE,
+                &RunPlan {
+                    transport: TransportKind::TcpLoopback,
+                    deadline: Duration::from_secs(20),
+                    ..RunPlan::default()
+                },
             );
             let domains: Vec<_> = results
                 .into_iter()

@@ -53,9 +53,7 @@ use lulesh_core::kernels::{eos, hourglass, monoq, stress};
 use lulesh_core::simd::{self, LaneWidth};
 use lulesh_core::Domain;
 use lulesh_task::{AutoTuneConfig, Features, PartitionPlan, PartitionPolicy, TaskLulesh};
-use multidom::{
-    threaded, Decomposition, FaultPlan, Grid3, LivePlan, ResilPlan, SimArgs, TransportKind,
-};
+use multidom::{threaded, Decomposition, Grid3, LivePlan, ResilPlan, RunPlan, SimArgs};
 use obs::dist::{Category, RankTrace};
 use obs::jsonlint::{self, Value};
 use obs::live::{CollectSink, LiveConfig};
@@ -218,7 +216,7 @@ fn rep_multidom(
     };
     let ranks = decomp.ranks();
     let tracer = trace.then(|| Tracer::shared(ranks));
-    let plan = if live {
+    let live_plan = if live {
         LivePlan {
             metrics: Some(LiveConfig {
                 period: 1,
@@ -228,7 +226,7 @@ fn rep_multidom(
             flight_dir: None,
         }
     } else {
-        LivePlan::OFF
+        LivePlan::default()
     };
     // Snapshot waves land in a throwaway directory, recreated per rep so
     // the write path (create + rename) is exercised every time.
@@ -240,19 +238,18 @@ fn rep_multidom(
             resume_cycle: None,
         }
     } else {
-        ResilPlan::OFF
+        ResilPlan::default()
     };
     let c0 = cpu_seconds();
-    let results = threaded::run_transport_resil(
+    let results = threaded::run(
         decomp,
-        TransportKind::Channel,
-        Duration::from_secs(10),
         SimArgs::new(2, 1, 1, 0, iters),
-        tracer.clone(),
-        FaultPlan::NONE,
-        Vec::new(),
-        plan,
-        resil_plan,
+        &RunPlan {
+            trace: tracer.clone(),
+            live: live_plan,
+            resil: resil_plan,
+            ..RunPlan::default()
+        },
     );
     let cpu = cpu_seconds() - c0;
     for r in results {

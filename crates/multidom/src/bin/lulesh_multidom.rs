@@ -23,14 +23,10 @@
 //! multi-host runs whose spans files were gathered by hand).
 
 use lulesh_core::{Opts, RunReport, TransportMode};
-use multidom::{
-    recovery, threaded, Decomposition, FaultPlan, Grid3, LivePlan, MdError, ResilPlan, SimArgs,
-    TransportKind, DEFAULT_DEADLINE,
-};
+use multidom::{recovery, threaded, Decomposition, Grid3, RunPlan, SimArgs};
 use obs::dist::RankTrace;
-use obs::live::LiveConfig;
 use obs::Tracer;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Pull `--flag N` / `--flag=N` out of `args` before the shared parser
@@ -141,99 +137,67 @@ fn main() {
     }
 }
 
-/// Build the telemetry plan from the CLI: `--live-metrics[=PERIOD]` turns
-/// on the streaming plane (JSONL to stdout on rank 0, straggler table to
-/// stderr unless `--q`); `--trace-dir` doubles as the flight-recorder dump
-/// directory so a faulting run leaves `flight.rankR.json` next to the
-/// spans files.
-fn live_plan(opts: &Opts) -> LivePlan {
-    LivePlan {
-        metrics: opts.live_metrics.map(|period| {
-            let mut cfg = LiveConfig::new(period);
-            cfg.table = !opts.quiet;
-            cfg
-        }),
-        flight_dir: opts.trace_dir.as_ref().map(PathBuf::from),
-    }
-}
-
-/// Fault-injection flags (`--die-at RANK:CYCLE,...`, `--slow-rank RANK:MS`)
-/// become a [`FaultPlan`]; both are forwarded verbatim to TCP workers.
-fn fault_plan(opts: &Opts) -> FaultPlan {
-    FaultPlan {
-        die_at: opts.die_at.clone(),
-        slow_rank: opts.slow_rank,
-        ..FaultPlan::NONE
-    }
-}
-
-/// Checkpoint/restart flags become a [`ResilPlan`]: `--ckpt-dir DIR`
-/// (snapshot every `--ckpt-period` cycles, written off-thread) and
-/// `--resume-cycle C` (restore instead of cold-starting).
-fn resil_plan(opts: &Opts) -> ResilPlan {
-    ResilPlan {
-        ckpt: opts
-            .ckpt_dir
-            .as_ref()
-            .map(|d| resil::CkptConfig::new(PathBuf::from(d), opts.ckpt_period)),
-        resume_cycle: opts.resume_cycle,
-    }
-}
-
-/// Resolve `--pin` against the live topology: the node list each rank
-/// round-robins over, empty when pinning is off. Unknown node ids and
-/// single-node hosts degrade to warnings, mirroring `lulesh-task`.
-fn resolve_pin(opts: &Opts) -> Vec<usize> {
-    if !opts.pin.enabled() {
-        return Vec::new();
-    }
-    let topo = taskrt::topology::Topology::detect();
-    let res = topo.resolve_nodes(opts.pin.requested_nodes());
-    for id in &res.unknown {
-        eprintln!("pinning: node{id} not present on this host, ignoring");
-    }
-    if res.nodes.is_empty() || topo.num_nodes() < 2 {
-        eprintln!(
-            "pinning: single NUMA node on this host; ranks get CPU affinity \
-             but placement is moot"
-        );
-    }
-    res.nodes
-}
-
-/// The classic single-process run: every rank is a thread, halos go over
-/// in-memory channels.
-fn run_in_process(opts: &Opts, grid: Grid3) {
-    let ranks = grid.ranks();
-    let decomp = Decomposition::with_grid(opts.size, grid);
-    // One tracer lane per rank; rank 0's lane also carries iteration spans.
-    let tracer = (opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some())
-        .then(|| Tracer::shared(ranks));
-    let t0 = Instant::now();
-    let sim = SimArgs::new(
+/// The problem half of the CLI (the run half is [`RunPlan::from_opts`]).
+fn sim_args(opts: &Opts) -> SimArgs {
+    SimArgs::new(
         opts.num_reg,
         opts.balance,
         opts.cost,
         opts.seed,
         opts.max_cycles,
-    );
+    )
+}
+
+/// The run half of the CLI, for a job of `ranks` ranks: [`RunPlan::from_opts`]
+/// plus a tracer when any trace output was asked for — one lane per rank,
+/// plus a `ranks + rank` comm lane per rank for TCP writer-thread spans
+/// when collecting a `--trace-dir`.
+fn run_plan(opts: &Opts, ranks: usize) -> RunPlan {
+    let traced = opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some();
+    let lanes = if opts.trace_dir.is_some() {
+        2 * ranks
+    } else {
+        ranks
+    };
+    RunPlan {
+        trace: traced.then(|| Tracer::shared(lanes)),
+        ..RunPlan::from_opts(opts)
+    }
+}
+
+/// Write one rank's spans file into `dir`, or exit nonzero.
+fn write_rank_trace(
+    dir: &str,
+    rank: usize,
+    ranks: usize,
+    offset_ns: i64,
+    lanes: Vec<(usize, String)>,
+    spans: &[obs::Span],
+) {
+    let rt = RankTrace::from_spans(rank, ranks, rank, offset_ns, lanes, spans);
+    if let Err(e) = obs::dist::write_rank_trace(Path::new(dir), &rt) {
+        eprintln!("rank {rank}: failed to write rank trace: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The single-process run: every rank is a thread, halos go over
+/// in-memory channels. With `--respawn` a rank death rolls every rank
+/// back to the newest globally consistent checkpoint wave and reruns (one
+/// injected kill per attempt) — the in-process analogue of the TCP
+/// launcher's loop.
+fn run_in_process(opts: &Opts, grid: Grid3) {
+    let ranks = grid.ranks();
+    let decomp = Decomposition::with_grid(opts.size, grid);
+    let plan = run_plan(opts, ranks);
+    let t0 = Instant::now();
     let results = if opts.respawn {
-        // In-process analogue of the TCP respawn loop: on a rank death,
-        // roll every rank back to the newest globally consistent
-        // checkpoint wave and rerun (one injected kill per attempt).
-        let Some(ckpt) = resil_plan(opts).ckpt else {
+        if plan.resil.ckpt.is_none() {
             eprintln!("--respawn needs --ckpt-dir DIR");
             std::process::exit(2);
-        };
-        let report = recovery::run_with_recovery(
-            decomp,
-            TransportKind::Channel,
-            DEFAULT_DEADLINE,
-            sim,
-            fault_plan(opts),
-            ckpt,
-            opts.die_at.len() + 1,
-        );
+        }
+        let report =
+            recovery::run_with_recovery(decomp, sim_args(opts), &plan, opts.die_at.len() + 1);
         if !opts.quiet {
             for c in &report.resumed_from {
                 eprintln!("respawn: rank died, all ranks resumed from checkpoint cycle {c}");
@@ -241,17 +205,7 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
         }
         report.results
     } else {
-        threaded::run_transport_resil(
-            decomp,
-            TransportKind::Channel,
-            DEFAULT_DEADLINE,
-            sim,
-            tracer.clone(),
-            fault_plan(opts),
-            resolve_pin(opts),
-            live_plan(opts),
-            resil_plan(opts),
-        )
+        threaded::run(decomp, sim_args(opts), &plan)
     };
     let mut domains = Vec::with_capacity(ranks);
     let mut state = None;
@@ -276,7 +230,7 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
     let state = state.expect("rank 0 produced a result");
     let elapsed = t0.elapsed();
     print_report(opts, grid, &domains[0], &state, elapsed);
-    if let Some(t) = &tracer {
+    if let Some(t) = &plan.trace {
         let spans = t.drain();
         if let Err(e) = obs::write_reports(&spans, opts.trace.as_deref(), opts.metrics.as_deref()) {
             eprintln!("failed to write trace/metrics: {e}");
@@ -287,18 +241,8 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
             for rank in 0..ranks {
                 let rank_spans: Vec<obs::Span> =
                     spans.iter().filter(|s| s.worker == rank).cloned().collect();
-                let rt = RankTrace::from_spans(
-                    rank,
-                    ranks,
-                    rank,
-                    0,
-                    vec![(rank, format!("rank{rank}"))],
-                    &rank_spans,
-                );
-                if let Err(e) = obs::dist::write_rank_trace(Path::new(dir), &rt) {
-                    eprintln!("failed to write rank {rank} trace: {e}");
-                    std::process::exit(1);
-                }
+                let lanes = vec![(rank, format!("rank{rank}"))];
+                write_rank_trace(dir, rank, ranks, 0, lanes, &rank_spans);
             }
             merge_and_report(dir, opts.quiet);
         }
@@ -484,13 +428,14 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
 }
 
 /// One TCP worker: rank 0 binds the bootstrap address and accepts the
-/// others; everyone runs their sub-brick and rank 0 prints the report.
+/// others; everyone runs their sub-brick through the same rank loop as
+/// the in-process ranks (pinning included) and rank 0 prints the report.
 fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
     let ranks = grid.ranks();
     let decomp = Decomposition::with_grid(opts.size, grid);
     let specs = grid.neighbor_specs();
-    let cfg =
-        parcelnet::tcp::TcpConfig::with_deadline(Duration::from_millis(opts.recv_deadline_ms));
+    let plan = run_plan(opts, ranks);
+    let cfg = parcelnet::tcp::TcpConfig::with_deadline(plan.deadline);
     let net = if rank == 0 {
         let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
             eprintln!("rank 0 cannot bind {addr}: {e}");
@@ -500,73 +445,23 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
     } else {
         parcelnet::tcp::join(addr, rank, ranks, &specs[rank], &cfg)
     };
-    let net = match net {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("rank {rank}: bootstrap failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // A TCP worker is one rank in its own process: pin the whole process
-    // (this thread) onto its round-robin node before building the domain.
-    let pin_nodes = resolve_pin(opts);
-    if !pin_nodes.is_empty() {
-        let topo = taskrt::topology::Topology::detect();
-        let node = pin_nodes[rank % pin_nodes.len()];
-        if let Some(n) = topo.nodes.iter().find(|n| n.id == node) {
-            let _ = taskrt::topology::pin_current_thread(&n.cpus);
-        }
-    }
-    // Each worker records its own lane (plus a `ranks + rank` comm lane
-    // for parcelnet writer-thread spans when collecting a trace dir);
-    // per-process trace/metrics files get a `.rankR` suffix so workers do
-    // not clobber each other.
-    let tracer =
-        (opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some()).then(|| {
-            let lanes = if opts.trace_dir.is_some() {
-                2 * ranks
-            } else {
-                ranks
-            };
-            Tracer::shared(lanes)
-        });
+    let net = net.unwrap_or_else(|e| {
+        eprintln!("rank {rank}: bootstrap failed: {e}");
+        std::process::exit(1);
+    });
     let t0 = Instant::now();
-    let sim = SimArgs::new(
-        opts.num_reg,
-        opts.balance,
-        opts.cost,
-        opts.seed,
-        opts.max_cycles,
-    );
-    let result = threaded::run_rank_resil(
-        decomp.shape(rank),
-        net,
-        sim,
-        tracer.clone(),
-        fault_plan(opts),
-        live_plan(opts),
-        resil_plan(opts),
-    );
-    let (domain, state, offset_ns) = match result {
-        Ok(r) => r,
-        Err(MdError::Sim(e)) => {
+    let (domain, state, offset_ns) =
+        threaded::run_rank(decomp.shape(rank), net, sim_args(opts), &plan).unwrap_or_else(|e| {
             eprintln!("rank {rank}: run failed: {e}");
             std::process::exit(1);
-        }
-        Err(MdError::Net(e)) => {
-            eprintln!("rank {rank}: transport failed: {e}");
-            std::process::exit(1);
-        }
-        Err(MdError::Snapshot(e)) => {
-            eprintln!("rank {rank}: checkpoint failed: {e}");
-            std::process::exit(1);
-        }
-    };
+        });
     let elapsed = t0.elapsed();
     if rank == 0 {
         print_report(opts, grid, &domain, &state, elapsed);
     }
-    if let Some(t) = &tracer {
+    if let Some(t) = &plan.trace {
+        // Per-process trace/metrics files get a `.rankR` suffix so workers
+        // do not clobber each other.
         let spans = t.drain();
         let suffix = |p: &str| format!("{p}.rank{rank}");
         let trace = opts.trace.as_deref().map(suffix);
@@ -576,21 +471,11 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
             std::process::exit(1);
         }
         if let Some(dir) = &opts.trace_dir {
-            let rt = RankTrace::from_spans(
-                rank,
-                ranks,
-                rank,
-                offset_ns,
-                vec![
-                    (rank, format!("rank{rank}")),
-                    (ranks + rank, format!("rank{rank}-comm")),
-                ],
-                &spans,
-            );
-            if let Err(e) = obs::dist::write_rank_trace(Path::new(dir), &rt) {
-                eprintln!("rank {rank}: failed to write rank trace: {e}");
-                std::process::exit(1);
-            }
+            let lanes = vec![
+                (rank, format!("rank{rank}")),
+                (ranks + rank, format!("rank{rank}-comm")),
+            ];
+            write_rank_trace(dir, rank, ranks, offset_ns, lanes, &spans);
         }
     }
 }

@@ -17,10 +17,19 @@
 //! * [`World::run`] — lockstep: ranks advance phase by phase in one
 //!   thread (the deterministic reference for testing).
 //! * [`threaded::run`] — one OS thread per rank exchanging halo messages
-//!   over channels, MPI-style (blocking send/recv per iteration).
+//!   over a [`parcelnet`] transport, MPI-style (blocking send/recv per
+//!   iteration); [`threaded::run_rank`] is the same rank loop for one
+//!   rank of a multi-process job.
 //! * [`taskpar::run`] — **task-parallel within each rank** (a `TaskLulesh`
 //!   runtime per rank) with the halo exchanges injected as communication
 //!   tasks — the paper's anticipated "HPX-native multi-node" configuration.
+//!
+//! Both message-passing drivers take one [`RunPlan`] (transport, deadline,
+//! tracing, faults, pinning, telemetry, checkpoints; all off by default)
+//! and share one bootstrap, one subdomain build, one fault check and one
+//! dt/telemetry reduction, so they meet the wire at the same points.
+//! [`recovery::run_with_recovery`] reruns [`threaded::run`] from
+//! checkpoints after a rank death.
 //!
 //! The decomposed solution matches the single-domain solution up to
 //! floating-point regrouping on the boundary surfaces (the force sum is
@@ -46,7 +55,14 @@ use lulesh_core::serial::{
 };
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
-use parcelnet::{dir, NeighborSpec};
+use obs::dist::Category;
+use obs::live::{jsonl_step_line, FlightRecorder, LiveStats, StepSummary, StragglerDetector};
+use obs::{SpanKind, Tracer};
+use parcelnet::tcp::TcpConfig;
+use parcelnet::{dir, NeighborSpec, ParcelError, ParcelLive, RankNet};
+use parking_lot::Mutex;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A 3-D rank grid: `nx × ny × nz` ranks, numbered ξ-fastest
 /// (`rank = ix + nx·(iy + ny·iz)`). The ζ-slab chain is `1×1×N`.
@@ -308,11 +324,10 @@ pub struct FaultPlan {
     /// Poison this rank's mid-domain element volume after build, forcing a
     /// `VolumeError` in its first iteration.
     pub poison_volume: Option<usize>,
-    /// `(rank, cycle)` kill list: each listed rank dies abruptly at the
-    /// top of that cycle — its links drop without a `Bye`, as a killed
-    /// process would (honoured by the threaded driver). The `--respawn`
-    /// launcher consumes one entry per recovery attempt; a single run
-    /// honours every entry it reaches.
+    /// `(rank, cycle)` kill list: each listed rank dies abruptly once that
+    /// many cycles are complete — its links drop without a `Bye`, as a
+    /// killed process would. The `--respawn` launcher consumes one entry
+    /// per recovery attempt; a single run honours every entry it reaches.
     pub die_at: Vec<(usize, u64)>,
     /// The rank is killed *before the TCP handshake*: it never dials the
     /// bootstrap, so the survivors' accepts and dials must time out with a
@@ -339,6 +354,22 @@ impl FaultPlan {
     pub fn dies_at(&self, rank: usize, cycle: u64) -> bool {
         self.die_at.iter().any(|&(r, c)| r == rank && c == cycle)
     }
+
+    /// The faults striking `rank` once `cycle` cycles are complete — the
+    /// one check both rank loops make per step. A listed death returns
+    /// `PeerClosed` naming the rank itself (the caller drops its links
+    /// without a `Bye`, as a killed process would); a straggler sleeps.
+    pub(crate) fn inject(&self, rank: usize, cycle: u64) -> Result<(), ParcelError> {
+        if self.dies_at(rank, cycle) {
+            return Err(ParcelError::PeerClosed { peer: rank });
+        }
+        if let Some((r, ms)) = self.slow_rank {
+            if r == rank {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Checkpoint/resume wiring for the message-passing drivers. Default:
@@ -353,14 +384,6 @@ pub struct ResilPlan {
     /// its snapshot from `ckpt.dir` instead of starting at cycle 0
     /// (requires `ckpt`).
     pub resume_cycle: Option<u64>,
-}
-
-impl ResilPlan {
-    /// Checkpointing fully off.
-    pub const OFF: ResilPlan = ResilPlan {
-        ckpt: None,
-        resume_cycle: None,
-    };
 }
 
 /// Live-telemetry wiring for the message-passing drivers ([`threaded`],
@@ -380,26 +403,372 @@ pub struct LivePlan {
     pub flight_dir: Option<std::path::PathBuf>,
 }
 
-impl LivePlan {
-    /// Telemetry fully off.
-    pub const OFF: LivePlan = LivePlan {
-        metrics: None,
-        flight_dir: None,
-    };
-}
-
-/// Best-effort flight-recorder dump — a dying rank must never turn a typed
-/// transport error into an I/O panic.
-pub(crate) fn dump_flight(dir: &std::path::Path, rank: usize, f: &obs::live::FlightRecorder) {
-    let _ = std::fs::create_dir_all(dir);
-    let _ = std::fs::write(
-        dir.join(format!("flight.rank{rank}.json")),
-        f.dump_json(rank),
-    );
-}
-
 /// The default per-receive deadline for the message-passing drivers.
-pub const DEFAULT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How a message-passing run executes, beyond the problem itself: the one
+/// parameter set of [`threaded::run`], [`threaded::run_rank`],
+/// [`taskpar::run`] and [`recovery::run_with_recovery`]. The default is
+/// all off — in-process channels, [`DEFAULT_DEADLINE`], untraced, no
+/// faults, unpinned, no telemetry, no checkpoints.
+#[derive(Clone)]
+pub struct RunPlan {
+    /// The wire between in-process ranks (ignored by
+    /// [`threaded::run_rank`], which is handed a connected net).
+    pub transport: TransportKind,
+    /// Bounds every receive, the TCP handshake included — and therefore
+    /// how long any rank can outlive a dead neighbour.
+    pub deadline: Duration,
+    /// Span tracing: rank `r` records its phases, halo exchanges and dt
+    /// barrier on lane `r` (see [`threaded::run_rank`]).
+    pub trace: Option<Arc<Tracer>>,
+    /// Fault injection.
+    pub faults: FaultPlan,
+    /// NUMA nodes to pin onto: rank `r`'s thread and its transport writer
+    /// threads go to node `pin[r % pin.len()]` before the subdomain is
+    /// built (first touch). Empty means unpinned; results are
+    /// bit-identical either way.
+    pub pin: Vec<usize>,
+    /// Live telemetry.
+    pub live: LivePlan,
+    /// Checkpoint/resume.
+    pub resil: ResilPlan,
+}
+
+impl Default for RunPlan {
+    fn default() -> Self {
+        Self {
+            transport: TransportKind::Channel,
+            deadline: DEFAULT_DEADLINE,
+            trace: None,
+            faults: FaultPlan::NONE,
+            pin: Vec::new(),
+            live: LivePlan::default(),
+            resil: ResilPlan::default(),
+        }
+    }
+}
+
+impl RunPlan {
+    /// The plan `lulesh-multidom` runs every path with (in-process,
+    /// `--respawn` and TCP worker): `--recv-deadline-ms`, `--die-at` and
+    /// `--slow-rank`, `--pin` resolved against this host (unknown nodes
+    /// and single-node hosts degrade to a stderr warning),
+    /// `--live-metrics` (its table on stderr unless `--q`) with
+    /// `--trace-dir` doubling as the flight-dump directory, and
+    /// `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport stays
+    /// [`TransportKind::Channel`] — TCP ranks are processes that dial
+    /// their own net — and `trace` stays `None`: the caller sizes the
+    /// tracer's lanes to the job.
+    pub fn from_opts(opts: &lulesh_core::Opts) -> Self {
+        let pin = if opts.pin.enabled() {
+            let topo = taskrt::topology::Topology::detect();
+            let res = topo.resolve_nodes(opts.pin.requested_nodes());
+            for id in &res.unknown {
+                eprintln!("pinning: node{id} not present on this host, ignoring");
+            }
+            if res.nodes.is_empty() || topo.num_nodes() < 2 {
+                eprintln!(
+                    "pinning: single NUMA node on this host; ranks get CPU affinity \
+                     but placement is moot"
+                );
+            }
+            res.nodes
+        } else {
+            Vec::new()
+        };
+        Self {
+            deadline: Duration::from_millis(opts.recv_deadline_ms),
+            faults: FaultPlan {
+                die_at: opts.die_at.clone(),
+                slow_rank: opts.slow_rank,
+                ..FaultPlan::NONE
+            },
+            pin,
+            live: LivePlan {
+                metrics: opts.live_metrics.map(|period| obs::live::LiveConfig {
+                    table: !opts.quiet,
+                    ..obs::live::LiveConfig::new(period)
+                }),
+                flight_dir: opts.trace_dir.as_ref().map(Into::into),
+            },
+            resil: ResilPlan {
+                ckpt: opts
+                    .ckpt_dir
+                    .as_ref()
+                    .map(|d| resil::CkptConfig::new(d, opts.ckpt_period)),
+                resume_cycle: opts.resume_cycle,
+            },
+            ..Self::default()
+        }
+    }
+}
+
+/// Every rank's endpoint for `decomp` over `kind`: the in-process channel
+/// mesh, or a loopback TCP bootstrap (rank 0 listens, the others dial, one
+/// bootstrap thread per rank). The rank named by `die_at_handshake` never
+/// dials: its own slot is `PeerClosed` and the survivors' accepts and
+/// dials time out within `deadline`.
+fn connect(
+    decomp: Decomposition,
+    kind: TransportKind,
+    deadline: Duration,
+    die_at_handshake: Option<usize>,
+) -> Vec<Result<RankNet, ParcelError>> {
+    let ranks = decomp.ranks();
+    let specs = decomp.grid().neighbor_specs();
+    if kind == TransportKind::Channel {
+        return parcelnet::channel::channel_mesh_with(&specs, deadline)
+            .into_iter()
+            .map(Ok)
+            .collect();
+    }
+    let cfg = TcpConfig {
+        deadline,
+        connect_timeout: deadline,
+    };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+    let addr = listener
+        .local_addr()
+        .expect("loopback listener address")
+        .to_string();
+    let mut listener = Some(listener);
+    let (specs, cfg, addr) = (&specs, &cfg, &addr);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..ranks)
+            .map(|r| {
+                let listener = listener.take();
+                std::thread::Builder::new()
+                    .name(format!("multidom-bootstrap-{r}"))
+                    .spawn_scoped(s, move || {
+                        if die_at_handshake == Some(r) {
+                            return Err(ParcelError::PeerClosed { peer: r });
+                        }
+                        match listener {
+                            Some(l) => parcelnet::tcp::root(l, ranks, &specs[r], cfg),
+                            None => parcelnet::tcp::join(addr, r, ranks, &specs[r], cfg),
+                        }
+                    })
+                    .expect("spawn bootstrap thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("bootstrap must not panic"))
+            .collect()
+    })
+}
+
+/// Connect every rank of `decomp` per `plan` and run `rank_loop` on one
+/// thread per rank (named `{name}-{r}`); returns the outcomes in rank
+/// order. A rank whose bootstrap failed reports that failure.
+pub(crate) fn spawn_ranks<T: Send>(
+    decomp: Decomposition,
+    plan: &RunPlan,
+    name: &str,
+    rank_loop: impl Fn(MeshShape, RankNet) -> Result<T, MdError> + Sync,
+) -> Vec<Result<T, MdError>> {
+    let nets = connect(
+        decomp,
+        plan.transport,
+        plan.deadline,
+        plan.faults.die_at_handshake,
+    );
+    let rank_loop = &rank_loop;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = nets
+            .into_iter()
+            .enumerate()
+            .map(|(r, net)| {
+                std::thread::Builder::new()
+                    .name(format!("{name}-{r}"))
+                    .spawn_scoped(s, move || rank_loop(decomp.shape(r), net?))
+                    .expect("spawn rank thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread must not panic"))
+            .collect()
+    })
+}
+
+/// Fold per-rank outcomes into the single-result form: the first
+/// simulation abort wins. A transport or snapshot failure panics — neither
+/// can happen on the in-process wire without fault injection or
+/// checkpointing, and callers that use those look at each rank.
+pub fn fold<D>(
+    results: Vec<Result<(D, SimState), MdError>>,
+) -> Result<(Vec<D>, SimState), LuleshError> {
+    let mut domains = Vec::with_capacity(results.len());
+    let mut state = None;
+    for r in results {
+        match r {
+            Ok((d, st)) => {
+                state = Some(st);
+                domains.push(d);
+            }
+            Err(MdError::Sim(e)) => return Err(e),
+            Err(MdError::Net(n)) => panic!("transport failure without fault injection: {n}"),
+            Err(MdError::Snapshot(s)) => panic!("snapshot failure without checkpointing: {s}"),
+        }
+    }
+    Ok((domains, state.expect("at least one rank")))
+}
+
+/// Rank `rank`'s subdomain for `sim`, with its mid-domain element volume
+/// poisoned (a `VolumeError` in the first iteration) when `faults` say so.
+pub(crate) fn build_rank_domain(
+    shape: MeshShape,
+    rank: usize,
+    sim: &SimArgs,
+    faults: &FaultPlan,
+) -> Domain {
+    let mut d = Domain::build_subdomain(shape, sim.num_reg, sim.balance, sim.cost, sim.seed);
+    d.params = sim.params;
+    if faults.poison_volume == Some(rank) {
+        d.set_v(d.num_elem() / 2, -0.25);
+    }
+    d
+}
+
+/// A step-time window: wall clock and the rank's cumulative transport
+/// wait when it opened.
+pub(crate) type Window = (Instant, u64);
+
+/// One rank's live telemetry (see [`LivePlan`]), the same in both rank
+/// loops: counters and a flight ring attached to the rank's links, phase
+/// timing, the dt allreduce with the step summary riding along, and — on
+/// rank 0 with metrics on — the straggler detector streaming JSONL. With
+/// the plan off every method is a `None` check around the plain call.
+pub(crate) struct LiveRank {
+    rank: usize,
+    plan: LivePlan,
+    stats: Option<Arc<LiveStats>>,
+    flight: Option<Arc<FlightRecorder>>,
+    detector: Option<Mutex<StragglerDetector>>,
+}
+
+impl LiveRank {
+    /// Arm `plan` for `net`'s rank and attach it to every link.
+    pub(crate) fn attach(plan: &LivePlan, net: &RankNet) -> Self {
+        let stats = plan.metrics.as_ref().map(|_| Arc::new(LiveStats::new()));
+        let flight = plan
+            .flight_dir
+            .as_ref()
+            .map(|_| Arc::new(FlightRecorder::default()));
+        if stats.is_some() || flight.is_some() {
+            net.attach_live(&ParcelLive::new(stats.clone(), flight.clone()));
+        }
+        let detector = (net.rank == 0 && plan.metrics.is_some())
+            .then(|| Mutex::new(StragglerDetector::new(net.ranks)));
+        Self {
+            rank: net.rank,
+            plan: plan.clone(),
+            stats,
+            flight,
+            detector,
+        }
+    }
+
+    /// Open a step-time window here (`None` with metrics off).
+    pub(crate) fn mark(&self) -> Option<Window> {
+        self.stats.as_ref().map(|s| (Instant::now(), s.wait_ns()))
+    }
+
+    /// Run `f` as phase `label`: its wall time lands in this rank's
+    /// counters under `cat` and, when a flight recorder is armed, in the
+    /// ring of recent events.
+    pub(crate) fn timed<T>(
+        &self,
+        label: &'static str,
+        kind: SpanKind,
+        cat: Category,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        if self.stats.is_none() && self.flight.is_none() {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        let ns = t0.elapsed().as_nanos() as u64;
+        if let Some(s) = &self.stats {
+            s.add_phase(cat, ns);
+        }
+        if let Some(fr) = &self.flight {
+            let flight_cat = match kind {
+                SpanKind::Barrier => "barrier",
+                SpanKind::Halo => "halo",
+                _ => "region",
+            };
+            let end = fr.now_ns();
+            fr.record_interval(label, flight_cat, end.saturating_sub(ns), end, 0, -1);
+        }
+        out
+    }
+
+    /// The dt min-allreduce that ends step `cycle` (1-based, agreed by
+    /// every rank), with simulation errors riding along. On telemetry
+    /// steps this rank's summary for `window` — self time: wall minus
+    /// transport wait, so a rank stalled behind a slow neighbour does not
+    /// look slow itself — travels on the same parcels; rank 0 decodes the
+    /// summaries, runs the straggler detector and streams one JSONL line.
+    pub(crate) fn allreduce_dt(
+        &self,
+        net: &RankNet,
+        cycle: u64,
+        window: Option<Window>,
+        c: Real,
+        h: Real,
+        err: Option<LuleshError>,
+    ) -> Result<(Real, Real, Option<LuleshError>), ParcelError> {
+        let telemetry = match (&self.plan.metrics, &self.stats, window) {
+            (Some(cfg), Some(s), Some((t0, wait0))) if cfg.telemetry_step(cycle) => {
+                let wall = t0.elapsed().as_nanos() as u64;
+                let step_ns = wall.saturating_sub(s.wait_ns().saturating_sub(wait0));
+                Some(s.snapshot(self.rank as u32, cycle, step_ns).encode())
+            }
+            _ => None,
+        };
+        let (gc, gh, gerr, collected) = net.allreduce_dt_live(c, h, err, telemetry.as_deref())?;
+        if let (Some(det), Some(cfg), Some(collected)) =
+            (&self.detector, &self.plan.metrics, collected)
+        {
+            let summaries: Vec<StepSummary> = collected
+                .iter()
+                .filter_map(|p| StepSummary::decode(p))
+                .collect();
+            if summaries.len() == net.ranks {
+                let step_ns: Vec<u64> = summaries.iter().map(|s| s.step_ns).collect();
+                let flagged = det.lock().observe(&step_ns);
+                cfg.sink.emit(&jsonl_step_line(cycle, &summaries, &flagged));
+            }
+        }
+        Ok((gc, gh, gerr))
+    }
+
+    /// Close out the rank: a typed transport death dumps
+    /// `flight.rank{R}.json` (best effort — a dying rank must never turn
+    /// it into an I/O panic); a successful rank 0 prints the straggler
+    /// table when asked.
+    pub(crate) fn finish<T>(&self, result: &Result<T, MdError>) {
+        match (result, &self.flight, &self.plan.flight_dir) {
+            (Err(MdError::Net(_)), Some(f), Some(dir)) => {
+                let _ = std::fs::create_dir_all(dir);
+                let path = dir.join(format!("flight.rank{}.json", self.rank));
+                let _ = std::fs::write(path, f.dump_json(self.rank));
+            }
+            (Ok(_), ..) => {
+                if let (Some(det), Some(cfg)) = (&self.detector, &self.plan.metrics) {
+                    if cfg.table {
+                        eprint!("{}", det.lock().summary_table());
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
 
 /// The lockstep multi-domain world.
 pub struct World {
@@ -443,75 +812,38 @@ impl World {
 
     /// Advance the whole world one `LagrangeLeapFrog` iteration.
     pub fn step(&mut self, state: &mut SimState) -> Result<(), LuleshError> {
-        self.step_timed(state, &mut |_, _, _| {})
-    }
-
-    /// [`step`](World::step) with per-rank phase timing: `timer(rank,
-    /// category, ns)` fires once per rank per phase (Schulz categories:
-    /// kernels are `Busy`, the lockstep memcpy exchanges are `Pack`,
-    /// amortised evenly over the ranks). Timing never touches arithmetic —
-    /// results are bit-identical to the untimed step.
-    pub fn step_timed(
-        &mut self,
-        state: &mut SimState,
-        timer: &mut dyn FnMut(usize, obs::dist::Category, u64),
-    ) -> Result<(), LuleshError> {
-        use obs::dist::Category;
-        use std::time::Instant;
         let dt = state.deltatime;
-        let ranks = self.domains.len();
-        // Attribute a world-wide exchange evenly across the ranks.
-        let split = |timer: &mut dyn FnMut(usize, Category, u64), t0: Instant| {
-            let ns = t0.elapsed().as_nanos() as u64 / ranks.max(1) as u64;
-            for r in 0..ranks {
-                timer(r, Category::Pack, ns);
-            }
-        };
 
         // Phase 1: element forces on every rank, then halo-sum the
         // boundary-surface forces (CommSBN).
-        for (r, (d, s)) in self.domains.iter().zip(&mut self.scratches).enumerate() {
-            let t0 = Instant::now();
+        for (d, s) in self.domains.iter().zip(&mut self.scratches) {
             calc_force_for_nodes(d, s)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
-        let t0 = Instant::now();
         exchange::lockstep_exchange_forces(&self.domains, &self.plans);
-        split(timer, t0);
 
         // Phase 2: node state advance (boundary nodes compute identical
         // values on every sharing rank — same forces, same masses).
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             advance_nodes(d, dt);
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
 
         // Phase 3: kinematics + gradients, then ghost-region exchange
         // (CommMonoQ).
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             calc_kinematics_and_gradients(d, dt)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
-        let t0 = Instant::now();
         exchange::lockstep_exchange_gradients(&self.domains, &self.plans);
-        split(timer, t0);
 
         // Phase 4: q limiter, EOS, volume commit.
-        for (r, (d, s)) in self.domains.iter().zip(&mut self.scratches).enumerate() {
-            let t0 = Instant::now();
+        for (d, s) in self.domains.iter().zip(&mut self.scratches) {
             apply_q_and_materials(d, s)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
 
         // dt constraints: min-allreduce across ranks.
         let mut dtcourant: Real = 1.0e20;
         let mut dthydro: Real = 1.0e20;
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             let (c, h) = constraints::calc_time_constraints(d, d.params.qqc, d.params.dvovmax);
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
             dtcourant = dtcourant.min(c);
             dthydro = dthydro.min(h);
         }
@@ -527,47 +859,6 @@ impl World {
         while state.time < params.stoptime && state.cycle < max_cycles {
             time_increment(&mut state, &params);
             self.step(&mut state)?;
-        }
-        Ok(state)
-    }
-
-    /// [`run`](World::run) with live telemetry: per-rank phase timing
-    /// feeds the same [`obs::live`] pipeline the message-passing drivers
-    /// stream over the wire — here sampled directly, since every rank
-    /// lives in this thread. On each telemetry step rank summaries go
-    /// through the straggler detector and one JSONL line hits the sink.
-    pub fn run_live(
-        &mut self,
-        max_cycles: u64,
-        cfg: &obs::live::LiveConfig,
-    ) -> Result<SimState, LuleshError> {
-        use obs::live::{jsonl_step_line, LiveStats, StragglerDetector};
-        let ranks = self.decomp.ranks();
-        let stats: Vec<LiveStats> = (0..ranks).map(|_| LiveStats::new()).collect();
-        let mut detector = StragglerDetector::new(ranks);
-        let params = self.domains[0].params;
-        let mut state = SimState::new(self.domains[0].initial_dt());
-        let mut step_ns = vec![0u64; ranks];
-        while state.time < params.stoptime && state.cycle < max_cycles {
-            time_increment(&mut state, &params);
-            step_ns.iter_mut().for_each(|ns| *ns = 0);
-            self.step_timed(&mut state, &mut |r, cat, ns| {
-                stats[r].add_phase(cat, ns);
-                step_ns[r] += ns;
-            })?;
-            if cfg.telemetry_step(state.cycle) {
-                let summaries: Vec<_> = stats
-                    .iter()
-                    .enumerate()
-                    .map(|(r, s)| s.snapshot(r as u32, state.cycle, step_ns[r]))
-                    .collect();
-                let flagged = detector.observe(&step_ns);
-                cfg.sink
-                    .emit(&jsonl_step_line(state.cycle, &summaries, &flagged));
-            }
-        }
-        if cfg.table {
-            eprint!("{}", detector.summary_table());
         }
         Ok(state)
     }
@@ -711,47 +1002,52 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_live_run_matches_plain_run_and_emits_schema_valid_jsonl() {
-        use obs::live::{CollectSink, LiveConfig, LiveSink, LIVE_SCHEMA_VERSION};
-        use std::sync::Arc;
-        let decomp = Decomposition::new(6, 2);
-        let mut plain = World::build(decomp, 2, 1, 1, 0);
-        let st_plain = plain.run(10).unwrap();
+    fn run_plan_from_opts_maps_every_run_flag() {
+        use lulesh_core::Opts;
+        let opts = Opts::parse([
+            "--recv-deadline-ms=250",
+            "--die-at=1:3,0:7",
+            "--slow-rank=1:40",
+            "--live-metrics=5",
+            "--trace-dir=/tmp/md-trace",
+            "--ckpt-dir=/tmp/md-ckpt",
+            "--ckpt-period=4",
+            "--resume-cycle=8",
+            "--pin=all",
+            "--transport=tcp",
+            "--q",
+        ])
+        .unwrap();
+        let plan = RunPlan::from_opts(&opts);
+        assert_eq!(plan.transport, TransportKind::Channel);
+        assert_eq!(plan.deadline, Duration::from_millis(250));
+        assert!(plan.trace.is_none());
+        assert_eq!(plan.faults.die_at, vec![(1, 3), (0, 7)]);
+        assert_eq!(plan.faults.slow_rank, Some((1, 40)));
+        assert_eq!(plan.faults.poison_volume, None);
+        assert_eq!(plan.faults.die_at_handshake, None);
+        assert!(
+            !plan.pin.is_empty(),
+            "--pin all resolves to this host's nodes"
+        );
+        let metrics = plan.live.metrics.expect("--live-metrics");
+        assert_eq!(metrics.period, 5);
+        assert!(!metrics.table, "--q silences the straggler table");
+        assert_eq!(plan.live.flight_dir, Some("/tmp/md-trace".into()));
+        let ckpt = plan.resil.ckpt.expect("--ckpt-dir");
+        assert_eq!(ckpt.dir, std::path::PathBuf::from("/tmp/md-ckpt"));
+        assert_eq!(ckpt.period, 4);
+        assert_eq!(plan.resil.resume_cycle, Some(8));
 
-        let sink = Arc::new(CollectSink::new());
-        let cfg = LiveConfig {
-            period: 2,
-            sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
-            table: false,
-        };
-        let mut live = World::build(decomp, 2, 1, 1, 0);
-        let st_live = live.run_live(10, &cfg).unwrap();
-
-        assert_eq!(st_plain.cycle, st_live.cycle);
-        assert_eq!(st_plain.time, st_live.time);
-        for (a, b) in plain.domains.iter().zip(&live.domains) {
-            assert_eq!(
-                lulesh_core::validate::max_field_difference(a, b),
-                0.0,
-                "live sampling must not change physics"
-            );
-        }
-
-        // Cycles 2, 4, 6, 8, 10 carry a sample at period 2.
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 5);
-        for line in &lines {
-            let v = obs::jsonlint::parse(line).expect("live line must be valid JSON");
-            assert_eq!(
-                v.get("schema").and_then(|s| s.num()),
-                Some(LIVE_SCHEMA_VERSION as f64)
-            );
-            assert_eq!(v.get("kind").and_then(|s| s.str()), Some("live"));
-            assert_eq!(
-                v.get("per_rank").and_then(|p| p.arr()).map(|a| a.len()),
-                Some(2)
-            );
-        }
+        // No run flags: the CLI defaults are the all-off plan.
+        let plan = RunPlan::from_opts(&Opts::parse(["--s", "6"]).unwrap());
+        let off = RunPlan::default();
+        assert_eq!(plan.deadline, off.deadline);
+        assert_eq!(plan.deadline, DEFAULT_DEADLINE);
+        assert!(plan.faults.die_at.is_empty() && plan.faults.slow_rank.is_none());
+        assert!(plan.pin.is_empty());
+        assert!(plan.live.metrics.is_none() && plan.live.flight_dir.is_none());
+        assert!(plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none());
     }
 
     #[test]

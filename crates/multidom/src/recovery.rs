@@ -10,11 +10,9 @@
 //! fresh process. One `die_at` entry is consumed per attempt, mirroring a
 //! real fleet where each incarnation of the job can fail once.
 
-use crate::threaded::run_transport_resil;
-use crate::{Decomposition, FaultPlan, LivePlan, MdError, ResilPlan, SimArgs, TransportKind};
+use crate::{threaded, Decomposition, FaultPlan, MdError, ResilPlan, RunPlan, SimArgs};
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
-use std::time::Duration;
 
 /// The outcome of a [`run_with_recovery`] job.
 #[derive(Debug)]
@@ -27,53 +25,49 @@ pub struct RecoveryReport {
     pub resumed_from: Vec<u64>,
 }
 
-/// Run the decomposed problem with checkpointing every `ckpt.period`
-/// cycles; when any rank dies (injected via `faults.die_at`, one entry
-/// per attempt), restart every rank from [`resil::latest_consistent_cycle`]
-/// until the job completes or `max_attempts` is exhausted.
-#[allow(clippy::too_many_arguments)]
+/// Run the decomposed problem under `plan` — which must checkpoint
+/// (`plan.resil.ckpt`) — and when any rank dies (injected via
+/// `plan.faults.die_at`, one entry per attempt), restart every rank from
+/// [`resil::latest_consistent_cycle`] until the job completes or
+/// `max_attempts` is exhausted. The first attempt starts from
+/// `plan.resil.resume_cycle`.
 pub fn run_with_recovery(
     decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
     sim: SimArgs,
-    faults: FaultPlan,
-    ckpt: resil::CkptConfig,
+    plan: &RunPlan,
     max_attempts: usize,
 ) -> RecoveryReport {
-    let ranks = decomp.ranks();
+    let ckpt = plan
+        .resil
+        .ckpt
+        .as_ref()
+        .expect("run_with_recovery needs RunPlan.resil.ckpt");
     let mut resumed_from = Vec::new();
-    let mut resume_cycle = None;
+    let mut resume_cycle = plan.resil.resume_cycle;
     for attempt in 0..max_attempts.max(1) {
         // Attempt `a` injects only the a-th kill: each incarnation of the
         // job dies at most once, like a real re-launched fleet. Kills at
         // or before the resume point are unreachable replays — the
         // launcher equivalent filters them the same way.
-        let attempt_faults = FaultPlan {
-            die_at: faults
-                .die_at
-                .get(attempt)
-                .filter(|&&(_, c)| resume_cycle.is_none_or(|rc| c > rc))
-                .into_iter()
-                .copied()
-                .collect(),
-            ..faults.clone()
+        let attempt_plan = RunPlan {
+            faults: FaultPlan {
+                die_at: plan
+                    .faults
+                    .die_at
+                    .get(attempt)
+                    .filter(|&&(_, c)| resume_cycle.is_none_or(|rc| c > rc))
+                    .into_iter()
+                    .copied()
+                    .collect(),
+                ..plan.faults.clone()
+            },
+            resil: ResilPlan {
+                ckpt: Some(ckpt.clone()),
+                resume_cycle,
+            },
+            ..plan.clone()
         };
-        let plan = ResilPlan {
-            ckpt: Some(ckpt.clone()),
-            resume_cycle,
-        };
-        let results = run_transport_resil(
-            decomp,
-            kind,
-            deadline,
-            sim,
-            None,
-            attempt_faults,
-            Vec::new(),
-            LivePlan::OFF,
-            plan,
-        );
+        let results = threaded::run(decomp, sim, &attempt_plan);
         let failed = results.iter().any(|r| matches!(r, Err(MdError::Net(_))));
         if !failed || attempt + 1 == max_attempts.max(1) {
             return RecoveryReport {
@@ -85,7 +79,7 @@ pub fn run_with_recovery(
         // Roll back to the newest wave where every rank has a
         // checksum-valid snapshot; a partial wave is never resumed from.
         // No wave at all means restart from scratch.
-        resume_cycle = resil::latest_consistent_cycle(&ckpt.dir, ranks);
+        resume_cycle = resil::latest_consistent_cycle(&ckpt.dir, decomp.ranks());
         if let Some(c) = resume_cycle {
             resumed_from.push(c);
         }

@@ -20,263 +20,75 @@
 
 use crate::exchange::{
     halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, recv_combine_forces,
-    send_forces, HaloPlan,
+    send_forces, HaloPlan, ObsCtx,
 };
-use crate::{
-    Decomposition, FaultPlan, LivePlan, MdError, SimArgs, TransportKind, DEFAULT_DEADLINE,
-};
+use crate::{build_rank_domain, spawn_ranks, Decomposition, LiveRank, MdError, RunPlan, SimArgs};
 use lulesh_core::domain::Domain;
+use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
 use lulesh_core::types::{LuleshError, Real};
-use lulesh_task::{IterationHooks, OverlapForces, PartitionPlan, TaskLulesh};
+use lulesh_task::{Hook, IterationHooks, OverlapForces, PartitionPlan, TaskLulesh};
 use obs::dist::Category;
-use obs::live::{
-    jsonl_step_line, FlightRecorder, LiveStats, StepSummary, StragglerDetector, FLIGHT_DEFAULT_CAP,
-};
-use parcelnet::tcp::TcpConfig;
-use parcelnet::{ParcelError, ParcelLive, RankNet};
+use obs::SpanKind;
+use parcelnet::{ParcelError, RankNet};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Run the decomposed problem with one `TaskLulesh` runtime per rank
-/// (`threads_per_rank` workers each) and halo-exchange tasks between them.
-/// Returns the final subdomains (bottom slab first) and the state.
-#[allow(clippy::too_many_arguments)]
+/// (`threads_per_rank` workers each, partitioned by `partition`) and
+/// halo-exchange tasks between them; `overlap` turns on the
+/// comm/compute-overlapped force exchange. Returns every rank's outcome
+/// in rank order (bottom slab first); [`crate::fold`] turns them into one
+/// result.
+///
+/// Honours `plan`'s transport, deadline, faults and live telemetry;
+/// tracing, pinning and checkpointing are not implemented here, and
+/// asking for them panics.
 pub fn run(
     decomp: Decomposition,
-    threads_per_rank: usize,
-    plan: PartitionPlan,
-    num_reg: usize,
-    balance: i32,
-    cost: i32,
-    seed: u64,
-    max_cycles: u64,
-) -> Result<(Vec<Arc<Domain>>, SimState), LuleshError> {
-    run_with_params(
-        decomp,
-        threads_per_rank,
-        plan,
-        num_reg,
-        balance,
-        cost,
-        seed,
-        max_cycles,
-        lulesh_core::Params::default(),
-    )
-}
-
-/// [`run`] with explicit control parameters applied to every rank.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_params(
-    decomp: Decomposition,
-    threads_per_rank: usize,
-    plan: PartitionPlan,
-    num_reg: usize,
-    balance: i32,
-    cost: i32,
-    seed: u64,
-    max_cycles: u64,
-    params: lulesh_core::Params,
-) -> Result<(Vec<Arc<Domain>>, SimState), LuleshError> {
-    let sim = SimArgs {
-        params,
-        ..SimArgs::new(num_reg, balance, cost, seed, max_cycles)
-    };
-    fold(run_transport(
-        decomp,
-        TransportKind::Channel,
-        DEFAULT_DEADLINE,
-        threads_per_rank,
-        plan,
-        false,
-        sim,
-        FaultPlan::NONE,
-    ))
-}
-
-/// Fold per-rank results into the classic single-result signature (`Net`
-/// errors are impossible without fault injection on the in-process wire).
-fn fold(
-    results: Vec<Result<(Arc<Domain>, SimState), MdError>>,
-) -> Result<(Vec<Arc<Domain>>, SimState), LuleshError> {
-    let mut domains = Vec::with_capacity(results.len());
-    let mut state = None;
-    for r in results {
-        match r {
-            Ok((d, st)) => {
-                state = Some(st);
-                domains.push(d);
-            }
-            Err(MdError::Sim(e)) => return Err(e),
-            Err(MdError::Net(n)) => panic!("transport failure without fault injection: {n}"),
-            Err(MdError::Snapshot(s)) => panic!("snapshot failure without checkpointing: {s}"),
-        }
-    }
-    Ok((domains, state.expect("at least one rank")))
-}
-
-/// Run over an explicit transport with per-rank outcomes; `overlap` turns
-/// on the comm/compute-overlapped force exchange.
-#[allow(clippy::too_many_arguments)]
-pub fn run_transport(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    threads_per_rank: usize,
-    plan: PartitionPlan,
-    overlap: bool,
     sim: SimArgs,
-    faults: FaultPlan,
-) -> Vec<Result<(Arc<Domain>, SimState), MdError>> {
-    run_transport_live(
-        decomp,
-        kind,
-        deadline,
-        threads_per_rank,
-        plan,
-        overlap,
-        sim,
-        faults,
-        LivePlan::OFF,
-    )
-}
-
-/// [`run_transport`] with live telemetry (see [`LivePlan`]): the exchange
-/// hooks time their comm tasks, step summaries piggyback on the control
-/// thread's dt allreduce, and a typed death dumps this rank's flight
-/// recording.
-#[allow(clippy::too_many_arguments)]
-pub fn run_transport_live(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
     threads_per_rank: usize,
-    plan: PartitionPlan,
+    partition: PartitionPlan,
     overlap: bool,
-    sim: SimArgs,
-    faults: FaultPlan,
-    live: LivePlan,
+    plan: &RunPlan,
 ) -> Vec<Result<(Arc<Domain>, SimState), MdError>> {
-    let ranks = decomp.ranks();
-    let specs = decomp.grid().neighbor_specs();
-    let nets: Vec<Result<RankNet, ParcelError>> = match kind {
-        TransportKind::Channel => parcelnet::channel::channel_mesh_with(&specs, deadline)
-            .into_iter()
-            .map(Ok)
-            .collect(),
-        TransportKind::TcpLoopback => {
-            let cfg = TcpConfig {
-                deadline,
-                connect_timeout: deadline,
-            };
-            let listener =
-                std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            let addr = listener
-                .local_addr()
-                .expect("loopback listener address")
-                .to_string();
-            let mut listener = Some(listener);
-            let handles: Vec<_> = (0..ranks)
-                .map(|r| {
-                    let listener = (r == 0).then(|| listener.take().expect("root listener"));
-                    let addr = addr.clone();
-                    let my_specs = specs[r].clone();
-                    let killed = faults.die_at_handshake == Some(r);
-                    std::thread::Builder::new()
-                        .name(format!("taskpar-bootstrap-{r}"))
-                        .spawn(move || {
-                            if killed {
-                                // Killed before dialing: peers must time out
-                                // on their own accepts/dials.
-                                return Err(ParcelError::PeerClosed { peer: r });
-                            }
-                            match listener {
-                                Some(l) => parcelnet::tcp::root(l, ranks, &my_specs, &cfg),
-                                None => parcelnet::tcp::join(&addr, r, ranks, &my_specs, &cfg),
-                            }
-                        })
-                        .expect("spawn bootstrap thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bootstrap must not panic"))
-                .collect()
-        }
-    };
-
-    let handles: Vec<_> = nets
-        .into_iter()
-        .enumerate()
-        .map(|(r, net)| {
-            let shape = decomp.shape(r);
-            let live = live.clone();
-            let faults = faults.clone();
-            std::thread::Builder::new()
-                .name(format!("multidom-taskpar-{r}"))
-                .spawn(move || match net {
-                    Ok(net) => rank_main(
-                        shape,
-                        net,
-                        threads_per_rank,
-                        plan,
-                        overlap,
-                        sim,
-                        faults,
-                        live,
-                    ),
-                    Err(e) => Err(MdError::Net(e)),
-                })
-                .expect("spawn taskpar rank")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread must not panic"))
-        .collect()
+    assert!(
+        plan.trace.is_none(),
+        "taskpar does not implement RunPlan.trace"
+    );
+    assert!(
+        plan.pin.is_empty(),
+        "taskpar does not implement RunPlan.pin"
+    );
+    assert!(
+        plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none(),
+        "taskpar does not implement RunPlan.resil"
+    );
+    spawn_ranks(decomp, plan, "multidom-taskpar", |shape, net| {
+        rank_main(shape, net, sim, threads_per_rank, partition, overlap, plan)
+    })
 }
 
-/// Time an exchange task into the rank's `Send` counter when live
-/// telemetry is on (free when off).
-fn timed_send<T>(stats: &Option<Arc<LiveStats>>, f: impl FnOnce() -> T) -> T {
-    let t0 = stats.as_ref().map(|_| Instant::now());
-    let out = f();
-    if let (Some(s), Some(t0)) = (stats, t0) {
-        s.add_phase(Category::Send, t0.elapsed().as_nanos() as u64);
-    }
-    out
-}
+/// One halo exchange, as the communication tasks call it.
+type Exchange = fn(&Domain, &HaloPlan, &RankNet, ObsCtx) -> Result<(), ParcelError>;
 
-#[allow(clippy::too_many_arguments)]
+/// Stands in for the transport failure a step ended on; the rank returns
+/// the `ParcelError` stored in `comm_err` instead.
+const ABANDONED: LuleshError = LuleshError::VolumeError;
+
 fn rank_main(
-    shape: lulesh_core::mesh::MeshShape,
+    shape: MeshShape,
     net: RankNet,
-    threads_per_rank: usize,
-    plan: PartitionPlan,
-    overlap: bool,
     sim: SimArgs,
-    faults: FaultPlan,
-    live: LivePlan,
+    threads_per_rank: usize,
+    partition: PartitionPlan,
+    overlap: bool,
+    plan: &RunPlan,
 ) -> Result<(Arc<Domain>, SimState), MdError> {
     let rank = net.rank;
-    let stats = live.metrics.as_ref().map(|_| Arc::new(LiveStats::new()));
-    let flight = live
-        .flight_dir
-        .as_ref()
-        .map(|_| Arc::new(FlightRecorder::new(FLIGHT_DEFAULT_CAP)));
-    if stats.is_some() || flight.is_some() {
-        net.attach_live(&ParcelLive::new(stats.clone(), flight.clone()));
-    }
-    let d = Arc::new({
-        let mut d = Domain::build_subdomain(shape, sim.num_reg, sim.balance, sim.cost, sim.seed);
-        d.params = sim.params;
-        if faults.poison_volume == Some(rank) {
-            let mid = d.num_elem() / 2;
-            d.set_v(mid, -0.25);
-        }
-        d
-    });
+    let live = Arc::new(LiveRank::attach(&plan.live, &net));
+    let d = Arc::new(build_rank_domain(shape, rank, &sim, &plan.faults));
     let halo = Arc::new(HaloPlan::for_net(shape, &net));
     let net = Arc::new(net);
 
@@ -289,195 +101,88 @@ fn rank_main(
     // no-op and the reduce_dt below aborts the iteration loop, after which
     // the rank returns `Err(Net)` and drops its links.
     let comm_err: Arc<Mutex<Option<ParcelError>>> = Arc::new(Mutex::new(None));
-
-    let gradient_hook: lulesh_task::Hook = {
-        let d = Arc::clone(&d);
-        let net = Arc::clone(&net);
-        let halo = Arc::clone(&halo);
-        let comm_err = Arc::clone(&comm_err);
-        let stats = stats.clone();
+    let hook = |label: &'static str, exchange: Exchange| -> Hook {
+        let (d, net, halo) = (Arc::clone(&d), Arc::clone(&net), Arc::clone(&halo));
+        let (comm_err, live) = (Arc::clone(&comm_err), Arc::clone(&live));
         Arc::new(move || {
             if comm_err.lock().is_some() {
                 return;
             }
-            if let Err(e) = timed_send(&stats, || halo_exchange_gradients(&d, &halo, &net, None)) {
+            let sent = live.timed(label, SpanKind::Halo, Category::Send, || {
+                exchange(&d, &halo, &net, None)
+            });
+            if let Err(e) = sent {
                 *comm_err.lock() = Some(e);
             }
         })
     };
-
     let mut hooks = IterationHooks {
-        after_gradients: Some(gradient_hook),
+        after_gradients: Some(hook("halo-gradients", halo_exchange_gradients)),
         ..Default::default()
     };
-
     if overlap && net.ranks > 1 {
         // The boundary node set as merged contiguous runs — on a 3-D grid
         // this is the union of every COMM face/edge/corner surface.
-        let boundary = halo.boundary_runs().to_vec();
-        let send: lulesh_task::Hook = {
-            let d = Arc::clone(&d);
-            let net = Arc::clone(&net);
-            let halo = Arc::clone(&halo);
-            let comm_err = Arc::clone(&comm_err);
-            let stats = stats.clone();
-            Arc::new(move || {
-                if comm_err.lock().is_some() {
-                    return;
-                }
-                if let Err(e) = timed_send(&stats, || send_forces(&d, &halo, &net, None)) {
-                    *comm_err.lock() = Some(e);
-                }
-            })
-        };
-        let recv_combine: lulesh_task::Hook = {
-            let d = Arc::clone(&d);
-            let net = Arc::clone(&net);
-            let halo = Arc::clone(&halo);
-            let comm_err = Arc::clone(&comm_err);
-            let stats = stats.clone();
-            Arc::new(move || {
-                if comm_err.lock().is_some() {
-                    return;
-                }
-                if let Err(e) = timed_send(&stats, || recv_combine_forces(&d, &halo, &net, None)) {
-                    *comm_err.lock() = Some(e);
-                }
-            })
-        };
         hooks.overlap_forces = Some(OverlapForces {
-            boundary,
-            send,
-            recv_combine,
+            boundary: halo.boundary_runs().to_vec(),
+            send: hook("send-forces", send_forces),
+            recv_combine: hook("recv-forces", recv_combine_forces),
         });
     } else {
-        let force_hook: lulesh_task::Hook = {
-            let d = Arc::clone(&d);
-            let net = Arc::clone(&net);
-            let halo = Arc::clone(&halo);
-            let comm_err = Arc::clone(&comm_err);
-            let stats = stats.clone();
-            Arc::new(move || {
-                if comm_err.lock().is_some() {
-                    return;
-                }
-                if let Err(e) = timed_send(&stats, || halo_exchange_forces(&d, &halo, &net, None)) {
-                    *comm_err.lock() = Some(e);
-                }
-            })
-        };
-        hooks.after_forces = Some(force_hook);
+        hooks.after_forces = Some(hook("halo-forces", halo_exchange_forces));
     }
 
     // dt allreduce through rank 0, on the control thread each iteration.
-    // Simulation errors ride along so every rank aborts together; a
-    // transport error (here or stored by a hook) aborts the loop via a
-    // sentinel that `comm_err` overrides below. On telemetry steps the
-    // encoded step summary rides the same parcels (no extra sync point);
-    // rank 0 decodes, runs the straggler detector, and streams JSONL.
-    let die_at = faults
-        .die_at
-        .iter()
-        .find(|&&(r, _)| r == rank)
-        .map(|&(_, cycle)| cycle);
-    let slow_ms = faults
-        .slow_rank
-        .and_then(|(r, ms)| (r == rank).then_some(ms));
-    let cycle_count = std::sync::atomic::AtomicU64::new(0);
-    let detector = Arc::new(Mutex::new(StragglerDetector::new(net.ranks)));
-    let reduce_dt = {
-        let net = Arc::clone(&net);
-        let comm_err = Arc::clone(&comm_err);
-        let stats = stats.clone();
-        let cfg = live.metrics.clone();
-        let detector = Arc::clone(&detector);
-        // Step time = control-thread wall time between dt reduces (it
-        // covers the whole task graph, including an injected stall) minus
-        // the transport wait accumulated over the same window, so a rank
-        // stalled behind a slow neighbour does not look slow itself.
-        let last_reduce = Mutex::new((Instant::now(), 0u64));
-        move |c: Real, h: Real, err: Option<LuleshError>| {
-            let cycle = cycle_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if let Some(ms) = slow_ms {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            // Fault injection: simulate a crash by abandoning the protocol
-            // mid-run; dropping the links below closes every socket.
-            if let Some(dc) = die_at {
-                if cycle >= dc {
-                    *comm_err.lock() = Some(ParcelError::PeerClosed { peer: rank });
-                    return Err(LuleshError::VolumeError); // placeholder; overridden by Net below
-                }
-            }
-            if comm_err.lock().is_some() {
-                return Err(LuleshError::VolumeError); // placeholder; overridden by Net below
-            }
-            let step_ns = {
-                let mut last = last_reduce.lock();
-                let wall = last.0.elapsed().as_nanos() as u64;
-                let wait = stats.as_ref().map_or(0, |s| s.wait_ns());
-                let ns = wall.saturating_sub(wait.saturating_sub(last.1));
-                *last = (Instant::now(), wait);
-                ns
-            };
-            let telemetry: Option<Vec<Real>> = match (&cfg, &stats) {
-                (Some(cfg), Some(s)) if cfg.telemetry_step(cycle + 1) => {
-                    Some(s.snapshot(rank as u32, cycle + 1, step_ns).encode())
-                }
-                _ => None,
-            };
-            match net.allreduce_dt_live(c, h, err, telemetry.as_deref()) {
-                Ok((_, _, Some(e), _)) => Err(e),
-                Ok((gc, gh, None, collected)) => {
-                    if let (Some(cfg), Some(collected)) = (&cfg, collected) {
-                        let summaries: Vec<StepSummary> = collected
-                            .iter()
-                            .filter_map(|p| StepSummary::decode(p))
-                            .collect();
-                        if summaries.len() == net.ranks {
-                            let times: Vec<u64> = summaries.iter().map(|s| s.step_ns).collect();
-                            let flagged = detector.lock().observe(&times);
-                            cfg.sink
-                                .emit(&jsonl_step_line(cycle + 1, &summaries, &flagged));
-                        }
-                    }
-                    Ok((gc, gh))
-                }
-                Err(pe) => {
-                    *comm_err.lock() = Some(pe);
-                    Err(LuleshError::VolumeError) // placeholder; overridden by Net below
-                }
+    // Simulation errors (and on telemetry steps the step summary) ride
+    // along so every rank aborts together; a transport error — here, an
+    // injected death or one stored by a hook — aborts the loop with a
+    // placeholder that `comm_err` overrides below. Step time runs from one
+    // reduce to the next: it covers the whole task graph, including an
+    // injected stall.
+    let completed = AtomicU64::new(0);
+    let last_mark = Mutex::new(live.mark());
+    let reduce_dt = |c: Real, h: Real, err: Option<LuleshError>| {
+        let cycle = completed.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = plan.faults.inject(rank, cycle) {
+            *comm_err.lock() = Some(e);
+        }
+        if comm_err.lock().is_some() {
+            return Err(ABANDONED);
+        }
+        let window = live.mark().and_then(|now| last_mark.lock().replace(now));
+        match live.allreduce_dt(&net, cycle + 1, window, c, h, err) {
+            Ok((_, _, Some(e))) => Err(e),
+            Ok((gc, gh, None)) => Ok((gc, gh)),
+            Err(pe) => {
+                *comm_err.lock() = Some(pe);
+                Err(ABANDONED)
             }
         }
     };
 
-    let runner = TaskLulesh::new(threads_per_rank);
-    let result = runner.run_with_hooks(&d, plan, sim.max_cycles, &hooks, reduce_dt);
-    let out = (|| {
-        if let Some(pe) = *comm_err.lock() {
-            return Err(MdError::Net(pe));
-        }
-        let state = result.map_err(MdError::Sim)?;
-        net.close()?;
-        Ok((Arc::clone(&d), state))
-    })();
-    if let (Err(MdError::Net(_)), Some(f), Some(dir)) = (&out, &flight, &live.flight_dir) {
-        crate::dump_flight(dir, rank, f);
-    }
-    if rank == 0 {
-        if let Some(cfg) = &live.metrics {
-            if cfg.table && out.is_ok() {
-                eprint!("{}", detector.lock().summary_table());
-            }
-        }
-    }
+    let result = TaskLulesh::new(threads_per_rank).run_with_hooks(
+        &d,
+        partition,
+        sim.max_cycles,
+        &hooks,
+        reduce_dt,
+    );
+    let out = match (*comm_err.lock(), result) {
+        (Some(pe), _) => Err(MdError::Net(pe)),
+        (None, Err(e)) => Err(MdError::Sim(e)),
+        (None, Ok(state)) => net
+            .close()
+            .map(|()| (Arc::clone(&d), state))
+            .map_err(MdError::Net),
+    };
+    live.finish(&out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::World;
+    use crate::{fold, LivePlan, World};
 
     #[test]
     fn taskpar_matches_lockstep_bitwise() {
@@ -485,7 +190,15 @@ mod tests {
         let mut world = World::build(decomp, 3, 1, 1, 0);
         let st_lock = world.run(20).unwrap();
 
-        let (domains, st) = run(decomp, 2, PartitionPlan::fixed(32, 32), 3, 1, 1, 0, 20).unwrap();
+        let (domains, st) = fold(run(
+            decomp,
+            SimArgs::new(3, 1, 1, 0, 20),
+            2,
+            PartitionPlan::fixed(32, 32),
+            false,
+            &RunPlan::default(),
+        ))
+        .unwrap();
         assert_eq!(st_lock.cycle, st.cycle);
         assert_eq!(st_lock.time, st.time);
         assert_eq!(st_lock.dtcourant, st.dtcourant);
@@ -501,7 +214,15 @@ mod tests {
     #[test]
     fn taskpar_three_ranks_single_worker_each() {
         let decomp = Decomposition::new(6, 3);
-        let (domains, st) = run(decomp, 1, PartitionPlan::fixed(16, 16), 2, 1, 1, 0, 12).unwrap();
+        let (domains, st) = fold(run(
+            decomp,
+            SimArgs::new(2, 1, 1, 0, 12),
+            1,
+            PartitionPlan::fixed(16, 16),
+            false,
+            &RunPlan::default(),
+        ))
+        .unwrap();
         assert_eq!(domains.len(), 3);
         assert_eq!(st.cycle, 12);
         let mut world = World::build(decomp, 2, 1, 1, 0);
@@ -513,16 +234,14 @@ mod tests {
 
     #[test]
     fn taskpar_single_rank_is_plain_task_port() {
-        let (domains, st) = run(
+        let (domains, st) = fold(run(
             Decomposition::new(6, 1),
+            SimArgs::new(2, 1, 1, 0, 10),
             2,
             PartitionPlan::fixed(32, 32),
-            2,
-            1,
-            1,
-            0,
-            10,
-        )
+            false,
+            &RunPlan::default(),
+        ))
         .unwrap();
         let single = Arc::new(lulesh_core::Domain::build(6, 2, 1, 1, 0));
         let plain = TaskLulesh::new(2);
@@ -546,15 +265,13 @@ mod tests {
         let decomp = Decomposition::with_grid(4, crate::Grid3::new(2, 2, 1));
         let mut world = World::build(decomp, 2, 1, 1, 0);
         world.run(10).unwrap();
-        let results = run_transport(
+        let results = run(
             decomp,
-            TransportKind::Channel,
-            Duration::from_secs(10),
+            SimArgs::new(2, 1, 1, 0, 10),
             2,
             PartitionPlan::fixed(16, 16),
             true,
-            SimArgs::new(2, 1, 1, 0, 10),
-            FaultPlan::NONE,
+            &RunPlan::default(),
         );
         for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
             let (b, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
@@ -583,16 +300,16 @@ mod tests {
             }),
             flight_dir: None,
         };
-        let results = run_transport_live(
+        let results = run(
             decomp,
-            TransportKind::Channel,
-            Duration::from_secs(10),
+            SimArgs::new(2, 1, 1, 0, 8),
             2,
             PartitionPlan::fixed(16, 16),
             false,
-            SimArgs::new(2, 1, 1, 0, 8),
-            FaultPlan::NONE,
-            live,
+            &RunPlan {
+                live,
+                ..RunPlan::default()
+            },
         );
         for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
             let (b, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
@@ -624,15 +341,13 @@ mod tests {
         let mut world = World::build(decomp, 2, 1, 1, 0);
         world.run(12).unwrap();
         for workers in [1usize, 2] {
-            let results = run_transport(
+            let results = run(
                 decomp,
-                TransportKind::Channel,
-                Duration::from_secs(10),
+                SimArgs::new(2, 1, 1, 0, 12),
                 workers,
                 PartitionPlan::fixed(16, 16),
                 true,
-                SimArgs::new(2, 1, 1, 0, 12),
-                FaultPlan::NONE,
+                &RunPlan::default(),
             );
             for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
                 let (b, st) = res.unwrap_or_else(|e| panic!("workers {workers} rank {r}: {e}"));

@@ -24,25 +24,21 @@ use crate::exchange::{
     halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, HaloPlan, ObsCtx,
 };
 use crate::{
-    Decomposition, FaultPlan, LivePlan, MdError, ResilPlan, SimArgs, TransportKind,
-    DEFAULT_DEADLINE,
+    build_rank_domain, spawn_ranks, Decomposition, FaultPlan, LiveRank, MdError, RunPlan, SimArgs,
+    TransportKind,
 };
 use lulesh_core::domain::Domain;
 use lulesh_core::kernels::constraints;
+use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
 use lulesh_core::serial::{
     advance_nodes, apply_q_and_materials, calc_force_for_nodes, calc_kinematics_and_gradients,
     SerialScratch,
 };
 use lulesh_core::timestep::time_increment;
-use lulesh_core::types::{LuleshError, Real};
 use obs::dist::Category;
-use obs::live::{
-    jsonl_step_line, FlightRecorder, LiveStats, StepSummary, StragglerDetector, FLIGHT_DEFAULT_CAP,
-};
 use obs::{SpanKind, Tracer};
-use parcelnet::tcp::TcpConfig;
-use parcelnet::{ParcelError, ParcelLive, ParcelObs, RankNet};
+use parcelnet::{ParcelObs, RankNet};
 use std::sync::Arc;
 use std::time::Duration;
 use taskrt::topology::Topology;
@@ -50,146 +46,23 @@ use taskrt::topology::Topology;
 /// Ping-pong rounds for the clock-alignment handshake: enough that the
 /// min-RTT round tracks the true offset to well under typical frame
 /// latencies, cheap enough to be invisible at startup.
-pub const CLOCK_SYNC_ROUNDS: usize = 8;
+const CLOCK_SYNC_ROUNDS: usize = 8;
 
-/// Pin the calling rank thread onto NUMA node `pin_nodes[rank % len]`
-/// (round-robin over the requested nodes). Best-effort: unknown node ids
-/// and `sched_setaffinity` failures leave the thread unpinned — results
-/// do not depend on placement, only locality does. Returns the pinned
-/// node's CPU list so companion threads (parcelnet writers) can follow.
-pub(crate) fn pin_rank_thread(rank: usize, pin_nodes: &[usize]) -> Option<Vec<usize>> {
-    if pin_nodes.is_empty() {
-        return None;
-    }
-    let topo = Topology::detect();
-    let node = pin_nodes[rank % pin_nodes.len()];
-    let n = topo.nodes.iter().find(|n| n.id == node)?;
-    let _ = taskrt::topology::pin_current_thread(&n.cpus);
-    Some(n.cpus.clone())
-}
-
-/// Run the decomposed problem with one thread per rank, MPI-style.
-/// Returns the final subdomains (bottom slab first) and the simulation
-/// state.
+/// Run the decomposed problem with one thread per rank, MPI-style, over
+/// `plan.transport`, returning every rank's outcome in rank order (bottom
+/// slab first); [`crate::fold`] turns them into one result.
 pub fn run(
     decomp: Decomposition,
-    num_reg: usize,
-    balance: i32,
-    cost: i32,
-    seed: u64,
-    max_cycles: u64,
-) -> Result<(Vec<Domain>, SimState), LuleshError> {
-    run_with_params(
-        decomp,
-        num_reg,
-        balance,
-        cost,
-        seed,
-        max_cycles,
-        lulesh_core::Params::default(),
-    )
-}
-
-/// [`run`] with span tracing: rank `r` records its phases as
-/// [`SpanKind::Region`] spans, its ring exchanges as [`SpanKind::Halo`]
-/// spans (one outer `halo-*` span per exchange plus inner `send-*`/`recv-*`
-/// spans per transport operation) and the dt allreduce as a
-/// [`SpanKind::Barrier`] span, all on `tracer` lane `r` (the per-iteration
-/// region span goes on rank 0's lane only, so iteration counts stay
-/// meaningful).
-pub fn run_traced(
-    decomp: Decomposition,
-    num_reg: usize,
-    balance: i32,
-    cost: i32,
-    seed: u64,
-    max_cycles: u64,
-    tracer: Arc<Tracer>,
-) -> Result<(Vec<Domain>, SimState), LuleshError> {
-    let sim = SimArgs::new(num_reg, balance, cost, seed, max_cycles);
-    fold(run_transport(
-        decomp,
-        TransportKind::Channel,
-        DEFAULT_DEADLINE,
-        sim,
-        Some(tracer),
-        FaultPlan::NONE,
-    ))
-}
-
-/// [`run`] with optional span tracing and per-rank NUMA pinning in one
-/// entry point — the `lulesh-multidom` binary's in-process path. Empty
-/// `pin_nodes` means unpinned; see [`run_transport_pinned`].
-pub fn run_pinned(
-    decomp: Decomposition,
     sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    pin_nodes: Vec<usize>,
-) -> Result<(Vec<Domain>, SimState), LuleshError> {
-    fold(run_transport_pinned(
-        decomp,
-        TransportKind::Channel,
-        DEFAULT_DEADLINE,
-        sim,
-        trace,
-        FaultPlan::NONE,
-        pin_nodes,
-    ))
+    plan: &RunPlan,
+) -> Vec<Result<(Domain, SimState), MdError>> {
+    spawn_ranks(decomp, plan, "multidom-rank", |shape, net| {
+        run_rank(shape, net, sim, plan).map(|(d, st, _offset)| (d, st))
+    })
 }
 
-/// [`run`] with explicit control parameters (custom `stoptime`, abort
-/// thresholds, …) applied to every rank's domain.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_params(
-    decomp: Decomposition,
-    num_reg: usize,
-    balance: i32,
-    cost: i32,
-    seed: u64,
-    max_cycles: u64,
-    params: lulesh_core::Params,
-) -> Result<(Vec<Domain>, SimState), LuleshError> {
-    let sim = SimArgs {
-        params,
-        ..SimArgs::new(num_reg, balance, cost, seed, max_cycles)
-    };
-    fold(run_transport(
-        decomp,
-        TransportKind::Channel,
-        DEFAULT_DEADLINE,
-        sim,
-        None,
-        FaultPlan::NONE,
-    ))
-}
-
-/// Fold per-rank results into the classic single-result signature. Without
-/// fault injection a transport failure is impossible on the in-process
-/// wire, so `Net` errors panic here; callers that inject faults or run
-/// real sockets use [`run_transport`] and look at each rank.
-fn fold(
-    results: Vec<Result<(Domain, SimState), MdError>>,
-) -> Result<(Vec<Domain>, SimState), LuleshError> {
-    let mut domains = Vec::with_capacity(results.len());
-    let mut state = None;
-    for r in results {
-        match r {
-            Ok((d, st)) => {
-                state = Some(st);
-                domains.push(d);
-            }
-            Err(MdError::Sim(e)) => return Err(e),
-            Err(MdError::Net(n)) => panic!("transport failure without fault injection: {n}"),
-            Err(MdError::Snapshot(s)) => panic!("snapshot failure without checkpointing: {s}"),
-        }
-    }
-    Ok((domains, state.expect("at least one rank")))
-}
-
-/// Run the decomposed problem over an explicit transport, returning every
-/// rank's individual outcome (bottom slab first) — the API the failure
-/// tests and the TCP smoke use. `deadline` bounds every receive, and
-/// therefore how long any rank can outlive a dead neighbour.
+/// [`run`] with the transport, deadline, tracer and faults spelled out —
+/// the signature the benchmark probe links.
 pub fn run_transport(
     decomp: Decomposition,
     kind: TransportKind,
@@ -198,278 +71,57 @@ pub fn run_transport(
     trace: Option<Arc<Tracer>>,
     faults: FaultPlan,
 ) -> Vec<Result<(Domain, SimState), MdError>> {
-    run_transport_pinned(decomp, kind, deadline, sim, trace, faults, Vec::new())
-}
-
-/// [`run_transport`] with per-rank NUMA pinning: rank `r`'s thread is
-/// pinned onto node `pin_nodes[r % pin_nodes.len()]` before it builds its
-/// subdomain, so the rank's arrays first-touch on the node that computes
-/// them. Empty `pin_nodes` means no pinning (identical to
-/// [`run_transport`]); results are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn run_transport_pinned(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    pin_nodes: Vec<usize>,
-) -> Vec<Result<(Domain, SimState), MdError>> {
-    run_transport_live(
+    run(
         decomp,
-        kind,
-        deadline,
         sim,
-        trace,
-        faults,
-        pin_nodes,
-        LivePlan::OFF,
+        &RunPlan {
+            transport: kind,
+            deadline,
+            trace,
+            faults,
+            ..RunPlan::default()
+        },
     )
-}
-
-/// [`run_transport_pinned`] with live telemetry: streaming per-step
-/// metrics piggybacked on the dt allreduce (rank 0 runs the straggler
-/// detector and emits JSONL) and/or per-rank flight-recorder dumps on
-/// death — see [`LivePlan`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_transport_live(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    pin_nodes: Vec<usize>,
-    live: LivePlan,
-) -> Vec<Result<(Domain, SimState), MdError>> {
-    run_transport_resil(
-        decomp,
-        kind,
-        deadline,
-        sim,
-        trace,
-        faults,
-        pin_nodes,
-        live,
-        ResilPlan::OFF,
-    )
-}
-
-/// [`run_transport_live`] with checkpoint/resume wiring: every rank hands
-/// periodic snapshots to an async writer thread and/or starts from a
-/// previously written checkpoint wave — see [`ResilPlan`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_transport_resil(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    pin_nodes: Vec<usize>,
-    live: LivePlan,
-    resil: ResilPlan,
-) -> Vec<Result<(Domain, SimState), MdError>> {
-    let ranks = decomp.ranks();
-    let specs = decomp.grid().neighbor_specs();
-    match kind {
-        TransportKind::Channel => {
-            let nets = parcelnet::channel::channel_mesh_with(&specs, deadline);
-            spawn_ranks(
-                decomp,
-                nets.into_iter().map(Ok).collect(),
-                sim,
-                trace,
-                faults,
-                pin_nodes,
-                live,
-                resil,
-            )
-        }
-        TransportKind::TcpLoopback => {
-            let cfg = TcpConfig {
-                deadline,
-                connect_timeout: deadline,
-            };
-            let listener =
-                std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            let addr = listener
-                .local_addr()
-                .expect("loopback listener address")
-                .to_string();
-            let mut listener = Some(listener);
-            let handles: Vec<_> = (0..ranks)
-                .map(|r| {
-                    let listener = (r == 0).then(|| listener.take().expect("root listener"));
-                    let addr = addr.clone();
-                    let my_specs = specs[r].clone();
-                    let killed = faults.die_at_handshake == Some(r);
-                    std::thread::Builder::new()
-                        .name(format!("multidom-bootstrap-{r}"))
-                        .spawn(move || {
-                            if killed {
-                                // The process died before dialing: its own
-                                // outcome is a closed endpoint; the peers'
-                                // accepts/dials time out on their own.
-                                return Err(ParcelError::PeerClosed { peer: r });
-                            }
-                            match listener {
-                                Some(l) => parcelnet::tcp::root(l, ranks, &my_specs, &cfg),
-                                None => parcelnet::tcp::join(&addr, r, ranks, &my_specs, &cfg),
-                            }
-                        })
-                        .expect("spawn bootstrap thread")
-                })
-                .collect();
-            let nets = handles
-                .into_iter()
-                .map(|h| h.join().expect("bootstrap must not panic"))
-                .collect();
-            spawn_ranks(decomp, nets, sim, trace, faults, pin_nodes, live, resil)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_ranks(
-    decomp: Decomposition,
-    nets: Vec<Result<RankNet, ParcelError>>,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    pin_nodes: Vec<usize>,
-    live: LivePlan,
-    resil: ResilPlan,
-) -> Vec<Result<(Domain, SimState), MdError>> {
-    let handles: Vec<_> = nets
-        .into_iter()
-        .enumerate()
-        .map(|(r, net)| {
-            let shape = decomp.shape(r);
-            let trace = trace.clone();
-            let pin_nodes = pin_nodes.clone();
-            let live = live.clone();
-            let faults = faults.clone();
-            let resil = resil.clone();
-            std::thread::Builder::new()
-                .name(format!("multidom-rank-{r}"))
-                .spawn(move || match net {
-                    Ok(net) => {
-                        // Pin before `Domain::build_subdomain`: the build
-                        // writes (first-touches) every array, so pinning
-                        // first places the rank's pages on its node. The
-                        // link writer threads follow onto the same CPUs.
-                        if let Some(cpus) = pin_rank_thread(r, &pin_nodes) {
-                            net.pin_writers(&cpus);
-                        }
-                        run_rank_resil(shape, net, sim, trace, faults, live, resil)
-                            .map(|(d, st, _offset)| (d, st))
-                    }
-                    Err(e) => Err(MdError::Net(e)),
-                })
-                .expect("spawn rank thread")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread must not panic"))
-        .collect()
 }
 
 /// One rank's full simulation over an already-connected [`RankNet`] — the
-/// entry point the multi-process TCP launcher calls directly with a net
-/// built by [`parcelnet::tcp::root`]/[`parcelnet::tcp::join`].
+/// loop every [`run`] thread executes, and the entry point the
+/// multi-process TCP launcher calls with a net from
+/// [`parcelnet::tcp::root`]/[`parcelnet::tcp::join`].
+///
+/// The rank thread and its transport writers are pinned per `plan.pin`
+/// before the subdomain is built. With `plan.trace`, rank `r` records its
+/// phases as [`SpanKind::Region`] spans, its exchanges as
+/// [`SpanKind::Halo`] spans (an outer `halo-*` span plus the links'
+/// parcel-level spans; writer-thread serialize spans go on lane
+/// `ranks + r` when the tracer has that many lanes) and the dt allreduce
+/// as a [`SpanKind::Barrier`] span, all on lane `r`; rank 0's lane also
+/// carries one `iteration` span per step. A traced run first aligns
+/// clocks over the dt star: the returned offset (this rank's clock −
+/// rank 0's, ns; 0 untraced or on rank 0) goes into the rank's trace file
+/// so merging can align timelines. `plan.live` and `plan.resil` arm live
+/// telemetry and checkpoint/resume; a resumed run replays the remaining
+/// cycles **bit-identically**.
 pub fn run_rank(
-    shape: lulesh_core::mesh::MeshShape,
+    shape: MeshShape,
     net: RankNet,
     sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-) -> Result<(Domain, SimState), MdError> {
-    run_rank_dist(shape, net, sim, trace, faults).map(|(d, st, _offset)| (d, st))
-}
-
-/// [`run_rank`] for distributed tracing: when a tracer is present, every
-/// transport link records parcel-level comm spans (main spans on lane
-/// `rank`; writer-thread serialize spans on lane `ranks + rank` when the
-/// tracer has that many lanes), and the clock-alignment ping-pong runs
-/// over the dt star before the first exchange. The returned offset
-/// (`this_rank's clock − rank 0's clock`, ns; 0 untraced or on rank 0)
-/// goes into the rank's trace file so merging can align timelines.
-pub fn run_rank_dist(
-    shape: lulesh_core::mesh::MeshShape,
-    net: RankNet,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-) -> Result<(Domain, SimState, i64), MdError> {
-    run_rank_live(shape, net, sim, trace, faults, LivePlan::OFF)
-}
-
-/// Per-rank live-telemetry state threaded through the step loop.
-#[derive(Clone, Default)]
-struct LiveRank {
-    cfg: Option<obs::live::LiveConfig>,
-    stats: Option<Arc<LiveStats>>,
-    flight: Option<Arc<FlightRecorder>>,
-}
-
-/// The flight-recorder category for a driver span kind.
-fn flight_cat(kind: SpanKind) -> &'static str {
-    match kind {
-        SpanKind::Barrier => "barrier",
-        SpanKind::Halo => "halo",
-        _ => "region",
-    }
-}
-
-/// [`run_rank_dist`] with live telemetry (see [`LivePlan`]): the
-/// transport links feed this rank's counters and flight recorder, the
-/// step loop piggybacks encoded summaries on the dt allreduce, and a
-/// typed death dumps `flight.rank{R}.json` before the error propagates —
-/// the entry point the multi-process TCP launcher calls.
-pub fn run_rank_live(
-    shape: lulesh_core::mesh::MeshShape,
-    net: RankNet,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    live: LivePlan,
-) -> Result<(Domain, SimState, i64), MdError> {
-    run_rank_resil(shape, net, sim, trace, faults, live, ResilPlan::OFF)
-}
-
-/// [`run_rank_live`] with checkpoint/resume (see [`ResilPlan`]): the rank
-/// hands periodic [`resil::DomainSnapshot`]s to an async writer thread
-/// (capture on the rank thread, file I/O off it), and/or restores its
-/// partition from a checkpoint wave instead of starting at cycle 0. A
-/// resumed run replays the remaining cycles **bit-identically**.
-pub fn run_rank_resil(
-    shape: lulesh_core::mesh::MeshShape,
-    net: RankNet,
-    sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
-    live: LivePlan,
-    resil: ResilPlan,
+    plan: &RunPlan,
 ) -> Result<(Domain, SimState, i64), MdError> {
     let rank = net.rank;
-    let live_rank = LiveRank {
-        cfg: live.metrics.clone(),
-        stats: live.metrics.as_ref().map(|_| Arc::new(LiveStats::new())),
-        flight: live
-            .flight_dir
-            .as_ref()
-            .map(|_| Arc::new(FlightRecorder::new(FLIGHT_DEFAULT_CAP))),
-    };
-    if live_rank.stats.is_some() || live_rank.flight.is_some() {
-        net.attach_live(&ParcelLive::new(
-            live_rank.stats.clone(),
-            live_rank.flight.clone(),
-        ));
+    // Pin before `build_rank_domain`: the build writes (first-touches)
+    // every array, so pinning first places the rank's pages on its node.
+    if !plan.pin.is_empty() {
+        let node = plan.pin[rank % plan.pin.len()];
+        if let Some(n) = Topology::detect().nodes.iter().find(|n| n.id == node) {
+            // Best effort: a failed affinity call leaves the rank unpinned,
+            // which changes locality only, never results.
+            let _ = taskrt::topology::pin_current_thread(&n.cpus);
+            net.pin_writers(&n.cpus);
+        }
     }
-    let offset = match trace.as_ref() {
+    let live = LiveRank::attach(&plan.live, &net);
+    let offset = match plan.trace.as_ref() {
         Some(t) => {
             let aux = if t.lanes() >= 2 * net.ranks {
                 net.ranks + rank
@@ -479,9 +131,8 @@ pub fn run_rank_resil(
             net.attach_obs(&ParcelObs::new(Arc::clone(t), rank, aux));
             if net.ranks > 1 {
                 let tc = Arc::clone(t);
-                let now = move || tc.now_ns();
                 let start = t.now_ns();
-                let off = net.clock_sync(&now, CLOCK_SYNC_ROUNDS)?;
+                let off = net.clock_sync(&move || tc.now_ns(), CLOCK_SYNC_ROUNDS)?;
                 t.record_interval(rank, SpanKind::Region, "clock-sync", start, t.now_ns());
                 off
             } else {
@@ -490,77 +141,55 @@ pub fn run_rank_resil(
         }
         None => 0,
     };
-    let result = run_rank_inner(shape, net, sim, trace, faults, &live_rank, &resil);
-    if let (Err(MdError::Net(_)), Some(f), Some(dir)) =
-        (&result, &live_rank.flight, &live.flight_dir)
-    {
-        crate::dump_flight(dir, rank, f);
-    }
+    let result = step_loop(shape, net, sim, plan, &live);
+    live.finish(&result);
     result.map(|(d, st)| (d, st, offset))
 }
 
-fn run_rank_inner(
-    shape: lulesh_core::mesh::MeshShape,
+/// Where a rank's phase timings go: a trace span and/or the live counters.
+struct Phases<'a> {
+    rank: usize,
+    trace: Option<&'a Tracer>,
+    live: &'a LiveRank,
+}
+
+impl Phases<'_> {
+    /// Run `f` as phase `label`. With tracing and telemetry off this is
+    /// just `f()`.
+    fn run<T>(
+        &self,
+        label: &'static str,
+        kind: SpanKind,
+        cat: Category,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        self.live.timed(label, kind, cat, || match self.trace {
+            Some(t) => {
+                let start = t.now_ns();
+                let out = f();
+                t.record_interval(self.rank, kind, label, start, t.now_ns());
+                out
+            }
+            None => f(),
+        })
+    }
+}
+
+fn step_loop(
+    shape: MeshShape,
     net: RankNet,
     sim: SimArgs,
-    trace: Option<Arc<Tracer>>,
-    faults: FaultPlan,
+    plan: &RunPlan,
     live: &LiveRank,
-    resil: &ResilPlan,
 ) -> Result<(Domain, SimState), MdError> {
     let rank = net.rank;
-    let mut d = Domain::build_subdomain(shape, sim.num_reg, sim.balance, sim.cost, sim.seed);
-    d.params = sim.params;
-    if faults.poison_volume == Some(rank) {
-        let mid = d.num_elem() / 2;
-        d.set_v(mid, -0.25);
-    }
+    let d = build_rank_domain(shape, rank, &sim, &plan.faults);
     let mut scratch = SerialScratch::new(d.num_elem());
-    let plan = HaloPlan::for_net(shape, &net);
-
-    // Record a span of `kind` on this rank's lane bracketing `f`.
-    macro_rules! spanned {
-        ($label:expr, $kind:expr, $f:expr) => {{
-            match trace.as_ref() {
-                Some(t) => {
-                    let start = t.now_ns();
-                    let out = $f;
-                    t.record_interval(rank, $kind, $label, start, t.now_ns());
-                    out
-                }
-                None => $f,
-            }
-        }};
-    }
-    let obs: ObsCtx = trace.as_ref().map(|t| (t.as_ref(), rank));
-
-    // `spanned!` plus live telemetry: the phase's wall time lands in this
-    // rank's streaming counters (Schulz category `$cat`) and, when a
-    // flight recorder is armed, in its ring of recent events.
-    macro_rules! lspanned {
-        ($label:expr, $kind:expr, $cat:expr, $f:expr) => {{
-            let lt0 = (live.stats.is_some() || live.flight.is_some()).then(std::time::Instant::now);
-            let out = spanned!($label, $kind, $f);
-            if let Some(t0) = lt0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                if let Some(s) = live.stats.as_ref() {
-                    s.add_phase($cat, ns);
-                }
-                if let Some(f) = live.flight.as_ref() {
-                    let end = f.now_ns();
-                    f.record_interval(
-                        $label,
-                        flight_cat($kind),
-                        end.saturating_sub(ns),
-                        end,
-                        0,
-                        -1,
-                    );
-                }
-            }
-            out
-        }};
-    }
+    let halo = HaloPlan::for_net(shape, &net);
+    let trace = plan.trace.as_deref();
+    let obs: ObsCtx = trace.map(|t| (t, rank));
+    let phase = Phases { rank, trace, live };
+    let resil = &plan.resil;
 
     // Either a resume (restore the checkpointed arrays — the snapshot was
     // captured *after* the mass exchange, so nodal masses are already
@@ -568,14 +197,15 @@ fn run_rank_inner(
     // Coordinated restart: every rank resumes from the same wave, so no
     // rank is left sending mass surfaces at a peer that skipped them.
     let mut state = match (&resil.ckpt, resil.resume_cycle) {
-        (Some(cfg), Some(cycle)) => {
-            lspanned!("resume-restore", SpanKind::Region, Category::Recovery, {
-                resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d))
-            })?
-        }
+        (Some(cfg), Some(cycle)) => phase.run(
+            "resume-restore",
+            SpanKind::Region,
+            Category::Recovery,
+            || resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d)),
+        )?,
         _ => {
-            lspanned!("halo-mass", SpanKind::Halo, Category::Send, {
-                halo_exchange_mass(&d, &plan, &net, obs)
+            phase.run("halo-mass", SpanKind::Halo, Category::Send, || {
+                halo_exchange_mass(&d, &halo, &net, obs)
             })?;
             SimState::new(d.initial_dt())
         }
@@ -588,9 +218,6 @@ fn run_rank_inner(
         None => None,
     };
 
-    // Rank 0 is the telemetry root: it decodes the summaries collected on
-    // the dt star, tracks per-rank EWMA step times, and streams JSONL.
-    let mut detector = (rank == 0 && live.cfg.is_some()).then(|| StragglerDetector::new(net.ranks));
     while state.time < sim.params.stoptime && state.cycle < sim.max_cycles {
         // Checkpoint *before* the fault-injection check: a rank dying at
         // cycle C has submitted its wave-C snapshot, and every peer
@@ -598,7 +225,7 @@ fn run_rank_inner(
         // completed C−1's allreduce) — so wave C is globally consistent.
         if let (Some(w), Some(cfg)) = (writer.as_ref(), resil.ckpt.as_ref()) {
             if state.cycle % cfg.period == 0 && resil.resume_cycle != Some(state.cycle) {
-                lspanned!("ckpt-capture", SpanKind::Region, Category::Recovery, {
+                phase.run("ckpt-capture", SpanKind::Region, Category::Recovery, || {
                     w.submit(
                         resil::DomainSnapshot::capture(rank, &d, &state),
                         state.cycle,
@@ -606,29 +233,12 @@ fn run_rank_inner(
                 });
             }
         }
-        if faults.dies_at(rank, state.cycle) {
-            // Abrupt death: drop every link without a Bye, exactly as a
-            // killed process would. Survivors observe PeerClosed/Timeout.
-            // (The writer thread flushes pending snapshots on drop.)
-            return Err(MdError::Net(ParcelError::PeerClosed { peer: rank }));
-        }
-        // Wall clock AND cumulative transport wait at step start: the
-        // sample point is pre-allreduce, so both windows must open here
-        // too — a rolling wait delta would fold the *previous* step's
-        // allreduce wait into this step's window and (on an oversubscribed
-        // host, where that wait dwarfs compute) saturate self time to 0.
-        let step_start = live
-            .stats
-            .as_ref()
-            .map(|s| (std::time::Instant::now(), s.wait_ns()));
-        if let Some((r, ms)) = faults.slow_rank {
-            // Injected straggler: stall before the phases so the lost time
-            // shows up in this rank's step sample.
-            if r == rank {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-        }
-        let iter_start = trace.as_ref().map(|t| t.now_ns());
+        // The step-time window opens here, before an injected stall, so
+        // the lost time shows up in this rank's sample. (A death drops
+        // every link; the writer thread flushes pending snapshots on drop.)
+        let window = live.mark();
+        plan.faults.inject(rank, state.cycle)?;
+        let iter_start = trace.map(|t| t.now_ns());
         time_increment(&mut state, &sim.params);
         let dt = state.deltatime;
 
@@ -638,66 +248,45 @@ fn run_rank_inner(
         // together at the allreduce below), and skip the remaining local
         // phases. A *transport* error aborts immediately (`?`): the links
         // are dropped, which the neighbours observe within their deadline.
-        let mut local_err: Option<LuleshError> = None;
-
-        // Forces + halo sum.
-        local_err = local_err.or(lspanned!("forces", SpanKind::Region, Category::Busy, {
+        let mut local_err = phase.run("forces", SpanKind::Region, Category::Busy, || {
             calc_force_for_nodes(&d, &mut scratch).err()
-        }));
-        lspanned!("halo-forces", SpanKind::Halo, Category::Send, {
-            halo_exchange_forces(&d, &plan, &net, obs)
+        });
+        phase.run("halo-forces", SpanKind::Halo, Category::Send, || {
+            halo_exchange_forces(&d, &halo, &net, obs)
         })?;
 
+        // Node advance, then gradients + ghost exchange.
         if local_err.is_none() {
-            lspanned!("node", SpanKind::Region, Category::Busy, {
+            phase.run("node", SpanKind::Region, Category::Busy, || {
                 advance_nodes(&d, dt)
             });
-        }
-
-        // Gradients + ghost exchange.
-        if local_err.is_none() {
-            local_err = lspanned!("kinematics", SpanKind::Region, Category::Busy, {
+            local_err = phase.run("kinematics", SpanKind::Region, Category::Busy, || {
                 calc_kinematics_and_gradients(&d, dt).err()
             });
         }
-        lspanned!("halo-gradients", SpanKind::Halo, Category::Send, {
-            halo_exchange_gradients(&d, &plan, &net, obs)
+        phase.run("halo-gradients", SpanKind::Halo, Category::Send, || {
+            halo_exchange_gradients(&d, &halo, &net, obs)
         })?;
 
         if local_err.is_none() {
-            local_err = lspanned!("eos", SpanKind::Region, Category::Busy, {
+            local_err = phase.run("eos", SpanKind::Region, Category::Busy, || {
                 apply_q_and_materials(&d, &mut scratch).err()
             });
         }
 
-        // dt constraints: allreduce(min) through rank 0, errors riding
-        // along so everyone aborts in the same iteration.
+        // dt constraints: allreduce(min) through rank 0, errors (and, on
+        // telemetry steps, this rank's step summary) riding along so
+        // everyone aborts in the same iteration.
         let (c, h) = if local_err.is_none() {
-            lspanned!("constraints", SpanKind::Region, Category::Busy, {
+            phase.run("constraints", SpanKind::Region, Category::Busy, || {
                 constraints::calc_time_constraints(&d, sim.params.qqc, sim.params.dvovmax)
             })
         } else {
             (1.0e20, 1.0e20)
         };
-        // On telemetry steps the encoded step summary rides the dt star —
-        // the same parcels every step already sends, no extra sync point.
-        // `telemetry_step` is a pure function of the shared cycle counter,
-        // so every rank agrees on which steps carry a payload.
-        let telemetry: Option<Vec<Real>> = match (&live.cfg, &live.stats, step_start) {
-            (Some(cfg), Some(s), Some((t0, wait0))) if cfg.telemetry_step(state.cycle) => {
-                // Self time: wall minus time blocked in transport recvs —
-                // a rank stalled behind a slow neighbour must not look
-                // slow itself. Both clocks span step start to here.
-                let wall = t0.elapsed().as_nanos() as u64;
-                let step_wait = s.wait_ns().saturating_sub(wait0);
-                let step_ns = wall.saturating_sub(step_wait);
-                Some(s.snapshot(rank as u32, state.cycle, step_ns).encode())
-            }
-            _ => None,
-        };
-        let (gc, gh, gerr, collected) =
-            lspanned!("barrier-dt", SpanKind::Barrier, Category::Barrier, {
-                net.allreduce_dt_live(c, h, local_err, telemetry.as_deref())
+        let (gc, gh, gerr) =
+            phase.run("barrier-dt", SpanKind::Barrier, Category::Barrier, || {
+                live.allreduce_dt(&net, state.cycle, window, c, h, local_err)
             })?;
         if let Some(e) = gerr {
             // Every rank is returning this same error right now; links are
@@ -706,44 +295,30 @@ fn run_rank_inner(
         }
         state.dtcourant = gc;
         state.dthydro = gh;
-        if let (Some(det), Some(cfg), Some(collected)) =
-            (detector.as_mut(), live.cfg.as_ref(), collected)
-        {
-            // Telemetry root: decode (rank order — own summary first, then
-            // star members), detect, stream one JSONL line.
-            let summaries: Vec<StepSummary> = collected
-                .iter()
-                .filter_map(|p| StepSummary::decode(p))
-                .collect();
-            if summaries.len() == net.ranks {
-                let step_ns: Vec<u64> = summaries.iter().map(|s| s.step_ns).collect();
-                let flagged = det.observe(&step_ns);
-                cfg.sink
-                    .emit(&jsonl_step_line(state.cycle, &summaries, &flagged));
-            }
-        }
-        if rank == 0 {
-            if let (Some(t), Some(start)) = (trace.as_ref(), iter_start) {
-                t.record_interval(rank, SpanKind::Region, "iteration", start, t.now_ns());
-            }
+        if let (0, Some(t), Some(start)) = (rank, trace, iter_start) {
+            t.record_interval(rank, SpanKind::Region, "iteration", start, t.now_ns());
         }
     }
 
     // Graceful shutdown: Bye on every link, so no socket is abandoned with
     // a peer still reading from it.
     net.close()?;
-    if let (Some(det), Some(cfg)) = (detector.as_ref(), live.cfg.as_ref()) {
-        if cfg.table {
-            eprint!("{}", det.summary_table());
-        }
-    }
     Ok((d, state))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::World;
+    use crate::{fold, LivePlan, World};
+    use lulesh_core::types::LuleshError;
+
+    /// [`run`] with everything off, folded to one result.
+    fn run_fold(
+        decomp: Decomposition,
+        sim: SimArgs,
+    ) -> Result<(Vec<Domain>, SimState), LuleshError> {
+        fold(run(decomp, sim, &RunPlan::default()))
+    }
 
     #[test]
     fn threaded_matches_lockstep_bitwise() {
@@ -751,7 +326,7 @@ mod tests {
         let mut world = World::build(decomp, 3, 1, 1, 0);
         let st_lock = world.run(25).unwrap();
 
-        let (domains, st_thr) = run(decomp, 3, 1, 1, 0, 25).unwrap();
+        let (domains, st_thr) = run_fold(decomp, SimArgs::new(3, 1, 1, 0, 25)).unwrap();
         assert_eq!(st_lock.cycle, st_thr.cycle);
         assert_eq!(st_lock.time, st_thr.time);
         assert_eq!(st_lock.dtcourant, st_thr.dtcourant);
@@ -766,9 +341,70 @@ mod tests {
     }
 
     #[test]
+    fn pinned_tcp_loopback_matches_unpinned_bitwise() {
+        // `run_rank` pins the rank thread and its TCP writer threads; that
+        // moves threads, never arithmetic.
+        let decomp = Decomposition::new(6, 2);
+        let sim = SimArgs::new(2, 1, 1, 0, 10);
+        let (base, st_base) = run_fold(decomp, sim).unwrap();
+        let pinned = run(
+            decomp,
+            sim,
+            &RunPlan {
+                transport: TransportKind::TcpLoopback,
+                pin: vec![Topology::detect().nodes[0].id],
+                ..RunPlan::default()
+            },
+        );
+        for (r, (a, res)) in base.iter().zip(pinned).enumerate() {
+            let (d, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
+            assert_eq!(st.cycle, st_base.cycle);
+            assert_eq!(
+                lulesh_core::validate::max_field_difference(a, &d),
+                0.0,
+                "rank {r}: pinning must not change physics"
+            );
+        }
+    }
+
+    #[test]
+    fn in_process_run_honours_the_cli_receive_deadline() {
+        // The flags that fail over TCP with a typed timeout must fail the
+        // same way over channels: rank 1 stalls 400 ms per step, the
+        // receive deadline is 100 ms.
+        let opts = lulesh_core::Opts::parse([
+            "--s",
+            "6",
+            "--i",
+            "4",
+            "--slow-rank",
+            "1:400",
+            "--recv-deadline-ms",
+            "100",
+            "--q",
+        ])
+        .unwrap();
+        let sim = SimArgs::new(
+            opts.num_reg,
+            opts.balance,
+            opts.cost,
+            opts.seed,
+            opts.max_cycles,
+        );
+        let results = run(Decomposition::new(6, 2), sim, &RunPlan::from_opts(&opts));
+        for (r, res) in results.iter().enumerate() {
+            assert!(
+                matches!(res, Err(MdError::Net(_))),
+                "rank {r}: expected a typed transport failure, got {:?}",
+                res.as_ref().map(|(_, st)| st.cycle)
+            );
+        }
+    }
+
+    #[test]
     fn threaded_three_ranks() {
         let decomp = Decomposition::new(6, 3);
-        let (domains, st) = run(decomp, 2, 1, 1, 0, 15).unwrap();
+        let (domains, st) = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 15)).unwrap();
         assert_eq!(domains.len(), 3);
         assert_eq!(st.cycle, 15);
         // Compare against the single-domain solution.
@@ -783,10 +419,18 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_emits_rank_spans() {
         let decomp = Decomposition::new(6, 2);
-        let (base, st_base) = run(decomp, 2, 1, 1, 0, 8).unwrap();
+        let (base, st_base) = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 8)).unwrap();
 
         let tracer = Tracer::shared(2);
-        let (traced, st_traced) = run_traced(decomp, 2, 1, 1, 0, 8, Arc::clone(&tracer)).unwrap();
+        let (traced, st_traced) = fold(run(
+            decomp,
+            SimArgs::new(2, 1, 1, 0, 8),
+            &RunPlan {
+                trace: Some(Arc::clone(&tracer)),
+                ..RunPlan::default()
+            },
+        ))
+        .unwrap();
         assert_eq!(st_base.cycle, st_traced.cycle);
         for (a, b) in base.iter().zip(&traced) {
             assert_eq!(lulesh_core::validate::max_field_difference(a, b), 0.0);
@@ -827,7 +471,7 @@ mod tests {
         let decomp = crate::Decomposition::with_grid(6, crate::Grid3::new(2, 2, 2));
         let mut world = World::build(decomp, 2, 1, 1, 0);
         let st_lock = world.run(12).unwrap();
-        let (domains, st_thr) = run(decomp, 2, 1, 1, 0, 12).unwrap();
+        let (domains, st_thr) = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 12)).unwrap();
         assert_eq!(st_lock.cycle, st_thr.cycle);
         assert_eq!(st_lock.dtcourant, st_thr.dtcourant);
         for (r, (a, b)) in world.domains.iter().zip(&domains).enumerate() {
@@ -842,7 +486,7 @@ mod tests {
     #[test]
     fn grid_tcp_loopback_matches_channel_bitwise() {
         let decomp = crate::Decomposition::with_grid(4, crate::Grid3::new(2, 2, 1));
-        let (base, st_base) = run(decomp, 2, 1, 1, 0, 8).unwrap();
+        let (base, st_base) = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 8)).unwrap();
         let results = run_transport(
             decomp,
             TransportKind::TcpLoopback,
@@ -864,7 +508,8 @@ mod tests {
 
     #[test]
     fn threaded_single_rank_degenerates_to_serial() {
-        let (domains, st) = run(Decomposition::new(5, 1), 2, 1, 1, 0, 10).unwrap();
+        let (domains, st) =
+            run_fold(Decomposition::new(5, 1), SimArgs::new(2, 1, 1, 0, 10)).unwrap();
         let single = lulesh_core::Domain::build(5, 2, 1, 1, 0);
         let st_s = lulesh_core::serial::run(&single, 10).unwrap();
         assert_eq!(st.cycle, st_s.cycle);
@@ -932,15 +577,15 @@ mod tests {
             slow_rank: Some((1, 25)),
             ..FaultPlan::NONE
         };
-        let results = run_transport_live(
+        let results = run(
             Decomposition::new(6, 2),
-            TransportKind::Channel,
-            Duration::from_secs(10),
             SimArgs::new(2, 1, 1, 0, 8),
-            None,
-            faults,
-            Vec::new(),
-            live,
+            &RunPlan {
+                deadline: Duration::from_secs(10),
+                faults,
+                live,
+                ..RunPlan::default()
+            },
         );
         for r in results {
             r.expect("slow rank must not fail the run");
@@ -983,15 +628,15 @@ mod tests {
             die_at: vec![(1, 3)],
             ..FaultPlan::NONE
         };
-        let results = run_transport_live(
+        let results = run(
             Decomposition::new(6, 2),
-            TransportKind::Channel,
-            Duration::from_secs(2),
             SimArgs::new(2, 1, 1, 0, 10),
-            None,
-            faults,
-            Vec::new(),
-            live,
+            &RunPlan {
+                deadline: Duration::from_secs(2),
+                faults,
+                live,
+                ..RunPlan::default()
+            },
         );
         assert!(
             results.iter().all(|r| matches!(r, Err(MdError::Net(_)))),
@@ -1032,7 +677,7 @@ mod tests {
         let st_lock = world.run(10).unwrap();
 
         simd::set_active(LaneWidth::W4);
-        let chan = run(decomp, 2, 1, 1, 0, 10);
+        let chan = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 10));
         let tcp = run_transport(
             decomp,
             TransportKind::TcpLoopback,
@@ -1067,7 +712,7 @@ mod tests {
     #[test]
     fn tcp_loopback_matches_channel_bitwise() {
         let decomp = Decomposition::new(6, 2);
-        let (base, st_base) = run(decomp, 2, 1, 1, 0, 10).unwrap();
+        let (base, st_base) = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 10)).unwrap();
         let results = run_transport(
             decomp,
             TransportKind::TcpLoopback,

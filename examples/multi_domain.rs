@@ -1,14 +1,15 @@
 //! The paper's future work, running for real: decompose the Sedov cube
 //! into ζ slabs ("ranks"), advance them with MPI-style halo exchanges —
-//! lockstep and with one thread per rank — and verify against the
-//! single-domain solution.
+//! lockstep, with one thread per rank, and with a task runtime per rank,
+//! the last two driven by the same default `RunPlan` — and verify against
+//! the single-domain solution.
 //!
 //! ```sh
 //! cargo run --release --example multi_domain
 //! ```
 
 use lulesh::core::{serial, Domain};
-use multidom::{threaded, Decomposition, World};
+use multidom::{fold, taskpar, threaded, Decomposition, RunPlan, SimArgs, World};
 
 fn main() {
     let size = 12;
@@ -43,7 +44,8 @@ fn main() {
         );
 
         // Threaded (message-passing) driver: bit-identical to lockstep.
-        let (domains, _) = threaded::run(decomp, 4, 1, 1, 0, cycles).unwrap();
+        let sim = SimArgs::new(4, 1, 1, 0, cycles);
+        let (domains, _) = fold(threaded::run(decomp, sim, &RunPlan::default())).unwrap();
         let mut max_thr: f64 = 0.0;
         for (a, b) in world.domains.iter().zip(&domains) {
             max_thr = max_thr.max(lulesh::core::validate::max_field_difference(a, b));
@@ -56,16 +58,14 @@ fn main() {
 
         // Task-parallel ranks (2 workers each) with exchange tasks: also
         // bit-identical — the "HPX-native multi-node" configuration.
-        let (domains, _) = multidom::taskpar::run(
+        let (domains, _) = fold(taskpar::run(
             decomp,
+            sim,
             2,
             lulesh::task::PartitionPlan::fixed(48, 48),
-            4,
-            1,
-            1,
-            0,
-            cycles,
-        )
+            false,
+            &RunPlan::default(),
+        ))
         .unwrap();
         let mut max_tp: f64 = 0.0;
         for (a, b) in world.domains.iter().zip(&domains) {

@@ -102,6 +102,21 @@ grep -q "^6,11,10,2," "$TMP/tcp_smoke.csv" || {
   echo "TCP smoke run produced no report:"; cat "$TMP/tcp_smoke.csv"; exit 1;
 }
 
+echo "== one rank loop (1x1x2: in-process channels == pinned TCP workers) =="
+# In-process ranks and TCP worker processes run the same rank loop
+# (threaded::run_rank, which also pins the rank and its writer threads):
+# every CSV column but wall clock (column 5) must match, so channel == TCP
+# and pinned == unpinned hold at the binary level.
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --q \
+  | cut -d, -f1-4,6- > "$TMP/loop_channel.csv"
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --q --transport tcp --pin all \
+  2> /dev/null | cut -d, -f1-4,6- > "$TMP/loop_tcp_pinned.csv"
+if ! cmp -s "$TMP/loop_channel.csv" "$TMP/loop_tcp_pinned.csv"; then
+  echo "pinned TCP workers diverged from in-process channels:"
+  diff "$TMP/loop_channel.csv" "$TMP/loop_tcp_pinned.csv" || true
+  exit 1
+fi
+
 echo "== distributed-trace smoke run (3 TCP ranks, --trace-dir) =="
 # Each worker drops a rank{R}.spans.json; the launcher clock-aligns and
 # merges them, then runs the inefficiency analysis. trace_lint validates

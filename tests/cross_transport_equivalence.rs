@@ -13,7 +13,7 @@
 //! only.
 
 use lulesh::core::validate::max_field_difference;
-use multidom::{threaded, Decomposition, FaultPlan, Grid3, SimArgs, TransportKind, World};
+use multidom::{threaded, Decomposition, FaultPlan, Grid3, RunPlan, SimArgs, TransportKind, World};
 use parcelnet::dir;
 use std::time::Duration;
 
@@ -180,15 +180,17 @@ fn overlapped_taskpar_matches_lockstep_over_both_transports() {
         let mut world = World::build(decomp, 2, 1, 1, 0);
         world.run(CYCLES).unwrap();
         for kind in [TransportKind::Channel, TransportKind::TcpLoopback] {
-            let results = multidom::taskpar::run_transport(
+            let results = multidom::taskpar::run(
                 decomp,
-                kind,
-                DEADLINE,
+                sim(),
                 2,
                 lulesh::task::PartitionPlan::fixed(32, 32),
                 true,
-                sim(),
-                FaultPlan::NONE,
+                &RunPlan {
+                    transport: kind,
+                    deadline: DEADLINE,
+                    ..RunPlan::default()
+                },
             );
             for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
                 let (b, st) = res.unwrap_or_else(|e| panic!("{kind:?} rank {r}: {e}"));

@@ -170,217 +170,238 @@ fn threaded_multidom_aborts_cleanly_across_ranks() {
     // rank holding the blast (rank 0) while the others are healthy — they
     // must all unblock through the error-carrying dt allreduce and return
     // the same Err, with no panic and no hang.
-    let params = lulesh::core::Params {
-        qstop: 1e-30,
-        ..Default::default()
-    };
-    let r = multidom::threaded::run_with_params(
+    let r = multidom::fold(multidom::threaded::run(
         multidom::Decomposition::new(6, 3),
-        2,
-        1,
-        1,
-        0,
-        50,
-        params,
-    );
+        qstop_sim(50),
+        &RunPlan::default(),
+    ));
     assert_eq!(r.err(), Some(LuleshError::QStopError));
 }
 
 #[test]
 fn taskpar_multidom_aborts_cleanly_across_ranks() {
-    let params = lulesh::core::Params {
-        qstop: 1e-30,
-        ..Default::default()
-    };
-    let r = multidom::taskpar::run_with_params(
+    let r = multidom::fold(multidom::taskpar::run(
         multidom::Decomposition::new(6, 2),
+        qstop_sim(50),
         2,
         PartitionPlan::fixed(24, 24),
-        2,
-        1,
-        1,
-        0,
-        50,
-        params,
-    );
+        false,
+        &RunPlan::default(),
+    ));
     assert_eq!(r.err(), Some(LuleshError::QStopError));
 }
 
 // ---------------------------------------------------------------------------
-// Multi-domain fault injection over real transports: a fault on ONE rank
-// must surface as the SAME typed error on EVERY rank, over both the channel
-// and the TCP-loopback transport, without deadlock (bounded by the recv
+// Multi-domain fault matrix over real transports: a fault on ONE rank must
+// surface as the SAME typed error on EVERY rank — for every fault ×
+// transport × rank compute engine — without deadlock (bounded by the recv
 // deadline). Sim errors ride the dt allreduce; a killed rank cascades a
-// typed `ParcelError` to every survivor.
+// typed `ParcelError` to every survivor. One table, one runner; each test
+// below runs one fault's row.
 // ---------------------------------------------------------------------------
 
-use multidom::{Decomposition, FaultPlan, MdError, SimArgs, TransportKind};
+use multidom::TransportKind::{self, Channel, TcpLoopback};
+use multidom::{taskpar, threaded, Decomposition, FaultPlan, MdError, ResilPlan, RunPlan, SimArgs};
 use std::time::{Duration, Instant};
 
-const TRANSPORTS: [TransportKind; 2] = [TransportKind::Channel, TransportKind::TcpLoopback];
 const DEADLINE: Duration = Duration::from_secs(5);
 
-/// Run both multi-domain drivers over `kind` with `faults` and hand each
-/// driver's per-rank outcomes (as `Result<(), MdError>`) to `check`.
-fn for_both_drivers(
-    kind: TransportKind,
-    sim: SimArgs,
-    faults: FaultPlan,
-    check: impl Fn(&str, Vec<Result<(), MdError>>),
-) {
-    let decomp = Decomposition::new(6, 3);
-    let r = multidom::threaded::run_transport(decomp, kind, DEADLINE, sim, None, faults.clone());
-    check("threaded", r.into_iter().map(|r| r.map(|_| ())).collect());
-    let r = multidom::taskpar::run_transport(
-        decomp,
-        kind,
-        DEADLINE,
-        2,
-        PartitionPlan::fixed(16, 16),
-        false,
-        sim,
-        faults,
-    );
-    check("taskpar", r.into_iter().map(|r| r.map(|_| ())).collect());
-}
-
-#[test]
-fn poisoned_rank_fails_every_rank_over_both_transports() {
-    for kind in TRANSPORTS {
-        for_both_drivers(
-            kind,
-            SimArgs::new(2, 1, 1, 0, 5),
-            FaultPlan {
-                poison_volume: Some(1),
-                ..FaultPlan::NONE
-            },
-            |driver, results| {
-                assert_eq!(results.len(), 3);
-                for (rank, r) in results.into_iter().enumerate() {
-                    assert!(
-                        matches!(r, Err(MdError::Sim(LuleshError::VolumeError))),
-                        "{driver}/{kind:?} rank {rank}: poisoned volume on rank 1 \
-                         must surface as VolumeError on every rank, got {r:?}"
-                    );
-                }
-            },
-        );
-    }
-}
-
-#[test]
-fn hair_trigger_qstop_fails_every_rank_over_both_transports() {
-    let sim = SimArgs {
+/// A sim whose q abort threshold trips once viscosity develops.
+fn qstop_sim(max_cycles: u64) -> SimArgs {
+    SimArgs {
         params: lulesh::core::Params {
             qstop: 1e-30,
             ..Default::default()
         },
-        ..SimArgs::new(2, 1, 1, 0, 50)
+        ..SimArgs::new(2, 1, 1, 0, max_cycles)
+    }
+}
+
+/// How each rank computes inside a fault cell.
+#[derive(Debug, Clone, Copy)]
+enum Compute {
+    /// [`threaded::run`]: the serial kernels on one thread per rank.
+    Serial,
+    /// [`taskpar::run`]: a two-worker task runtime per rank.
+    Task,
+}
+
+/// What every rank of a cell must report.
+#[derive(Debug)]
+enum Expect {
+    Sim(LuleshError),
+    Net,
+}
+
+/// One row of the matrix: a fault, the run it strikes, and the outcome
+/// every rank must report on every transport it can exist on.
+struct FaultRow {
+    name: &'static str,
+    sim: SimArgs,
+    faults: FaultPlan,
+    deadline: Duration,
+    expect: Expect,
+    /// Wall-clock bound per cell: the deadline must bound the hang.
+    bound: Duration,
+    /// A transport the fault cannot exist on, and why.
+    skip: Option<(TransportKind, &'static str)>,
+}
+
+fn fault_table() -> Vec<FaultRow> {
+    let die = |die_at: Vec<(usize, u64)>| FaultPlan {
+        die_at,
+        ..FaultPlan::NONE
     };
-    for kind in TRANSPORTS {
-        for_both_drivers(kind, sim, FaultPlan::NONE, |driver, results| {
-            for (rank, r) in results.into_iter().enumerate() {
+    vec![
+        FaultRow {
+            name: "poison_volume",
+            sim: SimArgs::new(2, 1, 1, 0, 5),
+            faults: FaultPlan {
+                poison_volume: Some(1),
+                ..FaultPlan::NONE
+            },
+            deadline: DEADLINE,
+            expect: Expect::Sim(LuleshError::VolumeError),
+            bound: 6 * DEADLINE,
+            skip: None,
+        },
+        FaultRow {
+            name: "qstop",
+            sim: qstop_sim(50),
+            faults: FaultPlan::NONE,
+            deadline: DEADLINE,
+            expect: Expect::Sim(LuleshError::QStopError),
+            bound: 6 * DEADLINE,
+            skip: None,
+        },
+        // Rank 1 (the middle rank, linked to both neighbours) abandons the
+        // protocol at cycle 3.
+        FaultRow {
+            name: "die_at",
+            sim: SimArgs::new(2, 1, 1, 0, 50),
+            faults: die(vec![(1, 3)]),
+            deadline: DEADLINE,
+            expect: Expect::Net,
+            bound: 3 * DEADLINE,
+            skip: None,
+        },
+        // Every `die_at` entry counts, not only a rank's first: the entry
+        // for cycle 10 is never reached, the one for cycle 3 is.
+        FaultRow {
+            name: "die_at_second_entry",
+            sim: SimArgs::new(2, 1, 1, 0, 5),
+            faults: die(vec![(1, 10), (1, 3)]),
+            deadline: DEADLINE,
+            expect: Expect::Net,
+            bound: 3 * DEADLINE,
+            skip: None,
+        },
+        // Rank 1 is killed before it dials the TCP bootstrap; the deadline
+        // bounds the handshake too. Its waits can serialise (root accepts
+        // ranks one at a time, then the peer mesh dials/accepts), but each
+        // is bounded by the deadline.
+        FaultRow {
+            name: "die_at_handshake",
+            sim: SimArgs::new(2, 1, 1, 0, 5),
+            faults: FaultPlan {
+                die_at_handshake: Some(1),
+                ..FaultPlan::NONE
+            },
+            deadline: Duration::from_millis(1500),
+            expect: Expect::Net,
+            bound: 8 * Duration::from_millis(1500),
+            skip: Some((
+                Channel,
+                "the in-process channel mesh has no handshake to kill",
+            )),
+        },
+    ]
+}
+
+/// Run every cell of the row named `name`: both transports (minus its
+/// skip) × both compute engines, three ζ ranks each.
+fn check_fault_row(name: &str) {
+    let row = fault_table()
+        .into_iter()
+        .find(|row| row.name == name)
+        .expect("fault row");
+    for kind in [Channel, TcpLoopback] {
+        if let Some((_, why)) = row.skip.filter(|&(k, _)| k == kind) {
+            eprintln!("skip: {name} × {kind:?}: {why}");
+            continue;
+        }
+        let plan = RunPlan {
+            transport: kind,
+            deadline: row.deadline,
+            faults: row.faults.clone(),
+            ..RunPlan::default()
+        };
+        for compute in [Compute::Serial, Compute::Task] {
+            let decomp = Decomposition::new(6, 3);
+            let t0 = Instant::now();
+            let results: Vec<Result<(), MdError>> = match compute {
+                Compute::Serial => threaded::run(decomp, row.sim, &plan)
+                    .into_iter()
+                    .map(|r| r.map(drop))
+                    .collect(),
+                Compute::Task => taskpar::run(
+                    decomp,
+                    row.sim,
+                    2,
+                    PartitionPlan::fixed(16, 16),
+                    false,
+                    &plan,
+                )
+                .into_iter()
+                .map(|r| r.map(drop))
+                .collect(),
+            };
+            let cell = format!("{name} × {kind:?} × {compute:?}");
+            assert_eq!(results.len(), 3, "{cell}");
+            for (rank, r) in results.iter().enumerate() {
+                let ok = match (&row.expect, r) {
+                    (Expect::Sim(want), Err(MdError::Sim(got))) => want == got,
+                    (Expect::Net, Err(MdError::Net(_))) => true,
+                    _ => false,
+                };
                 assert!(
-                    matches!(r, Err(MdError::Sim(LuleshError::QStopError))),
-                    "{driver}/{kind:?} rank {rank}: expected QStopError, got {r:?}"
+                    ok,
+                    "{cell} rank {rank}: expected {:?}, got {r:?}",
+                    row.expect
                 );
             }
-        });
+            assert!(
+                t0.elapsed() < row.bound,
+                "{cell}: took {:?} — the deadline did not bound the hang",
+                t0.elapsed()
+            );
+        }
     }
+}
+
+#[test]
+fn poisoned_rank_fails_every_rank_over_both_transports() {
+    check_fault_row("poison_volume");
+}
+
+#[test]
+fn hair_trigger_qstop_fails_every_rank_over_both_transports() {
+    check_fault_row("qstop");
 }
 
 #[test]
 fn killed_rank_surfaces_typed_parcel_error_on_every_survivor() {
-    // Rank 1 (the middle rank, linked to both neighbours) abandons the
-    // protocol at cycle 3. Every survivor must come back with a typed
-    // `ParcelError` — not a hang, not a panic — within the recv deadline.
-    for kind in TRANSPORTS {
-        let t0 = Instant::now();
-        for_both_drivers(
-            kind,
-            SimArgs::new(2, 1, 1, 0, 50),
-            FaultPlan {
-                die_at: vec![(1, 3)],
-                ..FaultPlan::NONE
-            },
-            |driver, results| {
-                for (rank, r) in results.into_iter().enumerate() {
-                    assert!(
-                        matches!(r, Err(MdError::Net(_))),
-                        "{driver}/{kind:?} rank {rank}: expected a typed ParcelError \
-                         after rank 1 died, got {r:?}"
-                    );
-                }
-            },
-        );
-        // Two drivers ran; each is bounded by a small number of deadline
-        // windows (the dt star can serialise one timeout per link).
-        assert!(
-            t0.elapsed() < 6 * DEADLINE,
-            "{kind:?}: survivors took {:?} — deadline did not bound the hang",
-            t0.elapsed()
-        );
-    }
+    check_fault_row("die_at");
+}
+
+#[test]
+fn every_die_at_entry_kills_its_rank_on_both_compute_engines() {
+    check_fault_row("die_at_second_entry");
 }
 
 #[test]
 fn rank_killed_at_tcp_handshake_times_out_on_every_survivor() {
-    // Rank 1 is killed *before* it dials the TCP bootstrap. The recv
-    // deadline applies during the rank handshake too, so the survivors'
-    // accepts and dials must come back with a typed `ParcelError` within
-    // the deadline — never a hang at startup.
-    let short = Duration::from_millis(1500);
-    let faults = FaultPlan {
-        die_at_handshake: Some(1),
-        ..FaultPlan::NONE
-    };
-    let decomp = Decomposition::new(6, 3);
-    for driver in ["threaded", "taskpar"] {
-        let t0 = Instant::now();
-        let results: Vec<Result<(), MdError>> = match driver {
-            "threaded" => multidom::threaded::run_transport(
-                decomp,
-                TransportKind::TcpLoopback,
-                short,
-                SimArgs::new(2, 1, 1, 0, 5),
-                None,
-                faults.clone(),
-            )
-            .into_iter()
-            .map(|r| r.map(|_| ()))
-            .collect(),
-            _ => multidom::taskpar::run_transport(
-                decomp,
-                TransportKind::TcpLoopback,
-                short,
-                2,
-                PartitionPlan::fixed(16, 16),
-                false,
-                SimArgs::new(2, 1, 1, 0, 5),
-                faults.clone(),
-            )
-            .into_iter()
-            .map(|r| r.map(|_| ()))
-            .collect(),
-        };
-        assert_eq!(results.len(), 3);
-        for (rank, r) in results.into_iter().enumerate() {
-            assert!(
-                matches!(r, Err(MdError::Net(_))),
-                "{driver} rank {rank}: expected a typed ParcelError after rank 1 \
-                 was killed at the handshake, got {r:?}"
-            );
-        }
-        // Handshake waits can serialise (root accepts ranks one at a time,
-        // then the peer mesh dials/accepts), but each wait is bounded by
-        // the deadline.
-        assert!(
-            t0.elapsed() < 8 * short,
-            "{driver}: handshake with a dead rank took {:?} — the deadline \
-             did not bound the bootstrap",
-            t0.elapsed()
-        );
-    }
+    check_fault_row("die_at_handshake");
 }
 
 // ---------------------------------------------------------------------------
@@ -390,11 +411,19 @@ fn rank_killed_at_tcp_handshake_times_out_on_every_survivor() {
 // never interrupted — over both transports.
 // ---------------------------------------------------------------------------
 
+/// Checkpoint every `period` cycles into `dir`, starting fresh.
+fn ckpt_plan(dir: std::path::PathBuf, period: u64) -> ResilPlan {
+    ResilPlan {
+        ckpt: Some(resil::CkptConfig::new(dir, period)),
+        resume_cycle: None,
+    }
+}
+
 #[test]
 fn killed_rank_recovers_from_checkpoints_bit_identically() {
     let decomp = Decomposition::new(6, 3);
     let sim = SimArgs::new(2, 1, 1, 0, 30);
-    for kind in TRANSPORTS {
+    for kind in [Channel, TcpLoopback] {
         let dir =
             std::env::temp_dir().join(format!("resil-recover-{kind:?}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -405,14 +434,17 @@ fn killed_rank_recovers_from_checkpoints_bit_identically() {
         // the newest globally consistent wave is cycle 15.
         let report = multidom::recovery::run_with_recovery(
             decomp,
-            kind,
-            DEADLINE,
             sim,
-            FaultPlan {
-                die_at: vec![(1, 17)],
-                ..FaultPlan::NONE
+            &RunPlan {
+                transport: kind,
+                deadline: DEADLINE,
+                faults: FaultPlan {
+                    die_at: vec![(1, 17)],
+                    ..FaultPlan::NONE
+                },
+                resil: ckpt_plan(dir.clone(), 5),
+                ..RunPlan::default()
             },
-            resil::CkptConfig::new(dir.clone(), 5),
             3,
         );
         assert_eq!(
@@ -454,14 +486,16 @@ fn recovery_without_any_checkpoint_cold_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
     let report = multidom::recovery::run_with_recovery(
         decomp,
-        TransportKind::Channel,
-        DEADLINE,
         sim,
-        FaultPlan {
-            die_at: vec![(1, 3)],
-            ..FaultPlan::NONE
+        &RunPlan {
+            deadline: DEADLINE,
+            faults: FaultPlan {
+                die_at: vec![(1, 3)],
+                ..FaultPlan::NONE
+            },
+            resil: ckpt_plan(dir.clone(), 100),
+            ..RunPlan::default()
         },
-        resil::CkptConfig::new(dir.clone(), 100),
         3,
     );
     assert_eq!(report.attempts, 2);
@@ -482,14 +516,16 @@ fn unrecoverable_job_reports_the_failure_after_max_attempts() {
     let _ = std::fs::remove_dir_all(&dir);
     let report = multidom::recovery::run_with_recovery(
         decomp,
-        TransportKind::Channel,
-        DEADLINE,
         sim,
-        FaultPlan {
-            die_at: vec![(1, 10), (1, 20)],
-            ..FaultPlan::NONE
+        &RunPlan {
+            deadline: DEADLINE,
+            faults: FaultPlan {
+                die_at: vec![(1, 10), (1, 20)],
+                ..FaultPlan::NONE
+            },
+            resil: ckpt_plan(dir.clone(), 4),
+            ..RunPlan::default()
         },
-        resil::CkptConfig::new(dir.clone(), 4),
         2,
     );
     assert_eq!(report.attempts, 2);
@@ -508,16 +544,14 @@ fn taskpar_reduce_dt_propagates_errors() {
     // The task driver's reduce_dt hook must be called even on error (a rank
     // returning early would deadlock its peers). Verify via the public API:
     // a poisoned single-rank taskpar run returns Err cleanly.
-    let (r,) = (multidom::taskpar::run(
+    let r = multidom::fold(multidom::taskpar::run(
         multidom::Decomposition::new(6, 1),
+        SimArgs::new(2, 1, 1, 0, 5),
         2,
         PartitionPlan::fixed(16, 16),
-        2,
-        1,
-        1,
-        0,
-        5,
-    ),);
+        false,
+        &RunPlan::default(),
+    ));
     // Unpoisoned baseline succeeds...
     assert!(r.is_ok());
     // ... and the run_with_hooks contract surfaces local errors through the
