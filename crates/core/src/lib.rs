@@ -31,6 +31,7 @@ pub mod kernels;
 pub mod mesh;
 pub mod opts;
 pub mod params;
+pub mod plan;
 pub mod regions;
 pub mod report;
 pub mod serial;

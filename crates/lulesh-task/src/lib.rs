@@ -19,6 +19,11 @@
 //!   their own stack/heap; only the per-corner force arrays and `vnewc`
 //!   stay global (they cross task boundaries by design).
 //!
+//! Which kernels run, in which chains, between which syncs is
+//! [`StepPlan::tasks`] in `lulesh_core::plan`, the stage list the fork-join
+//! driver and the simulator walk too; this crate turns each chain into
+//! graph nodes and splices the multi-domain hooks in at named syncs.
+//!
 //! Six synchronization points per iteration (five sync nodes inside the
 //! graph plus the iteration-end join), exactly where element-
 //! and node-indexed phases meet. The paper reports seven; our port needs
@@ -57,18 +62,17 @@ mod plan;
 pub use autotune::{
     AutoTuneConfig, AutoTuneReport, AutoTuner, HysteresisGate, TunePoint, WindowSample,
 };
+pub use lulesh_core::plan::Features;
 pub use plan::{partition_cap, PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 
 use lulesh_core::domain::Domain;
-use lulesh_core::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
 use lulesh_core::params::SimState;
+use lulesh_core::plan::{Chain, Grain, GraphSink, Kernel, Phase, PlanShape, StepPlan, StepScratch};
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
 use obs::{SpanKind, Tracer};
-use parking_lot::Mutex;
-use parutil::{chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parutil::{chunks_of, Chunk, SharedVec};
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 use std::time::Instant;
 use taskrt::topology::{self, Topology};
@@ -191,7 +195,7 @@ pub struct OverlapForces {
     /// Node-index ranges whose gathered forces are communicated (the
     /// boundary planes). The complement is "interior" and overlaps with
     /// the exchange.
-    pub boundary: Vec<std::ops::Range<usize>>,
+    pub boundary: Vec<Range<usize>>,
     /// Posts the boundary planes to the neighbours. Runs once the boundary
     /// gathers finish; must not block on the network (parcelnet sends are
     /// buffered), or a single-worker rank could deadlock.
@@ -217,224 +221,98 @@ pub struct IterationHooks {
     pub overlap_forces: Option<OverlapForces>,
 }
 
-/// Toggles for the paper's optimization tricks (all on by default; the
-/// ablation bench switches them off one at a time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Features {
-    /// T2: chain kernels per partition via continuations instead of a
-    /// global barrier after every kernel.
-    pub chain_continuations: bool,
-    /// T3: merge consecutive kernels into single task bodies.
-    pub merge_kernels: bool,
-    /// T4a: run the stress and hourglass force chains concurrently.
-    pub parallel_force_chains: bool,
-    /// T4b: run the per-region EOS chains concurrently.
-    pub parallel_region_eos: bool,
-}
-
-impl Default for Features {
-    fn default() -> Self {
-        Self {
-            chain_continuations: true,
-            merge_kernels: true,
-            parallel_force_chains: true,
-            parallel_region_eos: true,
-        }
-    }
-}
-
-impl Features {
-    /// The Fig-5 baseline: partitioned tasks but a barrier after every
-    /// loop, no merging, no extra concurrency.
-    pub fn naive() -> Self {
-        Self {
-            chain_continuations: false,
-            merge_kernels: false,
-            parallel_force_chains: false,
-            parallel_region_eos: false,
-        }
-    }
-}
-
-/// Per-worker reusable kernel temporaries (trick T6 plus NUMA-friendly
-/// reuse): the merged stress/hourglass bodies and the EOS tasks used to
-/// allocate fresh `Vec`s per task, which kept data task-local but paid an
-/// allocator round-trip per task *and* let pages migrate with the
-/// allocator's whims. Each worker now owns one warm scratch slot — still
-/// local to the executing thread (and, pinned, to its NUMA node), but
-/// allocation-free once the capacities have grown to steady state. The
-/// stress kernels overwrite every element they are handed, so the buffers
-/// are only re-sized per task (`reset_len`), never cleared. The hourglass
-/// geometry needs no slot at all: the fused kernel keeps it on the stack.
-#[derive(Default)]
-struct KernelScratch {
-    sigxx: AlignedBuf<Real>,
-    sigyy: AlignedBuf<Real>,
-    sigzz: AlignedBuf<Real>,
-    determ: AlignedBuf<Real>,
-    eos: eos::EosScratch,
-}
-
-/// Mesh-length scratch shared between tasks. The per-corner force arrays
-/// cross the element→node gather boundary and are inherently global; the
-/// remaining arrays are used only when `merge_kernels` is off (the merged
-/// tasks keep those temporaries task-local — trick T6).
-struct TaskScratch {
-    fx_elem: SharedVec<Real>,
-    fy_elem: SharedVec<Real>,
-    fz_elem: SharedVec<Real>,
-    fx_hg: SharedVec<Real>,
-    fy_hg: SharedVec<Real>,
-    fz_hg: SharedVec<Real>,
-    vnewc: SharedVec<Real>,
-    // Unmerged-mode scratch (reference-style global temporaries).
-    sigxx: SharedVec<Real>,
-    sigyy: SharedVec<Real>,
-    sigzz: SharedVec<Real>,
-    determ: SharedVec<Real>,
-    dvdx: SharedVec<Real>,
-    dvdy: SharedVec<Real>,
-    dvdz: SharedVec<Real>,
-    x8n: SharedVec<Real>,
-    y8n: SharedVec<Real>,
-    z8n: SharedVec<Real>,
-    /// The current iteration's time increment, as `f64` bits.
-    dt: AtomicU64,
-    volume_error: AtomicBool,
-    qstop_error: AtomicBool,
-    /// (dtcourant, dthydro) running minima for the current iteration.
-    dt_mins: Mutex<(Real, Real)>,
-    /// Per-worker kernel scratch slots (`threads + 1`: one per worker plus
-    /// one for off-worker callers). A worker runs one task at a time, so
-    /// its slot's mutex is uncontended — it exists only to keep the API
-    /// safe.
-    pool: Vec<CachePadded<Mutex<KernelScratch>>>,
-}
-
-impl TaskScratch {
-    /// `merged == false` (the unmerged ablation) additionally allocates the
-    /// reference-style global temporaries; merged tasks keep those
-    /// task-local (trick T6), so the default path skips ~80 bytes/element
-    /// of dead allocation.
-    fn new(num_elem: usize, merged: bool, workers: usize) -> Self {
-        // `zeroed`, not `from_elem`: leaves the pages untouched so the
-        // first task to write a partition faults its pages on the node
-        // running it (NUMA first-touch).
-        let e = |n| SharedVec::<Real>::zeroed(n);
-        let g = |n| if merged { e(0) } else { e(n) };
-        Self {
-            pool: (0..workers + 1)
-                .map(|_| CachePadded(Mutex::new(KernelScratch::default())))
-                .collect(),
-            fx_elem: e(8 * num_elem),
-            fy_elem: e(8 * num_elem),
-            fz_elem: e(8 * num_elem),
-            fx_hg: e(8 * num_elem),
-            fy_hg: e(8 * num_elem),
-            fz_hg: e(8 * num_elem),
-            vnewc: e(num_elem),
-            sigxx: g(num_elem),
-            sigyy: g(num_elem),
-            sigzz: g(num_elem),
-            determ: g(num_elem),
-            dvdx: g(8 * num_elem),
-            dvdy: g(8 * num_elem),
-            dvdz: g(8 * num_elem),
-            x8n: g(8 * num_elem),
-            y8n: g(8 * num_elem),
-            z8n: g(8 * num_elem),
-            dt: AtomicU64::new(0),
-            volume_error: AtomicBool::new(false),
-            qstop_error: AtomicBool::new(false),
-            dt_mins: Mutex::new((1.0e20, 1.0e20)),
-        }
-    }
-
-    /// Publish the step's `dt` and clear the per-iteration flags. Runs
-    /// between two iterations (no task in flight); the tasks see the stores
-    /// through the queue operations that start the iteration, so `Relaxed`
-    /// is enough here and in [`dt`](Self::dt).
-    fn begin_iteration(&self, dt: Real) {
-        self.dt.store(dt.to_bits(), Ordering::Relaxed);
-        self.volume_error.store(false, Ordering::Relaxed);
-        self.qstop_error.store(false, Ordering::Relaxed);
-        *self.dt_mins.lock() = (1.0e20, 1.0e20);
-    }
-
-    /// The current iteration's time increment.
-    fn dt(&self) -> Real {
-        Real::from_bits(self.dt.load(Ordering::Relaxed))
-    }
-
-    /// The calling thread's kernel scratch slot: workers use their own
-    /// slot, anything else shares the last one.
-    fn kernel_scratch(&self) -> parking_lot::MutexGuard<'_, KernelScratch> {
-        let last = self.pool.len() - 1;
-        let i = taskrt::worker_index().unwrap_or(last).min(last);
-        self.pool[i].0.lock()
-    }
-}
-
-/// One task body. The iteration graph is built once and run every
-/// iteration, so bodies are `Fn` and read the step's `dt` from the
-/// [`TaskScratch`] instead of capturing it.
-type Stage = Box<dyn Fn() + Send + Sync>;
-
-/// The iteration graph under construction.
-struct IterationBuilder {
+/// The iteration graph under construction. Each task body runs one stage
+/// of the [`StepPlan`] over one partition; the graph is built once and run
+/// every iteration, so bodies are `Fn` and read the step's `dt` from the
+/// [`StepScratch`] instead of capturing it.
+struct IterationBuilder<'a> {
     g: GraphBuilder,
-    /// T2: chain a partition's stages instead of synchronizing per stage.
-    chain: bool,
+    d: &'a Arc<Domain>,
+    sc: &'a Arc<StepScratch>,
 }
 
-impl IterationBuilder {
-    /// Add a group of independent items (partitions), each a list of
-    /// stages, all starting after `start`: every item becomes a chain of
-    /// its stages (T2 on) or a layered sequence with a barrier between
-    /// stages (T2 off; items must then be stage-uniform). `label` names the
-    /// kernel phase of every task. Returns each item's final node.
-    fn group(
+impl GraphSink for IterationBuilder<'_> {
+    type Node = NodeId;
+
+    fn task(
         &mut self,
         label: &'static str,
-        start: Option<NodeId>,
-        items: Vec<Vec<Stage>>,
-    ) -> Vec<NodeId> {
-        if self.chain {
-            return items
-                .into_iter()
-                .map(|stages| {
-                    let mut dep = start;
-                    for stage in stages {
-                        dep = Some(self.g.task(label, SpanKind::Task, dep.as_slice(), stage));
-                    }
-                    dep.expect("group items are non-empty")
-                })
-                .collect();
-        }
-        // Layered: global barrier between consecutive stages (Fig 5).
-        let n_stages = items.first().map_or(0, Vec::len);
-        let mut items: Vec<_> = items.into_iter().map(Vec::into_iter).collect();
-        let mut dep = start;
-        let mut layer = Vec::new();
-        for l in 0..n_stages {
-            if l > 0 {
-                dep = Some(self.g.sync("barrier-stage", &layer));
+        stage: &[Kernel],
+        c: Chunk,
+        dep: Option<NodeId>,
+    ) -> NodeId {
+        let (d, sc, stage) = (Arc::clone(self.d), Arc::clone(self.sc), stage.to_vec());
+        self.g.task(label, SpanKind::Task, dep.as_slice(), move || {
+            let worker = taskrt::worker_index().expect("graph bodies run on workers");
+            // SAFETY: the graph orders the plan's stages and hands chunk `c`
+            // to this task alone; slot `worker` is the executing worker's,
+            // and a worker runs one body at a time.
+            unsafe {
+                let (local, dt) = (sc.local(worker), sc.dt());
+                for k in &stage {
+                    k.run(&d, &sc, local, c, dt);
+                }
             }
-            layer = items
-                .iter_mut()
-                .map(|item| {
-                    let stage = item.next().expect("groups must be stage-uniform");
-                    self.g.task(label, SpanKind::Task, dep.as_slice(), stage)
-                })
-                .collect();
-        }
-        layer
+        })
     }
 
+    fn sync(&mut self, label: &'static str, deps: &[NodeId]) -> NodeId {
+        self.g.sync(label, deps)
+    }
+}
+
+impl IterationBuilder<'_> {
     /// Add a communication hook as a task of its own after `dep`.
     fn halo(&mut self, label: &'static str, dep: NodeId, hook: &Hook) -> NodeId {
         let hook = Arc::clone(hook);
         self.g.task(label, SpanKind::Halo, &[dep], move || hook())
+    }
+
+    /// The node phase split at the gather for a halo force exchange
+    /// (reference order: gather, `CommSBN`, then the node update), one
+    /// extra barrier like the MPI version. With `overlap_forces` the
+    /// boundary gathers feed the send the moment they finish, and the
+    /// receive+combine continuation runs while the interior gathers are
+    /// still in flight; one join before the node update replaces the
+    /// gather barrier.
+    fn split_node_phase(
+        &mut self,
+        phase: &Phase,
+        start: Option<NodeId>,
+        part: usize,
+        hooks: &IterationHooks,
+        chained: bool,
+    ) -> NodeId {
+        let node = &phase.chains[0];
+        let gather = Chain::new("node-gather", &node.kernels[..1], node.merged);
+        let update = Chain::new("node-update", &node.kernels[1..], node.merged);
+        let num_node = self.d.num_node();
+        let chunks = |ranges: &[Range<usize>]| -> Vec<Chunk> {
+            ranges
+                .iter()
+                .flat_map(|r| chunks_in(r.clone(), part))
+                .collect()
+        };
+        let all: Vec<Chunk> = chunks_of(num_node, part).collect();
+        let gathered = if let Some(ov) = &hooks.overlap_forces {
+            let boundary = gather.emit(self, &chunks(&ov.boundary), start, chained);
+            let interior = chunks(&complement(&ov.boundary, num_node));
+            let mut joined = gather.emit(self, &interior, start, chained);
+            let bg = self.g.sync("barrier-gather", &boundary);
+            let sent = self.halo("halo-send", bg, &ov.send);
+            joined.push(self.halo("halo-recv", sent, &ov.recv_combine));
+            self.g.sync("barrier-halo", &joined)
+        } else {
+            let hook = hooks
+                .after_forces
+                .as_ref()
+                .expect("a force hook to split for");
+            let gf = gather.emit(self, &all, start, chained);
+            let bg = self.g.sync("barrier-gather", &gf);
+            self.halo("halo-forces", bg, hook)
+        };
+        let uf = update.emit(self, &all, Some(gathered), chained);
+        self.g.sync(phase.sync, &uf)
     }
 }
 
@@ -657,11 +535,8 @@ impl TaskLulesh {
                 (Some(tuner), plan)
             }
         };
-        let scratch = Arc::new(TaskScratch::new(
-            d.num_elem(),
-            self.features.merge_kernels,
-            threads,
-        ));
+        let step = StepPlan::tasks(PlanShape::of(d), self.features);
+        let scratch = Arc::new(StepScratch::new(&step, threads));
         let mut lf = Leapfrog {
             d,
             sc: &scratch,
@@ -680,7 +555,7 @@ impl TaskLulesh {
             region_start: 0,
         };
         while lf.live() {
-            let mut graph = self.build_iteration(d, &scratch, lf.plan, hooks);
+            let mut graph = self.build_iteration(d, &scratch, &step, lf.plan, hooks);
             lf.begin_iteration();
             self.rt.run_graph(&mut graph, || lf.end_iteration());
         }
@@ -691,215 +566,41 @@ impl TaskLulesh {
         }
     }
 
-    /// Build the task graph of one `LagrangeLeapFrog` iteration.
+    /// Build the task graph of one `LagrangeLeapFrog` iteration from
+    /// `step`: every chain becomes one task per stage per partition, with
+    /// the hooks spliced in at their named syncs.
     fn build_iteration(
         &self,
         d: &Arc<Domain>,
-        sc: &Arc<TaskScratch>,
+        sc: &Arc<StepScratch>,
+        step: &StepPlan,
         plan: PartitionPlan,
         hooks: &IterationHooks,
     ) -> StepGraph {
-        let num_elem = d.num_elem();
-        let num_node = d.num_node();
-        let f = self.features;
-        let merged = f.merge_kernels;
         let mut b = IterationBuilder {
             g: GraphBuilder::new(),
-            chain: f.chain_continuations,
+            d,
+            sc,
         };
-        // One single-stage item per `plan.elements` chunk of a region.
-        let region_items = |r: usize, stage: &dyn Fn(Chunk) -> Stage| -> Vec<Vec<Stage>> {
-            chunks_of(d.regions.reg_elem_list[r].len(), plan.elements)
-                .map(|c| vec![stage(c)])
-                .collect()
-        };
-
-        // ---------------- Phase A: element force chains ----------------
-        let stress = chunks_of(num_elem, plan.nodal)
-            .map(|c| stress_stages(d, sc, c, merged))
-            .collect();
-        let hg = chunks_of(num_elem, plan.nodal)
-            .map(|c| hourglass_stages(d, sc, c, merged))
-            .collect();
-        let b1 = if f.parallel_force_chains {
-            let mut finals = b.group("stress", None, stress);
-            finals.extend(b.group("hourglass", None, hg));
-            b.g.sync("barrier-forces", &finals)
-        } else {
-            // Reference-like ordering: all stress, barrier, all hourglass.
-            let sf = b.group("stress", None, stress);
-            let sb = b.g.sync("barrier-stress-hg", &sf);
-            let hf = b.group("hourglass", Some(sb), hg);
-            b.g.sync("barrier-forces", &hf)
-        };
-
-        // ---------------- Phase B: node chains ----------------
-        let gathers = |ranges: &[std::ops::Range<usize>]| -> Vec<Vec<Stage>> {
-            ranges
-                .iter()
-                .flat_map(|r| chunks_in(r.clone(), plan.nodal))
-                .map(|c| vec![node_gather_stage(d, sc, c)])
-                .collect()
-        };
-        let updates = || -> Vec<Vec<Stage>> {
-            chunks_of(num_node, plan.nodal)
-                .map(|c| node_update_stages(d, sc, c, merged))
-                .collect()
-        };
-        let b2 = if let Some(ov) = &hooks.overlap_forces {
-            // Comm/compute overlap: boundary gathers feed the send task the
-            // moment they finish; the receive+combine continuation runs
-            // while the interior gathers are still in flight. One join
-            // before the node update replaces the gather barrier.
-            let gfb = b.group("node-gather", Some(b1), gathers(&ov.boundary));
-            let interior = complement(&ov.boundary, num_node);
-            let mut joined = b.group("node-gather", Some(b1), gathers(&interior));
-            let bg = b.g.sync("barrier-gather", &gfb);
-            let sent = b.halo("halo-send", bg, &ov.send);
-            joined.push(b.halo("halo-recv", sent, &ov.recv_combine));
-            let all = b.g.sync("barrier-halo", &joined);
-            let uf = b.group("node-update", Some(all), updates());
-            b.g.sync("barrier-nodes", &uf)
-        } else if let Some(hook) = &hooks.after_forces {
-            // Multi-domain: the halo force sum needs the gathered nodal
-            // forces, so phase B splits at the gather (reference order:
-            // gather, CommSBN, then the node update) — one extra
-            // barrier, exactly like the MPI version.
-            let whole = 0..num_node;
-            let gf = b.group(
-                "node-gather",
-                Some(b1),
-                gathers(std::slice::from_ref(&whole)),
-            );
-            let bg = b.g.sync("barrier-gather", &gf);
-            let hooked = b.halo("halo-forces", bg, hook);
-            let uf = b.group("node-update", Some(hooked), updates());
-            b.g.sync("barrier-nodes", &uf)
-        } else {
-            let nodes = chunks_of(num_node, plan.nodal)
-                .map(|c| node_stages(d, sc, c, merged))
-                .collect();
-            let bf = b.group("node", Some(b1), nodes);
-            b.g.sync("barrier-nodes", &bf)
-        };
-
-        // ---------------- Phase C: element kinematics chains ----------------
-        let kin = chunks_of(num_elem, plan.elements)
-            .map(|c| kinematics_stages(d, sc, c, merged))
-            .collect();
-        let cf = b.group("kinematics", Some(b2), kin);
-        let mut b3 = b.g.sync("barrier-kinematics", &cf);
-        // Inter-domain gradient-ghost exchange (multi-domain runs).
-        if let Some(hook) = &hooks.after_gradients {
-            b3 = b.halo("halo-gradients", b3, hook);
-        }
-
-        // ---------------- Phase D: monotonic Q + vnewc prep ----------------
-        let monoq_items = (0..d.num_reg())
-            .flat_map(|r| {
-                region_items(r, &|c| {
-                    let dd = Arc::clone(d);
-                    Box::new(move || {
-                        let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                        monoq::calc_monotonic_q_region_for_elems(&dd, elems, &dd.params);
-                    })
-                })
-            })
-            .collect();
-        let mut d_finals = b.group("monoq", Some(b3), monoq_items);
-        let vnewc = chunks_of(num_elem, plan.elements)
-            .map(|c| vnewc_stages(d, sc, c, merged))
-            .collect();
-        d_finals.extend(b.group("vnewc", Some(b3), vnewc));
-        let qstop = chunks_of(num_elem, plan.elements)
-            .map(|c| {
-                let dd = Arc::clone(d);
-                let ss = Arc::clone(sc);
-                vec![Box::new(move || {
-                    if monoq::check_q_stop(&dd, dd.params.qstop, c).is_err() {
-                        ss.qstop_error.store(true, Ordering::Relaxed);
-                    }
-                }) as Stage]
-            })
-            .collect();
-        d_finals.extend(b.group("qstop", Some(b3), qstop));
-        let b4 = b.g.sync("barrier-q", &d_finals);
-
-        // ---------------- Phase E: per-region EOS ----------------
-        let eos_items = |r: usize| {
-            let rep = d.regions.rep(r);
-            region_items(r, &|c| {
-                let dd = Arc::clone(d);
-                let ss = Arc::clone(sc);
-                Box::new(move || {
-                    // SAFETY: vnewc was fully written in phase D (barrier
-                    // b4) and is read-only during EOS.
-                    let vnewc = unsafe { ss.vnewc.as_slice() };
-                    let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                    // Thread-local EOS temporaries: the paper's locality
-                    // trick T6 keeps these out of the global arrays; the
-                    // per-worker pool keeps T6's locality (the scratch
-                    // lives on the executing worker — and, pinned, on its
-                    // NUMA node) while dropping the per-task allocation.
-                    // Only the scalar arm sizes and touches it; the lane
-                    // arms keep the whole pipeline in registers.
-                    let mut ks = ss.kernel_scratch();
-                    eos::eval_eos_for_elems(&dd, vnewc, elems, rep, &dd.params, &mut ks.eos);
-                })
-            })
-        };
-        let b5 = if f.parallel_region_eos {
-            let finals: Vec<_> = (0..d.num_reg())
-                .flat_map(|r| b.group("eos", Some(b4), eos_items(r)))
-                .collect();
-            b.g.sync("barrier-eos", &finals)
-        } else {
-            // Sequential regions: barrier between consecutive regions.
-            // Empty regions are skipped so they don't sever the chain.
-            let mut barrier = b4;
-            for items in (0..d.num_reg()).map(eos_items).filter(|i| !i.is_empty()) {
-                let finals = b.group("eos", Some(barrier), items);
-                barrier = b.g.sync("barrier-eos-region", &finals);
+        let chained = self.features.chain_continuations;
+        let split_nodes = hooks.after_forces.is_some() || hooks.overlap_forces.is_some();
+        let mut dep = None;
+        for phase in &step.phases {
+            let part = match phase.grain {
+                Grain::Nodal => plan.nodal,
+                Grain::Elements => plan.elements,
+            };
+            let mut end = if split_nodes && phase.sync == "barrier-nodes" {
+                b.split_node_phase(phase, dep, part, hooks, chained)
+            } else {
+                step.emit_phase(&mut b, phase, part, dep, chained)
+            };
+            // Inter-domain gradient-ghost exchange (multi-domain runs).
+            if let (Some(hook), "barrier-kinematics") = (&hooks.after_gradients, phase.sync) {
+                end = b.halo("halo-gradients", end, hook);
             }
-            barrier
-        };
-
-        // ---------------- Phase F: volume commit + dt constraints ----------------
-        let volume = chunks_of(num_elem, plan.elements)
-            .map(|c| {
-                let dd = Arc::clone(d);
-                vec![Box::new(move || {
-                    kinematics::update_volumes_for_elems(&dd, dd.params.v_cut, c);
-                }) as Stage]
-            })
-            .collect();
-        let mut f_finals = b.group("volume", Some(b5), volume);
-        let constraint_items = (0..d.num_reg())
-            .flat_map(|r| {
-                region_items(r, &|c| {
-                    let dd = Arc::clone(d);
-                    let ss = Arc::clone(sc);
-                    Box::new(move || {
-                        let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                        let p = &dd.params;
-                        let cc = constraints::calc_courant_constraint_for_elems(&dd, elems, p.qqc);
-                        let hh =
-                            constraints::calc_hydro_constraint_for_elems(&dd, elems, p.dvovmax);
-                        if cc.is_some() || hh.is_some() {
-                            let mut mins = ss.dt_mins.lock();
-                            if let Some(c) = cc {
-                                mins.0 = mins.0.min(c);
-                            }
-                            if let Some(h) = hh {
-                                mins.1 = mins.1.min(h);
-                            }
-                        }
-                    })
-                })
-            })
-            .collect();
-        f_finals.extend(b.group("constraints", Some(b5), constraint_items));
-        b.g.sync("barrier-end", &f_finals); // the iteration-end join
+            dep = Some(end);
+        }
 
         let graph = b.g.build(&self.rt);
         self.stats.set(GraphStats {
@@ -915,7 +616,7 @@ impl TaskLulesh {
 /// on whichever worker finished the iteration — while one runs.
 struct Leapfrog<'a, R> {
     d: &'a Domain,
-    sc: &'a TaskScratch,
+    sc: &'a StepScratch,
     rt: &'a Runtime,
     reduce_dt: &'a R,
     max_cycles: u64,
@@ -966,15 +667,8 @@ where
                 now,
             );
         }
-        let local_err = if self.sc.volume_error.load(Ordering::Relaxed) {
-            Some(LuleshError::VolumeError)
-        } else if self.sc.qstop_error.load(Ordering::Relaxed) {
-            Some(LuleshError::QStopError)
-        } else {
-            None
-        };
-        let (c, h) = *self.sc.dt_mins.lock();
-        match (self.reduce_dt)(c, h, local_err) {
+        let (c, h) = self.sc.dt_mins();
+        match (self.reduce_dt)(c, h, self.sc.error()) {
             Ok((c, h)) => {
                 self.state.dtcourant = c;
                 self.state.dthydro = h;
@@ -1031,180 +725,9 @@ where
     }
 }
 
-// ----------------------------------------------------------------------
-// Stage builders. Each returns the chain of task bodies for one partition;
-// `merged` selects one fused body (task-local temporaries, T3+T6) vs. the
-// reference's separate kernels communicating via global scratch.
-// ----------------------------------------------------------------------
-
-fn stress_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
-    if merged {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        vec![Box::new(move || {
-            let len = c.len();
-            // Worker-local warm scratch instead of per-task `vec!`s: no
-            // allocation at steady state, and no clearing — the two
-            // kernels below write all `len` elements of each buffer.
-            let mut ks = sc.kernel_scratch();
-            let ks = &mut *ks;
-            ks.sigxx.reset_len(len);
-            ks.sigyy.reset_len(len);
-            ks.sigzz.reset_len(len);
-            ks.determ.reset_len(len);
-            stress::init_stress_terms_for_elems(&d, &mut ks.sigxx, &mut ks.sigyy, &mut ks.sigzz, c);
-            // SAFETY: per-corner slots of this chunk belong to this task.
-            let (fx, fy, fz) = unsafe {
-                (
-                    sc.fx_elem.slice_mut(8 * c.begin, 8 * c.end),
-                    sc.fy_elem.slice_mut(8 * c.begin, 8 * c.end),
-                    sc.fz_elem.slice_mut(8 * c.begin, 8 * c.end),
-                )
-            };
-            stress::integrate_stress_for_elems(
-                &d,
-                &ks.sigxx,
-                &ks.sigyy,
-                &ks.sigzz,
-                &mut ks.determ,
-                fx,
-                fy,
-                fz,
-                c,
-            );
-            if stress::check_volume_error(&ks.determ).is_err() {
-                sc.volume_error.store(true, Ordering::Relaxed);
-            }
-        })]
-    } else {
-        let d1 = Arc::clone(d);
-        let s1 = Arc::clone(sc);
-        let d2 = Arc::clone(d);
-        let s2 = Arc::clone(sc);
-        vec![
-            Box::new(move || {
-                // SAFETY: chunk-disjoint writes.
-                let (sx, sy, sz) = unsafe {
-                    (
-                        s1.sigxx.slice_mut(c.begin, c.end),
-                        s1.sigyy.slice_mut(c.begin, c.end),
-                        s1.sigzz.slice_mut(c.begin, c.end),
-                    )
-                };
-                stress::init_stress_terms_for_elems(&d1, sx, sy, sz, c);
-            }),
-            Box::new(move || {
-                // SAFETY: chunk-disjoint; sig* of this chunk written by the
-                // previous stage of this same item.
-                let mut ks = s2.kernel_scratch();
-                let ks = &mut *ks;
-                ks.determ.reset_len(c.len());
-                unsafe {
-                    stress::integrate_stress_for_elems(
-                        &d2,
-                        s2.sigxx.slice(c.begin, c.end),
-                        s2.sigyy.slice(c.begin, c.end),
-                        s2.sigzz.slice(c.begin, c.end),
-                        &mut ks.determ,
-                        s2.fx_elem.slice_mut(8 * c.begin, 8 * c.end),
-                        s2.fy_elem.slice_mut(8 * c.begin, 8 * c.end),
-                        s2.fz_elem.slice_mut(8 * c.begin, 8 * c.end),
-                        c,
-                    );
-                }
-                if stress::check_volume_error(&ks.determ).is_err() {
-                    s2.volume_error.store(true, Ordering::Relaxed);
-                }
-            }),
-        ]
-    }
-}
-
-fn hourglass_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
-    if merged {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        vec![Box::new(move || {
-            // Control and FB force fused per element: the geometry the
-            // reference streams through `dvd*`/`*8n` stays on the stack.
-            let r = if d.params.hgcoef > 0.0 {
-                // SAFETY: this chunk's per-corner slots belong to this task.
-                let (fx, fy, fz) = unsafe {
-                    (
-                        sc.fx_hg.slice_mut(8 * c.begin, 8 * c.end),
-                        sc.fy_hg.slice_mut(8 * c.begin, 8 * c.end),
-                        sc.fz_hg.slice_mut(8 * c.begin, 8 * c.end),
-                    )
-                };
-                hourglass::calc_hourglass_force_for_elems(&d, d.params.hgcoef, fx, fy, fz, c)
-            } else {
-                hourglass::check_relative_volumes(&d, c)
-            };
-            if r.is_err() {
-                sc.volume_error.store(true, Ordering::Relaxed);
-            }
-        })]
-    } else {
-        let d1 = Arc::clone(d);
-        let s1 = Arc::clone(sc);
-        let d2 = Arc::clone(d);
-        let s2 = Arc::clone(sc);
-        vec![
-            Box::new(move || {
-                // SAFETY: chunk-disjoint writes to the global geometry scratch.
-                let r = unsafe {
-                    hourglass::calc_hourglass_control_for_elems(
-                        &d1,
-                        s1.dvdx.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.dvdy.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.dvdz.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.x8n.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.y8n.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.z8n.slice_mut(8 * c.begin, 8 * c.end),
-                        s1.determ.slice_mut(c.begin, c.end),
-                        c,
-                    )
-                };
-                if r.is_err() {
-                    s1.volume_error.store(true, Ordering::Relaxed);
-                }
-            }),
-            Box::new(move || {
-                // Note: deliberately NOT gated on the global volume_error
-                // flag — that flag is set concurrently by other chunks, and
-                // gating on it would make this stage's output
-                // schedule-dependent. On an error iteration the values may
-                // be garbage (like every other driver's), but the run
-                // aborts at the iteration-end check either way.
-                if d2.params.hgcoef > 0.0 {
-                    // SAFETY: geometry of this chunk written by the previous
-                    // stage of this item; force slots chunk-disjoint.
-                    unsafe {
-                        hourglass::calc_fb_hourglass_force_for_elems(
-                            &d2,
-                            s2.determ.slice(c.begin, c.end),
-                            s2.x8n.slice(8 * c.begin, 8 * c.end),
-                            s2.y8n.slice(8 * c.begin, 8 * c.end),
-                            s2.z8n.slice(8 * c.begin, 8 * c.end),
-                            s2.dvdx.slice(8 * c.begin, 8 * c.end),
-                            s2.dvdy.slice(8 * c.begin, 8 * c.end),
-                            s2.dvdz.slice(8 * c.begin, 8 * c.end),
-                            d2.params.hgcoef,
-                            s2.fx_hg.slice_mut(8 * c.begin, 8 * c.end),
-                            s2.fy_hg.slice_mut(8 * c.begin, 8 * c.end),
-                            s2.fz_hg.slice_mut(8 * c.begin, 8 * c.end),
-                            c,
-                        );
-                    }
-                }
-            }),
-        ]
-    }
-}
-
 /// Chunks covering an arbitrary sub-range (the boundary/interior split of
 /// the overlapped force gather).
-fn chunks_in(r: std::ops::Range<usize>, size: usize) -> impl Iterator<Item = Chunk> {
+fn chunks_in(r: Range<usize>, size: usize) -> impl Iterator<Item = Chunk> {
     let base = r.start;
     chunks_of(r.len(), size).map(move |c| Chunk {
         begin: c.begin + base,
@@ -1213,7 +736,7 @@ fn chunks_in(r: std::ops::Range<usize>, size: usize) -> impl Iterator<Item = Chu
 }
 
 /// The complement of `ranges` within `0..n` (the interior partition).
-fn complement(ranges: &[std::ops::Range<usize>], n: usize) -> Vec<std::ops::Range<usize>> {
+fn complement(ranges: &[Range<usize>], n: usize) -> Vec<Range<usize>> {
     let mut rs = ranges.to_vec();
     rs.sort_by_key(|r| r.start);
     let mut out = Vec::new();
@@ -1228,131 +751,6 @@ fn complement(ranges: &[std::ops::Range<usize>], n: usize) -> Vec<std::ops::Rang
         out.push(pos..n);
     }
     out
-}
-
-fn node_gather_stage(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk) -> Stage {
-    let d = Arc::clone(d);
-    let sc = Arc::clone(sc);
-    Box::new(move || {
-        // SAFETY: all per-corner forces are complete (phase barrier) and
-        // read-only here.
-        unsafe {
-            stress::gather_forces_sum2(
-                &d,
-                sc.fx_elem.as_slice(),
-                sc.fy_elem.as_slice(),
-                sc.fz_elem.as_slice(),
-                sc.fx_hg.as_slice(),
-                sc.fy_hg.as_slice(),
-                sc.fz_hg.as_slice(),
-                c,
-            );
-        }
-    })
-}
-
-fn node_update_stages(
-    d: &Arc<Domain>,
-    sc: &Arc<TaskScratch>,
-    c: Chunk,
-    merged: bool,
-) -> Vec<Stage> {
-    if merged {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        vec![Box::new(move || {
-            let dt = sc.dt();
-            nodal::calc_acceleration_for_nodes(&d, c);
-            nodal::apply_acceleration_bc_by_node_range(&d, c);
-            nodal::calc_velocity_for_nodes(&d, dt, d.params.u_cut, c);
-            nodal::calc_position_for_nodes(&d, dt, c);
-        })]
-    } else {
-        let d1 = Arc::clone(d);
-        let d2 = Arc::clone(d);
-        let (d3, s3) = (Arc::clone(d), Arc::clone(sc));
-        let (d4, s4) = (Arc::clone(d), Arc::clone(sc));
-        vec![
-            Box::new(move || nodal::calc_acceleration_for_nodes(&d1, c)),
-            Box::new(move || nodal::apply_acceleration_bc_by_node_range(&d2, c)),
-            Box::new(move || nodal::calc_velocity_for_nodes(&d3, s3.dt(), d3.params.u_cut, c)),
-            Box::new(move || nodal::calc_position_for_nodes(&d4, s4.dt(), c)),
-        ]
-    }
-}
-
-fn node_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
-    let gather = node_gather_stage(d, sc, c);
-    let updates = node_update_stages(d, sc, c, merged);
-    if merged {
-        // One fused task: gather + the whole node update.
-        let update = updates.into_iter().next().expect("merged update stage");
-        vec![Box::new(move || {
-            gather();
-            update();
-        })]
-    } else {
-        let mut stages = vec![gather];
-        stages.extend(updates);
-        stages
-    }
-}
-
-fn kinematics_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
-    if merged {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        vec![Box::new(move || {
-            kinematics::calc_kinematics_for_elems(&d, sc.dt(), c);
-            if kinematics::calc_lagrange_elements_finish(&d, c).is_err() {
-                sc.volume_error.store(true, Ordering::Relaxed);
-            }
-            monoq::calc_monotonic_q_gradients_for_elems(&d, c);
-        })]
-    } else {
-        let (d1, s1) = (Arc::clone(d), Arc::clone(sc));
-        let d2 = Arc::clone(d);
-        let s2 = Arc::clone(sc);
-        let d3 = Arc::clone(d);
-        vec![
-            Box::new(move || kinematics::calc_kinematics_for_elems(&d1, s1.dt(), c)),
-            Box::new(move || {
-                if kinematics::calc_lagrange_elements_finish(&d2, c).is_err() {
-                    s2.volume_error.store(true, Ordering::Relaxed);
-                }
-            }),
-            Box::new(move || monoq::calc_monotonic_q_gradients_for_elems(&d3, c)),
-        ]
-    }
-}
-
-fn vnewc_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
-    let fill = {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        move || {
-            // SAFETY: chunk-disjoint writes.
-            let v = unsafe { sc.vnewc.slice_mut(c.begin, c.end) };
-            eos::fill_vnewc_clamped(&d, v, d.params.eosvmin, d.params.eosvmax, c);
-        }
-    };
-    let check = {
-        let d = Arc::clone(d);
-        let sc = Arc::clone(sc);
-        move || {
-            if eos::check_eos_volume_bounds(&d, d.params.eosvmin, d.params.eosvmax, c).is_err() {
-                sc.volume_error.store(true, Ordering::Relaxed);
-            }
-        }
-    };
-    if merged {
-        vec![Box::new(move || {
-            fill();
-            check();
-        })]
-    } else {
-        vec![Box::new(fill), Box::new(check)]
-    }
 }
 
 #[cfg(test)]

@@ -36,12 +36,16 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// a cache line.
 pub const CACHE_LINE: usize = 64;
 
-/// Array layout for `n` elements of `T`, padded up to [`CACHE_LINE`]
-/// alignment. Must be recomputed identically at dealloc time.
-fn aligned_array_layout<T>(n: usize) -> Layout {
-    Layout::array::<UnsafeCell<T>>(n)
-        .and_then(|l| l.align_to(CACHE_LINE))
-        .expect("layout overflow")
+/// Layout of the block holding `n` cells of a [`SharedVec`]: the cells plus
+/// one [`CACHE_LINE`] of slack, at the cells' own alignment, so the cells
+/// can start on the first line boundary inside it. Asking the system
+/// allocator for more than its natural alignment would make `alloc_zeroed`
+/// `memset` the block on the calling thread instead of returning
+/// `calloc`'s untouched zero pages. Must be recomputed identically at
+/// dealloc time.
+fn block_layout<T>(n: usize) -> Layout {
+    let cells = Layout::array::<UnsafeCell<T>>(n).expect("layout overflow");
+    Layout::from_size_align(cells.size() + CACHE_LINE, cells.align()).expect("layout overflow")
 }
 
 /// A `&[T]`-like view that permits unsynchronized writes to *disjoint*
@@ -164,11 +168,13 @@ impl<'a, T: Copy + std::ops::AddAssign> SharedSlice<'a, T> {
 /// `Arc<Domain>` and write disjoint partitions of each field. Optional
 /// overlap checking (debug builds) turns contract violations into panics.
 pub struct SharedVec<T> {
-    /// 64-byte-aligned allocation of `len` cells ([`aligned_array_layout`]),
-    /// or dangling when `len == 0`. Owned: freed (and elements dropped) in
-    /// `Drop` with the identically recomputed layout.
+    /// The `len` cells, 64-byte aligned inside the block at `base`, or
+    /// dangling when `len == 0`.
     ptr: *mut UnsafeCell<T>,
     len: usize,
+    /// Owned allocation of [`block_layout`]`::<T>(len)`: its cells are
+    /// dropped and it is freed in `Drop` with the recomputed layout.
+    base: *mut u8,
     /// Writer tags per index; allocated only when overlap checking is on.
     check: Option<Box<[AtomicU32]>>,
 }
@@ -213,23 +219,9 @@ impl<T: ZeroBits> SharedVec<T> {
         if n == 0 {
             return Self::from_vec(Vec::new());
         }
-        let layout = aligned_array_layout::<T>(n);
-        // SAFETY: `layout` is non-zero-sized (`n > 0`, `T: Copy` numeric);
-        // all-zero bytes are a valid `T` per the `ZeroBits` bound, and
-        // `UnsafeCell<T>` is `repr(transparent)`. `Drop` recomputes this
-        // same layout for the dealloc.
-        let ptr = unsafe {
-            let ptr = std::alloc::alloc_zeroed(layout) as *mut UnsafeCell<T>;
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            ptr
-        };
-        Self {
-            ptr,
-            len: n,
-            check: None,
-        }
+        // SAFETY: all-zero bytes are a valid `T` per the `ZeroBits` bound,
+        // and `UnsafeCell<T>` is `repr(transparent)`.
+        unsafe { Self::in_block(n, std::alloc::alloc_zeroed) }
     }
 }
 
@@ -242,32 +234,48 @@ impl<T> SharedVec<T> {
             return Self {
                 ptr: std::ptr::NonNull::dangling().as_ptr(),
                 len: 0,
+                base: std::ptr::null_mut(),
                 check: None,
             };
         }
-        let layout = aligned_array_layout::<T>(n);
-        // SAFETY: non-zero-sized layout; the elements are *moved* out of the
-        // Vec with a bitwise copy and the Vec's length is zeroed before it
-        // drops, so each value has exactly one owner. `UnsafeCell<T>` is
+        // SAFETY: the elements are *moved* out of the Vec with a bitwise
+        // copy into the fresh cells, and the Vec's length is zeroed before
+        // it drops, so each value has exactly one owner. `UnsafeCell<T>` is
         // `repr(transparent)`, so writing `T` through the cell pointer is
-        // layout-correct. `Drop` recomputes this layout for the dealloc.
-        let ptr = unsafe {
-            let ptr = std::alloc::alloc(layout) as *mut UnsafeCell<T>;
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            std::ptr::copy_nonoverlapping(v.as_ptr(), ptr as *mut T, n);
+        // layout-correct.
+        unsafe {
+            let s = Self::in_block(n, std::alloc::alloc);
+            std::ptr::copy_nonoverlapping(v.as_ptr(), s.ptr as *mut T, n);
             v.set_len(0);
-            ptr
-        };
+            s
+        }
+    }
+
+    /// `n > 0` cells at the first 64-byte boundary of a block from
+    /// `alloc(block_layout::<T>(n))`.
+    ///
+    /// # Safety
+    /// The block's bytes must be valid `T`s before any cell is read or
+    /// dropped (`Drop` drops all `n`).
+    unsafe fn in_block(n: usize, alloc: unsafe fn(Layout) -> *mut u8) -> Self {
+        let layout = block_layout::<T>(n);
+        let base = alloc(layout);
+        if base.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        // `base` is aligned to `T`, whose alignment is a power of two, so the
+        // distance to the next line boundary is a multiple of it (zero when
+        // it exceeds a line) and smaller than the line of slack.
+        let offset = (CACHE_LINE - base as usize % CACHE_LINE) % CACHE_LINE;
         Self {
-            ptr,
+            ptr: base.add(offset) as *mut UnsafeCell<T>,
             len: n,
+            base,
             check: None,
         }
     }
 
-    /// Base pointer of the allocation (64-byte aligned for `len > 0`).
+    /// Pointer to the first element (64-byte aligned for `len > 0`).
     #[inline]
     pub fn as_ptr(&self) -> *const T {
         self.ptr as *const T
@@ -398,14 +406,15 @@ impl<T> Drop for SharedVec<T> {
         if self.len == 0 {
             return;
         }
-        // SAFETY: `ptr`/`len` describe an owned, initialized allocation made
-        // with exactly this layout; `&mut self` proves no aliases remain.
+        // SAFETY: `ptr`/`len` describe owned, initialized cells inside the
+        // block `base` allocated with exactly this layout; `&mut self`
+        // proves no aliases remain.
         unsafe {
             std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
                 self.ptr as *mut T,
                 self.len,
             ));
-            std::alloc::dealloc(self.ptr as *mut u8, aligned_array_layout::<T>(self.len));
+            std::alloc::dealloc(self.base, block_layout::<T>(self.len));
         }
     }
 }

@@ -60,12 +60,6 @@ pub struct CostModel {
     pub constraints: f64,
 }
 
-/// Parallel loops inside one EOS `rep` in the reference (gathers,
-/// compression, clamps, work-zero, the five energy steps and three
-/// pressure evaluations). Determines how many barriers the OpenMP trace
-/// pays per region per rep.
-pub const EOS_LOOPS_PER_REP: usize = 13;
-
 impl Default for CostModel {
     fn default() -> Self {
         // Measured on the repository's serial kernels (see module docs).

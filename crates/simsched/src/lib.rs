@@ -13,8 +13,9 @@
 //!   overheads, modelling `ompsim`.
 //!
 //! [`lulesh`] translates LULESH configurations (size, regions, partition
-//! plan, feature toggles) into those workloads using the *same region
-//! decomposition* as the real drivers and a [`costmodel::CostModel`]
+//! plan, feature toggles) into those workloads by walking the *same
+//! `lulesh_core::plan::StepPlan`* the real drivers run, pricing each
+//! kernel from a [`costmodel::CostModel`]
 //! calibrated against this repository's real serial kernels
 //! ([`calibrate`]). The figure harness in `lulesh-bench` drives all of the
 //! paper's figures (9, 10, 11) and Table I through this crate.

@@ -1,13 +1,20 @@
-//! Translate LULESH configurations into simulator workloads: the OpenMP
-//! reference's region trace and the task port's dependency graph, built
-//! from the same region decomposition the real drivers use.
+//! Translate LULESH configurations into simulator workloads by walking the
+//! drivers' own [`StepPlan`]s: the fork-join trace is
+//! [`StepPlan::reference`] one region per stage, the task graph is
+//! [`StepPlan::tasks`] one node per stage per partition. Only the pricing
+//! of each [`Kernel`] lives here.
 
-use crate::costmodel::{CostModel, EOS_LOOPS_PER_REP};
+use crate::costmodel::CostModel;
 use crate::forkjoin::{ForkJoinTrace, Region};
 use crate::machine::{MachineParams, SimResult};
 use crate::steal::TaskGraph;
+use lulesh_core::plan::{Grain, GraphSink, Kernel, PlanShape, StepPlan, EOS_FINISH, EOS_LADDER};
 use lulesh_core::regions::Regions;
-use parutil::chunks_of;
+use parutil::Chunk;
+
+/// The task driver's trick toggles, `lulesh_task::Features` itself: the
+/// simulator builds its graphs from the same plan.
+pub use lulesh_core::plan::Features as SimFeatures;
 
 /// Problem configuration (mirrors the CLI flags).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,46 +40,6 @@ impl LuleshConfig {
             balance: 1,
             cost: 1,
             seed: 0,
-        }
-    }
-}
-
-/// Graph-construction toggles mirroring `lulesh_task::Features`. Kept as a
-/// separate type so `simsched` stays independent of the runtime crates
-/// (there is no dependency cycle — this is a packaging choice); the
-/// field-for-field correspondence is pinned by the `simulator_consistency`
-/// integration tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimFeatures {
-    /// Chain kernels per partition via continuations (T2).
-    pub chain_continuations: bool,
-    /// Merge consecutive kernels into one task (T3).
-    pub merge_kernels: bool,
-    /// Stress ∥ hourglass chains (T4a).
-    pub parallel_force_chains: bool,
-    /// Concurrent per-region EOS (T4b).
-    pub parallel_region_eos: bool,
-}
-
-impl Default for SimFeatures {
-    fn default() -> Self {
-        Self {
-            chain_continuations: true,
-            merge_kernels: true,
-            parallel_force_chains: true,
-            parallel_region_eos: true,
-        }
-    }
-}
-
-impl SimFeatures {
-    /// All tricks off: the Fig-5 naive port.
-    pub fn naive() -> Self {
-        Self {
-            chain_continuations: false,
-            merge_kernels: false,
-            parallel_force_chains: false,
-            parallel_region_eos: false,
         }
     }
 }
@@ -122,369 +89,168 @@ impl LuleshModel {
         (10.5 * (self.cfg.size as f64).powf(1.32)).round() as u64
     }
 
-    /// The OpenMP reference as a fork-join trace: one region per parallel
-    /// loop, reference order, ~30 + regions·(reps·13 + 2) loops.
+    /// The mesh shape the drivers' plans are built from.
+    pub fn shape(&self) -> PlanShape {
+        PlanShape {
+            num_elem: self.num_elem,
+            num_node: self.num_node,
+            symm_len: self.symm_len,
+            region_lens: self.region_sizes.clone(),
+            reps: self.reps.clone(),
+        }
+    }
+
+    /// The OpenMP reference as a fork-join trace: one region per stage of
+    /// [`StepPlan::reference`], in the driver's order —
+    /// 19 + 2R + Σ_r (12·rep_r + 2) regions for R regions.
     pub fn omp_trace(&self) -> ForkJoinTrace {
-        let cm = &self.cm;
-        let w = MemWeights::GLOBAL_SCRATCH;
-        let cw = CommonWeights::DEFAULT;
-        let ne = self.num_elem;
-        let nn = self.num_node;
-        let reg = |items: usize, cost: f64, mw: f64| Region {
-            items,
-            cost_per_item_ns: cost,
-            mem_weight: mw,
-        };
-        let mut regions = vec![
-            reg(nn, cm.zero_forces, cw.field),
-            reg(ne, cm.init_stress, w.init_stress),
-            reg(ne, cm.integrate_stress, w.integrate_stress),
-            reg(ne, cm.volume_check, cw.field),
-            reg(nn, cm.gather_set, w.gather),
-            reg(ne, cm.hg_control, w.hg_control),
-            reg(ne, cm.hg_fb, w.hg_fb),
-            reg(nn, cm.gather_add, w.gather),
-            reg(nn, cm.accel, cw.field),
-            reg(self.symm_len, cm.accel_bc, cw.bc),
-            reg(nn, cm.velocity, cw.field),
-            reg(nn, cm.position, cw.field),
-            reg(ne, cm.kinematics, cw.compute),
-            reg(ne, cm.lagrange_finish, cw.field),
-            reg(ne, cm.monoq_gradients, cw.compute),
-        ];
-        for &len in &self.region_sizes {
-            regions.push(reg(len, cm.monoq_region, cw.field));
-        }
-        regions.push(reg(ne, cm.qstop_check, cw.field));
-        regions.push(reg(ne, cm.vnewc_fill, cw.field));
-        regions.push(reg(ne, cm.vnewc_check, cw.field));
-        for (&len, &rep) in self.region_sizes.iter().zip(&self.reps) {
-            // Every internal EOS loop is its own parallel region in the
-            // reference — the per-loop barrier cost is what grows with the
-            // region count in Figure 10.
-            let per_loop = cm.eos_per_rep / EOS_LOOPS_PER_REP as f64;
-            for _ in 0..rep * EOS_LOOPS_PER_REP {
-                regions.push(reg(len, per_loop, w.eos));
-            }
-            regions.push(reg(len, cm.eos_finish, cw.eos_finish));
-        }
-        regions.push(reg(ne, cm.update_volumes, cw.field));
-        for &len in &self.region_sizes {
-            regions.push(reg(len, cm.constraints, cw.field));
-        }
+        let plan = StepPlan::reference(self.shape());
+        let regions = plan
+            .stages()
+            .map(|(chain, stage)| {
+                let (cost_per_item_ns, mem_weight) =
+                    self.price(stage, 1, &MemWeights::GLOBAL_SCRATCH);
+                Region {
+                    items: plan.shape.len(chain.space),
+                    cost_per_item_ns,
+                    mem_weight,
+                }
+            })
+            .collect();
         ForkJoinTrace {
             regions,
             serial_ns: 0.0,
         }
     }
 
-    /// The task port's per-iteration dependency graph, mirroring
-    /// `lulesh_task::TaskLulesh::build_iteration` (same phases, same
-    /// partition math, same feature switches).
+    /// The task port's per-iteration dependency graph:
+    /// [`StepPlan::tasks`] emitted exactly as `lulesh_task` emits it (same
+    /// partitions, same syncs, same labels).
     pub fn task_graph(&self, part_nodal: usize, part_elem: usize, f: SimFeatures) -> TaskGraph {
-        let cm = &self.cm;
+        let plan = StepPlan::tasks(self.shape(), f);
         // Task-local temporaries (T6) only exist when kernels are merged
         // into single task bodies; the unmerged ablation falls back to the
         // reference's global scratch and its bandwidth weights.
-        let w = if f.merge_kernels {
+        let weights = if f.merge_kernels {
             MemWeights::TASK_LOCAL
         } else {
             MemWeights::GLOBAL_SCRATCH
         };
-        let ne = self.num_elem;
-        let nn = self.num_node;
+        let mut sink = PricedGraph {
+            model: self,
+            weights,
+            g: TaskGraph::new(),
+        };
+        let mut dep = None;
+        for phase in &plan.phases {
+            let part = match phase.grain {
+                Grain::Nodal => part_nodal,
+                Grain::Elements => part_elem,
+            };
+            dep = Some(plan.emit_phase(&mut sink, phase, part, dep, f.chain_continuations));
+        }
+        sink.g
+    }
+
+    /// `(ns, memory weight)` of one task or loop running `stage` over
+    /// `items` indices. Several loops in one body add their costs and
+    /// cost-average their weights; a fused kernel costs what the loops it
+    /// replaces cost.
+    fn price(&self, stage: &[Kernel], items: usize, w: &MemWeights) -> (f64, f64) {
+        use Kernel::*;
+        let loops: &[Kernel] = match stage {
+            [Stress] => &[InitStress, IntegrateStressChecked],
+            [Hourglass] => &[HourglassControl, HourglassFb],
+            loops => loops,
+        };
+        let l = items as f64;
+        let (mut total, mut weighted, mut weight) = (0.0, 0.0, 0.0);
+        for &k in loops {
+            let (per_item, mw) = self.rate(k, w);
+            total += per_item * l;
+            weighted += per_item * l * mw;
+            weight = mw;
+        }
+        match loops.len() {
+            1 => (total, weight),
+            _ if total == 0.0 => (0.0, 0.0),
+            _ => (total, weighted / total),
+        }
+    }
+
+    /// `(ns per item, memory weight)` of one loop.
+    fn rate(&self, k: Kernel, w: &MemWeights) -> (f64, f64) {
+        use Kernel::*;
+        let cm = &self.cm;
         let cw = CommonWeights::DEFAULT;
-        let bc_per_node = cm.accel_bc * (3.0 * self.symm_len as f64) / nn as f64;
-        let mut g = TaskGraph::new();
-
-        // A stage: (cost_ns, mem_weight, items). Merging stages combines
-        // costs and cost-averages the weights.
-        type WStage = (f64, f64, usize);
-        let merge = |stages: &[WStage]| -> Vec<WStage> {
-            let total: f64 = stages.iter().map(|s| s.0).sum();
-            let items = stages.iter().map(|s| s.2).max().unwrap_or(1);
-            if total == 0.0 {
-                return vec![(0.0, 0.0, items)];
+        match k {
+            ZeroForces => (cm.zero_forces, cw.field),
+            InitStress => (cm.init_stress, w.init_stress),
+            IntegrateStress => (cm.integrate_stress, w.integrate_stress),
+            CheckVolume => (cm.volume_check, cw.field),
+            IntegrateStressChecked => (cm.integrate_stress + cm.volume_check, w.integrate_stress),
+            HourglassControl => (cm.hg_control, w.hg_control),
+            HourglassFb => (cm.hg_fb, w.hg_fb),
+            GatherSet => (cm.gather_set, w.gather),
+            GatherAdd => (cm.gather_add, w.gather),
+            GatherSum2 => (cm.gather_set + cm.gather_add, w.gather),
+            Acceleration => (cm.accel, cw.field),
+            AccelerationBc => (cm.accel_bc, cw.bc),
+            // Index arithmetic over every node: charge the same *total* work
+            // as the reference's three symmetry-list loops.
+            AccelerationBcByNode => (
+                cm.accel_bc * (3.0 * self.symm_len as f64) / self.num_node as f64,
+                cw.bc,
+            ),
+            Velocity => (cm.velocity, cw.field),
+            Position => (cm.position, cw.field),
+            Kinematics => (cm.kinematics, cw.compute),
+            LagrangeFinish => (cm.lagrange_finish, cw.field),
+            MonoqGradients => (cm.monoq_gradients, cw.compute),
+            MonoqRegion(_) => (cm.monoq_region, cw.field),
+            QStop => (cm.qstop_check, cw.field),
+            VnewcFill => (cm.vnewc_fill, cw.field),
+            VnewcCheck => (cm.vnewc_check, cw.field),
+            Eos(r) => (cm.eos_per_rep * self.reps[r] as f64 + cm.eos_finish, w.eos),
+            // Every loop of the reference ladder is its own parallel region:
+            // the per-loop barrier cost is what grows with the region count
+            // in Figure 10. The loops split each cost evenly.
+            EosLoop(step, _) if EOS_FINISH.contains(&step) => {
+                (cm.eos_finish / EOS_FINISH.len() as f64, cw.eos_finish)
             }
-            let wavg = stages.iter().map(|s| s.0 * s.1).sum::<f64>() / total;
-            vec![(total, wavg, items)]
-        };
-        let stage_split = |merged: bool, stages: Vec<WStage>| -> Vec<WStage> {
-            if merged {
-                merge(&stages)
-            } else {
-                stages
-            }
-        };
-
-        // Helper: a group of items, each a chain of per-item stages. Every
-        // task carries the group's phase label (matching the span labels
-        // `lulesh_task` records, so the drift report can join on it).
-        let run_group = |g: &mut TaskGraph,
-                         label: &'static str,
-                         starts: &[usize],
-                         items: &[Vec<WStage>],
-                         chain: bool|
-         -> Vec<usize> {
-            if items.is_empty() {
-                return Vec::new();
-            }
-            if chain {
-                items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, stages)| {
-                        let mut deps: Vec<usize> = if starts.is_empty() {
-                            vec![]
-                        } else {
-                            vec![starts[i]]
-                        };
-                        let mut last = 0;
-                        for &(cost, mw, items) in stages {
-                            last = g.add_weighted_labeled(
-                                label,
-                                cost,
-                                std::mem::take(&mut deps),
-                                mw,
-                                items,
-                            );
-                            deps = vec![last];
-                        }
-                        last
-                    })
-                    .collect()
-            } else {
-                // Layered with a barrier node between stages.
-                let n_stages = items[0].len();
-                let mut prev: Vec<usize> = starts.to_vec();
-                let mut current = Vec::new();
-                for l in 0..n_stages {
-                    if l > 0 {
-                        let bar = g.add_labeled("barrier-stage", 0.0, std::mem::take(&mut current));
-                        prev = vec![bar; items.len()];
-                    }
-                    current = items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, stages)| {
-                            let deps = if prev.is_empty() {
-                                vec![]
-                            } else {
-                                vec![prev[i]]
-                            };
-                            g.add_weighted_labeled(
-                                label,
-                                stages[l].0,
-                                deps,
-                                stages[l].1,
-                                stages[l].2,
-                            )
-                        })
-                        .collect();
-                    prev = Vec::new();
-                }
-                current
-            }
-        };
-
-        // ---------------- Phase A ----------------
-        let stress_items: Vec<Vec<WStage>> = chunks_of(ne, part_nodal)
-            .map(|c| {
-                let l = c.len() as f64;
-                stage_split(
-                    f.merge_kernels,
-                    vec![
-                        (cm.init_stress * l, w.init_stress, c.len()),
-                        (
-                            (cm.integrate_stress + cm.volume_check) * l,
-                            w.integrate_stress,
-                            c.len(),
-                        ),
-                    ],
-                )
-            })
-            .collect();
-        let hg_items: Vec<Vec<WStage>> = chunks_of(ne, part_nodal)
-            .map(|c| {
-                let l = c.len() as f64;
-                stage_split(
-                    f.merge_kernels,
-                    vec![
-                        (cm.hg_control * l, w.hg_control, c.len()),
-                        (cm.hg_fb * l, w.hg_fb, c.len()),
-                    ],
-                )
-            })
-            .collect();
-
-        let b1 = if f.parallel_force_chains {
-            let mut finals = run_group(&mut g, "stress", &[], &stress_items, f.chain_continuations);
-            finals.extend(run_group(
-                &mut g,
-                "hourglass",
-                &[],
-                &hg_items,
-                f.chain_continuations,
-            ));
-            g.add_labeled("barrier-forces", 0.0, finals)
-        } else {
-            let sf = run_group(&mut g, "stress", &[], &stress_items, f.chain_continuations);
-            let sb = g.add_labeled("barrier-stress-hg", 0.0, sf);
-            let starts = vec![sb; hg_items.len()];
-            let hf = run_group(
-                &mut g,
-                "hourglass",
-                &starts,
-                &hg_items,
-                f.chain_continuations,
-            );
-            g.add_labeled("barrier-forces", 0.0, hf)
-        };
-
-        // ---------------- Phase B ----------------
-        let node_items: Vec<Vec<WStage>> = chunks_of(nn, part_nodal)
-            .map(|c| {
-                let l = c.len() as f64;
-                stage_split(
-                    f.merge_kernels,
-                    vec![
-                        ((cm.gather_set + cm.gather_add) * l, w.gather, c.len()),
-                        (cm.accel * l, cw.field, c.len()),
-                        // The task port applies the BC by index arithmetic
-                        // over every node; charge the same *total* work as
-                        // the reference's three symmetry-list loops rather
-                        // than the full per-list-entry coefficient per node.
-                        (bc_per_node * l, cw.bc, c.len()),
-                        (cm.velocity * l, cw.field, c.len()),
-                        (cm.position * l, cw.field, c.len()),
-                    ],
-                )
-            })
-            .collect();
-        let starts = vec![b1; node_items.len()];
-        let bf = run_group(&mut g, "node", &starts, &node_items, f.chain_continuations);
-        let b2 = g.add_labeled("barrier-nodes", 0.0, bf);
-
-        // ---------------- Phase C ----------------
-        let kin_items: Vec<Vec<WStage>> = chunks_of(ne, part_elem)
-            .map(|c| {
-                let l = c.len() as f64;
-                stage_split(
-                    f.merge_kernels,
-                    vec![
-                        (cm.kinematics * l, cw.compute, c.len()),
-                        (cm.lagrange_finish * l, cw.field, c.len()),
-                        (cm.monoq_gradients * l, cw.compute, c.len()),
-                    ],
-                )
-            })
-            .collect();
-        let starts = vec![b2; kin_items.len()];
-        let cf = run_group(
-            &mut g,
-            "kinematics",
-            &starts,
-            &kin_items,
-            f.chain_continuations,
-        );
-        let b3 = g.add_labeled("barrier-kinematics", 0.0, cf);
-
-        // ---------------- Phase D ----------------
-        let mut d_finals = Vec::new();
-        for &len in &self.region_sizes {
-            for c in chunks_of(len, part_elem) {
-                let id = g.add_weighted_labeled(
-                    "monoq",
-                    cm.monoq_region * c.len() as f64,
-                    vec![b3],
-                    cw.field,
-                    c.len(),
-                );
-                d_finals.push(id);
-            }
+            EosLoop(..) => (cm.eos_per_rep / EOS_LADDER.len() as f64, w.eos),
+            UpdateVolumes => (cm.update_volumes, cw.field),
+            Constraints(_) => (cm.constraints, cw.field),
+            Stress | Hourglass => unreachable!("fused kernels are priced as their loops"),
         }
-        let vnewc_items: Vec<Vec<WStage>> = chunks_of(ne, part_elem)
-            .map(|c| {
-                let l = c.len() as f64;
-                stage_split(
-                    f.merge_kernels,
-                    vec![
-                        (cm.vnewc_fill * l, cw.field, c.len()),
-                        (cm.vnewc_check * l, cw.field, c.len()),
-                    ],
-                )
-            })
-            .collect();
-        let starts = vec![b3; vnewc_items.len()];
-        d_finals.extend(run_group(
-            &mut g,
-            "vnewc",
-            &starts,
-            &vnewc_items,
-            f.chain_continuations,
-        ));
-        for c in chunks_of(ne, part_elem) {
-            d_finals.push(g.add_weighted_labeled(
-                "qstop",
-                cm.qstop_check * c.len() as f64,
-                vec![b3],
-                cw.field,
-                c.len(),
-            ));
-        }
-        let b4 = g.add_labeled("barrier-q", 0.0, d_finals);
+    }
+}
 
-        // ---------------- Phase E ----------------
-        let b5 = if f.parallel_region_eos {
-            let mut finals = Vec::new();
-            for (&len, &rep) in self.region_sizes.iter().zip(&self.reps) {
-                for c in chunks_of(len, part_elem) {
-                    let cost = (cm.eos_per_rep * rep as f64 + cm.eos_finish) * c.len() as f64;
-                    finals.push(g.add_weighted_labeled("eos", cost, vec![b4], w.eos, c.len()));
-                }
-            }
-            g.add_labeled("barrier-eos", 0.0, finals)
-        } else {
-            let mut barrier = b4;
-            for (&len, &rep) in self.region_sizes.iter().zip(&self.reps) {
-                if len == 0 {
-                    continue;
-                }
-                let finals: Vec<usize> = chunks_of(len, part_elem)
-                    .map(|c| {
-                        let cost = (cm.eos_per_rep * rep as f64 + cm.eos_finish) * c.len() as f64;
-                        g.add_weighted_labeled("eos", cost, vec![barrier], w.eos, c.len())
-                    })
-                    .collect();
-                barrier = g.add_labeled("barrier-eos-region", 0.0, finals);
-            }
-            barrier
-        };
+/// A [`TaskGraph`] filled from a plan: each task priced from the model.
+struct PricedGraph<'a> {
+    model: &'a LuleshModel,
+    weights: MemWeights,
+    g: TaskGraph,
+}
 
-        // ---------------- Phase F ----------------
-        let mut f_finals = Vec::new();
-        for c in chunks_of(ne, part_elem) {
-            f_finals.push(g.add_weighted_labeled(
-                "volume",
-                cm.update_volumes * c.len() as f64,
-                vec![b5],
-                cw.field,
-                c.len(),
-            ));
-        }
-        for &len in &self.region_sizes {
-            for c in chunks_of(len, part_elem) {
-                f_finals.push(g.add_weighted_labeled(
-                    "constraints",
-                    cm.constraints * c.len() as f64,
-                    vec![b5],
-                    cw.field,
-                    c.len(),
-                ));
-            }
-        }
-        g.add_labeled("barrier-end", 0.0, f_finals);
-        g
+impl GraphSink for PricedGraph<'_> {
+    type Node = usize;
+
+    fn task(
+        &mut self,
+        label: &'static str,
+        stage: &[Kernel],
+        c: Chunk,
+        dep: Option<usize>,
+    ) -> usize {
+        let (cost, mem_weight) = self.model.price(stage, c.len(), &self.weights);
+        let deps = dep.into_iter().collect();
+        self.g
+            .add_weighted_labeled(label, cost, deps, mem_weight, c.len())
+    }
+
+    fn sync(&mut self, label: &'static str, deps: &[usize]) -> usize {
+        self.g.add_labeled(label, 0.0, deps.to_vec())
     }
 }
 
@@ -649,9 +415,22 @@ mod tests {
         let t11 = model(30, 11).omp_trace();
         let t21 = model(30, 21).omp_trace();
         assert!(t21.regions.len() > t11.regions.len());
-        // 11 regions, reps [1×5, 2×5, 20]: EOS loops = Σ rep·13 = (5+10+20)·13.
-        let eos_loops: usize = model(30, 11).reps.iter().map(|r| r * 13).sum();
-        assert_eq!(eos_loops, (5 + 10 + 20) * 13);
+        // 11 regions, reps [1×5, 2×5, 20]: 19 + 2·11 + Σ_r (12·rep_r + 2).
+        assert_eq!(model(30, 11).reps.iter().sum::<usize>(), 5 + 10 + 20);
+        assert_eq!(t11.regions.len(), 19 + 2 * 11 + 12 * 35 + 2 * 11);
+    }
+
+    #[test]
+    fn eos_ladder_keeps_the_total_eos_work() {
+        // Splitting `eos_per_rep` over the ladder's loops and `eos_finish`
+        // over the finish loops leaves Σ work what the cost model says.
+        let m = model(20, 11);
+        let cm = &m.cm;
+        // `iteration_work_ns` leaves out only the symmetry-plane loop.
+        let per_iter = cm.iteration_work_ns(m.num_elem, m.num_node, &m.region_sizes, &m.reps);
+        let bc = cm.accel_bc * m.symm_len as f64;
+        let rel = (m.omp_trace().total_work_ns() - per_iter - bc).abs() / per_iter;
+        assert!(rel < 1e-12, "relative gap {rel}");
     }
 
     #[test]

@@ -1,49 +1,50 @@
-//! Consistency between the real task driver and its simulator twin: the
-//! `simsched` graph builder must mirror `lulesh_task`'s graph construction
-//! (same partition math, same phases), so their task counts agree exactly.
-//! This pins the simulator — which regenerates the paper's figures — to the
-//! code that actually runs.
+//! Consistency between the real drivers and their simulator twins. All
+//! three walk one `lulesh_core::plan::StepPlan`: the simulator's task graph
+//! must have the real graph's shape (tasks and sync points) for every
+//! `Features` combination, and its fork-join trace one region per parallel
+//! region the fork-join driver runs. This pins the simulator — which
+//! regenerates the paper's figures — to the code that actually runs.
 
 use lulesh::core::Domain;
+use lulesh::omp::OmpLulesh;
 use lulesh::simsched::{
     estimate_omp, estimate_task, CostModel, LuleshConfig, LuleshModel, MachineParams, SimFeatures,
 };
 use lulesh::task::{Features, PartitionPlan, TaskLulesh};
+use obs::{SpanKind, Tracer};
 use std::sync::Arc;
 
-fn sim_features(f: Features) -> SimFeatures {
-    SimFeatures {
-        chain_continuations: f.chain_continuations,
-        merge_kernels: f.merge_kernels,
-        parallel_force_chains: f.parallel_force_chains,
-        parallel_region_eos: f.parallel_region_eos,
-    }
+fn model(size: usize, regs: usize, cost: i32) -> LuleshModel {
+    let mut cfg = LuleshConfig::with_size(size);
+    cfg.num_reg = regs;
+    cfg.cost = cost;
+    LuleshModel::new(cfg, CostModel::default())
 }
 
-fn real_task_count(size: usize, regs: usize, part: usize, features: Features) -> usize {
+/// `(tasks, sync points)` of the real iteration graph.
+fn real_graph_shape(size: usize, regs: usize, part: usize, features: Features) -> (usize, usize) {
     let d = Arc::new(Domain::build(size, regs, 1, 1, 0));
     let runner = TaskLulesh::with_features(1, features);
     runner.run(&d, PartitionPlan::fixed(part, part), 1).unwrap();
-    runner.graph_stats().tasks
+    let g = runner.graph_stats();
+    (g.tasks, g.barriers)
 }
 
-fn sim_task_count(size: usize, regs: usize, part: usize, features: SimFeatures) -> usize {
-    let mut cfg = LuleshConfig::with_size(size);
-    cfg.num_reg = regs;
-    let model = LuleshModel::new(cfg, CostModel::default());
-    let g = model.task_graph(part, part, features);
-    // Barrier nodes (zero cost) are bookkeeping, not tasks.
-    g.tasks.iter().filter(|t| t.cost_ns > 0.0).count()
+/// `(tasks, sync points)` of the simulated graph: barrier nodes are the
+/// zero-cost ones.
+fn sim_graph_shape(size: usize, regs: usize, part: usize, features: SimFeatures) -> (usize, usize) {
+    let g = model(size, regs, 1).task_graph(part, part, features);
+    let tasks = g.tasks.iter().filter(|t| t.cost_ns > 0.0).count();
+    (tasks, g.len() - tasks)
 }
 
 #[test]
 fn task_counts_match_between_driver_and_simulator() {
     for (size, regs, part) in [(6usize, 3usize, 32usize), (8, 5, 64), (10, 11, 128)] {
         for features in [Features::default(), Features::naive()] {
-            let real = real_task_count(size, regs, part, features);
-            let sim = sim_task_count(size, regs, part, sim_features(features));
             assert_eq!(
-                real, sim,
+                real_graph_shape(size, regs, part, features),
+                sim_graph_shape(size, regs, part, features),
                 "size {size}, regions {regs}, partition {part}, features {features:?}"
             );
         }
@@ -71,9 +72,36 @@ fn task_counts_match_for_individual_feature_toggles() {
             ..base
         },
     ] {
-        let real = real_task_count(7, 4, 48, features);
-        let sim = sim_task_count(7, 4, 48, sim_features(features));
-        assert_eq!(real, sim, "features {features:?}");
+        assert_eq!(
+            real_graph_shape(7, 4, 48, features),
+            sim_graph_shape(7, 4, 48, features),
+            "features {features:?}"
+        );
+    }
+}
+
+#[test]
+fn omp_trace_has_one_region_per_driver_region() {
+    // Every parallel region leaves one span on thread 0's lane; the
+    // iteration span goes to the control lane past the workers. Each
+    // config has a region with rep > 1, so the EOS ladder's length counts.
+    let (threads, cycles) = (2, 2);
+    for (size, regs, cost) in [(5usize, 1usize, 1i32), (8, 11, 1), (6, 21, 32)] {
+        let tracer = Tracer::shared(threads + 1);
+        let d = Domain::build(size, regs, 1, cost, 0);
+        let state = OmpLulesh::with_tracer(threads, Arc::clone(&tracer), 0)
+            .run(&d, cycles)
+            .unwrap();
+        let spans = tracer.drain();
+        let regions = spans
+            .iter()
+            .filter(|s| s.worker == 0 && s.kind == SpanKind::Region)
+            .count();
+        assert_eq!(
+            model(size, regs, cost).omp_trace().regions.len() as u64 * state.cycle,
+            regions as u64,
+            "size {size}, regions {regs}, cost {cost}"
+        );
     }
 }
 
@@ -113,7 +141,7 @@ fn utilization_of_real_runtimes_orders_like_the_simulation() {
     let cycles = 30;
 
     let d_omp = Domain::build(8, 11, 1, 1, 0);
-    let mut omp = lulesh::omp::OmpLulesh::new(threads);
+    let mut omp = OmpLulesh::new(threads);
     omp.reset_counters();
     omp.run(&d_omp, cycles).unwrap();
     let omp_util = omp.utilization();
