@@ -39,57 +39,11 @@
 use crate::plan::{partition_cap, PartitionPlan, MIN_PARTITION};
 use lulesh_core::simd::LaneWidth;
 
-/// The noise-rejection primitive both closed-loop controllers share: the
-/// partition autotuner accepts a move only when it [`clears`]
-/// (HysteresisGate::clears) the relative-improvement threshold, and
-/// `resil`'s cross-rank balance controller triggers a migration only when
-/// the imbalance signal stays above threshold for a full streak of
-/// consecutive observations — one-shot noise spikes move nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HysteresisGate {
-    /// The trigger threshold the observed signal must exceed.
-    pub threshold: f64,
-    /// Consecutive over-threshold observations required to fire.
-    pub streak: u32,
-    above: u32,
-}
-
-impl HysteresisGate {
-    /// A gate firing after `streak` consecutive observations above
-    /// `threshold`.
-    pub fn new(threshold: f64, streak: u32) -> Self {
-        Self {
-            threshold,
-            streak: streak.max(1),
-            above: 0,
-        }
-    }
-
-    /// One-shot form: does `trial` beat `baseline` by a relative margin
-    /// greater than `threshold`? (`baseline = ∞` accepts anything — the
-    /// first real measurement always becomes the incumbent.)
-    pub fn clears(threshold: f64, baseline: f64, trial: f64) -> bool {
-        1.0 - trial / baseline > threshold
-    }
-
-    /// Feed one observation; `true` when the signal has now been above
-    /// threshold for a full streak. Firing resets the streak counter, so
-    /// a persistent condition re-fires only after another full streak —
-    /// the caller gets a built-in cooldown instead of a fire-every-step
-    /// storm.
-    pub fn observe(&mut self, value: f64) -> bool {
-        if value > self.threshold {
-            self.above += 1;
-        } else {
-            self.above = 0;
-        }
-        if self.above >= self.streak {
-            self.above = 0;
-            true
-        } else {
-            false
-        }
-    }
+/// The tuner's noise rejection: does `trial` beat `baseline` by a
+/// relative margin greater than `threshold`? (`baseline = ∞` accepts
+/// anything — the first real measurement always becomes the incumbent.)
+fn clears(threshold: f64, baseline: f64, trial: f64) -> bool {
+    1.0 - trial / baseline > threshold
 }
 
 /// Tuning knobs for [`AutoTuner`].
@@ -328,11 +282,7 @@ impl AutoTuner {
             }
             State::Probe(dim, dir) => {
                 self.history.push((self.trial, sample.wall_per_iter_ns));
-                if HysteresisGate::clears(
-                    self.cfg.hysteresis,
-                    self.best_cost,
-                    sample.wall_per_iter_ns,
-                ) {
+                if clears(self.cfg.hysteresis, self.best_cost, sample.wall_per_iter_ns) {
                     self.best = self.trial;
                     self.best_cost = sample.wall_per_iter_ns;
                     self.best_task_ns = sample.mean_task_ns;

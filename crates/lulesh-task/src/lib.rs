@@ -59,9 +59,7 @@
 pub mod autotune;
 mod plan;
 
-pub use autotune::{
-    AutoTuneConfig, AutoTuneReport, AutoTuner, HysteresisGate, TunePoint, WindowSample,
-};
+pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner, TunePoint, WindowSample};
 pub use lulesh_core::plan::Features;
 pub use plan::{partition_cap, PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 

@@ -363,14 +363,8 @@ pub fn halo_exchange_mass(
 }
 
 /// The send half of the mass exchange: every boundary surface goes out
-/// before any receive, so co-hosted ranks can interleave phases without
-/// deadlocking on each other.
-pub fn send_mass(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
+/// before any receive.
+fn send_mass(d: &Domain, plan: &HaloPlan, net: &RankNet, obs: ObsCtx) -> Result<(), ParcelError> {
     for (l, nbr) in net.neighbors.iter().enumerate() {
         let msg = plan.pack_mass(d, l);
         spanned(obs, "send-mass", || {
@@ -382,7 +376,7 @@ pub fn send_mass(
 
 /// The receive half of the mass exchange: collect every neighbour's
 /// surface, then run the deterministic combine.
-pub fn recv_combine_mass(
+fn recv_combine_mass(
     d: &Domain,
     plan: &HaloPlan,
     net: &RankNet,
@@ -458,7 +452,7 @@ pub fn halo_exchange_gradients(
 }
 
 /// The send half of the gradient exchange (face links only).
-pub fn send_gradients(
+fn send_gradients(
     d: &Domain,
     plan: &HaloPlan,
     net: &RankNet,
@@ -478,7 +472,7 @@ pub fn send_gradients(
 
 /// The receive half of the gradient exchange: each face plane is stored
 /// independently on arrival.
-pub fn recv_store_gradients(
+fn recv_store_gradients(
     d: &Domain,
     plan: &HaloPlan,
     net: &RankNet,

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod exchange;
-pub mod hosted;
 pub mod recovery;
 pub mod taskpar;
 pub mod threaded;

@@ -459,8 +459,8 @@ pub enum Category {
     Barrier,
     /// Work-stealing latency.
     Steal,
-    /// Resilience overhead: checkpoint serialization/writes, snapshot
-    /// restore on resume, and domain-migration pack/ship/rehome time.
+    /// Resilience overhead: checkpoint serialization/writes and snapshot
+    /// restore on resume.
     Recovery,
     /// Before this rank's first span (bootstrap, handshake, clock sync).
     Startup,
@@ -512,10 +512,9 @@ pub fn categorize(cat: &str, label: &str) -> Option<Category> {
     if label == "clock-sync" {
         return Some(Category::Startup);
     }
-    // Resilience spans carry a ckpt-/migrate-/resume- label prefix no
-    // matter which kind they were recorded as (region spans in the
-    // drivers, parcel spans on the wire).
-    if label.starts_with("ckpt-") || label.starts_with("migrate-") || label.starts_with("resume-") {
+    // Resilience spans carry a ckpt-/resume- label prefix no matter which
+    // kind they were recorded as.
+    if label.starts_with("ckpt-") || label.starts_with("resume-") {
         return Some(Category::Recovery);
     }
     Some(match cat {

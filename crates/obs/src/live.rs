@@ -33,7 +33,7 @@ pub const NCAT: usize = Category::ALL.len();
 
 /// Parcel tag classes tracked per rank: one counter slot per logical
 /// tag family rather than per 27-direction tag, so the table stays flat.
-pub const TAG_CLASSES: [&str; 9] = [
+pub const TAG_CLASSES: [&str; 7] = [
     "mass",
     "force",
     "gradient",
@@ -41,8 +41,6 @@ pub const TAG_CLASSES: [&str; 9] = [
     "bye",
     "clock",
     "telemetry",
-    "migrate",
-    "ckpt",
 ];
 
 /// Number of tag classes in [`TAG_CLASSES`].

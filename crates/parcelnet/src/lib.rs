@@ -147,21 +147,6 @@ pub enum Tag {
     /// ([`RankNet::allreduce_dt_live`]): an encoded
     /// [`obs::live::StepSummary`] travelling leaf → root.
     Telemetry,
-    /// Migration two-phase commit, phase 1: source announces a domain is
-    /// about to move (`[rank, cycle]`); the target must not step that
-    /// rank until the matching [`Tag::MigrateData`] arrives.
-    MigratePrepare,
-    /// Migration payload: an encoded `resil::DomainSnapshot` carrying the
-    /// full mutable state of the moving domain partition.
-    MigrateData,
-    /// Migration two-phase commit, phase 2: target confirms the snapshot
-    /// decoded and the 27-neighbour halo plan was rebuilt; only now may
-    /// the source forget the domain.
-    MigrateAck,
-    /// Checkpoint framing: also doubles as the magic word of the on-disk
-    /// snapshot format (`resil` stores `Tag::Ckpt.to_u32()` in the file
-    /// header so a stray file is rejected as a type error, not garbage).
-    Ckpt,
 }
 
 /// Wire encodings: directional tags occupy a 32-slot block per kind.
@@ -171,10 +156,6 @@ const TAG_DT: u32 = 4;
 const TAG_BYE: u32 = 5;
 const TAG_CLOCK: u32 = 6;
 const TAG_TELEMETRY: u32 = 7;
-const TAG_MIGRATE_PREPARE: u32 = 8;
-const TAG_MIGRATE_DATA: u32 = 9;
-const TAG_MIGRATE_ACK: u32 = 10;
-const TAG_CKPT: u32 = 11;
 const TAG_MASS_BASE: u32 = 0x100;
 const TAG_FORCE_BASE: u32 = 0x200;
 const TAG_GRADIENT_BASE: u32 = 0x300;
@@ -225,10 +206,6 @@ impl Tag {
             Tag::Bye => "bye",
             Tag::Clock => "clock",
             Tag::Telemetry => "telemetry",
-            Tag::MigratePrepare => "migrate-prepare",
-            Tag::MigrateData => "migrate-data",
-            Tag::MigrateAck => "migrate-ack",
-            Tag::Ckpt => "ckpt",
         }
     }
 
@@ -242,15 +219,11 @@ impl Tag {
             Tag::Bye => 4,
             Tag::Clock => 5,
             Tag::Telemetry => 6,
-            Tag::MigratePrepare | Tag::MigrateData | Tag::MigrateAck => 7,
-            Tag::Ckpt => 8,
         }
     }
 
-    /// Wire encoding of this tag (`const` so dependents can embed codes
-    /// in their own formats — `resil` uses `Tag::Ckpt`'s code as the
-    /// snapshot-file magic word).
-    pub const fn to_u32(self) -> u32 {
+    /// Wire encoding of this tag.
+    pub fn to_u32(self) -> u32 {
         match self {
             Tag::Mass(d) => TAG_MASS_BASE + d as u32,
             Tag::Force(d) => TAG_FORCE_BASE + d as u32,
@@ -259,10 +232,6 @@ impl Tag {
             Tag::Bye => TAG_BYE,
             Tag::Clock => TAG_CLOCK,
             Tag::Telemetry => TAG_TELEMETRY,
-            Tag::MigratePrepare => TAG_MIGRATE_PREPARE,
-            Tag::MigrateData => TAG_MIGRATE_DATA,
-            Tag::MigrateAck => TAG_MIGRATE_ACK,
-            Tag::Ckpt => TAG_CKPT,
         }
     }
 
@@ -274,10 +243,6 @@ impl Tag {
             (_, TAG_BYE) => Some(Tag::Bye),
             (_, TAG_CLOCK) => Some(Tag::Clock),
             (_, TAG_TELEMETRY) => Some(Tag::Telemetry),
-            (_, TAG_MIGRATE_PREPARE) => Some(Tag::MigratePrepare),
-            (_, TAG_MIGRATE_DATA) => Some(Tag::MigrateData),
-            (_, TAG_MIGRATE_ACK) => Some(Tag::MigrateAck),
-            (_, TAG_CKPT) => Some(Tag::Ckpt),
             (TAG_MASS_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Mass(d)),
             (TAG_FORCE_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Force(d)),
             (TAG_GRADIENT_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Gradient(d)),
@@ -296,10 +261,6 @@ impl Tag {
             Tag::Bye => "parcel-send-bye",
             Tag::Clock => "parcel-send-clock",
             Tag::Telemetry => "parcel-send-telemetry",
-            Tag::MigratePrepare => "parcel-send-migrate-prepare",
-            Tag::MigrateData => "parcel-send-migrate-data",
-            Tag::MigrateAck => "parcel-send-migrate-ack",
-            Tag::Ckpt => "parcel-send-ckpt",
         }
     }
 
@@ -313,10 +274,6 @@ impl Tag {
             Tag::Bye => "parcel-recv-bye",
             Tag::Clock => "parcel-recv-clock",
             Tag::Telemetry => "parcel-recv-telemetry",
-            Tag::MigratePrepare => "parcel-recv-migrate-prepare",
-            Tag::MigrateData => "parcel-recv-migrate-data",
-            Tag::MigrateAck => "parcel-recv-migrate-ack",
-            Tag::Ckpt => "parcel-recv-ckpt",
         }
     }
 
@@ -330,10 +287,6 @@ impl Tag {
             Tag::Bye => "parcel-wait-bye",
             Tag::Clock => "parcel-wait-clock",
             Tag::Telemetry => "parcel-wait-telemetry",
-            Tag::MigratePrepare => "parcel-wait-migrate-prepare",
-            Tag::MigrateData => "parcel-wait-migrate-data",
-            Tag::MigrateAck => "parcel-wait-migrate-ack",
-            Tag::Ckpt => "parcel-wait-ckpt",
         }
     }
 
@@ -347,10 +300,6 @@ impl Tag {
             Tag::Bye => "parcel-serialize-bye",
             Tag::Clock => "parcel-serialize-clock",
             Tag::Telemetry => "parcel-serialize-telemetry",
-            Tag::MigratePrepare => "parcel-serialize-migrate-prepare",
-            Tag::MigrateData => "parcel-serialize-migrate-data",
-            Tag::MigrateAck => "parcel-serialize-migrate-ack",
-            Tag::Ckpt => "parcel-serialize-ckpt",
         }
     }
 }
@@ -774,67 +723,8 @@ impl RankNet {
         err: Option<LuleshError>,
         telemetry: Option<&[Real]>,
     ) -> Result<AllreduceLiveResult, ParcelError> {
-        self.allreduce_dt_send(c, h, err, telemetry)?;
-        self.allreduce_dt_finish(c, h, err, telemetry.is_some())
-            .map(|(gc, gh, gerr, collected)| {
-                (
-                    gc,
-                    gh,
-                    gerr,
-                    collected.map(|mut v| {
-                        if let Some(mine) = telemetry {
-                            v[0] = mine.to_vec();
-                        }
-                        v
-                    }),
-                )
-            })
-    }
-
-    /// First half of [`allreduce_dt_live`](Self::allreduce_dt_live): a
-    /// leaf sends its contribution (plus optional telemetry) and returns
-    /// without blocking; the root does nothing. Split out so a host
-    /// driving several co-located domains on one thread can issue every
-    /// domain's send before any domain blocks in
-    /// [`allreduce_dt_finish`](Self::allreduce_dt_finish) — the monolithic
-    /// call would deadlock the moment a leaf and the root share a thread.
-    pub fn allreduce_dt_send(
-        &self,
-        c: Real,
-        h: Real,
-        err: Option<LuleshError>,
-        telemetry: Option<&[Real]>,
-    ) -> Result<(), ParcelError> {
-        match &self.dt {
-            DtLinks::Root(_) => Ok(()),
-            DtLinks::Leaf(link) => {
-                link.send(Tag::Dt, &[c, h, err_code(err)])?;
-                if let Some(t) = telemetry {
-                    link.send(Tag::Telemetry, t)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Second half of [`allreduce_dt_live`](Self::allreduce_dt_live): the
-    /// root collects every leaf's contribution and broadcasts the minima;
-    /// a leaf blocks for the broadcast. On the root, `collected[0]` is a
-    /// placeholder (the root's own telemetry never crosses a wire — the
-    /// monolithic wrapper patches it in). When a host runs the root and
-    /// leaves on one thread, the root's finish must run before its
-    /// co-hosted leaves' finishes, since its broadcast is what unblocks
-    /// them.
-    pub fn allreduce_dt_finish(
-        &self,
-        c: Real,
-        h: Real,
-        err: Option<LuleshError>,
-        telemetry: bool,
-    ) -> Result<AllreduceLiveResult, ParcelError> {
         match &self.dt {
             DtLinks::Root(members) => {
-                let telemetry = telemetry.then_some(&[] as &[Real]);
                 let mut gc = c;
                 let mut gh = h;
                 let mut gerr = err;
@@ -861,6 +751,10 @@ impl RankNet {
                 Ok((gc, gh, gerr, telemetry.map(|_| collected)))
             }
             DtLinks::Leaf(link) => {
+                link.send(Tag::Dt, &[c, h, err_code(err)])?;
+                if let Some(t) = telemetry {
+                    link.send(Tag::Telemetry, t)?;
+                }
                 let p = link.recv(Tag::Dt)?;
                 if p.len() != 3 {
                     return Err(ParcelError::Io(std::io::ErrorKind::InvalidData));
@@ -1008,30 +902,32 @@ mod tests {
         assert_eq!(dir::name(dir::SELF_INDEX), "000");
     }
 
-    #[test]
-    fn tag_roundtrip() {
-        let mut all = vec![
-            Tag::Dt,
-            Tag::Bye,
-            Tag::Clock,
-            Tag::Telemetry,
-            Tag::MigratePrepare,
-            Tag::MigrateData,
-            Tag::MigrateAck,
-            Tag::Ckpt,
-        ];
+    /// Every tag: the scalar ones, then each directional kind in all 27
+    /// directions.
+    fn every_tag() -> Vec<Tag> {
+        let mut all = vec![Tag::Dt, Tag::Bye, Tag::Clock, Tag::Telemetry];
         for d in 0..dir::COUNT {
             all.push(Tag::Mass(d as u8));
             all.push(Tag::Force(d as u8));
             all.push(Tag::Gradient(d as u8));
         }
-        for t in &all {
-            assert_eq!(Tag::from_u32(t.to_u32()), Some(*t), "tag {t:?}");
+        all
+    }
+
+    #[test]
+    fn tag_roundtrip() {
+        for t in every_tag() {
+            assert_eq!(Tag::from_u32(t.to_u32()), Some(t), "tag {t:?}");
         }
         assert_eq!(Tag::from_u32(0), None);
         assert_eq!(Tag::from_u32(99), None);
         assert_eq!(Tag::from_u32(TAG_MASS_BASE + 27), None);
         assert_eq!(Tag::from_u32(TAG_GRADIENT_BASE + 0xff), None);
+        // Codes 8–11 are unassigned: a frame carrying one is a protocol
+        // error, not a parcel.
+        for v in 8..=11 {
+            assert_eq!(Tag::from_u32(v), None, "code {v}");
+        }
     }
 
     #[test]
@@ -1039,21 +935,7 @@ mod tests {
         // Satellite: the 27-neighbour tag layout must never alias — across
         // every direction of every kind, wire codes, names, and all four
         // span labels are pairwise distinct.
-        let mut all = vec![
-            Tag::Dt,
-            Tag::Bye,
-            Tag::Clock,
-            Tag::Telemetry,
-            Tag::MigratePrepare,
-            Tag::MigrateData,
-            Tag::MigrateAck,
-            Tag::Ckpt,
-        ];
-        for d in 0..dir::COUNT {
-            all.push(Tag::Mass(d as u8));
-            all.push(Tag::Force(d as u8));
-            all.push(Tag::Gradient(d as u8));
-        }
+        let all = every_tag();
         let mut codes: Vec<u32> = all.iter().map(|t| t.to_u32()).collect();
         codes.sort_unstable();
         codes.dedup();
@@ -1070,20 +952,19 @@ mod tests {
             labels.dedup();
             assert_eq!(labels.len(), all.len(), "labels alias");
         }
-        // The resilience tags are scalar codes: they must stay clear of
-        // every directional block (masking in `from_u32` relies on it)
-        // and of the telemetry code they ride alongside on the dt star.
-        for t in [
-            Tag::MigratePrepare,
-            Tag::MigrateData,
-            Tag::MigrateAck,
-            Tag::Ckpt,
-        ] {
-            let v = t.to_u32();
-            assert!(v < 0x100, "{t:?} collides with a directional block");
-            assert_ne!(v, Tag::Telemetry.to_u32());
-            assert_eq!(Tag::from_u32(v), Some(t));
+        // Scalar codes stay clear of every directional block (masking in
+        // `from_u32` relies on it).
+        for t in [Tag::Dt, Tag::Bye, Tag::Clock, Tag::Telemetry] {
+            assert!(
+                t.to_u32() < 0x100,
+                "{t:?} collides with a directional block"
+            );
         }
+        // Every telemetry class slot is reachable: no counter is dead.
+        let mut classes: Vec<usize> = all.iter().map(|t| t.class()).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes, (0..obs::live::NTAG).collect::<Vec<_>>());
         // Direction names land in the right table slots.
         assert_eq!(Tag::force(dir::DOWN).send_label(), "parcel-send-force-00m");
         assert_eq!(Tag::mass(dir::UP).name(), "mass-00p");

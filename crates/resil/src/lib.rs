@@ -1,17 +1,13 @@
-//! Resilience for the multi-domain drivers: checkpoint/restart, live
-//! domain migration, and a cross-rank load balancer.
+//! Checkpoint/restart for the multi-domain drivers.
 //!
-//! The repo's fault machinery up to PR 8 could *detect* everything —
-//! typed [`parcelnet::ParcelError`]s, fault plans, the straggler
-//! detector — but acted on none of it. This crate closes both loops:
+//! The fault machinery in `parcelnet` and `multidom` *detects* a dead
+//! rank — typed [`parcelnet::ParcelError`]s on every survivor. This crate
+//! lets a job recover from one:
 //!
 //! * [`DomainSnapshot`] is a versioned, checksummed serialization of one
 //!   rank's domain partition (every SoA array live at the top of the
 //!   step loop, plus the cycle/dt state) in the same flat-`Real` style
-//!   as `obs::live::StepSummary` —
-//!   so the identical encoding rides a [`parcelnet::Tag::MigrateData`]
-//!   parcel for live migration *and* lands in `--ckpt-dir` files for
-//!   checkpoint/restart.
+//!   as `obs::live::StepSummary`; it lands in `--ckpt-dir` files.
 //! * [`CkptWriter`] is the asynchronous writer thread: the step loop
 //!   hands it an encoded snapshot and keeps simulating; file I/O (atomic
 //!   tmp+rename, like the bench harness's baseline writes) happens off
@@ -20,12 +16,6 @@
 //!   to the newest cycle for which **every** rank has a
 //!   checksum-valid snapshot (a partial checkpoint wave must never be
 //!   resumed from).
-//! * [`balance::BalanceController`] extends the PR-2 hill-climbing
-//!   autotuner's acceptance primitive
-//!   ([`lulesh_task::autotune::HysteresisGate`]) into a cross-rank
-//!   controller: it consumes the in-band `StepSummary` telemetry at the
-//!   allreduce root and orders a domain migration when the EWMA
-//!   max/median self-time ratio stays over threshold.
 //!
 //! Determinism is the load-bearing property: restoring a snapshot and
 //! re-running yields **bit-identical** trajectories, because the
@@ -35,12 +25,10 @@
 
 #![warn(missing_docs)]
 
-pub mod balance;
-
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
 use lulesh_core::types::Real;
-use parcelnet::{fnv1a64, Tag};
+use parcelnet::fnv1a64;
 use std::path::{Path, PathBuf};
 
 /// Version stamped first into every snapshot; bump on layout changes.
@@ -48,10 +36,10 @@ use std::path::{Path, PathBuf};
 /// liveness note) — a v1 file is rejected as [`SnapshotError::SchemaMismatch`].
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
-/// Magic word stored after the version: the checkpoint parcel tag's wire
-/// code, so a stray file is rejected as a type error rather than decoded
-/// as garbage.
-pub const SNAPSHOT_MAGIC: u64 = Tag::Ckpt.to_u32() as u64;
+/// Magic word stored after the version, so a stray file is rejected as a
+/// type error rather than decoded as garbage. The value is frozen: files
+/// written by earlier builds carry it.
+pub const SNAPSHOT_MAGIC: u64 = 11;
 
 /// Scalar header slots before the flat arrays (see [`DomainSnapshot::encode`]).
 const HEADER_LEN: usize = 13;
@@ -199,8 +187,8 @@ pub struct DomainSnapshot {
 /// Only arrays **live at the top of the step loop** are captured. Every
 /// cycle writes the rest before its first read, so a restored domain
 /// regenerates them on its first post-resume cycle and the trajectory
-/// stays bit-identical (asserted end-to-end by the failure-injection and
-/// hosted-migration suites):
+/// stays bit-identical (asserted end-to-end by the failure-injection
+/// suite):
 ///
 /// * `fx/fy/fz` — `zero_forces` clears them before stress integration;
 /// * `xdd/ydd/zdd` — recomputed from the fresh forces in `advance_nodes`;
@@ -210,9 +198,9 @@ pub struct DomainSnapshot {
 /// * `ql/qq` — written by the q region pass just before the EOS consumes
 ///   them.
 ///
-/// Skipping the 21 dead arrays shrinks a snapshot (and a
-/// `Tag::MigrateData` parcel) by ~60%, which is what keeps the armed
-/// checkpointing cost inside the regress harness's CPU budget.
+/// Skipping the 21 dead arrays shrinks a snapshot by ~60%, which is what
+/// keeps the armed checkpointing cost inside the regress harness's CPU
+/// budget.
 macro_rules! for_each_snapshot_field {
     ($f:ident, $nn:expr, $ne:expr, $ng:expr) => {
         $f!($nn, x, set_x);
@@ -715,6 +703,11 @@ mod tests {
     #[test]
     fn decode_rejects_bad_schema_and_magic() {
         let snap = test_snapshot(0, 1);
+        // The magic is frozen so checkpoint files from earlier builds
+        // still load: 11, at word 1 right after the schema version.
+        assert_eq!(SNAPSHOT_MAGIC, 11);
+        assert_eq!(snap.encode()[1], 11.0);
+        assert_eq!(snap.to_bytes()[8..16], 11.0f64.to_le_bytes());
         let mut vals = snap.encode();
         vals[0] = 99.0;
         assert_eq!(

@@ -77,6 +77,27 @@ for run in "lulesh-serial --s 6 --i 10" "lulesh-omp --s 6 --i 10 --threads 2" \
   fi
 done
 
+echo "== AVX2 kernels inline every lane op (x86_64 only) =="
+# The four *_for_elems_avx2 bodies only run at AVX2 width if every
+# simd::Lanes / SimdReal op is inlined into them: an out-of-line lane op
+# is compiled for the baseline ISA and every call into it drops back to
+# SSE2. If the release binary holds no lane-op symbol at all, no AVX2 body
+# can call one.
+if [ "$(uname -m)" = x86_64 ]; then
+  cargo build --release -q -p lulesh-core --bin lulesh-serial
+  nm -C target/release/lulesh-serial > "$TMP/serial.syms"
+  AVX2_ENTRIES=$(grep -c '_for_elems_avx2$' "$TMP/serial.syms" || true)
+  if [ "$AVX2_ENTRIES" -ne 4 ]; then
+    echo "expected 4 *_for_elems_avx2 symbols, found $AVX2_ENTRIES:"
+    grep '_avx2' "$TMP/serial.syms" || true
+    exit 1
+  fi
+  if grep -E 'simd::Lanes|SimdReal' "$TMP/serial.syms"; then
+    echo "lane ops above were compiled out of line; AVX2 bodies may call them"
+    exit 1
+  fi
+fi
+
 echo "== NUMA pinning smoke run (--pin must not change the physics) =="
 # On a multi-node host this exercises pinning + first-touch end to end; on
 # a single-node host it must degrade to a warning on stderr while still
