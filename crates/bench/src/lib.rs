@@ -9,18 +9,21 @@
 //! | `fig11` | Figure 11 — productive-time ratio vs. size |
 //! | `table1` | Table I — best partition sizes per problem size |
 //! | `ablation` | DESIGN.md §5 — value of each optimization trick |
+//! | `sweep` | partition-size sensitivity behind Table I |
+//! | `whatif` | `schedule(dynamic)` counterfactual for the OpenMP reference |
+//! | `multinode` | §VI future work — multi-node strong-scaling projection |
+//! | `graphs` | Figures 9–11 as SVG files |
 //! | `calibrate` | re-measure the kernel cost model on this host |
-//! | `realrun` | run the *real* runtimes side by side on this host |
 //!
 //! All scaling results come from the `simsched` virtual 24-core EPYC
-//! (deterministic); `realrun` and the Criterion benches under `benches/`
-//! exercise the real `ompsim`/`taskrt` execution paths.
+//! (deterministic); the Criterion benches under `benches/` exercise the
+//! real `ompsim`/`taskrt` execution paths. End-to-end throughput of the
+//! real drivers is measured by the release-profile `benchmark/` workspace.
 
 #![warn(missing_docs)]
 
 pub mod plot;
 
-use lulesh_core::simd::LaneWidth;
 use lulesh_task::{AutoTuneConfig, AutoTuner, PartitionPlan, WindowSample};
 use simsched::{
     estimate_omp, estimate_task, sweep_partitions, CostModel, LuleshConfig, LuleshModel,
@@ -261,121 +264,6 @@ pub fn autotune_sim(cm: CostModel, size: usize, threads: usize) -> AutoTuneRow {
         auto_ns: auto_est.iteration_ns,
         sweep_plan: (sn, se),
         sweep_ns: sweep_est.iteration_ns,
-        windows,
-        converged: tuner.converged(),
-    }
-}
-
-/// Per-width cost multiplier for the simulator's 2-D tuning validation:
-/// the vectorizable share of an iteration (the lane-ported kernels' inner
-/// loops) speeds up by the width's throughput factor while the remainder
-/// (gathers, scatters, graph and steal overhead) stays scalar. The factors
-/// follow the shape of the measured per-kernel curves in EXPERIMENTS.md —
-/// near-linear to w4, flattening at w8.
-pub fn width_cost_scale(w: LaneWidth) -> f64 {
-    /// Vectorizable share of an iteration's wall time.
-    const V: f64 = 0.65;
-    let speedup = match w {
-        LaneWidth::W1 => 1.0,
-        LaneWidth::W2 => 1.7,
-        LaneWidth::W4 => 2.6,
-        LaneWidth::W8 => 2.9,
-    };
-    (1.0 - V) + V / speedup
-}
-
-/// Result of validating the 2-D (partition × lane width) auto-tuner
-/// against the exhaustive sweep on the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoTune2dRow {
-    /// Problem size.
-    pub size: usize,
-    /// Simulated ns/iteration of the static plan at scalar width — the
-    /// baseline every gain is quoted against.
-    pub scalar_ns: f64,
-    /// The plan the 2-D tuner converged to.
-    pub auto_plan: (usize, usize),
-    /// The lane width the 2-D tuner converged to.
-    pub auto_width: LaneWidth,
-    /// Simulated ns/iteration of the converged (plan, width).
-    pub auto_ns: f64,
-    /// Exhaustive argmin over [`PARTITION_CANDIDATES`] × every width.
-    pub sweep_plan: (usize, usize),
-    /// The sweep argmin's width.
-    pub sweep_width: LaneWidth,
-    /// Simulated ns/iteration of the sweep argmin.
-    pub sweep_ns: f64,
-    /// Measurement windows the tuner consumed.
-    pub windows: u32,
-    /// Whether the tuner converged.
-    pub converged: bool,
-}
-
-/// Run the 2-D auto-tuner (partition sizes × lane width, `--simd auto`)
-/// against the simulator and judge it against the exhaustive
-/// partition × width sweep. Width scales the vectorizable share of both
-/// the iteration cost and the mean task time (so the granularity guard
-/// sees the same faster-tasks signal the real runtime would produce).
-pub fn autotune_sim_2d(cm: CostModel, size: usize, threads: usize) -> AutoTune2dRow {
-    let model = LuleshModel::new(LuleshConfig::with_size(size), cm);
-    let m = MachineParams::epyc_7443p(threads);
-    let features = SimFeatures::default();
-    let cost = |pn: usize, pe: usize, w: LaneWidth| {
-        let est = estimate_task(&model, &m, pn, pe, features);
-        let scale = width_cost_scale(w);
-        let busy = est.utilization * threads as f64 * est.iteration_ns;
-        (
-            est.iteration_ns * scale,
-            busy * scale / est.tasks_per_iteration.max(1) as f64,
-        )
-    };
-
-    let static_plan = PartitionPlan::for_size_threads(size, threads);
-    let (scalar_ns, _) = cost(static_plan.nodal, static_plan.elements, LaneWidth::W1);
-
-    let cfg = AutoTuneConfig {
-        window: 1,
-        warmup_windows: 0,
-        hysteresis: 0.002,
-        tune_width: true,
-        ..AutoTuneConfig::default()
-    };
-    let mut tuner = AutoTuner::new(static_plan, threads, size * size * size, cfg);
-    let mut windows = 0u32;
-    while !tuner.converged() && windows < 1000 {
-        let p = tuner.plan();
-        let (iter_ns, mean_task_ns) = cost(p.nodal, p.elements, tuner.width());
-        tuner.record_window(WindowSample {
-            wall_per_iter_ns: iter_ns,
-            mean_task_ns,
-        });
-        windows += 1;
-    }
-
-    let best = tuner.best();
-    let (auto_ns, _) = cost(best.nodal, best.elements, tuner.best_width());
-
-    let mut sweep = ((0usize, 0usize), LaneWidth::W1, f64::INFINITY);
-    for &pn in &PARTITION_CANDIDATES {
-        for &pe in &PARTITION_CANDIDATES {
-            for w in LaneWidth::ALL {
-                let (ns, _) = cost(pn, pe, w);
-                if ns < sweep.2 {
-                    sweep = ((pn, pe), w, ns);
-                }
-            }
-        }
-    }
-
-    AutoTune2dRow {
-        size,
-        scalar_ns,
-        auto_plan: (best.nodal, best.elements),
-        auto_width: tuner.best_width(),
-        auto_ns,
-        sweep_plan: sweep.0,
-        sweep_width: sweep.1,
-        sweep_ns: sweep.2,
         windows,
         converged: tuner.converged(),
     }
@@ -670,36 +558,6 @@ mod tests {
                 "size {size}: auto {} ns vs sweep {} ns",
                 row.auto_ns,
                 row.sweep_ns
-            );
-        }
-    }
-
-    #[test]
-    fn two_d_autotune_matches_the_partition_width_sweep_within_1pct() {
-        // Acceptance criterion: the 2-D tuner (`--simd auto`) must match
-        // or beat the best exhaustively-swept (partition, width) pair
-        // within 1% on every paper size — and beat the scalar static
-        // baseline outright.
-        for &size in &SIZES {
-            let row = autotune_sim_2d(CostModel::default(), size, 24);
-            assert!(row.converged, "size {size}: 2-D tuner must converge");
-            assert!(
-                row.auto_ns <= row.sweep_ns * 1.01,
-                "size {size}: auto {:?}/{} = {} ns vs sweep {:?}/{} = {} ns",
-                row.auto_plan,
-                row.auto_width,
-                row.auto_ns,
-                row.sweep_plan,
-                row.sweep_width,
-                row.sweep_ns
-            );
-            assert!(
-                row.auto_ns < row.scalar_ns,
-                "size {size}: auto never beat the scalar baseline"
-            );
-            assert!(
-                row.auto_width.lanes() > 1,
-                "size {size}: the width dimension was never exploited"
             );
         }
     }

@@ -17,7 +17,7 @@ fn main() {
 
     // The golden reference still honours `--simd`: every width is
     // bit-identical, so wider lanes only speed the reference up.
-    lulesh_core::simd::set_active(opts.simd.static_width());
+    lulesh_core::simd::set_active(opts.simd);
 
     let domain = Domain::build(opts.size, opts.num_reg, opts.balance, opts.cost, opts.seed);
     let t0 = Instant::now();

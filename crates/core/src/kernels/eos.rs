@@ -552,7 +552,7 @@ pub fn calc_sound_speed_for_elems(
 /// repetition loop, ending with the store and sound-speed update.
 ///
 /// Dispatches on the process-wide SIMD width and the host's ISA
-/// ([`simd::dispatch!`]): the lane path fuses the whole per-element pipeline
+/// (`simd::dispatch!`): the lane path fuses the whole per-element pipeline
 /// (gather → compression → energy steps → pressure → sound speed) into
 /// registers, never touching `s`, and is bit-identical to the scalar
 /// reference.

@@ -245,7 +245,7 @@ pub fn calc_fb_hourglass_force_for_elems(
 /// any relative volume is non-positive (the forces are still written).
 ///
 /// Dispatches on the process-wide SIMD width and the host's ISA
-/// ([`simd::dispatch!`]).
+/// (`simd::dispatch!`).
 pub fn calc_hourglass_force_for_elems(
     d: &Domain,
     hourg: Real,

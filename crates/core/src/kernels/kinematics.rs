@@ -17,7 +17,7 @@ use parutil::Chunk;
 /// (`dxx/dyy/dzz`) evaluated at the half-step geometry.
 ///
 /// Dispatches on the process-wide SIMD width and the host's ISA
-/// ([`simd::dispatch!`]); every arm, scalar included, is the same generic
+/// (`simd::dispatch!`); every arm, scalar included, is the same generic
 /// body at a different `W`.
 pub fn calc_kinematics_for_elems(d: &Domain, dt: Real, range: Chunk) {
     simd::dispatch!(

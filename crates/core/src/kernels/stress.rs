@@ -58,7 +58,7 @@ pub fn init_stress_terms_for_elems(
 /// volume-error check) and `f*_elem[8·(i − range.begin) + c]`.
 ///
 /// Dispatches on the process-wide SIMD width and the host's ISA
-/// ([`simd::dispatch!`]): the scalar path is the reference, the lane paths
+/// (`simd::dispatch!`): the scalar path is the reference, the lane paths
 /// are bit-identical by construction (same per-element IEEE operation
 /// sequence, no reassociation).
 #[allow(clippy::too_many_arguments)]

@@ -6,58 +6,6 @@
 use crate::simd::LaneWidth;
 use crate::types::Index;
 
-/// Kernel lane-width policy, `--simd scalar|w2|w4|w8|auto`.
-///
-/// Every width is bit-identical to the scalar reference (see
-/// [`crate::simd`]), so this flag is purely a performance knob: `wN` pins
-/// the lane kernels to N lanes (the default is [`LaneWidth::DEFAULT`]),
-/// `scalar` runs the reference inner loops, and `auto` lets the task
-/// driver's online tuner co-tune lane width with the partition sizes
-/// (drivers without a tuner resolve `auto` to the default width).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdMode {
-    /// Scalar reference loops (`--simd scalar`, alias `w1`).
-    Scalar,
-    /// A fixed lane width (`--simd w2|w4|w8`).
-    Fixed(LaneWidth),
-    /// Online width tuning where a tuner runs; the default width elsewhere.
-    Auto,
-}
-
-impl Default for SimdMode {
-    fn default() -> Self {
-        Self::Fixed(LaneWidth::DEFAULT)
-    }
-}
-
-impl SimdMode {
-    /// The width a driver without an online tuner should activate before
-    /// its first kernel. The task driver treats [`SimdMode::Auto`]
-    /// differently: it starts scalar and lets the 2-D auto-tuner climb.
-    pub fn static_width(self) -> LaneWidth {
-        match self {
-            SimdMode::Scalar => LaneWidth::W1,
-            SimdMode::Fixed(w) => w,
-            SimdMode::Auto => LaneWidth::DEFAULT,
-        }
-    }
-}
-
-impl std::str::FromStr for SimdMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" | "w1" => Ok(Self::Scalar),
-            "w2" => Ok(Self::Fixed(LaneWidth::W2)),
-            "w4" => Ok(Self::Fixed(LaneWidth::W4)),
-            "w8" => Ok(Self::Fixed(LaneWidth::W8)),
-            "auto" => Ok(Self::Auto),
-            _ => Err("expected scalar|w2|w4|w8|auto".into()),
-        }
-    }
-}
-
 /// Partition-size policy for the task driver, `--partition`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionMode {
@@ -255,9 +203,9 @@ pub struct Opts {
     pub trace_dir: Option<String>,
     /// Partition policy for the task driver, `--partition auto|fixed:N|table`.
     pub partition: PartitionMode,
-    /// Kernel lane width, `--simd scalar|w2|w4|w8|auto`. Default
+    /// Kernel lane width, `--simd scalar|w1|w2|w4|w8`. Default
     /// [`LaneWidth::DEFAULT`].
-    pub simd: SimdMode,
+    pub simd: LaneWidth,
     /// Inter-rank transport for the multi-domain drivers,
     /// `--transport channel|tcp|tcp:HOST:PORT`.
     pub transport: TransportMode,
@@ -314,7 +262,7 @@ impl Default for Opts {
             metrics: None,
             trace_dir: None,
             partition: PartitionMode::Table,
-            simd: SimdMode::default(),
+            simd: LaneWidth::DEFAULT,
             transport: TransportMode::Channel,
             recv_deadline_ms: 10_000,
             pin: PinMode::None,
@@ -482,15 +430,15 @@ impl Opts {
     pub fn usage(program: &str) -> String {
         format!(
             "Usage: {program} [--s SIZE] [--r REGIONS] [--i ITERATIONS] \
-             [--b BALANCE] [--c COST] [--threads N] [--q] \
+             [--b BALANCE] [--c COST] [--threads N] [--seed N] [--q] \
              [--trace FILE.json] [--metrics FILE.csv|.json] [--trace-dir DIR] \
-             [--partition auto|fixed:N|table] [--simd scalar|w2|w4|w8|auto] \
+             [--partition auto|fixed:N|table] [--simd scalar|w1|w2|w4|w8] \
              [--transport channel|tcp|tcp:HOST:PORT] [--recv-deadline-ms MS] \
              [--pin all|none|node0,node1,…] [--grid NXxNYxNZ] \
              [--live-metrics[=PERIOD]] [--die-at RANK:CYCLE[,RANK:CYCLE…]] \
              [--slow-rank RANK:MS] [--ckpt-dir DIR] [--ckpt-period K] \
              [--resume-cycle C] [--respawn]\n\
-             Defaults: --s 30 --r 11 --b 1 --c 1 --threads 1 \
+             Defaults: --s 30 --r 11 --b 1 --c 1 --threads 1 --seed 0 \
              --partition table --simd {default_width} --transport channel \
              --recv-deadline-ms 10000 --pin none, run to stoptime.\n\
              --trace writes a Chrome-trace timeline (load in Perfetto); \
@@ -499,9 +447,7 @@ impl Opts {
              timeline, and an overhead-taxonomy report (multi-domain); \
              --partition auto tunes partition sizes online (task driver); \
              --simd picks the kernel lane width (every width is bit-identical \
-             to --simd scalar, the reference loops); --simd auto co-tunes \
-             width with the partition sizes on the task driver and resolves \
-             to {default_width} elsewhere; \
+             to --simd scalar, the reference loops); \
              --transport tcp exchanges halos over loopback sockets \
              (multi-domain drivers); \
              --pin pins workers to NUMA nodes with locality-aware stealing \
@@ -593,24 +539,20 @@ mod tests {
         // A plain run takes the one default width, the same constant the
         // kernels' global starts at.
         let o = Opts::parse(Vec::<String>::new()).unwrap();
-        assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::DEFAULT));
-        assert_eq!(o.simd.static_width(), crate::simd::active());
+        assert_eq!(o.simd, LaneWidth::DEFAULT);
+        assert_eq!(o.simd, crate::simd::active());
         let o = Opts::parse(["--simd", "scalar"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Scalar);
-        assert_eq!(o.simd.static_width(), LaneWidth::W1);
+        assert_eq!(o.simd, LaneWidth::W1);
         // `w1` is an alias for scalar (handy in width sweeps).
         let o = Opts::parse(["--simd=w1"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Scalar);
+        assert_eq!(o.simd, LaneWidth::W1);
         let o = Opts::parse(["--simd", "w2"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::W2));
+        assert_eq!(o.simd, LaneWidth::W2);
         let o = Opts::parse(["--simd=w4"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::W4));
-        assert_eq!(o.simd.static_width(), LaneWidth::W4);
+        assert_eq!(o.simd, LaneWidth::W4);
         let o = Opts::parse(["--simd", "w8"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Fixed(LaneWidth::W8));
-        let o = Opts::parse(["--simd", "auto"]).unwrap();
-        assert_eq!(o.simd, SimdMode::Auto);
-        assert_eq!(o.simd.static_width(), LaneWidth::DEFAULT);
+        assert_eq!(o.simd, LaneWidth::W8);
+        assert!(Opts::parse(["--simd", "auto"]).is_err());
         assert!(Opts::parse(["--simd", "w16"]).is_err());
         assert!(Opts::parse(["--simd", "avx"]).is_err());
         assert!(Opts::parse(["--simd"]).is_err());

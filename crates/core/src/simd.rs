@@ -11,7 +11,7 @@
 //! kinematics and EOS lane bodies scalar, so the four hot kernels compile
 //! their `Lanes<4>` body a second time under
 //! `#[target_feature(enable = "avx2")]` ([`Isa::Avx2`]; no `fma`, so the
-//! operation sequence and every bit stay the same) and [`dispatch!`] runs
+//! operation sequence and every bit stay the same) and `dispatch!` runs
 //! that copy when the CPU has AVX2. The choice is made from the platform
 //! alone ([`Isa::detect`]); there is no flag for it.
 //!
@@ -31,7 +31,7 @@
 //! tests that flip the global cannot change any result.
 //!
 //! Every lane kernel is a single pass per element, so a chunk is walked
-//! as plain `W`-element groups ([`lane_groups!`]) — there is no cache
+//! as plain `W`-element groups (`lane_groups!`) — there is no cache
 //! blocking layer to tune.
 //!
 //! Inlining is load-bearing here: a helper LLVM declines to inline into an
@@ -314,7 +314,7 @@ impl LaneWidth {
     /// Every width, scalar first.
     pub const ALL: [LaneWidth; 4] = [Self::W1, Self::W2, Self::W4, Self::W8];
 
-    /// The width a plain run uses: [`ACTIVE`]'s initial value and the
+    /// The width a plain run uses: [`active`]'s initial value and the
     /// `--simd` default. Measured in release (EXPERIMENTS.md): w4 wins or
     /// ties on every lane kernel; w2 and w8 are within a few percent.
     pub const DEFAULT: LaneWidth = Self::W4;
@@ -349,6 +349,21 @@ impl std::fmt::Display for LaneWidth {
             Self::W2 => write!(f, "w2"),
             Self::W4 => write!(f, "w4"),
             Self::W8 => write!(f, "w8"),
+        }
+    }
+}
+
+/// The `--simd` values: `scalar` (alias `w1`), `w2`, `w4`, `w8`.
+impl std::str::FromStr for LaneWidth {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "scalar" | "w1" => Ok(Self::W1),
+            "w2" => Ok(Self::W2),
+            "w4" => Ok(Self::W4),
+            "w8" => Ok(Self::W8),
+            _ => Err("expected scalar|w1|w2|w4|w8".into()),
         }
     }
 }

@@ -21,7 +21,7 @@ fn main() {
 
     // No online tuner here: `--simd auto` resolves to the static sweet
     // spot. Every width is bit-identical, so this only changes speed.
-    lulesh_core::simd::set_active(opts.simd.static_width());
+    lulesh_core::simd::set_active(opts.simd);
 
     let domain = Domain::build(opts.size, opts.num_reg, opts.balance, opts.cost, opts.seed);
     // One lane per pool thread plus a control lane for iteration spans.

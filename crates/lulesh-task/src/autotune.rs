@@ -31,13 +31,12 @@
 //! eats the parallelism win).
 //!
 //! The state machine is pure (no clocks, no runtime handles): the real
-//! driver feeds it measured wall times while `bench::autotune_sim` feeds
-//! it simulator estimates, so the exact same controller is validated
+//! driver feeds it measured wall times while `lulesh_bench::autotune_sim`
+//! feeds it simulator estimates, so the exact same controller is validated
 //! against exhaustive search in the simulator and deployed on the real
 //! runtime.
 
 use crate::plan::{partition_cap, PartitionPlan, MIN_PARTITION};
-use lulesh_core::simd::LaneWidth;
 
 /// The tuner's noise rejection: does `trial` beat `baseline` by a
 /// relative margin greater than `threshold`? (`baseline = ∞` accepts
@@ -68,12 +67,6 @@ pub struct AutoTuneConfig {
     /// Probe-round budget; exceeded ⇒ converge on the best seen. Bounds
     /// total tuning time even under measurement noise.
     pub max_rounds: u32,
-    /// Co-tune the kernel lane width with the partition sizes
-    /// (`--simd auto`). The search then walks a 2-D space — partition
-    /// plan × width — starting from scalar, so the baseline window doubles
-    /// as the scalar reference measurement. Off by default: a fixed
-    /// `--simd` width must never be perturbed by the tuner.
-    pub tune_width: bool,
 }
 
 impl Default for AutoTuneConfig {
@@ -86,20 +79,8 @@ impl Default for AutoTuneConfig {
             min_task_ns: 2_000.0,
             max_moves: 16,
             max_rounds: 8,
-            tune_width: false,
         }
     }
-}
-
-/// One point of the tuning space: a partition plan plus the kernel lane
-/// width active while measuring it. Width stays [`LaneWidth::W1`]
-/// throughout unless [`AutoTuneConfig::tune_width`] is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunePoint {
-    /// The two partition sizes.
-    pub plan: PartitionPlan,
-    /// The kernel lane width.
-    pub width: LaneWidth,
 }
 
 /// One measurement window's aggregate signal. The driver builds it from
@@ -122,10 +103,6 @@ pub struct AutoTuneReport {
     pub initial: PartitionPlan,
     /// Best plan found (== `initial` if nothing beat it).
     pub best: PartitionPlan,
-    /// Lane width the search started from (scalar under width tuning).
-    pub initial_width: LaneWidth,
-    /// Best lane width found (== `initial_width` when width tuning is off).
-    pub best_width: LaneWidth,
     /// Baseline cost of the initial plan (ns per iteration).
     pub initial_cost_ns: f64,
     /// Cost of the best plan (ns per iteration).
@@ -136,15 +113,14 @@ pub struct AutoTuneReport {
     pub moves: u32,
     /// Whether the search finished (vs. the run ending mid-probe).
     pub converged: bool,
-    /// Every `(point, cost)` measured, in order.
-    pub history: Vec<(TunePoint, f64)>,
+    /// Every `(plan, cost)` measured, in order.
+    pub history: Vec<(PartitionPlan, f64)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dim {
     Nodal,
     Elements,
-    Width,
 }
 
 /// +1 ⇒ coarser (double), −1 ⇒ finer (halve).
@@ -167,13 +143,13 @@ pub struct AutoTuner {
     /// Thread-floor cap on either partition size (see [`partition_cap`]).
     cap: usize,
     state: State,
-    /// Point currently being measured.
-    trial: TunePoint,
-    /// Best point accepted so far and its cost/granularity signal.
-    best: TunePoint,
+    /// Plan currently being measured.
+    trial: PartitionPlan,
+    /// Best plan accepted so far and its cost/granularity signal.
+    best: PartitionPlan,
     best_cost: f64,
     best_task_ns: f64,
-    initial: TunePoint,
+    initial: PartitionPlan,
     initial_cost: f64,
     /// Probes left in the current round.
     pending: Vec<(Dim, Dir)>,
@@ -181,7 +157,7 @@ pub struct AutoTuner {
     rounds: u32,
     moves: u32,
     windows: u32,
-    history: Vec<(TunePoint, f64)>,
+    history: Vec<(PartitionPlan, f64)>,
 }
 
 fn pow2_clamp(v: usize, lo: usize, hi: usize) -> usize {
@@ -195,15 +171,9 @@ impl AutoTuner {
     pub fn new(start: PartitionPlan, threads: usize, num_elem: usize, cfg: AutoTuneConfig) -> Self {
         assert!(cfg.window >= 1, "window must be at least one iteration");
         let cap = partition_cap(num_elem, threads).min(cfg.max_partition);
-        // Width tuning always starts scalar: the baseline window is then
-        // the scalar reference measurement the final report is judged
-        // against, and the climb (w2 → w4 → w8) rides probe momentum.
-        let start = TunePoint {
-            plan: PartitionPlan {
-                nodal: pow2_clamp(start.nodal, MIN_PARTITION, cap),
-                elements: pow2_clamp(start.elements, MIN_PARTITION, cap),
-            },
-            width: LaneWidth::W1,
+        let start = PartitionPlan {
+            nodal: pow2_clamp(start.nodal, MIN_PARTITION, cap),
+            elements: pow2_clamp(start.elements, MIN_PARTITION, cap),
         };
         Self {
             cfg,
@@ -235,13 +205,7 @@ impl AutoTuner {
 
     /// The plan the driver should use for the next window.
     pub fn plan(&self) -> PartitionPlan {
-        self.trial.plan
-    }
-
-    /// The lane width the driver should activate for the next window
-    /// (always scalar unless [`AutoTuneConfig::tune_width`] is on).
-    pub fn width(&self) -> LaneWidth {
-        self.trial.width
+        self.trial
     }
 
     /// `true` once the search has settled; [`plan`](Self::plan) then
@@ -252,12 +216,7 @@ impl AutoTuner {
 
     /// Best plan seen so far.
     pub fn best(&self) -> PartitionPlan {
-        self.best.plan
-    }
-
-    /// Best lane width seen so far.
-    pub fn best_width(&self) -> LaneWidth {
-        self.best.width
+        self.best
     }
 
     /// Feed one window's measurement of the current [`plan`](Self::plan).
@@ -300,10 +259,8 @@ impl AutoTuner {
     /// Summary of the search so far.
     pub fn report(&self) -> AutoTuneReport {
         AutoTuneReport {
-            initial: self.initial.plan,
-            best: self.best.plan,
-            initial_width: self.initial.width,
-            best_width: self.best.width,
+            initial: self.initial,
+            best: self.best,
             initial_cost_ns: self.initial_cost,
             best_cost_ns: self.best_cost,
             windows: self.windows,
@@ -314,9 +271,7 @@ impl AutoTuner {
     }
 
     /// Queue a fresh probe round: both directions of every dimension,
-    /// popped back-to-front. Width probes (when enabled) go last so they
-    /// pop first — widening is usually the biggest single win, and finding
-    /// it early re-baselines the partition probes onto the faster kernels.
+    /// popped back-to-front.
     fn start_round(&mut self) {
         self.rounds += 1;
         self.improved_this_round = false;
@@ -326,10 +281,6 @@ impl AutoTuner {
             (Dim::Nodal, -1),
             (Dim::Nodal, 1),
         ];
-        if self.cfg.tune_width {
-            self.pending.push((Dim::Width, -1));
-            self.pending.push((Dim::Width, 1));
-        }
     }
 
     /// Move to the next viable probe, starting new rounds as long as the
@@ -361,21 +312,11 @@ impl AutoTuner {
     /// The neighbour of `best` one power-of-two step along `dim`, or
     /// `None` when the step leaves the bounds or trips the granularity
     /// guard.
-    fn step(&self, dim: Dim, dir: Dir) -> Option<TunePoint> {
-        let mut point = self.best;
-        if dim == Dim::Width {
-            // Widths walk the same power-of-two ladder as partitions,
-            // bounded by scalar below and W8 above. No granularity guard:
-            // width changes cost per element, not elements per task.
-            let lanes = point.width.lanes();
-            let next = if dir > 0 { lanes * 2 } else { lanes / 2 };
-            point.width = LaneWidth::from_lanes(next)?;
-            return Some(point);
-        }
+    fn step(&self, dim: Dim, dir: Dir) -> Option<PartitionPlan> {
+        let mut plan = self.best;
         let cur = match dim {
-            Dim::Nodal => point.plan.nodal,
-            Dim::Elements => point.plan.elements,
-            Dim::Width => unreachable!(),
+            Dim::Nodal => plan.nodal,
+            Dim::Elements => plan.elements,
         };
         let next = if dir > 0 {
             if cur >= self.cap {
@@ -395,11 +336,10 @@ impl AutoTuner {
             cur / 2
         };
         match dim {
-            Dim::Nodal => point.plan.nodal = next,
-            Dim::Elements => point.plan.elements = next,
-            Dim::Width => unreachable!(),
+            Dim::Nodal => plan.nodal = next,
+            Dim::Elements => plan.elements = next,
         }
-        Some(point)
+        Some(plan)
     }
 }
 
@@ -526,117 +466,6 @@ mod tests {
             });
             windows += 1;
         }
-    }
-
-    /// Width-aware driver for the 2-D search tests.
-    fn run_to_convergence_2d(
-        mut tuner: AutoTuner,
-        cost: impl Fn(PartitionPlan, LaneWidth) -> f64,
-        max_windows: u32,
-    ) -> (PartitionPlan, LaneWidth) {
-        let mut windows = 0;
-        while !tuner.converged() && windows < max_windows {
-            let c = cost(tuner.plan(), tuner.width());
-            tuner.record_window(WindowSample {
-                wall_per_iter_ns: c,
-                mean_task_ns: coarse_tasks(tuner.plan()),
-            });
-            windows += 1;
-        }
-        assert!(tuner.converged(), "tuner failed to converge");
-        (tuner.best(), tuner.best_width())
-    }
-
-    /// Synthetic width speedup peaking at w4 (w8 slightly worse — the
-    /// lanes spill): 1.0, 0.60, 0.45, 0.50.
-    fn width_scale(w: LaneWidth) -> f64 {
-        match w {
-            LaneWidth::W1 => 1.0,
-            LaneWidth::W2 => 0.60,
-            LaneWidth::W4 => 0.45,
-            LaneWidth::W8 => 0.50,
-        }
-    }
-
-    #[test]
-    fn two_d_search_finds_both_optima() {
-        // Separable landscape: partition optimum (512, 256), width optimum
-        // w4. Coordinate descent must land on both.
-        let start = PartitionPlan::fixed(8192, 8192);
-        let tuner = AutoTuner::new(
-            start,
-            4,
-            1 << 20,
-            AutoTuneConfig {
-                tune_width: true,
-                ..cfg()
-            },
-        );
-        let (best, width) = run_to_convergence_2d(tuner, |p, w| v_cost(p) * width_scale(w), 300);
-        assert_eq!(best, PartitionPlan::fixed(512, 256));
-        assert_eq!(width, LaneWidth::W4);
-    }
-
-    #[test]
-    fn width_stays_scalar_when_width_tuning_is_off() {
-        let start = PartitionPlan::fixed(8192, 8192);
-        let tuner = AutoTuner::new(start, 4, 1 << 20, cfg());
-        // Reward wider widths heavily; with tune_width off the tuner must
-        // never even probe one.
-        let (_, width) =
-            run_to_convergence_2d(tuner, |p, w| v_cost(p) * (1.0 / w.lanes() as f64), 300);
-        assert_eq!(width, LaneWidth::W1);
-    }
-
-    #[test]
-    fn width_never_settles_worse_than_scalar() {
-        // Pathological machine: every vector width is slower. The tuner
-        // must keep the scalar baseline.
-        let start = PartitionPlan::fixed(512, 256);
-        let tuner = AutoTuner::new(
-            start,
-            4,
-            1 << 20,
-            AutoTuneConfig {
-                tune_width: true,
-                ..cfg()
-            },
-        );
-        let (best, width) = run_to_convergence_2d(
-            tuner,
-            |p, w| v_cost(p) * if w == LaneWidth::W1 { 1.0 } else { 3.0 },
-            300,
-        );
-        assert_eq!(best, PartitionPlan::fixed(512, 256));
-        assert_eq!(width, LaneWidth::W1);
-    }
-
-    #[test]
-    fn report_records_the_width_climb() {
-        let start = PartitionPlan::fixed(512, 256);
-        let mut tuner = AutoTuner::new(
-            start,
-            4,
-            1 << 20,
-            AutoTuneConfig {
-                tune_width: true,
-                ..cfg()
-            },
-        );
-        while !tuner.converged() {
-            let c = v_cost(tuner.plan()) * width_scale(tuner.width());
-            tuner.record_window(WindowSample {
-                wall_per_iter_ns: c,
-                mean_task_ns: coarse_tasks(tuner.plan()),
-            });
-        }
-        let r = tuner.report();
-        assert_eq!(r.initial_width, LaneWidth::W1, "the baseline is scalar");
-        assert_eq!(r.best_width, LaneWidth::W4);
-        // The history must show more than one width actually measured.
-        let widths: std::collections::BTreeSet<_> =
-            r.history.iter().map(|(p, _)| p.width.lanes()).collect();
-        assert!(widths.len() >= 2, "no width was ever probed: {widths:?}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! CSV output format `size,regions,iterations,threads,runtime,result`,
 //! plus `--partition auto|fixed:N|table` selecting the partition policy.
 
-use lulesh_core::simd::{self, LaneWidth};
-use lulesh_core::{Domain, Opts, PartitionMode, RunReport, SimdMode};
+use lulesh_core::{Domain, Opts, PartitionMode, RunReport};
 use lulesh_task::{
     first_touch_domain, AutoTuneConfig, Features, PartitionPlan, PartitionPolicy, TaskLulesh,
 };
@@ -26,28 +25,13 @@ fn main() {
     };
 
     let mut domain = Domain::build(opts.size, opts.num_reg, opts.balance, opts.cost, opts.seed);
-    // `--simd auto` needs the online tuner, so it implies `--partition
-    // auto` with width co-tuning; any other mode pins the width up front
-    // and leaves the partition policy alone.
-    let tune_width = opts.simd == SimdMode::Auto;
-    simd::set_active(if tune_width {
-        LaneWidth::W1 // the tuner's baseline window is the scalar reference
-    } else {
-        opts.simd.static_width()
-    });
-    let policy = if tune_width {
-        PartitionPolicy::Auto(AutoTuneConfig {
-            tune_width: true,
-            ..AutoTuneConfig::default()
-        })
-    } else {
-        match opts.partition {
-            PartitionMode::Table => {
-                PartitionPolicy::Fixed(PartitionPlan::for_size_threads(opts.size, opts.threads))
-            }
-            PartitionMode::Fixed(n) => PartitionPolicy::Fixed(PartitionPlan::fixed(n, n)),
-            PartitionMode::Auto => PartitionPolicy::Auto(AutoTuneConfig::default()),
+    lulesh_core::simd::set_active(opts.simd);
+    let policy = match opts.partition {
+        PartitionMode::Table => {
+            PartitionPolicy::Fixed(PartitionPlan::for_size_threads(opts.size, opts.threads))
         }
+        PartitionMode::Fixed(n) => PartitionPolicy::Fixed(PartitionPlan::fixed(n, n)),
+        PartitionMode::Auto => PartitionPolicy::Auto(AutoTuneConfig::default()),
     };
 
     // Resolve `--pin` against the live topology. Unknown node ids and
@@ -111,7 +95,7 @@ fn main() {
         };
         eprintln!(
             "autotune: {} after {} windows ({} moves): nodal={} elements={} \
-             simd={} (start {}x{} {}, {gain:.1}% faster per iteration)",
+             (start {}x{}, {gain:.1}% faster per iteration)",
             if r.converged {
                 "converged"
             } else {
@@ -121,10 +105,8 @@ fn main() {
             r.moves,
             r.best.nodal,
             r.best.elements,
-            r.best_width,
             r.initial.nodal,
             r.initial.elements,
-            r.initial_width,
         );
     }
 

@@ -59,7 +59,7 @@
 pub mod autotune;
 mod plan;
 
-pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner, TunePoint, WindowSample};
+pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner, WindowSample};
 pub use lulesh_core::plan::Features;
 pub use plan::{partition_cap, PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 
@@ -708,12 +708,6 @@ where
             wall_per_iter_ns: wall,
             mean_task_ns,
         });
-        if t.config().tune_width {
-            // `--simd auto`: the next window runs at the tuner's width.
-            // Safe mid-run — no task is running between two iterations,
-            // and every width is bit-identical, so only speed changes.
-            lulesh_core::simd::set_active(t.width());
-        }
         self.win_iters = 0;
         self.win_t0 = Instant::now();
         self.win_base = now;
@@ -1003,7 +997,7 @@ mod tests {
         let plans: std::collections::BTreeSet<_> = report
             .history
             .iter()
-            .map(|(p, _)| (p.plan.nodal, p.plan.elements))
+            .map(|(p, _)| (p.nodal, p.elements))
             .collect();
         assert!(
             plans.len() >= 2,

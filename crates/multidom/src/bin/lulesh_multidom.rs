@@ -118,7 +118,7 @@ fn main() {
     // Applies to in-process ranks and TCP workers alike (the launcher
     // forwards `--simd` verbatim, so every worker re-activates the same
     // width). No online tuner here: `auto` resolves statically.
-    lulesh_core::simd::set_active(opts.simd.static_width());
+    lulesh_core::simd::set_active(opts.simd);
 
     match (&opts.transport, rank) {
         (TransportMode::Channel, Some(_)) => {

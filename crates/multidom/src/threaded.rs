@@ -14,7 +14,7 @@
 //! * **Simulation aborts** (negative volume, q-stop): the erroring rank
 //!   keeps satisfying the exchange protocol with garbage data and rides the
 //!   error on the dt allreduce, so every rank returns the same
-//!   [`LuleshError`] in the same iteration.
+//!   [`LuleshError`](lulesh_core::types::LuleshError) in the same iteration.
 //! * **Transport failures** (peer died, deadline passed, corrupt frame):
 //!   the observing rank returns [`MdError::Net`] immediately and drops its
 //!   links, which cascades — every surviving rank observes `PeerClosed`

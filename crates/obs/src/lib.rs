@@ -1,7 +1,7 @@
 //! # obs — unified task-level tracing and metrics
 //!
-//! One tracing substrate for both runtime substitutes: [`taskrt`]'s
-//! work-stealing workers and [`ompsim`]'s fork-join threads record
+//! One tracing substrate for both runtime substitutes: `taskrt`'s
+//! work-stealing workers and `ompsim`'s fork-join threads record
 //! [`Span`]s into the same [`Tracer`], so a many-task run and a fork-join
 //! run of the same problem produce directly comparable timelines.
 //!

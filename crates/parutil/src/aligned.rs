@@ -2,9 +2,8 @@
 //!
 //! [`AlignedBuf`] is the pool-friendly counterpart of
 //! [`SharedVec`](crate::SharedVec): a growable `Vec<T>`-like buffer whose
-//! allocation always starts on a 64-byte boundary (see
-//! [`CACHE_LINE`](crate::shared_slice::CACHE_LINE)), so lane-group loads in
-//! the SIMD kernels never straddle a cache line. It is restricted to
+//! allocation always starts on a 64-byte boundary (see [`CACHE_LINE`]),
+//! so lane-group loads in the SIMD kernels never straddle a cache line. It is restricted to
 //! [`ZeroBits`] element types because the kernels only ever need
 //! "`len` zeros, reusing capacity" semantics — that keeps every reset a
 //! single `memset` and makes the buffer trivially panic-safe.

@@ -32,7 +32,7 @@ use parcelnet::fnv1a64;
 use std::path::{Path, PathBuf};
 
 /// Version stamped first into every snapshot; bump on layout changes.
-/// v2 dropped the 21 scratch arrays (see [`for_each_snapshot_field`]'s
+/// v2 dropped the 21 scratch arrays (see `for_each_snapshot_field!`'s
 /// liveness note) — a v1 file is rejected as [`SnapshotError::SchemaMismatch`].
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
@@ -153,7 +153,7 @@ pub fn region_fingerprint(d: &Domain) -> u64 {
 /// them deterministically from the decomposition, and the region
 /// fingerprint in the header verifies the rebuild matches. Intra-cycle
 /// scratch arrays are not stored either (see
-/// [`for_each_snapshot_field`]): the first post-restore cycle rewrites
+/// `for_each_snapshot_field!`): the first post-restore cycle rewrites
 /// them before reading, so the trajectory is still bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DomainSnapshot {

@@ -119,8 +119,6 @@ mod tests {
             barrier_log_ns: 0.0,
             chunk_variance: 0.0,
             bw_penalty: 0.0,
-            numa_nodes: 1,
-            remote_access_ratio: 1.0,
         }
     }
 

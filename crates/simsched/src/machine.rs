@@ -36,14 +36,6 @@ pub struct MachineParams {
     /// scratch (paper trick T6) carry a low memory weight and largely avoid
     /// this; the reference's global scratch arrays do not.
     pub bw_penalty: f64,
-    /// NUMA nodes of the simulated machine. 1 (the default) models a UMA
-    /// machine and disables the remote-access penalty entirely.
-    pub numa_nodes: usize,
-    /// Measured remote/local streaming-bandwidth ratio (≥ 1): how many
-    /// times slower a memory-bound access runs when its page lives on
-    /// another node. Calibrate it from the `pinning` bench's local-vs-remote
-    /// streaming measurement; 1.0 (the default) means no penalty.
-    pub remote_access_ratio: f64,
 }
 
 impl MachineParams {
@@ -62,46 +54,6 @@ impl MachineParams {
             barrier_log_ns: 2200.0,
             chunk_variance: 0.55,
             bw_penalty: 0.55,
-            // Single socket in its default NPS1 config: one memory domain,
-            // so the calibrated cost model is unchanged by the NUMA term.
-            numa_nodes: 1,
-            remote_access_ratio: 1.0,
-        }
-    }
-
-    /// The same machine re-configured with `nodes` NUMA domains and a
-    /// measured remote/local streaming ratio (clamped to ≥ 1) — the drift
-    /// report's what-if knob for NUMA placement.
-    pub fn with_numa(mut self, nodes: usize, remote_access_ratio: f64) -> Self {
-        self.numa_nodes = nodes.max(1);
-        self.remote_access_ratio = remote_access_ratio.max(1.0);
-        self
-    }
-
-    /// Remote-access slowdown factor (≥ 1) for work with the given memory
-    /// weight when `remote_fraction` of its accesses land on another node:
-    /// `1 + mem_weight · remote_fraction · (remote_access_ratio − 1)`.
-    /// Exactly 1 on a UMA machine (`numa_nodes == 1`), for fully local work
-    /// (`remote_fraction == 0`), or for compute-bound work
-    /// (`mem_weight == 0`) — so the calibrated model is untouched unless
-    /// all three ingredients are present.
-    pub fn remote_penalty(&self, mem_weight: f64, remote_fraction: f64) -> f64 {
-        if self.numa_nodes <= 1 {
-            return 1.0;
-        }
-        let frac = remote_fraction.clamp(0.0, 1.0);
-        1.0 + mem_weight.max(0.0) * frac * (self.remote_access_ratio - 1.0).max(0.0)
-    }
-
-    /// The remote fraction an *unpinned* run exposes on this machine: with
-    /// pages placed by one build thread and workers scheduled anywhere,
-    /// `(nodes − 1)/nodes` of accesses are expected to cross a node
-    /// boundary. Zero on UMA.
-    pub fn unpinned_remote_fraction(&self) -> f64 {
-        if self.numa_nodes <= 1 {
-            0.0
-        } else {
-            (self.numa_nodes - 1) as f64 / self.numa_nodes as f64
         }
     }
 
@@ -291,33 +243,6 @@ mod tests {
         assert_eq!(m1.barrier_ns(), 0.0);
         assert!(m2.barrier_ns() > 0.0);
         assert!(m24.barrier_ns() > m2.barrier_ns());
-    }
-
-    #[test]
-    fn remote_penalty_is_off_on_uma_and_monotone_otherwise() {
-        let uma = MachineParams::epyc_7443p(24);
-        assert_eq!(uma.numa_nodes, 1, "7443P defaults stay single-domain");
-        assert_eq!(uma.remote_penalty(1.0, 1.0), 1.0);
-        assert_eq!(uma.unpinned_remote_fraction(), 0.0);
-
-        let m = uma.with_numa(2, 1.8);
-        // No penalty without all three ingredients.
-        assert_eq!(m.remote_penalty(0.0, 1.0), 1.0);
-        assert_eq!(m.remote_penalty(1.0, 0.0), 1.0);
-        // Full remote, fully memory-bound: the measured ratio itself.
-        assert!((m.remote_penalty(1.0, 1.0) - 1.8).abs() < 1e-12);
-        // Monotone in memory weight and in remote fraction.
-        assert!(m.remote_penalty(0.6, 0.5) < m.remote_penalty(0.9, 0.5));
-        assert!(m.remote_penalty(0.6, 0.25) < m.remote_penalty(0.6, 0.75));
-        // Half the nodes remote on a 2-node machine.
-        assert!((m.unpinned_remote_fraction() - 0.5).abs() < 1e-12);
-        let m4 = uma.with_numa(4, 1.8);
-        assert!((m4.unpinned_remote_fraction() - 0.75).abs() < 1e-12);
-
-        // A ratio below 1 (mismeasurement) clamps to no penalty rather
-        // than a speed-up.
-        let weird = uma.with_numa(2, 0.5);
-        assert_eq!(weird.remote_penalty(1.0, 1.0), 1.0);
     }
 
     #[test]

@@ -155,8 +155,6 @@ mod tests {
             barrier_log_ns: 0.0,
             chunk_variance: 0.0,
             bw_penalty: 0.0,
-            numa_nodes: 1,
-            remote_access_ratio: 1.0,
         }
     }
 
@@ -242,8 +240,6 @@ mod tests {
             barrier_log_ns: 0.0,
             chunk_variance: 0.0,
             bw_penalty: 0.0,
-            numa_nodes: 1,
-            remote_access_ratio: 1.0,
         };
         let r = simulate_work_stealing(&g, &m);
         // 8 threads at speed 0.6 → each task takes 100/0.6.

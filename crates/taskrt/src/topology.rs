@@ -113,7 +113,7 @@ impl Topology {
 
     /// Resolve a requested pin set against this topology: keep the node
     /// ids that exist, report the ones that do not. An empty `requested`
-    /// (or [`PinPolicy::All`]) selects every node. The returned selection
+    /// (`--pin all`) selects every node. The returned selection
     /// preserves topology order and is never empty as long as the
     /// topology has nodes.
     pub fn resolve_nodes(&self, requested: &[usize]) -> PinResolution {
@@ -144,7 +144,7 @@ impl Topology {
 
     /// Assign `threads` workers to the selected `nodes` in contiguous
     /// blocks (worker 0..k−1 on the first node, …), matching how
-    /// [`crate::plan`]-style block partitions map partitions to workers.
+    /// block-partitioned loops map partitions to workers.
     /// Returns, per worker, `(node_id, cpu)` — the CPU is chosen
     /// round-robin within the node so oversubscribed runs still spread
     /// over the node's cores.

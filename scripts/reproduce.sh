@@ -17,10 +17,6 @@ cargo test --workspace --release -q 2>&1 | tail -3
 echo "== physics validation: s=30 must give 932 iterations, e=2.025075e5 =="
 ./target/release/lulesh-serial --s 30 --q | tee "$OUT/serial_s30.csv"
 
-echo "== real-host side-by-side (bitwise agreement check) =="
-cargo run --release -q -p lulesh-bench --bin realrun -- --s 12 --i 60 --threads 4 \
-  | tee "$OUT/realrun.csv"
-
 echo "== figures (virtual 24-core EPYC 7443P) =="
 cargo run --release -q -p lulesh-bench --bin fig9     | tee "$OUT/fig9.txt"
 cargo run --release -q -p lulesh-bench --bin fig10    | tee "$OUT/fig10.txt"
