@@ -1,6 +1,7 @@
-//! OpenMP-reference-style LULESH binary (fork-join execution with a barrier
-//! after every parallel loop). CLI and CSV output match the artifact; the
-//! thread count flag is `--threads` (the reference uses OMP_NUM_THREADS).
+//! Fork-join LULESH binary: the task driver's fused kernels, one statically
+//! scheduled parallel region per chain, joined before the next starts. CLI
+//! and CSV output match the artifact; the thread count flag is `--threads`
+//! (the reference uses OMP_NUM_THREADS).
 
 use lulesh_core::{Domain, Opts, RunReport};
 use lulesh_omp::OmpLulesh;
@@ -19,8 +20,7 @@ fn main() {
         }
     };
 
-    // No online tuner here: `--simd auto` resolves to the static sweet
-    // spot. Every width is bit-identical, so this only changes speed.
+    // Every width is bit-identical, so this only changes speed.
     lulesh_core::simd::set_active(opts.simd);
 
     let domain = Domain::build(opts.size, opts.num_reg, opts.balance, opts.cost, opts.seed);

@@ -1,22 +1,32 @@
-//! # lulesh-omp — the OpenMP-reference-style LULESH port
+//! # lulesh-omp — the fork-join LULESH port
 //!
-//! Reproduces the structure the paper compares against: the fork-join
-//! interpreter of [`StepPlan::reference`]. Every loop of the reference's
-//! `LagrangeLeapFrog` is one statically scheduled [`ompsim::Pool`]
-//! parallel region **with a barrier at the end**, including the per-region
-//! EOS ladder: 19 + 2R + Σ_r (12·rep_r + 2) regions per iteration for R
-//! regions (483 at `--s 45 --r 11 --c 1`). This is the "AMT-hostile"
-//! baseline whose synchronization overhead the paper's task port removes.
+//! The fork-join interpreter of a [`StepPlan`]: every stage of the plan is
+//! one statically scheduled [`ompsim::Pool`] parallel region, and the
+//! region's join is the only synchronization.
 //!
-//! Results are bit-identical to `lulesh_core::serial` (same kernels, same
-//! static chunking of the same index spaces, same gather orders); the
-//! integration tests assert this.
+//! By default it walks [`StepPlan::tasks`] with every [`Features`] trick
+//! on: the fused kernels the task driver runs, over the same chains. The
+//! two drivers then differ only in how they synchronize. Here every chain
+//! is one region and the chains of a phase run one after another, so an
+//! iteration is 7 + 3R regions for R regions (40 at `--s 45 --r 11`).
+//!
+//! [`OmpLulesh::reference`] walks [`StepPlan::reference`] instead: one
+//! region per loop of the LLNL OpenMP code, including the 12-loop EOS
+//! ladder, 19 + 2R + Σ_r (12·rep_r + 2) regions per iteration (483 at
+//! `--s 45 --r 11 --c 1`). It is the only executed path through that
+//! ladder, which the equivalence tests pin; `simsched` prices the same
+//! plan for Figures 9–11.
+//!
+//! Either way the results are bit-identical to `lulesh_core::serial`: the
+//! same kernel calls over static chunks of the same index spaces, the same
+//! gather orders, and order-independent dt minima. The integration tests
+//! assert this.
 
 #![warn(missing_docs)]
 
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
-use lulesh_core::plan::{PlanShape, StepPlan, StepScratch};
+use lulesh_core::plan::{Features, PlanShape, StepPlan, StepScratch};
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::LuleshError;
 use obs::{SpanKind, Tracer};
@@ -26,6 +36,13 @@ use parutil::static_split;
 /// The fork-join LULESH runner. Owns its thread pool; reusable across runs.
 pub struct OmpLulesh {
     pool: Pool,
+    /// The plan `run` walks for a mesh of a given shape.
+    plan: fn(PlanShape) -> StepPlan,
+}
+
+/// The task driver's plan: every trick on.
+fn shared_plan(shape: PlanShape) -> StepPlan {
+    StepPlan::tasks(shape, Features::default())
 }
 
 impl OmpLulesh {
@@ -33,6 +50,7 @@ impl OmpLulesh {
     pub fn new(threads: usize) -> Self {
         Self {
             pool: Pool::new(threads),
+            plan: shared_plan,
         }
     }
 
@@ -42,6 +60,16 @@ impl OmpLulesh {
     pub fn with_tracer(threads: usize, tracer: std::sync::Arc<Tracer>, lane_base: usize) -> Self {
         Self {
             pool: Pool::with_tracer(threads, tracer, lane_base),
+            plan: shared_plan,
+        }
+    }
+
+    /// This runner, walking [`StepPlan::reference`] instead of the task
+    /// driver's plan: one region per loop of the OpenMP reference.
+    pub fn reference(self) -> Self {
+        Self {
+            plan: StepPlan::reference,
+            ..self
         }
     }
 
@@ -68,7 +96,7 @@ impl OmpLulesh {
 
     /// Run `d` for at most `max_cycles` iterations (or to `stoptime`).
     pub fn run(&mut self, d: &Domain, max_cycles: u64) -> Result<SimState, LuleshError> {
-        let plan = StepPlan::reference(PlanShape::of(d));
+        let plan = (self.plan)(PlanShape::of(d));
         let scratch = StepScratch::new(&plan, self.pool.nthreads());
         let mut state = SimState::new(d.initial_dt());
         let trace = self
@@ -110,8 +138,8 @@ impl OmpLulesh {
                         return;
                     }
                     // SAFETY: thread `tid` alone owns chunk `c` and local slot
-                    // `tid` in this region, and the region ends in a barrier
-                    // before the next stage starts.
+                    // `tid` in this region, and the pool joins every thread
+                    // of the region before the next stage starts.
                     unsafe {
                         let local = s.local(tid);
                         for k in stage {
@@ -133,35 +161,38 @@ mod tests {
     use lulesh_core::serial;
     use lulesh_core::validate::max_field_difference;
 
-    fn run_pair(size: usize, regs: usize, threads: usize, cycles: u64) -> (Domain, Domain) {
+    /// Both plans against the serial reference, bit for bit.
+    fn assert_matches_serial(size: usize, regs: usize, threads: usize, cycles: u64) {
         let ds = Domain::build(size, regs, 1, 1, 0);
-        let dp = Domain::build(size, regs, 1, 1, 0);
         serial::run(&ds, cycles).unwrap();
-        let mut omp = OmpLulesh::new(threads);
-        omp.run(&dp, cycles).unwrap();
-        (ds, dp)
+        let runners = [
+            ("shared", OmpLulesh::new(threads)),
+            ("reference", OmpLulesh::new(threads).reference()),
+        ];
+        for (plan, mut omp) in runners {
+            let dp = Domain::build(size, regs, 1, 1, 0);
+            omp.run(&dp, cycles).unwrap();
+            assert_eq!(
+                max_field_difference(&ds, &dp),
+                0.0,
+                "{plan} plan, {threads} threads"
+            );
+        }
     }
 
     #[test]
     fn matches_serial_single_thread() {
-        let (ds, dp) = run_pair(6, 3, 1, 10);
-        assert_eq!(max_field_difference(&ds, &dp), 0.0);
+        assert_matches_serial(6, 3, 1, 10);
     }
 
     #[test]
     fn matches_serial_multi_thread() {
-        let (ds, dp) = run_pair(6, 3, 4, 10);
-        assert_eq!(
-            max_field_difference(&ds, &dp),
-            0.0,
-            "bitwise agreement expected"
-        );
+        assert_matches_serial(6, 3, 4, 10);
     }
 
     #[test]
     fn matches_serial_many_regions_odd_threads() {
-        let (ds, dp) = run_pair(5, 7, 3, 8);
-        assert_eq!(max_field_difference(&ds, &dp), 0.0);
+        assert_matches_serial(5, 7, 3, 8);
     }
 
     #[test]

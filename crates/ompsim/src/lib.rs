@@ -6,12 +6,18 @@
 //! * a **persistent pool** of worker threads (like `OMP_NUM_THREADS`);
 //! * [`Pool::parallel_for`] — a statically scheduled loop: `0..n` is split
 //!   into one contiguous chunk per thread (sizes differing by at most one)
-//!   and **every loop ends in a barrier**, the synchronization cost the
-//!   paper's task-based port eliminates;
+//!   and **every loop ends in a join**: the call returns only after every
+//!   thread finished its chunk, the synchronization cost the paper's
+//!   task-based port eliminates;
 //! * [`Pool::parallel_region`] — a fused region executing a closure once
 //!   per thread (for the reference's multi-loop parallel regions);
 //! * per-thread productive-time counters, mirroring the paper's manual
 //!   OpenMP instrumentation for Figure 11.
+//!
+//! Dispatch is lock-free, like libgomp's: the master publishes a region by
+//! bumping an atomic generation that idle workers spin on (bounded, then
+//! they park), and joins on a counter of workers still running. Workers
+//! never wait for each other.
 //!
 //! Closures are *borrowed* (non-`'static`), like OpenMP's lexical regions:
 //! the pool guarantees every worker finished before `parallel_for` returns,
@@ -21,10 +27,27 @@
 
 use obs::{SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
-use parutil::{static_split, BusyIdleClock, CachePadded, Chunk, SenseBarrier};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use parutil::{static_split, BusyIdleClock, CachePadded, Chunk};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Polls of the generation (worker) or the completion counter (master) a
+/// waiting thread makes before it parks: about 90 µs on a 2.1 GHz Xeon,
+/// longer than the gap between two consecutive regions of a LULESH
+/// iteration, so a worker parks only when the pool goes idle.
+const SPIN_POLLS: u32 = 1 << 12;
+
+/// Every this many polls a waiting thread yields its core instead of
+/// pausing, so an oversubscribed pool (more threads than cores) hands the
+/// CPU to the threads that still have work.
+const YIELD_EVERY: u32 = 64;
+
+/// How long a parked thread sleeps before re-checking on its own. The
+/// seq-cst post/park handshake delivers every wakeup; this is a backstop
+/// long enough that a lost one shows up as a latency cliff in the tests.
+const PARK_BACKSTOP: Duration = Duration::from_millis(100);
 
 /// The job the pool broadcasts to its workers: a borrowed closure invoked
 /// as `f(thread_id, nthreads)`.
@@ -37,29 +60,58 @@ struct TraceCtx {
     lane_base: usize,
 }
 
+/// The posted region: written by the master, read by every worker. The
+/// master writes `job` only while no worker is inside a region, then
+/// publishes it with a store of `gen`; a worker reads `job` only after it
+/// loaded that store.
+struct Post {
+    gen: AtomicU64,
+    job: UnsafeCell<Option<(Job, &'static str)>>,
+}
+
 struct Shared {
-    /// Current job plus its generation; valid only between post and the
-    /// completion barrier.
-    job: Mutex<Option<SendJob>>,
-    job_cv: Condvar,
-    done_barrier: SenseBarrier,
-    shutdown: AtomicBool,
-    /// Set when any participant's closure panicked during the current
-    /// region; the master re-raises after the join barrier.
-    panicked: AtomicBool,
+    post: CachePadded<Post>,
+    /// Workers still running the current region; the master's join.
+    pending: CachePadded<AtomicUsize>,
+    /// Workers parked (or about to park) waiting for a new generation.
+    sleepers: CachePadded<AtomicUsize>,
+    /// The master parked (or is about to park) in its join.
+    master_asleep: CachePadded<AtomicBool>,
+    /// Set when a worker's closure panicked during the current region; the
+    /// master re-raises after the join. Read once per region, written
+    /// only on a panic.
+    panicked: CachePadded<AtomicBool>,
+    /// Set by `Drop` just before its last generation bump.
+    shutdown: CachePadded<AtomicBool>,
+    sleep_lock: Mutex<()>,
+    /// Parked workers wait here for a new generation.
+    post_cv: Condvar,
+    /// A parked master waits here for `pending == 0`.
+    done_cv: Condvar,
+    nthreads: usize,
     clocks: Vec<CachePadded<BusyIdleClock>>,
     epoch: Mutex<Instant>,
     /// `None` ⇒ tracing disabled; each region pays one branch.
     trace: Option<TraceCtx>,
 }
 
-/// Wrapper making the raw job pointer `Send`. Validity is guaranteed by the
-/// fork-join protocol: the master does not return (and therefore the
-/// referenced closure does not die) until every worker has passed the
-/// completion barrier for this job. Carries the region's generation and
-/// phase label (labels are `'static`, so shipping them is free).
-struct SendJob(Job, u64, &'static str);
-unsafe impl Send for SendJob {}
+// SAFETY: every field but `post.job` is `Send + Sync`. `post.job` holds a
+// pointer to a `Sync` closure and is written only by the master between
+// regions (after it observed `pending == 0` and before it bumps
+// `post.gen`), and read by workers only after they observed that bump, so
+// no access to it races. The fork-join protocol keeps the closure alive
+// until every worker finished it.
+unsafe impl Sync for Shared {}
+unsafe impl Send for Shared {}
+
+/// One poll of a spin wait: pause, or every [`YIELD_EVERY`]th poll yield.
+fn relax(polls: u32) {
+    if polls % YIELD_EVERY == YIELD_EVERY - 1 {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
 
 /// Time `f` on thread `tid`, crediting the single measurement to both the
 /// thread's busy clock and (when tracing) a [`SpanKind::Region`] span — so
@@ -89,8 +141,7 @@ fn exec_region(shared: &Shared, tid: usize, label: &'static str, f: impl FnOnce(
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    nthreads: usize,
-    next_gen: u64,
+    gen: u64,
 }
 
 /// Counter snapshot across the pool's threads.
@@ -124,11 +175,19 @@ impl Pool {
     fn build(nthreads: usize, trace: Option<TraceCtx>) -> Self {
         assert!(nthreads >= 1, "need at least one thread");
         let shared = Arc::new(Shared {
-            job: Mutex::new(None),
-            job_cv: Condvar::new(),
-            done_barrier: SenseBarrier::new(nthreads),
-            shutdown: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
+            post: CachePadded(Post {
+                gen: AtomicU64::new(0),
+                job: UnsafeCell::new(None),
+            }),
+            pending: CachePadded(AtomicUsize::new(0)),
+            sleepers: CachePadded(AtomicUsize::new(0)),
+            master_asleep: CachePadded(AtomicBool::new(false)),
+            panicked: CachePadded(AtomicBool::new(false)),
+            shutdown: CachePadded(AtomicBool::new(false)),
+            sleep_lock: Mutex::new(()),
+            post_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            nthreads,
             clocks: (0..nthreads)
                 .map(|_| CachePadded(BusyIdleClock::new()))
                 .collect(),
@@ -149,14 +208,13 @@ impl Pool {
         Self {
             shared,
             handles,
-            nthreads,
-            next_gen: 0,
+            gen: 0,
         }
     }
 
     /// Number of execution threads (master included).
     pub fn nthreads(&self) -> usize {
-        self.nthreads
+        self.shared.nthreads
     }
 
     /// Execute `f(tid, nthreads)` on every thread and wait for all of them
@@ -174,46 +232,82 @@ impl Pool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        let nthreads = self.nthreads;
+        let nthreads = self.nthreads();
         if nthreads == 1 {
             exec_region(&self.shared, 0, label, || f(0, 1));
             return;
         }
-        self.shared.panicked.store(false, Ordering::Relaxed);
-
-        self.next_gen += 1;
         let wide: &(dyn Fn(usize, usize) + Sync) = &f;
         // SAFETY (lifetime erasure): `f` outlives this call, and this call
-        // does not return until every worker has crossed `done_barrier`
-        // below, after which no worker touches the pointer again.
+        // does not return until every worker has finished the region (the
+        // join below), after which no worker touches the pointer again.
         let job: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), Job>(wide) };
-        {
-            let mut slot = self.shared.job.lock();
-            *slot = Some(SendJob(job, self.next_gen, label));
-            self.shared.job_cv.notify_all();
-        }
+        self.post(job, label);
 
         // Master participates as thread 0. A panic in `f` must not unwind
-        // past the join barrier: the workers still hold the lifetime-erased
-        // pointer to `f` until they cross it. Catch, join, then re-raise.
+        // past the join: the workers still hold the lifetime-erased pointer
+        // to `f` until they finish. Catch, join, then re-raise.
         let master_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec_region(&self.shared, 0, label, || f(0, nthreads));
         }))
         .err();
 
-        // Join: wait until all workers finished this job.
-        self.shared.done_barrier.wait();
+        self.join();
 
         if let Some(payload) = master_panic {
             std::panic::resume_unwind(payload);
         }
-        if self.shared.panicked.swap(false, Ordering::Relaxed) {
+        if self.shared.panicked.load(Ordering::Relaxed) {
+            self.shared.panicked.store(false, Ordering::Relaxed);
             panic!("a worker thread panicked inside the parallel region");
         }
     }
 
+    /// Publish `job` as the next region and wake any parked worker.
+    fn post(&mut self, job: Job, label: &'static str) {
+        let s = &*self.shared;
+        self.gen += 1;
+        s.pending.store(s.nthreads - 1, Ordering::Relaxed);
+        // SAFETY: the previous region's join saw `pending == 0`, so no
+        // worker reads the slot until it loads the store below.
+        unsafe { *s.post.job.get() = Some((job, label)) };
+        // Seq-cst half of the handshake with `wait_for_post`: the parker
+        // registers, then re-checks the generation; we bump the
+        // generation, then read the registrations. At least one side sees
+        // the other's store, so either we notify or it never sleeps.
+        s.post.gen.store(self.gen, Ordering::SeqCst);
+        if s.sleepers.load(Ordering::SeqCst) > 0 {
+            // Lock so the notify cannot land between the parker's check
+            // and its wait.
+            let _g = s.sleep_lock.lock();
+            s.post_cv.notify_all();
+        }
+    }
+
+    /// Wait until every worker finished the current region: spin, then
+    /// park until the last worker out wakes us.
+    fn join(&self) {
+        let s = &*self.shared;
+        let mut polls = 0u32;
+        while s.pending.load(Ordering::Acquire) != 0 {
+            if polls < SPIN_POLLS {
+                relax(polls);
+                polls += 1;
+                continue;
+            }
+            // Seq-cst handshake with the last worker out (see `worker_loop`).
+            s.master_asleep.store(true, Ordering::SeqCst);
+            let mut g = s.sleep_lock.lock();
+            if s.pending.load(Ordering::SeqCst) != 0 {
+                s.done_cv.wait_for(&mut g, PARK_BACKSTOP);
+            }
+            drop(g);
+            s.master_asleep.store(false, Ordering::Relaxed);
+        }
+    }
+
     /// `#pragma omp parallel for schedule(static)`: run `body` over `0..n`
-    /// split into one contiguous chunk per thread, then barrier.
+    /// split into one contiguous chunk per thread, then join.
     pub fn parallel_for<F>(&mut self, n: usize, body: F)
     where
         F: Fn(Chunk) + Sync,
@@ -248,7 +342,7 @@ impl Pool {
 
     /// `#pragma omp parallel for schedule(dynamic, chunk)`: threads grab
     /// `chunk`-sized pieces of `0..n` from a shared counter until the loop
-    /// is exhausted, then barrier. The counterfactual baseline the paper's
+    /// is exhausted, then join. The counterfactual baseline the paper's
     /// "LULESH does not expose load imbalance during its loops" observation
     /// invites (see the `whatif` bench binary).
     pub fn parallel_for_dynamic<F>(&mut self, n: usize, chunk: usize, body: F)
@@ -272,7 +366,7 @@ impl Pool {
     /// Counter snapshot since the last reset.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            threads: self.nthreads,
+            threads: self.nthreads(),
             busy_ns: self.shared.clocks.iter().map(|c| c.busy_ns()).sum(),
             tasks: self.shared.clocks.iter().map(|c| c.tasks()).sum(),
             wall_ns: self.shared.epoch.lock().elapsed().as_nanos() as u64,
@@ -301,10 +395,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // No region is in flight: every region joins before it returns.
+        let s = &*self.shared;
+        s.shutdown.store(true, Ordering::Relaxed);
+        s.post.gen.store(self.gen + 1, Ordering::SeqCst);
         {
-            let _g = self.shared.job.lock();
-            self.shared.job_cv.notify_all();
+            let _g = s.sleep_lock.lock();
+            s.post_cv.notify_all();
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -312,66 +409,62 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, tid: usize) {
-    let mut seen_gen = 0u64;
+/// Wait for a generation past `seen`: spin, then park until the master's
+/// post wakes us. Returns the new generation.
+fn wait_for_post(s: &Shared, seen: u64) -> u64 {
+    let mut polls = 0u32;
     loop {
-        // Wait for a new job generation: spin briefly first (consecutive
-        // parallel loops dispatch within microseconds of each other, and a
-        // futex sleep/wake per worker per loop would dominate the
-        // barrier-heavy baseline), then park on the condvar.
-        let mut job = None;
-        for spin in 0..512u32 {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if let Some(slot) = shared.job.try_lock() {
-                if let Some(SendJob(ptr, gen, label)) = &*slot {
-                    if *gen > seen_gen {
-                        seen_gen = *gen;
-                        job = Some((*ptr, *label));
-                        break;
-                    }
-                }
-            }
-            if spin % 64 == 63 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+        let gen = s.post.gen.load(Ordering::Acquire);
+        if gen != seen {
+            return gen;
         }
-        let (job, label) = match job {
-            Some(j) => j,
-            None => {
-                let mut slot = shared.job.lock();
-                loop {
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    match &*slot {
-                        Some(SendJob(ptr, gen, label)) if *gen > seen_gen => {
-                            seen_gen = *gen;
-                            break (*ptr, *label);
-                        }
-                        _ => shared.job_cv.wait(&mut slot),
-                    }
-                }
-            }
-        };
+        if polls < SPIN_POLLS {
+            relax(polls);
+            polls += 1;
+            continue;
+        }
+        // Seq-cst half of the handshake with `Pool::post`.
+        s.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut g = s.sleep_lock.lock();
+        if s.post.gen.load(Ordering::SeqCst) == seen {
+            s.post_cv.wait_for(&mut g, PARK_BACKSTOP);
+        }
+        drop(g);
+        s.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
-        // SAFETY: the master keeps the closure alive until after it passes
-        // `done_barrier`, which happens only after this call returns and we
-        // arrive at the barrier below. A panicking closure is caught so the
-        // worker still reaches the barrier (otherwise the master would wait
-        // forever); the master re-raises it after the join.
+fn worker_loop(shared: Arc<Shared>, tid: usize) {
+    let s = &*shared;
+    let mut seen = 0u64;
+    loop {
+        seen = wait_for_post(s, seen);
+        if s.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        // SAFETY: the generation we loaded (Acquire) was stored after the
+        // master wrote the slot, and the master rewrites it only after we
+        // decrement `pending` below.
+        let (job, label) = unsafe { (*s.post.job.get()).expect("posted region") };
+
+        // SAFETY: the master keeps the closure alive until `pending` drops
+        // to zero, which happens only after this call returns. A panicking
+        // closure is caught so the worker still checks out (otherwise the
+        // master would wait forever); the master re-raises it after the
+        // join.
         let f: &(dyn Fn(usize, usize) + Sync) = unsafe { &*job };
-        let nthreads = shared.done_barrier.participants();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec_region(&shared, tid, label, || f(tid, nthreads));
+            exec_region(s, tid, label, || f(tid, s.nthreads));
         }));
         if r.is_err() {
-            shared.panicked.store(true, Ordering::Relaxed);
+            s.panicked.store(true, Ordering::Relaxed);
         }
-        shared.done_barrier.wait();
+        // Release our writes to the master's join. The last worker out
+        // completes the seq-cst handshake with a parked master.
+        if s.pending.fetch_sub(1, Ordering::SeqCst) == 1 && s.master_asleep.load(Ordering::SeqCst) {
+            let _g = s.sleep_lock.lock();
+            s.done_cv.notify_one();
+        }
     }
 }
 
@@ -471,14 +564,48 @@ mod tests {
 
     #[test]
     fn many_consecutive_regions() {
+        // Five threads oversubscribe a small host: every spin wait must
+        // still hand its core to the threads with work.
+        for threads in [3, 5] {
+            let mut pool = Pool::new(threads);
+            let counter = AtomicU64::new(0);
+            for _ in 0..200 {
+                pool.parallel_region(|_, _| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            assert_eq!(counter.load(Ordering::Relaxed), 200 * threads as u64);
+        }
+    }
+
+    #[test]
+    fn parked_threads_wake_without_the_backstop() {
+        // Each round posts only once both workers registered to park, and
+        // worker 1 finishes only once the master registered to park in
+        // its join. Every wakeup must then come from the post or from the
+        // last worker out: a lost one costs a whole backstop.
+        const ROUNDS: u32 = 10;
         let mut pool = Pool::new(3);
-        let counter = AtomicU64::new(0);
-        for _ in 0..200 {
-            pool.parallel_region(|_, _| {
-                counter.fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(&pool.shared);
+        let count = AtomicU64::new(0);
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            while shared.sleepers.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            pool.parallel_region(|tid, _| {
+                while tid == 1 && !shared.master_asleep.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                count.fetch_add(1, Ordering::Relaxed);
             });
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 600);
+        assert_eq!(count.load(Ordering::Relaxed), 3 * ROUNDS as u64);
+        let took = t0.elapsed();
+        assert!(
+            took < ROUNDS * PARK_BACKSTOP / 2,
+            "{ROUNDS} rounds took {took:?}"
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@ fn main() {
         report.final_energy
     );
 
-    // 2. OpenMP-style fork-join port (one barrier after every loop).
+    // 2. Fork-join port: the task port's kernels, one parallel region per
+    //    chain (7 + 3R per iteration), each joined before the next.
     let d_omp = Domain::build(size, regions, 1, 1, 0);
     let mut omp = OmpLulesh::new(threads);
     let t0 = Instant::now();

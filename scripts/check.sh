@@ -21,9 +21,11 @@ echo "== tier-1: cargo build && cargo test =="
 cargo build -q --workspace
 cargo test -q --workspace 2>&1 | tail -3
 
-echo "== published s30 answer (serial, omp and task: 932 iterations, 2.025075e5) =="
-# Ignored in tier-1 because it takes tens of seconds; its 2x and 20x EOS
-# regions run the fork-join driver's full EOS ladder end to end.
+echo "== published s30 answer (serial, omp, omp reference, task: 932 iterations, 2.025075e5) =="
+# Ignored in tier-1 because it takes tens of seconds. Its 2x and 20x EOS
+# regions run the OpenMP code's 12-loop EOS ladder end to end on the
+# fork-join driver's reference plan (OmpLulesh::reference), the only
+# executed path through it; the default fork-join plan runs the fused EOS.
 cargo test --release -q --test published_small_mesh -- --ignored
 
 echo "== benchmark workspace: build + smoke run against these crates =="

@@ -9,9 +9,10 @@
 //! * [`taskrt`] — an HPX-substitute asynchronous many-task runtime
 //!   (futures, continuations, `when_all`, work stealing).
 //! * [`ompsim`] — an OpenMP-substitute fork-join runtime (static
-//!   `parallel_for` with end-of-loop barriers).
-//! * [`omp`] (`lulesh-omp`) — the reference-style port: ~30 parallel
-//!   loops + barriers per iteration.
+//!   `parallel_for`, joined at the end of every loop).
+//! * [`omp`] (`lulesh-omp`) — the fork-join port: the task port's kernels,
+//!   one parallel region per chain (7 + 3R per iteration for R regions);
+//!   its reference plan keeps the OpenMP code's loop-per-kernel structure.
 //! * [`task`] (`lulesh-task`) — the paper's contribution: partitioned
 //!   task chains, merged kernels, six sync points per iteration.
 //! * [`simsched`] — the deterministic virtual 24-core EPYC used to

@@ -1,8 +1,8 @@
 //! Steady-state allocation regression test for both step interpreters.
 //!
 //! Once warm, a leapfrog iteration performs **zero** heap allocations in
-//! the fork-join driver (one parallel region per plan stage, scratch sized
-//! once per run) and in the task driver (the iteration graph is built once
+//! the fork-join driver on either plan (one parallel region per plan stage,
+//! scratch sized once per run) and in the task driver (the iteration graph is built once
 //! and re-armed by the workers; the per-worker kernel scratch slots only
 //! grow). A counting global allocator that counts every thread of the
 //! process pins this down: a 12-cycle run must allocate exactly as often
@@ -67,6 +67,11 @@ fn omp(cycles: u64) -> u64 {
     OmpLulesh::new(2).run(&d, cycles).unwrap().cycle
 }
 
+fn omp_reference(cycles: u64) -> u64 {
+    let d = Domain::build(8, 4, 1, 1, 0);
+    OmpLulesh::new(2).reference().run(&d, cycles).unwrap().cycle
+}
+
 fn task(cycles: u64) -> u64 {
     let d = Arc::new(Domain::build(8, 4, 1, 1, 0));
     let plan = PartitionPlan::fixed(64, 64);
@@ -75,7 +80,11 @@ fn task(cycles: u64) -> u64 {
 
 #[test]
 fn iterations_stop_allocating_once_warm() {
-    for (driver, run) in [("omp", omp as fn(u64) -> u64), ("task", task)] {
+    for (driver, run) in [
+        ("omp", omp as fn(u64) -> u64),
+        ("omp reference", omp_reference),
+        ("task", task),
+    ] {
         let short = allocs_of_run(3, run);
         let long = allocs_of_run(12, run);
         // Start-up and warm-up allocate; every cycle after that must not.

@@ -1,6 +1,7 @@
 //! Cross-driver integration tests: the serial reference, the fork-join
-//! port and the many-task port must produce bit-identical physics for any
-//! configuration, thread count, partitioning and feature set.
+//! port (on both of its plans) and the many-task port must produce
+//! bit-identical physics for any configuration, thread count, partitioning
+//! and feature set.
 
 use lulesh::core::{serial, validate, Domain};
 use lulesh::omp::OmpLulesh;
@@ -15,6 +16,15 @@ fn serial_ref(size: usize, regs: usize, cycles: u64) -> Domain {
     let d = Domain::build(size, regs, 1, 1, 0);
     serial::run(&d, cycles).expect("serial reference must be stable");
     d
+}
+
+/// The fork-join runners: the shared plan the binary runs, and the OpenMP
+/// reference's loop-per-kernel plan.
+fn omp_runners(threads: usize) -> [(&'static str, OmpLulesh); 2] {
+    [
+        ("omp", OmpLulesh::new(threads)),
+        ("omp reference", OmpLulesh::new(threads).reference()),
+    ]
 }
 
 #[test]
@@ -38,13 +48,15 @@ fn agreement_across_thread_counts() {
     let (size, regs, cycles) = (7, 4, 15);
     let d_ref = serial_ref(size, regs, cycles);
     for threads in [1usize, 2, 5] {
-        let d_omp = Domain::build(size, regs, 1, 1, 0);
-        OmpLulesh::new(threads).run(&d_omp, cycles).unwrap();
-        assert_eq!(
-            validate::max_field_difference(&d_ref, &d_omp),
-            0.0,
-            "omp, {threads} threads"
-        );
+        for (driver, mut omp) in omp_runners(threads) {
+            let d_omp = Domain::build(size, regs, 1, 1, 0);
+            omp.run(&d_omp, cycles).unwrap();
+            assert_eq!(
+                validate::max_field_difference(&d_ref, &d_omp),
+                0.0,
+                "{driver}, {threads} threads"
+            );
+        }
 
         let d_task = Arc::new(Domain::build(size, regs, 1, 1, 0));
         TaskLulesh::new(threads)
@@ -83,9 +95,15 @@ fn agreement_with_balance_and_cost_flags() {
     let d_ref = Domain::build(6, 8, 2, 3, 0);
     serial::run(&d_ref, 10).unwrap();
 
-    let d_omp = Domain::build(6, 8, 2, 3, 0);
-    OmpLulesh::new(2).run(&d_omp, 10).unwrap();
-    assert_eq!(validate::max_field_difference(&d_ref, &d_omp), 0.0);
+    for (driver, mut omp) in omp_runners(2) {
+        let d_omp = Domain::build(6, 8, 2, 3, 0);
+        omp.run(&d_omp, 10).unwrap();
+        assert_eq!(
+            validate::max_field_difference(&d_ref, &d_omp),
+            0.0,
+            "{driver}"
+        );
+    }
 
     let d_task = Arc::new(Domain::build(6, 8, 2, 3, 0));
     TaskLulesh::new(2)

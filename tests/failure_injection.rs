@@ -28,12 +28,18 @@ fn serial_detects_poisoned_volume() {
     assert_eq!(serial::run(&d, 5), Err(LuleshError::VolumeError));
 }
 
+/// The fork-join runners: the shared plan, and the OpenMP reference's.
+fn omp_runners(threads: usize) -> [OmpLulesh; 2] {
+    [OmpLulesh::new(threads), OmpLulesh::new(threads).reference()]
+}
+
 #[test]
 fn omp_detects_poisoned_volume() {
-    let d = Domain::build(6, 2, 1, 1, 0);
-    poison_volume(&d);
-    let mut omp = OmpLulesh::new(3);
-    assert_eq!(omp.run(&d, 5), Err(LuleshError::VolumeError));
+    for mut omp in omp_runners(3) {
+        let d = Domain::build(6, 2, 1, 1, 0);
+        poison_volume(&d);
+        assert_eq!(omp.run(&d, 5), Err(LuleshError::VolumeError));
+    }
 }
 
 #[test]
@@ -67,10 +73,11 @@ fn serial_detects_qstop() {
 
 #[test]
 fn omp_detects_qstop() {
-    let mut d = Domain::build(6, 2, 1, 1, 0);
-    hair_trigger_qstop(&mut d);
-    let mut omp = OmpLulesh::new(2);
-    assert_eq!(omp.run(&d, 50), Err(LuleshError::QStopError));
+    for mut omp in omp_runners(2) {
+        let mut d = Domain::build(6, 2, 1, 1, 0);
+        hair_trigger_qstop(&mut d);
+        assert_eq!(omp.run(&d, 50), Err(LuleshError::QStopError));
+    }
 }
 
 #[test]
@@ -127,10 +134,11 @@ fn all_drivers_fail_on_the_same_cycle() {
             "serial at {cycles}"
         );
 
-        let mut d = Domain::build(6, 3, 1, 1, 0);
-        hair_trigger_qstop(&mut d);
-        let mut omp = OmpLulesh::new(2);
-        assert_eq!(omp.run(&d, cycles).is_err(), expect_err, "omp at {cycles}");
+        for mut omp in omp_runners(2) {
+            let mut d = Domain::build(6, 3, 1, 1, 0);
+            hair_trigger_qstop(&mut d);
+            assert_eq!(omp.run(&d, cycles).is_err(), expect_err, "omp at {cycles}");
+        }
 
         let mut d = Domain::build(6, 3, 1, 1, 0);
         hair_trigger_qstop(&mut d);

@@ -7,8 +7,8 @@
 //!
 //! The 30³ answer (932 iterations, `2.025075e5`) is pinned too, behind
 //! `#[ignore]` because it takes tens of seconds; `scripts/check.sh` runs it
-//! in release. Its regions repeat the EOS 2 and 20 times, so it runs the
-//! reference's EOS ladder end to end.
+//! in release. Its regions repeat the EOS 2 and 20 times, so the fork-join
+//! driver's reference plan runs the OpenMP code's EOS ladder end to end.
 
 use lulesh::core::{serial, Domain, RunReport, SimState};
 use lulesh::omp::OmpLulesh;
@@ -54,6 +54,13 @@ fn every_interpreter_reproduces_the_published_s30_answer() {
     let state = OmpLulesh::new(2).run(&d, NO_CYCLE_LIMIT).unwrap();
     assert_published_as("omp, 2 threads, s30", &d, &state, expected);
 
+    let d = domain();
+    let state = OmpLulesh::new(2)
+        .reference()
+        .run(&d, NO_CYCLE_LIMIT)
+        .unwrap();
+    assert_published_as("omp reference, 2 threads, s30", &d, &state, expected);
+
     let d = Arc::new(domain());
     let state = TaskLulesh::new(2)
         .run(&d, PartitionPlan::for_size_threads(30, 2), NO_CYCLE_LIMIT)
@@ -70,6 +77,13 @@ fn serial_and_fork_join_reproduce_the_published_answer() {
     let d = domain();
     let state = OmpLulesh::new(2).run(&d, NO_CYCLE_LIMIT).unwrap();
     assert_published("omp, 2 threads", &d, &state);
+
+    let d = domain();
+    let state = OmpLulesh::new(2)
+        .reference()
+        .run(&d, NO_CYCLE_LIMIT)
+        .unwrap();
+    assert_published("omp reference, 2 threads", &d, &state);
 }
 
 #[test]

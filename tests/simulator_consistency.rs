@@ -2,9 +2,11 @@
 //! three walk one `lulesh_core::plan::StepPlan`: the simulator's task graph
 //! must have the real graph's shape (tasks and sync points) for every
 //! `Features` combination, and its fork-join trace one region per parallel
-//! region the fork-join driver runs. This pins the simulator — which
-//! regenerates the paper's figures — to the code that actually runs.
+//! region the fork-join driver runs on the reference plan. This pins the
+//! simulator — which regenerates the paper's figures — to the code that
+//! actually runs.
 
+use lulesh::core::plan::{PlanShape, StepPlan};
 use lulesh::core::Domain;
 use lulesh::omp::OmpLulesh;
 use lulesh::simsched::{
@@ -80,27 +82,46 @@ fn task_counts_match_for_individual_feature_toggles() {
     }
 }
 
+/// Parallel regions per iteration of a traced two-iteration fork-join run
+/// on the reference plan or the shared one. Every region leaves one span on
+/// thread 0's lane; the iteration span goes to the control lane past the
+/// workers.
+fn omp_regions_per_iteration(d: &Domain, reference: bool) -> usize {
+    let threads = 2;
+    let tracer = Tracer::shared(threads + 1);
+    let mut omp = OmpLulesh::with_tracer(threads, Arc::clone(&tracer), 0);
+    if reference {
+        omp = omp.reference();
+    }
+    let cycles = omp.run(d, 2).unwrap().cycle as usize;
+    let spans = tracer.drain();
+    let regions = spans
+        .iter()
+        .filter(|s| s.worker == 0 && s.kind == SpanKind::Region)
+        .count();
+    assert_eq!(regions % cycles, 0, "{regions} regions in {cycles} cycles");
+    regions / cycles
+}
+
 #[test]
 fn omp_trace_has_one_region_per_driver_region() {
-    // Every parallel region leaves one span on thread 0's lane; the
-    // iteration span goes to the control lane past the workers. Each
-    // config has a region with rep > 1, so the EOS ladder's length counts.
-    let (threads, cycles) = (2, 2);
+    // Each config has a region with rep > 1, so the EOS ladder's length
+    // counts on the reference plan. The shared plan runs one region per
+    // chain: 7 + 3R for R regions.
     for (size, regs, cost) in [(5usize, 1usize, 1i32), (8, 11, 1), (6, 21, 32)] {
-        let tracer = Tracer::shared(threads + 1);
-        let d = Domain::build(size, regs, 1, cost, 0);
-        let state = OmpLulesh::with_tracer(threads, Arc::clone(&tracer), 0)
-            .run(&d, cycles)
-            .unwrap();
-        let spans = tracer.drain();
-        let regions = spans
-            .iter()
-            .filter(|s| s.worker == 0 && s.kind == SpanKind::Region)
-            .count();
+        let domain = || Domain::build(size, regs, 1, cost, 0);
+        let what = format!("size {size}, regions {regs}, cost {cost}");
         assert_eq!(
-            model(size, regs, cost).omp_trace().regions.len() as u64 * state.cycle,
-            regions as u64,
-            "size {size}, regions {regs}, cost {cost}"
+            omp_regions_per_iteration(&domain(), true),
+            model(size, regs, cost).omp_trace().regions.len(),
+            "reference plan, {what}"
+        );
+        let shared = StepPlan::tasks(PlanShape::of(&domain()), Features::default());
+        assert_eq!(shared.stages().count(), 7 + 3 * regs, "{what}");
+        assert_eq!(
+            omp_regions_per_iteration(&domain(), false),
+            shared.stages().count(),
+            "shared plan, {what}"
         );
     }
 }
@@ -135,13 +156,13 @@ fn simulated_total_work_is_implementation_independent() {
 #[test]
 fn utilization_of_real_runtimes_orders_like_the_simulation() {
     // On any host, the task port's measured productive ratio should beat
-    // the fork-join port's for a small barrier-heavy problem, matching the
-    // simulated Figure 11 ordering.
+    // the OpenMP reference's for a small barrier-heavy problem, matching
+    // the simulated Figure 11 ordering (which prices the reference plan).
     let threads = 2;
     let cycles = 30;
 
     let d_omp = Domain::build(8, 11, 1, 1, 0);
-    let mut omp = OmpLulesh::new(threads);
+    let mut omp = OmpLulesh::new(threads).reference();
     omp.reset_counters();
     omp.run(&d_omp, cycles).unwrap();
     let omp_util = omp.utilization();
