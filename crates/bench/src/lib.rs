@@ -24,7 +24,6 @@
 
 pub mod plot;
 
-use lulesh_task::{AutoTuneConfig, AutoTuner, PartitionPlan, WindowSample};
 use simsched::{
     estimate_omp, estimate_task, sweep_partitions, CostModel, LuleshConfig, LuleshModel,
     MachineParams, SimFeatures,
@@ -184,89 +183,6 @@ pub fn table1(cm: CostModel) -> Vec<Table1Row> {
             }
         })
         .collect()
-}
-
-/// Static-vs-auto-vs-exhaustive comparison for one problem size on the
-/// simulated machine. The online [`AutoTuner`] — the exact state machine
-/// the real driver runs — is driven by simulator estimates instead of wall
-/// clocks, then judged against the exhaustive [`sweep_partitions`] ground
-/// truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoTuneRow {
-    /// Problem size.
-    pub size: usize,
-    /// The thread-aware static plan the tuner starts from.
-    pub static_plan: (usize, usize),
-    /// Simulated ns/iteration of the static plan.
-    pub static_ns: f64,
-    /// The plan the tuner converged to.
-    pub auto_plan: (usize, usize),
-    /// Simulated ns/iteration of the converged plan.
-    pub auto_ns: f64,
-    /// Exhaustive-sweep argmin over [`PARTITION_CANDIDATES`].
-    pub sweep_plan: (usize, usize),
-    /// Simulated ns/iteration of the sweep argmin.
-    pub sweep_ns: f64,
-    /// Measurement windows the tuner consumed.
-    pub windows: u32,
-    /// Whether the tuner converged (the budgets guarantee it).
-    pub converged: bool,
-}
-
-/// Run the online auto-tuner against the simulator for one size and
-/// compare it with the static plan and the exhaustive sweep.
-pub fn autotune_sim(cm: CostModel, size: usize, threads: usize) -> AutoTuneRow {
-    let model = LuleshModel::new(LuleshConfig::with_size(size), cm);
-    let m = MachineParams::epyc_7443p(threads);
-    let features = SimFeatures::default();
-
-    let static_plan = PartitionPlan::for_size_threads(size, threads);
-    let static_est = estimate_task(
-        &model,
-        &m,
-        static_plan.nodal,
-        static_plan.elements,
-        features,
-    );
-
-    // The simulator is deterministic, so one window per probe and a tiny
-    // hysteresis suffice; the round/move budgets still bound the search.
-    let cfg = AutoTuneConfig {
-        window: 1,
-        warmup_windows: 0,
-        hysteresis: 0.002,
-        ..AutoTuneConfig::default()
-    };
-    let mut tuner = AutoTuner::new(static_plan, threads, size * size * size, cfg);
-    let mut windows = 0u32;
-    while !tuner.converged() && windows < 1000 {
-        let p = tuner.plan();
-        let est = estimate_task(&model, &m, p.nodal, p.elements, features);
-        // Mean busy ns per task: total productive time / task count.
-        let busy = est.utilization * threads as f64 * est.iteration_ns;
-        let mean_task_ns = busy / est.tasks_per_iteration.max(1) as f64;
-        tuner.record_window(WindowSample {
-            wall_per_iter_ns: est.iteration_ns,
-            mean_task_ns,
-        });
-        windows += 1;
-    }
-
-    let best = tuner.best();
-    let auto_est = estimate_task(&model, &m, best.nodal, best.elements, features);
-    let (sn, se, sweep_est) = sweep_partitions(&model, &m, features, &PARTITION_CANDIDATES);
-
-    AutoTuneRow {
-        size,
-        static_plan: (static_plan.nodal, static_plan.elements),
-        static_ns: static_est.iteration_ns,
-        auto_plan: (best.nodal, best.elements),
-        auto_ns: auto_est.iteration_ns,
-        sweep_plan: (sn, se),
-        sweep_ns: sweep_est.iteration_ns,
-        windows,
-        converged: tuner.converged(),
-    }
 }
 
 /// One ablation result: simulated runtime with a feature set.
@@ -531,51 +447,6 @@ mod tests {
             "naive: {}",
             rows.last().unwrap().slowdown
         );
-    }
-
-    #[test]
-    fn autotune_converges_near_the_sweep_optimum() {
-        // Acceptance criterion: within 2× of the exhaustive-sweep argmin
-        // on the simulated 24-core sweep at sizes 45 and 90.
-        for size in [45usize, 90] {
-            let row = autotune_sim(CostModel::default(), size, 24);
-            assert!(row.converged, "size {size}: tuner must converge");
-            for (got, opt) in [
-                (row.auto_plan.0, row.sweep_plan.0),
-                (row.auto_plan.1, row.sweep_plan.1),
-            ] {
-                let ratio = got.max(opt) as f64 / got.min(opt) as f64;
-                assert!(
-                    ratio <= 2.0,
-                    "size {size}: auto {:?} not within 2× of sweep {:?}",
-                    row.auto_plan,
-                    row.sweep_plan
-                );
-            }
-            // And the converged runtime must essentially match the sweep's.
-            assert!(
-                row.auto_ns <= row.sweep_ns * 1.10,
-                "size {size}: auto {} ns vs sweep {} ns",
-                row.auto_ns,
-                row.sweep_ns
-            );
-        }
-    }
-
-    #[test]
-    fn autotune_never_regresses_versus_the_static_plan() {
-        // Acceptance criterion: never >5% slower than the static
-        // `PartitionPlan::for_size` plan on any swept size.
-        for &size in &SIZES {
-            let row = autotune_sim(CostModel::default(), size, 24);
-            assert!(row.converged, "size {size}: tuner must converge");
-            assert!(
-                row.auto_ns <= row.static_ns * 1.05,
-                "size {size}: auto {} ns regresses vs static {} ns",
-                row.auto_ns,
-                row.static_ns
-            );
-        }
     }
 
     #[test]

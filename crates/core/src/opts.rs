@@ -6,14 +6,12 @@
 use crate::simd::LaneWidth;
 use crate::types::Index;
 
-/// Partition-size policy for the task driver, `--partition`.
+/// The task driver's partition plan for a run, `--partition`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionMode {
     /// Static Table I lookup (thread-aware). The default.
     #[default]
     Table,
-    /// Online auto-tuning (`--partition auto`).
-    Auto,
     /// One explicit size for both phases (`--partition fixed:N`).
     Fixed(usize),
 }
@@ -24,11 +22,8 @@ impl std::str::FromStr for PartitionMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "table" => Ok(Self::Table),
-            "auto" => Ok(Self::Auto),
             _ => {
-                let n = s
-                    .strip_prefix("fixed:")
-                    .ok_or("expected auto|fixed:N|table")?;
+                let n = s.strip_prefix("fixed:").ok_or("expected table|fixed:N")?;
                 match n.parse::<usize>() {
                     Ok(n) if n > 0 => Ok(Self::Fixed(n)),
                     _ => Err(format!("bad fixed partition size '{n}'")),
@@ -201,7 +196,7 @@ pub struct Opts {
     /// trace and analysis report into this directory, `--trace-dir`
     /// (multi-domain drivers).
     pub trace_dir: Option<String>,
-    /// Partition policy for the task driver, `--partition auto|fixed:N|table`.
+    /// Partition plan for the task driver, `--partition table|fixed:N`.
     pub partition: PartitionMode,
     /// Kernel lane width, `--simd scalar|w1|w2|w4|w8`. Default
     /// [`LaneWidth::DEFAULT`].
@@ -432,7 +427,7 @@ impl Opts {
             "Usage: {program} [--s SIZE] [--r REGIONS] [--i ITERATIONS] \
              [--b BALANCE] [--c COST] [--threads N] [--seed N] [--q] \
              [--trace FILE.json] [--metrics FILE.csv|.json] [--trace-dir DIR] \
-             [--partition auto|fixed:N|table] [--simd scalar|w1|w2|w4|w8] \
+             [--partition table|fixed:N] [--simd scalar|w1|w2|w4|w8] \
              [--transport channel|tcp|tcp:HOST:PORT] [--recv-deadline-ms MS] \
              [--pin all|none|node0,node1,…] [--grid NXxNYxNZ] \
              [--live-metrics[=PERIOD]] [--die-at RANK:CYCLE[,RANK:CYCLE…]] \
@@ -445,7 +440,6 @@ impl Opts {
              --metrics writes a per-phase metrics snapshot; \
              --trace-dir collects per-rank traces, a merged clock-aligned \
              timeline, and an overhead-taxonomy report (multi-domain); \
-             --partition auto tunes partition sizes online (task driver); \
              --simd picks the kernel lane width (every width is bit-identical \
              to --simd scalar, the reference loops); \
              --transport tcp exchanges halos over loopback sockets \
@@ -522,12 +516,11 @@ mod tests {
     fn partition_modes() {
         let o = Opts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.partition, PartitionMode::Table);
-        let o = Opts::parse(["--partition", "auto"]).unwrap();
-        assert_eq!(o.partition, PartitionMode::Auto);
         let o = Opts::parse(["--partition=fixed:2048"]).unwrap();
         assert_eq!(o.partition, PartitionMode::Fixed(2048));
         let o = Opts::parse(["--partition", "table"]).unwrap();
         assert_eq!(o.partition, PartitionMode::Table);
+        assert!(Opts::parse(["--partition", "auto"]).is_err());
         assert!(Opts::parse(["--partition", "bogus"]).is_err());
         assert!(Opts::parse(["--partition", "fixed:0"]).is_err());
         assert!(Opts::parse(["--partition", "fixed:x"]).is_err());

@@ -1,12 +1,10 @@
 //! Many-task LULESH binary — the paper's implementation. CLI matches the
 //! artifact (`--s`, `--r`, `--i`, `--q`, `--hpx:threads`/`--threads`),
 //! CSV output format `size,regions,iterations,threads,runtime,result`,
-//! plus `--partition auto|fixed:N|table` selecting the partition policy.
+//! plus `--partition table|fixed:N` selecting the run's partition plan.
 
 use lulesh_core::{Domain, Opts, PartitionMode, RunReport};
-use lulesh_task::{
-    first_touch_domain, AutoTuneConfig, Features, PartitionPlan, PartitionPolicy, TaskLulesh,
-};
+use lulesh_task::{first_touch_domain, Features, PartitionPlan, TaskLulesh};
 use obs::Tracer;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,12 +24,9 @@ fn main() {
 
     let mut domain = Domain::build(opts.size, opts.num_reg, opts.balance, opts.cost, opts.seed);
     lulesh_core::simd::set_active(opts.simd);
-    let policy = match opts.partition {
-        PartitionMode::Table => {
-            PartitionPolicy::Fixed(PartitionPlan::for_size_threads(opts.size, opts.threads))
-        }
-        PartitionMode::Fixed(n) => PartitionPolicy::Fixed(PartitionPlan::fixed(n, n)),
-        PartitionMode::Auto => PartitionPolicy::Auto(AutoTuneConfig::default()),
+    let plan = match opts.partition {
+        PartitionMode::Table => PartitionPlan::for_size_threads(opts.size, opts.threads),
+        PartitionMode::Fixed(n) => PartitionPlan::fixed(n, n),
     };
 
     // Resolve `--pin` against the live topology. Unknown node ids and
@@ -55,11 +50,7 @@ fn main() {
     // First-touch: re-place the domain arrays so each node's partition
     // block faults on the node whose workers will compute it.
     if let Some((topo, nodes)) = &pin {
-        let ft_plan = match policy {
-            PartitionPolicy::Fixed(p) => p,
-            PartitionPolicy::Auto(_) => PartitionPlan::for_size_threads(opts.size, opts.threads),
-        };
-        first_touch_domain(&mut domain, topo, nodes, ft_plan);
+        first_touch_domain(&mut domain, topo, nodes, plan);
     }
     let domain = Arc::new(domain);
 
@@ -76,7 +67,7 @@ fn main() {
     let runner = TaskLulesh::from_runtime_config(config, Features::default());
     runner.reset_counters();
     let t0 = Instant::now();
-    let state = match runner.run_policy(&domain, policy, opts.max_cycles) {
+    let state = match runner.run(&domain, plan, opts.max_cycles) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("run failed: {e}");
@@ -85,44 +76,14 @@ fn main() {
     };
     let elapsed = t0.elapsed();
 
-    // The tuner's one-line verdict is the primary output of an auto run;
-    // print it even under --q (scripts grep for it).
-    if let Some(r) = runner.auto_report() {
-        let gain = if r.initial_cost_ns > 0.0 && r.best_cost_ns.is_finite() {
-            100.0 * (1.0 - r.best_cost_ns / r.initial_cost_ns)
-        } else {
-            0.0
-        };
-        eprintln!(
-            "autotune: {} after {} windows ({} moves): nodal={} elements={} \
-             (start {}x{}, {gain:.1}% faster per iteration)",
-            if r.converged {
-                "converged"
-            } else {
-                "exploring"
-            },
-            r.windows,
-            r.moves,
-            r.best.nodal,
-            r.best.elements,
-            r.initial.nodal,
-            r.initial.elements,
-        );
-    }
-
     let report = RunReport::collect(&domain, &state, opts.threads, elapsed);
     if !opts.quiet {
         eprintln!("{}", report.verbose());
         eprintln!("Productive-time ratio = {:.4}", runner.utilization());
         let g = runner.graph_stats();
-        let final_plan = match (runner.auto_report(), policy) {
-            (Some(r), _) => r.best,
-            (None, PartitionPolicy::Fixed(p)) => p,
-            (None, PartitionPolicy::Auto(_)) => unreachable!(),
-        };
         eprintln!(
             "Task graph per iteration: {} tasks, {} sync points (partition {}x{})",
-            g.tasks, g.barriers, final_plan.nodal, final_plan.elements
+            g.tasks, g.barriers, plan.nodal, plan.elements
         );
         if runner.is_pinned() {
             let rs = runner.runtime_stats();

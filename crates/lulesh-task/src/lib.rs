@@ -40,14 +40,14 @@
 //! ## Deliberate deviation: the graph is recorded once
 //!
 //! The paper's HPX code re-creates its futures graph every iteration. Here
-//! the graph is a [`taskrt::StepGraph`]: recorded once per partition plan,
-//! then re-armed iteration after iteration by the worker that finishes the
-//! iteration-end join. That worker runs the leapfrog bookkeeping
-//! (`time_increment`, error flags, dt minima, `reduce_dt`, tuner window)
-//! as the graph's epilogue, so the control thread sleeps for the whole run
-//! (or until the auto-tuner changes the plan) and a steady-state iteration
-//! allocates nothing. Task bodies read the step's `dt` from the shared
-//! scratch instead of capturing it. This preserves behaviour — the same
+//! the graph is a [`taskrt::StepGraph`]: recorded once per run, from the
+//! run's one [`PartitionPlan`], then re-armed iteration after iteration by
+//! the worker that finishes the iteration-end join. That worker runs the
+//! leapfrog bookkeeping (`time_increment`, error flags, dt minima,
+//! `reduce_dt`) as the graph's epilogue, so the control thread sleeps for
+//! the whole run and a steady-state iteration allocates nothing. Task
+//! bodies read the step's `dt` from the shared scratch instead of
+//! capturing it. This preserves behaviour — the same
 //! nodes, the same edges, the same six sync points, executed by the same
 //! work-stealing pool — and changes only the graph's lifetime: at
 //! microsecond task grain (`--s 10`) building 177 closures and ~200
@@ -56,12 +56,10 @@
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 mod plan;
 
-pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner, WindowSample};
 pub use lulesh_core::plan::Features;
-pub use plan::{partition_cap, PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
+pub use plan::{PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
@@ -70,28 +68,11 @@ use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
 use obs::{SpanKind, Tracer};
 use parutil::{chunks_of, Chunk, SharedVec};
+use std::cell::Cell;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
-use std::time::Instant;
 use taskrt::topology::{self, Topology};
 use taskrt::{GraphBuilder, NodeId, NodeStealStat, PhaseStat, Runtime, RuntimeConfig, StepGraph};
-
-/// How the driver picks partition sizes for a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PartitionPolicy {
-    /// One fixed plan for the whole run.
-    Fixed(PartitionPlan),
-    /// Online auto-tuning, starting from the thread-aware static plan
-    /// ([`PartitionPlan::for_size_threads`]).
-    Auto(AutoTuneConfig),
-}
-
-/// Σ busy / Σ tasks over a per-phase snapshot.
-fn phase_totals(stats: &[PhaseStat]) -> (u64, u64) {
-    stats
-        .iter()
-        .fold((0, 0), |(b, t), p| (b + p.busy_ns, t + p.tasks))
-}
 
 /// Re-place the domain's floating-point arrays for NUMA first-touch.
 ///
@@ -320,7 +301,7 @@ impl IterationBuilder<'_> {
 pub struct GraphStats {
     /// Total tasks created this iteration.
     pub tasks: usize,
-    /// Synchronization points (`when_all` joins), iteration-end included.
+    /// Synchronization points (sync nodes), iteration-end join included.
     pub barriers: usize,
 }
 
@@ -329,9 +310,9 @@ pub struct TaskLulesh {
     rt: Runtime,
     /// Optimization toggles.
     pub features: Features,
-    stats: std::cell::Cell<GraphStats>,
-    /// Report from the most recent `Auto`-policy run.
-    auto_report: std::cell::RefCell<Option<AutoTuneReport>>,
+    stats: Cell<GraphStats>,
+    /// Iteration graphs built over this runner's lifetime: one per run.
+    graphs_built: Cell<u64>,
 }
 
 impl TaskLulesh {
@@ -346,7 +327,7 @@ impl TaskLulesh {
             rt: Runtime::new(threads),
             features,
             stats: Default::default(),
-            auto_report: Default::default(),
+            graphs_built: Default::default(),
         }
     }
 
@@ -363,7 +344,7 @@ impl TaskLulesh {
             rt: Runtime::with_tracer(threads, tracer, lane_base),
             features,
             stats: Default::default(),
-            auto_report: Default::default(),
+            graphs_built: Default::default(),
         }
     }
 
@@ -375,7 +356,7 @@ impl TaskLulesh {
             rt: config.build(),
             features,
             stats: Default::default(),
-            auto_report: Default::default(),
+            graphs_built: Default::default(),
         }
     }
 
@@ -433,15 +414,9 @@ impl TaskLulesh {
     }
 
     /// Per-phase busy/task aggregates from the runtime's always-on
-    /// counters (the auto-tuner's timing signal when tracing is off).
+    /// counters (the benchmark probe's `task.phase.*` rows).
     pub fn phase_stats(&self) -> Vec<PhaseStat> {
         self.rt.phase_stats()
-    }
-
-    /// The [`AutoTuneReport`] of the most recent
-    /// [`PartitionPolicy::Auto`] run; `None` after fixed-plan runs.
-    pub fn auto_report(&self) -> Option<AutoTuneReport> {
-        self.auto_report.borrow().clone()
     }
 
     /// Run for at most `max_cycles` iterations (or to `stoptime`).
@@ -451,20 +426,9 @@ impl TaskLulesh {
         plan: PartitionPlan,
         max_cycles: u64,
     ) -> Result<SimState, LuleshError> {
-        self.run_policy(d, PartitionPolicy::Fixed(plan), max_cycles)
-    }
-
-    /// [`run`](Self::run) with a partition *policy* instead of a fixed
-    /// plan (`--partition auto`).
-    pub fn run_policy(
-        &self,
-        d: &Arc<Domain>,
-        policy: PartitionPolicy,
-        max_cycles: u64,
-    ) -> Result<SimState, LuleshError> {
-        self.run_policy_with_hooks(
+        self.run_with_hooks(
             d,
-            policy,
+            plan,
             max_cycles,
             &IterationHooks::default(),
             |c, h, err| match err {
@@ -481,6 +445,10 @@ impl TaskLulesh {
     /// multi-domain allreduce. It is called **every** iteration, error or
     /// not, so peers blocked in the reduction always get a message (a rank
     /// returning early on its own error would deadlock the others).
+    ///
+    /// The iteration graph is built once, from `plan`, and re-armed every
+    /// iteration by the worker that finishes it; `reduce_dt` therefore runs
+    /// on a worker thread, and this thread sleeps until the run ends.
     pub fn run_with_hooks(
         &self,
         d: &Arc<Domain>,
@@ -491,50 +459,8 @@ impl TaskLulesh {
             + Send
             + Sync,
     ) -> Result<SimState, LuleshError> {
-        self.run_policy_with_hooks(
-            d,
-            PartitionPolicy::Fixed(plan),
-            max_cycles,
-            hooks,
-            reduce_dt,
-        )
-    }
-
-    /// [`run_with_hooks`](Self::run_with_hooks) generalized over the
-    /// partition policy. Under [`PartitionPolicy::Auto`] the driver times
-    /// each window of `window` iterations, reads the runtime's per-phase
-    /// busy/task aggregates for the granularity signal, and lets the
-    /// [`AutoTuner`] pick the next window's plan; the final
-    /// [`AutoTuneReport`] is retrievable via
-    /// [`auto_report`](Self::auto_report). Partition sizes never affect
-    /// the physics, so mid-run resizes are invisible to the results.
-    ///
-    /// The iteration graph is built once per plan and re-armed every
-    /// iteration by the worker that finishes it; `reduce_dt` therefore runs
-    /// on a worker thread, and this thread sleeps until the run ends or the
-    /// tuner changes the plan.
-    pub fn run_policy_with_hooks(
-        &self,
-        d: &Arc<Domain>,
-        policy: PartitionPolicy,
-        max_cycles: u64,
-        hooks: &IterationHooks,
-        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>
-            + Send
-            + Sync,
-    ) -> Result<SimState, LuleshError> {
-        let threads = self.rt.threads();
-        let (tuner, plan) = match policy {
-            PartitionPolicy::Fixed(plan) => (None, plan),
-            PartitionPolicy::Auto(cfg) => {
-                let start = PartitionPlan::for_size_threads(d.size(), threads);
-                let tuner = AutoTuner::new(start, threads, d.num_elem(), cfg);
-                let plan = tuner.plan();
-                (Some(tuner), plan)
-            }
-        };
         let step = StepPlan::tasks(PlanShape::of(d), self.features);
-        let scratch = Arc::new(StepScratch::new(&step, threads));
+        let scratch = Arc::new(StepScratch::new(&step, self.rt.threads()));
         let mut lf = Leapfrog {
             d,
             sc: &scratch,
@@ -543,21 +469,15 @@ impl TaskLulesh {
             max_cycles,
             state: SimState::new(d.initial_dt()),
             error: None,
-            plan,
-            tuner,
-            win_iters: 0,
-            win_t0: Instant::now(),
-            win_base: phase_totals(&self.rt.phase_stats()),
             // Called here, off the workers: the control lane.
             region_lane: self.rt.current_lane(),
             region_start: 0,
         };
-        while lf.live() {
-            let mut graph = self.build_iteration(d, &scratch, &step, lf.plan, hooks);
+        if lf.live() {
+            let mut graph = self.build_iteration(d, &scratch, &step, plan, hooks);
             lf.begin_iteration();
             self.rt.run_graph(&mut graph, || lf.end_iteration());
         }
-        self.auto_report.replace(lf.tuner.map(|t| t.report()));
         match lf.error {
             Some(e) => Err(e),
             None => Ok(lf.state),
@@ -601,6 +521,7 @@ impl TaskLulesh {
         }
 
         let graph = b.g.build(&self.rt);
+        self.graphs_built.set(self.graphs_built.get() + 1);
         self.stats.set(GraphStats {
             tasks: graph.tasks(),
             barriers: graph.syncs(),
@@ -621,11 +542,6 @@ struct Leapfrog<'a, R> {
     state: SimState,
     /// The error that ended the run, if one did.
     error: Option<LuleshError>,
-    plan: PartitionPlan,
-    tuner: Option<AutoTuner>,
-    win_iters: u32,
-    win_t0: Instant,
-    win_base: (u64, u64),
     /// Traced runs: lane and start of the running iteration's region span.
     region_lane: usize,
     region_start: u64,
@@ -652,7 +568,7 @@ where
 
     /// The graph's epilogue: close the iteration just executed and either
     /// start the next one on the same graph (`Continue`) or hand back to
-    /// the control thread (`Break`: run over, or the plan changed).
+    /// the control thread (`Break`: the run is over or hit an error).
     fn end_iteration(&mut self) -> ControlFlow<()> {
         if let Some(tracer) = self.rt.tracer() {
             // One region span per leapfrog iteration, on the control lane.
@@ -676,44 +592,11 @@ where
                 return ControlFlow::Break(());
             }
         }
-        let replan = self.close_tuner_window();
-        if replan || !self.live() {
+        if !self.live() {
             return ControlFlow::Break(());
         }
         self.begin_iteration();
         ControlFlow::Continue(())
-    }
-
-    /// Auto policy: count the iteration into the tuner's window and, when
-    /// the window is full, let the tuner move. Returns whether the plan
-    /// changed (the graph must then be rebuilt).
-    fn close_tuner_window(&mut self) -> bool {
-        let Some(t) = self.tuner.as_mut() else {
-            return false;
-        };
-        self.win_iters += 1;
-        if self.win_iters < t.config().window || t.converged() {
-            return false;
-        }
-        let wall = self.win_t0.elapsed().as_nanos() as f64 / f64::from(self.win_iters);
-        let now = phase_totals(&self.rt.phase_stats());
-        let d_busy = now.0.saturating_sub(self.win_base.0);
-        let d_tasks = now.1.saturating_sub(self.win_base.1);
-        let mean_task_ns = if d_tasks > 0 {
-            d_busy as f64 / d_tasks as f64
-        } else {
-            f64::INFINITY
-        };
-        t.record_window(WindowSample {
-            wall_per_iter_ns: wall,
-            mean_task_ns,
-        });
-        self.win_iters = 0;
-        self.win_t0 = Instant::now();
-        self.win_base = now;
-        let replan = t.plan() != self.plan;
-        self.plan = t.plan();
-        replan
     }
 }
 
@@ -851,9 +734,23 @@ mod tests {
     #[test]
     fn partition_size_does_not_change_results() {
         let ds = serial_ref(6, 5, 10);
-        for p in [8, 37, 100, 4096] {
-            let (dt, _) = run_task(6, 5, 2, 10, Features::default(), PartitionPlan::fixed(p, p));
-            assert_eq!(max_field_difference(&ds, &dt), 0.0, "partition {p}");
+        let plans = [
+            (8, 8),
+            (37, 37),
+            (100, 100),
+            (4096, 4096),
+            (8, 4096),
+            (4096, 8),
+            (37, 100),
+        ];
+        for (nodal, elements) in plans {
+            let plan = PartitionPlan::fixed(nodal, elements);
+            let (dt, _) = run_task(6, 5, 2, 10, Features::default(), plan);
+            assert_eq!(
+                max_field_difference(&ds, &dt),
+                0.0,
+                "partition {nodal}x{elements}"
+            );
         }
     }
 
@@ -879,12 +776,18 @@ mod tests {
     fn graph_stats_reported() {
         let d = Arc::new(Domain::build(6, 3, 1, 1, 0));
         let runner = TaskLulesh::new(2);
-        runner.run(&d, PartitionPlan::fixed(32, 32), 1).unwrap();
+        let st = runner.run(&d, PartitionPlan::fixed(32, 32), 5).unwrap();
+        assert_eq!(st.cycle, 5);
         let g = runner.graph_stats();
         assert!(g.tasks > 20, "expected a real graph, got {} tasks", g.tasks);
         // Five internal barriers + the iteration-end join; one fewer than
         // the paper's seven (see module docs).
         assert_eq!(g.barriers, 6);
+        // One graph, re-armed for every iteration of the run.
+        assert_eq!(runner.graphs_built.get(), 1);
+        let d2 = Arc::new(Domain::build(6, 3, 1, 1, 0));
+        runner.run(&d2, PartitionPlan::fixed(32, 32), 3).unwrap();
+        assert_eq!(runner.graphs_built.get(), 2, "one build per run");
     }
 
     #[test]
@@ -972,47 +875,6 @@ mod tests {
         // Raw (unclamped) ratio with ε slack for clock-read skew.
         assert!(u > 0.0 && u <= 1.05, "utilization {u}");
         assert!(runner.runtime_stats().tasks > 0);
-    }
-
-    #[test]
-    fn auto_policy_matches_serial_while_resizing() {
-        // The tuner resizes partitions mid-run; physics must stay
-        // bit-identical to the serial reference regardless.
-        let ds = serial_ref(6, 5, 24);
-        let d = Arc::new(Domain::build(6, 5, 1, 1, 0));
-        let runner = TaskLulesh::new(3);
-        let cfg = AutoTuneConfig {
-            window: 2,
-            warmup_windows: 1,
-            min_task_ns: 0.0, // tiny test tasks: let the tuner actually probe finer
-            ..AutoTuneConfig::default()
-        };
-        let st = runner
-            .run_policy(&d, PartitionPolicy::Auto(cfg), 24)
-            .unwrap();
-        assert_eq!(max_field_difference(&ds, &d), 0.0);
-        assert!(st.cycle > 0);
-        let report = runner.auto_report().expect("auto run leaves a report");
-        assert!(report.windows >= 3, "windows {}", report.windows);
-        let plans: std::collections::BTreeSet<_> = report
-            .history
-            .iter()
-            .map(|(p, _)| (p.nodal, p.elements))
-            .collect();
-        assert!(
-            plans.len() >= 2,
-            "tuner never actually tried a different plan: {plans:?}"
-        );
-    }
-
-    #[test]
-    fn fixed_policy_runs_leave_no_auto_report() {
-        let d = Arc::new(Domain::build(5, 2, 1, 1, 0));
-        let runner = TaskLulesh::new(2);
-        runner
-            .run_policy(&d, PartitionPolicy::Fixed(PartitionPlan::fixed(64, 64)), 3)
-            .unwrap();
-        assert!(runner.auto_report().is_none());
     }
 
     #[test]

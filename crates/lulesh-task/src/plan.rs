@@ -1,15 +1,17 @@
-//! Partition-size policy (the paper's Table I plus its tuning rules).
+//! Partition sizes (the paper's Table I plus a thread-count floor).
 //!
 //! The partition size `P` is the number of elements/nodes each task
 //! iterates over (paper §IV, Fig 5). Table I records the sizes the authors
 //! found best per problem size; `PartitionPlan::for_size` reproduces that
 //! table and falls back to a bounded heuristic for sizes the paper did not
-//! evaluate (e.g. the small meshes used in tests).
+//! evaluate (e.g. the small meshes used in tests). A run uses one plan
+//! throughout.
 
-/// Smallest partition size any policy (static floor or auto-tuner) will
-/// produce. Below this the per-task overhead dwarfs the kernel work on any
-/// machine we model. Must stay ≥ [`MAX_LANE_WIDTH`] so even the smallest
-/// partition feeds the lane-blocked kernels one full lane group.
+/// Smallest partition size the thread-count floor of
+/// [`PartitionPlan::for_size_threads`] caps down to. Below this the
+/// per-task overhead dwarfs the kernel work on any machine we model. Must
+/// stay ≥ [`MAX_LANE_WIDTH`] so even the smallest partition feeds the
+/// lane-blocked kernels one full lane group.
 pub const MIN_PARTITION: usize = 8;
 
 /// Widest kernel lane width any driver activates (`lulesh_core::simd`'s
@@ -19,11 +21,11 @@ pub const MIN_PARTITION: usize = 8;
 pub const MAX_LANE_WIDTH: usize = 8;
 
 /// Largest power-of-two partition size that still yields at least
-/// `threads` tasks over a loop of `items`, floored at [`MIN_PARTITION`].
-/// This is the task-count floor shared by [`PartitionPlan::for_size_threads`]
-/// and the auto-tuner: with fewer tasks than workers, some cores are
-/// guaranteed idle no matter how the scheduler places work.
-pub fn partition_cap(items: usize, threads: usize) -> usize {
+/// `threads` tasks over a loop of `items`, floored at [`MIN_PARTITION`]:
+/// the task-count floor of [`PartitionPlan::for_size_threads`]. With fewer
+/// tasks than workers, some cores are guaranteed idle no matter how the
+/// scheduler places work.
+fn partition_cap(items: usize, threads: usize) -> usize {
     let per = (items / threads.max(1)).max(MIN_PARTITION);
     // Largest power of two ≤ per.
     1 << (usize::BITS - 1 - per.leading_zeros())
@@ -105,8 +107,9 @@ impl PartitionPlan {
     }
 
     /// [`for_size`](Self::for_size) with the task count floored at the
-    /// runtime's thread count: each partition size is capped at
-    /// [`partition_cap`] so a small mesh on a wide pool still produces at
+    /// runtime's thread count: each partition size is capped at the largest
+    /// power of two that still gives every worker a task (floored at
+    /// [`MIN_PARTITION`]), so a small mesh on a wide pool still produces at
     /// least one task per worker. At the paper's 24 threads the cap leaves
     /// every Table I entry unchanged.
     pub fn for_size_threads(size: usize, threads: usize) -> Self {

@@ -115,9 +115,9 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // Applies to in-process ranks and TCP workers alike (the launcher
+    // Applies to in-process ranks and TCP workers alike: the launcher
     // forwards `--simd` verbatim, so every worker re-activates the same
-    // width). No online tuner here: `auto` resolves statically.
+    // width.
     lulesh_core::simd::set_active(opts.simd);
 
     match (&opts.transport, rank) {

@@ -209,9 +209,9 @@ impl Tracer {
     /// Non-destructive per-label aggregate of the [`SpanKind::Task`]
     /// spans currently buffered: `(label, Σ duration ns, span count)`,
     /// label-sorted. Unlike [`drain`](Self::drain) this leaves the
-    /// buffers intact, so an online consumer (e.g. validation of the
-    /// partition auto-tuner's counters) can read per-phase aggregates
-    /// mid-run without stealing spans from the final trace export.
+    /// buffers intact, so a mid-run reader (the runtime's check that its
+    /// always-on phase counters match the spans) can read per-phase
+    /// aggregates without stealing spans from the final trace export.
     pub fn phase_totals(&self) -> Vec<(&'static str, u64, u64)> {
         let mut by_label: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
         for lane in &self.lanes {

@@ -361,9 +361,8 @@ pub fn estimate_task(
 
 /// Exhaustively sweep every `(nodal, elements)` pair from `candidates`
 /// through [`estimate_task`] and return the argmin:
-/// `(nodal, elements, best_estimate)`. This is the simulator's ground
-/// truth that both the Table I bench and the online auto-tuner are
-/// validated against.
+/// `(nodal, elements, best_estimate)`. This is the simulator's Table I
+/// reproduction (the `table1` bench).
 pub fn sweep_partitions(
     model: &LuleshModel,
     machine: &MachineParams,

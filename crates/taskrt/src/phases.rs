@@ -1,8 +1,9 @@
 //! Always-on per-phase busy/task counters.
 //!
-//! The partition auto-tuner needs per-phase timing even when span tracing
-//! is off, and it must not drain the tracer mid-run (that would steal
-//! spans from the final trace export). The runtime therefore interns every
+//! The benchmark probe's `task.phase.*` rows need per-phase timing from
+//! untraced runs, and reading it must not drain the tracer (that would
+//! steal spans from the `--trace`/`--metrics` export, which derives the
+//! same per-phase numbers from spans). The runtime therefore interns every
 //! phase label **by content** into one small table ([`PhaseLabels`]) and
 //! each worker owns a counter array indexed by that table's slots. Every
 //! timed body adds its duration to its label's slot — the *same*

@@ -67,9 +67,10 @@ struct Inner {
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
     clocks: Vec<CachePadded<BusyIdleClock>>,
-    /// Per-worker per-phase busy counters (always on; the auto-tuner's
-    /// timing signal when span tracing is disabled), indexed by the slots
-    /// of `phase_labels`.
+    /// Per-worker per-phase busy counters (always on; the probe's
+    /// `task.phase.*` rows read them from untraced runs, and they agree
+    /// with the spans `--metrics` aggregates), indexed by the slots of
+    /// `phase_labels`.
     phase_counters: Vec<CachePadded<PhaseCounters>>,
     phase_labels: PhaseLabels,
     sleep_lock: Mutex<()>,

@@ -46,15 +46,27 @@ trap 'rm -rf "$TMP"' EXIT
 ./target/debug/trace_lint "$TMP/trace.json" 18
 test -s "$TMP/metrics.csv"
 
-echo "== auto-tune smoke run (s=15, --partition auto must converge) =="
-# The round/move budgets bound the search at ~50 windows of 6 iterations;
-# a 15^3 mesh runs ~380 iterations to stoptime, so a healthy controller
-# always converges well before the run ends and logs its verdict.
-./target/debug/lulesh-task --s 15 --r 5 --threads 2 --q --partition auto \
-  > /dev/null 2> "$TMP/autotune.log"
-grep -q "autotune: converged" "$TMP/autotune.log" || {
-  echo "auto-tuner did not converge:"; cat "$TMP/autotune.log"; exit 1;
-}
+echo "== partition smoke runs (every plan is bit-identical to the default) =="
+# Partition size is a pure performance knob: the Table I default, the
+# finest plan and one coarser than the whole mesh must print the same CSV
+# in every column but wall clock.
+./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q | cut -d, -f1-4,6 > "$TMP/table.csv"
+for part in fixed:8 fixed:4096; do
+  ./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --partition "$part" \
+    | cut -d, -f1-4,6 > "$TMP/part.csv"
+  if ! cmp -s "$TMP/table.csv" "$TMP/part.csv"; then
+    echo "--partition $part diverged from the default plan:"
+    diff "$TMP/table.csv" "$TMP/part.csv" || true
+    exit 1
+  fi
+done
+# `--partition` takes table|fixed:N only; `auto` is a usage error.
+STATUS=0
+./target/debug/lulesh-task --partition auto > /dev/null 2> "$TMP/auto.log" || STATUS=$?
+if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: lulesh-task" "$TMP/auto.log"; then
+  echo "--partition auto: expected exit 2 with usage, got $STATUS:"; cat "$TMP/auto.log"
+  exit 1
+fi
 
 echo "== simd smoke runs (every driver's default, w4, is bit-identical to scalar) =="
 # Lane width and ISA are pure performance knobs: a plain run of every

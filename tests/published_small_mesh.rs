@@ -12,7 +12,7 @@
 
 use lulesh::core::{serial, Domain, RunReport, SimState};
 use lulesh::omp::OmpLulesh;
-use lulesh::task::{AutoTuneConfig, Features, PartitionPlan, PartitionPolicy, TaskLulesh};
+use lulesh::task::{Features, PartitionPlan, TaskLulesh, MIN_PARTITION};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,29 +88,28 @@ fn serial_and_fork_join_reproduce_the_published_answer() {
 
 #[test]
 fn task_driver_reproduces_the_published_answer() {
-    let fixed = PartitionPolicy::Fixed(PartitionPlan::for_size_threads(SIZE, 2));
-    let auto = PartitionPolicy::Auto(AutoTuneConfig::default());
+    let fixed = PartitionPlan::for_size_threads(SIZE, 2);
     let unchained = Features {
         chain_continuations: false,
         ..Features::default()
     };
-    for (what, features, policy) in [
+    for (what, features, plan) in [
         (
             "task, default features, fixed plan",
             Features::default(),
             fixed,
         ),
         (
-            "task, default features, auto plan",
+            "task, default features, asymmetric plan",
             Features::default(),
-            auto,
+            PartitionPlan::fixed(MIN_PARTITION, 4096),
         ),
         ("task, naive features", Features::naive(), fixed),
         ("task, continuation chains off", unchained, fixed),
     ] {
         let d = Arc::new(domain());
         let state = TaskLulesh::with_features(2, features)
-            .run_policy(&d, policy, NO_CYCLE_LIMIT)
+            .run(&d, plan, NO_CYCLE_LIMIT)
             .unwrap();
         assert_published(what, &d, &state);
     }
