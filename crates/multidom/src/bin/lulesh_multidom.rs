@@ -20,7 +20,10 @@
 //! `DIR/merged.trace.json` and writes the critical-path / overhead
 //! analysis to `DIR/analysis.json`. `--merge-only --trace-dir DIR`
 //! re-runs just that merge + analysis over an existing directory (for
-//! multi-host runs whose spans files were gathered by hand).
+//! multi-host runs whose spans files were gathered by hand). A failed
+//! rank writes the same spans file, ending in its `parcel-error-*` spans,
+//! and exits nonzero; the merge is skipped and that file is the
+//! post-mortem.
 
 use lulesh_core::{Opts, RunReport, TransportMode};
 use multidom::{recovery, threaded, Decomposition, Grid3, RunPlan, SimArgs};
@@ -207,29 +210,17 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
     } else {
         threaded::run(decomp, sim_args(opts), &plan)
     };
-    let mut domains = Vec::with_capacity(ranks);
-    let mut state = None;
+    let elapsed = t0.elapsed();
     let mut failed = false;
-    for (r, res) in results.into_iter().enumerate() {
-        match res {
-            Ok((d, s)) => {
-                if r == 0 {
-                    state = Some(s);
-                }
-                domains.push(d);
-            }
-            Err(e) => {
-                eprintln!("rank {r}: run failed: {e}");
-                failed = true;
-            }
+    for (r, res) in results.iter().enumerate() {
+        if let Err(e) = res {
+            eprintln!("rank {r}: run failed: {e}");
+            failed = true;
         }
     }
-    if failed {
-        std::process::exit(1);
+    if let (false, Ok((d, state))) = (failed, &results[0]) {
+        print_report(opts, grid, d, state, elapsed);
     }
-    let state = state.expect("rank 0 produced a result");
-    let elapsed = t0.elapsed();
-    print_report(opts, grid, &domains[0], &state, elapsed);
     if let Some(t) = &plan.trace {
         let spans = t.drain();
         if let Err(e) = obs::write_reports(&spans, opts.trace.as_deref(), opts.metrics.as_deref()) {
@@ -244,8 +235,13 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
                 let lanes = vec![(rank, format!("rank{rank}"))];
                 write_rank_trace(dir, rank, ranks, 0, lanes, &rank_spans);
             }
-            merge_and_report(dir, opts.quiet);
+            if !failed {
+                merge_and_report(dir, opts.quiet);
+            }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -450,14 +446,10 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
         std::process::exit(1);
     });
     let t0 = Instant::now();
-    let (domain, state, offset_ns) =
-        threaded::run_rank(decomp.shape(rank), net, sim_args(opts), &plan).unwrap_or_else(|e| {
-            eprintln!("rank {rank}: run failed: {e}");
-            std::process::exit(1);
-        });
+    let (result, offset_ns) = threaded::run_rank(decomp.shape(rank), net, sim_args(opts), &plan);
     let elapsed = t0.elapsed();
-    if rank == 0 {
-        print_report(opts, grid, &domain, &state, elapsed);
+    if let (0, Ok((domain, state))) = (rank, &result) {
+        print_report(opts, grid, domain, state, elapsed);
     }
     if let Some(t) = &plan.trace {
         // Per-process trace/metrics files get a `.rankR` suffix so workers
@@ -477,6 +469,10 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
             ];
             write_rank_trace(dir, rank, ranks, offset_ns, lanes, &spans);
         }
+    }
+    if let Err(e) = result {
+        eprintln!("rank {rank}: run failed: {e}");
+        std::process::exit(1);
     }
 }
 

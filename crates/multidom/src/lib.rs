@@ -55,13 +55,13 @@ use lulesh_core::serial::{
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
 use obs::dist::Category;
-use obs::live::{jsonl_step_line, FlightRecorder, LiveStats, StepSummary, StragglerDetector};
+use obs::live::{jsonl_step_line, LiveConfig, LiveStats, StepSummary, StragglerDetector};
 use obs::{SpanKind, Tracer};
 use parcelnet::tcp::TcpConfig;
-use parcelnet::{dir, NeighborSpec, ParcelError, ParcelLive, RankNet};
+use parcelnet::{dir, NeighborSpec, ParcelError, ParcelObs, RankNet};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A 3-D rank grid: `nx × ny × nz` ranks, numbered ξ-fastest
 /// (`rank = ix + nx·(iy + ny·iz)`). The ζ-slab chain is `1×1×N`.
@@ -385,23 +385,6 @@ pub struct ResilPlan {
     pub resume_cycle: Option<u64>,
 }
 
-/// Live-telemetry wiring for the message-passing drivers ([`threaded`],
-/// [`taskpar`]): streaming per-step metrics piggybacked on the dt
-/// allreduce, and/or a per-rank flight recorder dumped when a rank dies.
-/// The default is fully off — zero cost on the hot path.
-#[derive(Clone, Default)]
-pub struct LivePlan {
-    /// Streaming metrics: every rank samples its [`obs::live::LiveStats`]
-    /// on telemetry steps and ships the encoded [`obs::live::StepSummary`]
-    /// to rank 0 inside the dt allreduce (no extra sync point); rank 0
-    /// runs the online straggler detector and emits JSONL on the sink.
-    pub metrics: Option<obs::live::LiveConfig>,
-    /// When set, every rank keeps a fixed-size ring of recent spans and
-    /// parcel events and dumps `flight.rank{R}.json` into this directory
-    /// if it dies on a typed transport error or an injected fault.
-    pub flight_dir: Option<std::path::PathBuf>,
-}
-
 /// The default per-receive deadline for the message-passing drivers.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 
@@ -419,7 +402,9 @@ pub struct RunPlan {
     /// how long any rank can outlive a dead neighbour.
     pub deadline: Duration,
     /// Span tracing: rank `r` records its phases, halo exchanges and dt
-    /// barrier on lane `r` (see [`threaded::run_rank`]).
+    /// barrier on lane `r` (see [`threaded::run_rank`]). A rank that
+    /// fails keeps every span up to the failure, including a zero-length
+    /// `parcel-error-*` span for each typed transport failure it saw.
     pub trace: Option<Arc<Tracer>>,
     /// Fault injection.
     pub faults: FaultPlan,
@@ -428,8 +413,11 @@ pub struct RunPlan {
     /// built (first touch). Empty means unpinned; results are
     /// bit-identical either way.
     pub pin: Vec<usize>,
-    /// Live telemetry.
-    pub live: LivePlan,
+    /// Live metrics: every rank samples its [`obs::live::LiveStats`] on
+    /// telemetry steps and ships the encoded [`obs::live::StepSummary`]
+    /// to rank 0 inside the dt allreduce (no extra sync point); rank 0
+    /// runs the online straggler detector and emits JSONL on the sink.
+    pub live: Option<LiveConfig>,
     /// Checkpoint/resume.
     pub resil: ResilPlan,
 }
@@ -442,7 +430,7 @@ impl Default for RunPlan {
             trace: None,
             faults: FaultPlan::NONE,
             pin: Vec::new(),
-            live: LivePlan::default(),
+            live: None,
             resil: ResilPlan::default(),
         }
     }
@@ -453,8 +441,7 @@ impl RunPlan {
     /// `--respawn` and TCP worker): `--recv-deadline-ms`, `--die-at` and
     /// `--slow-rank`, `--pin` resolved against this host (unknown nodes
     /// and single-node hosts degrade to a stderr warning),
-    /// `--live-metrics` (its table on stderr unless `--q`) with
-    /// `--trace-dir` doubling as the flight-dump directory, and
+    /// `--live-metrics` (its table on stderr unless `--q`), and
     /// `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport stays
     /// [`TransportKind::Channel`] — TCP ranks are processes that dial
     /// their own net — and `trace` stays `None`: the caller sizes the
@@ -484,13 +471,10 @@ impl RunPlan {
                 ..FaultPlan::NONE
             },
             pin,
-            live: LivePlan {
-                metrics: opts.live_metrics.map(|period| obs::live::LiveConfig {
-                    table: !opts.quiet,
-                    ..obs::live::LiveConfig::new(period)
-                }),
-                flight_dir: opts.trace_dir.as_ref().map(Into::into),
-            },
+            live: opts.live_metrics.map(|period| LiveConfig {
+                table: !opts.quiet,
+                ..LiveConfig::new(period)
+            }),
             resil: ResilPlan {
                 ckpt: opts
                     .ckpt_dir
@@ -631,53 +615,64 @@ pub(crate) fn build_rank_domain(
     d
 }
 
-/// A step-time window: wall clock and the rank's cumulative transport
-/// wait when it opened.
-pub(crate) type Window = (Instant, u64);
+/// A step-time window: the recorder's clock and the rank's cumulative
+/// transport wait when it opened.
+pub(crate) type Window = (u64, u64);
 
-/// One rank's live telemetry (see [`LivePlan`]), the same in both rank
-/// loops: counters and a flight ring attached to the rank's links, phase
-/// timing, the dt allreduce with the step summary riding along, and — on
-/// rank 0 with metrics on — the straggler detector streaming JSONL. With
-/// the plan off every method is a `None` check around the plain call.
-pub(crate) struct LiveRank {
+/// One rank's recorder, the same in both rank loops: a single
+/// [`ParcelObs`] hook on every link (the tracer lane and/or the live
+/// counters), a phase timer that feeds both from one pair of clock reads,
+/// the dt allreduce with the step summary riding along, and — on rank 0
+/// with live metrics on — the straggler detector streaming JSONL. With
+/// tracing and metrics off every method is a `None` check around the
+/// plain call.
+pub(crate) struct RankObs {
     rank: usize,
-    plan: LivePlan,
-    stats: Option<Arc<LiveStats>>,
-    flight: Option<Arc<FlightRecorder>>,
+    obs: ParcelObs,
+    live: Option<LiveConfig>,
     detector: Option<Mutex<StragglerDetector>>,
 }
 
-impl LiveRank {
-    /// Arm `plan` for `net`'s rank and attach it to every link.
-    pub(crate) fn attach(plan: &LivePlan, net: &RankNet) -> Self {
-        let stats = plan.metrics.as_ref().map(|_| Arc::new(LiveStats::new()));
-        let flight = plan
-            .flight_dir
-            .as_ref()
-            .map(|_| Arc::new(FlightRecorder::default()));
-        if stats.is_some() || flight.is_some() {
-            net.attach_live(&ParcelLive::new(stats.clone(), flight.clone()));
+impl RankObs {
+    /// Build the recorder `plan` asks for on `net`'s rank and attach it to
+    /// every link. Protocol spans go on lane `rank`; TCP writer-thread
+    /// spans on lane `ranks + rank` when the tracer has that many lanes.
+    pub(crate) fn attach(plan: &RunPlan, net: &RankNet) -> Self {
+        let (rank, ranks) = (net.rank, net.ranks);
+        let aux = match &plan.trace {
+            Some(t) if t.lanes() >= 2 * ranks => ranks + rank,
+            _ => rank,
+        };
+        let stats = plan.live.as_ref().map(|_| Arc::new(LiveStats::new()));
+        let obs = ParcelObs::new(plan.trace.clone(), rank, aux, stats);
+        if obs.active() {
+            net.attach_obs(&obs);
         }
-        let detector = (net.rank == 0 && plan.metrics.is_some())
-            .then(|| Mutex::new(StragglerDetector::new(net.ranks)));
+        let detector =
+            (rank == 0 && plan.live.is_some()).then(|| Mutex::new(StragglerDetector::new(ranks)));
         Self {
-            rank: net.rank,
-            plan: plan.clone(),
-            stats,
-            flight,
+            rank,
+            obs,
+            live: plan.live.clone(),
             detector,
         }
     }
 
-    /// Open a step-time window here (`None` with metrics off).
-    pub(crate) fn mark(&self) -> Option<Window> {
-        self.stats.as_ref().map(|s| (Instant::now(), s.wait_ns()))
+    /// The tracer, when tracing.
+    pub(crate) fn tracer(&self) -> Option<&Tracer> {
+        self.obs.tracer()
     }
 
-    /// Run `f` as phase `label`: its wall time lands in this rank's
-    /// counters under `cat` and, when a flight recorder is armed, in the
-    /// ring of recent events.
+    /// Open a step-time window here (`None` with metrics off).
+    pub(crate) fn mark(&self) -> Option<Window> {
+        let s = self.obs.live()?;
+        Some((self.obs.now_ns(), s.wait_ns()))
+    }
+
+    /// Run `f` as phase `label`, timed once: a `kind` span on the rank's
+    /// lane and, in the live counters, the phase's time under `cat` less
+    /// the transport receives inside it, which the links already counted
+    /// as `Wait` — so every nanosecond lands in one category.
     pub(crate) fn timed<T>(
         &self,
         label: &'static str,
@@ -685,23 +680,20 @@ impl LiveRank {
         cat: Category,
         f: impl FnOnce() -> T,
     ) -> T {
-        if self.stats.is_none() && self.flight.is_none() {
+        if !self.obs.active() {
             return f();
         }
-        let t0 = Instant::now();
+        let live = self.obs.live();
+        let wait0 = live.map_or(0, LiveStats::wait_ns);
+        let start = self.obs.now_ns();
         let out = f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(s) = &self.stats {
-            s.add_phase(cat, ns);
+        let end = self.obs.now_ns();
+        if let Some(t) = self.obs.tracer() {
+            t.record_interval(self.rank, kind, label, start, end);
         }
-        if let Some(fr) = &self.flight {
-            let flight_cat = match kind {
-                SpanKind::Barrier => "barrier",
-                SpanKind::Halo => "halo",
-                _ => "region",
-            };
-            let end = fr.now_ns();
-            fr.record_interval(label, flight_cat, end.saturating_sub(ns), end, 0, -1);
+        if let Some(s) = live {
+            let waited = s.wait_ns().saturating_sub(wait0);
+            s.add_phase(cat, end.saturating_sub(start).saturating_sub(waited));
         }
         out
     }
@@ -721,18 +713,16 @@ impl LiveRank {
         h: Real,
         err: Option<LuleshError>,
     ) -> Result<(Real, Real, Option<LuleshError>), ParcelError> {
-        let telemetry = match (&self.plan.metrics, &self.stats, window) {
+        let telemetry = match (&self.live, self.obs.live(), window) {
             (Some(cfg), Some(s), Some((t0, wait0))) if cfg.telemetry_step(cycle) => {
-                let wall = t0.elapsed().as_nanos() as u64;
+                let wall = self.obs.now_ns().saturating_sub(t0);
                 let step_ns = wall.saturating_sub(s.wait_ns().saturating_sub(wait0));
                 Some(s.snapshot(self.rank as u32, cycle, step_ns).encode())
             }
             _ => None,
         };
         let (gc, gh, gerr, collected) = net.allreduce_dt_live(c, h, err, telemetry.as_deref())?;
-        if let (Some(det), Some(cfg), Some(collected)) =
-            (&self.detector, &self.plan.metrics, collected)
-        {
+        if let (Some(det), Some(cfg), Some(collected)) = (&self.detector, &self.live, collected) {
             let summaries: Vec<StepSummary> = collected
                 .iter()
                 .filter_map(|p| StepSummary::decode(p))
@@ -746,25 +736,13 @@ impl LiveRank {
         Ok((gc, gh, gerr))
     }
 
-    /// Close out the rank: a typed transport death dumps
-    /// `flight.rank{R}.json` (best effort — a dying rank must never turn
-    /// it into an I/O panic); a successful rank 0 prints the straggler
-    /// table when asked.
+    /// Close out the rank: a successful rank 0 prints the straggler table
+    /// when asked.
     pub(crate) fn finish<T>(&self, result: &Result<T, MdError>) {
-        match (result, &self.flight, &self.plan.flight_dir) {
-            (Err(MdError::Net(_)), Some(f), Some(dir)) => {
-                let _ = std::fs::create_dir_all(dir);
-                let path = dir.join(format!("flight.rank{}.json", self.rank));
-                let _ = std::fs::write(path, f.dump_json(self.rank));
+        if let (Ok(_), Some(det), Some(cfg)) = (result, &self.detector, &self.live) {
+            if cfg.table {
+                eprint!("{}", det.lock().summary_table());
             }
-            (Ok(_), ..) => {
-                if let (Some(det), Some(cfg)) = (&self.detector, &self.plan.metrics) {
-                    if cfg.table {
-                        eprint!("{}", det.lock().summary_table());
-                    }
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -1029,10 +1007,9 @@ mod tests {
             !plan.pin.is_empty(),
             "--pin all resolves to this host's nodes"
         );
-        let metrics = plan.live.metrics.expect("--live-metrics");
+        let metrics = plan.live.expect("--live-metrics");
         assert_eq!(metrics.period, 5);
         assert!(!metrics.table, "--q silences the straggler table");
-        assert_eq!(plan.live.flight_dir, Some("/tmp/md-trace".into()));
         let ckpt = plan.resil.ckpt.expect("--ckpt-dir");
         assert_eq!(ckpt.dir, std::path::PathBuf::from("/tmp/md-ckpt"));
         assert_eq!(ckpt.period, 4);
@@ -1045,7 +1022,7 @@ mod tests {
         assert_eq!(plan.deadline, DEFAULT_DEADLINE);
         assert!(plan.faults.die_at.is_empty() && plan.faults.slow_rank.is_none());
         assert!(plan.pin.is_empty());
-        assert!(plan.live.metrics.is_none() && plan.live.flight_dir.is_none());
+        assert!(plan.live.is_none());
         assert!(plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none());
     }
 

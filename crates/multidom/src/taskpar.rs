@@ -22,7 +22,7 @@ use crate::exchange::{
     halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, recv_combine_forces,
     send_forces, HaloPlan, ObsCtx,
 };
-use crate::{build_rank_domain, spawn_ranks, Decomposition, LiveRank, MdError, RunPlan, SimArgs};
+use crate::{build_rank_domain, spawn_ranks, Decomposition, MdError, RankObs, RunPlan, SimArgs};
 use lulesh_core::domain::Domain;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
@@ -87,7 +87,7 @@ fn rank_main(
     plan: &RunPlan,
 ) -> Result<(Arc<Domain>, SimState), MdError> {
     let rank = net.rank;
-    let live = Arc::new(LiveRank::attach(&plan.live, &net));
+    let live = Arc::new(RankObs::attach(plan, &net));
     let d = Arc::new(build_rank_domain(shape, rank, &sim, &plan.faults));
     let halo = Arc::new(HaloPlan::for_net(shape, &net));
     let net = Arc::new(net);
@@ -182,7 +182,7 @@ fn rank_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fold, LivePlan, World};
+    use crate::{fold, World};
 
     #[test]
     fn taskpar_matches_lockstep_bitwise() {
@@ -292,14 +292,11 @@ mod tests {
         world.run(8).unwrap();
 
         let sink = Arc::new(CollectSink::new());
-        let live = LivePlan {
-            metrics: Some(LiveConfig {
-                period: 2,
-                sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
-                table: false,
-            }),
-            flight_dir: None,
-        };
+        let live = Some(LiveConfig {
+            period: 2,
+            sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
+            table: false,
+        });
         let results = run(
             decomp,
             SimArgs::new(2, 1, 1, 0, 8),

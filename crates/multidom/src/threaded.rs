@@ -24,7 +24,7 @@ use crate::exchange::{
     halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, HaloPlan, ObsCtx,
 };
 use crate::{
-    build_rank_domain, spawn_ranks, Decomposition, FaultPlan, LiveRank, MdError, RunPlan, SimArgs,
+    build_rank_domain, spawn_ranks, Decomposition, FaultPlan, MdError, RankObs, RunPlan, SimArgs,
     TransportKind,
 };
 use lulesh_core::domain::Domain;
@@ -38,7 +38,7 @@ use lulesh_core::serial::{
 use lulesh_core::timestep::time_increment;
 use obs::dist::Category;
 use obs::{SpanKind, Tracer};
-use parcelnet::{ParcelObs, RankNet};
+use parcelnet::RankNet;
 use std::sync::Arc;
 use std::time::Duration;
 use taskrt::topology::Topology;
@@ -57,7 +57,7 @@ pub fn run(
     plan: &RunPlan,
 ) -> Vec<Result<(Domain, SimState), MdError>> {
     spawn_ranks(decomp, plan, "multidom-rank", |shape, net| {
-        run_rank(shape, net, sim, plan).map(|(d, st, _offset)| (d, st))
+        run_rank(shape, net, sim, plan).0
     })
 }
 
@@ -96,18 +96,21 @@ pub fn run_transport(
 /// parcel-level spans; writer-thread serialize spans go on lane
 /// `ranks + r` when the tracer has that many lanes) and the dt allreduce
 /// as a [`SpanKind::Barrier`] span, all on lane `r`; rank 0's lane also
-/// carries one `iteration` span per step. A traced run first aligns
-/// clocks over the dt star: the returned offset (this rank's clock −
-/// rank 0's, ns; 0 untraced or on rank 0) goes into the rank's trace file
-/// so merging can align timelines. `plan.live` and `plan.resil` arm live
-/// telemetry and checkpoint/resume; a resumed run replays the remaining
-/// cycles **bit-identically**.
+/// carries one `iteration` span per step. `plan.live` feeds the live
+/// counters from the same hook and clock reads, and `plan.resil` arms
+/// checkpoint/resume; a resumed run replays the remaining cycles
+/// **bit-identically**.
+///
+/// A traced run first aligns clocks over the dt star. The offset (this
+/// rank's clock − rank 0's, ns; 0 untraced or on rank 0) is returned
+/// beside the outcome, failed or not, so the rank's trace file can be
+/// aligned either way.
 pub fn run_rank(
     shape: MeshShape,
     net: RankNet,
     sim: SimArgs,
     plan: &RunPlan,
-) -> Result<(Domain, SimState, i64), MdError> {
+) -> (Result<(Domain, SimState), MdError>, i64) {
     let rank = net.rank;
     // Pin before `build_rank_domain`: the build writes (first-touches)
     // every array, so pinning first places the rank's pages on its node.
@@ -120,59 +123,22 @@ pub fn run_rank(
             net.pin_writers(&n.cpus);
         }
     }
-    let live = LiveRank::attach(&plan.live, &net);
-    let offset = match plan.trace.as_ref() {
-        Some(t) => {
-            let aux = if t.lanes() >= 2 * net.ranks {
-                net.ranks + rank
-            } else {
-                rank
-            };
-            net.attach_obs(&ParcelObs::new(Arc::clone(t), rank, aux));
-            if net.ranks > 1 {
-                let tc = Arc::clone(t);
-                let start = t.now_ns();
-                let off = net.clock_sync(&move || tc.now_ns(), CLOCK_SYNC_ROUNDS)?;
-                t.record_interval(rank, SpanKind::Region, "clock-sync", start, t.now_ns());
-                off
-            } else {
-                0
-            }
+    let robs = RankObs::attach(plan, &net);
+    let synced = match robs.tracer() {
+        Some(t) if net.ranks > 1 => {
+            let start = t.now_ns();
+            let off = net.clock_sync(&|| t.now_ns(), CLOCK_SYNC_ROUNDS);
+            t.record_interval(rank, SpanKind::Region, "clock-sync", start, t.now_ns());
+            off
         }
-        None => 0,
+        _ => Ok(0),
     };
-    let result = step_loop(shape, net, sim, plan, &live);
-    live.finish(&result);
-    result.map(|(d, st)| (d, st, offset))
-}
-
-/// Where a rank's phase timings go: a trace span and/or the live counters.
-struct Phases<'a> {
-    rank: usize,
-    trace: Option<&'a Tracer>,
-    live: &'a LiveRank,
-}
-
-impl Phases<'_> {
-    /// Run `f` as phase `label`. With tracing and telemetry off this is
-    /// just `f()`.
-    fn run<T>(
-        &self,
-        label: &'static str,
-        kind: SpanKind,
-        cat: Category,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        self.live.timed(label, kind, cat, || match self.trace {
-            Some(t) => {
-                let start = t.now_ns();
-                let out = f();
-                t.record_interval(self.rank, kind, label, start, t.now_ns());
-                out
-            }
-            None => f(),
-        })
-    }
+    let result = match synced {
+        Ok(_) => step_loop(shape, net, sim, plan, &robs),
+        Err(e) => Err(MdError::Net(e)),
+    };
+    robs.finish(&result);
+    (result, synced.unwrap_or(0))
 }
 
 fn step_loop(
@@ -180,15 +146,14 @@ fn step_loop(
     net: RankNet,
     sim: SimArgs,
     plan: &RunPlan,
-    live: &LiveRank,
+    phase: &RankObs,
 ) -> Result<(Domain, SimState), MdError> {
     let rank = net.rank;
     let d = build_rank_domain(shape, rank, &sim, &plan.faults);
     let mut scratch = SerialScratch::new(d.num_elem());
     let halo = HaloPlan::for_net(shape, &net);
-    let trace = plan.trace.as_deref();
+    let trace = phase.tracer();
     let obs: ObsCtx = trace.map(|t| (t, rank));
-    let phase = Phases { rank, trace, live };
     let resil = &plan.resil;
 
     // Either a resume (restore the checkpointed arrays — the snapshot was
@@ -197,14 +162,14 @@ fn step_loop(
     // Coordinated restart: every rank resumes from the same wave, so no
     // rank is left sending mass surfaces at a peer that skipped them.
     let mut state = match (&resil.ckpt, resil.resume_cycle) {
-        (Some(cfg), Some(cycle)) => phase.run(
+        (Some(cfg), Some(cycle)) => phase.timed(
             "resume-restore",
             SpanKind::Region,
             Category::Recovery,
             || resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d)),
         )?,
         _ => {
-            phase.run("halo-mass", SpanKind::Halo, Category::Send, || {
+            phase.timed("halo-mass", SpanKind::Halo, Category::Send, || {
                 halo_exchange_mass(&d, &halo, &net, obs)
             })?;
             SimState::new(d.initial_dt())
@@ -225,7 +190,7 @@ fn step_loop(
         // completed C−1's allreduce) — so wave C is globally consistent.
         if let (Some(w), Some(cfg)) = (writer.as_ref(), resil.ckpt.as_ref()) {
             if state.cycle % cfg.period == 0 && resil.resume_cycle != Some(state.cycle) {
-                phase.run("ckpt-capture", SpanKind::Region, Category::Recovery, || {
+                phase.timed("ckpt-capture", SpanKind::Region, Category::Recovery, || {
                     w.submit(
                         resil::DomainSnapshot::capture(rank, &d, &state),
                         state.cycle,
@@ -236,7 +201,7 @@ fn step_loop(
         // The step-time window opens here, before an injected stall, so
         // the lost time shows up in this rank's sample. (A death drops
         // every link; the writer thread flushes pending snapshots on drop.)
-        let window = live.mark();
+        let window = phase.mark();
         plan.faults.inject(rank, state.cycle)?;
         let iter_start = trace.map(|t| t.now_ns());
         time_increment(&mut state, &sim.params);
@@ -248,28 +213,28 @@ fn step_loop(
         // together at the allreduce below), and skip the remaining local
         // phases. A *transport* error aborts immediately (`?`): the links
         // are dropped, which the neighbours observe within their deadline.
-        let mut local_err = phase.run("forces", SpanKind::Region, Category::Busy, || {
+        let mut local_err = phase.timed("forces", SpanKind::Region, Category::Busy, || {
             calc_force_for_nodes(&d, &mut scratch).err()
         });
-        phase.run("halo-forces", SpanKind::Halo, Category::Send, || {
+        phase.timed("halo-forces", SpanKind::Halo, Category::Send, || {
             halo_exchange_forces(&d, &halo, &net, obs)
         })?;
 
         // Node advance, then gradients + ghost exchange.
         if local_err.is_none() {
-            phase.run("node", SpanKind::Region, Category::Busy, || {
+            phase.timed("node", SpanKind::Region, Category::Busy, || {
                 advance_nodes(&d, dt)
             });
-            local_err = phase.run("kinematics", SpanKind::Region, Category::Busy, || {
+            local_err = phase.timed("kinematics", SpanKind::Region, Category::Busy, || {
                 calc_kinematics_and_gradients(&d, dt).err()
             });
         }
-        phase.run("halo-gradients", SpanKind::Halo, Category::Send, || {
+        phase.timed("halo-gradients", SpanKind::Halo, Category::Send, || {
             halo_exchange_gradients(&d, &halo, &net, obs)
         })?;
 
         if local_err.is_none() {
-            local_err = phase.run("eos", SpanKind::Region, Category::Busy, || {
+            local_err = phase.timed("eos", SpanKind::Region, Category::Busy, || {
                 apply_q_and_materials(&d, &mut scratch).err()
             });
         }
@@ -278,15 +243,15 @@ fn step_loop(
         // telemetry steps, this rank's step summary) riding along so
         // everyone aborts in the same iteration.
         let (c, h) = if local_err.is_none() {
-            phase.run("constraints", SpanKind::Region, Category::Busy, || {
+            phase.timed("constraints", SpanKind::Region, Category::Busy, || {
                 constraints::calc_time_constraints(&d, sim.params.qqc, sim.params.dvovmax)
             })
         } else {
             (1.0e20, 1.0e20)
         };
         let (gc, gh, gerr) =
-            phase.run("barrier-dt", SpanKind::Barrier, Category::Barrier, || {
-                live.allreduce_dt(&net, state.cycle, window, c, h, local_err)
+            phase.timed("barrier-dt", SpanKind::Barrier, Category::Barrier, || {
+                phase.allreduce_dt(&net, state.cycle, window, c, h, local_err)
             })?;
         if let Some(e) = gerr {
             // Every rank is returning this same error right now; links are
@@ -309,8 +274,20 @@ fn step_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fold, LivePlan, World};
+    use crate::{fold, World};
     use lulesh_core::types::LuleshError;
+    use obs::live::{CollectSink, LiveConfig, LiveSink};
+
+    /// Live metrics every `period` steps, collected in memory.
+    fn collected(period: u64) -> (Arc<CollectSink>, Option<LiveConfig>) {
+        let sink = Arc::new(CollectSink::new());
+        let cfg = LiveConfig {
+            period,
+            sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
+            table: false,
+        };
+        (sink, Some(cfg))
+    }
 
     /// [`run`] with everything off, folded to one result.
     fn run_fold(
@@ -560,23 +537,20 @@ mod tests {
     }
 
     /// Acceptance gate for the live plane: an injected slow rank must be
-    /// flagged by rank 0's online detector within 5 steps.
+    /// flagged by rank 0's online detector within 5 steps. And the live
+    /// categories partition each rank's time — a halo or barrier phase
+    /// adds only its time outside transport receives, which the links
+    /// already added as `wait` — so a rank's Σ phases never exceeds the
+    /// run's wall time, even when it spends most of each step blocked
+    /// behind the straggler.
     #[test]
     fn straggler_detector_flags_injected_slow_rank_within_five_steps() {
-        use obs::live::{CollectSink, LiveConfig, LiveSink};
-        let sink = Arc::new(CollectSink::new());
-        let live = LivePlan {
-            metrics: Some(LiveConfig {
-                period: 1,
-                sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
-                table: false,
-            }),
-            flight_dir: None,
-        };
+        let (sink, live) = collected(1);
         let faults = FaultPlan {
             slow_rank: Some((1, 25)),
             ..FaultPlan::NONE
         };
+        let t0 = std::time::Instant::now();
         let results = run(
             Decomposition::new(6, 2),
             SimArgs::new(2, 1, 1, 0, 8),
@@ -587,11 +561,24 @@ mod tests {
                 ..RunPlan::default()
             },
         );
+        let wall = t0.elapsed().as_nanos() as f64;
         for r in results {
             r.expect("slow rank must not fail the run");
         }
 
         let lines = sink.lines();
+        let last = obs::jsonlint::parse(lines.last().expect("live lines")).unwrap();
+        for entry in last.get("per_rank").and_then(|p| p.arr()).unwrap() {
+            let Some(obs::jsonlint::Value::Obj(phases)) = entry.get("phases") else {
+                panic!("per_rank entry without phases");
+            };
+            let sum: f64 = phases.iter().filter_map(|(_, ns)| ns.num()).sum();
+            assert!(
+                sum <= wall,
+                "rank {:?}: phases sum to {sum} ns inside a {wall} ns run: {phases:?}",
+                entry.get("rank").and_then(|r| r.num())
+            );
+        }
         assert_eq!(lines.len(), 8, "period 1 over 8 cycles");
         let flagged_at = lines.iter().position(|l| {
             let v = obs::jsonlint::parse(l).expect("live line must be valid JSON");
@@ -614,27 +601,68 @@ mod tests {
         }
     }
 
-    /// Fault-plan death must leave a lintable flight recording behind on
-    /// every rank — the dying one and the survivor that observed it.
+    /// One hook per link carries both the tracer and the live counters:
+    /// the bytes a rank's parcel-send spans carry before its last dt
+    /// barrier are exactly the `sent_bytes` of the last JSONL line (whose
+    /// summary is sampled as that barrier opens).
     #[test]
-    fn fault_death_dumps_lintable_flight_recordings() {
-        let dir = std::env::temp_dir().join(format!("multidom-flight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let live = LivePlan {
-            metrics: None,
-            flight_dir: Some(dir.clone()),
+    fn traced_send_bytes_match_the_live_counters() {
+        let ranks = 2;
+        let (sink, live) = collected(1);
+        let tracer = Tracer::shared(ranks);
+        let plan = RunPlan {
+            trace: Some(Arc::clone(&tracer)),
+            live,
+            ..RunPlan::default()
         };
-        let faults = FaultPlan {
-            die_at: vec![(1, 3)],
-            ..FaultPlan::NONE
-        };
+        fold(run(
+            Decomposition::new(6, ranks),
+            SimArgs::new(2, 1, 1, 0, 6),
+            &plan,
+        ))
+        .unwrap();
+        let spans = tracer.drain();
+        let last = obs::jsonlint::parse(sink.lines().last().expect("live lines")).unwrap();
+        let per_rank = last.get("per_rank").and_then(|p| p.arr()).unwrap();
+        assert_eq!(per_rank.len(), ranks);
+        for (rank, entry) in per_rank.iter().enumerate() {
+            let last_barrier = spans
+                .iter()
+                .filter(|s| s.worker == rank && s.label == "barrier-dt")
+                .map(|s| s.start_ns)
+                .max()
+                .unwrap();
+            let traced: u64 = spans
+                .iter()
+                .filter(|s| {
+                    s.worker == rank
+                        && s.label.starts_with("parcel-send-")
+                        && s.start_ns < last_barrier
+                })
+                .map(|s| s.bytes)
+                .sum();
+            assert!(traced > 0, "rank {rank} traced no sends");
+            let live = entry.get("sent_bytes").and_then(|b| b.num());
+            assert_eq!(live, Some(traced as f64), "rank {rank}");
+        }
+    }
+
+    /// A fault-plan death leaves its post-mortem in the trace: the
+    /// survivor's typed failure as a `parcel-error-*` span, and both
+    /// ranks' phase spans up to the failure.
+    #[test]
+    fn fault_death_leaves_error_and_phase_spans_in_the_trace() {
+        let tracer = Tracer::shared(2);
         let results = run(
             Decomposition::new(6, 2),
             SimArgs::new(2, 1, 1, 0, 10),
             &RunPlan {
                 deadline: Duration::from_secs(2),
-                faults,
-                live,
+                trace: Some(Arc::clone(&tracer)),
+                faults: FaultPlan {
+                    die_at: vec![(1, 3)],
+                    ..FaultPlan::NONE
+                },
                 ..RunPlan::default()
             },
         );
@@ -642,22 +670,23 @@ mod tests {
             results.iter().all(|r| matches!(r, Err(MdError::Net(_)))),
             "both the dying rank and the survivor must report a typed failure"
         );
-        for r in 0..2 {
-            let path = dir.join(format!("flight.rank{r}.json"));
-            let content = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("rank {r} flight dump missing: {e}"));
-            let st = obs::live::lint_flight_dump(&content)
-                .unwrap_or_else(|e| panic!("rank {r} flight dump invalid: {e}"));
-            assert_eq!(st.rank, r);
-            assert!(st.events > 0, "rank {r} recorded no events");
-        }
-        // The survivor saw a typed parcel error; its dump records it.
-        let survivor = std::fs::read_to_string(dir.join("flight.rank0.json")).unwrap();
+        let spans = tracer.drain();
         assert!(
-            obs::live::lint_flight_dump(&survivor).unwrap().errors > 0,
-            "survivor must record the typed failure"
+            spans
+                .iter()
+                .any(|s| s.worker == 0 && s.label.starts_with("parcel-error-") && s.dur_ns() == 0),
+            "the survivor must record its typed failure"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        for rank in 0..2 {
+            let forces = spans
+                .iter()
+                .filter(|s| s.worker == rank && s.label == "forces")
+                .count();
+            assert!(
+                forces >= 3,
+                "rank {rank}: one forces span per completed cycle"
+            );
+        }
     }
 
     #[test]

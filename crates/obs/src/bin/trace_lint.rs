@@ -1,15 +1,15 @@
-//! Validate an emitted Chrome-trace file: well-formed JSON, top-level
-//! array, non-negative timestamps (a span predating the aligned epoch
-//! means clock correction went wrong), known `cat` values, rank-lane
-//! `process_name` metadata on merged multi-rank traces, and (optionally)
-//! a minimum number of `"cat": "barrier"` events. Used by
+//! Validate an emitted trace file. A Chrome trace (a top-level JSON array)
+//! must be well-formed, with non-negative timestamps (a span predating the
+//! aligned epoch means clock correction went wrong), known `cat` values,
+//! rank-lane `process_name` metadata on merged multi-rank traces, and
+//! (optionally) a minimum number of `"cat": "barrier"` events. Used by
 //! `scripts/check.sh` to prove `--trace`/`--trace-dir` output is loadable.
 //!
-//! Flight-recorder dumps (`flight.rank<N>.json`, written next to the
-//! trace files on a transport fault) are detected by their
-//! `"kind":"flight"` header and routed through
-//! [`obs::live::lint_flight_dump`] instead: schema version, sorted
-//! timestamps, and the flight category set.
+//! A per-rank spans file (`rank<R>.spans.json`, a JSON object — what every
+//! rank of a `--trace-dir` run writes, failed ranks included) is read back
+//! with [`obs::dist::RankTrace::parse`] instead, and the linter reports its
+//! span count and how many of those are `parcel-error-*` spans: the typed
+//! transport failures the rank observed.
 //!
 //! Usage: `trace_lint <file.json> [min_barrier_events]`
 
@@ -36,38 +36,35 @@ fn main() {
             exit(1);
         }
     };
-    // A flight dump is one JSON object that declares itself in its first
-    // bytes; a Chrome trace is a top-level array. Sniff the header rather
-    // than the filename so redirected/renamed dumps still lint.
-    let head: String = content.chars().take(128).filter(|c| *c != ' ').collect();
-    if head.contains("\"kind\":\"flight\"") {
-        match obs::live::lint_flight_dump(&content) {
-            Ok(stats) => {
-                println!(
-                    "{path}: OK (flight dump, rank {}, {} events, {} error{})",
-                    stats.rank,
-                    stats.events,
-                    stats.errors,
-                    if stats.errors == 1 { "" } else { "s" }
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                exit(1);
-            }
-        }
-    }
-    match obs::dist::lint_chrome_trace(&content, min_barriers) {
-        Ok(stats) => {
-            println!(
-                "{path}: OK ({} events, {} barriers, {} rank{})",
+    // A spans file is one JSON object; a Chrome trace is a top-level array.
+    // Sniff the content rather than the filename so renamed files still lint.
+    let summary = if content.trim_start().starts_with('{') {
+        obs::dist::RankTrace::parse(&content).map(|t| {
+            let errors = t
+                .spans
+                .iter()
+                .filter(|s| s.label.starts_with("parcel-error-"))
+                .count();
+            format!(
+                "rank trace, rank {}, {} spans, {errors} error span{}",
+                t.rank,
+                t.spans.len(),
+                if errors == 1 { "" } else { "s" }
+            )
+        })
+    } else {
+        obs::dist::lint_chrome_trace(&content, min_barriers).map(|stats| {
+            format!(
+                "{} events, {} barriers, {} rank{}",
                 stats.events,
                 stats.barriers,
                 stats.pids,
                 if stats.pids == 1 { "" } else { "s" }
-            );
-        }
+            )
+        })
+    };
+    match summary {
+        Ok(s) => println!("{path}: OK ({s})"),
         Err(e) => {
             eprintln!("{path}: {e}");
             exit(1);

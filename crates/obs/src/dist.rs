@@ -535,7 +535,8 @@ pub fn categorize(cat: &str, label: &str) -> Option<Category> {
             } else if label.contains("send") || label.contains("serialize") {
                 Category::Send
             } else {
-                // parcel-wait-*, parcel-recv-*, parcel-corrupt
+                // parcel-wait-*, parcel-recv-*, and the zero-length
+                // parcel-error-* failure marks
                 Category::Wait
             }
         }

@@ -206,29 +206,6 @@ impl Tracer {
         );
     }
 
-    /// Non-destructive per-label aggregate of the [`SpanKind::Task`]
-    /// spans currently buffered: `(label, Σ duration ns, span count)`,
-    /// label-sorted. Unlike [`drain`](Self::drain) this leaves the
-    /// buffers intact, so a mid-run reader (the runtime's check that its
-    /// always-on phase counters match the spans) can read per-phase
-    /// aggregates without stealing spans from the final trace export.
-    pub fn phase_totals(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut by_label: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for lane in &self.lanes {
-            for s in lane.lock().iter() {
-                if s.kind == SpanKind::Task {
-                    let e = by_label.entry(s.label).or_insert((0, 0));
-                    e.0 += s.dur_ns();
-                    e.1 += 1;
-                }
-            }
-        }
-        by_label
-            .into_iter()
-            .map(|(label, (ns, n))| (label, ns, n))
-            .collect()
-    }
-
     /// Take every recorded span, sorted by start time. Leaves the
     /// tracer empty (recording can continue afterwards).
     pub fn drain(&self) -> Vec<Span> {

@@ -1,31 +1,25 @@
 //! Live in-band telemetry plane: always-on per-rank counters sampled per
 //! timestep, streamed to rank 0 over the dt-allreduce star, plus an
-//! online straggler detector and a fixed-size fault flight recorder.
+//! online straggler detector.
 //!
 //! Unlike [`crate::Tracer`] (one span per task, drained post-mortem),
 //! everything here is sized for *steady-state* use inside the job:
 //! lock-free counters and log2-bucketed histograms that a driver samples
 //! once per timestep, a compact [`StepSummary`] wire encoding that rides
-//! the existing dt reduction (no extra sync points), an EWMA-based
-//! [`StragglerDetector`] with hysteresis on rank 0, and a bounded
-//! [`FlightRecorder`] ring that turns a typed transport failure or a
-//! fault-plan death into an actionable post-mortem dump without paying
-//! for full tracing.
+//! the existing dt reduction (no extra sync points), and an EWMA-based
+//! [`StragglerDetector`] with hysteresis on rank 0. The counters are fed
+//! by the same hooks and clock reads as the tracer's spans (a rank's one
+//! recorder), so a traced run never times an event twice; the post-mortem
+//! of a failed rank is its spans file.
 
 use crate::dist::Category;
-use crate::jsonlint;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Schema version stamped on every `--live-metrics` JSONL line and on
 /// the [`StepSummary`] wire encoding.
-pub const LIVE_SCHEMA_VERSION: u64 = 2;
-
-/// Schema version stamped on flight-recorder dump files.
-pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
+pub const LIVE_SCHEMA_VERSION: u64 = 3;
 
 /// Number of taxonomy phases in a [`StepSummary`] (the Schulz
 /// categories, in [`Category::ALL`] order).
@@ -192,9 +186,9 @@ impl AtomicHist {
 
 /// Per-rank always-on counters: phase nanoseconds per Schulz category,
 /// parcel bytes/count per tag class in each direction, receive-wait
-/// latency histograms per tag class, and steal totals. Everything is a
-/// relaxed atomic so transports and the driver can write concurrently;
-/// the driver reads a [`StepSummary`] snapshot once per timestep.
+/// latency histograms per tag class. Everything is a relaxed atomic so
+/// transports and the driver can write concurrently; the driver reads a
+/// [`StepSummary`] snapshot once per timestep.
 #[derive(Default)]
 pub struct LiveStats {
     phase_ns: [AtomicU64; NCAT],
@@ -203,8 +197,6 @@ pub struct LiveStats {
     recv_bytes: [AtomicU64; NTAG],
     recv_count: [AtomicU64; NTAG],
     latency: [AtomicHist; NTAG],
-    steals: AtomicU64,
-    remote_steals: AtomicU64,
 }
 
 impl LiveStats {
@@ -231,7 +223,9 @@ impl LiveStats {
     /// blocking receive took `wait_ns`. The wait also lands in the `Wait`
     /// phase bucket: time blocked on a peer is the complement of busy
     /// time, and subtracting it from wall time is what lets the straggler
-    /// detector tell a slow rank from the fast ranks stalled behind it.
+    /// detector tell a slow rank from the fast ranks stalled behind it. A
+    /// phase that encloses receives must add only its time *outside* them
+    /// (see [`wait_ns`](Self::wait_ns)), so no nanosecond lands twice.
     pub fn on_recv(&self, class: usize, bytes: u64, wait_ns: u64) {
         let c = class.min(NTAG - 1);
         self.recv_bytes[c].fetch_add(bytes, Ordering::Relaxed);
@@ -248,16 +242,6 @@ impl LiveStats {
             .position(|c| *c == Category::Wait)
             .unwrap_or(0);
         self.phase_ns[idx].load(Ordering::Relaxed)
-    }
-
-    /// Count one local steal.
-    pub fn add_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one remote (cross-rank) steal.
-    pub fn add_remote_steal(&self) {
-        self.remote_steals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot the cumulative counters into a [`StepSummary`] for
@@ -279,8 +263,6 @@ impl LiveStats {
             sent_count: load(&self.sent_count),
             recv_bytes: load(&self.recv_bytes),
             recv_count: load(&self.recv_count),
-            steals: self.steals.load(Ordering::Relaxed),
-            remote_steals: self.remote_steals.load(Ordering::Relaxed),
             lat_p50_ns: lat.quantile(0.5),
             lat_p99_ns: lat.quantile(0.99),
         }
@@ -318,10 +300,6 @@ pub struct StepSummary {
     pub recv_bytes: [u64; NTAG],
     /// Cumulative inbound parcel count per tag class.
     pub recv_count: [u64; NTAG],
-    /// Cumulative local steals.
-    pub steals: u64,
-    /// Cumulative remote (cross-rank) steals.
-    pub remote_steals: u64,
     /// p50 receive-wait latency over all tag classes, ns (factor-2 bound).
     pub lat_p50_ns: u64,
     /// p99 receive-wait latency over all tag classes, ns (factor-2 bound).
@@ -329,7 +307,7 @@ pub struct StepSummary {
 }
 
 /// Length of [`StepSummary::encode`]'s output.
-pub const SUMMARY_ENCODED_LEN: usize = 1 + 3 + NCAT + 4 * NTAG + 2 + 2;
+pub const SUMMARY_ENCODED_LEN: usize = 1 + 3 + NCAT + 4 * NTAG + 2;
 
 impl StepSummary {
     /// Flatten into `f64`s for the telemetry parcel.
@@ -344,8 +322,6 @@ impl StepSummary {
         v.extend(self.sent_count.iter().map(|&x| x as f64));
         v.extend(self.recv_bytes.iter().map(|&x| x as f64));
         v.extend(self.recv_count.iter().map(|&x| x as f64));
-        v.push(self.steals as f64);
-        v.push(self.remote_steals as f64);
         v.push(self.lat_p50_ns as f64);
         v.push(self.lat_p99_ns as f64);
         v
@@ -376,8 +352,6 @@ impl StepSummary {
             sent_count,
             recv_bytes,
             recv_count,
-            steals: next(),
-            remote_steals: next(),
             lat_p50_ns: next(),
             lat_p99_ns: next(),
         })
@@ -529,25 +503,10 @@ impl StragglerDetector {
 // JSONL emission
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render one `--live-metrics` JSONL line for a telemetry step:
 /// schema-versioned, one `per_rank` entry per received [`StepSummary`],
-/// the max/median step-time ratio, and the flagged stragglers.
+/// the max/median step-time ratio, and the flagged stragglers. Keys are
+/// static identifiers, so nothing needs escaping.
 pub fn jsonl_step_line(step: u64, summaries: &[StepSummary], stragglers: &[usize]) -> String {
     let mut times: Vec<u64> = summaries.iter().map(|s| s.step_ns).collect();
     times.sort_unstable();
@@ -581,20 +540,17 @@ pub fn jsonl_step_line(step: u64, summaries: &[StepSummary], stragglers: &[usize
             .iter()
             .zip(s.phase_ns.iter())
             .filter(|(_, &ns)| ns > 0)
-            .map(|(c, &ns)| format!("\"{}\":{}", esc(c.name()), ns))
+            .map(|(c, &ns)| format!("\"{}\":{}", c.name(), ns))
             .collect();
         line.push_str(&format!(
             "{{\"rank\":{},\"step_ns\":{},\"phases\":{{{}}},\"sent_bytes\":{},\
-             \"recv_bytes\":{},\"parcels\":{},\"steals\":{},\"remote_steals\":{},\
-             \"lat_p50_ns\":{},\"lat_p99_ns\":{}}}",
+             \"recv_bytes\":{},\"parcels\":{},\"lat_p50_ns\":{},\"lat_p99_ns\":{}}}",
             s.rank,
             s.step_ns,
             phases.join(","),
             s.total_sent_bytes(),
             s.total_recv_bytes(),
             s.sent_count.iter().sum::<u64>() + s.recv_count.iter().sum::<u64>(),
-            s.steals,
-            s.remote_steals,
             s.lat_p50_ns,
             s.lat_p99_ns
         ));
@@ -672,237 +628,6 @@ impl LiveConfig {
     pub fn telemetry_step(&self, cycle: u64) -> bool {
         cycle.is_multiple_of(self.period)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-/// Flight-recorder event categories accepted by [`lint_flight_dump`]:
-/// the tracer's span kinds plus `"error"` for fault records.
-pub const FLIGHT_CATS: [&str; 7] = [
-    "task", "steal", "barrier", "region", "halo", "parcel", "error",
-];
-
-/// One entry in the flight-recorder ring.
-#[derive(Debug, Clone)]
-pub struct FlightEvent {
-    /// Short static label (`parcel-send-dt`, `die-at`, ...).
-    pub label: &'static str,
-    /// Category, one of [`FLIGHT_CATS`].
-    pub cat: &'static str,
-    /// Start, ns since the recorder's epoch.
-    pub start_ns: u64,
-    /// End, ns since the recorder's epoch (`>= start_ns`).
-    pub end_ns: u64,
-    /// Payload bytes, if the event moved data.
-    pub bytes: u64,
-    /// Peer rank, `-1` if not applicable.
-    pub peer: i32,
-    /// Free-form detail (error text); empty otherwise.
-    pub detail: String,
-}
-
-/// A fixed-capacity ring of recent transport/driver events, kept per
-/// rank regardless of tracing, and dumped as JSON on a typed
-/// [`ParcelError`](../../parcelnet) or fault-plan death. Overhead is one
-/// short mutex hold per recorded event; old events are evicted, so
-/// memory is bounded by the capacity.
-pub struct FlightRecorder {
-    epoch: Instant,
-    cap: usize,
-    ring: Mutex<(VecDeque<FlightEvent>, u64)>,
-}
-
-/// Default flight-recorder capacity (events retained per rank).
-pub const FLIGHT_DEFAULT_CAP: usize = 512;
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(FLIGHT_DEFAULT_CAP)
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder retaining the last `cap` events.
-    pub fn new(cap: usize) -> Self {
-        FlightRecorder {
-            epoch: Instant::now(),
-            cap: cap.max(1),
-            ring: Mutex::new((VecDeque::with_capacity(cap.max(1)), 0)),
-        }
-    }
-
-    /// Nanoseconds since this recorder's epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Record one event; evicts the oldest entry when full.
-    pub fn record(&self, ev: FlightEvent) {
-        let mut g = self.ring.lock();
-        if g.0.len() == self.cap {
-            g.0.pop_front();
-            g.1 += 1;
-        }
-        g.0.push_back(ev);
-    }
-
-    /// Record a completed interval with no detail text.
-    pub fn record_interval(
-        &self,
-        label: &'static str,
-        cat: &'static str,
-        start_ns: u64,
-        end_ns: u64,
-        bytes: u64,
-        peer: i32,
-    ) {
-        self.record(FlightEvent {
-            label,
-            cat,
-            start_ns,
-            end_ns,
-            bytes,
-            peer,
-            detail: String::new(),
-        });
-    }
-
-    /// Record an instantaneous error event with detail text.
-    pub fn record_error(&self, label: &'static str, detail: String, peer: i32) {
-        let now = self.now_ns();
-        self.record(FlightEvent {
-            label,
-            cat: "error",
-            start_ns: now,
-            end_ns: now,
-            bytes: 0,
-            peer,
-            detail,
-        });
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().0.len()
-    }
-
-    /// True when nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Serialize the ring as one JSON object for `rank`, events sorted
-    /// by start time (the ring is append-ordered already; sorting makes
-    /// the monotonicity contract explicit for the linter).
-    pub fn dump_json(&self, rank: usize) -> String {
-        let g = self.ring.lock();
-        let mut events: Vec<&FlightEvent> = g.0.iter().collect();
-        events.sort_by_key(|e| e.start_ns);
-        let mut out = format!(
-            "{{\"schema\":{FLIGHT_SCHEMA_VERSION},\"kind\":\"flight\",\"rank\":{rank},\
-             \"cap\":{},\"dropped\":{},\"events\":[",
-            self.cap, g.1
-        );
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"cat\":\"{}\",\"start_ns\":{},\"end_ns\":{},\
-                 \"bytes\":{},\"peer\":{}",
-                esc(e.label),
-                esc(e.cat),
-                e.start_ns,
-                e.end_ns,
-                e.bytes,
-                e.peer
-            ));
-            if !e.detail.is_empty() {
-                out.push_str(&format!(",\"detail\":\"{}\"", esc(&e.detail)));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Statistics from a clean [`lint_flight_dump`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightLintStats {
-    /// Events in the dump.
-    pub events: usize,
-    /// Events with `cat == "error"`.
-    pub errors: usize,
-    /// The dumping rank.
-    pub rank: usize,
-}
-
-/// Validate a flight-recorder dump: strict JSON, the `flight` schema,
-/// monotonically non-decreasing start times, `end_ns >= start_ns`, and
-/// categories restricted to [`FLIGHT_CATS`].
-pub fn lint_flight_dump(content: &str) -> Result<FlightLintStats, String> {
-    let v = jsonlint::parse(content)?;
-    let kind = v.get("kind").and_then(|k| k.str()).unwrap_or("");
-    if kind != "flight" {
-        return Err(format!("not a flight dump (kind = {kind:?})"));
-    }
-    let schema = v.get("schema").and_then(|s| s.num()).unwrap_or(-1.0) as u64;
-    if schema != FLIGHT_SCHEMA_VERSION {
-        return Err(format!(
-            "flight schema {schema} != supported {FLIGHT_SCHEMA_VERSION}"
-        ));
-    }
-    let rank = v.get("rank").and_then(|r| r.num()).ok_or("missing rank")? as usize;
-    let events = v
-        .get("events")
-        .and_then(|e| e.arr())
-        .ok_or("missing events array")?;
-    let mut last_start = 0u64;
-    let mut errors = 0usize;
-    for (i, e) in events.iter().enumerate() {
-        let label = e
-            .get("label")
-            .and_then(|l| l.str())
-            .ok_or_else(|| format!("event {i}: missing label"))?;
-        let cat = e
-            .get("cat")
-            .and_then(|c| c.str())
-            .ok_or_else(|| format!("event {i} ({label}): missing cat"))?;
-        if !FLIGHT_CATS.contains(&cat) {
-            return Err(format!("event {i} ({label}): unknown cat {cat:?}"));
-        }
-        let start = e
-            .get("start_ns")
-            .and_then(|s| s.num())
-            .ok_or_else(|| format!("event {i} ({label}): missing start_ns"))?;
-        let end = e
-            .get("end_ns")
-            .and_then(|s| s.num())
-            .ok_or_else(|| format!("event {i} ({label}): missing end_ns"))?;
-        if start < 0.0 || end < start {
-            return Err(format!(
-                "event {i} ({label}): bad interval [{start}, {end}]"
-            ));
-        }
-        if (start as u64) < last_start {
-            return Err(format!(
-                "event {i} ({label}): start_ns {start} before previous {last_start} — \
-                 dump is not sorted"
-            ));
-        }
-        last_start = start as u64;
-        if cat == "error" {
-            errors += 1;
-        }
-    }
-    Ok(FlightLintStats {
-        events: events.len(),
-        errors,
-        rank,
-    })
 }
 
 #[cfg(test)]
@@ -997,8 +722,6 @@ mod tests {
             sent_count: [0; NTAG],
             recv_bytes: [0; NTAG],
             recv_count: [0; NTAG],
-            steals: 9,
-            remote_steals: 2,
             lat_p50_ns: 4096,
             lat_p99_ns: 1 << 20,
         };
@@ -1025,7 +748,6 @@ mod tests {
         st.add_phase(Category::Barrier, 10);
         st.on_send(3, 24);
         st.on_recv(3, 24, 5_000);
-        st.add_steal();
         let s = st.snapshot(1, 4, 999);
         assert_eq!(s.rank, 1);
         assert_eq!(s.step, 4);
@@ -1033,7 +755,7 @@ mod tests {
         assert_eq!(s.phase_ns[4], 10);
         assert_eq!(s.sent_bytes[3], 24);
         assert_eq!(s.recv_count[3], 1);
-        assert_eq!(s.steals, 1);
+        assert_eq!(st.wait_ns(), 5_000);
         assert!(s.lat_p50_ns >= 2048 && s.lat_p50_ns <= 5_000);
     }
 
@@ -1074,7 +796,7 @@ mod tests {
         let a = st.snapshot(0, 7, 2_000_000);
         let b = st.snapshot(1, 7, 3_000_000);
         let line = jsonl_step_line(7, &[a, b], &[1]);
-        let v = jsonlint::parse(&line).expect("live JSONL line must be strict JSON");
+        let v = crate::jsonlint::parse(&line).expect("live JSONL line must be strict JSON");
         assert_eq!(v.get("kind").and_then(|k| k.str()), Some("live"));
         assert_eq!(v.get("step").and_then(|s| s.num()), Some(7.0));
         assert_eq!(v.get("ranks").and_then(|s| s.num()), Some(2.0));
@@ -1085,43 +807,6 @@ mod tests {
         assert_eq!(
             v.get("per_rank").and_then(|s| s.arr()).map(|a| a.len()),
             Some(2)
-        );
-    }
-
-    #[test]
-    fn flight_recorder_ring_evicts_and_dumps_lintable_json() {
-        let fr = FlightRecorder::new(4);
-        for i in 0..6u64 {
-            fr.record_interval("parcel-send-dt", "parcel", i * 10, i * 10 + 5, 24, 1);
-        }
-        fr.record_error("recv-dt", "peer closed (rank 1)".to_string(), 1);
-        assert_eq!(fr.len(), 4, "ring must evict to capacity");
-        let dump = fr.dump_json(2);
-        let stats = lint_flight_dump(&dump).expect("dump must lint clean");
-        assert_eq!(stats.events, 4);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.rank, 2);
-    }
-
-    #[test]
-    fn flight_lint_rejects_bad_dumps() {
-        assert!(lint_flight_dump("not json").is_err());
-        assert!(lint_flight_dump("{\"kind\":\"trace\"}").is_err());
-        let unsorted = format!(
-            "{{\"schema\":{FLIGHT_SCHEMA_VERSION},\"kind\":\"flight\",\"rank\":0,\"cap\":4,\
-             \"dropped\":0,\"events\":[\
-             {{\"label\":\"a\",\"cat\":\"parcel\",\"start_ns\":10,\"end_ns\":11,\"bytes\":0,\"peer\":-1}},\
-             {{\"label\":\"b\",\"cat\":\"parcel\",\"start_ns\":5,\"end_ns\":6,\"bytes\":0,\"peer\":-1}}]}}"
-        );
-        assert!(lint_flight_dump(&unsorted).is_err(), "must reject unsorted");
-        let badcat = format!(
-            "{{\"schema\":{FLIGHT_SCHEMA_VERSION},\"kind\":\"flight\",\"rank\":0,\"cap\":4,\
-             \"dropped\":0,\"events\":[\
-             {{\"label\":\"a\",\"cat\":\"nope\",\"start_ns\":1,\"end_ns\":2,\"bytes\":0,\"peer\":-1}}]}}"
-        );
-        assert!(
-            lint_flight_dump(&badcat).is_err(),
-            "must reject unknown cat"
         );
     }
 }

@@ -4,8 +4,7 @@
 //! checksum: frames never leave process memory).
 
 use crate::{
-    dir, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelLive, ParcelObs, RankNet, Tag,
-    Transport,
+    dir, failed, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelObs, RankNet, Tag, Transport,
 };
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use lulesh_core::types::Real;
@@ -31,12 +30,11 @@ pub struct ChannelTransport {
     deadline: Duration,
     send_seq: AtomicU32,
     recv_seq: AtomicU32,
-    // `OnceLock`, not a mutex: the hooks are read on every parcel (the
-    // hot path — a 7-neighbour rank touches ~40 parcels per step), so a
-    // per-op lock + `Arc` clone would be the telemetry plane's single
-    // biggest cost. Attach-once is all the drivers ever needed.
+    // `OnceLock`, not a mutex: the hook is read on every parcel (the hot
+    // path — a 7-neighbour rank touches ~40 parcels per step), so a per-op
+    // lock + `Arc` clone would be the telemetry plane's single biggest
+    // cost. Attach-once is all the drivers ever needed.
     obs: OnceLock<ParcelObs>,
-    live: OnceLock<ParcelLive>,
 }
 
 impl ChannelTransport {
@@ -63,7 +61,6 @@ impl ChannelTransport {
             send_seq: AtomicU32::new(0),
             recv_seq: AtomicU32::new(0),
             obs: OnceLock::new(),
-            live: OnceLock::new(),
         }
     }
 }
@@ -75,11 +72,7 @@ impl Transport for ChannelTransport {
 
     fn send(&self, tag: Tag, payload: &[Real]) -> Result<(), ParcelError> {
         let obs = self.obs.get();
-        let live = self.live.get();
-        let t0 = obs.map(|o| o.now_ns());
-        let lw0 = live
-            .is_some_and(ParcelLive::times_sends)
-            .then(std::time::Instant::now);
+        let t0 = obs.map_or(0, ParcelObs::send_start);
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed);
         self.tx
             .send(Frame {
@@ -87,48 +80,24 @@ impl Transport for ChannelTransport {
                 seq,
                 payload: payload.to_vec(),
             })
-            .map_err(|_| {
-                let e = ParcelError::PeerClosed { peer: self.peer };
-                if let Some(l) = live {
-                    l.failed(tag.send_label(), &e, self.peer);
-                }
-                e
-            })?;
-        if let (Some(o), Some(t0)) = (obs, t0) {
-            o.send(tag, t0, o.now_ns(), payload.len() as u64 * 8, self.peer);
-        }
-        if let Some(l) = live {
-            l.sent(
-                tag,
-                lw0.map_or(0, |w0| w0.elapsed().as_nanos() as u64),
-                payload.len() as u64 * 8,
-                self.peer,
-            );
+            .map_err(|_| failed(obs, ParcelError::PeerClosed { peer: self.peer }, self.peer))?;
+        if let Some(o) = obs {
+            o.sent(tag, t0, payload.len() as u64 * 8, self.peer);
         }
         Ok(())
     }
 
     fn recv(&self, tag: Tag) -> Result<Vec<Real>, ParcelError> {
         let obs = self.obs.get();
-        let live = self.live.get();
-        let t0 = obs.map(|o| o.now_ns());
-        let lw0 = live
-            .is_some_and(ParcelLive::active)
-            .then(std::time::Instant::now);
+        let t0 = obs.map_or(0, ParcelObs::now_ns);
         let frame = self.rx.recv_timeout(self.deadline).map_err(|e| {
             let e = match e {
                 RecvTimeoutError::Timeout => ParcelError::Timeout { peer: self.peer },
                 RecvTimeoutError::Disconnected => ParcelError::PeerClosed { peer: self.peer },
             };
-            if let Some(l) = live {
-                l.failed(tag.wait_label(), &e, self.peer);
-            }
-            e
+            failed(obs, e, self.peer)
         })?;
-        let arrival = obs.map(|o| o.now_ns());
-        if let (Some(o), Some(t0), Some(arr)) = (obs, t0, arrival) {
-            o.wait(tag, t0, arr, self.peer);
-        }
+        let arrival = obs.map_or(0, |o| o.arrived(tag, t0, self.peer));
         let expected = self.recv_seq.fetch_add(1, Ordering::Relaxed);
         if frame.seq != expected {
             let e = ParcelError::SeqMismatch {
@@ -136,10 +105,7 @@ impl Transport for ChannelTransport {
                 expected,
                 got: frame.seq,
             };
-            if let Some(l) = live {
-                l.failed(tag.recv_label(), &e, self.peer);
-            }
-            return Err(e);
+            return Err(failed(obs, e, self.peer));
         }
         if frame.tag != tag {
             // A `Bye` where data was expected means the peer shut down.
@@ -152,27 +118,11 @@ impl Transport for ChannelTransport {
                     got: frame.tag,
                 }
             };
-            if let Some(l) = live {
-                l.failed(tag.recv_label(), &e, self.peer);
-            }
-            return Err(e);
+            return Err(failed(obs, e, self.peer));
         }
-        if let (Some(o), Some(arr)) = (obs, arrival) {
-            o.recv(
-                tag,
-                arr,
-                o.now_ns(),
-                frame.payload.len() as u64 * 8,
-                self.peer,
-            );
-        }
-        if let (Some(l), Some(w0)) = (live, lw0) {
-            l.received(
-                tag,
-                w0.elapsed().as_nanos() as u64,
-                frame.payload.len() as u64 * 8,
-                self.peer,
-            );
+        if let Some(o) = obs {
+            let bytes = frame.payload.len() as u64 * 8;
+            o.received(tag, t0, arrival, bytes, self.peer);
         }
         Ok(frame.payload)
     }
@@ -184,10 +134,6 @@ impl Transport for ChannelTransport {
 
     fn attach_obs(&self, obs: ParcelObs) {
         let _ = self.obs.set(obs);
-    }
-
-    fn attach_live(&self, live: ParcelLive) {
-        let _ = self.live.set(live);
     }
 }
 
@@ -345,29 +291,48 @@ mod tests {
 
     #[test]
     fn live_hooks_count_frames_and_record_failures() {
-        use obs::live::{lint_flight_dump, FlightRecorder, LiveStats};
+        use obs::live::LiveStats;
+        use obs::{SpanKind, Tracer};
         use std::sync::Arc;
         let (a, b) = ChannelTransport::pair(0, 1, D);
+        let tracer = Tracer::shared(1);
         let stats = Arc::new(LiveStats::new());
-        let fr = Arc::new(FlightRecorder::new(16));
-        a.attach_live(ParcelLive::new(
+        // One hook carries both sinks; a second attach is ignored.
+        a.attach_obs(ParcelObs::new(
+            Some(Arc::clone(&tracer)),
+            0,
+            0,
             Some(Arc::clone(&stats)),
-            Some(Arc::clone(&fr)),
         ));
+        a.attach_obs(ParcelObs::new(None, 0, 0, None));
         a.send(force(), &[1.0, 2.0]).unwrap();
         b.send(force(), &[3.0]).unwrap();
         assert_eq!(a.recv(force()).unwrap(), vec![3.0]);
+        let class = force().class();
         let s = stats.snapshot(0, 0, 0);
-        assert_eq!(s.sent_bytes[Tag::force(dir::UP).class()], 16);
-        assert_eq!(s.sent_count[Tag::force(dir::UP).class()], 1);
-        assert_eq!(s.recv_bytes[Tag::force(dir::UP).class()], 8);
-        assert_eq!(s.recv_count[Tag::force(dir::UP).class()], 1);
-        // A vanished peer lands in the flight ring as an error event.
+        assert_eq!(s.sent_bytes[class], 16);
+        assert_eq!(s.sent_count[class], 1);
+        assert_eq!(s.recv_bytes[class], 8);
+        assert_eq!(s.recv_count[class], 1);
+        // The counters' wait is the traced receive: wait span + read span.
+        let spans = tracer.drain();
+        let traced_recv: u64 = spans
+            .iter()
+            .filter(|s| s.label == force().wait_label() || s.label == force().recv_label())
+            .map(|s| s.dur_ns())
+            .sum();
+        assert_eq!(stats.wait_ns(), traced_recv);
+        assert_eq!(
+            spans.iter().filter(|s| s.kind == SpanKind::Parcel).count(),
+            3
+        );
+        // A vanished peer lands in the trace as one zero-length error span.
         drop(b);
         assert_eq!(a.recv(force()), Err(ParcelError::PeerClosed { peer: 1 }));
-        let lint = lint_flight_dump(&fr.dump_json(0)).expect("flight dump lints");
-        assert!(lint.events >= 3, "send + recv + error events recorded");
-        assert_eq!(lint.errors, 1);
+        let spans = tracer.drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].label, "parcel-error-closed");
+        assert_eq!((spans[0].dur_ns(), spans[0].peer), (0, 1));
     }
 
     #[test]

@@ -304,156 +304,146 @@ impl Tag {
     }
 }
 
-/// A tracer sink for parcel-level spans. Attached to a [`Transport`] via
-/// [`Transport::attach_obs`], it records every frame's send enqueue,
-/// receive wait, payload read, and (TCP) writer-thread serialization as
-/// [`obs::SpanKind::Parcel`] spans with byte counts and peer ranks.
+/// A rank's one recorder hook on its links, attached via
+/// [`Transport::attach_obs`]: an optional tracer (protocol-thread spans on
+/// `lane`, TCP writer-thread spans on `aux_lane`) and optional always-on
+/// live counters ([`obs::live::LiveStats`]). Both are fed from the same
+/// clock reads, at most one per event edge: a traced frame becomes
+/// [`obs::SpanKind::Parcel`] spans (send enqueue, receive wait, payload
+/// read, writer serialize) with byte counts and peer ranks, and the
+/// counters take their bytes and wait time from the same stamps. A
+/// live-only hook reads no clock on sends (the counters take no send
+/// durations). A typed failure becomes one zero-length
+/// [`ParcelError::span_label`] span.
 #[derive(Clone)]
 pub struct ParcelObs {
-    tracer: std::sync::Arc<obs::Tracer>,
-    /// Lane for protocol-thread spans (send/wait/recv).
+    tracer: Option<std::sync::Arc<obs::Tracer>>,
     lane: usize,
-    /// Lane for background writer-thread spans (serialize).
     aux_lane: usize,
+    live: Option<std::sync::Arc<obs::live::LiveStats>>,
+    /// The clock of a live-only hook (a traced one uses the tracer's).
+    epoch: std::time::Instant,
 }
 
 impl ParcelObs {
-    /// A sink recording protocol spans on `lane` and writer-thread spans
-    /// on `aux_lane` of `tracer`.
-    pub fn new(tracer: std::sync::Arc<obs::Tracer>, lane: usize, aux_lane: usize) -> Self {
+    /// A hook recording protocol spans on `lane` and writer-thread spans
+    /// on `aux_lane` of `tracer`, and feeding `live`; either may be `None`.
+    pub fn new(
+        tracer: Option<std::sync::Arc<obs::Tracer>>,
+        lane: usize,
+        aux_lane: usize,
+        live: Option<std::sync::Arc<obs::live::LiveStats>>,
+    ) -> Self {
         Self {
             tracer,
             lane,
             aux_lane,
+            live,
+            epoch: std::time::Instant::now(),
         }
     }
 
-    /// Nanoseconds on the tracer's clock (the clock [`RankNet::clock_sync`]
-    /// aligns).
-    pub fn now_ns(&self) -> u64 {
-        self.tracer.now_ns()
-    }
-
-    /// A frame was enqueued/written for `peer`.
-    pub fn send(&self, tag: Tag, start_ns: u64, end_ns: u64, bytes: u64, peer: usize) {
-        self.tracer
-            .record_parcel(self.lane, tag.send_label(), start_ns, end_ns, bytes, peer);
-    }
-
-    /// The receiver blocked waiting for a frame from `peer`.
-    pub fn wait(&self, tag: Tag, start_ns: u64, end_ns: u64, peer: usize) {
-        self.tracer
-            .record_parcel(self.lane, tag.wait_label(), start_ns, end_ns, 0, peer);
-    }
-
-    /// A frame from `peer` was read and verified.
-    pub fn recv(&self, tag: Tag, start_ns: u64, end_ns: u64, bytes: u64, peer: usize) {
-        self.tracer
-            .record_parcel(self.lane, tag.recv_label(), start_ns, end_ns, bytes, peer);
-    }
-
-    /// The writer thread serialized and wrote a frame to `peer`.
-    pub fn serialize(&self, tag: Tag, start_ns: u64, end_ns: u64, bytes: u64, peer: usize) {
-        self.tracer.record_parcel(
-            self.aux_lane,
-            tag.serialize_label(),
-            start_ns,
-            end_ns,
-            bytes,
-            peer,
-        );
-    }
-
-    /// A frame from `peer` failed its checksum.
-    pub fn corrupt(&self, start_ns: u64, end_ns: u64, peer: usize) {
-        self.tracer
-            .record_parcel(self.lane, "parcel-corrupt", start_ns, end_ns, 0, peer);
-    }
-}
-
-/// Live-telemetry hooks for a link, attached via
-/// [`Transport::attach_live`]: always-on per-rank counters
-/// ([`obs::live::LiveStats`]) and/or a bounded fault flight recorder
-/// ([`obs::live::FlightRecorder`]). Both are optional and O(1) per
-/// frame, so the plane can stay on for the whole job; with neither
-/// attached the hot path is a single `None` check, exactly like
-/// [`ParcelObs`].
-#[derive(Clone, Default)]
-pub struct ParcelLive {
-    /// Per-rank counters fed bytes/counts and receive-wait latency.
-    pub stats: Option<std::sync::Arc<obs::live::LiveStats>>,
-    /// Ring of recent parcel events, dumped on a typed failure.
-    pub flight: Option<std::sync::Arc<obs::live::FlightRecorder>>,
-}
-
-impl ParcelLive {
-    /// Hooks feeding `stats` and `flight` (either may be `None`).
-    pub fn new(
-        stats: Option<std::sync::Arc<obs::live::LiveStats>>,
-        flight: Option<std::sync::Arc<obs::live::FlightRecorder>>,
-    ) -> Self {
-        ParcelLive { stats, flight }
-    }
-
-    /// True when at least one sink is attached (transports skip their
-    /// clock reads otherwise).
+    /// True when anything is attached.
     pub fn active(&self) -> bool {
-        self.stats.is_some() || self.flight.is_some()
+        self.tracer.is_some() || self.live.is_some()
     }
 
-    /// True when send-side durations are actually consumed. The stats
-    /// counters only look at class and bytes on the send side — the
-    /// duration feeds nothing but the flight recorder — so transports
-    /// skip the two `Instant::now` calls per send (the dominant
-    /// always-on cost on small-brick runs) unless a flight ring is
-    /// armed.
-    pub fn times_sends(&self) -> bool {
-        self.flight.is_some()
+    /// The tracer, when tracing.
+    pub fn tracer(&self) -> Option<&obs::Tracer> {
+        self.tracer.as_deref()
     }
 
-    /// A frame for `peer` was sent/enqueued, taking `dur_ns`.
-    pub fn sent(&self, tag: Tag, dur_ns: u64, bytes: u64, peer: usize) {
-        if let Some(s) = &self.stats {
+    /// The live counters, when sampling.
+    pub fn live(&self) -> Option<&obs::live::LiveStats> {
+        self.live.as_deref()
+    }
+
+    /// Nanoseconds on the hook's clock: the tracer's when tracing (the
+    /// clock [`RankNet::clock_sync`] aligns), else a private monotonic one.
+    pub fn now_ns(&self) -> u64 {
+        match &self.tracer {
+            Some(t) => t.now_ns(),
+            None => self.epoch.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// The clock at a send's start: read only when tracing.
+    pub fn send_start(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.now_ns())
+    }
+
+    /// A frame of `bytes` for `peer` was enqueued/written, starting at
+    /// `start_ns` (from [`send_start`](Self::send_start)).
+    pub fn sent(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
+        if let Some(s) = &self.live {
             s.on_send(tag.class(), bytes);
         }
-        if let Some(f) = &self.flight {
-            let end = f.now_ns();
-            f.record_interval(
+        if let Some(t) = &self.tracer {
+            t.record_parcel(
+                self.lane,
                 tag.send_label(),
-                "parcel",
-                end.saturating_sub(dur_ns),
-                end,
+                start_ns,
+                t.now_ns(),
                 bytes,
-                peer as i32,
+                peer,
             );
         }
     }
 
-    /// A frame from `peer` was received after blocking for `wait_ns`.
-    pub fn received(&self, tag: Tag, wait_ns: u64, bytes: u64, peer: usize) {
-        if let Some(s) = &self.stats {
-            s.on_recv(tag.class(), bytes, wait_ns);
-        }
-        if let Some(f) = &self.flight {
-            let end = f.now_ns();
-            f.record_interval(
-                tag.recv_label(),
-                "parcel",
-                end.saturating_sub(wait_ns),
-                end,
-                bytes,
-                peer as i32,
-            );
+    /// A frame header from `peer` arrived after a receive that started at
+    /// `start_ns` (from [`now_ns`](Self::now_ns)). Traced, this records
+    /// the wait span and returns the arrival time; untraced it reads no
+    /// clock and returns `start_ns`.
+    pub fn arrived(&self, tag: Tag, start_ns: u64, peer: usize) -> u64 {
+        match &self.tracer {
+            Some(t) => {
+                let arrival = t.now_ns();
+                t.record_parcel(self.lane, tag.wait_label(), start_ns, arrival, 0, peer);
+                arrival
+            }
+            None => start_ns,
         }
     }
 
-    /// A typed transport failure involving `peer` — recorded in the
-    /// flight ring so the post-mortem dump shows what led up to it.
-    pub fn failed(&self, label: &'static str, err: &ParcelError, peer: usize) {
-        if let Some(f) = &self.flight {
-            f.record_error(label, err.to_string(), peer as i32);
+    /// A frame of `bytes` from `peer` was read and verified: the receive
+    /// that started at `start_ns` ends now. The whole receive counts as
+    /// wait time in the live counters.
+    pub fn received(&self, tag: Tag, start_ns: u64, arrival_ns: u64, bytes: u64, peer: usize) {
+        let end = self.now_ns();
+        if let Some(t) = &self.tracer {
+            t.record_parcel(self.lane, tag.recv_label(), arrival_ns, end, bytes, peer);
+        }
+        if let Some(s) = &self.live {
+            s.on_recv(tag.class(), bytes, end.saturating_sub(start_ns));
         }
     }
+
+    /// The writer thread serialized and wrote a frame to `peer`, starting
+    /// at `start_ns` (from [`send_start`](Self::send_start)). Traced only.
+    pub fn serialize(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
+        if let Some(t) = &self.tracer {
+            let end = t.now_ns();
+            t.record_parcel(
+                self.aux_lane,
+                tag.serialize_label(),
+                start_ns,
+                end,
+                bytes,
+                peer,
+            );
+        }
+    }
+}
+
+/// A typed failure on the link to `peer`: a traced hook records it as one
+/// zero-length span, so a failed rank's spans file shows what it observed.
+/// Returns `err`.
+pub(crate) fn failed(obs: Option<&ParcelObs>, err: ParcelError, peer: usize) -> ParcelError {
+    if let Some((t, lane)) = obs.and_then(|o| Some((o.tracer.as_ref()?, o.lane))) {
+        let now = t.now_ns();
+        t.record_parcel(lane, err.span_label(), now, now, 0, peer);
+    }
+    err
 }
 
 /// Typed transport failures. Every variant names the peer rank so a
@@ -546,6 +536,23 @@ impl std::fmt::Display for ParcelError {
 
 impl std::error::Error for ParcelError {}
 
+impl ParcelError {
+    /// The `parcel-error-*` label of the zero-length span a traced link
+    /// records for this failure.
+    pub fn span_label(&self) -> &'static str {
+        match self {
+            ParcelError::PeerClosed { .. } => "parcel-error-closed",
+            ParcelError::Timeout { .. } => "parcel-error-timeout",
+            ParcelError::ChecksumMismatch { .. } => "parcel-error-corrupt",
+            ParcelError::TagMismatch { .. } => "parcel-error-tag",
+            ParcelError::SeqMismatch { .. } => "parcel-error-seq",
+            ParcelError::Handshake { .. } => "parcel-error-handshake",
+            ParcelError::ConnectTimeout { .. } => "parcel-error-connect",
+            ParcelError::Io(_) => "parcel-error-io",
+        }
+    }
+}
+
 /// One point-to-point link to a peer rank. Implementations are internally
 /// synchronized (`&self` methods) so a link can be shared between a rank's
 /// control thread and its communication tasks.
@@ -566,13 +573,9 @@ pub trait Transport: Send + Sync {
     /// link the other still reads from (the "no leaked sockets" guarantee).
     fn close(&self) -> Result<(), ParcelError>;
 
-    /// Attach a tracer sink recording parcel-level spans on this link.
-    /// Default: no instrumentation.
+    /// Attach the rank's recorder hook to this link; only the first
+    /// attach counts. Default: no instrumentation.
     fn attach_obs(&self, _obs: ParcelObs) {}
-
-    /// Attach live-telemetry hooks (counters and/or a flight recorder)
-    /// to this link. Default: no instrumentation.
-    fn attach_live(&self, _live: ParcelLive) {}
 
     /// Pin this link's background writer thread (if any) to `cpus`, so
     /// comm threads stop migrating off their rank's NUMA node. Default:
@@ -797,14 +800,9 @@ impl RankNet {
         }
     }
 
-    /// Attach a parcel-span sink to every link of this endpoint.
+    /// Attach the rank's recorder hook to every link of this endpoint.
     pub fn attach_obs(&self, obs: &ParcelObs) {
         self.for_each_link(&mut |l| l.attach_obs(obs.clone()));
-    }
-
-    /// Attach live-telemetry hooks to every link of this endpoint.
-    pub fn attach_live(&self, live: &ParcelLive) {
-        self.for_each_link(&mut |l| l.attach_live(live.clone()));
     }
 
     /// Pin every link's background writer thread (TCP only; a no-op for

@@ -33,8 +33,8 @@
 //! protocol thread always reaches its `recv`, which drains the wire.
 
 use crate::{
-    dir, fnv1a64, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelLive, ParcelObs, RankNet,
-    Tag, Transport,
+    dir, failed, fnv1a64, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelObs, RankNet, Tag,
+    Transport,
 };
 use crossbeam::channel::{bounded, Sender};
 use lulesh_core::types::Real;
@@ -154,7 +154,6 @@ pub struct TcpTransport {
     // the drivers only ever attach once before the run. `obs` is shared
     // with the writer thread, hence the `Arc`.
     obs: Arc<OnceLock<ParcelObs>>,
-    live: OnceLock<ParcelLive>,
 }
 
 impl TcpTransport {
@@ -201,14 +200,14 @@ impl TcpTransport {
                             WriteReq::Frame(tag, seq, payload) => (tag, seq, payload),
                         };
                         let o = obs.get();
-                        let t0 = o.map(|o| o.now_ns());
+                        let t0 = o.map_or(0, ParcelObs::send_start);
                         let bytes = encode_frame(tag, seq, src, &payload);
                         if let Err(e) = stream.write_all(&bytes).and_then(|()| stream.flush()) {
                             *err.lock() = Some(map_io(peer, &e));
                             return;
                         }
-                        if let (Some(o), Some(t0)) = (o, t0) {
-                            o.serialize(tag, t0, o.now_ns(), payload.len() as u64 * 8, peer);
+                        if let Some(o) = o {
+                            o.serialize(tag, t0, payload.len() as u64 * 8, peer);
                         }
                     }
                 })
@@ -223,7 +222,6 @@ impl TcpTransport {
             send_seq: AtomicU32::new(0),
             recv_seq: AtomicU32::new(0),
             obs,
-            live: OnceLock::new(),
         })
     }
 }
@@ -234,16 +232,11 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, tag: Tag, payload: &[Real]) -> Result<(), ParcelError> {
-        let live = self.live.get();
-        if let Some(e) = *self.writer_err.lock() {
-            if let Some(l) = live {
-                l.failed(tag.send_label(), &e, self.peer);
-            }
-            return Err(e);
-        }
         let obs = self.obs.get();
-        let t0 = obs.map(|o| o.now_ns());
-        let lw0 = live.is_some_and(ParcelLive::times_sends).then(Instant::now);
+        if let Some(e) = *self.writer_err.lock() {
+            return Err(failed(obs, e, self.peer));
+        }
+        let t0 = obs.map_or(0, ParcelObs::send_start);
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed);
         self.writer_tx
             .send(WriteReq::Frame(tag, seq, payload.to_vec()))
@@ -252,67 +245,38 @@ impl Transport for TcpTransport {
                     .writer_err
                     .lock()
                     .unwrap_or(ParcelError::PeerClosed { peer: self.peer });
-                if let Some(l) = live {
-                    l.failed(tag.send_label(), &e, self.peer);
-                }
-                e
+                failed(obs, e, self.peer)
             })?;
-        if let (Some(o), Some(t0)) = (obs, t0) {
-            o.send(tag, t0, o.now_ns(), payload.len() as u64 * 8, self.peer);
-        }
-        if let Some(l) = live {
-            l.sent(
-                tag,
-                lw0.map_or(0, |w0| w0.elapsed().as_nanos() as u64),
-                payload.len() as u64 * 8,
-                self.peer,
-            );
+        if let Some(o) = obs {
+            o.sent(tag, t0, payload.len() as u64 * 8, self.peer);
         }
         Ok(())
     }
 
     fn recv(&self, tag: Tag) -> Result<Vec<Real>, ParcelError> {
         let obs = self.obs.get();
-        let live = self.live.get();
-        let t0 = obs.map(|o| o.now_ns());
-        let lw0 = live.is_some_and(ParcelLive::active).then(Instant::now);
+        let fail = |e: ParcelError| failed(obs, e, self.peer);
+        let t0 = obs.map_or(0, ParcelObs::now_ns);
         let mut stream = self.reader.lock();
         let mut header = [0u8; 24];
-        stream.read_exact(&mut header).map_err(|e| {
-            let e = map_io(self.peer, &e);
-            if let Some(l) = live {
-                l.failed(tag.wait_label(), &e, self.peer);
-            }
-            e
-        })?;
-        let arrival = obs.map(|o| o.now_ns());
-        if let (Some(o), Some(t0), Some(arr)) = (obs, t0, arrival) {
-            o.wait(tag, t0, arr, self.peer);
-        }
+        stream
+            .read_exact(&mut header)
+            .map_err(|e| fail(map_io(self.peer, &e)))?;
+        let arrival = obs.map_or(0, |o| o.arrived(tag, t0, self.peer));
 
         let got_tag = Tag::from_u32(u32_at(&header, 0))
-            .ok_or(ParcelError::Io(std::io::ErrorKind::InvalidData))?;
+            .ok_or_else(|| fail(ParcelError::Io(std::io::ErrorKind::InvalidData)))?;
         let seq = u32_at(&header, 4);
         let src = u32_at(&header, 8) as usize;
         let len = u32_at(&header, 12) as usize;
         let ck = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
 
         let mut payload_bytes = vec![0u8; len * 8];
-        stream.read_exact(&mut payload_bytes).map_err(|e| {
-            let e = map_io(self.peer, &e);
-            if let Some(l) = live {
-                l.failed(tag.recv_label(), &e, self.peer);
-            }
-            e
-        })?;
+        stream
+            .read_exact(&mut payload_bytes)
+            .map_err(|e| fail(map_io(self.peer, &e)))?;
         drop(stream);
 
-        let fail = |e: ParcelError| {
-            if let Some(l) = live {
-                l.failed(tag.recv_label(), &e, self.peer);
-            }
-            e
-        };
         if src != self.peer {
             return Err(fail(ParcelError::Handshake { peer: self.peer }));
         }
@@ -325,9 +289,6 @@ impl Transport for TcpTransport {
             }));
         }
         if fnv1a64(&payload_bytes) != ck {
-            if let (Some(o), Some(arr)) = (obs, arrival) {
-                o.corrupt(arr, o.now_ns(), self.peer);
-            }
             return Err(fail(ParcelError::ChecksumMismatch { peer: self.peer }));
         }
         if got_tag != tag {
@@ -344,16 +305,8 @@ impl Transport for TcpTransport {
             .chunks_exact(8)
             .map(|c| Real::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
-        if let (Some(o), Some(arr)) = (obs, arrival) {
-            o.recv(tag, arr, o.now_ns(), payload.len() as u64 * 8, self.peer);
-        }
-        if let (Some(l), Some(w0)) = (live, lw0) {
-            l.received(
-                tag,
-                w0.elapsed().as_nanos() as u64,
-                payload.len() as u64 * 8,
-                self.peer,
-            );
+        if let Some(o) = obs {
+            o.received(tag, t0, arrival, payload.len() as u64 * 8, self.peer);
         }
         Ok(payload)
     }
@@ -373,10 +326,6 @@ impl Transport for TcpTransport {
 
     fn attach_obs(&self, obs: ParcelObs) {
         let _ = self.obs.set(obs);
-    }
-
-    fn attach_live(&self, live: ParcelLive) {
-        let _ = self.live.set(live);
     }
 
     fn pin_writer(&self, cpus: &[usize]) {

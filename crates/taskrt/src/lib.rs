@@ -328,8 +328,7 @@ mod tests {
     fn phase_counters_agree_with_tracer_span_aggregates() {
         // Traced and untraced paths must produce identical per-phase
         // numbers: the counters are fed from the same measurement as the
-        // spans, and the tracer's non-destructive `phase_totals` view
-        // must match exactly.
+        // spans, so the task rows of the spans' metrics must match exactly.
         let tracer = obs::Tracer::shared(3);
         let rt = Runtime::with_tracer(2, Arc::clone(&tracer), 0);
         let mut fs = Vec::new();
@@ -343,12 +342,21 @@ mod tests {
         }
         wait_all(fs);
         let from_counters = rt.phase_stats();
-        let from_tracer = tracer.phase_totals();
+        let metrics = obs::MetricsSnapshot::from_spans(&tracer.drain());
+        let from_tracer: Vec<_> = metrics
+            .phases
+            .iter()
+            .filter(|p| p.kind == obs::SpanKind::Task)
+            .collect();
         assert_eq!(from_counters.len(), from_tracer.len());
-        for (c, (label, ns, n)) in from_counters.iter().zip(&from_tracer) {
-            assert_eq!(c.label, *label);
-            assert_eq!(c.busy_ns, *ns, "phase {label}: counter vs span busy");
-            assert_eq!(c.tasks, *n, "phase {label}: counter vs span count");
+        for (c, p) in from_counters.iter().zip(&from_tracer) {
+            assert_eq!(c.label, p.label);
+            assert_eq!(
+                c.busy_ns, p.total_ns,
+                "phase {}: counter vs span busy",
+                p.label
+            );
+            assert_eq!(c.tasks, p.count, "phase {}: counter vs span count", p.label);
         }
     }
 

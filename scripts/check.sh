@@ -185,7 +185,7 @@ echo "== live-metrics smoke run (2 TCP ranks, JSONL schema) =="
 # run must still end with the normal CSV report.
 ./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
   --live-metrics > "$TMP/live.jsonl"
-LIVE_LINES=$(grep -c '^{"schema":2,"kind":"live"' "$TMP/live.jsonl" || true)
+LIVE_LINES=$(grep -c '^{"schema":3,"kind":"live"' "$TMP/live.jsonl" || true)
 if [ "$LIVE_LINES" -lt 8 ]; then
   echo "expected >=8 live JSONL lines, got $LIVE_LINES:"; cat "$TMP/live.jsonl"
   exit 1
@@ -194,19 +194,21 @@ grep -q "^6,11,8,2," "$TMP/live.jsonl" || {
   echo "live-metrics run produced no report:"; cat "$TMP/live.jsonl"; exit 1;
 }
 
-echo "== fault flight-recorder smoke (--die-at, dumps must lint) =="
-# Rank 1 dies mid-protocol at cycle 3: the launcher must exit nonzero,
-# the dying rank and the survivor must both dump their flight rings to
-# --trace-dir, and the dumps must lint clean (trace_lint sniffs the
-# flight header and applies the flight schema instead of Chrome-trace).
+echo "== failure-trace smoke (--die-at, each rank's spans file is the post-mortem) =="
+# Rank 1 dies mid-protocol at cycle 3: the launcher must exit nonzero, and
+# the dying rank and the survivor must both still write the spans file a
+# successful run writes (no merge). trace_lint reads spans files with the
+# rank-trace parser; the survivor's must hold its typed transport failure
+# as at least one parcel-error-* span.
 if ./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
-  --die-at 1:3 --trace-dir "$TMP/flight" > /dev/null 2>&1; then
+  --die-at 1:3 --trace-dir "$TMP/fail" > /dev/null 2>&1; then
   echo "die-at run unexpectedly exited 0"; exit 1
 fi
-test -s "$TMP/flight/flight.rank0.json"
-test -s "$TMP/flight/flight.rank1.json"
-./target/debug/trace_lint "$TMP/flight/flight.rank0.json"
-./target/debug/trace_lint "$TMP/flight/flight.rank1.json"
+./target/debug/trace_lint "$TMP/fail/rank0.spans.json" | tee "$TMP/fail/lint0.txt"
+./target/debug/trace_lint "$TMP/fail/rank1.spans.json"
+grep -qE ', [1-9][0-9]* error spans?\)$' "$TMP/fail/lint0.txt" || {
+  echo "rank 0's spans file records no parcel-error span"; exit 1;
+}
 
 echo "== checkpoint/respawn smoke (2x2x1 TCP grid, rank 2 dies at cycle 40) =="
 # Reference: the same job uninterrupted. Then the resilient run: rank 2 is
