@@ -41,7 +41,7 @@ pub mod types;
 pub mod validate;
 
 pub use domain::Domain;
-pub use opts::{Opts, PartitionMode, PinMode, TransportMode};
+pub use opts::{Opts, PartitionMode, TransportMode};
 pub use params::{Params, SimState};
 pub use regions::Regions;
 pub use report::RunReport;

@@ -60,66 +60,6 @@ impl std::str::FromStr for TransportMode {
     }
 }
 
-/// NUMA worker-pinning policy, `--pin`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum PinMode {
-    /// No pinning; the OS schedules workers freely. The default.
-    #[default]
-    None,
-    /// Pin across every NUMA node of the machine (`--pin all`).
-    All,
-    /// Pin onto the listed nodes (`--pin node0,node1,…`). Ids are
-    /// syntax-checked here and validated against the live topology by the
-    /// driver (unknown ids degrade to a warning there, not a parse error —
-    /// the same command line must work across differently-sized hosts).
-    Nodes(Vec<usize>),
-}
-
-impl PinMode {
-    /// The requested node ids: empty slice means "all nodes" for both
-    /// [`PinMode::All`] and (vacuously) [`PinMode::None`].
-    pub fn requested_nodes(&self) -> &[usize] {
-        match self {
-            PinMode::Nodes(ids) => ids,
-            _ => &[],
-        }
-    }
-
-    /// Whether pinning was requested at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, PinMode::None)
-    }
-}
-
-impl std::str::FromStr for PinMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "none" => Ok(Self::None),
-            "all" => Ok(Self::All),
-            _ => {
-                let mut ids = Vec::new();
-                for part in s.split(',') {
-                    let id = part
-                        .strip_prefix("node")
-                        .and_then(|n| n.parse::<usize>().ok())
-                        .ok_or_else(|| {
-                            format!("bad pin spec '{part}': expected all|none|node0,node1,…")
-                        })?;
-                    if !ids.contains(&id) {
-                        ids.push(id);
-                    }
-                }
-                if ids.is_empty() {
-                    return Err("empty pin spec".into());
-                }
-                Ok(Self::Nodes(ids))
-            }
-        }
-    }
-}
-
 /// A 3-D rank grid, `--grid NXxNYxNZ` (e.g. `--grid 2x2x2`). The rank
 /// count is the product of the three extents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +147,6 @@ pub struct Opts {
     /// Per-receive deadline for the network transports in milliseconds,
     /// `--recv-deadline-ms`. Default 10 000.
     pub recv_deadline_ms: u64,
-    /// NUMA worker pinning, `--pin all|none|node0,node1,…`. Default none.
-    pub pin: PinMode,
     /// 3-D rank grid for the multi-domain drivers, `--grid NXxNYxNZ`.
     /// Default: none (a 1-D ζ chain over `--ranks`).
     pub grid: Option<GridSpec>,
@@ -260,7 +198,6 @@ impl Default for Opts {
             simd: LaneWidth::DEFAULT,
             transport: TransportMode::Channel,
             recv_deadline_ms: 10_000,
-            pin: PinMode::None,
             grid: None,
             live_metrics: None,
             die_at: Vec::new(),
@@ -372,7 +309,6 @@ impl Opts {
                 "simd" => opts.simd = parse_val(flag, inline, &mut it)?,
                 "transport" => opts.transport = parse_val(flag, inline, &mut it)?,
                 "recv-deadline-ms" => opts.recv_deadline_ms = parse_val(flag, inline, &mut it)?,
-                "pin" => opts.pin = parse_val(flag, inline, &mut it)?,
                 "grid" => opts.grid = Some(parse_val(flag, inline, &mut it)?),
                 "live-metrics" => {
                     // Bare flag = every step; never consumes the next
@@ -429,13 +365,13 @@ impl Opts {
              [--trace FILE.json] [--metrics FILE.csv|.json] [--trace-dir DIR] \
              [--partition table|fixed:N] [--simd scalar|w1|w2|w4|w8] \
              [--transport channel|tcp|tcp:HOST:PORT] [--recv-deadline-ms MS] \
-             [--pin all|none|node0,node1,…] [--grid NXxNYxNZ] \
+             [--grid NXxNYxNZ] \
              [--live-metrics[=PERIOD]] [--die-at RANK:CYCLE[,RANK:CYCLE…]] \
              [--slow-rank RANK:MS] [--ckpt-dir DIR] [--ckpt-period K] \
              [--resume-cycle C] [--respawn]\n\
              Defaults: --s 30 --r 11 --b 1 --c 1 --threads 1 --seed 0 \
              --partition table --simd {default_width} --transport channel \
-             --recv-deadline-ms 10000 --pin none, run to stoptime.\n\
+             --recv-deadline-ms 10000, run to stoptime.\n\
              --trace writes a Chrome-trace timeline (load in Perfetto); \
              --metrics writes a per-phase metrics snapshot; \
              --trace-dir collects per-rank traces, a merged clock-aligned \
@@ -444,8 +380,6 @@ impl Opts {
              to --simd scalar, the reference loops); \
              --transport tcp exchanges halos over loopback sockets \
              (multi-domain drivers); \
-             --pin pins workers to NUMA nodes with locality-aware stealing \
-             (degrades to a warning on single-node hosts); \
              --grid decomposes over a 3-D rank grid with 27-neighbour halo \
              exchange (multi-domain drivers; each extent must divide --s); \
              --live-metrics streams per-step rank summaries to rank 0 \
@@ -573,35 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_modes() {
-        let o = Opts::parse(Vec::<String>::new()).unwrap();
-        assert_eq!(o.pin, PinMode::None);
-        assert!(!o.pin.enabled());
-        let o = Opts::parse(["--pin", "node0"]).unwrap();
-        assert_eq!(o.pin, PinMode::Nodes(vec![0]));
-        assert_eq!(o.pin.requested_nodes(), &[0]);
-        let o = Opts::parse(["--pin=node0,node1"]).unwrap();
-        assert_eq!(o.pin, PinMode::Nodes(vec![0, 1]));
-        let o = Opts::parse(["--pin", "all"]).unwrap();
-        assert_eq!(o.pin, PinMode::All);
-        assert!(o.pin.enabled());
-        assert!(o.pin.requested_nodes().is_empty());
-        let o = Opts::parse(["--pin", "none"]).unwrap();
-        assert_eq!(o.pin, PinMode::None);
-        // Duplicates collapse; order is preserved.
-        let o = Opts::parse(["--pin", "node1,node0,node1"]).unwrap();
-        assert_eq!(o.pin, PinMode::Nodes(vec![1, 0]));
-        // Unknown/malformed node ids are rejected at parse time.
-        assert!(Opts::parse(["--pin", "node"]).is_err());
-        assert!(Opts::parse(["--pin", "nodeX"]).is_err());
-        assert!(Opts::parse(["--pin", "0"]).is_err());
-        assert!(Opts::parse(["--pin", "sock1"]).is_err());
-        assert!(Opts::parse(["--pin", "node0,,node1"]).is_err());
-        assert!(Opts::parse(["--pin", ""]).is_err());
-        assert!(Opts::parse(["--pin"]).is_err());
-    }
-
-    #[test]
     fn grid_specs() {
         let o = Opts::parse(Vec::<String>::new()).unwrap();
         assert_eq!(o.grid, None);
@@ -698,5 +603,7 @@ mod tests {
         assert!(Opts::parse(["--bogus", "1"]).is_err());
         assert!(Opts::parse(["--s", "0"]).is_err());
         assert!(Opts::parse(["--threads", "0"]).is_err());
+        assert!(Opts::parse(["--pin"]).is_err());
+        assert!(Opts::parse(["--pin", "all"]).is_err());
     }
 }

@@ -67,96 +67,11 @@ use lulesh_core::plan::{Chain, Grain, GraphSink, Kernel, Phase, PlanShape, StepP
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
 use obs::{SpanKind, Tracer};
-use parutil::{chunks_of, Chunk, SharedVec};
+use parutil::{chunks_of, Chunk};
 use std::cell::Cell;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
-use taskrt::topology::{self, Topology};
-use taskrt::{GraphBuilder, NodeId, NodeStealStat, PhaseStat, Runtime, RuntimeConfig, StepGraph};
-
-/// Re-place the domain's floating-point arrays for NUMA first-touch.
-///
-/// [`Domain::build`] initializes every array on the build thread, so all
-/// pages land on that thread's node. This pass re-allocates each array
-/// with [`SharedVec::zeroed`] (untouched zero pages) and copies the data
-/// back in from one pinned OS thread per requested node, each writing the
-/// contiguous block of `plan`-sized partitions its node's workers will
-/// predominantly compute (node `j` of `m` gets partition block
-/// `[j·k/m, (j+1)·k/m)` — the same block split [`Topology::assign_workers`]
-/// uses for worker placement). Work stealing means the worker→partition
-/// mapping is not exact, so this is a placement *hint*: values are copied
-/// bit-for-bit and results are unchanged whether or not it runs.
-///
-/// No-op when fewer than two of `nodes` exist in `topo` (one memory
-/// domain: placement is moot).
-pub fn first_touch_domain(d: &mut Domain, topo: &Topology, nodes: &[usize], plan: PartitionPlan) {
-    let node_cpus: Vec<Vec<usize>> = nodes
-        .iter()
-        .filter_map(|&id| topo.nodes.iter().find(|n| n.id == id))
-        .map(|n| n.cpus.clone())
-        .filter(|c| !c.is_empty())
-        .collect();
-    if node_cpus.len() < 2 {
-        return;
-    }
-    let np = plan.nodal.max(1);
-    let ep = plan.elements.max(1);
-    macro_rules! touch {
-        ($($field:ident: $part:expr),* $(,)?) => {
-            $(first_touch_vec(&mut d.$field, $part, &node_cpus);)*
-        };
-    }
-    touch!(
-        // Nodal arrays: partitioned by `plan.nodal` in LagrangeNodal.
-        m_x: np, m_y: np, m_z: np,
-        m_xd: np, m_yd: np, m_zd: np,
-        m_xdd: np, m_ydd: np, m_zdd: np,
-        m_fx: np, m_fy: np, m_fz: np,
-        m_nodal_mass: np,
-        // Element arrays: partitioned by `plan.elements` in LagrangeElements.
-        m_e: ep, m_p: ep, m_q: ep, m_ql: ep, m_qq: ep,
-        m_v: ep, m_volo: ep, m_delv: ep, m_vdov: ep,
-        m_arealg: ep, m_ss: ep, m_elem_mass: ep, m_vnew: ep,
-        m_dxx: ep, m_dyy: ep, m_dzz: ep,
-        // Gradient arrays (empty in single-domain runs, element-length plus
-        // comm planes otherwise): element partitioning is the closest fit.
-        m_delv_xi: ep, m_delv_eta: ep, m_delv_zeta: ep,
-        m_delx_xi: ep, m_delx_eta: ep, m_delx_zeta: ep,
-    );
-}
-
-/// One array of [`first_touch_domain`]: move the data aside, re-allocate
-/// untouched zero pages, and copy each node's partition block back in from
-/// a thread pinned to that node.
-fn first_touch_vec(v: &mut SharedVec<Real>, part: usize, node_cpus: &[Vec<usize>]) {
-    let n = v.len();
-    if n == 0 {
-        return;
-    }
-    let mut old = std::mem::replace(v, SharedVec::zeroed(n));
-    let src: &[Real] = old.as_mut_slice();
-    let dst: &SharedVec<Real> = v;
-    let k = n.div_ceil(part);
-    let m = node_cpus.len();
-    std::thread::scope(|s| {
-        for (j, cpus) in node_cpus.iter().enumerate() {
-            let lo = (j * k / m * part).min(n);
-            let hi = ((j + 1) * k / m * part).min(n);
-            if lo >= hi {
-                continue;
-            }
-            let seg = &src[lo..hi];
-            s.spawn(move || {
-                // Best-effort: an unpinnable thread still copies correctly,
-                // it just places the pages wherever it lands.
-                let _ = topology::pin_current_thread(cpus);
-                // SAFETY: node blocks are disjoint and nothing else holds
-                // the freshly allocated `dst` yet.
-                unsafe { dst.slice_mut(lo, hi) }.copy_from_slice(seg);
-            });
-        }
-    });
-}
+use taskrt::{GraphBuilder, NodeId, PhaseStat, Runtime, StepGraph};
 
 /// A communication step injected into the iteration graph (multi-domain
 /// halo exchange). Runs as a task of its own between two phases.
@@ -348,43 +263,9 @@ impl TaskLulesh {
         }
     }
 
-    /// Runner built from an explicit [`RuntimeConfig`] — the full-control
-    /// constructor used by the binaries to combine tracing with NUMA
-    /// pinning (`--pin`).
-    pub fn from_runtime_config(config: RuntimeConfig, features: Features) -> Self {
-        Self {
-            rt: config.build(),
-            features,
-            stats: Default::default(),
-            graphs_built: Default::default(),
-        }
-    }
-
     /// The attached tracer, if tracing is enabled.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.rt.tracer()
-    }
-
-    /// Node id each worker is assigned to (all zeros when unpinned).
-    pub fn worker_nodes(&self) -> &[usize] {
-        self.rt.worker_nodes()
-    }
-
-    /// Whether the workers were pinned to CPUs at startup.
-    pub fn is_pinned(&self) -> bool {
-        self.rt.is_pinned()
-    }
-
-    /// Number of workers whose `sched_setaffinity` call failed (pinning
-    /// is best-effort; failures degrade to unpinned workers).
-    pub fn pin_failures(&self) -> usize {
-        self.rt.pin_failures()
-    }
-
-    /// Per-NUMA-node steal counters (local + remote) since the last
-    /// counter reset.
-    pub fn node_steal_stats(&self) -> Vec<NodeStealStat> {
-        self.rt.node_steal_stats()
     }
 
     /// Worker thread count.

@@ -425,7 +425,7 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
 
 /// One TCP worker: rank 0 binds the bootstrap address and accepts the
 /// others; everyone runs their sub-brick through the same rank loop as
-/// the in-process ranks (pinning included) and rank 0 prints the report.
+/// the in-process ranks and rank 0 prints the report.
 fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
     let ranks = grid.ranks();
     let decomp = Decomposition::with_grid(opts.size, grid);

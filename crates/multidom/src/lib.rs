@@ -25,7 +25,7 @@
 //!   tasks — the paper's anticipated "HPX-native multi-node" configuration.
 //!
 //! Both message-passing drivers take one [`RunPlan`] (transport, deadline,
-//! tracing, faults, pinning, telemetry, checkpoints; all off by default)
+//! tracing, faults, telemetry, checkpoints; all off by default)
 //! and share one bootstrap, one subdomain build, one fault check and one
 //! dt/telemetry reduction, so they meet the wire at the same points.
 //! [`recovery::run_with_recovery`] reruns [`threaded::run`] from
@@ -392,7 +392,7 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 /// parameter set of [`threaded::run`], [`threaded::run_rank`],
 /// [`taskpar::run`] and [`recovery::run_with_recovery`]. The default is
 /// all off — in-process channels, [`DEFAULT_DEADLINE`], untraced, no
-/// faults, unpinned, no telemetry, no checkpoints.
+/// faults, no telemetry, no checkpoints.
 #[derive(Clone)]
 pub struct RunPlan {
     /// The wire between in-process ranks (ignored by
@@ -408,11 +408,6 @@ pub struct RunPlan {
     pub trace: Option<Arc<Tracer>>,
     /// Fault injection.
     pub faults: FaultPlan,
-    /// NUMA nodes to pin onto: rank `r`'s thread and its transport writer
-    /// threads go to node `pin[r % pin.len()]` before the subdomain is
-    /// built (first touch). Empty means unpinned; results are
-    /// bit-identical either way.
-    pub pin: Vec<usize>,
     /// Live metrics: every rank samples its [`obs::live::LiveStats`] on
     /// telemetry steps and ships the encoded [`obs::live::StepSummary`]
     /// to rank 0 inside the dt allreduce (no extra sync point); rank 0
@@ -429,7 +424,6 @@ impl Default for RunPlan {
             deadline: DEFAULT_DEADLINE,
             trace: None,
             faults: FaultPlan::NONE,
-            pin: Vec::new(),
             live: None,
             resil: ResilPlan::default(),
         }
@@ -439,30 +433,12 @@ impl Default for RunPlan {
 impl RunPlan {
     /// The plan `lulesh-multidom` runs every path with (in-process,
     /// `--respawn` and TCP worker): `--recv-deadline-ms`, `--die-at` and
-    /// `--slow-rank`, `--pin` resolved against this host (unknown nodes
-    /// and single-node hosts degrade to a stderr warning),
-    /// `--live-metrics` (its table on stderr unless `--q`), and
-    /// `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport stays
-    /// [`TransportKind::Channel`] — TCP ranks are processes that dial
-    /// their own net — and `trace` stays `None`: the caller sizes the
+    /// `--slow-rank`, `--live-metrics` (its table on stderr unless `--q`),
+    /// and `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport
+    /// stays [`TransportKind::Channel`] — TCP ranks are processes that
+    /// dial their own net — and `trace` stays `None`: the caller sizes the
     /// tracer's lanes to the job.
     pub fn from_opts(opts: &lulesh_core::Opts) -> Self {
-        let pin = if opts.pin.enabled() {
-            let topo = taskrt::topology::Topology::detect();
-            let res = topo.resolve_nodes(opts.pin.requested_nodes());
-            for id in &res.unknown {
-                eprintln!("pinning: node{id} not present on this host, ignoring");
-            }
-            if res.nodes.is_empty() || topo.num_nodes() < 2 {
-                eprintln!(
-                    "pinning: single NUMA node on this host; ranks get CPU affinity \
-                     but placement is moot"
-                );
-            }
-            res.nodes
-        } else {
-            Vec::new()
-        };
         Self {
             deadline: Duration::from_millis(opts.recv_deadline_ms),
             faults: FaultPlan {
@@ -470,7 +446,6 @@ impl RunPlan {
                 slow_rank: opts.slow_rank,
                 ..FaultPlan::NONE
             },
-            pin,
             live: opts.live_metrics.map(|period| LiveConfig {
                 table: !opts.quiet,
                 ..LiveConfig::new(period)
@@ -990,7 +965,6 @@ mod tests {
             "--ckpt-dir=/tmp/md-ckpt",
             "--ckpt-period=4",
             "--resume-cycle=8",
-            "--pin=all",
             "--transport=tcp",
             "--q",
         ])
@@ -1003,10 +977,6 @@ mod tests {
         assert_eq!(plan.faults.slow_rank, Some((1, 40)));
         assert_eq!(plan.faults.poison_volume, None);
         assert_eq!(plan.faults.die_at_handshake, None);
-        assert!(
-            !plan.pin.is_empty(),
-            "--pin all resolves to this host's nodes"
-        );
         let metrics = plan.live.expect("--live-metrics");
         assert_eq!(metrics.period, 5);
         assert!(!metrics.table, "--q silences the straggler table");
@@ -1021,7 +991,6 @@ mod tests {
         assert_eq!(plan.deadline, off.deadline);
         assert_eq!(plan.deadline, DEFAULT_DEADLINE);
         assert!(plan.faults.die_at.is_empty() && plan.faults.slow_rank.is_none());
-        assert!(plan.pin.is_empty());
         assert!(plan.live.is_none());
         assert!(plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none());
     }

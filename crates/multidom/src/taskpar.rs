@@ -43,8 +43,8 @@ use std::sync::Arc;
 /// result.
 ///
 /// Honours `plan`'s transport, deadline, faults and live telemetry;
-/// tracing, pinning and checkpointing are not implemented here, and
-/// asking for them panics.
+/// tracing and checkpointing are not implemented here, and asking for
+/// them panics.
 pub fn run(
     decomp: Decomposition,
     sim: SimArgs,
@@ -56,10 +56,6 @@ pub fn run(
     assert!(
         plan.trace.is_none(),
         "taskpar does not implement RunPlan.trace"
-    );
-    assert!(
-        plan.pin.is_empty(),
-        "taskpar does not implement RunPlan.pin"
     );
     assert!(
         plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none(),

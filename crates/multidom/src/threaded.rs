@@ -41,7 +41,6 @@ use obs::{SpanKind, Tracer};
 use parcelnet::RankNet;
 use std::sync::Arc;
 use std::time::Duration;
-use taskrt::topology::Topology;
 
 /// Ping-pong rounds for the clock-alignment handshake: enough that the
 /// min-RTT round tracks the true offset to well under typical frame
@@ -89,8 +88,7 @@ pub fn run_transport(
 /// multi-process TCP launcher calls with a net from
 /// [`parcelnet::tcp::root`]/[`parcelnet::tcp::join`].
 ///
-/// The rank thread and its transport writers are pinned per `plan.pin`
-/// before the subdomain is built. With `plan.trace`, rank `r` records its
+/// With `plan.trace`, rank `r` records its
 /// phases as [`SpanKind::Region`] spans, its exchanges as
 /// [`SpanKind::Halo`] spans (an outer `halo-*` span plus the links'
 /// parcel-level spans; writer-thread serialize spans go on lane
@@ -112,17 +110,6 @@ pub fn run_rank(
     plan: &RunPlan,
 ) -> (Result<(Domain, SimState), MdError>, i64) {
     let rank = net.rank;
-    // Pin before `build_rank_domain`: the build writes (first-touches)
-    // every array, so pinning first places the rank's pages on its node.
-    if !plan.pin.is_empty() {
-        let node = plan.pin[rank % plan.pin.len()];
-        if let Some(n) = Topology::detect().nodes.iter().find(|n| n.id == node) {
-            // Best effort: a failed affinity call leaves the rank unpinned,
-            // which changes locality only, never results.
-            let _ = taskrt::topology::pin_current_thread(&n.cpus);
-            net.pin_writers(&n.cpus);
-        }
-    }
     let robs = RankObs::attach(plan, &net);
     let synced = match robs.tracer() {
         Some(t) if net.ranks > 1 => {
@@ -313,33 +300,6 @@ mod tests {
                 lulesh_core::validate::max_field_difference(a, b),
                 0.0,
                 "rank {r} must match the lockstep driver bit-for-bit"
-            );
-        }
-    }
-
-    #[test]
-    fn pinned_tcp_loopback_matches_unpinned_bitwise() {
-        // `run_rank` pins the rank thread and its TCP writer threads; that
-        // moves threads, never arithmetic.
-        let decomp = Decomposition::new(6, 2);
-        let sim = SimArgs::new(2, 1, 1, 0, 10);
-        let (base, st_base) = run_fold(decomp, sim).unwrap();
-        let pinned = run(
-            decomp,
-            sim,
-            &RunPlan {
-                transport: TransportKind::TcpLoopback,
-                pin: vec![Topology::detect().nodes[0].id],
-                ..RunPlan::default()
-            },
-        );
-        for (r, (a, res)) in base.iter().zip(pinned).enumerate() {
-            let (d, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
-            assert_eq!(st.cycle, st_base.cycle);
-            assert_eq!(
-                lulesh_core::validate::max_field_difference(a, &d),
-                0.0,
-                "rank {r}: pinning must not change physics"
             );
         }
     }

@@ -227,21 +227,7 @@ impl Tracer {
 /// `simsched::timeline::to_chrome_trace` emits (`ph: "X"` complete
 /// events, microsecond timestamps), with the span kind as `cat`.
 pub fn chrome_trace(spans: &[Span]) -> String {
-    chrome_trace_with_lanes(spans, &[])
-}
-
-/// [`chrome_trace`] with lane (thread) names in the header: one Chrome
-/// `"ph": "M"` `thread_name` metadata event per entry, before the span
-/// events. The runtimes use this to publish the worker→NUMA-node map of a
-/// pinned run (e.g. lane 3 named `worker3@node1`), so trace viewers and
-/// the drift report can group lanes by node.
-pub fn chrome_trace_with_lanes(spans: &[Span], lane_names: &[(usize, String)]) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(lane_names.len() + spans.len());
-    for (lane, name) in lane_names {
-        events.push(format!(
-            r#"  {{"name": "thread_name", "ph": "M", "pid": 0, "tid": {lane}, "args": {{"name": "{name}"}}}}"#
-        ));
-    }
+    let mut events: Vec<String> = Vec::with_capacity(spans.len());
     for s in spans {
         // Parcel spans carry payload size and peer rank as event args so
         // Perfetto can aggregate bytes-on-wire per lane.
@@ -276,19 +262,8 @@ pub fn write_reports(
     trace: Option<&str>,
     metrics: Option<&str>,
 ) -> std::io::Result<()> {
-    write_reports_with_lanes(spans, trace, metrics, &[])
-}
-
-/// [`write_reports`] with lane-name metadata in the trace header (see
-/// [`chrome_trace_with_lanes`]); the metrics output is unaffected.
-pub fn write_reports_with_lanes(
-    spans: &[Span],
-    trace: Option<&str>,
-    metrics: Option<&str>,
-    lane_names: &[(usize, String)],
-) -> std::io::Result<()> {
     if let Some(path) = trace {
-        std::fs::write(path, chrome_trace_with_lanes(spans, lane_names))?;
+        std::fs::write(path, chrome_trace(spans))?;
     }
     if let Some(path) = metrics {
         let m = MetricsSnapshot::from_spans(spans);
@@ -535,25 +510,6 @@ mod tests {
     fn chrome_trace_empty_is_valid() {
         let json = chrome_trace(&[]);
         jsonlint::validate(&json).expect("empty array is valid JSON");
-    }
-
-    #[test]
-    fn chrome_trace_lane_names_emit_metadata_header() {
-        let spans = vec![span(7, "stress", 0, 1500, 3500, SpanKind::Task)];
-        let names = vec![
-            (0, "worker0@node0".to_string()),
-            (1, "worker1@node1".to_string()),
-        ];
-        let json = chrome_trace_with_lanes(&spans, &names);
-        jsonlint::validate(&json).expect("valid JSON");
-        assert!(json.contains(
-            r#""name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "worker0@node0"}"#
-        ));
-        assert!(json.contains(r#""name": "worker1@node1""#));
-        // Metadata precedes the span events.
-        assert!(json.find("thread_name").unwrap() < json.find("stress-7").unwrap());
-        // Names only, no spans: still valid JSON.
-        jsonlint::validate(&chrome_trace_with_lanes(&[], &names)).expect("valid JSON");
     }
 
     #[test]

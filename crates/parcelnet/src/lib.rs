@@ -576,11 +576,6 @@ pub trait Transport: Send + Sync {
     /// Attach the rank's recorder hook to this link; only the first
     /// attach counts. Default: no instrumentation.
     fn attach_obs(&self, _obs: ParcelObs) {}
-
-    /// Pin this link's background writer thread (if any) to `cpus`, so
-    /// comm threads stop migrating off their rank's NUMA node. Default:
-    /// no background threads, nothing to pin.
-    fn pin_writer(&self, _cpus: &[usize]) {}
 }
 
 /// The dt-allreduce topology: a star through rank 0, expressed as links.
@@ -803,12 +798,6 @@ impl RankNet {
     /// Attach the rank's recorder hook to every link of this endpoint.
     pub fn attach_obs(&self, obs: &ParcelObs) {
         self.for_each_link(&mut |l| l.attach_obs(obs.clone()));
-    }
-
-    /// Pin every link's background writer thread (TCP only; a no-op for
-    /// in-process channels) next to this rank's workers.
-    pub fn pin_writers(&self, cpus: &[usize]) {
-        self.for_each_link(&mut |l| l.pin_writer(cpus));
     }
 
     /// Clock-alignment ping-pong over the dt star: rank 0 measures each

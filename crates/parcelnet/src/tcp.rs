@@ -131,9 +131,6 @@ fn u32_at(b: &[u8], off: usize) -> u32 {
 enum WriteReq {
     /// Send a frame: already-assigned sequence number plus payload.
     Frame(Tag, u32, Vec<Real>),
-    /// Pin the writer thread itself to these CPUs (a thread can only pin
-    /// itself, so the command rides the queue).
-    Pin(Vec<usize>),
     /// Acknowledge once every frame queued before this request is on the
     /// wire (written and flushed). `close` uses it so a process may exit
     /// right after closing without losing its queued `Bye` — the writer
@@ -185,12 +182,6 @@ impl TcpTransport {
                     let mut stream = write_half;
                     while let Ok(req) = writer_rx.recv() {
                         let (tag, seq, payload) = match req {
-                            WriteReq::Pin(cpus) => {
-                                // Best effort: a single-node host simply
-                                // leaves the thread floating.
-                                let _ = taskrt::topology::pin_current_thread(&cpus);
-                                continue;
-                            }
                             WriteReq::Flush(ack) => {
                                 // Queue order means everything before this
                                 // request has been written and flushed.
@@ -326,11 +317,6 @@ impl Transport for TcpTransport {
 
     fn attach_obs(&self, obs: ParcelObs) {
         let _ = self.obs.set(obs);
-    }
-
-    fn pin_writer(&self, cpus: &[usize]) {
-        // Ignore a closed queue: a dead link has nothing left to pin.
-        let _ = self.writer_tx.send(WriteReq::Pin(cpus.to_vec()));
     }
 }
 

@@ -36,7 +36,6 @@ pub struct BusyIdleClock {
     busy_ns: AtomicU64,
     tasks: AtomicU64,
     steals: AtomicU64,
-    remote_steals: AtomicU64,
 }
 
 impl BusyIdleClock {
@@ -76,14 +75,6 @@ impl BusyIdleClock {
         self.steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one successful steal whose victim lived on a *different*
-    /// NUMA node (also counted in [`count_steal`](Self::count_steal)'s
-    /// total — remote steals are a subset of all steals).
-    #[inline]
-    pub fn count_remote_steal(&self) {
-        self.remote_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Total busy nanoseconds so far.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)
@@ -99,17 +90,11 @@ impl BusyIdleClock {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Successful cross-node steals so far (subset of [`steals`](Self::steals)).
-    pub fn remote_steals(&self) -> u64 {
-        self.remote_steals.load(Ordering::Relaxed)
-    }
-
     /// Reset all counters to zero.
     pub fn reset(&self) {
         self.busy_ns.store(0, Ordering::Relaxed);
         self.tasks.store(0, Ordering::Relaxed);
         self.steals.store(0, Ordering::Relaxed);
-        self.remote_steals.store(0, Ordering::Relaxed);
     }
 }
 
@@ -169,13 +154,11 @@ mod tests {
         let c = BusyIdleClock::new();
         c.add_busy_ns(100);
         c.count_steal();
-        c.count_remote_steal();
-        assert_eq!(c.remote_steals(), 1);
+        assert_eq!(c.steals(), 1);
         c.reset();
         assert_eq!(c.busy_ns(), 0);
         assert_eq!(c.tasks(), 0);
         assert_eq!(c.steals(), 0);
-        assert_eq!(c.remote_steals(), 0);
     }
 
     #[test]

@@ -39,13 +39,11 @@ mod future;
 mod graph;
 mod phases;
 mod scheduler;
-pub mod topology;
 
 pub use future::{dataflow, when_all, when_all_unit, Future, Promise};
 pub use graph::{GraphBuilder, NodeId, StepGraph};
-pub use phases::{NodeStealStat, PhaseStat};
-pub use scheduler::{worker_index, Runtime, RuntimeConfig, RuntimeStats};
-pub use topology::{NumaNode, PinError, PinResolution, Topology};
+pub use phases::PhaseStat;
+pub use scheduler::{worker_index, Runtime, RuntimeStats};
 
 /// Block until every future in the collection is ready and collect the
 /// values (`hpx::wait_all`). Must be called from a non-worker thread.
@@ -272,7 +270,6 @@ mod tests {
             busy_ns: 2_000,
             tasks: 2,
             steals: 0,
-            remote_steals: 0,
             wall_ns: 1_000,
         };
         assert_eq!(overcounted.utilization(), 2.0);
@@ -281,7 +278,6 @@ mod tests {
             busy_ns: 1_000,
             tasks: 1,
             steals: 0,
-            remote_steals: 0,
             wall_ns: 1_000,
         };
         assert_eq!(half.utilization(), 0.5);
@@ -290,7 +286,6 @@ mod tests {
             busy_ns: 0,
             tasks: 0,
             steals: 0,
-            remote_steals: 0,
             wall_ns: 0,
         };
         assert_eq!(empty.utilization(), 0.0);
@@ -557,94 +552,6 @@ mod tests {
             .map(|p| (p.label, p.tasks))
             .collect();
         assert_eq!(seen, [("node", 3), ("node-gather", 5), ("twin", 6)]);
-    }
-
-    #[test]
-    fn unpinned_runtime_never_counts_remote_steals() {
-        // One synthetic steal domain ⇒ every steal is local, by
-        // construction, no matter how imbalanced the load.
-        let rt = Runtime::new(4);
-        let fs: Vec<_> = (0..512)
-            .map(|i| rt.spawn(move || std::hint::black_box((0..200u64).sum::<u64>()) + i))
-            .collect();
-        wait_all(fs);
-        let s = rt.stats();
-        assert_eq!(s.remote_steals, 0);
-        let by_node = rt.node_steal_stats();
-        assert_eq!(by_node.len(), 1);
-        assert_eq!(by_node[0].node, 0);
-        assert_eq!(by_node[0].steals, s.steals);
-        assert_eq!(by_node[0].remote_steals, 0);
-        assert!(rt.worker_nodes().iter().all(|&n| n == 0));
-        assert!(!rt.is_pinned());
-    }
-
-    #[test]
-    fn pinned_single_node_runtime_stays_local_and_correct() {
-        // Pinning everything onto one (real) node: a single steal domain
-        // again, so remote steals must stay zero — the acceptance
-        // criterion "remote-steal counters are zero when a run fits one
-        // node" — and results stay exactly right.
-        let topo = Topology::detect();
-        let first = topo.nodes[0].id;
-        let rt = Runtime::with_topology(4, topo, vec![first]);
-        assert!(rt.is_pinned());
-        assert!(rt.worker_nodes().iter().all(|&n| n == first));
-        let fs: Vec<_> = (0..256).map(|i| rt.spawn(move || i * 2)).collect();
-        let out = wait_all(fs);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 2));
-        assert_eq!(rt.stats().remote_steals, 0);
-    }
-
-    #[test]
-    fn two_domain_runtime_executes_everything_and_tracks_domains() {
-        // A synthetic 2-node topology (ids may not exist in hardware —
-        // pinning failures are tolerated by design) exercises the
-        // remote-steal path: tasks spawned externally land in the
-        // injector and both domains drain them; steals across domains
-        // are counted as remote.
-        let topo = topology::Topology {
-            nodes: vec![
-                topology::NumaNode {
-                    id: 0,
-                    cpus: vec![0],
-                },
-                topology::NumaNode {
-                    id: 1,
-                    cpus: vec![1],
-                },
-            ],
-            from_sysfs: false,
-        };
-        let rt = RuntimeConfig::new(4)
-            .pin(topo, vec![0, 1])
-            .remote_steal_after(1)
-            .build();
-        assert_eq!(rt.worker_nodes(), &[0, 0, 1, 1]);
-        let count = Arc::new(AtomicUsize::new(0));
-        let fs: Vec<_> = (0..512)
-            .map(|_| {
-                let count = Arc::clone(&count);
-                rt.spawn(move || {
-                    std::hint::black_box((0..500u64).sum::<u64>());
-                    count.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        wait_all(fs);
-        assert_eq!(count.load(Ordering::Relaxed), 512);
-        let s = rt.stats();
-        assert_eq!(s.tasks, 512);
-        // remote_steals is a subset of steals, and per-node stats must sum
-        // to the global counters.
-        assert!(s.remote_steals <= s.steals);
-        let by_node = rt.node_steal_stats();
-        assert_eq!(by_node.len(), 2);
-        assert_eq!(by_node.iter().map(|n| n.steals).sum::<u64>(), s.steals);
-        assert_eq!(
-            by_node.iter().map(|n| n.remote_steals).sum::<u64>(),
-            s.remote_steals
-        );
     }
 
     #[test]

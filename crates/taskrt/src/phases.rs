@@ -27,21 +27,6 @@ use std::sync::OnceLock;
 /// builds assert); release builds leave its time out of the phase view.
 pub(crate) const PHASE_SLOTS: usize = 32;
 
-/// Per-NUMA-node steal counters (see [`crate::Runtime::node_steal_stats`]).
-/// Kept beside [`PhaseStat`] because both are the runtime's always-on
-/// monitoring surface — but steals deliberately do *not* flow through the
-/// phase slots: phase busy/task totals must keep summing exactly to the
-/// global busy clock, and a steal is neither busy time nor a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeStealStat {
-    /// NUMA node id (0 for the synthetic domain of an unpinned runtime).
-    pub node: usize,
-    /// Successful steals performed by this node's workers.
-    pub steals: u64,
-    /// The subset of `steals` whose victim was on a different node.
-    pub remote_steals: u64,
-}
-
 /// Aggregated execution statistics for one phase label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {

@@ -5,8 +5,7 @@
 
 use crate::future::{promise_pair, Future};
 use crate::graph::{self, NodeRef};
-use crate::phases::{self, NodeStealStat, PhaseCounters, PhaseLabels, PhaseStat};
-use crate::topology::{self, Topology};
+use crate::phases::{self, PhaseCounters, PhaseLabels, PhaseStat};
 use crossbeam::deque::{Injector, Stealer, Worker};
 use obs::{Span, SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -28,12 +27,6 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(100);
 /// per-worker busy clocks are read at slightly different instants, so tiny
 /// overshoots are measurement skew, not overcounting.
 const UTILIZATION_EPS: f64 = 0.05;
-
-/// Failed *local* (same-node) steal rounds an idle worker tolerates
-/// before it widens the victim scan to remote NUMA nodes. Keeps
-/// transient same-node imbalance from triggering cross-node traffic
-/// while still letting a starved node drain a loaded one.
-const REMOTE_STEAL_AFTER: u32 = 4;
 
 /// Failed scans of every queue an idle worker makes back to back before it
 /// starts yielding its core between scans: ~20 µs, a few task grains of a
@@ -80,21 +73,6 @@ struct Inner {
     epoch: Mutex<Instant>,
     /// `None` ⇒ tracing disabled; the hot paths pay one branch.
     trace: Option<TraceCtx>,
-    /// NUMA node id of each worker (all 0 when the runtime is unpinned —
-    /// a single synthetic steal domain).
-    worker_node: Vec<usize>,
-    /// Steal domains: worker indices grouped by node, in node order. A
-    /// worker steals inside its own domain first.
-    domains: Vec<Vec<usize>>,
-    /// Domain index (into `domains`) of each worker.
-    domain_of_worker: Vec<usize>,
-    /// Failed local steal rounds before a worker scans remote domains.
-    remote_after: u32,
-    /// Workers whose `sched_setaffinity` call failed (they run unpinned;
-    /// the caller can surface a warning).
-    pin_failures: AtomicUsize,
-    /// Whether this runtime asked for pinning at all.
-    pinned: bool,
 }
 
 thread_local! {
@@ -108,9 +86,6 @@ struct WorkerCtx {
     /// xorshift64 state for randomized steal-victim starts (seeded per
     /// worker; deterministic across runs, distinct across workers).
     rng: Cell<u64>,
-    /// Consecutive `find_task` rounds in which same-node stealing found
-    /// nothing; gates remote-domain scans.
-    local_fails: Cell<u32>,
 }
 
 impl WorkerCtx {
@@ -173,124 +148,25 @@ pub struct RuntimeStats {
     pub tasks: u64,
     /// Successful steals since the last reset.
     pub steals: u64,
-    /// Successful *cross-node* steals since the last reset (subset of
-    /// `steals`; always 0 on an unpinned or single-node runtime).
-    pub remote_steals: u64,
     /// Wall nanoseconds since the last reset.
     pub wall_ns: u64,
-}
-
-/// Builder for a [`Runtime`]: thread count plus the optional tracer and
-/// NUMA pinning attachments, so every combination stays one constructor.
-pub struct RuntimeConfig {
-    threads: usize,
-    trace: Option<TraceCtx>,
-    topo: Option<(Topology, Vec<usize>)>,
-    remote_after: u32,
-}
-
-impl RuntimeConfig {
-    /// Config for `threads` workers (≥ 1), untraced and unpinned.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            trace: None,
-            topo: None,
-            remote_after: REMOTE_STEAL_AFTER,
-        }
-    }
-
-    /// Attach span tracing (see [`Runtime::with_tracer`]).
-    pub fn tracer(mut self, tracer: Arc<Tracer>, lane_base: usize) -> Self {
-        self.trace = Some(TraceCtx { tracer, lane_base });
-        self
-    }
-
-    /// Pin workers onto the given topology nodes: workers are assigned to
-    /// `nodes` in contiguous blocks (first node gets the first block),
-    /// each pinned to one CPU of its node, and stealing becomes
-    /// locality-aware (same-node victims first, remote nodes only after a
-    /// streak of failed local attempts). `nodes` must be valid ids for
-    /// `topo` — resolve them with [`Topology::resolve_nodes`] first.
-    pub fn pin(mut self, topo: Topology, nodes: Vec<usize>) -> Self {
-        self.topo = Some((topo, nodes));
-        self
-    }
-
-    /// Override the failed-local-attempts threshold before remote steals
-    /// (mainly for tests; the default is `REMOTE_STEAL_AFTER` = 4).
-    pub fn remote_steal_after(mut self, k: u32) -> Self {
-        self.remote_after = k.max(1);
-        self
-    }
-
-    /// Start the runtime.
-    pub fn build(self) -> Runtime {
-        Runtime::build(self)
-    }
 }
 
 impl Runtime {
     /// Start a runtime with `threads` OS worker threads (≥ 1).
     pub fn new(threads: usize) -> Self {
-        RuntimeConfig::new(threads).build()
+        Self::build(threads, None)
     }
 
     /// [`new`](Self::new) with span tracing attached: worker `i` records
     /// onto `tracer` lane `lane_base + i` (driver-level spans go past the
     /// workers, on lane `lane_base + threads`).
     pub fn with_tracer(threads: usize, tracer: Arc<Tracer>, lane_base: usize) -> Self {
-        RuntimeConfig::new(threads)
-            .tracer(tracer, lane_base)
-            .build()
+        Self::build(threads, Some(TraceCtx { tracer, lane_base }))
     }
 
-    /// [`new`](Self::new) with NUMA pinning: workers are pinned onto
-    /// `nodes` of `topo` and steal locality-aware. See
-    /// [`RuntimeConfig::pin`].
-    pub fn with_topology(threads: usize, topo: Topology, nodes: Vec<usize>) -> Self {
-        RuntimeConfig::new(threads).pin(topo, nodes).build()
-    }
-
-    fn build(config: RuntimeConfig) -> Self {
-        let RuntimeConfig {
-            threads,
-            trace,
-            topo,
-            remote_after,
-        } = config;
+    fn build(threads: usize, trace: Option<TraceCtx>) -> Self {
         assert!(threads >= 1, "need at least one worker thread");
-
-        // Worker → (node, cpu) plan. Unpinned runtimes get one synthetic
-        // domain over all workers and never call sched_setaffinity.
-        let (worker_node, pin_cpus, pinned) = match &topo {
-            Some((topo, nodes)) => {
-                let assign = topo.assign_workers(threads, nodes);
-                assert!(
-                    !assign.is_empty(),
-                    "pin node list resolves to no usable nodes"
-                );
-                let worker_node: Vec<usize> = assign.iter().map(|&(n, _)| n).collect();
-                let pin_cpus: Vec<Option<usize>> = assign.iter().map(|&(_, c)| Some(c)).collect();
-                (worker_node, pin_cpus, true)
-            }
-            None => (vec![0; threads], vec![None; threads], false),
-        };
-        let mut domains: Vec<Vec<usize>> = Vec::new();
-        let mut domain_of_worker = vec![0usize; threads];
-        let mut node_order: Vec<usize> = Vec::new();
-        for (w, &node) in worker_node.iter().enumerate() {
-            let d = match node_order.iter().position(|&n| n == node) {
-                Some(d) => d,
-                None => {
-                    node_order.push(node);
-                    domains.push(Vec::new());
-                    node_order.len() - 1
-                }
-            };
-            domains[d].push(w);
-            domain_of_worker[w] = d;
-        }
 
         let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let stealers = workers.iter().map(|w| w.stealer()).collect();
@@ -313,12 +189,6 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             epoch: Mutex::new(Instant::now()),
             trace,
-            worker_node,
-            domains,
-            domain_of_worker,
-            remote_after,
-            pin_failures: AtomicUsize::new(0),
-            pinned,
         });
 
         let handles = workers
@@ -326,10 +196,9 @@ impl Runtime {
             .enumerate()
             .map(|(index, queue)| {
                 let inner = Arc::clone(&inner);
-                let pin_cpu = pin_cpus[index];
                 std::thread::Builder::new()
                     .name(format!("taskrt-worker-{index}"))
-                    .spawn(move || worker_loop(inner, index, queue, pin_cpu))
+                    .spawn(move || worker_loop(inner, index, queue))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -436,47 +305,8 @@ impl Runtime {
             busy_ns: self.inner.clocks.iter().map(|c| c.busy_ns()).sum(),
             tasks: self.inner.clocks.iter().map(|c| c.tasks()).sum(),
             steals: self.inner.clocks.iter().map(|c| c.steals()).sum(),
-            remote_steals: self.inner.clocks.iter().map(|c| c.remote_steals()).sum(),
             wall_ns,
         }
-    }
-
-    /// NUMA node id of each worker, indexed by worker. All zeros on an
-    /// unpinned runtime (one synthetic domain). Feeds the worker→node map
-    /// in trace metadata.
-    pub fn worker_nodes(&self) -> &[usize] {
-        &self.inner.worker_node
-    }
-
-    /// Whether this runtime was built with NUMA pinning requested.
-    pub fn is_pinned(&self) -> bool {
-        self.inner.pinned
-    }
-
-    /// Workers whose `sched_setaffinity` call failed (they run unpinned).
-    pub fn pin_failures(&self) -> usize {
-        self.inner.pin_failures.load(Ordering::Relaxed)
-    }
-
-    /// Per-node steal counters since the last reset: for each NUMA node,
-    /// steals performed *by* that node's workers and how many of those
-    /// reached across to a remote node's deque. Single synthetic node 0
-    /// on an unpinned runtime.
-    pub fn node_steal_stats(&self) -> Vec<NodeStealStat> {
-        let inner = &self.inner;
-        let mut out: Vec<NodeStealStat> = Vec::with_capacity(inner.domains.len());
-        for (d, workers) in inner.domains.iter().enumerate() {
-            let node = workers.first().map(|&w| inner.worker_node[w]).unwrap_or(d);
-            out.push(NodeStealStat {
-                node,
-                steals: workers.iter().map(|&w| inner.clocks[w].steals()).sum(),
-                remote_steals: workers
-                    .iter()
-                    .map(|&w| inner.clocks[w].remote_steals())
-                    .sum(),
-            });
-        }
-        out
     }
 
     /// Zero all counters (including per-phase aggregates) and restart the
@@ -577,15 +407,7 @@ impl Drop for Runtime {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Option<usize>) {
-    if let Some(cpu) = pin_cpu {
-        // Pin before touching any task data so first-touch pages fault on
-        // the right node. Failure is non-fatal: the worker just runs
-        // wherever the OS puts it, and the count surfaces as a warning.
-        if topology::pin_current_thread(&[cpu]).is_err() {
-            inner.pin_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>) {
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(WorkerCtx {
             inner: Arc::as_ptr(&inner),
@@ -594,7 +416,6 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
             // splitmix64 of the worker index: deterministic, non-zero,
             // decorrelated across workers.
             rng: Cell::new(splitmix64(index as u64 + 1)),
-            local_fails: Cell::new(0),
         });
     });
 
@@ -780,11 +601,9 @@ fn splitmix64(seed: u64) -> u64 {
     z | 1 // xorshift64 must never be seeded with 0
 }
 
-/// Pop local LIFO, else take from the injector, else steal FIFO — from
-/// same-node victims first (randomized start, so idle workers don't all
-/// hammer the same victim), and from remote NUMA nodes only after
-/// `remote_after` consecutive rounds in which local stealing found
-/// nothing. Counts successful steals (and remote steals separately).
+/// Pop local LIFO, else take from the injector, else one FIFO-steal sweep
+/// over the other workers from a randomized start (so idle workers don't
+/// all hammer the same victim). Counts successful steals.
 fn find_task(inner: &Inner, index: usize, ctx: &WorkerCtx) -> Option<Task> {
     if let Some(t) = ctx.queue.pop() {
         return Some(t);
@@ -796,48 +615,19 @@ fn find_task(inner: &Inner, index: usize, ctx: &WorkerCtx) -> Option<Task> {
             crossbeam::deque::Steal::Empty => break,
         }
     }
-    let my_dom = inner.domain_of_worker[index];
-    let r = ctx.next_rand();
-    if let Some(t) = steal_from_domain(inner, index, &inner.domains[my_dom], r as usize) {
-        ctx.local_fails.set(0);
-        record_steal(inner, index, false);
-        return Some(t);
-    }
-    let fails = ctx.local_fails.get().saturating_add(1);
-    ctx.local_fails.set(fails);
-    if inner.domains.len() > 1 && fails >= inner.remote_after {
-        // Scan the other domains starting at a randomized domain offset,
-        // nearest-first would need distance data we don't have; random
-        // spreads the remote pressure instead.
-        let nd = inner.domains.len();
-        let dstart = (r as usize >> 32) % nd;
-        for doff in 1..nd {
-            let d = (my_dom + dstart + doff) % nd;
-            if d == my_dom {
-                continue;
-            }
-            if let Some(t) = steal_from_domain(inner, index, &inner.domains[d], r as usize) {
-                ctx.local_fails.set(0);
-                record_steal(inner, index, true);
-                return Some(t);
-            }
-        }
-    }
-    None
-}
-
-/// One FIFO-steal sweep over a domain's workers, starting at a
-/// randomized offset and skipping the caller.
-fn steal_from_domain(inner: &Inner, index: usize, workers: &[usize], start: usize) -> Option<Task> {
-    let n = workers.len();
+    let n = inner.stealers.len();
+    let start = ctx.next_rand() as usize;
     for off in 0..n {
-        let victim = workers[(start + off) % n];
+        let victim = (start + off) % n;
         if victim == index {
             continue;
         }
         loop {
             match inner.stealers[victim].steal() {
-                crossbeam::deque::Steal::Success(t) => return Some(t),
+                crossbeam::deque::Steal::Success(t) => {
+                    record_steal(inner, index);
+                    return Some(t);
+                }
                 crossbeam::deque::Steal::Retry => continue,
                 crossbeam::deque::Steal::Empty => break,
             }
@@ -849,19 +639,11 @@ fn steal_from_domain(inner: &Inner, index: usize, workers: &[usize], start: usiz
 /// Count a successful steal on the thief's clock and (when tracing)
 /// drop an instant marker — the interesting datum is *when/where* work
 /// moved, not how long the deque operation took.
-fn record_steal(inner: &Inner, index: usize, remote: bool) {
+fn record_steal(inner: &Inner, index: usize) {
     inner.clocks[index].count_steal();
-    if remote {
-        inner.clocks[index].count_remote_steal();
-    }
     if let Some(tc) = inner.trace.as_ref() {
         let now = tc.tracer.now_ns();
-        tc.tracer.record_interval(
-            tc.lane_base + index,
-            SpanKind::Steal,
-            if remote { "steal-remote" } else { "steal" },
-            now,
-            now,
-        );
+        tc.tracer
+            .record_interval(tc.lane_base + index, SpanKind::Steal, "steal", now, now);
     }
 }

@@ -9,12 +9,35 @@ use obs::SpanKind;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use taskrt::topology::{self, Topology};
 use taskrt::{GraphBuilder, NodeId, Runtime};
 
 /// Both tests read process-wide quantities (CPU time, affinity of new
 /// threads); keep them from overlapping.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// A glibc `cpu_set_t`: one bit per CPU, 1024 CPUs.
+type CpuMask = [u64; 16];
+
+extern "C" {
+    // glibc; declared directly because the workspace builds offline (no
+    // `libc` crate). `pid` 0 means the calling thread.
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// The calling thread's CPU mask, or `None` when the call fails.
+fn thread_affinity() -> Option<CpuMask> {
+    let mut mask: CpuMask = [0; 16];
+    // SAFETY: `mask` is a writable buffer of exactly the size passed.
+    let rc = unsafe { sched_getaffinity(0, std::mem::size_of::<CpuMask>(), mask.as_mut_ptr()) };
+    (rc == 0).then_some(mask)
+}
+
+/// Confine the calling thread to `mask`; `false` when the call fails.
+fn set_thread_affinity(mask: &CpuMask) -> bool {
+    // SAFETY: `mask` is a readable buffer of exactly the size passed.
+    unsafe { sched_setaffinity(0, std::mem::size_of::<CpuMask>(), mask.as_ptr()) == 0 }
+}
 
 /// CPU time consumed by every thread of this process so far.
 fn process_cpu_time() -> Duration {
@@ -24,8 +47,7 @@ fn process_cpu_time() -> Duration {
         tv_nsec: i64,
     }
     extern "C" {
-        // glibc; declared directly because the workspace builds offline
-        // (no `libc` crate), as `taskrt::topology` does for affinity.
+        // glibc, declared directly like the affinity calls above.
         fn clock_gettime(clock_id: i32, ts: *mut Timespec) -> i32;
     }
     const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
@@ -95,20 +117,28 @@ fn graph_run_time(threads: usize) -> Duration {
 fn two_workers_on_one_cpu_do_not_starve_each_other() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Confine this thread — and the workers it is about to spawn, which
-    // inherit its affinity — to a single CPU.
-    let all_cpus: Vec<usize> = Topology::detect()
-        .nodes
+    // inherit its affinity — to the first CPU of its own mask, so the
+    // test never asks for a CPU outside the process's cpuset.
+    let Some(saved) = thread_affinity() else {
+        eprintln!("skipped: sched_getaffinity unsupported here");
+        return;
+    };
+    let word = saved
         .iter()
-        .flat_map(|n| n.cpus.iter().copied())
-        .collect();
-    let one = all_cpus[..1].to_vec();
-    if topology::pin_current_thread(&one).is_err() {
+        .position(|&w| w != 0)
+        .expect("a thread may run on at least one CPU");
+    let mut one: CpuMask = [0; 16];
+    one[word] = saved[word] & saved[word].wrapping_neg(); // lowest set bit
+    if !set_thread_affinity(&one) {
         eprintln!("skipped: sched_setaffinity unsupported here");
         return;
     }
     let one_worker = graph_run_time(1);
     let two_workers = graph_run_time(2);
-    let _ = topology::pin_current_thread(&all_cpus);
+    assert!(
+        set_thread_affinity(&saved),
+        "restoring the thread's saved CPU mask"
+    );
     assert!(
         two_workers < 3 * one_worker,
         "2 workers on one CPU took {two_workers:?} against {one_worker:?} for 1 worker: \

@@ -108,25 +108,15 @@ if [ "$(uname -m)" = x86_64 ]; then
   fi
 fi
 
-echo "== NUMA pinning smoke run (--pin must not change the physics) =="
-# On a multi-node host this exercises pinning + first-touch end to end; on
-# a single-node host it must degrade to a warning on stderr while still
-# producing a bit-identical CSV row. Either way the results must match.
-./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q \
-  | cut -d, -f1-4,6 > "$TMP/unpinned.csv"
-./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --pin all \
-  2> "$TMP/pin.log" | cut -d, -f1-4,6 > "$TMP/pinned.csv"
-# Everything except the wall-clock column must match bit-for-bit.
-if ! cmp -s "$TMP/unpinned.csv" "$TMP/pinned.csv"; then
-  echo "pinned run diverged from unpinned:"
-  diff "$TMP/unpinned.csv" "$TMP/pinned.csv" || true
-  exit 1
-fi
-# A single-node host must say so rather than silently pretend to pin.
-NODES=$(ls -d /sys/devices/system/node/node[0-9]* 2>/dev/null | wc -l)
-if [ "$NODES" -lt 2 ] && ! grep -q "pinning: single NUMA node" "$TMP/pin.log"; then
-  echo "expected single-node pinning warning, got:"; cat "$TMP/pin.log"; exit 1
-fi
+echo "== no --pin flag (worker pinning is not a run option) =="
+for bin in lulesh-task lulesh-multidom; do
+  STATUS=0
+  ./target/debug/$bin --pin all > /dev/null 2> "$TMP/pin.log" || STATUS=$?
+  if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: $bin" "$TMP/pin.log"; then
+    echo "$bin --pin all: expected exit 2 with usage, got $STATUS:"; cat "$TMP/pin.log"
+    exit 1
+  fi
+done
 
 echo "== TCP-loopback smoke run (2 ranks, s=6, 10 iterations) =="
 # The launcher re-spawns the binary once per rank over real loopback
@@ -138,18 +128,17 @@ grep -q "^6,11,10,2," "$TMP/tcp_smoke.csv" || {
   echo "TCP smoke run produced no report:"; cat "$TMP/tcp_smoke.csv"; exit 1;
 }
 
-echo "== one rank loop (1x1x2: in-process channels == pinned TCP workers) =="
+echo "== one rank loop (1x1x2: in-process channels == TCP workers) =="
 # In-process ranks and TCP worker processes run the same rank loop
-# (threaded::run_rank, which also pins the rank and its writer threads):
-# every CSV column but wall clock (column 5) must match, so channel == TCP
-# and pinned == unpinned hold at the binary level.
+# (threaded::run_rank): every CSV column but wall clock (column 5) must
+# match, so channel == TCP holds at the binary level.
 ./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --q \
   | cut -d, -f1-4,6- > "$TMP/loop_channel.csv"
-./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --q --transport tcp --pin all \
-  2> /dev/null | cut -d, -f1-4,6- > "$TMP/loop_tcp_pinned.csv"
-if ! cmp -s "$TMP/loop_channel.csv" "$TMP/loop_tcp_pinned.csv"; then
-  echo "pinned TCP workers diverged from in-process channels:"
-  diff "$TMP/loop_channel.csv" "$TMP/loop_tcp_pinned.csv" || true
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --q --transport tcp \
+  2> /dev/null | cut -d, -f1-4,6- > "$TMP/loop_tcp.csv"
+if ! cmp -s "$TMP/loop_channel.csv" "$TMP/loop_tcp.csv"; then
+  echo "TCP workers diverged from in-process channels:"
+  diff "$TMP/loop_channel.csv" "$TMP/loop_tcp.csv" || true
   exit 1
 fi
 
