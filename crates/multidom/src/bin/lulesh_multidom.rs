@@ -152,18 +152,13 @@ fn sim_args(opts: &Opts) -> SimArgs {
 }
 
 /// The run half of the CLI, for a job of `ranks` ranks: [`RunPlan::from_opts`]
-/// plus a tracer when any trace output was asked for — one lane per rank,
-/// plus a `ranks + rank` comm lane per rank for TCP writer-thread spans
-/// when collecting a `--trace-dir`.
+/// plus a tracer when any trace output was asked for — a protocol lane per
+/// rank, plus a `ranks + rank` comm lane per rank for TCP writer-thread
+/// spans, so those never land on a protocol lane.
 fn run_plan(opts: &Opts, ranks: usize) -> RunPlan {
     let traced = opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some();
-    let lanes = if opts.trace_dir.is_some() {
-        2 * ranks
-    } else {
-        ranks
-    };
     RunPlan {
-        trace: traced.then(|| Tracer::shared(lanes)),
+        trace: traced.then(|| Tracer::shared(2 * ranks)),
         ..RunPlan::from_opts(opts)
     }
 }

@@ -43,7 +43,7 @@ pub mod recovery;
 pub mod taskpar;
 pub mod threaded;
 
-use exchange::HaloPlan;
+use exchange::{HaloPlan, ObsCtx};
 use lulesh_core::domain::Domain;
 use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
@@ -54,8 +54,7 @@ use lulesh_core::serial::{
 };
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
-use obs::dist::Category;
-use obs::live::{jsonl_step_line, LiveConfig, LiveStats, StepSummary, StragglerDetector};
+use obs::live::{jsonl_step_line, LaneSampler, LiveConfig, StepSummary, StragglerDetector};
 use obs::{SpanKind, Tracer};
 use parcelnet::tcp::TcpConfig;
 use parcelnet::{dir, NeighborSpec, ParcelError, ParcelObs, RankNet};
@@ -408,10 +407,12 @@ pub struct RunPlan {
     pub trace: Option<Arc<Tracer>>,
     /// Fault injection.
     pub faults: FaultPlan,
-    /// Live metrics: every rank samples its [`obs::live::LiveStats`] on
-    /// telemetry steps and ships the encoded [`obs::live::StepSummary`]
-    /// to rank 0 inside the dt allreduce (no extra sync point); rank 0
-    /// runs the online straggler detector and emits JSONL on the sink.
+    /// Live metrics: on telemetry steps every rank samples its own span
+    /// record ([`obs::live::LaneSampler`]) and ships the encoded
+    /// [`obs::live::StepSummary`] to rank 0 inside the dt allreduce (no
+    /// extra sync point); rank 0 runs the online straggler detector and
+    /// emits JSONL on the sink. Without `trace`, each rank records into a
+    /// private tracer its sampler drains.
     pub live: Option<LiveConfig>,
     /// Checkpoint/resume.
     pub resil: ResilPlan,
@@ -590,114 +591,110 @@ pub(crate) fn build_rank_domain(
     d
 }
 
-/// A step-time window: the recorder's clock and the rank's cumulative
-/// transport wait when it opened.
-pub(crate) type Window = (u64, u64);
-
 /// One rank's recorder, the same in both rank loops: a single
-/// [`ParcelObs`] hook on every link (the tracer lane and/or the live
-/// counters), a phase timer that feeds both from one pair of clock reads,
-/// the dt allreduce with the step summary riding along, and — on rank 0
-/// with live metrics on — the straggler detector streaming JSONL. With
-/// tracing and metrics off every method is a `None` check around the
-/// plain call.
+/// [`ParcelObs`] hook on every link, a phase timer, the dt allreduce with
+/// the step summary riding along, and — on rank 0 with live metrics on —
+/// the straggler detector streaming JSONL. Everything it records is a span;
+/// the live summary is sampled from them. With tracing and metrics off
+/// there is no tracer, no hook, and every method is a `None` check around
+/// the plain call.
 pub(crate) struct RankObs {
     rank: usize,
-    obs: ParcelObs,
-    live: Option<LiveConfig>,
+    /// The tracer and the lane this rank's protocol spans go on.
+    tracer: Option<(Arc<Tracer>, usize)>,
+    /// Live metrics and the sampler reading this rank's lane.
+    live: Option<(LiveConfig, Mutex<LaneSampler>)>,
     detector: Option<Mutex<StragglerDetector>>,
 }
 
 impl RankObs {
     /// Build the recorder `plan` asks for on `net`'s rank and attach it to
-    /// every link. Protocol spans go on lane `rank`; TCP writer-thread
-    /// spans on lane `ranks + rank` when the tracer has that many lanes.
+    /// every link. Traced, protocol spans go on lane `rank` of
+    /// `plan.trace` and TCP writer-thread spans on lane `ranks + rank` when
+    /// the tracer has that many lanes. Live-only, the rank records into a
+    /// private two-lane tracer (protocol lane 0, writer lane 1) that its
+    /// sampler drains every telemetry step, so it never holds more than
+    /// one sampling window of spans.
     pub(crate) fn attach(plan: &RunPlan, net: &RankNet) -> Self {
         let (rank, ranks) = (net.rank, net.ranks);
-        let aux = match &plan.trace {
-            Some(t) if t.lanes() >= 2 * ranks => ranks + rank,
-            _ => rank,
+        let hook = match (&plan.trace, &plan.live) {
+            (Some(t), _) if t.lanes() >= 2 * ranks => Some((Arc::clone(t), rank, ranks + rank)),
+            (Some(t), _) => Some((Arc::clone(t), rank, rank)),
+            (None, Some(_)) => Some((Tracer::shared(2), 0, 1)),
+            (None, None) => None,
         };
-        let stats = plan.live.as_ref().map(|_| Arc::new(LiveStats::new()));
-        let obs = ParcelObs::new(plan.trace.clone(), rank, aux, stats);
-        if obs.active() {
-            net.attach_obs(&obs);
+        if let Some((t, lane, aux)) = &hook {
+            net.attach_obs(&ParcelObs::new(Arc::clone(t), *lane, *aux));
         }
+        let tracer = hook.map(|(t, lane, _)| (t, lane));
+        let owned = plan.trace.is_none();
+        let live = plan
+            .live
+            .clone()
+            .zip(tracer.as_ref())
+            .map(|(cfg, (t, lane))| {
+                (
+                    cfg,
+                    Mutex::new(LaneSampler::new(Arc::clone(t), *lane, owned)),
+                )
+            });
         let detector =
             (rank == 0 && plan.live.is_some()).then(|| Mutex::new(StragglerDetector::new(ranks)));
         Self {
             rank,
-            obs,
-            live: plan.live.clone(),
+            tracer,
+            live,
             detector,
         }
     }
 
-    /// The tracer, when tracing.
-    pub(crate) fn tracer(&self) -> Option<&Tracer> {
-        self.obs.tracer()
+    /// The tracer and this rank's lane on it, when recording.
+    pub(crate) fn ctx(&self) -> ObsCtx<'_> {
+        self.tracer.as_ref().map(|(t, lane)| (t.as_ref(), *lane))
     }
 
-    /// Open a step-time window here (`None` with metrics off).
-    pub(crate) fn mark(&self) -> Option<Window> {
-        let s = self.obs.live()?;
-        Some((self.obs.now_ns(), s.wait_ns()))
+    /// The clock at the top of a step (`None` with metrics off).
+    pub(crate) fn mark(&self) -> Option<u64> {
+        self.live.as_ref().and(self.ctx()).map(|(t, _)| t.now_ns())
     }
 
-    /// Run `f` as phase `label`, timed once: a `kind` span on the rank's
-    /// lane and, in the live counters, the phase's time under `cat` less
-    /// the transport receives inside it, which the links already counted
-    /// as `Wait` — so every nanosecond lands in one category.
-    pub(crate) fn timed<T>(
-        &self,
-        label: &'static str,
-        kind: SpanKind,
-        cat: Category,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        if !self.obs.active() {
+    /// Run `f` as phase `label`: a `kind` span on the rank's lane.
+    pub(crate) fn timed<T>(&self, label: &'static str, kind: SpanKind, f: impl FnOnce() -> T) -> T {
+        let Some((t, lane)) = self.ctx() else {
             return f();
-        }
-        let live = self.obs.live();
-        let wait0 = live.map_or(0, LiveStats::wait_ns);
-        let start = self.obs.now_ns();
+        };
+        let start = t.now_ns();
         let out = f();
-        let end = self.obs.now_ns();
-        if let Some(t) = self.obs.tracer() {
-            t.record_interval(self.rank, kind, label, start, end);
-        }
-        if let Some(s) = live {
-            let waited = s.wait_ns().saturating_sub(wait0);
-            s.add_phase(cat, end.saturating_sub(start).saturating_sub(waited));
-        }
+        t.record_interval(lane, kind, label, start, t.now_ns());
         out
     }
 
     /// The dt min-allreduce that ends step `cycle` (1-based, agreed by
     /// every rank), with simulation errors riding along. On telemetry
-    /// steps this rank's summary for `window` — self time: wall minus
-    /// transport wait, so a rank stalled behind a slow neighbour does not
-    /// look slow itself — travels on the same parcels; rank 0 decodes the
-    /// summaries, runs the straggler detector and streams one JSONL line.
+    /// steps this rank's summary of the step that began at `since` — self
+    /// time: wall minus `wait`, so a rank stalled behind a slow neighbour
+    /// does not look slow itself — travels on the same parcels; rank 0
+    /// decodes the summaries, runs the straggler detector and streams one
+    /// JSONL line.
     pub(crate) fn allreduce_dt(
         &self,
         net: &RankNet,
         cycle: u64,
-        window: Option<Window>,
+        since: Option<u64>,
         c: Real,
         h: Real,
         err: Option<LuleshError>,
     ) -> Result<(Real, Real, Option<LuleshError>), ParcelError> {
-        let telemetry = match (&self.live, self.obs.live(), window) {
-            (Some(cfg), Some(s), Some((t0, wait0))) if cfg.telemetry_step(cycle) => {
-                let wall = self.obs.now_ns().saturating_sub(t0);
-                let step_ns = wall.saturating_sub(s.wait_ns().saturating_sub(wait0));
-                Some(s.snapshot(self.rank as u32, cycle, step_ns).encode())
+        let telemetry = match (&self.live, since) {
+            (Some((cfg, s)), Some(since)) if cfg.telemetry_step(cycle) => {
+                Some(s.lock().sample(self.rank as u32, cycle, since).encode())
             }
             _ => None,
         };
         let (gc, gh, gerr, collected) = net.allreduce_dt_live(c, h, err, telemetry.as_deref())?;
-        if let (Some(det), Some(cfg), Some(collected)) = (&self.detector, &self.live, collected) {
+        if let (Some(det), Some((cfg, _)), Some(collected)) =
+            (&self.detector, &self.live, collected)
+        {
             let summaries: Vec<StepSummary> = collected
                 .iter()
                 .filter_map(|p| StepSummary::decode(p))
@@ -714,7 +711,7 @@ impl RankObs {
     /// Close out the rank: a successful rank 0 prints the straggler table
     /// when asked.
     pub(crate) fn finish<T>(&self, result: &Result<T, MdError>) {
-        if let (Ok(_), Some(det), Some(cfg)) = (result, &self.detector, &self.live) {
+        if let (Ok(_), Some(det), Some((cfg, _))) = (result, &self.detector, &self.live) {
             if cfg.table {
                 eprint!("{}", det.lock().summary_table());
             }
@@ -951,6 +948,38 @@ mod tests {
         let diff = world.max_difference_vs_single(&single);
         assert!(diff < 1e-7, "1-elem-brick mismatch {diff}");
         assert_eq!(world.interface_mismatch(), 0.0);
+    }
+
+    #[test]
+    fn live_only_tracer_holds_at_most_one_sampling_window() {
+        use obs::live::{CollectSink, LiveSink};
+        let sink = Arc::new(CollectSink::new());
+        let plan = RunPlan {
+            live: Some(LiveConfig {
+                period: 2,
+                sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
+                table: false,
+            }),
+            ..RunPlan::default()
+        };
+        let net = parcelnet::channel::channel_mesh(1, DEFAULT_DEADLINE).remove(0);
+        let robs = RankObs::attach(&plan, &net);
+        let (tracer, lane) = robs.ctx().expect("live metrics record spans");
+        assert_eq!((tracer.lanes(), lane), (2, 0), "a private tracer");
+        let held = || tracer.lane_since(0, 0).len() + tracer.lane_since(1, 0).len();
+        for cycle in 1..=4u64 {
+            let since = robs.mark();
+            robs.timed("forces", SpanKind::Region, || ());
+            robs.timed("eos", SpanKind::Region, || ());
+            // Spans pile up only until the telemetry step samples them.
+            assert_eq!(held(), if cycle % 2 == 1 { 2 } else { 4 }, "cycle {cycle}");
+            robs.allreduce_dt(&net, cycle, since, 1.0, 1.0, None)
+                .unwrap();
+            assert_eq!(held(), if cycle % 2 == 1 { 2 } else { 0 }, "cycle {cycle}");
+        }
+        assert_eq!(sink.lines().len(), 2, "period 2 over 4 cycles");
+        // Nothing is recorded when neither tracing nor live metrics is on.
+        assert!(RankObs::attach(&RunPlan::default(), &net).ctx().is_none());
     }
 
     #[test]

@@ -28,7 +28,6 @@ use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
 use lulesh_core::types::{LuleshError, Real};
 use lulesh_task::{Hook, IterationHooks, OverlapForces, PartitionPlan, TaskLulesh};
-use obs::dist::Category;
 use obs::SpanKind;
 use parcelnet::{ParcelError, RankNet};
 use parking_lot::Mutex;
@@ -104,9 +103,7 @@ fn rank_main(
             if comm_err.lock().is_some() {
                 return;
             }
-            let sent = live.timed(label, SpanKind::Halo, Category::Send, || {
-                exchange(&d, &halo, &net, None)
-            });
+            let sent = live.timed(label, SpanKind::Halo, || exchange(&d, &halo, &net, None));
             if let Err(e) = sent {
                 *comm_err.lock() = Some(e);
             }

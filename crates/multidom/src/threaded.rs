@@ -36,7 +36,6 @@ use lulesh_core::serial::{
     SerialScratch,
 };
 use lulesh_core::timestep::time_increment;
-use obs::dist::Category;
 use obs::{SpanKind, Tracer};
 use parcelnet::RankNet;
 use std::sync::Arc;
@@ -94,8 +93,9 @@ pub fn run_transport(
 /// parcel-level spans; writer-thread serialize spans go on lane
 /// `ranks + r` when the tracer has that many lanes) and the dt allreduce
 /// as a [`SpanKind::Barrier`] span, all on lane `r`; rank 0's lane also
-/// carries one `iteration` span per step. `plan.live` feeds the live
-/// counters from the same hook and clock reads, and `plan.resil` arms
+/// carries one `iteration` span per step. `plan.live` samples the step
+/// summaries from these spans (recorded into a private tracer when
+/// `plan.trace` is off), and `plan.resil` arms
 /// checkpoint/resume; a resumed run replays the remaining cycles
 /// **bit-identically**.
 ///
@@ -111,7 +111,7 @@ pub fn run_rank(
 ) -> (Result<(Domain, SimState), MdError>, i64) {
     let rank = net.rank;
     let robs = RankObs::attach(plan, &net);
-    let synced = match robs.tracer() {
+    let synced = match plan.trace.as_deref() {
         Some(t) if net.ranks > 1 => {
             let start = t.now_ns();
             let off = net.clock_sync(&|| t.now_ns(), CLOCK_SYNC_ROUNDS);
@@ -139,8 +139,7 @@ fn step_loop(
     let d = build_rank_domain(shape, rank, &sim, &plan.faults);
     let mut scratch = SerialScratch::new(d.num_elem());
     let halo = HaloPlan::for_net(shape, &net);
-    let trace = phase.tracer();
-    let obs: ObsCtx = trace.map(|t| (t, rank));
+    let obs: ObsCtx = phase.ctx();
     let resil = &plan.resil;
 
     // Either a resume (restore the checkpointed arrays — the snapshot was
@@ -149,14 +148,11 @@ fn step_loop(
     // Coordinated restart: every rank resumes from the same wave, so no
     // rank is left sending mass surfaces at a peer that skipped them.
     let mut state = match (&resil.ckpt, resil.resume_cycle) {
-        (Some(cfg), Some(cycle)) => phase.timed(
-            "resume-restore",
-            SpanKind::Region,
-            Category::Recovery,
-            || resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d)),
-        )?,
+        (Some(cfg), Some(cycle)) => phase.timed("resume-restore", SpanKind::Region, || {
+            resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d))
+        })?,
         _ => {
-            phase.timed("halo-mass", SpanKind::Halo, Category::Send, || {
+            phase.timed("halo-mass", SpanKind::Halo, || {
                 halo_exchange_mass(&d, &halo, &net, obs)
             })?;
             SimState::new(d.initial_dt())
@@ -177,7 +173,7 @@ fn step_loop(
         // completed C−1's allreduce) — so wave C is globally consistent.
         if let (Some(w), Some(cfg)) = (writer.as_ref(), resil.ckpt.as_ref()) {
             if state.cycle % cfg.period == 0 && resil.resume_cycle != Some(state.cycle) {
-                phase.timed("ckpt-capture", SpanKind::Region, Category::Recovery, || {
+                phase.timed("ckpt-capture", SpanKind::Region, || {
                     w.submit(
                         resil::DomainSnapshot::capture(rank, &d, &state),
                         state.cycle,
@@ -188,9 +184,9 @@ fn step_loop(
         // The step-time window opens here, before an injected stall, so
         // the lost time shows up in this rank's sample. (A death drops
         // every link; the writer thread flushes pending snapshots on drop.)
-        let window = phase.mark();
+        let since = phase.mark();
         plan.faults.inject(rank, state.cycle)?;
-        let iter_start = trace.map(|t| t.now_ns());
+        let iter_start = obs.map(|(t, _)| t.now_ns());
         time_increment(&mut state, &sim.params);
         let dt = state.deltatime;
 
@@ -200,28 +196,26 @@ fn step_loop(
         // together at the allreduce below), and skip the remaining local
         // phases. A *transport* error aborts immediately (`?`): the links
         // are dropped, which the neighbours observe within their deadline.
-        let mut local_err = phase.timed("forces", SpanKind::Region, Category::Busy, || {
+        let mut local_err = phase.timed("forces", SpanKind::Region, || {
             calc_force_for_nodes(&d, &mut scratch).err()
         });
-        phase.timed("halo-forces", SpanKind::Halo, Category::Send, || {
+        phase.timed("halo-forces", SpanKind::Halo, || {
             halo_exchange_forces(&d, &halo, &net, obs)
         })?;
 
         // Node advance, then gradients + ghost exchange.
         if local_err.is_none() {
-            phase.timed("node", SpanKind::Region, Category::Busy, || {
-                advance_nodes(&d, dt)
-            });
-            local_err = phase.timed("kinematics", SpanKind::Region, Category::Busy, || {
+            phase.timed("node", SpanKind::Region, || advance_nodes(&d, dt));
+            local_err = phase.timed("kinematics", SpanKind::Region, || {
                 calc_kinematics_and_gradients(&d, dt).err()
             });
         }
-        phase.timed("halo-gradients", SpanKind::Halo, Category::Send, || {
+        phase.timed("halo-gradients", SpanKind::Halo, || {
             halo_exchange_gradients(&d, &halo, &net, obs)
         })?;
 
         if local_err.is_none() {
-            local_err = phase.timed("eos", SpanKind::Region, Category::Busy, || {
+            local_err = phase.timed("eos", SpanKind::Region, || {
                 apply_q_and_materials(&d, &mut scratch).err()
             });
         }
@@ -230,16 +224,15 @@ fn step_loop(
         // telemetry steps, this rank's step summary) riding along so
         // everyone aborts in the same iteration.
         let (c, h) = if local_err.is_none() {
-            phase.timed("constraints", SpanKind::Region, Category::Busy, || {
+            phase.timed("constraints", SpanKind::Region, || {
                 constraints::calc_time_constraints(&d, sim.params.qqc, sim.params.dvovmax)
             })
         } else {
             (1.0e20, 1.0e20)
         };
-        let (gc, gh, gerr) =
-            phase.timed("barrier-dt", SpanKind::Barrier, Category::Barrier, || {
-                phase.allreduce_dt(&net, state.cycle, window, c, h, local_err)
-            })?;
+        let (gc, gh, gerr) = phase.timed("barrier-dt", SpanKind::Barrier, || {
+            phase.allreduce_dt(&net, state.cycle, since, c, h, local_err)
+        })?;
         if let Some(e) = gerr {
             // Every rank is returning this same error right now; links are
             // dropped together, so nobody is left reading.
@@ -247,8 +240,8 @@ fn step_loop(
         }
         state.dtcourant = gc;
         state.dthydro = gh;
-        if let (0, Some(t), Some(start)) = (rank, trace, iter_start) {
-            t.record_interval(rank, SpanKind::Region, "iteration", start, t.now_ns());
+        if let (0, Some((t, lane)), Some(start)) = (rank, obs, iter_start) {
+            t.record_interval(lane, SpanKind::Region, "iteration", start, t.now_ns());
         }
     }
 
@@ -561,12 +554,11 @@ mod tests {
         }
     }
 
-    /// One hook per link carries both the tracer and the live counters:
-    /// the bytes a rank's parcel-send spans carry before its last dt
-    /// barrier are exactly the `sent_bytes` of the last JSONL line (whose
-    /// summary is sampled as that barrier opens).
-    #[test]
-    fn traced_send_bytes_match_the_live_counters() {
+    /// A traced + live run, period 1, over 2 channel ranks: the spans
+    /// and the JSONL lines of [`run`], plus each rank's lane spans
+    /// recorded before its last summary was sampled (which happens as the
+    /// last `barrier-dt` span opens).
+    fn traced_live_run() -> (Vec<obs::Span>, Vec<String>, Vec<Vec<obs::Span>>) {
         let ranks = 2;
         let (sink, live) = collected(1);
         let tracer = Tracer::shared(ranks);
@@ -582,28 +574,82 @@ mod tests {
         ))
         .unwrap();
         let spans = tracer.drain();
-        let last = obs::jsonlint::parse(sink.lines().last().expect("live lines")).unwrap();
+        let sampled = (0..ranks)
+            .map(|rank| {
+                let last_barrier = spans
+                    .iter()
+                    .filter(|s| s.worker == rank && s.label == "barrier-dt")
+                    .map(|s| s.start_ns)
+                    .max()
+                    .unwrap();
+                spans
+                    .iter()
+                    .filter(|s| s.worker == rank && s.start_ns < last_barrier)
+                    .copied()
+                    .collect()
+            })
+            .collect();
+        (spans, sink.lines(), sampled)
+    }
+
+    /// The live summary is read from the span record: the bytes and
+    /// parcels a rank's parcel spans carry before its last sample are
+    /// exactly the counters of the last JSONL line.
+    #[test]
+    fn traced_send_bytes_match_the_live_counters() {
+        let (_, lines, sampled) = traced_live_run();
+        let last = obs::jsonlint::parse(lines.last().expect("live lines")).unwrap();
         let per_rank = last.get("per_rank").and_then(|p| p.arr()).unwrap();
-        assert_eq!(per_rank.len(), ranks);
-        for (rank, entry) in per_rank.iter().enumerate() {
-            let last_barrier = spans
+        assert_eq!(per_rank.len(), sampled.len());
+        for (rank, (entry, spans)) in per_rank.iter().zip(&sampled).enumerate() {
+            let of =
+                |prefix: &'static str| spans.iter().filter(move |s| s.label.starts_with(prefix));
+            let sent: u64 = of("parcel-send-").map(|s| s.bytes).sum();
+            let recvd: u64 = of("parcel-recv-").map(|s| s.bytes).sum();
+            let parcels = of("parcel-send-").count() + of("parcel-recv-").count();
+            assert!(sent > 0 && recvd > 0, "rank {rank} traced no frames");
+            let field = |key: &str| entry.get(key).and_then(|b| b.num());
+            assert_eq!(field("sent_bytes"), Some(sent as f64), "rank {rank}");
+            assert_eq!(field("recv_bytes"), Some(recvd as f64), "rank {rank}");
+            assert_eq!(field("parcels"), Some(parcels as f64), "rank {rank}");
+        }
+    }
+
+    /// The live phases are the trace analysis's attribution: for each
+    /// rank, the last JSONL line's phases equal one
+    /// [`obs::dist::attribute`] sweep over that rank's lane spans up to
+    /// the sample — `pack` (halo bookkeeping), `startup` (the clock sync)
+    /// and every other category included.
+    #[test]
+    fn live_phases_match_the_trace_analysis() {
+        use obs::dist::{attribute, categorize, Category};
+        let (_, lines, sampled) = traced_live_run();
+        let last = obs::jsonlint::parse(lines.last().expect("live lines")).unwrap();
+        let per_rank = last.get("per_rank").and_then(|p| p.arr()).unwrap();
+        for (rank, (entry, spans)) in per_rank.iter().zip(&sampled).enumerate() {
+            let lane: Vec<(u64, u64, Category)> = spans
                 .iter()
-                .filter(|s| s.worker == rank && s.label == "barrier-dt")
-                .map(|s| s.start_ns)
-                .max()
-                .unwrap();
-            let traced: u64 = spans
-                .iter()
-                .filter(|s| {
-                    s.worker == rank
-                        && s.label.starts_with("parcel-send-")
-                        && s.start_ns < last_barrier
-                })
-                .map(|s| s.bytes)
-                .sum();
-            assert!(traced > 0, "rank {rank} traced no sends");
-            let live = entry.get("sent_bytes").and_then(|b| b.num());
-            assert_eq!(live, Some(traced as f64), "rank {rank}");
+                .filter_map(|s| Some((s.start_ns, s.end_ns, categorize(s.kind.name(), s.label)?)))
+                .collect();
+            let first = lane.iter().map(|s| s.0).min().unwrap();
+            let end = lane.iter().map(|s| s.1).max().unwrap();
+            let want = attribute(&lane, (first, end), |_, _, _, _| {});
+            let phases = entry.get("phases").expect("phases");
+            for cat in Category::ALL {
+                let live = phases
+                    .get(cat.name())
+                    .and_then(|ns| ns.num())
+                    .unwrap_or(0.0);
+                assert_eq!(live, want.get(cat) as f64, "rank {rank} {}", cat.name());
+            }
+            for cat in [
+                Category::Busy,
+                Category::Pack,
+                Category::Wait,
+                Category::Startup,
+            ] {
+                assert!(want.get(cat) > 0, "rank {rank}: no {} time", cat.name());
+            }
         }
     }
 

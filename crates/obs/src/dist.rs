@@ -15,7 +15,8 @@
 //!   into a Schulz-style taxonomy ([`Category`]) and computes the
 //!   critical path through the task/parcel graph, matching the k-th
 //!   parcel send from rank *i* to rank *j* with the k-th receive on the
-//!   other side;
+//!   other side; its per-rank sweep is [`attribute`], which the live
+//!   sampler ([`crate::live::LaneSampler`]) runs too;
 //! * [`lint_chrome_trace`] — the structural validator behind the
 //!   `trace_lint` binary (known `cat` values, non-negative timestamps,
 //!   rank-lane metadata on multi-process traces).
@@ -659,42 +660,45 @@ struct Segment {
     owner: Option<usize>,
 }
 
-/// Sweep one rank's categorized spans, attributing every instant of
-/// `[window_start, window_end]` to the innermost (latest-started)
-/// covering span. `spans` are `(merged index, start, end, category)`.
-fn sweep_rank(
-    rank: usize,
-    spans: &[(usize, u64, u64, Category)],
+/// One lane's taxonomy attribution — the sweep [`analyze`] runs per rank
+/// and the live sampler ([`crate::live::LaneSampler`]) runs per telemetry
+/// window, so both put every nanosecond in the same [`Category`]. `spans`
+/// are `(start, end, category)` ([`categorize`]d; transparent spans left
+/// out). Every instant of `window` goes to the innermost — latest-started,
+/// then latest-listed — covering span, or to [`Category::Idle`]; time a
+/// span covers before `window.0` is not attributed, and `window.1` must
+/// not precede any span's end. `segment` sees each elementary interval as
+/// `(owner index into spans, start, end, category)`. Only the taxonomy
+/// fields of the returned breakdown are set.
+pub fn attribute(
+    spans: &[(u64, u64, Category)],
     window: (u64, u64),
-    segments: &mut Vec<Segment>,
-) {
-    // (time, opens?, local index); closes sort before opens at a tie so
+    mut segment: impl FnMut(Option<usize>, u64, u64, Category),
+) -> RankBreakdown {
+    let mut b = RankBreakdown::default();
+    let mut emit = |owner: Option<usize>, start: u64, end: u64| {
+        let cat = owner.map_or(Category::Idle, |i| spans[i].2);
+        *b.slot(cat) += end - start;
+        segment(owner, start, end, cat);
+    };
+    // (time, opens?, index); closes sort before opens at a tie so
     // back-to-back spans do not overlap in the active set.
     let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(spans.len() * 2);
-    for (i, &(_, s, e, _)) in spans.iter().enumerate() {
+    for (i, &(s, e, _)) in spans.iter().enumerate() {
         if e > s {
             events.push((s, true, i));
             events.push((e, false, i));
         }
     }
-    events.sort_by_key(|&(t, opens, i)| (t, opens, i));
+    events.sort_unstable();
     let mut active: Vec<usize> = Vec::new();
     let mut prev = window.0;
     let mut ei = 0;
     while ei < events.len() {
         let t = events[ei].0;
         if t > prev {
-            let owner = active
-                .iter()
-                .copied()
-                .max_by_key(|&i| (spans[i].1, spans[i].0));
-            segments.push(Segment {
-                rank,
-                start: prev,
-                end: t,
-                cat: owner.map(|i| spans[i].3).unwrap_or(Category::Idle),
-                owner: owner.map(|i| spans[i].0),
-            });
+            let owner = active.iter().copied().max_by_key(|&i| (spans[i].0, i));
+            emit(owner, prev, t);
             prev = t;
         }
         while ei < events.len() && events[ei].0 == t {
@@ -708,14 +712,9 @@ fn sweep_rank(
         }
     }
     if window.1 > prev {
-        segments.push(Segment {
-            rank,
-            start: prev,
-            end: window.1,
-            cat: Category::Idle,
-            owner: None,
-        });
+        emit(None, prev, window.1);
     }
+    b
 }
 
 /// The parcel tag a frame-span label names (`parcel-send-force` →
@@ -742,7 +741,8 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
     let mut per_rank: Vec<RankBreakdown> = Vec::with_capacity(m.ranks);
     for rank in 0..m.ranks {
         let main_lane = m.main_lanes.get(rank).copied().unwrap_or(rank);
-        let mut lane_spans: Vec<(usize, u64, u64, Category)> = Vec::new();
+        let mut lane_idx: Vec<usize> = Vec::new();
+        let mut lane_spans: Vec<(u64, u64, Category)> = Vec::new();
         let mut background_ns = 0u64;
         for (idx, ms) in m.spans.iter().enumerate() {
             if ms.rank != rank {
@@ -754,31 +754,39 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
                 continue;
             }
             if let Some(cat) = categorize(&s.cat, &s.label) {
-                lane_spans.push((idx, s.start_ns, s.end_ns, cat));
+                lane_idx.push(idx);
+                lane_spans.push((s.start_ns, s.end_ns, cat));
             }
         }
-        let mut b = RankBreakdown {
-            rank,
-            wall_ns,
-            background_ns,
-            ..RankBreakdown::default()
-        };
-        if lane_spans.is_empty() {
+        let (Some(first), Some(last)) = (
+            lane_spans.iter().map(|&(s, _, _)| s).min(),
+            lane_spans.iter().map(|&(_, e, _)| e).max(),
+        ) else {
             // A rank that recorded nothing on its main lane spent the
             // whole run getting ready, by this report's bookkeeping.
-            b.startup_ns = wall_ns;
-            per_rank.push(b);
+            per_rank.push(RankBreakdown {
+                rank,
+                wall_ns,
+                background_ns,
+                startup_ns: wall_ns,
+                ..RankBreakdown::default()
+            });
             continue;
-        }
-        let first = lane_spans.iter().map(|&(_, s, _, _)| s).min().unwrap();
-        let last = lane_spans.iter().map(|&(_, _, e, _)| e).max().unwrap();
-        b.startup_ns = first;
-        b.shutdown_ns = wall_ns - last;
-        let seg_lo = segments.len();
-        sweep_rank(rank, &lane_spans, (first, last), &mut segments);
-        for seg in &segments[seg_lo..] {
-            *b.slot(seg.cat) += seg.end - seg.start;
-        }
+        };
+        let mut b = attribute(&lane_spans, (first, last), |owner, start, end, cat| {
+            segments.push(Segment {
+                rank,
+                start,
+                end,
+                cat,
+                owner: owner.map(|i| lane_idx[i]),
+            })
+        });
+        b.rank = rank;
+        b.wall_ns = wall_ns;
+        b.background_ns = background_ns;
+        b.startup_ns += first;
+        b.shutdown_ns += wall_ns - last;
         debug_assert_eq!(b.accounted_ns(), wall_ns, "attribution must partition");
         per_rank.push(b);
     }
@@ -1039,7 +1047,9 @@ const KNOWN_CATS: [&str; 6] = ["task", "steal", "barrier", "region", "halo", "pa
 
 /// Structurally validate a Chrome-trace document: top-level array,
 /// non-negative timestamps/durations (a span predating the aligned epoch
-/// means clock correction went wrong), known `cat` values, and — for
+/// means clock correction went wrong), known `cat` values, writer-thread
+/// `parcel-serialize-*` spans on a `(pid, tid)` lane of their own (on a
+/// rank's protocol lane they would overlap its phases), and — for
 /// multi-process (merged) traces — `process_name` metadata naming every
 /// rank lane group. `min_barriers` guards against silently-empty traces.
 pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats, String> {
@@ -1054,6 +1064,8 @@ pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats
     };
     let mut span_pids: Vec<i64> = Vec::new();
     let mut named_pids: Vec<i64> = Vec::new();
+    // (pid, tid) → (holds parcel-serialize-* events, holds other events)
+    let mut lanes: BTreeMap<(i64, i64), (bool, bool)> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
@@ -1094,9 +1106,22 @@ pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats
                 if !span_pids.contains(&pid) {
                     span_pids.push(pid);
                 }
+                let tid = ev.get("tid").and_then(Value::num).unwrap_or(0.0) as i64;
+                let name = ev.get("name").and_then(Value::str).unwrap_or("");
+                let lane = lanes.entry((pid, tid)).or_default();
+                if name.starts_with("parcel-serialize-") {
+                    lane.0 = true;
+                } else {
+                    lane.1 = true;
+                }
             }
             _ => {}
         }
+    }
+    if let Some(((pid, tid), _)) = lanes.iter().find(|(_, &(ser, other))| ser && other) {
+        return Err(format!(
+            "lane (pid {pid}, tid {tid}) mixes parcel-serialize-* writer spans with other events"
+        ));
     }
     stats.pids = span_pids.len();
     if span_pids.len() > 1 {
@@ -1381,6 +1406,24 @@ mod tests {
         assert_eq!(lint_chrome_trace(ok, 1).unwrap().barriers, 1);
         // Single-process traces need no process_name metadata.
         assert!(lint_chrome_trace(ok, 0).is_ok());
+    }
+
+    #[test]
+    fn lint_rejects_writer_spans_on_a_protocol_lane() {
+        let ser = r#"{"name": "parcel-serialize-force-00p-1", "cat": "parcel", "ph": "X", "ts": 1.0, "dur": 1.0, "pid": 0, "tid": 2}"#;
+        let send = r#"{"name": "parcel-send-force-00p-0", "cat": "parcel", "ph": "X", "ts": 1.0, "dur": 1.0, "pid": 0, "tid": 0}"#;
+        // The writer thread's spans on their own lane pass ...
+        assert!(lint_chrome_trace(&format!("[{send}, {ser}]"), 0).is_ok());
+        // ... and fail once they share a lane with the protocol thread.
+        let shared = ser.replace(r#""tid": 2"#, r#""tid": 0"#);
+        assert!(lint_chrome_trace(&format!("[{send}, {shared}]"), 0)
+            .unwrap_err()
+            .contains("parcel-serialize"));
+        // The same tid under another pid is another lane.
+        let other_rank = shared.replace(r#""pid": 0"#, r#""pid": 1"#);
+        let meta = r#"{"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "rank0"}},
+          {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "rank1"}}"#;
+        assert!(lint_chrome_trace(&format!("[{meta}, {send}, {other_rank}]"), 0).is_ok());
     }
 
     #[test]

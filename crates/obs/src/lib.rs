@@ -206,6 +206,15 @@ impl Tracer {
         );
     }
 
+    /// Copy lane `lane`'s spans from index `cursor` on, in recording
+    /// order (`lane` clamped like [`record`](Self::record)): how a sampler
+    /// reads what one lane recorded since its last read without draining
+    /// the spans a trace file still needs.
+    pub fn lane_since(&self, lane: usize, cursor: usize) -> Vec<Span> {
+        let spans = self.lanes[lane.min(self.lanes.len() - 1)].lock();
+        spans.get(cursor..).map_or_else(Vec::new, <[Span]>::to_vec)
+    }
+
     /// Take every recorded span, sorted by start time. Leaves the
     /// tracer empty (recording can continue afterwards).
     pub fn drain(&self) -> Vec<Span> {

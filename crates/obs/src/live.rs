@@ -1,273 +1,29 @@
-//! Live in-band telemetry plane: always-on per-rank counters sampled per
-//! timestep, streamed to rank 0 over the dt-allreduce star, plus an
-//! online straggler detector.
+//! Live in-band telemetry plane: a per-rank summary sampled per timestep
+//! from the rank's own span record, streamed to rank 0 over the
+//! dt-allreduce star, plus an online straggler detector.
 //!
-//! Unlike [`crate::Tracer`] (one span per task, drained post-mortem),
-//! everything here is sized for *steady-state* use inside the job:
-//! lock-free counters and log2-bucketed histograms that a driver samples
-//! once per timestep, a compact [`StepSummary`] wire encoding that rides
-//! the existing dt reduction (no extra sync points), and an EWMA-based
-//! [`StragglerDetector`] with hysteresis on rank 0. The counters are fed
-//! by the same hooks and clock reads as the tracer's spans (a rank's one
-//! recorder), so a traced run never times an event twice; the post-mortem
-//! of a failed rank is its spans file.
+//! There is no second set of counters: a rank's [`LaneSampler`] reads the
+//! spans its protocol lane recorded since the last sample and attributes
+//! them with [`dist::attribute`](crate::dist::attribute), the sweep
+//! [`dist::analyze`](crate::dist::analyze) runs over the merged trace, so
+//! the live phases and `analysis.json` name every nanosecond alike. The
+//! [`StepSummary`] wire encoding rides the existing dt reduction (no extra
+//! sync points); rank 0 feeds the step times to an EWMA-based
+//! [`StragglerDetector`] with hysteresis.
 
-use crate::dist::Category;
+use crate::dist::{attribute, categorize, Category};
+use crate::{Span, SpanKind, Tracer};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Schema version stamped on every `--live-metrics` JSONL line and on
 /// the [`StepSummary`] wire encoding.
-pub const LIVE_SCHEMA_VERSION: u64 = 3;
+pub const LIVE_SCHEMA_VERSION: u64 = 4;
 
 /// Number of taxonomy phases in a [`StepSummary`] (the Schulz
 /// categories, in [`Category::ALL`] order).
 pub const NCAT: usize = Category::ALL.len();
-
-/// Parcel tag classes tracked per rank: one counter slot per logical
-/// tag family rather than per 27-direction tag, so the table stays flat.
-pub const TAG_CLASSES: [&str; 7] = [
-    "mass",
-    "force",
-    "gradient",
-    "dt",
-    "bye",
-    "clock",
-    "telemetry",
-];
-
-/// Number of tag classes in [`TAG_CLASSES`].
-pub const NTAG: usize = TAG_CLASSES.len();
-
-// ---------------------------------------------------------------------------
-// Log2-bucketed histogram
-// ---------------------------------------------------------------------------
-
-/// Number of buckets in [`Hist`]: bucket 0 holds zeros, bucket `i >= 1`
-/// holds values in `[2^(i-1), 2^i)`.
-pub const HIST_BUCKETS: usize = 65;
-
-/// A mergeable log2-bucketed histogram of `u64` samples (nanoseconds,
-/// bytes). Recording is O(1); [`Hist::quantile`] answers with a factor-2
-/// relative-error bound, which is plenty for live dashboards.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Hist {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Hist::new()
-    }
-}
-
-impl std::fmt::Debug for Hist {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Hist(count={}, sum={})", self.count, self.sum)
-    }
-}
-
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-impl Hist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Hist {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-    }
-
-    /// Fold `other` into `self`. Merging is commutative and associative
-    /// (bucket-wise addition), so per-rank histograms can be combined in
-    /// any order on rank 0.
-    pub fn merge(&mut self, other: &Hist) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as the *lower bound* of the bucket
-    /// holding the `ceil(q * count)`-th smallest sample, so the true
-    /// sample `v` satisfies `quantile(q) <= v < 2 * quantile(q)` — a
-    /// factor-2 relative-error bound. Returns 0 on an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        1u64 << 63
-    }
-}
-
-/// A lock-free log2-bucketed histogram sharing [`Hist`]'s layout;
-/// recorded with relaxed atomics from transport/driver threads and
-/// snapshotted once per timestep.
-pub struct AtomicHist {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Default for AtomicHist {
-    fn default() -> Self {
-        AtomicHist::new()
-    }
-}
-
-impl AtomicHist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        AtomicHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Record one sample (relaxed; counts, not synchronization).
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copy the current bucket counts into a mergeable [`Hist`].
-    pub fn snapshot(&self) -> Hist {
-        let mut h = Hist::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            h.buckets[i] = n;
-            h.count += n;
-            // The sum is approximated from bucket lower bounds; live
-            // consumers only read quantiles, which are exact w.r.t. the
-            // bucket counts.
-            if i > 0 {
-                h.sum = h.sum.saturating_add(n.saturating_mul(1u64 << (i - 1)));
-            }
-        }
-        h
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-rank live counters
-// ---------------------------------------------------------------------------
-
-/// Per-rank always-on counters: phase nanoseconds per Schulz category,
-/// parcel bytes/count per tag class in each direction, receive-wait
-/// latency histograms per tag class. Everything is a relaxed atomic so
-/// transports and the driver can write concurrently; the driver reads a
-/// [`StepSummary`] snapshot once per timestep.
-#[derive(Default)]
-pub struct LiveStats {
-    phase_ns: [AtomicU64; NCAT],
-    sent_bytes: [AtomicU64; NTAG],
-    sent_count: [AtomicU64; NTAG],
-    recv_bytes: [AtomicU64; NTAG],
-    recv_count: [AtomicU64; NTAG],
-    latency: [AtomicHist; NTAG],
-}
-
-impl LiveStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        LiveStats::default()
-    }
-
-    /// Accumulate `ns` of phase time under `cat`.
-    pub fn add_phase(&self, cat: Category, ns: u64) {
-        let idx = Category::ALL.iter().position(|c| *c == cat).unwrap_or(0);
-        self.phase_ns[idx].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Record an outbound parcel of `bytes` under tag class `class`
-    /// (an index into [`TAG_CLASSES`]; out-of-range is clamped).
-    pub fn on_send(&self, class: usize, bytes: u64) {
-        let c = class.min(NTAG - 1);
-        self.sent_bytes[c].fetch_add(bytes, Ordering::Relaxed);
-        self.sent_count[c].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an inbound parcel of `bytes` under tag class `class` whose
-    /// blocking receive took `wait_ns`. The wait also lands in the `Wait`
-    /// phase bucket: time blocked on a peer is the complement of busy
-    /// time, and subtracting it from wall time is what lets the straggler
-    /// detector tell a slow rank from the fast ranks stalled behind it. A
-    /// phase that encloses receives must add only its time *outside* them
-    /// (see [`wait_ns`](Self::wait_ns)), so no nanosecond lands twice.
-    pub fn on_recv(&self, class: usize, bytes: u64, wait_ns: u64) {
-        let c = class.min(NTAG - 1);
-        self.recv_bytes[c].fetch_add(bytes, Ordering::Relaxed);
-        self.recv_count[c].fetch_add(1, Ordering::Relaxed);
-        self.latency[c].record(wait_ns);
-        self.add_phase(Category::Wait, wait_ns);
-    }
-
-    /// Cumulative nanoseconds blocked in transport receives (the `Wait`
-    /// phase bucket the transports feed via [`on_recv`](Self::on_recv)).
-    pub fn wait_ns(&self) -> u64 {
-        let idx = Category::ALL
-            .iter()
-            .position(|c| *c == Category::Wait)
-            .unwrap_or(0);
-        self.phase_ns[idx].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot the cumulative counters into a [`StepSummary`] for
-    /// `rank` at timestep `step`, whose last step took `step_ns`.
-    pub fn snapshot(&self, rank: u32, step: u64, step_ns: u64) -> StepSummary {
-        let load = |a: &[AtomicU64; NTAG]| -> [u64; NTAG] {
-            std::array::from_fn(|i| a[i].load(Ordering::Relaxed))
-        };
-        let mut lat = Hist::new();
-        for h in &self.latency {
-            lat.merge(&h.snapshot());
-        }
-        StepSummary {
-            rank,
-            step,
-            step_ns,
-            phase_ns: std::array::from_fn(|i| self.phase_ns[i].load(Ordering::Relaxed)),
-            sent_bytes: load(&self.sent_bytes),
-            sent_count: load(&self.sent_count),
-            recv_bytes: load(&self.recv_bytes),
-            recv_count: load(&self.recv_count),
-            lat_p50_ns: lat.quantile(0.5),
-            lat_p99_ns: lat.quantile(0.99),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Wire encoding
@@ -275,55 +31,56 @@ impl LiveStats {
 
 /// One rank's per-timestep telemetry sample. Counters are *cumulative*
 /// since rank start (monotonic), so a dropped sample never corrupts
-/// rates computed downstream; `step_ns` is the duration of the step the
-/// sample closes. Encodes to a flat `f64` vector (every field is far
-/// below 2^53, so the round-trip is exact) for the `Tag::Telemetry`
-/// parcel.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// rates computed downstream; `step_ns` and the latency quantiles cover
+/// the sampling window the sample closes. Encodes to a flat `f64` vector
+/// (every field is far below 2^53, so the round-trip is exact) for the
+/// `Tag::Telemetry` parcel.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepSummary {
     /// Originating rank.
     pub rank: u32,
     /// Timestep index the sample closes.
     pub step: u64,
-    /// Nanoseconds this rank spent *driving* the step: wall time minus
-    /// time blocked waiting on peers — the straggler-detection signal (a
-    /// rank stalled behind a slow neighbour reports near zero; the slow
-    /// rank itself reports its full step).
+    /// Nanoseconds this rank spent *driving* the step: wall time from the
+    /// top of the step to the sample minus the `wait` attributed inside
+    /// it — the straggler-detection signal (a rank stalled behind a slow
+    /// neighbour reports near zero; the slow rank itself reports its full
+    /// step).
     pub step_ns: u64,
     /// Cumulative phase nanoseconds, in [`Category::ALL`] order.
     pub phase_ns: [u64; NCAT],
-    /// Cumulative outbound bytes per tag class.
-    pub sent_bytes: [u64; NTAG],
-    /// Cumulative outbound parcel count per tag class.
-    pub sent_count: [u64; NTAG],
-    /// Cumulative inbound bytes per tag class.
-    pub recv_bytes: [u64; NTAG],
-    /// Cumulative inbound parcel count per tag class.
-    pub recv_count: [u64; NTAG],
-    /// p50 receive-wait latency over all tag classes, ns (factor-2 bound).
+    /// Cumulative outbound payload bytes (`parcel-send-*` spans).
+    pub sent_bytes: u64,
+    /// Cumulative inbound payload bytes (`parcel-recv-*` spans).
+    pub recv_bytes: u64,
+    /// Cumulative parcels sent plus received.
+    pub parcels: u64,
+    /// p50 receive latency over the window's receives, ns (exact).
     pub lat_p50_ns: u64,
-    /// p99 receive-wait latency over all tag classes, ns (factor-2 bound).
+    /// p99 receive latency over the window's receives, ns (exact).
     pub lat_p99_ns: u64,
 }
 
 /// Length of [`StepSummary::encode`]'s output.
-pub const SUMMARY_ENCODED_LEN: usize = 1 + 3 + NCAT + 4 * NTAG + 2;
+pub const SUMMARY_ENCODED_LEN: usize = 1 + 3 + NCAT + 5;
 
 impl StepSummary {
     /// Flatten into `f64`s for the telemetry parcel.
     pub fn encode(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(SUMMARY_ENCODED_LEN);
         v.push(LIVE_SCHEMA_VERSION as f64);
-        v.push(self.rank as f64);
-        v.push(self.step as f64);
-        v.push(self.step_ns as f64);
+        v.extend([self.rank as u64, self.step, self.step_ns].map(|x| x as f64));
         v.extend(self.phase_ns.iter().map(|&x| x as f64));
-        v.extend(self.sent_bytes.iter().map(|&x| x as f64));
-        v.extend(self.sent_count.iter().map(|&x| x as f64));
-        v.extend(self.recv_bytes.iter().map(|&x| x as f64));
-        v.extend(self.recv_count.iter().map(|&x| x as f64));
-        v.push(self.lat_p50_ns as f64);
-        v.push(self.lat_p99_ns as f64);
+        v.extend(
+            [
+                self.sent_bytes,
+                self.recv_bytes,
+                self.parcels,
+                self.lat_p50_ns,
+                self.lat_p99_ns,
+            ]
+            .map(|x| x as f64),
+        );
         v
     }
 
@@ -333,38 +90,128 @@ impl StepSummary {
         if p.len() != SUMMARY_ENCODED_LEN || p[0] as u64 != LIVE_SCHEMA_VERSION {
             return None;
         }
-        let mut it = p[1..].iter().copied();
-        let mut next = || it.next().unwrap_or(0.0) as u64;
-        let rank = next() as u32;
-        let step = next();
-        let step_ns = next();
-        let phase_ns = std::array::from_fn(|_| next());
-        let sent_bytes = std::array::from_fn(|_| next());
-        let sent_count = std::array::from_fn(|_| next());
-        let recv_bytes = std::array::from_fn(|_| next());
-        let recv_count = std::array::from_fn(|_| next());
+        let mut it = p[1..].iter().map(|&x| x as u64);
+        let mut next = || it.next().unwrap_or(0);
         Some(StepSummary {
-            rank,
-            step,
-            step_ns,
-            phase_ns,
-            sent_bytes,
-            sent_count,
-            recv_bytes,
-            recv_count,
+            rank: next() as u32,
+            step: next(),
+            step_ns: next(),
+            phase_ns: std::array::from_fn(|_| next()),
+            sent_bytes: next(),
+            recv_bytes: next(),
+            parcels: next(),
             lat_p50_ns: next(),
             lat_p99_ns: next(),
         })
     }
+}
 
-    /// Total cumulative outbound bytes over every tag class.
-    pub fn total_sent_bytes(&self) -> u64 {
-        self.sent_bytes.iter().sum()
+// ---------------------------------------------------------------------------
+// Sampling the span record
+// ---------------------------------------------------------------------------
+
+/// A rank's live sampler: on each telemetry step it reads the spans its
+/// protocol lane recorded since the last sample, attributes them with
+/// [`attribute`] over the stretch of timeline not yet attributed, and adds
+/// the result to the cumulative [`StepSummary`] counters. Summed over the
+/// samples, the phases equal one [`attribute`] sweep over every span the
+/// lane recorded before the last sample.
+pub struct LaneSampler {
+    tracer: Arc<Tracer>,
+    lane: usize,
+    /// The tracer is the sampler's own: drain it on every sample, so it
+    /// never holds more than one window of spans. Otherwise read past
+    /// `cursor` and leave the spans for the trace files.
+    owned: bool,
+    cursor: usize,
+    /// Where the attributed timeline ends; the next window starts here.
+    attributed_to: Option<u64>,
+    totals: StepSummary,
+}
+
+impl LaneSampler {
+    /// Sample `lane` of `tracer`; `owned` when nothing else reads the
+    /// tracer (it is drained on every sample).
+    pub fn new(tracer: Arc<Tracer>, lane: usize, owned: bool) -> Self {
+        Self {
+            tracer,
+            lane,
+            owned,
+            cursor: 0,
+            attributed_to: None,
+            totals: StepSummary::default(),
+        }
     }
 
-    /// Total cumulative inbound bytes over every tag class.
-    pub fn total_recv_bytes(&self) -> u64 {
-        self.recv_bytes.iter().sum()
+    /// Close the window for `rank` at timestep `step`, whose top was at
+    /// `since` on the tracer's clock.
+    pub fn sample(&mut self, rank: u32, step: u64, since: u64) -> StepSummary {
+        let now = self.tracer.now_ns();
+        let spans: Vec<Span> = if self.owned {
+            let mut all = self.tracer.drain();
+            all.retain(|s| s.worker == self.lane);
+            all
+        } else {
+            let new = self.tracer.lane_since(self.lane, self.cursor);
+            self.cursor += new.len();
+            new
+        };
+        let t = &mut self.totals;
+        // A receive is a parcel-wait span plus the parcel-recv span that
+        // starts where it ends: (peer, arrival) → wait start.
+        let mut waits: BTreeMap<(i32, u64), u64> = BTreeMap::new();
+        let mut recvs: Vec<(i32, u64, u64)> = Vec::new();
+        let mut lane: Vec<(u64, u64, Category)> = Vec::with_capacity(spans.len());
+        for s in &spans {
+            if s.kind == SpanKind::Parcel {
+                if s.label.starts_with("parcel-send-") {
+                    t.sent_bytes += s.bytes;
+                    t.parcels += 1;
+                } else if s.label.starts_with("parcel-recv-") {
+                    t.recv_bytes += s.bytes;
+                    t.parcels += 1;
+                    recvs.push((s.peer, s.start_ns, s.end_ns));
+                } else if s.label.starts_with("parcel-wait-") {
+                    waits.insert((s.peer, s.end_ns), s.start_ns);
+                }
+            }
+            if let Some(cat) = categorize(s.kind.name(), s.label) {
+                lane.push((s.start_ns, s.end_ns, cat));
+            }
+        }
+        let mut lat: Vec<u64> = recvs
+            .iter()
+            .map(|&(peer, arrival, end)| end - waits.get(&(peer, arrival)).unwrap_or(&arrival))
+            .collect();
+        lat.sort_unstable();
+        let quantile = |q: f64| match lat.len() {
+            0 => 0,
+            n => lat[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+        };
+        let mut waited = 0;
+        if let Some(last) = lane.iter().map(|s| s.1).max() {
+            let from = self
+                .attributed_to
+                .unwrap_or_else(|| lane.iter().map(|s| s.0).min().unwrap_or(last));
+            let to = last.max(from);
+            let b = attribute(&lane, (from, to), |_, start, end, cat| {
+                if cat == Category::Wait && end > since {
+                    waited += end - start.max(since);
+                }
+            });
+            for (ns, cat) in t.phase_ns.iter_mut().zip(Category::ALL) {
+                *ns += b.get(cat);
+            }
+            self.attributed_to = Some(to);
+        }
+        StepSummary {
+            rank,
+            step,
+            step_ns: now.saturating_sub(since).saturating_sub(waited),
+            lat_p50_ns: quantile(0.5),
+            lat_p99_ns: quantile(0.99),
+            ..*t
+        }
     }
 }
 
@@ -372,20 +219,22 @@ impl StepSummary {
 // Straggler detection (rank 0)
 // ---------------------------------------------------------------------------
 
+/// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
+const ALPHA: f64 = 0.4;
+/// Flag threshold: EWMA > `RATIO` x median EWMA.
+const RATIO: f64 = 1.5;
+/// Consecutive qualifying steps before a flag flips (both ways).
+const HYSTERESIS: usize = 2;
+/// Absolute EWMA-minus-median floor (ns) below which no rank is flagged,
+/// so microsecond-scale jitter on tiny problems stays quiet.
+const MIN_GAP_NS: f64 = 500_000.0;
+
 /// Online straggler detector: one EWMA of step time per rank; a rank is
-/// flagged when its EWMA exceeds `ratio` x the median EWMA (and the gap
-/// clears an absolute noise floor) for `hysteresis` consecutive observed
-/// steps, and unflagged again after the same number of quiet steps.
+/// flagged when its EWMA exceeds `RATIO` x the median EWMA (and the gap
+/// clears the `MIN_GAP_NS` noise floor) for `HYSTERESIS` consecutive
+/// observed steps, and unflagged again after the same number of quiet
+/// steps.
 pub struct StragglerDetector {
-    /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
-    pub alpha: f64,
-    /// Flag threshold: EWMA > `ratio` x median EWMA.
-    pub ratio: f64,
-    /// Consecutive qualifying steps before a flag flips (both ways).
-    pub hysteresis: usize,
-    /// Absolute EWMA-minus-median floor (ns) below which no rank is
-    /// flagged, so microsecond-scale jitter on tiny problems stays quiet.
-    pub min_gap_ns: f64,
     ewma: Vec<f64>,
     above: Vec<usize>,
     below: Vec<usize>,
@@ -395,15 +244,10 @@ pub struct StragglerDetector {
 }
 
 impl StragglerDetector {
-    /// A detector for `ranks` ranks with defaults tuned to flag a
-    /// persistent straggler within a handful of steps: `alpha` 0.4,
-    /// `ratio` 1.5, `hysteresis` 2, 0.5 ms noise floor.
+    /// A detector for `ranks` ranks, tuned to flag a persistent
+    /// straggler within a handful of steps.
     pub fn new(ranks: usize) -> Self {
         StragglerDetector {
-            alpha: 0.4,
-            ratio: 1.5,
-            hysteresis: 2,
-            min_gap_ns: 500_000.0,
             ewma: vec![0.0; ranks],
             above: vec![0; ranks],
             below: vec![0; ranks],
@@ -423,7 +267,7 @@ impl StragglerDetector {
             if first {
                 *e = ns as f64;
             } else {
-                *e = self.alpha * ns as f64 + (1.0 - self.alpha) * *e;
+                *e = ALPHA * ns as f64 + (1.0 - ALPHA) * *e;
             }
         }
         let mut sorted: Vec<f64> = self.ewma.clone();
@@ -438,18 +282,18 @@ impl StragglerDetector {
         };
         for r in 0..self.ewma.len() {
             let slow = self.ewma.len() > 1
-                && self.ewma[r] > self.ratio * median
-                && self.ewma[r] - median > self.min_gap_ns;
+                && self.ewma[r] > RATIO * median
+                && self.ewma[r] - median > MIN_GAP_NS;
             if slow {
                 self.above[r] += 1;
                 self.below[r] = 0;
-                if self.above[r] >= self.hysteresis {
+                if self.above[r] >= HYSTERESIS {
                     self.flagged[r] = true;
                 }
             } else {
                 self.below[r] += 1;
                 self.above[r] = 0;
-                if self.below[r] >= self.hysteresis {
+                if self.below[r] >= HYSTERESIS {
                     self.flagged[r] = false;
                 }
             }
@@ -465,16 +309,6 @@ impl StragglerDetector {
         (0..self.flagged.len())
             .filter(|&r| self.flagged[r])
             .collect()
-    }
-
-    /// Current EWMA step time of `rank`, ns.
-    pub fn ewma_ns(&self, rank: usize) -> f64 {
-        self.ewma[rank]
-    }
-
-    /// Steps observed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// Human summary table (one row per rank) for the launcher.
@@ -548,9 +382,9 @@ pub fn jsonl_step_line(step: u64, summaries: &[StepSummary], stragglers: &[usize
             s.rank,
             s.step_ns,
             phases.join(","),
-            s.total_sent_bytes(),
-            s.total_recv_bytes(),
-            s.sent_count.iter().sum::<u64>() + s.recv_count.iter().sum::<u64>(),
+            s.sent_bytes,
+            s.recv_bytes,
+            s.parcels,
             s.lat_p50_ns,
             s.lat_p99_ns
         ));
@@ -634,103 +468,21 @@ impl LiveConfig {
 mod tests {
     use super::*;
 
-    fn hist_of(samples: &[u64]) -> Hist {
-        let mut h = Hist::new();
-        for &s in samples {
-            h.record(s);
-        }
-        h
-    }
-
-    #[test]
-    fn hist_quantile_relative_error_bound() {
-        // For any sample set and quantile, the estimate e must satisfy
-        // e <= v < 2e (or v == e == 0) where v is the selected sample.
-        let sets: [&[u64]; 5] = [
-            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
-            &[1_000_000; 32],
-            &[1, 1 << 20, 1 << 40, u64::MAX],
-            &[3, 5, 9, 17, 33, 65, 129, 257],
-            &[42],
-        ];
-        for samples in sets {
-            let mut sorted = samples.to_vec();
-            sorted.sort_unstable();
-            let h = hist_of(samples);
-            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                let est = h.quantile(q);
-                let idx = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len()) - 1;
-                let v = sorted[idx];
-                if v == 0 {
-                    assert_eq!(est, 0, "q={q} samples={samples:?}");
-                } else {
-                    assert!(
-                        est <= v && (est >= v / 2 + u64::from(v % 2 != 0)),
-                        "q={q}: est {est} not within factor 2 below {v} ({samples:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hist_merge_commutative_and_associative() {
-        let a = hist_of(&[1, 5, 1000, 1 << 30]);
-        let b = hist_of(&[0, 0, 7, 250, 1 << 50]);
-        let c = hist_of(&[3, 3, 3]);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "merge must be associative");
-        assert_eq!(ab_c.count(), 12);
-    }
-
-    #[test]
-    fn atomic_hist_snapshot_matches_plain_counts() {
-        let ah = AtomicHist::new();
-        for v in [0u64, 1, 2, 1000, 1 << 40] {
-            ah.record(v);
-        }
-        let snap = ah.snapshot();
-        let plain = hist_of(&[0, 1, 2, 1000, 1 << 40]);
-        assert_eq!(snap.buckets, plain.buckets);
-        assert_eq!(snap.count(), 5);
-        // Quantiles agree exactly: they only read bucket counts.
-        for q in [0.1, 0.5, 0.9] {
-            assert_eq!(snap.quantile(q), plain.quantile(q));
-        }
-    }
-
     #[test]
     fn step_summary_roundtrip() {
         let mut s = StepSummary {
             rank: 3,
             step: 17,
             step_ns: 1_234_567,
-            phase_ns: [0; NCAT],
-            sent_bytes: [0; NTAG],
-            sent_count: [0; NTAG],
-            recv_bytes: [0; NTAG],
-            recv_count: [0; NTAG],
+            sent_bytes: 24,
+            recv_bytes: 48,
+            parcels: 3,
             lat_p50_ns: 4096,
             lat_p99_ns: 1 << 20,
+            ..StepSummary::default()
         };
         s.phase_ns[0] = 1_000_000;
         s.phase_ns[4] = 250_000;
-        s.sent_bytes[3] = 24;
-        s.sent_count[3] = 1;
-        s.recv_bytes[3] = 24;
-        s.recv_count[3] = 1;
         let enc = s.encode();
         assert_eq!(enc.len(), SUMMARY_ENCODED_LEN);
         assert_eq!(StepSummary::decode(&enc), Some(s));
@@ -740,23 +492,74 @@ mod tests {
         assert_eq!(StepSummary::decode(&bad), None, "wrong schema");
     }
 
+    /// Two sampling windows of hand-placed spans on lane 0. The second
+    /// window also carries a transparent `iteration` span reaching back
+    /// into the first.
+    fn record_window(t: &Tracer, window: usize) {
+        if window == 0 {
+            t.record_interval(0, SpanKind::Region, "forces", 100, 300);
+            t.record_parcel(0, "parcel-send-force-00p", 310, 320, 80, 1);
+            t.record_parcel(0, "parcel-wait-force-00m", 330, 400, 0, 1);
+            t.record_parcel(0, "parcel-recv-force-00m", 400, 410, 80, 1);
+            t.record_interval(0, SpanKind::Halo, "halo-forces", 300, 500);
+            t.record_interval(0, SpanKind::Barrier, "barrier-dt", 520, 600);
+        } else {
+            t.record_interval(0, SpanKind::Region, "iteration", 90, 700);
+            t.record_interval(0, SpanKind::Region, "eos", 650, 800);
+            t.record_parcel(0, "parcel-wait-dt", 800, 900, 0, 0);
+            t.record_parcel(0, "parcel-recv-dt", 900, 905, 24, 0);
+        }
+    }
+
     #[test]
-    fn live_stats_snapshot_accumulates() {
-        let st = LiveStats::new();
-        st.add_phase(Category::Busy, 100);
-        st.add_phase(Category::Busy, 50);
-        st.add_phase(Category::Barrier, 10);
-        st.on_send(3, 24);
-        st.on_recv(3, 24, 5_000);
-        let s = st.snapshot(1, 4, 999);
-        assert_eq!(s.rank, 1);
-        assert_eq!(s.step, 4);
-        assert_eq!(s.phase_ns[0], 150);
-        assert_eq!(s.phase_ns[4], 10);
-        assert_eq!(s.sent_bytes[3], 24);
-        assert_eq!(s.recv_count[3], 1);
-        assert_eq!(st.wait_ns(), 5_000);
-        assert!(s.lat_p50_ns >= 2048 && s.lat_p50_ns <= 5_000);
+    fn sampled_windows_add_up_to_one_attribution_of_the_lane() {
+        let mut seen = Vec::new();
+        for owned in [false, true] {
+            let tracer = Tracer::shared(1);
+            let mut sampler = LaneSampler::new(Arc::clone(&tracer), 0, owned);
+            let mut samples = Vec::new();
+            for (window, since) in [(0, 0), (1, 640)] {
+                record_window(&tracer, window);
+                let before = tracer.now_ns();
+                let s = sampler.sample(2, window as u64 + 1, since);
+                let after = tracer.now_ns();
+                // Wall time since the top of the step less the wait in it
+                // (the force receive, then the dt receive).
+                let wait = [80, 105][window];
+                assert!(s.step_ns + wait + since >= before && s.step_ns + wait + since <= after);
+                // An owned tracer is drained; a shared one keeps its spans.
+                let left = tracer.lane_since(0, 0).len();
+                assert_eq!(left, if owned { 0 } else { [6, 10][window] });
+                samples.push(s);
+            }
+            let (first, last) = (samples[0], samples[1]);
+            assert_eq!((first.lat_p50_ns, first.lat_p99_ns), (80, 80));
+            assert_eq!((last.lat_p50_ns, last.lat_p99_ns), (105, 105));
+            assert_eq!(
+                (last.sent_bytes, last.recv_bytes, last.parcels),
+                (80, 104, 3)
+            );
+            seen.push(StepSummary { step_ns: 0, ..last });
+        }
+        assert_eq!(seen[0], seen[1], "owned and shared tracers sample alike");
+
+        // The cumulative phases are one sweep over both windows' spans.
+        let tracer = Tracer::new(1);
+        record_window(&tracer, 0);
+        record_window(&tracer, 1);
+        let lane: Vec<(u64, u64, Category)> = tracer
+            .drain()
+            .iter()
+            .filter_map(|s| Some((s.start_ns, s.end_ns, categorize(s.kind.name(), s.label)?)))
+            .collect();
+        let whole = attribute(&lane, (100, 905), |_, _, _, _| {});
+        let phases: [u64; NCAT] = Category::ALL.map(|c| whole.get(c));
+        assert_eq!(seen[0].phase_ns, phases);
+        assert_eq!(
+            (whole.busy_ns, whole.pack_ns, whole.send_ns, whole.wait_ns),
+            (350, 110, 10, 185)
+        );
+        assert_eq!((whole.barrier_ns, whole.idle_ns), (80, 70));
     }
 
     #[test]
@@ -791,10 +594,17 @@ mod tests {
 
     #[test]
     fn jsonl_line_is_valid_json_with_expected_fields() {
-        let st = LiveStats::new();
-        st.add_phase(Category::Busy, 123);
-        let a = st.snapshot(0, 7, 2_000_000);
-        let b = st.snapshot(1, 7, 3_000_000);
+        let mut a = StepSummary {
+            step: 7,
+            step_ns: 2_000_000,
+            ..StepSummary::default()
+        };
+        a.phase_ns[0] = 123;
+        let b = StepSummary {
+            rank: 1,
+            step_ns: 3_000_000,
+            ..a
+        };
         let line = jsonl_step_line(7, &[a, b], &[1]);
         let v = crate::jsonlint::parse(&line).expect("live JSONL line must be strict JSON");
         assert_eq!(v.get("kind").and_then(|k| k.str()), Some("live"));

@@ -72,7 +72,7 @@ impl Transport for ChannelTransport {
 
     fn send(&self, tag: Tag, payload: &[Real]) -> Result<(), ParcelError> {
         let obs = self.obs.get();
-        let t0 = obs.map_or(0, ParcelObs::send_start);
+        let t0 = obs.map_or(0, ParcelObs::now_ns);
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed);
         self.tx
             .send(Frame {
@@ -122,7 +122,7 @@ impl Transport for ChannelTransport {
         }
         if let Some(o) = obs {
             let bytes = frame.payload.len() as u64 * 8;
-            o.received(tag, t0, arrival, bytes, self.peer);
+            o.received(tag, arrival, bytes, self.peer);
         }
         Ok(frame.payload)
     }
@@ -291,41 +291,30 @@ mod tests {
 
     #[test]
     fn live_hooks_count_frames_and_record_failures() {
-        use obs::live::LiveStats;
         use obs::{SpanKind, Tracer};
         use std::sync::Arc;
         let (a, b) = ChannelTransport::pair(0, 1, D);
         let tracer = Tracer::shared(1);
-        let stats = Arc::new(LiveStats::new());
-        // One hook carries both sinks; a second attach is ignored.
-        a.attach_obs(ParcelObs::new(
-            Some(Arc::clone(&tracer)),
-            0,
-            0,
-            Some(Arc::clone(&stats)),
-        ));
-        a.attach_obs(ParcelObs::new(None, 0, 0, None));
+        // The hook's one sink is the tracer; a second attach is ignored.
+        a.attach_obs(ParcelObs::new(Arc::clone(&tracer), 0, 0));
+        a.attach_obs(ParcelObs::new(Tracer::shared(1), 0, 0));
         a.send(force(), &[1.0, 2.0]).unwrap();
         b.send(force(), &[3.0]).unwrap();
         assert_eq!(a.recv(force()).unwrap(), vec![3.0]);
-        let class = force().class();
-        let s = stats.snapshot(0, 0, 0);
-        assert_eq!(s.sent_bytes[class], 16);
-        assert_eq!(s.sent_count[class], 1);
-        assert_eq!(s.recv_bytes[class], 8);
-        assert_eq!(s.recv_count[class], 1);
-        // The counters' wait is the traced receive: wait span + read span.
+        // One send span, then the receive as a wait span and the payload
+        // read it hands over to, each with its bytes and peer.
         let spans = tracer.drain();
-        let traced_recv: u64 = spans
-            .iter()
-            .filter(|s| s.label == force().wait_label() || s.label == force().recv_label())
-            .map(|s| s.dur_ns())
-            .sum();
-        assert_eq!(stats.wait_ns(), traced_recv);
+        assert!(spans.iter().all(|s| s.kind == SpanKind::Parcel));
+        let seen: Vec<_> = spans.iter().map(|s| (s.label, s.bytes, s.peer)).collect();
         assert_eq!(
-            spans.iter().filter(|s| s.kind == SpanKind::Parcel).count(),
-            3
+            seen,
+            [
+                (force().send_label(), 16, 1),
+                (force().wait_label(), 0, 1),
+                (force().recv_label(), 8, 1)
+            ]
         );
+        assert_eq!(spans[1].end_ns, spans[2].start_ns);
         // A vanished peer lands in the trace as one zero-length error span.
         drop(b);
         assert_eq!(a.recv(force()), Err(ParcelError::PeerClosed { peer: 1 }));

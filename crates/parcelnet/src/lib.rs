@@ -209,19 +209,6 @@ impl Tag {
         }
     }
 
-    /// The [`obs::live::TAG_CLASSES`] index this tag's counters land in.
-    pub fn class(self) -> usize {
-        match self {
-            Tag::Mass(_) => 0,
-            Tag::Force(_) => 1,
-            Tag::Gradient(_) => 2,
-            Tag::Dt => 3,
-            Tag::Bye => 4,
-            Tag::Clock => 5,
-            Tag::Telemetry => 6,
-        }
-    }
-
     /// Wire encoding of this tag.
     pub fn to_u32(self) -> u32 {
         match self {
@@ -305,143 +292,85 @@ impl Tag {
 }
 
 /// A rank's one recorder hook on its links, attached via
-/// [`Transport::attach_obs`]: an optional tracer (protocol-thread spans on
-/// `lane`, TCP writer-thread spans on `aux_lane`) and optional always-on
-/// live counters ([`obs::live::LiveStats`]). Both are fed from the same
-/// clock reads, at most one per event edge: a traced frame becomes
+/// [`Transport::attach_obs`]: a tracer taking protocol-thread spans on
+/// `lane` and TCP writer-thread spans on `aux_lane`. A frame becomes
 /// [`obs::SpanKind::Parcel`] spans (send enqueue, receive wait, payload
-/// read, writer serialize) with byte counts and peer ranks, and the
-/// counters take their bytes and wait time from the same stamps. A
-/// live-only hook reads no clock on sends (the counters take no send
-/// durations). A typed failure becomes one zero-length
-/// [`ParcelError::span_label`] span.
+/// read, writer serialize) with byte counts and peer ranks, one clock read
+/// per event edge; a typed failure becomes one zero-length
+/// [`ParcelError::span_label`] span. The live telemetry stream is sampled
+/// from the same spans ([`obs::live::LaneSampler`]).
 #[derive(Clone)]
 pub struct ParcelObs {
-    tracer: Option<std::sync::Arc<obs::Tracer>>,
+    tracer: std::sync::Arc<obs::Tracer>,
     lane: usize,
     aux_lane: usize,
-    live: Option<std::sync::Arc<obs::live::LiveStats>>,
-    /// The clock of a live-only hook (a traced one uses the tracer's).
-    epoch: std::time::Instant,
 }
 
 impl ParcelObs {
     /// A hook recording protocol spans on `lane` and writer-thread spans
-    /// on `aux_lane` of `tracer`, and feeding `live`; either may be `None`.
-    pub fn new(
-        tracer: Option<std::sync::Arc<obs::Tracer>>,
-        lane: usize,
-        aux_lane: usize,
-        live: Option<std::sync::Arc<obs::live::LiveStats>>,
-    ) -> Self {
+    /// on `aux_lane` of `tracer`.
+    pub fn new(tracer: std::sync::Arc<obs::Tracer>, lane: usize, aux_lane: usize) -> Self {
         Self {
             tracer,
             lane,
             aux_lane,
-            live,
-            epoch: std::time::Instant::now(),
         }
     }
 
-    /// True when anything is attached.
-    pub fn active(&self) -> bool {
-        self.tracer.is_some() || self.live.is_some()
-    }
-
-    /// The tracer, when tracing.
-    pub fn tracer(&self) -> Option<&obs::Tracer> {
-        self.tracer.as_deref()
-    }
-
-    /// The live counters, when sampling.
-    pub fn live(&self) -> Option<&obs::live::LiveStats> {
-        self.live.as_deref()
-    }
-
-    /// Nanoseconds on the hook's clock: the tracer's when tracing (the
-    /// clock [`RankNet::clock_sync`] aligns), else a private monotonic one.
+    /// Nanoseconds on the tracer's clock (the clock
+    /// [`RankNet::clock_sync`] aligns).
     pub fn now_ns(&self) -> u64 {
-        match &self.tracer {
-            Some(t) => t.now_ns(),
-            None => self.epoch.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// The clock at a send's start: read only when tracing.
-    pub fn send_start(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.now_ns())
+        self.tracer.now_ns()
     }
 
     /// A frame of `bytes` for `peer` was enqueued/written, starting at
-    /// `start_ns` (from [`send_start`](Self::send_start)).
+    /// `start_ns` (from [`now_ns`](Self::now_ns)).
     pub fn sent(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
-        if let Some(s) = &self.live {
-            s.on_send(tag.class(), bytes);
-        }
-        if let Some(t) = &self.tracer {
-            t.record_parcel(
-                self.lane,
-                tag.send_label(),
-                start_ns,
-                t.now_ns(),
-                bytes,
-                peer,
-            );
-        }
+        let end = self.now_ns();
+        self.tracer
+            .record_parcel(self.lane, tag.send_label(), start_ns, end, bytes, peer);
     }
 
     /// A frame header from `peer` arrived after a receive that started at
-    /// `start_ns` (from [`now_ns`](Self::now_ns)). Traced, this records
-    /// the wait span and returns the arrival time; untraced it reads no
-    /// clock and returns `start_ns`.
+    /// `start_ns`: records the wait span and returns the arrival time.
     pub fn arrived(&self, tag: Tag, start_ns: u64, peer: usize) -> u64 {
-        match &self.tracer {
-            Some(t) => {
-                let arrival = t.now_ns();
-                t.record_parcel(self.lane, tag.wait_label(), start_ns, arrival, 0, peer);
-                arrival
-            }
-            None => start_ns,
-        }
+        let arrival = self.now_ns();
+        self.tracer
+            .record_parcel(self.lane, tag.wait_label(), start_ns, arrival, 0, peer);
+        arrival
     }
 
-    /// A frame of `bytes` from `peer` was read and verified: the receive
-    /// that started at `start_ns` ends now. The whole receive counts as
-    /// wait time in the live counters.
-    pub fn received(&self, tag: Tag, start_ns: u64, arrival_ns: u64, bytes: u64, peer: usize) {
+    /// A frame of `bytes` from `peer` was read and verified: the payload
+    /// read that began at `arrival_ns` ends now.
+    pub fn received(&self, tag: Tag, arrival_ns: u64, bytes: u64, peer: usize) {
         let end = self.now_ns();
-        if let Some(t) = &self.tracer {
-            t.record_parcel(self.lane, tag.recv_label(), arrival_ns, end, bytes, peer);
-        }
-        if let Some(s) = &self.live {
-            s.on_recv(tag.class(), bytes, end.saturating_sub(start_ns));
-        }
+        self.tracer
+            .record_parcel(self.lane, tag.recv_label(), arrival_ns, end, bytes, peer);
     }
 
     /// The writer thread serialized and wrote a frame to `peer`, starting
-    /// at `start_ns` (from [`send_start`](Self::send_start)). Traced only.
+    /// at `start_ns` (from [`now_ns`](Self::now_ns)).
     pub fn serialize(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
-        if let Some(t) = &self.tracer {
-            let end = t.now_ns();
-            t.record_parcel(
-                self.aux_lane,
-                tag.serialize_label(),
-                start_ns,
-                end,
-                bytes,
-                peer,
-            );
-        }
+        let end = self.now_ns();
+        self.tracer.record_parcel(
+            self.aux_lane,
+            tag.serialize_label(),
+            start_ns,
+            end,
+            bytes,
+            peer,
+        );
     }
 }
 
-/// A typed failure on the link to `peer`: a traced hook records it as one
-/// zero-length span, so a failed rank's spans file shows what it observed.
-/// Returns `err`.
+/// A typed failure on the link to `peer`: an attached hook records it as
+/// one zero-length span, so a failed rank's spans file shows what it
+/// observed. Returns `err`.
 pub(crate) fn failed(obs: Option<&ParcelObs>, err: ParcelError, peer: usize) -> ParcelError {
-    if let Some((t, lane)) = obs.and_then(|o| Some((o.tracer.as_ref()?, o.lane))) {
-        let now = t.now_ns();
-        t.record_parcel(lane, err.span_label(), now, now, 0, peer);
+    if let Some(o) = obs {
+        let now = o.now_ns();
+        o.tracer
+            .record_parcel(o.lane, err.span_label(), now, now, 0, peer);
     }
     err
 }
@@ -947,11 +876,6 @@ mod tests {
                 "{t:?} collides with a directional block"
             );
         }
-        // Every telemetry class slot is reachable: no counter is dead.
-        let mut classes: Vec<usize> = all.iter().map(|t| t.class()).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        assert_eq!(classes, (0..obs::live::NTAG).collect::<Vec<_>>());
         // Direction names land in the right table slots.
         assert_eq!(Tag::force(dir::DOWN).send_label(), "parcel-send-force-00m");
         assert_eq!(Tag::mass(dir::UP).name(), "mass-00p");

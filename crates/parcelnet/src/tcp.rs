@@ -191,7 +191,7 @@ impl TcpTransport {
                             WriteReq::Frame(tag, seq, payload) => (tag, seq, payload),
                         };
                         let o = obs.get();
-                        let t0 = o.map_or(0, ParcelObs::send_start);
+                        let t0 = o.map_or(0, ParcelObs::now_ns);
                         let bytes = encode_frame(tag, seq, src, &payload);
                         if let Err(e) = stream.write_all(&bytes).and_then(|()| stream.flush()) {
                             *err.lock() = Some(map_io(peer, &e));
@@ -227,7 +227,7 @@ impl Transport for TcpTransport {
         if let Some(e) = *self.writer_err.lock() {
             return Err(failed(obs, e, self.peer));
         }
-        let t0 = obs.map_or(0, ParcelObs::send_start);
+        let t0 = obs.map_or(0, ParcelObs::now_ns);
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed);
         self.writer_tx
             .send(WriteReq::Frame(tag, seq, payload.to_vec()))
@@ -297,7 +297,7 @@ impl Transport for TcpTransport {
             .map(|c| Real::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
         if let Some(o) = obs {
-            o.received(tag, t0, arrival, payload.len() as u64 * 8, self.peer);
+            o.received(tag, arrival, payload.len() as u64 * 8, self.peer);
         }
         Ok(payload)
     }

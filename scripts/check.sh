@@ -174,7 +174,7 @@ echo "== live-metrics smoke run (2 TCP ranks, JSONL schema) =="
 # run must still end with the normal CSV report.
 ./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
   --live-metrics > "$TMP/live.jsonl"
-LIVE_LINES=$(grep -c '^{"schema":3,"kind":"live"' "$TMP/live.jsonl" || true)
+LIVE_LINES=$(grep -c '^{"schema":4,"kind":"live"' "$TMP/live.jsonl" || true)
 if [ "$LIVE_LINES" -lt 8 ]; then
   echo "expected >=8 live JSONL lines, got $LIVE_LINES:"; cat "$TMP/live.jsonl"
   exit 1
@@ -182,6 +182,29 @@ fi
 grep -q "^6,11,8,2," "$TMP/live.jsonl" || {
   echo "live-metrics run produced no report:"; cat "$TMP/live.jsonl"; exit 1;
 }
+
+echo "== live-metrics + trace-dir smoke (2 TCP ranks, one span record feeds both) =="
+# The live stream is sampled from the same spans the trace files hold:
+# the run must stream >=8 JSONL lines, its merged trace must lint and its
+# analysis must verify (the launcher exits nonzero otherwise).
+./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
+  --live-metrics --trace-dir "$TMP/livetr" > "$TMP/livetr.jsonl"
+LIVE_LINES=$(grep -c '^{"schema":4,"kind":"live"' "$TMP/livetr.jsonl" || true)
+if [ "$LIVE_LINES" -lt 8 ]; then
+  echo "expected >=8 live JSONL lines with --trace-dir, got $LIVE_LINES:"
+  cat "$TMP/livetr.jsonl"; exit 1
+fi
+./target/debug/trace_lint "$TMP/livetr/merged.trace.json" 16
+test -s "$TMP/livetr/analysis.json"
+
+echo "== per-worker --trace smoke (2 TCP ranks, writer spans on their own lane) =="
+# Without --trace-dir each TCP worker writes trace.json.rank<R>; the
+# writer thread's parcel-serialize-* spans must sit on the rank's comm
+# lane, never on its protocol lane (trace_lint rejects a mixed lane).
+./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
+  --trace "$TMP/wtrace.json" > /dev/null
+./target/debug/trace_lint "$TMP/wtrace.json.rank0" 8
+./target/debug/trace_lint "$TMP/wtrace.json.rank1" 8
 
 echo "== failure-trace smoke (--die-at, each rank's spans file is the post-mortem) =="
 # Rank 1 dies mid-protocol at cycle 3: the launcher must exit nonzero, and
