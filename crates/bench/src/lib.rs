@@ -1,8 +1,9 @@
 //! # lulesh-bench — the figure/table regeneration harness
 //!
-//! One entry point per evaluation artifact of the paper:
+//! One command, `cargo run --release -p lulesh-bench -- <artifact> [args]`,
+//! with one artifact per evaluation result of the paper:
 //!
-//! | Binary | Paper artifact |
+//! | Artifact | Paper artifact |
 //! |---|---|
 //! | `fig9` | Figure 9 — runtime vs. threads, OpenMP vs. HPX, six sizes |
 //! | `fig10` | Figure 10 — speed-up at 24 threads vs. size × regions |
@@ -16,17 +17,17 @@
 //! | `calibrate` | re-measure the kernel cost model on this host |
 //!
 //! All scaling results come from the `simsched` virtual 24-core EPYC
-//! (deterministic); the Criterion benches under `benches/` exercise the
-//! real `ompsim`/`taskrt` execution paths. End-to-end throughput of the
-//! real drivers is measured by the release-profile `benchmark/` workspace.
+//! (deterministic). Real execution of the drivers, their kernels and the
+//! runtime primitives is timed by the release-profile `benchmark/`
+//! workspace.
 
 #![warn(missing_docs)]
 
 pub mod plot;
 
 use simsched::{
-    estimate_omp, estimate_task, sweep_partitions, CostModel, LuleshConfig, LuleshModel,
-    MachineParams, SimFeatures,
+    estimate_omp, estimate_omp_dynamic, estimate_task, sweep_partitions, CostModel, LuleshConfig,
+    LuleshModel, MachineParams, SimFeatures,
 };
 
 /// The six problem sizes of the paper's evaluation.
@@ -251,6 +252,87 @@ pub fn ablation(cm: CostModel, size: usize) -> Vec<AblationRow> {
         .collect()
 }
 
+/// Partition sizes of the sensitivity sweep (both phases swept together).
+pub const SWEEP_PARTITIONS: [usize; 8] = [128, 256, 512, 1024, 2048, 4096, 8192, 16384];
+
+/// One partition-sensitivity point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepRow {
+    /// Problem size.
+    pub size: usize,
+    /// Partition size used for both leapfrog phases.
+    pub partition: usize,
+    /// Simulated runtime at 24 threads (s).
+    pub seconds: f64,
+}
+
+/// Simulated runtime at 24 threads for every size × [`SWEEP_PARTITIONS`]
+/// entry: the sensitivity behind Table I (too-fine partitions pay
+/// scheduling overhead, too-coarse ones starve the load balancer).
+pub fn sweep(cm: CostModel) -> Vec<SweepRow> {
+    let m = MachineParams::epyc_7443p(24);
+    let mut rows = Vec::new();
+    for &size in &SIZES {
+        let model = LuleshModel::new(LuleshConfig::with_size(size), cm);
+        for &partition in &SWEEP_PARTITIONS {
+            let est = estimate_task(&model, &m, partition, partition, SimFeatures::default());
+            rows.push(SweepRow {
+                size,
+                partition,
+                seconds: est.seconds,
+            });
+        }
+    }
+    rows
+}
+
+/// One `schedule(dynamic)` counterfactual point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WhatIfRow {
+    /// Problem size.
+    pub size: usize,
+    /// Simulated OpenMP runtime, static schedule (s).
+    pub omp_static_seconds: f64,
+    /// Simulated OpenMP runtime, `schedule(dynamic, 128)` (s).
+    pub omp_dynamic_seconds: f64,
+    /// Simulated task-port runtime (s).
+    pub task_seconds: f64,
+}
+
+impl WhatIfRow {
+    /// Static-over-dynamic runtime: > 1 when dynamic scheduling helps.
+    pub fn dyn_gain(&self) -> f64 {
+        self.omp_static_seconds / self.omp_dynamic_seconds
+    }
+
+    /// Task-port speed-up over the faster of the two OpenMP schedules.
+    pub fn task_speedup_vs_best_omp(&self) -> f64 {
+        self.omp_static_seconds.min(self.omp_dynamic_seconds) / self.task_seconds
+    }
+}
+
+/// Would `schedule(dynamic)` have saved the OpenMP reference? Dynamic
+/// chunks recover per-chunk variance the static split loses, but pay a
+/// dequeue per chunk and every one of the reference's barriers; the task
+/// port removes the barriers too. 24 threads, every paper size.
+pub fn whatif(cm: CostModel) -> Vec<WhatIfRow> {
+    let m = MachineParams::epyc_7443p(24);
+    SIZES
+        .iter()
+        .map(|&size| {
+            let model = LuleshModel::new(LuleshConfig::with_size(size), cm);
+            let (pn, pe) = paper_partition(size);
+            WhatIfRow {
+                size,
+                omp_static_seconds: estimate_omp(&model, &m).seconds,
+                // Modest chunking so even the small region loops parallelize.
+                omp_dynamic_seconds: estimate_omp_dynamic(&model, &m, 128).seconds,
+                task_seconds: estimate_task(&model, &m, pn, pe, SimFeatures::default()).seconds,
+            }
+        })
+        .collect()
+}
+
 /// Render rows of (label, values) as an aligned text table.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -447,6 +529,52 @@ mod tests {
             "naive: {}",
             rows.last().unwrap().slowdown
         );
+    }
+
+    #[test]
+    fn sweep_degrades_at_both_extremes() {
+        let rows = sweep(CostModel::default());
+        assert_eq!(rows.len(), SIZES.len() * SWEEP_PARTITIONS.len());
+        for &size in &SIZES {
+            let per: Vec<_> = rows.iter().filter(|r| r.size == size).collect();
+            let best = per
+                .iter()
+                .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+                .unwrap();
+            // The optimum is interior, so both extremes are slower than it.
+            let (finest, coarsest) = (per[0], per[per.len() - 1]);
+            assert!(
+                finest.seconds > best.seconds && coarsest.seconds > best.seconds,
+                "size {size}: optimum at P={} is an extreme",
+                best.partition
+            );
+            // Flat within ~2x of the optimum: every partition up to 8x
+            // coarser or finer than the best is within 2x of its runtime.
+            for r in &per {
+                let ratio = r.partition.max(best.partition) / r.partition.min(best.partition);
+                if ratio <= 8 {
+                    assert!(
+                        r.seconds < 2.0 * best.seconds,
+                        "size {size}: P={} is {:.2}x the optimum",
+                        r.partition,
+                        r.seconds / best.seconds
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn whatif_task_port_advantage_survives_dynamic_scheduling() {
+        let rows = whatif(CostModel::default());
+        assert_eq!(rows.len(), SIZES.len());
+        for r in &rows {
+            assert!(
+                r.task_speedup_vs_best_omp() > 1.0,
+                "size {}: task port loses to the best OpenMP schedule: {r:?}",
+                r.size
+            );
+        }
     }
 
     #[test]

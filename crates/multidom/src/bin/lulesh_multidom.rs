@@ -26,7 +26,7 @@
 //! post-mortem.
 
 use lulesh_core::{Opts, RunReport, TransportMode};
-use multidom::{recovery, threaded, Decomposition, Grid3, RunPlan, SimArgs};
+use multidom::{recovery, threaded, Decomposition, FaultPlan, Grid3, RunPlan, SimArgs};
 use obs::dist::RankTrace;
 use obs::Tracer;
 use std::path::Path;
@@ -280,10 +280,9 @@ fn merge_and_report(dir: &str, quiet: bool) {
 /// With `--respawn` (which needs `--ckpt-dir`) a failed fleet is not
 /// fatal: the launcher reads the checkpoint directory, finds the newest
 /// cycle where **every** rank left a checksum-valid snapshot, and
-/// relaunches all ranks with `--resume-cycle C`. One `--die-at` entry is
-/// live per attempt — each incarnation of the job can die once — and
-/// kills at or before the resume point are unreachable replays, so they
-/// are dropped.
+/// relaunches all ranks with `--resume-cycle C`. Each attempt passes its
+/// workers [`FaultPlan::attempt_kill`]: one `--die-at` entry, dropped when
+/// it is at or before the resume point.
 fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args: &[String]) {
     let ranks = grid.ranks();
     if opts.respawn && opts.ckpt_dir.is_none() {
@@ -323,6 +322,10 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
     } else {
         1
     };
+    let faults = FaultPlan {
+        die_at: opts.die_at.clone(),
+        ..FaultPlan::NONE
+    };
     let mut resume_cycle = opts.resume_cycle;
     let mut last_addr = String::new();
     for attempt in 0..max_attempts {
@@ -341,19 +344,15 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
             }
         };
         last_addr = addr.clone();
-        let die: Vec<String> = if opts.respawn {
-            opts.die_at
-                .get(attempt)
-                .filter(|&&(_, c)| resume_cycle.is_none_or(|rc| c > rc))
-                .map(|&(r, c)| format!("{r}:{c}"))
+        let kills = if opts.respawn {
+            faults
+                .attempt_kill(attempt, resume_cycle)
                 .into_iter()
                 .collect()
         } else {
-            opts.die_at
-                .iter()
-                .map(|&(r, c)| format!("{r}:{c}"))
-                .collect()
+            opts.die_at.clone()
         };
+        let die: Vec<String> = kills.iter().map(|&(r, c)| format!("{r}:{c}")).collect();
         let children: Vec<_> = (0..ranks)
             .map(|r| {
                 let mut cmd = std::process::Command::new(&exe);

@@ -348,6 +348,17 @@ impl FaultPlan {
         slow_rank: None,
     };
 
+    /// The one kill live in attempt `attempt` (0-based) of a restarted job
+    /// resuming after `resume_cycle`: only `die_at[attempt]` — each
+    /// incarnation of the job dies at most once, like a re-launched fleet —
+    /// and not even that when it is at or before the resume cycle, where it
+    /// is an unreachable replay. The `--respawn` launcher and
+    /// [`recovery::run_with_recovery`] both inject exactly this.
+    pub fn attempt_kill(&self, attempt: usize, resume_cycle: Option<u64>) -> Option<(usize, u64)> {
+        let live = |&(_, c): &(usize, u64)| resume_cycle.is_none_or(|rc| c > rc);
+        self.die_at.get(attempt).copied().filter(live)
+    }
+
     /// Does the plan kill `rank` at the top of `cycle`?
     pub fn dies_at(&self, rank: usize, cycle: u64) -> bool {
         self.die_at.iter().any(|&(r, c)| r == rank && c == cycle)
@@ -1022,6 +1033,24 @@ mod tests {
         assert!(plan.faults.die_at.is_empty() && plan.faults.slow_rank.is_none());
         assert!(plan.live.is_none());
         assert!(plan.resil.ckpt.is_none() && plan.resil.resume_cycle.is_none());
+    }
+
+    #[test]
+    fn attempt_kill_is_one_entry_per_attempt_and_drops_replays() {
+        let faults = FaultPlan {
+            die_at: vec![(2, 40), (1, 30), (0, 50)],
+            ..FaultPlan::NONE
+        };
+        // Attempt a injects only die_at[a]; a cold (re)start keeps it.
+        assert_eq!(faults.attempt_kill(0, None), Some((2, 40)));
+        assert_eq!(faults.attempt_kill(1, None), Some((1, 30)));
+        // A kill before the resume cycle, or at it, is an unreachable
+        // replay and is dropped; one after it is live.
+        assert_eq!(faults.attempt_kill(1, Some(40)), None);
+        assert_eq!(faults.attempt_kill(2, Some(50)), None);
+        assert_eq!(faults.attempt_kill(2, Some(49)), Some((0, 50)));
+        // Past the list no attempt dies.
+        assert_eq!(faults.attempt_kill(3, None), None);
     }
 
     #[test]

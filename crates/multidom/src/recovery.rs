@@ -7,8 +7,8 @@
 //! This is the in-process analogue of the `lulesh-multidom --respawn`
 //! launcher loop: the "kill" is a [`FaultPlan::die_at`] entry instead of a
 //! dead process, and the "respawn" is a fresh transport mesh instead of a
-//! fresh process. One `die_at` entry is consumed per attempt, mirroring a
-//! real fleet where each incarnation of the job can fail once.
+//! fresh process. Each attempt injects [`FaultPlan::attempt_kill`], the same
+//! one-kill-per-incarnation rule the launcher applies.
 
 use crate::{threaded, Decomposition, FaultPlan, MdError, ResilPlan, RunPlan, SimArgs};
 use lulesh_core::domain::Domain;
@@ -45,19 +45,12 @@ pub fn run_with_recovery(
     let mut resumed_from = Vec::new();
     let mut resume_cycle = plan.resil.resume_cycle;
     for attempt in 0..max_attempts.max(1) {
-        // Attempt `a` injects only the a-th kill: each incarnation of the
-        // job dies at most once, like a real re-launched fleet. Kills at
-        // or before the resume point are unreachable replays — the
-        // launcher equivalent filters them the same way.
         let attempt_plan = RunPlan {
             faults: FaultPlan {
                 die_at: plan
                     .faults
-                    .die_at
-                    .get(attempt)
-                    .filter(|&&(_, c)| resume_cycle.is_none_or(|rc| c > rc))
+                    .attempt_kill(attempt, resume_cycle)
                     .into_iter()
-                    .copied()
                     .collect(),
                 ..plan.faults.clone()
             },

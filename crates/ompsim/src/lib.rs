@@ -471,6 +471,7 @@ fn worker_loop(shared: Arc<Shared>, tid: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parutil::SharedVec;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -492,18 +493,15 @@ mod tests {
         // The defining property of the fork-join barrier: all writes are
         // done when parallel_for returns.
         let mut pool = Pool::new(3);
-        let mut data = vec![0usize; 100];
-        {
-            let view = parutil::SharedSlice::new(&mut data);
-            pool.parallel_for(100, |chunk| {
-                for i in chunk.iter() {
-                    // SAFETY: static split → disjoint indices per thread.
-                    unsafe { view.write(i, i * 3) };
-                }
-            });
-        }
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i * 3);
+        let mut data = SharedVec::from_elem(0usize, 100);
+        pool.parallel_for(100, |chunk| {
+            for i in chunk.iter() {
+                // SAFETY: static split → disjoint indices per thread.
+                unsafe { data.write(i, i * 3) };
+            }
+        });
+        for (i, v) in data.to_vec().into_iter().enumerate() {
+            assert_eq!(v, i * 3);
         }
     }
 
@@ -511,28 +509,24 @@ mod tests {
     fn consecutive_loops_are_ordered() {
         // Loop 2 must observe all of loop 1's writes (barrier semantics).
         let mut pool = Pool::new(4);
-        let mut a = vec![0u64; 64];
-        let mut b = vec![0u64; 64];
-        {
-            let va = parutil::SharedSlice::new(&mut a);
-            let vb = parutil::SharedSlice::new(&mut b);
-            pool.parallel_for(64, |chunk| {
-                for i in chunk.iter() {
-                    // SAFETY: disjoint static chunks.
-                    unsafe { va.write(i, (i + 1) as u64) };
-                }
-            });
-            pool.parallel_for(64, |chunk| {
-                for i in chunk.iter() {
-                    // Read a *different* thread's region: reversed index.
-                    let j = 63 - i;
-                    // SAFETY: loop 1 completed (barrier); reads race nothing.
-                    unsafe { vb.write(i, *va.get(j) * 2) };
-                }
-            });
-        }
-        for (i, v) in b.iter().enumerate() {
-            assert_eq!(*v, ((63 - i) + 1) as u64 * 2);
+        let a = SharedVec::from_elem(0u64, 64);
+        let mut b = SharedVec::from_elem(0u64, 64);
+        pool.parallel_for(64, |chunk| {
+            for i in chunk.iter() {
+                // SAFETY: disjoint static chunks.
+                unsafe { a.write(i, (i + 1) as u64) };
+            }
+        });
+        pool.parallel_for(64, |chunk| {
+            for i in chunk.iter() {
+                // Read a *different* thread's region: reversed index.
+                let j = 63 - i;
+                // SAFETY: loop 1 completed (barrier); reads race nothing.
+                unsafe { b.write(i, a.load(j) * 2) };
+            }
+        });
+        for (i, v) in b.to_vec().into_iter().enumerate() {
+            assert_eq!(v, ((63 - i) + 1) as u64 * 2);
         }
     }
 
@@ -640,25 +634,21 @@ mod tests {
     fn dynamic_matches_static_results() {
         // Scheduling must not change what gets computed.
         let mut pool = Pool::new(3);
-        let mut a = vec![0u64; 200];
-        let mut b = vec![0u64; 200];
-        {
-            let va = parutil::SharedSlice::new(&mut a);
-            let vb = parutil::SharedSlice::new(&mut b);
-            pool.parallel_for(200, |c| {
-                for i in c.iter() {
-                    // SAFETY: disjoint chunks.
-                    unsafe { va.write(i, (i * i) as u64) };
-                }
-            });
-            pool.parallel_for_dynamic(200, 7, |c| {
-                for i in c.iter() {
-                    // SAFETY: dynamic chunks are disjoint (atomic counter).
-                    unsafe { vb.write(i, (i * i) as u64) };
-                }
-            });
-        }
-        assert_eq!(a, b);
+        let mut a = SharedVec::from_elem(0u64, 200);
+        let mut b = SharedVec::from_elem(0u64, 200);
+        pool.parallel_for(200, |c| {
+            for i in c.iter() {
+                // SAFETY: disjoint chunks.
+                unsafe { a.write(i, (i * i) as u64) };
+            }
+        });
+        pool.parallel_for_dynamic(200, 7, |c| {
+            for i in c.iter() {
+                // SAFETY: dynamic chunks are disjoint (atomic counter).
+                unsafe { b.write(i, (i * i) as u64) };
+            }
+        });
+        assert_eq!(a.to_vec(), b.to_vec());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! HPX-substitute task runtime ([`taskrt`]) and the OpenMP-substitute
 //! fork-join runtime ([`ompsim`]) are built on:
 //!
-//! * [`SharedSlice`] / [`SharedVec`] — the one documented-unsafe escape hatch
+//! * [`SharedVec`] — the one documented-unsafe escape hatch
 //!   that lets many tasks write *disjoint* index ranges of the same array, the
 //!   fundamental access pattern of every LULESH kernel.
 //! * [`chunks`] — partition arithmetic: splitting `0..n` into fixed-size or
@@ -27,4 +27,4 @@ pub use aligned::AlignedBuf;
 pub use barrier::SenseBarrier;
 pub use chunks::{chunk_count, chunk_range, chunks_of, static_split, Chunk};
 pub use counters::{aggregate, BusyIdleClock, CachePadded, Utilization};
-pub use shared_slice::{SharedSlice, SharedVec, ZeroBits, CACHE_LINE};
+pub use shared_slice::{SharedVec, ZeroBits, CACHE_LINE};

@@ -9,7 +9,7 @@
 //!
 //! # Safety contract
 //!
-//! [`SharedSlice::get_mut`] and the `write`/`add` helpers require that no two
+//! [`SharedVec::get_mut`] and the `write`/`add` helpers require that no two
 //! threads concurrently touch the same index with at least one of them
 //! writing. The LULESH drivers uphold this structurally:
 //!
@@ -48,120 +48,6 @@ fn block_layout<T>(n: usize) -> Layout {
     Layout::from_size_align(cells.size() + CACHE_LINE, cells.align()).expect("layout overflow")
 }
 
-/// A `&[T]`-like view that permits unsynchronized writes to *disjoint*
-/// indices from multiple threads.
-///
-/// Construction from `&mut [T]` is safe (exclusive borrow proves unique
-/// ownership for the lifetime); all aliased access goes through `unsafe`
-/// methods that carry the disjointness contract.
-#[derive(Copy, Clone)]
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: `SharedSlice` is a raw view. Sending/sharing it is safe; all
-// dereferences are `unsafe` and carry the disjoint-access contract. `Sync`
-// additionally requires `T: Sync` because the contract permits concurrent
-// *reads* of the same index from several threads (`&T` crosses threads).
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send + Sync> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wrap an exclusively borrowed slice.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of elements in the underlying slice.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the underlying slice is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Read element `i`.
-    ///
-    /// # Safety
-    /// No thread may be concurrently writing index `i`.
-    #[inline]
-    pub unsafe fn get(&self, i: usize) -> &T {
-        debug_assert!(
-            i < self.len,
-            "SharedSlice::get out of bounds: {i} >= {}",
-            self.len
-        );
-        &*self.ptr.add(i)
-    }
-
-    /// Mutable access to element `i`.
-    ///
-    /// # Safety
-    /// No other thread may concurrently access index `i` at all.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(
-            i < self.len,
-            "SharedSlice::get_mut out of bounds: {i} >= {}",
-            self.len
-        );
-        &mut *self.ptr.add(i)
-    }
-
-    /// Write `v` to element `i`.
-    ///
-    /// # Safety
-    /// Same as [`get_mut`](Self::get_mut).
-    #[inline]
-    pub unsafe fn write(&self, i: usize, v: T) {
-        *self.get_mut(i) = v;
-    }
-
-    /// View a sub-range as a plain mutable slice.
-    ///
-    /// # Safety
-    /// The caller must guarantee that no other thread accesses any index in
-    /// `lo..hi` while the returned slice is alive.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, lo: usize, hi: usize) -> &mut [T] {
-        debug_assert!(lo <= hi && hi <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
-    }
-
-    /// View a sub-range as a plain shared slice.
-    ///
-    /// # Safety
-    /// No thread may concurrently write any index in `lo..hi`.
-    #[inline]
-    pub unsafe fn slice(&self, lo: usize, hi: usize) -> &[T] {
-        debug_assert!(lo <= hi && hi <= self.len);
-        std::slice::from_raw_parts(self.ptr.add(lo), hi - lo)
-    }
-}
-
-impl<'a, T: Copy + std::ops::AddAssign> SharedSlice<'a, T> {
-    /// `self[i] += v`.
-    ///
-    /// # Safety
-    /// Same as [`get_mut`](Self::get_mut).
-    #[inline]
-    pub unsafe fn add(&self, i: usize, v: T) {
-        *self.get_mut(i) += v;
-    }
-}
-
 /// An owning array with interior mutability for disjoint parallel writes.
 ///
 /// This is the storage type used by the LULESH `Domain`: tasks hold an
@@ -179,9 +65,10 @@ pub struct SharedVec<T> {
     check: Option<Box<[AtomicU32]>>,
 }
 
-// SAFETY: same argument as `SharedSlice` — access is gated by `unsafe`
-// methods that carry the disjointness contract; `Sync` requires `T: Sync`
-// because the contract permits concurrent same-index reads.
+// SAFETY: all aliased access is gated by `unsafe` methods that carry the
+// disjointness contract. `Sync` additionally requires `T: Sync` because the
+// contract permits concurrent *reads* of the same index from several
+// threads (`&T` crosses threads).
 unsafe impl<T: Send> Send for SharedVec<T> {}
 unsafe impl<T: Send + Sync> Sync for SharedVec<T> {}
 
@@ -478,18 +365,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SharedVec<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn shared_slice_basic_rw() {
-        let mut v = vec![0i64; 16];
-        let s = SharedSlice::new(&mut v);
-        unsafe {
-            s.write(3, 42);
-            s.add(3, 1);
-            assert_eq!(*s.get(3), 43);
-        }
-        assert_eq!(v[3], 43);
-    }
 
     #[test]
     fn shared_vec_disjoint_parallel_writes() {

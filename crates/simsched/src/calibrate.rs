@@ -1,7 +1,7 @@
 //! Cost-model calibration: time the repository's real serial kernels on a
 //! mid-blast state and derive ns-per-item coefficients for [`CostModel`].
 //!
-//! Run via `cargo run --release -p lulesh-bench --bin calibrate`. Use a
+//! Run via `cargo run --release -p lulesh-bench -- calibrate`. Use a
 //! release build — debug-build coefficients are ~20× larger and would skew
 //! the kernel *ratios* (bounds checks hit the cheap kernels hardest).
 

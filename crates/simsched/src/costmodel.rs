@@ -4,7 +4,7 @@
 //! The default values were measured on this repository's own serial kernels
 //! (release build, mid-blast state at size 30) via [`crate::calibrate`];
 //! re-run the calibration on your host with
-//! `cargo run --release -p lulesh-bench --bin calibrate` to regenerate
+//! `cargo run --release -p lulesh-bench -- calibrate` to regenerate
 //! them. Only *ratios* between kernels matter for the reproduced figure
 //! shapes; the absolute scale shifts every curve equally.
 

@@ -17,8 +17,8 @@
 //! `lulesh_core::plan::StepPlan`* the real drivers run, pricing each
 //! kernel from a [`costmodel::CostModel`]
 //! calibrated against this repository's real serial kernels
-//! ([`calibrate`]). The figure harness in `lulesh-bench` drives all of the
-//! paper's figures (9, 10, 11) and Table I through this crate.
+//! ([`calibrate`]). The figure command `lulesh-bench <artifact>` drives
+//! all of the paper's figures (9, 10, 11) and Table I through this crate.
 //!
 //! Everything is deterministic: same inputs → bit-identical outputs.
 

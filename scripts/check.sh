@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge check gate: formatting, lints, rustdoc, the tier-1 suite, a
-# build and smoke run of the benchmark workspace, and a smoke test of the
+# build and smoke run of the benchmark workspace, a smoke test of the
 # observability layer (a tiny traced run whose Chrome-trace output must
-# pass trace_lint with the expected barrier count).
+# pass trace_lint with the expected barrier count), and a run of every
+# figure artifact.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -45,6 +46,35 @@ trap 'rm -rf "$TMP"' EXIT
 # JSON and the barrier count in one pass.
 ./target/debug/trace_lint "$TMP/trace.json" 18
 test -s "$TMP/metrics.csv"
+
+echo "== figures smoke (one lulesh-bench command, every artifact) =="
+# Every tabular artifact prints its CSV header line; graphs writes the
+# eight SVGs; a missing or unknown artifact exits 2 with the usage line.
+for spec in "fig9:size,threads,omp_seconds,task_seconds,speedup" \
+            "fig10:size,regions,speedup" \
+            "fig11:size,omp_utilization,task_utilization" \
+            "table1:size,best_nodal,best_elements,paper_nodal,paper_elements" \
+            "ablation:size,config,seconds,slowdown" \
+            "sweep:size,partition,seconds" \
+            "whatif:size,omp_static_s,omp_dynamic_s,task_s,dyn_gain,task_speedup_vs_best_omp" \
+            "multinode:size,nodes,sync_iter_ms,async_iter_ms,sync_eff,async_eff"; do
+  artifact="${spec%%:*}"
+  ./target/debug/lulesh-bench "$artifact" > "$TMP/$artifact.txt"
+  grep -qx "${spec#*:}" "$TMP/$artifact.txt" || {
+    echo "$artifact printed no CSV header '${spec#*:}':"; cat "$TMP/$artifact.txt"; exit 1;
+  }
+done
+./target/debug/lulesh-bench graphs "$TMP/fig" > /dev/null
+for svg in fig9_size45 fig9_size60 fig9_size75 fig9_size90 fig9_size120 fig9_size150 \
+           fig10_speedup fig11_utilization; do
+  test -s "$TMP/fig/$svg.svg" || { echo "graphs did not write $svg.svg"; exit 1; }
+done
+STATUS=0
+./target/debug/lulesh-bench fig12 > /dev/null 2> "$TMP/bench_usage.log" || STATUS=$?
+if [ "$STATUS" -ne 2 ] || ! grep -q "^usage: lulesh-bench" "$TMP/bench_usage.log"; then
+  echo "lulesh-bench fig12: expected exit 2 with usage, got $STATUS:"
+  cat "$TMP/bench_usage.log"; exit 1
+fi
 
 echo "== partition smoke runs (every plan is bit-identical to the default) =="
 # Partition size is a pure performance knob: the Table I default, the

@@ -18,17 +18,12 @@ echo "== physics validation: s=30 must give 932 iterations, e=2.025075e5 =="
 ./target/release/lulesh-serial --s 30 --q | tee "$OUT/serial_s30.csv"
 
 echo "== figures (virtual 24-core EPYC 7443P) =="
-cargo run --release -q -p lulesh-bench --bin fig9     | tee "$OUT/fig9.txt"
-cargo run --release -q -p lulesh-bench --bin fig10    | tee "$OUT/fig10.txt"
-cargo run --release -q -p lulesh-bench --bin fig11    | tee "$OUT/fig11.txt"
-cargo run --release -q -p lulesh-bench --bin table1   | tee "$OUT/table1.txt"
-cargo run --release -q -p lulesh-bench --bin ablation | tee "$OUT/ablation.txt"
-cargo run --release -q -p lulesh-bench --bin whatif   | tee "$OUT/whatif.txt"
-cargo run --release -q -p lulesh-bench --bin sweep    | tee "$OUT/sweep.txt"
-cargo run --release -q -p lulesh-bench --bin multinode | tee "$OUT/multinode.txt"
+for artifact in fig9 fig10 fig11 table1 ablation whatif sweep multinode; do
+  cargo run --release -q -p lulesh-bench -- "$artifact" | tee "$OUT/$artifact.txt"
+done
 
 echo "== SVG graphs =="
-cargo run --release -q -p lulesh-bench --bin graphs -- "$OUT/figures"
+cargo run --release -q -p lulesh-bench -- graphs "$OUT/figures"
 
 echo "== schedule traces (chrome://tracing) =="
 cargo run --release -q --example schedule_trace -- 45 "$OUT"
