@@ -17,7 +17,7 @@ use lulesh_bench::{
     ablation, fig10, fig11, fig9, paper_partition, render_table, sweep, table1, whatif,
     REGION_COUNTS, SIZES, THREADS,
 };
-use multidom::{taskpar, Decomposition, RunPlan, SimArgs, TransportKind};
+use multidom::{threaded, Decomposition, RankExec, RunPlan, SimArgs, TransportKind};
 use simsched::multinode::{
     strong_scaling, task_compute_1node_ns, weak_scaling, ClusterParams, ScalingPoint,
 };
@@ -187,7 +187,8 @@ fn print_rows(title: &str, header: &str, rows: impl IntoIterator<Item = Vec<Stri
 /// nodes, synchronous (MPI-style) vs asynchronous (overlapped) halo
 /// exchange. The interconnect can be overridden or measured from a real
 /// loopback socket pair (`--calibrate`); `--measure` also runs the
-/// decomposed solver for real over TCP loopback.
+/// decomposed solver for real over TCP loopback, serial ranks against
+/// task ranks.
 fn multinode(args: &[String], cm: CostModel) {
     let mut cluster = ClusterParams::default();
     let mut source = "default interconnect model";
@@ -270,7 +271,7 @@ fn multinode(args: &[String], cm: CostModel) {
     println!("{}", render_table(&columns(header), &weak));
 
     if measure {
-        measured_overlap();
+        measured_ranks();
     }
     println!(
         "projection supports the paper's expectation: asynchronous halo exchange \
@@ -278,25 +279,23 @@ fn multinode(args: &[String], cm: CostModel) {
     );
 }
 
-/// Run the decomposed solver for real over TCP loopback sockets, blocking
-/// vs overlapped force exchange, and print the wall-clock comparison. The
-/// two variants are asserted bit-identical first — the overlap changes
-/// scheduling, never physics.
-fn measured_overlap() {
+/// Run the decomposed solver for real over TCP loopback sockets, serial
+/// ranks vs 2-worker task ranks through the one rank loop, and print the
+/// wall-clock comparison. The two are asserted bit-identical first — the
+/// executor changes scheduling, never physics.
+fn measured_ranks() {
     let cases = [(12, 2, 2, 40), (24, 2, 2, 40), (24, 3, 2, 40)];
     let rows = cases.map(
         |(size, ranks, workers, iters): (usize, usize, usize, u64)| {
-            let run = |overlap: bool| {
+            let run = |exec: RankExec| {
                 let t0 = Instant::now();
-                let results = taskpar::run(
+                let results = threaded::run(
                     Decomposition::new(size, ranks),
                     SimArgs::new(11, 1, 1, 0, iters),
-                    workers,
-                    lulesh_task::PartitionPlan::fixed(2048, 2048),
-                    overlap,
                     &RunPlan {
                         transport: TransportKind::TcpLoopback,
                         deadline: Duration::from_secs(20),
+                        exec,
                         ..RunPlan::default()
                     },
                 );
@@ -306,13 +305,16 @@ fn measured_overlap() {
                     .collect();
                 (t0.elapsed().as_secs_f64() * 1e3, domains)
             };
-            let (bms, d_block) = run(false);
-            let (oms, d_over) = run(true);
-            for (a, b) in d_block.iter().zip(&d_over) {
+            let (sms, d_serial) = run(RankExec::Serial);
+            let (tms, d_tasks) = run(RankExec::Tasks {
+                threads: workers,
+                partition: lulesh_task::PartitionPlan::fixed(2048, 2048),
+            });
+            for (a, b) in d_serial.iter().zip(&d_tasks) {
                 assert_eq!(
                     lulesh_core::validate::max_field_difference(a, b),
                     0.0,
-                    "overlap changed the physics"
+                    "task ranks changed the physics"
                 );
             }
             vec![
@@ -320,21 +322,21 @@ fn measured_overlap() {
                 ranks.to_string(),
                 workers.to_string(),
                 iters.to_string(),
-                format!("{bms:.1}"),
-                format!("{oms:.1}"),
-                format!("{:.2}", bms / oms),
+                format!("{sms:.1}"),
+                format!("{tms:.1}"),
+                format!("{:.2}", sms / tms),
             ]
         },
     );
     print_rows(
-        "## measured comm/compute overlap (TCP loopback, task driver, real sockets)",
-        "size,ranks,workers,iters,blocking_ms,overlapped_ms,speedup",
+        "## measured serial vs task ranks (TCP loopback, one rank loop, real sockets)",
+        "size,ranks,workers,iters,serial_ms,tasks_ms,speedup",
         rows,
     );
     println!(
-        "(blocking = force halo on the critical path; overlapped = receive+combine \
-         runs as a\ncontinuation while interior force tasks proceed; results verified \
-         bit-identical.)"
+        "(serial = blocking halo exchange between serial phases; tasks = one graph per \
+         rank whose\nforce receive+combine runs while interior gathers proceed; results \
+         verified bit-identical.)"
     );
 }
 

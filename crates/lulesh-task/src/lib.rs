@@ -22,7 +22,8 @@
 //! Which kernels run, in which chains, between which syncs is
 //! [`StepPlan::tasks`] in `lulesh_core::plan`, the stage list the fork-join
 //! driver and the simulator walk too; this crate turns each chain into
-//! graph nodes and splices the multi-domain hooks in at named syncs.
+//! graph nodes ([`StepBuilder`]), to which a multi-domain rank adds its
+//! halo exchanges as stages of their own.
 //!
 //! Six synchronization points per iteration (five sync nodes inside the
 //! graph plus the iteration-end join), exactly where element-
@@ -43,8 +44,8 @@
 //! the graph is a [`taskrt::StepGraph`]: recorded once per run, from the
 //! run's one [`PartitionPlan`], then re-armed iteration after iteration by
 //! the worker that finishes the iteration-end join. That worker runs the
-//! leapfrog bookkeeping (`time_increment`, error flags, dt minima,
-//! `reduce_dt`) as the graph's epilogue, so the control thread sleeps for
+//! leapfrog bookkeeping (`time_increment`, error flags, dt minima) as the
+//! graph's epilogue, so the control thread sleeps for
 //! the whole run and a steady-state iteration allocates nothing. Task
 //! bodies read the step's `dt` from the shared scratch instead of
 //! capturing it. This preserves behaviour — the same
@@ -52,7 +53,9 @@
 //! work-stealing pool — and changes only the graph's lifetime: at
 //! microsecond task grain (`--s 10`) building 177 closures and ~200
 //! promise pairs per step cost more than running them. The [`Features`]
-//! toggles change the graph's *shape* exactly as before.
+//! toggles change the graph's *shape* exactly as before. A multi-domain
+//! rank owns the loop around its graph instead and runs it one step at a
+//! time ([`TaskLulesh::run_once`]).
 
 #![warn(missing_docs)]
 
@@ -63,69 +66,50 @@ pub use plan::{PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
-use lulesh_core::plan::{Chain, Grain, GraphSink, Kernel, Phase, PlanShape, StepPlan, StepScratch};
+use lulesh_core::plan::{GraphSink, Kernel, PlanShape, StepPlan, StepScratch};
 use lulesh_core::timestep::time_increment;
-use lulesh_core::types::{LuleshError, Real};
+use lulesh_core::types::LuleshError;
 use obs::{SpanKind, Tracer};
-use parutil::{chunks_of, Chunk};
+use parutil::Chunk;
 use std::cell::Cell;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use taskrt::{GraphBuilder, NodeId, PhaseStat, Runtime, StepGraph};
 
-/// A communication step injected into the iteration graph (multi-domain
-/// halo exchange). Runs as a task of its own between two phases.
-pub type Hook = Arc<dyn Fn() + Send + Sync>;
-
-/// Comm/compute-overlapped force exchange: the force gather is split into
-/// boundary-plane and interior partitions, the boundary planes are sent as
-/// soon as their gathers finish, and the receive+combine runs as a
-/// continuation of the send — concurrent with the interior gathers. The
-/// single join before the node update is the only barrier, so network
-/// latency hides behind interior compute (the HPX parcelport overlap the
-/// paper's future-work section points at).
-#[derive(Clone)]
-pub struct OverlapForces {
-    /// Node-index ranges whose gathered forces are communicated (the
-    /// boundary planes). The complement is "interior" and overlaps with
-    /// the exchange.
-    pub boundary: Vec<Range<usize>>,
-    /// Posts the boundary planes to the neighbours. Runs once the boundary
-    /// gathers finish; must not block on the network (parcelnet sends are
-    /// buffered), or a single-worker rank could deadlock.
-    pub send: Hook,
-    /// Receives the neighbours' planes and combines them into the boundary
-    /// nodes — a continuation of `send`, concurrent with interior gathers.
-    pub recv_combine: Hook,
-}
-
-/// Injection points for inter-domain communication (the `multidom` crate's
-/// task-parallel driver): the same three synchronization points the
-/// reference's MPI version communicates at.
-#[derive(Default, Clone)]
-pub struct IterationHooks {
-    /// After the force barrier, before the node chains (`CommSBN`: halo-sum
-    /// of interface-plane forces).
-    pub after_forces: Option<Hook>,
-    /// After the kinematics/gradients barrier, before the q-limiter tasks
-    /// (`CommMonoQ`: ghost-plane gradient exchange).
-    pub after_gradients: Option<Hook>,
-    /// Overlapped force exchange; when set it takes precedence over
-    /// `after_forces`.
-    pub overlap_forces: Option<OverlapForces>,
-}
-
-/// The iteration graph under construction. Each task body runs one stage
-/// of the [`StepPlan`] over one partition; the graph is built once and run
+/// A step graph under construction. Each [`StepPlan`] stage added through
+/// [`GraphSink`] becomes a task running its kernels over one chunk of the
+/// domain; [`stage`](Self::stage) adds a task of the caller's own (a
+/// multi-domain rank's halo exchanges). The graph is built once and run
 /// every iteration, so bodies are `Fn` and read the step's `dt` from the
 /// [`StepScratch`] instead of capturing it.
-struct IterationBuilder<'a> {
+pub struct StepBuilder<'a> {
     g: GraphBuilder,
     d: &'a Arc<Domain>,
     sc: &'a Arc<StepScratch>,
 }
 
-impl GraphSink for IterationBuilder<'_> {
+impl<'a> StepBuilder<'a> {
+    /// An empty graph over `d` whose kernel tasks share `sc`.
+    pub fn new(d: &'a Arc<Domain>, sc: &'a Arc<StepScratch>) -> Self {
+        Self {
+            g: GraphBuilder::new(),
+            d,
+            sc,
+        }
+    }
+
+    /// Add `body` as a [`SpanKind::Halo`] task of its own, after `deps`.
+    pub fn stage(
+        &mut self,
+        label: &'static str,
+        deps: &[NodeId],
+        body: impl Fn() + Send + Sync + 'static,
+    ) -> NodeId {
+        self.g.task(label, SpanKind::Halo, deps, body)
+    }
+}
+
+impl GraphSink for StepBuilder<'_> {
     type Node = NodeId;
 
     fn task(
@@ -152,61 +136,6 @@ impl GraphSink for IterationBuilder<'_> {
 
     fn sync(&mut self, label: &'static str, deps: &[NodeId]) -> NodeId {
         self.g.sync(label, deps)
-    }
-}
-
-impl IterationBuilder<'_> {
-    /// Add a communication hook as a task of its own after `dep`.
-    fn halo(&mut self, label: &'static str, dep: NodeId, hook: &Hook) -> NodeId {
-        let hook = Arc::clone(hook);
-        self.g.task(label, SpanKind::Halo, &[dep], move || hook())
-    }
-
-    /// The node phase split at the gather for a halo force exchange
-    /// (reference order: gather, `CommSBN`, then the node update), one
-    /// extra barrier like the MPI version. With `overlap_forces` the
-    /// boundary gathers feed the send the moment they finish, and the
-    /// receive+combine continuation runs while the interior gathers are
-    /// still in flight; one join before the node update replaces the
-    /// gather barrier.
-    fn split_node_phase(
-        &mut self,
-        phase: &Phase,
-        start: Option<NodeId>,
-        part: usize,
-        hooks: &IterationHooks,
-        chained: bool,
-    ) -> NodeId {
-        let node = &phase.chains[0];
-        let gather = Chain::new("node-gather", &node.kernels[..1], node.merged);
-        let update = Chain::new("node-update", &node.kernels[1..], node.merged);
-        let num_node = self.d.num_node();
-        let chunks = |ranges: &[Range<usize>]| -> Vec<Chunk> {
-            ranges
-                .iter()
-                .flat_map(|r| chunks_in(r.clone(), part))
-                .collect()
-        };
-        let all: Vec<Chunk> = chunks_of(num_node, part).collect();
-        let gathered = if let Some(ov) = &hooks.overlap_forces {
-            let boundary = gather.emit(self, &chunks(&ov.boundary), start, chained);
-            let interior = chunks(&complement(&ov.boundary, num_node));
-            let mut joined = gather.emit(self, &interior, start, chained);
-            let bg = self.g.sync("barrier-gather", &boundary);
-            let sent = self.halo("halo-send", bg, &ov.send);
-            joined.push(self.halo("halo-recv", sent, &ov.recv_combine));
-            self.g.sync("barrier-halo", &joined)
-        } else {
-            let hook = hooks
-                .after_forces
-                .as_ref()
-                .expect("a force hook to split for");
-            let gf = gather.emit(self, &all, start, chained);
-            let bg = self.g.sync("barrier-gather", &gf);
-            self.halo("halo-forces", bg, hook)
-        };
-        let uf = update.emit(self, &all, Some(gathered), chained);
-        self.g.sync(phase.sync, &uf)
     }
 }
 
@@ -238,12 +167,7 @@ impl TaskLulesh {
 
     /// Runner with explicit feature toggles.
     pub fn with_features(threads: usize, features: Features) -> Self {
-        Self {
-            rt: Runtime::new(threads),
-            features,
-            stats: Default::default(),
-            graphs_built: Default::default(),
-        }
+        Self::on(Runtime::new(threads), features)
     }
 
     /// Runner with span tracing attached: worker `i` records onto `tracer`
@@ -255,8 +179,12 @@ impl TaskLulesh {
         tracer: Arc<Tracer>,
         lane_base: usize,
     ) -> Self {
+        Self::on(Runtime::with_tracer(threads, tracer, lane_base), features)
+    }
+
+    fn on(rt: Runtime, features: Features) -> Self {
         Self {
-            rt: Runtime::with_tracer(threads, tracer, lane_base),
+            rt,
             features,
             stats: Default::default(),
             graphs_built: Default::default(),
@@ -301,44 +229,15 @@ impl TaskLulesh {
     }
 
     /// Run for at most `max_cycles` iterations (or to `stoptime`).
+    ///
+    /// The iteration graph is built once, from `plan`, and re-armed every
+    /// iteration by the worker that finishes it; this thread sleeps until
+    /// the run ends.
     pub fn run(
         &self,
         d: &Arc<Domain>,
         plan: PartitionPlan,
         max_cycles: u64,
-    ) -> Result<SimState, LuleshError> {
-        self.run_with_hooks(
-            d,
-            plan,
-            max_cycles,
-            &IterationHooks::default(),
-            |c, h, err| match err {
-                Some(e) => Err(e),
-                None => Ok((c, h)),
-            },
-        )
-    }
-
-    /// [`run`](Self::run) with inter-domain communication hooks and a dt
-    /// reduction. `reduce_dt` receives this domain's constraint minima plus
-    /// its local error (if the iteration tripped one) and returns the
-    /// global minima, or the error any participating domain reported — the
-    /// multi-domain allreduce. It is called **every** iteration, error or
-    /// not, so peers blocked in the reduction always get a message (a rank
-    /// returning early on its own error would deadlock the others).
-    ///
-    /// The iteration graph is built once, from `plan`, and re-armed every
-    /// iteration by the worker that finishes it; `reduce_dt` therefore runs
-    /// on a worker thread, and this thread sleeps until the run ends.
-    pub fn run_with_hooks(
-        &self,
-        d: &Arc<Domain>,
-        plan: PartitionPlan,
-        max_cycles: u64,
-        hooks: &IterationHooks,
-        reduce_dt: impl Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>
-            + Send
-            + Sync,
     ) -> Result<SimState, LuleshError> {
         let step = StepPlan::tasks(PlanShape::of(d), self.features);
         let scratch = Arc::new(StepScratch::new(&step, self.rt.threads()));
@@ -346,7 +245,6 @@ impl TaskLulesh {
             d,
             sc: &scratch,
             rt: &self.rt,
-            reduce_dt: &reduce_dt,
             max_cycles,
             state: SimState::new(d.initial_dt()),
             error: None,
@@ -355,7 +253,13 @@ impl TaskLulesh {
             region_start: 0,
         };
         if lf.live() {
-            let mut graph = self.build_iteration(d, &scratch, &step, plan, hooks);
+            let mut b = StepBuilder::new(d, &scratch);
+            let mut dep = None;
+            for phase in &step.phases {
+                let chained = self.features.chain_continuations;
+                dep = Some(step.emit_phase(&mut b, phase, plan.of(phase.grain), dep, chained));
+            }
+            let mut graph = self.build(b);
             lf.begin_iteration();
             self.rt.run_graph(&mut graph, || lf.end_iteration());
         }
@@ -365,42 +269,8 @@ impl TaskLulesh {
         }
     }
 
-    /// Build the task graph of one `LagrangeLeapFrog` iteration from
-    /// `step`: every chain becomes one task per stage per partition, with
-    /// the hooks spliced in at their named syncs.
-    fn build_iteration(
-        &self,
-        d: &Arc<Domain>,
-        sc: &Arc<StepScratch>,
-        step: &StepPlan,
-        plan: PartitionPlan,
-        hooks: &IterationHooks,
-    ) -> StepGraph {
-        let mut b = IterationBuilder {
-            g: GraphBuilder::new(),
-            d,
-            sc,
-        };
-        let chained = self.features.chain_continuations;
-        let split_nodes = hooks.after_forces.is_some() || hooks.overlap_forces.is_some();
-        let mut dep = None;
-        for phase in &step.phases {
-            let part = match phase.grain {
-                Grain::Nodal => plan.nodal,
-                Grain::Elements => plan.elements,
-            };
-            let mut end = if split_nodes && phase.sync == "barrier-nodes" {
-                b.split_node_phase(phase, dep, part, hooks, chained)
-            } else {
-                step.emit_phase(&mut b, phase, part, dep, chained)
-            };
-            // Inter-domain gradient-ghost exchange (multi-domain runs).
-            if let (Some(hook), "barrier-kinematics") = (&hooks.after_gradients, phase.sync) {
-                end = b.halo("halo-gradients", end, hook);
-            }
-            dep = Some(end);
-        }
-
+    /// Freeze `b` into a graph for this runner's workers.
+    pub fn build(&self, b: StepBuilder) -> StepGraph {
         let graph = b.g.build(&self.rt);
         self.graphs_built.set(self.graphs_built.get() + 1);
         self.stats.set(GraphStats {
@@ -409,16 +279,21 @@ impl TaskLulesh {
         });
         graph
     }
+
+    /// Run `graph` once, blocking until its last node finishes — one step
+    /// of a caller that owns the loop around it (a multi-domain rank).
+    pub fn run_once(&self, graph: &mut StepGraph) {
+        self.rt.run_graph(graph, || ControlFlow::Break(()));
+    }
 }
 
 /// The leapfrog bookkeeping around the iteration graph: owned by the
 /// control thread while it builds a graph, and by the graph's epilogue —
 /// on whichever worker finished the iteration — while one runs.
-struct Leapfrog<'a, R> {
+struct Leapfrog<'a> {
     d: &'a Domain,
     sc: &'a StepScratch,
     rt: &'a Runtime,
-    reduce_dt: &'a R,
     max_cycles: u64,
     state: SimState,
     /// The error that ended the run, if one did.
@@ -428,10 +303,7 @@ struct Leapfrog<'a, R> {
     region_start: u64,
 }
 
-impl<R> Leapfrog<'_, R>
-where
-    R: Fn(Real, Real, Option<LuleshError>) -> Result<(Real, Real), LuleshError>,
-{
+impl Leapfrog<'_> {
     fn live(&self) -> bool {
         self.error.is_none()
             && self.state.time < self.d.params.stoptime
@@ -462,51 +334,14 @@ where
                 now,
             );
         }
-        let (c, h) = self.sc.dt_mins();
-        match (self.reduce_dt)(c, h, self.sc.error()) {
-            Ok((c, h)) => {
-                self.state.dtcourant = c;
-                self.state.dthydro = h;
-            }
-            Err(e) => {
-                self.error = Some(e);
-                return ControlFlow::Break(());
-            }
-        }
+        self.error = self.sc.error();
+        (self.state.dtcourant, self.state.dthydro) = self.sc.dt_mins();
         if !self.live() {
             return ControlFlow::Break(());
         }
         self.begin_iteration();
         ControlFlow::Continue(())
     }
-}
-
-/// Chunks covering an arbitrary sub-range (the boundary/interior split of
-/// the overlapped force gather).
-fn chunks_in(r: Range<usize>, size: usize) -> impl Iterator<Item = Chunk> {
-    let base = r.start;
-    chunks_of(r.len(), size).map(move |c| Chunk {
-        begin: c.begin + base,
-        end: c.end + base,
-    })
-}
-
-/// The complement of `ranges` within `0..n` (the interior partition).
-fn complement(ranges: &[Range<usize>], n: usize) -> Vec<Range<usize>> {
-    let mut rs = ranges.to_vec();
-    rs.sort_by_key(|r| r.start);
-    let mut out = Vec::new();
-    let mut pos = 0;
-    for r in rs {
-        if r.start > pos {
-            out.push(pos..r.start);
-        }
-        pos = pos.max(r.end);
-    }
-    if pos < n {
-        out.push(pos..n);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! evaluate (e.g. the small meshes used in tests). A run uses one plan
 //! throughout.
 
+use lulesh_core::plan::Grain;
+
 /// Smallest partition size the thread-count floor of
 /// [`PartitionPlan::for_size_threads`] caps down to. Below this the
 /// per-task overhead dwarfs the kernel work on any machine we model. Must
@@ -98,7 +100,11 @@ impl PartitionPlan {
                 return plan;
             }
         }
-        let num_elem = size * size * size;
+        Self::heuristic(size * size * size)
+    }
+
+    /// The off-table heuristic for a mesh of `num_elem` elements.
+    fn heuristic(num_elem: usize) -> Self {
         let p = (num_elem / 64).next_power_of_two().clamp(64, 8192);
         PartitionPlan {
             nodal: p,
@@ -113,11 +119,30 @@ impl PartitionPlan {
     /// least one task per worker. At the paper's 24 threads the cap leaves
     /// every Table I entry unchanged.
     pub fn for_size_threads(size: usize, threads: usize) -> Self {
-        let plan = Self::for_size(size);
-        let cap = partition_cap(size * size * size, threads);
+        Self::for_size(size).capped(size * size * size, threads)
+    }
+
+    /// The plan for a mesh that is not a Table I cube — a multi-domain
+    /// rank's sub-brick of `num_elem` elements: the off-table heuristic,
+    /// with the same thread-count floor as
+    /// [`for_size_threads`](Self::for_size_threads).
+    pub fn for_elems_threads(num_elem: usize, threads: usize) -> Self {
+        Self::heuristic(num_elem).capped(num_elem, threads)
+    }
+
+    fn capped(self, num_elem: usize, threads: usize) -> Self {
+        let cap = partition_cap(num_elem, threads);
         PartitionPlan {
-            nodal: plan.nodal.min(cap),
-            elements: plan.elements.min(cap),
+            nodal: self.nodal.min(cap),
+            elements: self.elements.min(cap),
+        }
+    }
+
+    /// The partition size of a phase of `grain`.
+    pub fn of(&self, grain: Grain) -> usize {
+        match grain {
+            Grain::Nodal => self.nodal,
+            Grain::Elements => self.elements,
         }
     }
 

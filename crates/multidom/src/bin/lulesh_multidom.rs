@@ -15,6 +15,12 @@
 //! `--transport tcp:HOST:PORT` at a routable address and start the workers
 //! by hand to span multiple machines.
 //!
+//! `--threads N` picks how each rank computes a step: with N = 1 (the
+//! default) the serial phase calls, with N > 1 one task graph per rank on
+//! N workers, its partition derived from the rank's sub-brick and its halo
+//! exchanges stages of the graph. Either way every rank runs the same rank
+//! loop, so every other flag applies to both.
+//!
 //! `--trace-dir DIR` makes every rank write a clock-aligned spans file
 //! into DIR; the launcher (or the in-process run) then merges them into
 //! `DIR/merged.trace.json` and writes the critical-path / overhead
@@ -26,18 +32,24 @@
 //! post-mortem.
 
 use lulesh_core::{Opts, RunReport, TransportMode};
-use multidom::{recovery, threaded, Decomposition, FaultPlan, Grid3, RunPlan, SimArgs};
+use lulesh_task::PartitionPlan;
+use multidom::{recovery, threaded, Decomposition, FaultPlan, Grid3, RankExec, RunPlan, SimArgs};
 use obs::dist::RankTrace;
 use obs::Tracer;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+/// The name of flag argument `a` (`--name`, `-name` or `--name=value`);
+/// `None` for a bare value.
+fn flag_name(a: &str) -> Option<&str> {
+    a.strip_prefix('-')
+        .map(|f| f.trim_start_matches('-').split('=').next().unwrap_or(""))
+}
+
 /// Pull `--flag N` / `--flag=N` out of `args` before the shared parser
 /// sees it. Returns `None` when absent; exits on a malformed value.
 fn extract_flag(args: &mut Vec<String>, name: &str) -> Option<usize> {
-    let pos = args
-        .iter()
-        .position(|a| a.trim_start_matches('-').split('=').next() == Some(name))?;
+    let pos = args.iter().position(|a| flag_name(a) == Some(name))?;
     let (raw, consumed) = match args[pos].split_once('=') {
         Some((_, v)) => (v.to_string(), 1),
         None => (args.get(pos + 1).cloned().unwrap_or_default(), 2),
@@ -65,7 +77,7 @@ fn main() {
         Err(e) => {
             eprintln!("{e}");
             eprintln!("{}", Opts::usage("lulesh-multidom"));
-            eprintln!("extra flags: --ranks N (ζ slabs, i.e. --grid 1x1xN; default 2); --rank R (internal: run as TCP worker R); --merge-only (merge + analyze an existing --trace-dir, no run)");
+            eprintln!("extra flags: --ranks N (ζ slabs, i.e. --grid 1x1xN; default 2); --rank R (internal: run as TCP worker R); --merge-only (merge + analyze an existing --trace-dir, no run); --threads N > 1 runs each rank as an N-worker task graph");
             std::process::exit(2);
         }
     };
@@ -151,16 +163,38 @@ fn sim_args(opts: &Opts) -> SimArgs {
     )
 }
 
-/// The run half of the CLI, for a job of `ranks` ranks: [`RunPlan::from_opts`]
-/// plus a tracer when any trace output was asked for — a protocol lane per
-/// rank, plus a `ranks + rank` comm lane per rank for TCP writer-thread
-/// spans, so those never land on a protocol lane.
-fn run_plan(opts: &Opts, ranks: usize) -> RunPlan {
+/// The run half of the CLI, for `decomp`: [`RunPlan::from_opts`], task
+/// ranks when `--threads` asks for more than one worker (partitioned for
+/// the rank's sub-brick), and a tracer when any trace output was asked
+/// for — a protocol lane per rank, a `ranks + rank` comm lane per rank for
+/// TCP writer-thread spans, so those never land on a protocol lane, and a
+/// lane per task worker.
+fn run_plan(opts: &Opts, decomp: Decomposition) -> RunPlan {
+    let exec = match opts.threads {
+        1 => RankExec::Serial,
+        threads => RankExec::Tasks {
+            threads,
+            partition: PartitionPlan::for_elems_threads(decomp.shape(0).num_elem(), threads),
+        },
+    };
     let traced = opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some();
     RunPlan {
-        trace: traced.then(|| Tracer::shared(2 * ranks)),
+        trace: traced.then(|| Tracer::shared(exec.trace_lanes(decomp.ranks()))),
+        exec,
         ..RunPlan::from_opts(opts)
     }
+}
+
+/// Rank `rank`'s trace lanes and their names: its protocol lane, its TCP
+/// writer lane, then its task workers' lanes.
+fn rank_lanes(plan: &RunPlan, rank: usize, ranks: usize) -> Vec<(usize, String)> {
+    let mut lanes = vec![
+        (rank, format!("rank{rank}")),
+        (ranks + rank, format!("rank{rank}-comm")),
+    ];
+    let workers = plan.exec.worker_lanes(rank, ranks).enumerate();
+    lanes.extend(workers.map(|(i, lane)| (lane, format!("rank{rank}-w{i}"))));
+    lanes
 }
 
 /// Write one rank's spans file into `dir`, or exit nonzero.
@@ -187,7 +221,7 @@ fn write_rank_trace(
 fn run_in_process(opts: &Opts, grid: Grid3) {
     let ranks = grid.ranks();
     let decomp = Decomposition::with_grid(opts.size, grid);
-    let plan = run_plan(opts, ranks);
+    let plan = run_plan(opts, decomp);
     let t0 = Instant::now();
     let results = if opts.respawn {
         if plan.resil.ckpt.is_none() {
@@ -225,9 +259,12 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
         if let Some(dir) = &opts.trace_dir {
             // All ranks share this process's clock: offsets are exactly 0.
             for rank in 0..ranks {
-                let rank_spans: Vec<obs::Span> =
-                    spans.iter().filter(|s| s.worker == rank).cloned().collect();
-                let lanes = vec![(rank, format!("rank{rank}"))];
+                let lanes = rank_lanes(&plan, rank, ranks);
+                let rank_spans: Vec<obs::Span> = spans
+                    .iter()
+                    .filter(|s| lanes.iter().any(|(l, _)| *l == s.worker))
+                    .cloned()
+                    .collect();
                 write_rank_trace(dir, rank, ranks, 0, lanes, &rank_spans);
             }
             if !failed {
@@ -305,15 +342,15 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
                     skip_next = false;
                     return false;
                 }
-                let flag = a.trim_start_matches('-').split('=').next().unwrap_or("");
+                let flag = flag_name(a);
                 if matches!(
                     flag,
-                    "transport" | "ranks" | "rank" | "die-at" | "resume-cycle"
+                    Some("transport" | "ranks" | "rank" | "die-at" | "resume-cycle")
                 ) {
                     skip_next = !a.contains('=');
                     return false;
                 }
-                flag != "respawn"
+                flag != Some("respawn")
             })
             .collect()
     };
@@ -424,7 +461,7 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
     let ranks = grid.ranks();
     let decomp = Decomposition::with_grid(opts.size, grid);
     let specs = grid.neighbor_specs();
-    let plan = run_plan(opts, ranks);
+    let plan = run_plan(opts, decomp);
     let cfg = parcelnet::tcp::TcpConfig::with_deadline(plan.deadline);
     let net = if rank == 0 {
         let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
@@ -457,10 +494,7 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
             std::process::exit(1);
         }
         if let Some(dir) = &opts.trace_dir {
-            let lanes = vec![
-                (rank, format!("rank{rank}")),
-                (ranks + rank, format!("rank{rank}-comm")),
-            ];
+            let lanes = rank_lanes(&plan, rank, ranks);
             write_rank_trace(dir, rank, ranks, offset_ns, lanes, &spans);
         }
     }
@@ -497,4 +531,30 @@ fn print_report(
     }
     println!("{}", RunReport::CSV_HEADER);
     println!("{}", report.csv_row());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn extract_flag_skips_bare_values() {
+        // `ranks` here is the trace directory, not the flag.
+        let mut a = args(&["--s", "6", "--trace-dir", "ranks", "--ranks", "2", "--q"]);
+        assert_eq!(extract_flag(&mut a, "ranks"), Some(2));
+        assert_eq!(a, args(&["--s", "6", "--trace-dir", "ranks", "--q"]));
+        assert_eq!(extract_flag(&mut a, "ranks"), None);
+    }
+
+    #[test]
+    fn extract_flag_reads_inline_values() {
+        let mut a = args(&["--ranks=3", "--rank=1", "--s", "6"]);
+        assert_eq!(extract_flag(&mut a, "rank"), Some(1));
+        assert_eq!(extract_flag(&mut a, "ranks"), Some(3));
+        assert_eq!(a, args(&["--s", "6"]));
+    }
 }

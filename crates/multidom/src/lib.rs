@@ -12,22 +12,21 @@
 //! iteration) — plus the dt min-allreduce. Each rank exchanges with up to
 //! 26 neighbours (6 faces, 12 edges, 8 corners; see [`exchange`]).
 //!
-//! Three drivers with **bit-identical** results:
+//! Two drivers with **bit-identical** results:
 //!
 //! * [`World::run`] — lockstep: ranks advance phase by phase in one
 //!   thread (the deterministic reference for testing).
 //! * [`threaded::run`] — one OS thread per rank exchanging halo messages
-//!   over a [`parcelnet`] transport, MPI-style (blocking send/recv per
-//!   iteration); [`threaded::run_rank`] is the same rank loop for one
-//!   rank of a multi-process job.
-//! * [`taskpar::run`] — **task-parallel within each rank** (a `TaskLulesh`
-//!   runtime per rank) with the halo exchanges injected as communication
-//!   tasks — the paper's anticipated "HPX-native multi-node" configuration.
+//!   over a [`parcelnet`] transport, MPI-style; [`threaded::run_rank`] is
+//!   the same rank loop for one rank of a multi-process job.
 //!
-//! Both message-passing drivers take one [`RunPlan`] (transport, deadline,
-//! tracing, faults, telemetry, checkpoints; all off by default)
-//! and share one bootstrap, one subdomain build, one fault check and one
-//! dt/telemetry reduction, so they meet the wire at the same points.
+//! The rank loop takes one [`RunPlan`] (transport, deadline, tracing,
+//! faults, telemetry, checkpoints; all off by default) and owns everything
+//! around a step: bootstrap, subdomain build, fault check, checkpoints and
+//! the dt/telemetry reduction. [`RunPlan::exec`] picks how a rank computes
+//! the step in between: the serial phase calls, or — the paper's
+//! anticipated "HPX-native multi-node" configuration — one task graph per
+//! rank whose halo exchanges are stages of the graph ([`RankExec`]).
 //! [`recovery::run_with_recovery`] reruns [`threaded::run`] from
 //! checkpoints after a rank death.
 //!
@@ -40,7 +39,6 @@
 
 pub mod exchange;
 pub mod recovery;
-pub mod taskpar;
 pub mod threaded;
 
 use exchange::{HaloPlan, ObsCtx};
@@ -54,11 +52,13 @@ use lulesh_core::serial::{
 };
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
+use lulesh_task::PartitionPlan;
 use obs::live::{jsonl_step_line, LaneSampler, LiveConfig, StepSummary, StragglerDetector};
 use obs::{SpanKind, Tracer};
 use parcelnet::tcp::TcpConfig;
 use parcelnet::{dir, NeighborSpec, ParcelError, ParcelObs, RankNet};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -329,13 +329,12 @@ pub struct FaultPlan {
     pub die_at: Vec<(usize, u64)>,
     /// The rank is killed *before the TCP handshake*: it never dials the
     /// bootstrap, so the survivors' accepts and dials must time out with a
-    /// typed error within the configured deadline (honoured by both
-    /// drivers' TCP transports; the in-process channel mesh has no
-    /// handshake to kill).
+    /// typed error within the configured deadline (the in-process channel
+    /// mesh has no handshake to kill).
     pub die_at_handshake: Option<usize>,
     /// `(rank, millis)`: the rank sleeps that long at the top of every
     /// step — a controlled straggler for exercising the live telemetry
-    /// detector (honoured by the threaded and task-parallel drivers).
+    /// detector.
     pub slow_rank: Option<(usize, u64)>,
 }
 
@@ -359,17 +358,13 @@ impl FaultPlan {
         self.die_at.get(attempt).copied().filter(live)
     }
 
-    /// Does the plan kill `rank` at the top of `cycle`?
-    pub fn dies_at(&self, rank: usize, cycle: u64) -> bool {
-        self.die_at.iter().any(|&(r, c)| r == rank && c == cycle)
-    }
-
     /// The faults striking `rank` once `cycle` cycles are complete — the
-    /// one check both rank loops make per step. A listed death returns
-    /// `PeerClosed` naming the rank itself (the caller drops its links
-    /// without a `Bye`, as a killed process would); a straggler sleeps.
+    /// rank loop's one check per step, at the top of the step. A listed
+    /// death returns `PeerClosed` naming the rank itself (the caller drops
+    /// its links without a `Bye`, as a killed process would); a straggler
+    /// sleeps.
     pub(crate) fn inject(&self, rank: usize, cycle: u64) -> Result<(), ParcelError> {
-        if self.dies_at(rank, cycle) {
+        if self.die_at.contains(&(rank, cycle)) {
             return Err(ParcelError::PeerClosed { peer: rank });
         }
         if let Some((r, ms)) = self.slow_rank {
@@ -398,11 +393,54 @@ pub struct ResilPlan {
 /// The default per-receive deadline for the message-passing drivers.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 
+/// How each rank computes a step between the rank loop's fault check and
+/// its dt allreduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RankExec {
+    /// The serial phase calls of `lulesh_core::serial` on the rank's
+    /// thread, with a blocking halo exchange after the forces and after
+    /// the gradients.
+    #[default]
+    Serial,
+    /// One task graph per rank, built once from `StepPlan::tasks` and run
+    /// once per step on `threads` workers, its loops split by `partition`.
+    /// The halo exchanges are stages of the graph: the boundary nodes'
+    /// gathers feed the force send, whose receive-and-combine runs while
+    /// the interior gathers are still in flight; one join precedes the
+    /// node update, and the gradient exchange follows
+    /// `barrier-kinematics`.
+    Tasks {
+        /// Workers per rank.
+        threads: usize,
+        /// Partition sizes of the rank's loops.
+        partition: PartitionPlan,
+    },
+}
+
+impl RankExec {
+    /// The lanes rank `rank`'s task workers record on (empty for serial
+    /// ranks): past every rank's protocol lane `r` and TCP writer lane
+    /// `ranks + r`, one block of workers per rank.
+    pub fn worker_lanes(&self, rank: usize, ranks: usize) -> Range<usize> {
+        let workers = match self {
+            RankExec::Serial => 0,
+            RankExec::Tasks { threads, .. } => *threads,
+        };
+        2 * ranks + rank * workers..2 * ranks + (rank + 1) * workers
+    }
+
+    /// Tracer lanes a traced job of `ranks` ranks records on: through the
+    /// last rank's [`worker_lanes`](Self::worker_lanes).
+    pub fn trace_lanes(&self, ranks: usize) -> usize {
+        self.worker_lanes(ranks - 1, ranks).end
+    }
+}
+
 /// How a message-passing run executes, beyond the problem itself: the one
-/// parameter set of [`threaded::run`], [`threaded::run_rank`],
-/// [`taskpar::run`] and [`recovery::run_with_recovery`]. The default is
-/// all off — in-process channels, [`DEFAULT_DEADLINE`], untraced, no
-/// faults, no telemetry, no checkpoints.
+/// parameter set of [`threaded::run`], [`threaded::run_rank`] and
+/// [`recovery::run_with_recovery`]. The default is all off — serial ranks,
+/// in-process channels, [`DEFAULT_DEADLINE`], untraced, no faults, no
+/// telemetry, no checkpoints.
 #[derive(Clone)]
 pub struct RunPlan {
     /// The wire between in-process ranks (ignored by
@@ -412,8 +450,10 @@ pub struct RunPlan {
     /// how long any rank can outlive a dead neighbour.
     pub deadline: Duration,
     /// Span tracing: rank `r` records its phases, halo exchanges and dt
-    /// barrier on lane `r` (see [`threaded::run_rank`]). A rank that
-    /// fails keeps every span up to the failure, including a zero-length
+    /// barrier on lane `r` (see [`threaded::run_rank`]), and a task rank's
+    /// workers record their tasks on [`RankExec::worker_lanes`] when the
+    /// tracer has [`RankExec::trace_lanes`] lanes. A rank that fails keeps
+    /// every span up to the failure, including a zero-length
     /// `parcel-error-*` span for each typed transport failure it saw.
     pub trace: Option<Arc<Tracer>>,
     /// Fault injection.
@@ -427,6 +467,8 @@ pub struct RunPlan {
     pub live: Option<LiveConfig>,
     /// Checkpoint/resume.
     pub resil: ResilPlan,
+    /// How each rank computes a step.
+    pub exec: RankExec,
 }
 
 impl Default for RunPlan {
@@ -438,6 +480,7 @@ impl Default for RunPlan {
             faults: FaultPlan::NONE,
             live: None,
             resil: ResilPlan::default(),
+            exec: RankExec::Serial,
         }
     }
 }
@@ -448,8 +491,9 @@ impl RunPlan {
     /// `--slow-rank`, `--live-metrics` (its table on stderr unless `--q`),
     /// and `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport
     /// stays [`TransportKind::Channel`] — TCP ranks are processes that
-    /// dial their own net — and `trace` stays `None`: the caller sizes the
-    /// tracer's lanes to the job.
+    /// dial their own net — `trace` stays `None` and `exec` serial: the
+    /// caller sizes the tracer's lanes and the task ranks' partition to
+    /// the job.
     pub fn from_opts(opts: &lulesh_core::Opts) -> Self {
         Self {
             deadline: Duration::from_millis(opts.recv_deadline_ms),
@@ -474,20 +518,16 @@ impl RunPlan {
     }
 }
 
-/// Every rank's endpoint for `decomp` over `kind`: the in-process channel
-/// mesh, or a loopback TCP bootstrap (rank 0 listens, the others dial, one
-/// bootstrap thread per rank). The rank named by `die_at_handshake` never
-/// dials: its own slot is `PeerClosed` and the survivors' accepts and
-/// dials time out within `deadline`.
-fn connect(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    die_at_handshake: Option<usize>,
-) -> Vec<Result<RankNet, ParcelError>> {
-    let ranks = decomp.ranks();
+/// Every rank's endpoint for `decomp` over `plan.transport`: the
+/// in-process channel mesh, or a loopback TCP bootstrap (rank 0 listens,
+/// the others dial, one bootstrap thread per rank). The rank named by
+/// `plan.faults.die_at_handshake` never dials: its own slot is
+/// `PeerClosed` and the survivors' accepts and dials time out within
+/// `plan.deadline`.
+fn connect(decomp: Decomposition, plan: &RunPlan) -> Vec<Result<RankNet, ParcelError>> {
+    let (ranks, deadline) = (decomp.ranks(), plan.deadline);
     let specs = decomp.grid().neighbor_specs();
-    if kind == TransportKind::Channel {
+    if plan.transport == TransportKind::Channel {
         return parcelnet::channel::channel_mesh_with(&specs, deadline)
             .into_iter()
             .map(Ok)
@@ -511,7 +551,7 @@ fn connect(
                 std::thread::Builder::new()
                     .name(format!("multidom-bootstrap-{r}"))
                     .spawn_scoped(s, move || {
-                        if die_at_handshake == Some(r) {
+                        if plan.faults.die_at_handshake == Some(r) {
                             return Err(ParcelError::PeerClosed { peer: r });
                         }
                         match listener {
@@ -525,40 +565,6 @@ fn connect(
         handles
             .into_iter()
             .map(|h| h.join().expect("bootstrap must not panic"))
-            .collect()
-    })
-}
-
-/// Connect every rank of `decomp` per `plan` and run `rank_loop` on one
-/// thread per rank (named `{name}-{r}`); returns the outcomes in rank
-/// order. A rank whose bootstrap failed reports that failure.
-pub(crate) fn spawn_ranks<T: Send>(
-    decomp: Decomposition,
-    plan: &RunPlan,
-    name: &str,
-    rank_loop: impl Fn(MeshShape, RankNet) -> Result<T, MdError> + Sync,
-) -> Vec<Result<T, MdError>> {
-    let nets = connect(
-        decomp,
-        plan.transport,
-        plan.deadline,
-        plan.faults.die_at_handshake,
-    );
-    let rank_loop = &rank_loop;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = nets
-            .into_iter()
-            .enumerate()
-            .map(|(r, net)| {
-                std::thread::Builder::new()
-                    .name(format!("{name}-{r}"))
-                    .spawn_scoped(s, move || rank_loop(decomp.shape(r), net?))
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread must not panic"))
             .collect()
     })
 }
@@ -586,29 +592,12 @@ pub fn fold<D>(
     Ok((domains, state.expect("at least one rank")))
 }
 
-/// Rank `rank`'s subdomain for `sim`, with its mid-domain element volume
-/// poisoned (a `VolumeError` in the first iteration) when `faults` say so.
-pub(crate) fn build_rank_domain(
-    shape: MeshShape,
-    rank: usize,
-    sim: &SimArgs,
-    faults: &FaultPlan,
-) -> Domain {
-    let mut d = Domain::build_subdomain(shape, sim.num_reg, sim.balance, sim.cost, sim.seed);
-    d.params = sim.params;
-    if faults.poison_volume == Some(rank) {
-        d.set_v(d.num_elem() / 2, -0.25);
-    }
-    d
-}
-
-/// One rank's recorder, the same in both rank loops: a single
-/// [`ParcelObs`] hook on every link, a phase timer, the dt allreduce with
-/// the step summary riding along, and — on rank 0 with live metrics on —
-/// the straggler detector streaming JSONL. Everything it records is a span;
-/// the live summary is sampled from them. With tracing and metrics off
-/// there is no tracer, no hook, and every method is a `None` check around
-/// the plain call.
+/// One rank's recorder: a single [`ParcelObs`] hook on every link, a
+/// phase timer, the dt allreduce with the step summary riding along, and —
+/// on rank 0 with live metrics on — the straggler detector streaming
+/// JSONL. Everything it records is a span; the live summary is sampled
+/// from them. With tracing and metrics off there is no tracer, no hook,
+/// and every method is a `None` check around the plain call.
 pub(crate) struct RankObs {
     rank: usize,
     /// The tracer and the lane this rank's protocol spans go on.

@@ -4,8 +4,8 @@
 //! comparing against. Works over any 3-D rank grid (up to 26 neighbours
 //! per rank) and produces results **bit-identical** to the lockstep
 //! [`World`](crate::World) driver (every sharer of a boundary node combines
-//! partials in the same ascending-rank order), on *every* transport: the
-//! wire carries the same bytes either way.
+//! partials in the same ascending-rank order), on *every* transport and
+//! with either [`RankExec`]: the wire carries the same bytes either way.
 //!
 //! ## Failure model
 //!
@@ -14,48 +14,70 @@
 //! * **Simulation aborts** (negative volume, q-stop): the erroring rank
 //!   keeps satisfying the exchange protocol with garbage data and rides the
 //!   error on the dt allreduce, so every rank returns the same
-//!   [`LuleshError`](lulesh_core::types::LuleshError) in the same iteration.
+//!   [`LuleshError`] in the same iteration.
 //! * **Transport failures** (peer died, deadline passed, corrupt frame):
-//!   the observing rank returns [`MdError::Net`] immediately and drops its
-//!   links, which cascades — every surviving rank observes `PeerClosed`
-//!   or `Timeout` within one receive deadline.
+//!   the observing rank returns [`MdError::Net`] at the end of the step
+//!   and drops its links, which cascades — every surviving rank observes
+//!   `PeerClosed` or `Timeout` within one receive deadline.
 
 use crate::exchange::{
-    halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, HaloPlan, ObsCtx,
+    halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, recv_combine_forces,
+    send_forces, HaloPlan, ObsCtx,
 };
 use crate::{
-    build_rank_domain, spawn_ranks, Decomposition, FaultPlan, MdError, RankObs, RunPlan, SimArgs,
-    TransportKind,
+    connect, Decomposition, FaultPlan, MdError, RankExec, RankObs, RunPlan, SimArgs, TransportKind,
 };
 use lulesh_core::domain::Domain;
 use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
+use lulesh_core::plan::{Chain, GraphSink, Phase, PlanShape, StepPlan, StepScratch};
 use lulesh_core::serial::{
     advance_nodes, apply_q_and_materials, calc_force_for_nodes, calc_kinematics_and_gradients,
     SerialScratch,
 };
 use lulesh_core::timestep::time_increment;
+use lulesh_core::types::{LuleshError, Real};
+use lulesh_task::{Features, PartitionPlan, StepBuilder, TaskLulesh};
 use obs::{SpanKind, Tracer};
-use parcelnet::RankNet;
+use parcelnet::{ParcelError, RankNet};
+use parking_lot::Mutex;
+use parutil::{chunks_in, chunks_of, Chunk};
 use std::sync::Arc;
 use std::time::Duration;
+use taskrt::{NodeId, StepGraph};
 
 /// Ping-pong rounds for the clock-alignment handshake: enough that the
 /// min-RTT round tracks the true offset to well under typical frame
 /// latencies, cheap enough to be invisible at startup.
 const CLOCK_SYNC_ROUNDS: usize = 8;
 
-/// Run the decomposed problem with one thread per rank, MPI-style, over
-/// `plan.transport`, returning every rank's outcome in rank order (bottom
-/// slab first); [`crate::fold`] turns them into one result.
+/// Run the decomposed problem with one thread per rank (named
+/// `multidom-rank-{r}`), MPI-style, over `plan.transport`, returning every
+/// rank's outcome in rank order (bottom slab first); a rank whose
+/// bootstrap failed reports that failure. [`crate::fold`] turns them into
+/// one result.
 pub fn run(
     decomp: Decomposition,
     sim: SimArgs,
     plan: &RunPlan,
 ) -> Vec<Result<(Domain, SimState), MdError>> {
-    spawn_ranks(decomp, plan, "multidom-rank", |shape, net| {
-        run_rank(shape, net, sim, plan).0
+    let nets = connect(decomp, plan);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = nets
+            .into_iter()
+            .enumerate()
+            .map(|(r, net)| {
+                std::thread::Builder::new()
+                    .name(format!("multidom-rank-{r}"))
+                    .spawn_scoped(s, move || run_rank(decomp.shape(r), net?, sim, plan).0)
+                    .expect("spawn rank thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread must not panic"))
+            .collect()
     })
 }
 
@@ -87,17 +109,18 @@ pub fn run_transport(
 /// multi-process TCP launcher calls with a net from
 /// [`parcelnet::tcp::root`]/[`parcelnet::tcp::join`].
 ///
-/// With `plan.trace`, rank `r` records its
-/// phases as [`SpanKind::Region`] spans, its exchanges as
-/// [`SpanKind::Halo`] spans (an outer `halo-*` span plus the links'
-/// parcel-level spans; writer-thread serialize spans go on lane
-/// `ranks + r` when the tracer has that many lanes) and the dt allreduce
-/// as a [`SpanKind::Barrier`] span, all on lane `r`; rank 0's lane also
-/// carries one `iteration` span per step. `plan.live` samples the step
-/// summaries from these spans (recorded into a private tracer when
-/// `plan.trace` is off), and `plan.resil` arms
-/// checkpoint/resume; a resumed run replays the remaining cycles
-/// **bit-identically**.
+/// With `plan.trace`, rank `r` records on lane `r`: its serial phases as
+/// [`SpanKind::Region`] spans (a task rank: one `task-graph` region per
+/// step), its exchanges as [`SpanKind::Halo`] spans (a serial rank's outer
+/// `halo-*` span plus the links' parcel-level spans; writer-thread
+/// serialize spans go on lane `ranks + r` when the tracer has that many
+/// lanes) and the dt allreduce as a [`SpanKind::Barrier`] span; rank 0's
+/// lane also carries one `iteration` span per step. A task rank's workers
+/// record the graph's tasks, syncs and halo stages on
+/// [`RankExec::worker_lanes`]. `plan.live` samples the step summaries from
+/// lane `r` (recorded into a private tracer when `plan.trace` is off), and
+/// `plan.resil` arms checkpoint/resume; a resumed run replays the
+/// remaining cycles **bit-identically**.
 ///
 /// A traced run first aligns clocks over the dt star. The offset (this
 /// rank's clock − rank 0's, ns; 0 untraced or on rank 0) is returned
@@ -136,9 +159,20 @@ fn step_loop(
     phase: &RankObs,
 ) -> Result<(Domain, SimState), MdError> {
     let rank = net.rank;
-    let d = build_rank_domain(shape, rank, &sim, &plan.faults);
-    let mut scratch = SerialScratch::new(d.num_elem());
-    let halo = HaloPlan::for_net(shape, &net);
+    let mut d = Domain::build_subdomain(shape, sim.num_reg, sim.balance, sim.cost, sim.seed);
+    d.params = sim.params;
+    // A poisoned mid-domain volume trips a VolumeError in the first step.
+    if plan.faults.poison_volume == Some(rank) {
+        d.set_v(d.num_elem() / 2, -0.25);
+    }
+    let r = Arc::new(Rank {
+        d: Arc::new(d),
+        halo: HaloPlan::for_net(shape, &net),
+        net,
+        trace: phase.tracer.clone(),
+        failed: Mutex::new(None),
+    });
+    let (d, net) = (&r.d, &r.net);
     let obs: ObsCtx = phase.ctx();
     let resil = &plan.resil;
 
@@ -149,11 +183,11 @@ fn step_loop(
     // rank is left sending mass surfaces at a peer that skipped them.
     let mut state = match (&resil.ckpt, resil.resume_cycle) {
         (Some(cfg), Some(cycle)) => phase.timed("resume-restore", SpanKind::Region, || {
-            resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(&d))
+            resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(d))
         })?,
         _ => {
             phase.timed("halo-mass", SpanKind::Halo, || {
-                halo_exchange_mass(&d, &halo, &net, obs)
+                halo_exchange_mass(d, &r.halo, net, obs)
             })?;
             SimState::new(d.initial_dt())
         }
@@ -166,6 +200,13 @@ fn step_loop(
         None => None,
     };
 
+    let mut exec = match plan.exec {
+        RankExec::Serial => Exec::Serial(Box::new(SerialScratch::new(d.num_elem()))),
+        RankExec::Tasks { threads, partition } => {
+            Exec::Tasks(TaskRank::new(&r, threads, partition, plan))
+        }
+    };
+
     while state.time < sim.params.stoptime && state.cycle < sim.max_cycles {
         // Checkpoint *before* the fault-injection check: a rank dying at
         // cycle C has submitted its wave-C snapshot, and every peer
@@ -174,10 +215,7 @@ fn step_loop(
         if let (Some(w), Some(cfg)) = (writer.as_ref(), resil.ckpt.as_ref()) {
             if state.cycle % cfg.period == 0 && resil.resume_cycle != Some(state.cycle) {
                 phase.timed("ckpt-capture", SpanKind::Region, || {
-                    w.submit(
-                        resil::DomainSnapshot::capture(rank, &d, &state),
-                        state.cycle,
-                    )
+                    w.submit(resil::DomainSnapshot::capture(rank, d, &state), state.cycle)
                 });
             }
         }
@@ -190,48 +228,16 @@ fn step_loop(
         time_increment(&mut state, &sim.params);
         let dt = state.deltatime;
 
-        // A mid-iteration *simulation* error must not abandon the exchange
-        // protocol — the neighbours are blocked on our messages. Record it,
-        // keep exchanging (the data is garbage but every rank aborts
-        // together at the allreduce below), and skip the remaining local
-        // phases. A *transport* error aborts immediately (`?`): the links
-        // are dropped, which the neighbours observe within their deadline.
-        let mut local_err = phase.timed("forces", SpanKind::Region, || {
-            calc_force_for_nodes(&d, &mut scratch).err()
-        });
-        phase.timed("halo-forces", SpanKind::Halo, || {
-            halo_exchange_forces(&d, &halo, &net, obs)
-        })?;
-
-        // Node advance, then gradients + ghost exchange.
-        if local_err.is_none() {
-            phase.timed("node", SpanKind::Region, || advance_nodes(&d, dt));
-            local_err = phase.timed("kinematics", SpanKind::Region, || {
-                calc_kinematics_and_gradients(&d, dt).err()
-            });
-        }
-        phase.timed("halo-gradients", SpanKind::Halo, || {
-            halo_exchange_gradients(&d, &halo, &net, obs)
-        })?;
-
-        if local_err.is_none() {
-            local_err = phase.timed("eos", SpanKind::Region, || {
-                apply_q_and_materials(&d, &mut scratch).err()
-            });
-        }
+        let (local_err, c, h) = match &mut exec {
+            Exec::Serial(scratch) => serial_step(&r, scratch, phase, dt)?,
+            Exec::Tasks(t) => t.step(&r, phase, dt)?,
+        };
 
         // dt constraints: allreduce(min) through rank 0, errors (and, on
         // telemetry steps, this rank's step summary) riding along so
         // everyone aborts in the same iteration.
-        let (c, h) = if local_err.is_none() {
-            phase.timed("constraints", SpanKind::Region, || {
-                constraints::calc_time_constraints(&d, sim.params.qqc, sim.params.dvovmax)
-            })
-        } else {
-            (1.0e20, 1.0e20)
-        };
         let (gc, gh, gerr) = phase.timed("barrier-dt", SpanKind::Barrier, || {
-            phase.allreduce_dt(&net, state.cycle, since, c, h, local_err)
+            phase.allreduce_dt(net, state.cycle, since, c, h, local_err)
         })?;
         if let Some(e) = gerr {
             // Every rank is returning this same error right now; links are
@@ -248,15 +254,206 @@ fn step_loop(
     // Graceful shutdown: Bye on every link, so no socket is abandoned with
     // a peer still reading from it.
     net.close()?;
-    Ok((d, state))
+    drop(exec);
+    let d = Arc::into_inner(r).and_then(|r| Arc::into_inner(r.d));
+    Ok((d.expect("the step graph released the domain"), state))
+}
+
+/// What a rank's step reaches: its subdomain, halo schedule and links.
+/// A task rank's halo stages run on workers, so they also find here the
+/// rank lane their parcel-level spans go on, and the slot a transport
+/// error lands in: every later stage of the step skips, and the rank loop
+/// returns the error after the step.
+struct Rank {
+    d: Arc<Domain>,
+    halo: HaloPlan,
+    net: RankNet,
+    trace: Option<(Arc<Tracer>, usize)>,
+    failed: Mutex<Option<ParcelError>>,
+}
+
+/// A step's local outcome: the simulation error it tripped, if any, and
+/// this rank's `(dtcourant, dthydro)` minima.
+type StepOut = (Option<LuleshError>, Real, Real);
+
+/// How this rank computes its steps ([`RankExec`]).
+enum Exec {
+    Serial(Box<SerialScratch>),
+    Tasks(TaskRank),
+}
+
+/// One serial step between the fault check and the dt allreduce.
+///
+/// A mid-iteration *simulation* error must not abandon the exchange
+/// protocol — the neighbours are blocked on our messages. Record it, keep
+/// exchanging (the data is garbage but every rank aborts together at the
+/// allreduce), and skip the remaining local phases. A *transport* error
+/// aborts the step: the rank returns and drops its links, which the
+/// neighbours observe within their deadline.
+fn serial_step(
+    r: &Rank,
+    scratch: &mut SerialScratch,
+    phase: &RankObs,
+    dt: Real,
+) -> Result<StepOut, ParcelError> {
+    let (d, obs) = (&*r.d, phase.ctx());
+    let mut local_err = phase.timed("forces", SpanKind::Region, || {
+        calc_force_for_nodes(d, scratch).err()
+    });
+    phase.timed("halo-forces", SpanKind::Halo, || {
+        halo_exchange_forces(d, &r.halo, &r.net, obs)
+    })?;
+
+    // Node advance, then gradients + ghost exchange.
+    if local_err.is_none() {
+        phase.timed("node", SpanKind::Region, || advance_nodes(d, dt));
+        local_err = phase.timed("kinematics", SpanKind::Region, || {
+            calc_kinematics_and_gradients(d, dt).err()
+        });
+    }
+    phase.timed("halo-gradients", SpanKind::Halo, || {
+        halo_exchange_gradients(d, &r.halo, &r.net, obs)
+    })?;
+
+    if local_err.is_none() {
+        local_err = phase.timed("eos", SpanKind::Region, || {
+            apply_q_and_materials(d, scratch).err()
+        });
+    }
+    if local_err.is_some() {
+        return Ok((local_err, 1.0e20, 1.0e20));
+    }
+    let (c, h) = phase.timed("constraints", SpanKind::Region, || {
+        constraints::calc_time_constraints(d, d.params.qqc, d.params.dvovmax)
+    });
+    Ok((None, c, h))
+}
+
+/// One halo exchange, as a graph stage runs it.
+type Exchange = fn(&Domain, &HaloPlan, &RankNet, ObsCtx) -> Result<(), ParcelError>;
+
+impl Rank {
+    /// `exchange` as a graph stage body.
+    fn stage(self: &Arc<Self>, exchange: Exchange) -> impl Fn() + Send + Sync + 'static {
+        let r = Arc::clone(self);
+        move || {
+            if r.failed.lock().is_some() {
+                return;
+            }
+            let obs = r.trace.as_ref().map(|(t, lane)| (t.as_ref(), *lane));
+            if let Err(e) = exchange(&r.d, &r.halo, &r.net, obs) {
+                *r.failed.lock() = Some(e);
+            }
+        }
+    }
+
+    /// The node phase with the force exchange as stages (the reference's
+    /// `CommSBN` between gather and update): the boundary nodes' gathers
+    /// feed the send, the receive-and-combine runs while the interior
+    /// gathers are still in flight, and one join precedes the node update.
+    /// The send never blocks on the network (transport sends are
+    /// buffered), so a one-worker rank cannot deadlock on its own receive.
+    fn node_phase(
+        self: &Arc<Self>,
+        b: &mut StepBuilder,
+        phase: &Phase,
+        part: usize,
+        start: Option<NodeId>,
+        chained: bool,
+    ) -> NodeId {
+        let node = &phase.chains[0];
+        let gather = Chain::new("node-gather", &node.kernels[..1], node.merged);
+        let update = Chain::new("node-update", &node.kernels[1..], node.merged);
+        // The boundary runs are sorted and disjoint; the gaps between them
+        // are the interior.
+        let (mut boundary, mut interior, mut pos) = (Vec::new(), Vec::new(), 0);
+        for run in self.halo.boundary_runs() {
+            interior.extend(chunks_in(pos..run.start, part));
+            boundary.extend(chunks_in(run.clone(), part));
+            pos = run.end;
+        }
+        interior.extend(chunks_in(pos..self.d.num_node(), part));
+        let boundary = gather.emit(b, &boundary, start, chained);
+        let mut joined = gather.emit(b, &interior, start, chained);
+        let gathered = b.sync("barrier-gather", &boundary);
+        let sent = b.stage("send-forces", &[gathered], self.stage(send_forces));
+        joined.push(b.stage("recv-forces", &[sent], self.stage(recv_combine_forces)));
+        let joined = b.sync("barrier-halo", &joined);
+        let all: Vec<Chunk> = chunks_of(self.d.num_node(), part).collect();
+        let updated = update.emit(b, &all, Some(joined), chained);
+        b.sync(phase.sync, &updated)
+    }
+}
+
+/// A task rank: its runtime, its step graph — [`StepPlan::tasks`] with the
+/// halo exchanges as stages — and the scratch the graph's tasks share.
+struct TaskRank {
+    task: TaskLulesh,
+    graph: StepGraph,
+    sc: Arc<StepScratch>,
+}
+
+impl TaskRank {
+    /// `threads` workers, recording on the rank's worker lanes when
+    /// `plan.trace` has them, and the rank's graph split by `partition`.
+    fn new(r: &Arc<Rank>, threads: usize, partition: PartitionPlan, plan: &RunPlan) -> Self {
+        let lanes = plan.exec.worker_lanes(r.net.rank, r.net.ranks);
+        let task = match plan.trace.clone().filter(|t| t.lanes() >= lanes.end) {
+            Some(t) => TaskLulesh::with_tracer(threads, Features::default(), t, lanes.start),
+            None => TaskLulesh::new(threads),
+        };
+        let step = StepPlan::tasks(PlanShape::of(&r.d), task.features);
+        let sc = Arc::new(StepScratch::new(&step, threads));
+        let chained = task.features.chain_continuations;
+        let mut b = StepBuilder::new(&r.d, &sc);
+        let mut dep = None;
+        for phase in &step.phases {
+            let part = partition.of(phase.grain);
+            let mut end = match phase.sync {
+                "barrier-nodes" => r.node_phase(&mut b, phase, part, dep, chained),
+                _ => step.emit_phase(&mut b, phase, part, dep, chained),
+            };
+            if phase.sync == "barrier-kinematics" {
+                end = b.stage("halo-gradients", &[end], r.stage(halo_exchange_gradients));
+            }
+            dep = Some(end);
+        }
+        let graph = task.build(b);
+        Self { task, graph, sc }
+    }
+
+    /// Run the graph once for a step of `dt`, timed as one `task-graph`
+    /// region on the rank's lane.
+    fn step(&mut self, r: &Rank, phase: &RankObs, dt: Real) -> Result<StepOut, ParcelError> {
+        self.sc.begin_iteration(dt);
+        phase.timed("task-graph", SpanKind::Region, || {
+            self.task.run_once(&mut self.graph)
+        });
+        if let Some(e) = r.failed.lock().take() {
+            return Err(e);
+        }
+        let (c, h) = self.sc.dt_mins();
+        Ok((self.sc.error(), c, h))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{fold, World};
-    use lulesh_core::types::LuleshError;
     use obs::live::{CollectSink, LiveConfig, LiveSink};
+
+    /// Task ranks of `threads` workers, loops split into `part`-sized
+    /// chunks; everything else off.
+    fn tasks(threads: usize, part: usize) -> RunPlan {
+        RunPlan {
+            exec: RankExec::Tasks {
+                threads,
+                partition: PartitionPlan::fixed(part, part),
+            },
+            ..RunPlan::default()
+        }
+    }
 
     /// Live metrics every `period` steps, collected in memory.
     fn collected(period: u64) -> (Arc<CollectSink>, Option<LiveConfig>) {
@@ -765,5 +962,265 @@ mod tests {
                 "rank {r}: TCP wire must be bit-transparent"
             );
         }
+    }
+
+    #[test]
+    fn task_ranks_match_lockstep_bitwise() {
+        let decomp = Decomposition::new(8, 2);
+        let mut world = World::build(decomp, 3, 1, 1, 0);
+        let st_lock = world.run(20).unwrap();
+
+        let (domains, st) = fold(run(decomp, SimArgs::new(3, 1, 1, 0, 20), &tasks(2, 32))).unwrap();
+        assert_eq!(st_lock.cycle, st.cycle);
+        assert_eq!(st_lock.time, st.time);
+        assert_eq!(st_lock.dtcourant, st.dtcourant);
+        for (r, (a, b)) in world.domains.iter().zip(&domains).enumerate() {
+            assert_eq!(
+                lulesh_core::validate::max_field_difference(a, b),
+                0.0,
+                "rank {r}: task-parallel ranks must match the lockstep world bit-for-bit"
+            );
+        }
+    }
+
+    #[test]
+    fn three_task_ranks_single_worker_each() {
+        let decomp = Decomposition::new(6, 3);
+        let (domains, st) = fold(run(decomp, SimArgs::new(2, 1, 1, 0, 12), &tasks(1, 16))).unwrap();
+        assert_eq!(domains.len(), 3);
+        assert_eq!(st.cycle, 12);
+        let mut world = World::build(decomp, 2, 1, 1, 0);
+        world.run(12).unwrap();
+        for (a, b) in world.domains.iter().zip(&domains) {
+            assert_eq!(lulesh_core::validate::max_field_difference(a, b), 0.0);
+        }
+    }
+
+    #[test]
+    fn single_task_rank_is_plain_task_port() {
+        let (domains, st) = fold(run(
+            Decomposition::new(6, 1),
+            SimArgs::new(2, 1, 1, 0, 10),
+            &tasks(2, 32),
+        ))
+        .unwrap();
+        let single = Arc::new(lulesh_core::Domain::build(6, 2, 1, 1, 0));
+        let plain = TaskLulesh::new(2);
+        let st_p = plain
+            .run(&single, PartitionPlan::fixed(32, 32), 10)
+            .unwrap();
+        assert_eq!(st.cycle, st_p.cycle);
+        assert_eq!(
+            lulesh_core::validate::max_field_difference(&domains[0], &single),
+            0.0
+        );
+    }
+
+    #[test]
+    fn grid_task_ranks_match_lockstep_bitwise() {
+        // 2×2×1 rank grid with the overlapped force stages: the boundary
+        // chunks cover two face planes plus the shared edge; scheduling
+        // must not change the ascending-rank combine arithmetic. Also a
+        // regression test for the fused acceleration BC: ranks off the
+        // global x=0/y=0 planes must not zero accelerations on their
+        // interface planes.
+        let decomp = Decomposition::with_grid(4, crate::Grid3::new(2, 2, 1));
+        let mut world = World::build(decomp, 2, 1, 1, 0);
+        world.run(10).unwrap();
+        let results = run(decomp, SimArgs::new(2, 1, 1, 0, 10), &tasks(2, 16));
+        for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
+            let (b, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
+            assert_eq!(st.cycle, 10);
+            assert_eq!(
+                lulesh_core::validate::max_field_difference(a, &b),
+                0.0,
+                "rank {r}: grid overlap must not change physics"
+            );
+        }
+    }
+
+    #[test]
+    fn full_grid_task_ranks_match_lockstep_on_both_transports_and_widths() {
+        // 2×2×2: faces, edges and corners all exchange from graph stages.
+        let decomp = Decomposition::with_grid(6, crate::Grid3::new(2, 2, 2));
+        let mut world = World::build(decomp, 2, 1, 1, 0);
+        world.run(8).unwrap();
+        for kind in [TransportKind::Channel, TransportKind::TcpLoopback] {
+            for workers in [1, 2] {
+                let plan = RunPlan {
+                    transport: kind,
+                    ..tasks(workers, 16)
+                };
+                let results = run(decomp, SimArgs::new(2, 1, 1, 0, 8), &plan);
+                for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
+                    let (b, st) = res.unwrap_or_else(|e| panic!("{kind:?} rank {r}: {e}"));
+                    assert_eq!(st.cycle, 8);
+                    assert_eq!(
+                        lulesh_core::validate::max_field_difference(a, &b),
+                        0.0,
+                        "{kind:?}, {workers} workers, rank {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn task_rank_live_metrics_do_not_change_physics_and_emit_jsonl() {
+        let decomp = Decomposition::new(6, 2);
+        let mut world = World::build(decomp, 2, 1, 1, 0);
+        world.run(8).unwrap();
+
+        let (sink, live) = collected(2);
+        let results = run(
+            decomp,
+            SimArgs::new(2, 1, 1, 0, 8),
+            &RunPlan {
+                live,
+                ..tasks(2, 16)
+            },
+        );
+        for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
+            let (b, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
+            assert_eq!(st.cycle, 8);
+            assert_eq!(
+                lulesh_core::validate::max_field_difference(a, &b),
+                0.0,
+                "rank {r}: live sampling must not change physics"
+            );
+        }
+        let lines = sink.lines();
+        assert_eq!(lines.len(), 4, "period 2 over 8 cycles");
+        for l in &lines {
+            let v = obs::jsonlint::parse(l).expect("live line must be valid JSON");
+            assert_eq!(
+                v.get("per_rank").and_then(|p| p.arr()).map(|x| x.len()),
+                Some(2)
+            );
+        }
+    }
+
+    #[test]
+    fn overlapped_forces_stay_bit_identical() {
+        // The overlap changes scheduling, not arithmetic: identical results
+        // with single- and multi-worker ranks, including on a deliberately
+        // deadlock-prone configuration (1 worker per rank: the send task
+        // must never wait on the recv).
+        let decomp = Decomposition::new(6, 3);
+        let mut world = World::build(decomp, 2, 1, 1, 0);
+        world.run(12).unwrap();
+        for workers in [1usize, 2] {
+            let results = run(decomp, SimArgs::new(2, 1, 1, 0, 12), &tasks(workers, 16));
+            for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
+                let (b, st) = res.unwrap_or_else(|e| panic!("workers {workers} rank {r}: {e}"));
+                assert_eq!(st.cycle, 12);
+                assert_eq!(
+                    lulesh_core::validate::max_field_difference(a, &b),
+                    0.0,
+                    "workers {workers} rank {r}: overlap must not change physics"
+                );
+            }
+        }
+    }
+
+    /// A traced run of two 2-worker task ranks, over a tracer with a lane
+    /// for every worker: the folded result and every span recorded.
+    fn traced_task_run(cycles: u64) -> (Vec<Domain>, SimState, Vec<obs::Span>) {
+        let plan = tasks(2, 16);
+        let tracer = Tracer::shared(plan.exec.trace_lanes(2));
+        let (domains, st) = fold(run(
+            Decomposition::new(6, 2),
+            SimArgs::new(2, 1, 1, 0, cycles),
+            &RunPlan {
+                trace: Some(Arc::clone(&tracer)),
+                ..plan
+            },
+        ))
+        .unwrap();
+        (domains, st, tracer.drain())
+    }
+
+    #[test]
+    fn traced_task_ranks_match_untraced() {
+        let decomp = Decomposition::new(6, 2);
+        let (base, st_base) =
+            fold(run(decomp, SimArgs::new(2, 1, 1, 0, 8), &tasks(2, 16))).unwrap();
+        let (traced, st_traced, _) = traced_task_run(8);
+        assert_eq!(st_base.cycle, st_traced.cycle);
+        assert_eq!(st_base.time, st_traced.time);
+        for (r, (a, b)) in base.iter().zip(&traced).enumerate() {
+            assert_eq!(
+                lulesh_core::validate::max_field_difference(a, b),
+                0.0,
+                "rank {r}: tracing must not change task-rank physics"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_task_ranks_record_one_exchange_set_and_barrier_per_cycle() {
+        let cycles = 6;
+        let (_, _, spans) = traced_task_run(cycles as u64);
+        let exec = tasks(2, 16).exec;
+        let tasks: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Task).collect();
+        assert!(
+            tasks.iter().all(|s| s.worker >= 4),
+            "worker tasks must stay off every protocol and writer lane"
+        );
+        for rank in 0..2 {
+            let workers = exec.worker_lanes(rank, 2);
+            let count = |label: &str, on_rank_lanes: bool| {
+                spans
+                    .iter()
+                    .filter(|s| s.label == label)
+                    .filter(|s| match on_rank_lanes {
+                        true => s.worker == rank,
+                        false => workers.contains(&s.worker),
+                    })
+                    .count()
+            };
+            assert_eq!(count("barrier-dt", true), cycles, "rank {rank}");
+            for stage in ["send-forces", "recv-forces", "halo-gradients"] {
+                assert_eq!(count(stage, false), cycles, "rank {rank} {stage}");
+            }
+            assert!(
+                tasks.iter().any(|s| workers.contains(&s.worker)),
+                "rank {rank}: its workers record its tasks"
+            );
+        }
+    }
+
+    #[test]
+    fn survivors_of_a_death_record_the_same_barriers_on_either_executor() {
+        // The fault fires at the top of the step on both executors, so a
+        // survivor completes the same number of dt allreduces.
+        let barriers = |exec: RankExec| {
+            let tracer = Tracer::shared(exec.trace_lanes(3));
+            let results = run(
+                Decomposition::new(6, 3),
+                SimArgs::new(2, 1, 1, 0, 10),
+                &RunPlan {
+                    deadline: Duration::from_secs(2),
+                    trace: Some(Arc::clone(&tracer)),
+                    faults: FaultPlan {
+                        die_at: vec![(1, 3)],
+                        ..FaultPlan::NONE
+                    },
+                    exec,
+                    ..RunPlan::default()
+                },
+            );
+            assert!(results.iter().all(|r| matches!(r, Err(MdError::Net(_)))));
+            let spans = tracer.drain();
+            [0, 2].map(|rank| {
+                spans
+                    .iter()
+                    .filter(|s| s.worker == rank && s.label == "barrier-dt")
+                    .count()
+            })
+        };
+        let serial = barriers(RankExec::Serial);
+        assert_eq!(serial, [3, 3], "three cycles complete before the death");
+        assert_eq!(barriers(tasks(2, 16).exec), serial);
     }
 }

@@ -750,7 +750,11 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
             }
             let s = &ms.span;
             if s.lane != main_lane {
-                background_ns += s.dur_ns();
+                // Only parcel spans: a task rank's worker lanes hold its
+                // compute, which the main lane's step region covers.
+                if s.cat == "parcel" {
+                    background_ns += s.dur_ns();
+                }
                 continue;
             }
             if let Some(cat) = categorize(&s.cat, &s.label) {
@@ -1226,6 +1230,28 @@ mod tests {
                 spans: shift(r2, offsets[2]),
             },
         ]
+    }
+
+    #[test]
+    fn background_counts_writer_parcels_not_worker_tasks() {
+        // A task rank: its step region on the main lane, its compute on a
+        // worker lane, a writer-thread serialize span on the comm lane.
+        let spans = vec![
+            own(0, "task-graph", 0, 0, 1000, "region", 0, -1),
+            own(1, "stress", 2, 100, 900, "task", 0, -1),
+            own(2, "parcel-serialize-force", 1, 200, 260, "parcel", 800, 1),
+        ];
+        let trace = RankTrace {
+            rank: 0,
+            ranks: 1,
+            main_lane: 0,
+            offset_ns: 0,
+            lane_names: vec![(0, "rank0".into()), (1, "rank0-comm".into())],
+            spans,
+        };
+        let a = analyze(&merge(vec![trace]).unwrap());
+        assert_eq!(a.per_rank[0].background_ns, 60);
+        assert_eq!(a.per_rank[0].busy_ns, 1000);
     }
 
     #[test]

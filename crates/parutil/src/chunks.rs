@@ -63,6 +63,15 @@ pub fn chunks_of(n: usize, size: usize) -> impl Iterator<Item = Chunk> {
     (0..chunk_count(n, size)).map(move |k| chunk_range(n, size, k))
 }
 
+/// Iterator over the fixed-size chunks of an arbitrary range `r`: the
+/// chunks of `0..r.len()`, shifted to start at `r.start`.
+pub fn chunks_in(r: std::ops::Range<usize>, size: usize) -> impl Iterator<Item = Chunk> {
+    chunks_of(r.len(), size).map(move |c| Chunk {
+        begin: c.begin + r.start,
+        end: c.end + r.start,
+    })
+}
+
 /// The contiguous range thread `t` of `nthreads` owns under a static split
 /// of `0..n` (sizes differ by at most one; low-numbered threads get the
 /// remainder, matching `libgomp`'s `schedule(static)`).
@@ -98,6 +107,13 @@ mod tests {
         let c = chunk_range(10, 4, 2);
         assert_eq!(c, Chunk { begin: 8, end: 10 });
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn chunks_in_tiles_a_shifted_range() {
+        let got: Vec<_> = chunks_in(5..15, 4).map(|c| (c.begin, c.end)).collect();
+        assert_eq!(got, [(5, 9), (9, 13), (13, 15)]);
+        assert_eq!(chunks_in(7..7, 4).count(), 0);
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod shared_slice;
 
 pub use aligned::AlignedBuf;
 pub use barrier::SenseBarrier;
-pub use chunks::{chunk_count, chunk_range, chunks_of, static_split, Chunk};
+pub use chunks::{chunk_count, chunk_range, chunks_in, chunks_of, static_split, Chunk};
 pub use counters::{aggregate, BusyIdleClock, CachePadded, Utilization};
 pub use shared_slice::{SharedVec, ZeroBits, CACHE_LINE};

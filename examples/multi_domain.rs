@@ -1,15 +1,15 @@
 //! The paper's future work, running for real: decompose the Sedov cube
 //! into ζ slabs ("ranks"), advance them with MPI-style halo exchanges —
-//! lockstep, with one thread per rank, and with a task runtime per rank,
-//! the last two driven by the same default `RunPlan` — and verify against
-//! the single-domain solution.
+//! lockstep, then through the one rank loop with serial ranks and with a
+//! task graph per rank (`RankExec::Tasks`) — and verify against the
+//! single-domain solution.
 //!
 //! ```sh
 //! cargo run --release --example multi_domain
 //! ```
 
 use lulesh::core::{serial, Domain};
-use multidom::{fold, taskpar, threaded, Decomposition, RunPlan, SimArgs, World};
+use multidom::{fold, threaded, Decomposition, RankExec, RunPlan, SimArgs, World};
 
 fn main() {
     let size = 12;
@@ -43,7 +43,8 @@ fn main() {
             "duplicated interface nodes must agree bit-for-bit"
         );
 
-        // Threaded (message-passing) driver: bit-identical to lockstep.
+        // Serial ranks over the message-passing rank loop: bit-identical
+        // to lockstep.
         let sim = SimArgs::new(4, 1, 1, 0, cycles);
         let (domains, _) = fold(threaded::run(decomp, sim, &RunPlan::default())).unwrap();
         let mut max_thr: f64 = 0.0;
@@ -52,32 +53,32 @@ fn main() {
         }
         println!(
             "{ranks:>6} {:>14} {:>22} {:>20}",
-            "threaded", "= lockstep", "bitwise"
+            "serial ranks", "= lockstep", "bitwise"
         );
         assert_eq!(max_thr, 0.0);
 
-        // Task-parallel ranks (2 workers each) with exchange tasks: also
-        // bit-identical — the "HPX-native multi-node" configuration.
-        let (domains, _) = fold(taskpar::run(
-            decomp,
-            sim,
-            2,
-            lulesh::task::PartitionPlan::fixed(48, 48),
-            false,
-            &RunPlan::default(),
-        ))
-        .unwrap();
+        // Task ranks (2 workers each) whose halo exchanges are graph
+        // stages: also bit-identical — the "HPX-native multi-node"
+        // configuration.
+        let tasks = RunPlan {
+            exec: RankExec::Tasks {
+                threads: 2,
+                partition: lulesh::task::PartitionPlan::fixed(48, 48),
+            },
+            ..RunPlan::default()
+        };
+        let (domains, _) = fold(threaded::run(decomp, sim, &tasks)).unwrap();
         let mut max_tp: f64 = 0.0;
         for (a, b) in world.domains.iter().zip(&domains) {
             max_tp = max_tp.max(lulesh::core::validate::max_field_difference(a, b));
         }
         println!(
             "{ranks:>6} {:>14} {:>22} {:>20}",
-            "task-parallel", "= lockstep", "bitwise"
+            "task ranks", "= lockstep", "bitwise"
         );
         assert_eq!(max_tp, 0.0);
     }
 
     println!("\ndecomposed runs agree with the single domain to interface-plane");
-    println!("float regrouping only; both drivers agree with each other exactly ✔");
+    println!("float regrouping only; both rank executors match lockstep exactly ✔");
 }

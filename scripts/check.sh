@@ -172,6 +172,43 @@ if ! cmp -s "$TMP/loop_channel.csv" "$TMP/loop_tcp.csv"; then
   exit 1
 fi
 
+echo "== task ranks (--threads 2: a task graph per rank, the same rank loop) =="
+# `--threads N > 1` runs every rank as an N-worker task graph whose halo
+# exchanges are graph stages. Every CSV column but wall clock must match
+# the serial ranks of the default --threads 1 above.
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 1x1x2 --threads 2 --q \
+  | cut -d, -f1-4,6- > "$TMP/loop_tasks.csv"
+if ! cmp -s "$TMP/loop_channel.csv" "$TMP/loop_tasks.csv"; then
+  echo "task ranks diverged from serial ranks:"
+  diff "$TMP/loop_channel.csv" "$TMP/loop_tasks.csv" || true
+  exit 1
+fi
+# Traced task ranks over TCP: both rank files lint, the launcher's
+# analysis self-verifies (it exits nonzero otherwise), and the merged
+# trace holds at least 2 ranks x 8 dt barriers.
+./target/debug/lulesh-multidom --transport tcp --ranks 2 --threads 2 --s 6 --i 8 --q \
+  --trace-dir "$TMP/trtask" > /dev/null
+./target/debug/trace_lint "$TMP/trtask/rank0.spans.json"
+./target/debug/trace_lint "$TMP/trtask/rank1.spans.json"
+./target/debug/trace_lint "$TMP/trtask/merged.trace.json" 16
+test -s "$TMP/trtask/analysis.json"
+# Checkpoint/respawn on task ranks: rank 1 dies at cycle 5, the launcher
+# relaunches both from the newest complete wave, and the final energy
+# must equal an uninterrupted task-rank run's.
+./target/debug/lulesh-multidom --transport tcp --ranks 2 --threads 2 --s 6 --i 20 --q \
+  --recv-deadline-ms 3000 > "$TMP/task_ref.csv"
+./target/debug/lulesh-multidom --transport tcp --ranks 2 --threads 2 --s 6 --i 20 --q \
+  --recv-deadline-ms 3000 --die-at 1:5 --ckpt-dir "$TMP/taskckpt" --ckpt-period 2 \
+  --respawn > "$TMP/task_respawn.csv" 2> "$TMP/task_respawn.log"
+grep -q "respawn: relaunching all 2 ranks from checkpoint cycle" "$TMP/task_respawn.log" || {
+  echo "launcher never respawned the task ranks:"; cat "$TMP/task_respawn.log"; exit 1;
+}
+REF_E=$(tail -1 "$TMP/task_ref.csv" | cut -d, -f6)
+RESPAWN_E=$(tail -1 "$TMP/task_respawn.csv" | cut -d, -f6)
+if [ -z "$REF_E" ] || [ "$REF_E" != "$RESPAWN_E" ]; then
+  echo "recovered task-rank energy '$RESPAWN_E' != uninterrupted '$REF_E'"; exit 1
+fi
+
 echo "== distributed-trace smoke run (3 TCP ranks, --trace-dir) =="
 # Each worker drops a rank{R}.spans.json; the launcher clock-aligns and
 # merges them, then runs the inefficiency analysis. trace_lint validates

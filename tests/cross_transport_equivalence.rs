@@ -8,12 +8,14 @@
 //! rather than bitwise: the decomposed runs sum boundary-node force
 //! partials in a fixed sharer order that differs from the serial
 //! element-loop accumulation order, so the last few bits of the floating
-//! point results legitimately differ. The overlapped task driver is held
-//! to the bitwise standard too: comm/compute overlap changes scheduling
-//! only.
+//! point results legitimately differ. Task ranks, whose force exchange
+//! overlaps the interior gathers, are held to the bitwise standard too:
+//! comm/compute overlap changes scheduling only.
 
 use lulesh::core::validate::max_field_difference;
-use multidom::{threaded, Decomposition, FaultPlan, Grid3, RunPlan, SimArgs, TransportKind, World};
+use multidom::{
+    threaded, Decomposition, FaultPlan, Grid3, RankExec, RunPlan, SimArgs, TransportKind, World,
+};
 use parcelnet::dir;
 use std::time::Duration;
 
@@ -169,7 +171,7 @@ fn duplicated_interface_nodes_agree_across_transports() {
 }
 
 #[test]
-fn overlapped_taskpar_matches_lockstep_over_both_transports() {
+fn overlapped_task_ranks_match_lockstep_over_both_transports() {
     // Chain and grid decompositions with the comm/compute-overlapped
     // force exchange; the boundary/interior split must not change the
     // arithmetic on any transport.
@@ -180,15 +182,16 @@ fn overlapped_taskpar_matches_lockstep_over_both_transports() {
         let mut world = World::build(decomp, 2, 1, 1, 0);
         world.run(CYCLES).unwrap();
         for kind in [TransportKind::Channel, TransportKind::TcpLoopback] {
-            let results = multidom::taskpar::run(
+            let results = threaded::run(
                 decomp,
                 sim(),
-                2,
-                lulesh::task::PartitionPlan::fixed(32, 32),
-                true,
                 &RunPlan {
                     transport: kind,
                     deadline: DEADLINE,
+                    exec: RankExec::Tasks {
+                        threads: 2,
+                        partition: lulesh::task::PartitionPlan::fixed(32, 32),
+                    },
                     ..RunPlan::default()
                 },
             );

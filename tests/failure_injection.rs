@@ -187,14 +187,11 @@ fn threaded_multidom_aborts_cleanly_across_ranks() {
 }
 
 #[test]
-fn taskpar_multidom_aborts_cleanly_across_ranks() {
-    let r = multidom::fold(multidom::taskpar::run(
+fn task_rank_multidom_aborts_cleanly_across_ranks() {
+    let r = multidom::fold(multidom::threaded::run(
         multidom::Decomposition::new(6, 2),
         qstop_sim(50),
-        2,
-        PartitionPlan::fixed(24, 24),
-        false,
-        &RunPlan::default(),
+        &task_ranks(24),
     ));
     assert_eq!(r.err(), Some(LuleshError::QStopError));
 }
@@ -209,7 +206,9 @@ fn taskpar_multidom_aborts_cleanly_across_ranks() {
 // ---------------------------------------------------------------------------
 
 use multidom::TransportKind::{self, Channel, TcpLoopback};
-use multidom::{taskpar, threaded, Decomposition, FaultPlan, MdError, ResilPlan, RunPlan, SimArgs};
+use multidom::{
+    threaded, Decomposition, FaultPlan, MdError, RankExec, ResilPlan, RunPlan, SimArgs,
+};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -230,8 +229,19 @@ fn qstop_sim(max_cycles: u64) -> SimArgs {
 enum Compute {
     /// [`threaded::run`]: the serial kernels on one thread per rank.
     Serial,
-    /// [`taskpar::run`]: a two-worker task runtime per rank.
+    /// [`RankExec::Tasks`]: a two-worker task graph per rank.
     Task,
+}
+
+/// Two-worker task ranks with `part`-sized chunks; everything else off.
+fn task_ranks(part: usize) -> RunPlan {
+    RunPlan {
+        exec: RankExec::Tasks {
+            threads: 2,
+            partition: PartitionPlan::fixed(part, part),
+        },
+        ..RunPlan::default()
+    }
 }
 
 /// What every rank of a cell must report.
@@ -352,13 +362,13 @@ fn check_fault_row(name: &str) {
                     .into_iter()
                     .map(|r| r.map(drop))
                     .collect(),
-                Compute::Task => taskpar::run(
+                Compute::Task => threaded::run(
                     decomp,
                     row.sim,
-                    2,
-                    PartitionPlan::fixed(16, 16),
-                    false,
-                    &plan,
+                    &RunPlan {
+                        exec: task_ranks(16).exec,
+                        ..plan.clone()
+                    },
                 )
                 .into_iter()
                 .map(|r| r.map(drop))
@@ -484,6 +494,55 @@ fn killed_rank_recovers_from_checkpoints_bit_identically() {
 }
 
 #[test]
+fn killed_task_rank_recovers_from_checkpoints_bit_identically() {
+    // The same kill and rollback as above on two-worker task ranks: the
+    // checkpoint writer and the restore belong to the one rank loop, so
+    // task ranks resume from the cycle-15 wave and finish bit-identical
+    // to an uninterrupted task-rank run.
+    let decomp = Decomposition::new(6, 3);
+    let sim = SimArgs::new(2, 1, 1, 0, 30);
+    for kind in [Channel, TcpLoopback] {
+        let dir = std::env::temp_dir().join(format!(
+            "resil-recover-tasks-{kind:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = RunPlan {
+            transport: kind,
+            deadline: DEADLINE,
+            ..task_ranks(16)
+        };
+        let clean = threaded::run(decomp, sim, &plan);
+        let report = multidom::recovery::run_with_recovery(
+            decomp,
+            sim,
+            &RunPlan {
+                faults: FaultPlan {
+                    die_at: vec![(1, 17)],
+                    ..FaultPlan::NONE
+                },
+                resil: ckpt_plan(dir.clone(), 5),
+                ..plan
+            },
+            3,
+        );
+        assert_eq!(report.attempts, 2, "{kind:?}: one death, one restart");
+        assert_eq!(report.resumed_from, vec![15], "{kind:?}");
+        for (rank, (c, r)) in clean.into_iter().zip(report.results).enumerate() {
+            let (cd, cs) = c.unwrap_or_else(|e| panic!("{kind:?} clean rank {rank}: {e}"));
+            let (rd, rs) = r.unwrap_or_else(|e| panic!("{kind:?} recovered rank {rank}: {e}"));
+            assert_eq!(cs, rs, "{kind:?} rank {rank}: final state must match");
+            assert_eq!(
+                lulesh::core::validate::max_field_difference(&cd, &rd),
+                0.0,
+                "{kind:?} rank {rank}: recovered fields must be bit-identical"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn recovery_without_any_checkpoint_cold_restarts() {
     // Death before the second checkpoint wave exists is survivable too:
     // the restart simply begins from scratch (cycle-0 wave) and still
@@ -545,47 +604,4 @@ fn unrecoverable_job_reports_the_failure_after_max_attempts() {
         "the second kill lands after the attempt budget is spent"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn taskpar_reduce_dt_propagates_errors() {
-    // The task driver's reduce_dt hook must be called even on error (a rank
-    // returning early would deadlock its peers). Verify via the public API:
-    // a poisoned single-rank taskpar run returns Err cleanly.
-    let r = multidom::fold(multidom::taskpar::run(
-        multidom::Decomposition::new(6, 1),
-        SimArgs::new(2, 1, 1, 0, 5),
-        2,
-        PartitionPlan::fixed(16, 16),
-        false,
-        &RunPlan::default(),
-    ));
-    // Unpoisoned baseline succeeds...
-    assert!(r.is_ok());
-    // ... and the run_with_hooks contract surfaces local errors through the
-    // reduction callback (counted below).
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let calls = AtomicUsize::new(0);
-    let d = std::sync::Arc::new(Domain::build(6, 2, 1, 1, 0));
-    d.set_v(d.num_elem() / 2, -0.5);
-    let runner = TaskLulesh::new(2);
-    let result = runner.run_with_hooks(
-        &d,
-        PartitionPlan::fixed(16, 16),
-        5,
-        &lulesh::task::IterationHooks::default(),
-        |c, h, err| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            match err {
-                Some(e) => Err(e),
-                None => Ok((c, h)),
-            }
-        },
-    );
-    assert_eq!(result, Err(LuleshError::VolumeError));
-    assert_eq!(
-        calls.load(Ordering::SeqCst),
-        1,
-        "reduce_dt must run exactly once, on the erroring iteration"
-    );
 }
