@@ -41,7 +41,7 @@ pub mod types;
 pub mod validate;
 
 pub use domain::Domain;
-pub use opts::{Opts, PartitionMode, TransportMode};
+pub use opts::{Cli, Opts};
 pub use params::{Params, SimState};
 pub use regions::Regions;
 pub use report::RunReport;

@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod exchange;
 pub mod recovery;
 pub mod threaded;
@@ -481,39 +482,6 @@ impl Default for RunPlan {
             live: None,
             resil: ResilPlan::default(),
             exec: RankExec::Serial,
-        }
-    }
-}
-
-impl RunPlan {
-    /// The plan `lulesh-multidom` runs every path with (in-process,
-    /// `--respawn` and TCP worker): `--recv-deadline-ms`, `--die-at` and
-    /// `--slow-rank`, `--live-metrics` (its table on stderr unless `--q`),
-    /// and `--ckpt-dir`/`--ckpt-period`/`--resume-cycle`. The transport
-    /// stays [`TransportKind::Channel`] — TCP ranks are processes that
-    /// dial their own net — `trace` stays `None` and `exec` serial: the
-    /// caller sizes the tracer's lanes and the task ranks' partition to
-    /// the job.
-    pub fn from_opts(opts: &lulesh_core::Opts) -> Self {
-        Self {
-            deadline: Duration::from_millis(opts.recv_deadline_ms),
-            faults: FaultPlan {
-                die_at: opts.die_at.clone(),
-                slow_rank: opts.slow_rank,
-                ..FaultPlan::NONE
-            },
-            live: opts.live_metrics.map(|period| LiveConfig {
-                table: !opts.quiet,
-                ..LiveConfig::new(period)
-            }),
-            resil: ResilPlan {
-                ckpt: opts
-                    .ckpt_dir
-                    .as_ref()
-                    .map(|d| resil::CkptConfig::new(d, opts.ckpt_period)),
-                resume_cycle: opts.resume_cycle,
-            },
-            ..Self::default()
         }
     }
 }
@@ -983,9 +951,9 @@ mod tests {
     }
 
     #[test]
-    fn run_plan_from_opts_maps_every_run_flag() {
-        use lulesh_core::Opts;
-        let opts = Opts::parse([
+    fn run_plan_from_cli_maps_every_run_flag() {
+        use lulesh_core::Cli;
+        let args = cli::Args::parse(&[
             "--recv-deadline-ms=250",
             "--die-at=1:3,0:7",
             "--slow-rank=1:40",
@@ -998,7 +966,7 @@ mod tests {
             "--q",
         ])
         .unwrap();
-        let plan = RunPlan::from_opts(&opts);
+        let plan = args.plan;
         assert_eq!(plan.transport, TransportKind::Channel);
         assert_eq!(plan.deadline, Duration::from_millis(250));
         assert!(plan.trace.is_none());
@@ -1015,7 +983,7 @@ mod tests {
         assert_eq!(plan.resil.resume_cycle, Some(8));
 
         // No run flags: the CLI defaults are the all-off plan.
-        let plan = RunPlan::from_opts(&Opts::parse(["--s", "6"]).unwrap());
+        let plan = cli::Args::parse(&["--s", "6"]).unwrap().plan;
         let off = RunPlan::default();
         assert_eq!(plan.deadline, off.deadline);
         assert_eq!(plan.deadline, DEFAULT_DEADLINE);

@@ -499,7 +499,8 @@ mod tests {
         // The flags that fail over TCP with a typed timeout must fail the
         // same way over channels: rank 1 stalls 400 ms per step, the
         // receive deadline is 100 ms.
-        let opts = lulesh_core::Opts::parse([
+        use lulesh_core::Cli;
+        let args = crate::cli::Args::parse(&[
             "--s",
             "6",
             "--i",
@@ -511,14 +512,7 @@ mod tests {
             "--q",
         ])
         .unwrap();
-        let sim = SimArgs::new(
-            opts.num_reg,
-            opts.balance,
-            opts.cost,
-            opts.seed,
-            opts.max_cycles,
-        );
-        let results = run(Decomposition::new(6, 2), sim, &RunPlan::from_opts(&opts));
+        let results = run(Decomposition::new(6, 2), args.sim(), &args.plan);
         for (r, res) in results.iter().enumerate() {
             assert!(
                 matches!(res, Err(MdError::Net(_))),

@@ -27,7 +27,7 @@
 
 use obs::{SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
-use parutil::{static_split, BusyIdleClock, CachePadded, Chunk};
+use parutil::{static_split, BusyIdleClock, CachePadded, Chunk, UTILIZATION_EPS};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -383,13 +383,20 @@ impl Pool {
 
     /// Productive-time ratio since the last reset (Figure 11's metric,
     /// measured the way the paper measures OpenMP: time inside parallel
-    /// regions vs. total).
+    /// regions vs. total). Like `taskrt`'s, it returns the *raw* ratio — a
+    /// value meaningfully above 1.0 means the busy clocks overcount and
+    /// must not be hidden by clamping; debug builds assert ≤ 1 + ε.
     pub fn utilization_since_reset(&self) -> f64 {
         let s = self.stats();
         if s.wall_ns == 0 {
             return 0.0;
         }
-        (s.busy_ns as f64 / (s.wall_ns as f64 * s.threads as f64)).min(1.0)
+        let r = s.busy_ns as f64 / (s.wall_ns as f64 * s.threads as f64);
+        debug_assert!(
+            r <= 1.0 + UTILIZATION_EPS,
+            "busy-time overcounting: productive ratio {r} > 1 + ε"
+        );
+        r
     }
 }
 
@@ -613,7 +620,10 @@ mod tests {
         assert_eq!(s.tasks, 20, "10 loops × 2 threads");
         assert!(s.busy_ns > 0);
         let u = pool.utilization_since_reset();
-        assert!((0.0..=1.0).contains(&u));
+        assert!(
+            (0.0..=1.0 + UTILIZATION_EPS).contains(&u),
+            "utilization {u}"
+        );
     }
 
     #[test]

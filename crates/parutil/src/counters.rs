@@ -10,6 +10,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// Slack both runtimes allow on the raw productive-time ratio before their
+/// debug assertion fires: the wall clock and the per-worker busy clocks
+/// are read at slightly different instants, so tiny overshoots are
+/// measurement skew, not overcounting.
+pub const UTILIZATION_EPS: f64 = 0.05;
+
 /// Pad-and-align wrapper keeping each worker's counters on its own cache
 /// line(s).
 #[derive(Debug, Default)]

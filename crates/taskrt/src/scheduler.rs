@@ -9,7 +9,7 @@ use crate::phases::{self, PhaseCounters, PhaseLabels, PhaseStat};
 use crossbeam::deque::{Injector, Stealer, Worker};
 use obs::{Span, SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
-use parutil::{BusyIdleClock, CachePadded};
+use parutil::{BusyIdleClock, CachePadded, UTILIZATION_EPS};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,12 +21,6 @@ use std::time::{Duration, Instant};
 /// up as an obvious latency cliff in the regression test instead of being
 /// silently absorbed.
 const PARK_BACKSTOP: Duration = Duration::from_millis(100);
-
-/// Slack allowed on the productive-time ratio before the debug assertion
-/// in [`Runtime::utilization_since_reset`] fires: the wall clock and the
-/// per-worker busy clocks are read at slightly different instants, so tiny
-/// overshoots are measurement skew, not overcounting.
-const UTILIZATION_EPS: f64 = 0.05;
 
 /// Failed scans of every queue an idle worker makes back to back before it
 /// starts yielding its core between scans: ~20 µs, a few task grains of a

@@ -148,6 +148,36 @@ for bin in lulesh-task lulesh-multidom; do
   fi
 done
 
+echo "== every binary rejects the flags it does not honour =="
+# Each binary parses its own table: a flag another binary reads (or a
+# multi-domain combination that would do nothing) is a usage error, never
+# a silently ignored token.
+while IFS='|' read -r bin flags; do
+  STATUS=0
+  # shellcheck disable=SC2086 # the flags are a word list on purpose
+  ./target/debug/$bin $flags < /dev/null > /dev/null 2> "$TMP/reject.log" || STATUS=$?
+  if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: $bin" "$TMP/reject.log"; then
+    echo "$bin $flags: expected exit 2 with usage, got $STATUS:"; cat "$TMP/reject.log"
+    exit 1
+  fi
+done <<'EOF_FLAGS'
+lulesh-serial|--threads 2
+lulesh-serial|--trace t.json
+lulesh-serial|--partition table
+lulesh-serial|--grid 1x1x2
+lulesh-serial|--die-at 0:1
+lulesh-omp|--partition table
+lulesh-omp|--trace-dir d
+lulesh-omp|--ckpt-dir d
+lulesh-omp|--live-metrics
+lulesh-task|--grid 1x1x2
+lulesh-task|--transport tcp
+lulesh-task|--slow-rank 0:1
+lulesh-task|--respawn
+lulesh-multidom|--partition table
+lulesh-multidom|--resume-cycle 3
+EOF_FLAGS
+
 echo "== TCP-loopback smoke run (2 ranks, s=6, 10 iterations) =="
 # The launcher re-spawns the binary once per rank over real loopback
 # sockets, waits for every worker, and re-binds the bootstrap port before
