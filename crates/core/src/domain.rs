@@ -19,7 +19,7 @@ use crate::kernels::volume::calc_elem_volume;
 use crate::mesh::{self, Face, MeshShape};
 use crate::params::{Params, EBASE};
 use crate::regions::Regions;
-use crate::types::{Index, Real};
+use crate::types::{Index, MeshIndex, Real};
 use parutil::SharedVec;
 
 macro_rules! real_fields {
@@ -122,33 +122,33 @@ pub struct Domain {
     /// Monotonic-q position gradient scratch.
     pub m_delx_zeta: SharedVec<Real>,
 
-    // --- immutable connectivity ---
+    // --- immutable connectivity, stored at `Index_t` width ---
     /// 8 node indices per element.
-    pub m_nodelist: Vec<Index>,
+    pub m_nodelist: Vec<MeshIndex>,
     /// ξ− face neighbour.
-    pub m_lxim: Vec<Index>,
+    pub m_lxim: Vec<MeshIndex>,
     /// ξ+ face neighbour.
-    pub m_lxip: Vec<Index>,
+    pub m_lxip: Vec<MeshIndex>,
     /// η− face neighbour.
-    pub m_letam: Vec<Index>,
+    pub m_letam: Vec<MeshIndex>,
     /// η+ face neighbour.
-    pub m_letap: Vec<Index>,
+    pub m_letap: Vec<MeshIndex>,
     /// ζ− face neighbour.
-    pub m_lzetam: Vec<Index>,
+    pub m_lzetam: Vec<MeshIndex>,
     /// ζ+ face neighbour.
-    pub m_lzetap: Vec<Index>,
+    pub m_lzetap: Vec<MeshIndex>,
     /// Boundary-condition flags.
     pub m_elem_bc: Vec<i32>,
     /// Symmetry-plane node lists.
-    pub m_symm_x: Vec<Index>,
+    pub m_symm_x: Vec<MeshIndex>,
     /// Symmetry-plane node lists.
-    pub m_symm_y: Vec<Index>,
+    pub m_symm_y: Vec<MeshIndex>,
     /// Symmetry-plane node lists.
-    pub m_symm_z: Vec<Index>,
+    pub m_symm_z: Vec<MeshIndex>,
     /// Node→element-corner list offsets (length `num_node + 1`).
-    pub m_node_elem_start: Vec<Index>,
+    pub m_node_elem_start: Vec<MeshIndex>,
     /// Node→element-corner entries (`8·elem + corner`).
-    pub m_node_elem_corner_list: Vec<Index>,
+    pub m_node_elem_corner_list: Vec<MeshIndex>,
 
     /// Region decomposition.
     pub regions: Regions,
@@ -172,6 +172,9 @@ impl Domain {
     /// boundary flags and ghost regions for the monotonic-q gradients; the
     /// blast energy is deposited only on the subdomain containing the
     /// global origin element.
+    ///
+    /// Panics, before allocating, if the brick's indices overflow
+    /// [`MeshIndex`] (a cube edge above [`mesh::MAX_EDGE`]).
     pub fn build_subdomain(
         shape: MeshShape,
         num_reg: usize,
@@ -180,6 +183,7 @@ impl Domain {
         seed: u64,
     ) -> Self {
         assert!(shape.nx >= 1 && shape.ny >= 1 && shape.nz >= 1);
+        mesh::assert_fits(shape);
         assert!(
             shape.x_offset + shape.nx <= shape.global_nx
                 && shape.y_offset + shape.ny <= shape.global_ny
@@ -193,7 +197,17 @@ impl Domain {
         let num_elem = shape.num_elem();
         let num_node = shape.num_node();
 
-        let (x, y, z) = mesh::build_coordinates(shape);
+        // Every array is allocated once and written in place: a page is
+        // faulted by its first write, never by a copy.
+        let blank_e = || SharedVec::zeroed(num_elem);
+        let blank_n = || SharedVec::zeroed(num_node);
+        let (mut m_x, mut m_y, mut m_z) = (blank_n(), blank_n(), blank_n());
+        mesh::fill_coordinates(
+            shape,
+            m_x.as_mut_slice(),
+            m_y.as_mut_slice(),
+            m_z.as_mut_slice(),
+        );
         let nodelist = mesh::build_nodelist(shape);
         let (lxim, lxip, letam, letap, lzetam, lzetap) = mesh::build_connectivity(shape);
         let elem_bc = mesh::build_boundary_conditions(shape);
@@ -205,24 +219,27 @@ impl Domain {
         // Initialize volumes and masses from the initial geometry. For
         // subdomains, boundary-plane nodal masses are completed by the
         // halo exchange in `multidom`.
-        let mut volo = vec![0.0; num_elem];
-        let mut elem_mass = vec![0.0; num_elem];
-        let mut nodal_mass = vec![0.0; num_node];
+        let (mut m_volo, mut m_elem_mass, mut m_nodal_mass) = (blank_e(), blank_e(), blank_n());
+        let (x, y, z) = (m_x.as_mut_slice(), m_y.as_mut_slice(), m_z.as_mut_slice());
+        let volo = m_volo.as_mut_slice();
+        let elem_mass = m_elem_mass.as_mut_slice();
+        let nodal_mass = m_nodal_mass.as_mut_slice();
         let mut xl = [0.0; 8];
         let mut yl = [0.0; 8];
         let mut zl = [0.0; 8];
         for e in 0..num_elem {
             let nl = &nodelist[8 * e..8 * e + 8];
             for c in 0..8 {
-                xl[c] = x[nl[c]];
-                yl[c] = y[nl[c]];
-                zl[c] = z[nl[c]];
+                let n = nl[c] as Index;
+                xl[c] = x[n];
+                yl[c] = y[n];
+                zl[c] = z[n];
             }
             let volume = calc_elem_volume(&xl, &yl, &zl);
             volo[e] = volume;
             elem_mass[e] = volume;
             for &n in nl {
-                nodal_mass[n] += volume / 8.0;
+                nodal_mass[n as Index] += volume / 8.0;
             }
         }
 
@@ -233,9 +250,9 @@ impl Domain {
         // every sub-brick of one problem agrees on the deposit.
         let scale = shape.global_nx as Real / 45.0;
         let einit = EBASE * scale * scale * scale;
-        let mut e_field = vec![0.0; num_elem];
+        let mut m_e = blank_e();
         if shape.x_offset == 0 && shape.y_offset == 0 && shape.z_offset == 0 {
-            e_field[0] = einit;
+            m_e.as_mut_slice()[0] = einit;
         }
         let initial_dt = 0.5 * volo[0].cbrt() / (2.0 * einit).sqrt();
 
@@ -251,9 +268,9 @@ impl Domain {
             shape,
             num_elem,
             num_node,
-            m_x: SharedVec::from_vec(x),
-            m_y: SharedVec::from_vec(y),
-            m_z: SharedVec::from_vec(z),
+            m_x,
+            m_y,
+            m_z,
             m_xd: zeros_n(),
             m_yd: zeros_n(),
             m_zd: zeros_n(),
@@ -263,19 +280,19 @@ impl Domain {
             m_fx: zeros_n(),
             m_fy: zeros_n(),
             m_fz: zeros_n(),
-            m_nodal_mass: SharedVec::from_vec(nodal_mass),
-            m_e: SharedVec::from_vec(e_field),
+            m_nodal_mass,
+            m_e,
             m_p: zeros_e(),
             m_q: zeros_e(),
             m_ql: zeros_e(),
             m_qq: zeros_e(),
             m_v: SharedVec::from_elem(1.0, num_elem),
-            m_volo: SharedVec::from_vec(volo),
+            m_volo,
             m_delv: zeros_e(),
             m_vdov: zeros_e(),
             m_arealg: zeros_e(),
             m_ss: zeros_e(),
-            m_elem_mass: SharedVec::from_vec(elem_mass),
+            m_elem_mass,
             m_vnew: zeros_e(),
             m_dxx: zeros_e(),
             m_dyy: zeros_e(),
@@ -362,14 +379,16 @@ impl Domain {
 
     /// The 8 node indices of element `e`.
     #[inline]
-    pub fn nodelist(&self, e: Index) -> &[Index] {
+    pub fn nodelist(&self, e: Index) -> &[MeshIndex] {
         &self.m_nodelist[8 * e..8 * e + 8]
     }
 
-    /// Element-corner entries of node `n` (each is `8·elem + corner`).
+    /// Element-corner entries of node `n` (each is `8·elem + corner`), in
+    /// ascending order.
     #[inline]
-    pub fn node_elem_corners(&self, n: Index) -> &[Index] {
-        &self.m_node_elem_corner_list[self.m_node_elem_start[n]..self.m_node_elem_start[n + 1]]
+    pub fn node_elem_corners(&self, n: Index) -> &[MeshIndex] {
+        let start = &self.m_node_elem_start;
+        &self.m_node_elem_corner_list[start[n] as Index..start[n + 1] as Index]
     }
 
     real_fields! {
@@ -519,6 +538,43 @@ mod tests {
         assert_eq!(d.initial_dt(), want);
         // 0.5·0.025 / √(2·3.948746e7) ≈ 1.4e-6 for s = 45.
         assert!(d.initial_dt() > 1e-7 && d.initial_dt() < 1e-5);
+    }
+
+    #[test]
+    fn node_corner_lists_ascend_on_an_offset_brick_with_comm_faces() {
+        // The centre brick of a 3×3×3 grid: every face is COMM and every
+        // axis is offset. The force gathers' summation order, and with it
+        // bit-identity across drivers, rests on each node listing its
+        // corners in strictly ascending `8·elem + corner` order.
+        let shape = MeshShape::brick((2, 2, 3), (6, 6, 6), (2, 3, 2));
+        assert!(Face::ALL
+            .iter()
+            .all(|&f| shape.face_boundary(f) == mesh::FaceBoundary::Comm));
+        let d = Domain::build_subdomain(shape, 1, 1, 1, 0);
+        let start = &d.m_node_elem_start;
+        assert_eq!(start.len(), d.num_node() + 1);
+        assert_eq!(start[0], 0);
+        assert!(start.windows(2).all(|w| w[0] <= w[1]), "start is monotone");
+        assert_eq!(start[d.num_node()] as Index, 8 * d.num_elem());
+        for n in 0..d.num_node() {
+            let list = d.node_elem_corners(n);
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "node {n} corners not ascending: {list:?}"
+            );
+            for &c in list {
+                let (e, corner) = (c as Index / 8, c as Index % 8);
+                assert_eq!(d.nodelist(e)[corner] as Index, n);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 32-bit mesh indices")]
+    fn oversized_build_fails_before_allocating() {
+        // 813³ elements would need ~34 GB of nodelist alone; the bound is
+        // checked on the extents first.
+        Domain::build(crate::mesh::MAX_EDGE + 1, 1, 1, 1, 0);
     }
 
     #[test]

@@ -453,8 +453,8 @@ mod tests {
             assert!((determ[e] - d.volo(e)).abs() < 1e-15);
         }
         // x8n holds the corner coordinates.
-        assert_eq!(x8n[0], d.x(d.nodelist(0)[0]));
-        assert_eq!(y8n[3], d.y(d.nodelist(0)[3]));
+        assert_eq!(x8n[0], d.x(d.nodelist(0)[0] as Index));
+        assert_eq!(y8n[3], d.y(d.nodelist(0)[3] as Index));
     }
 
     #[test]
@@ -577,7 +577,7 @@ mod tests {
         d.set_ss(0, 1.0);
         let nl: Vec<_> = d.nodelist(0).to_vec();
         for (c, &nn) in nl.iter().enumerate() {
-            d.set_xd(nn, GAMMA[0][c]);
+            d.set_xd(nn as Index, GAMMA[0][c]);
         }
         let n = 1;
         let (mut dvdx, mut dvdy, mut dvdz, mut x8n, mut y8n, mut z8n, mut determ) = scratch(n);

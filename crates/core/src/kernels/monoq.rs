@@ -9,7 +9,7 @@
 
 use crate::domain::Domain;
 use crate::params::Params;
-use crate::types::{bc, LuleshError, Real};
+use crate::types::{bc, Index, LuleshError, Real};
 use parutil::Chunk;
 
 const PTINY: Real = 1.0e-36;
@@ -23,14 +23,14 @@ const PTINY: Real = 1.0e-36;
 pub fn calc_monotonic_q_gradients_for_elems(d: &Domain, range: Chunk) {
     for i in range.iter() {
         let nl = d.nodelist(i);
-        let n0 = nl[0];
-        let n1 = nl[1];
-        let n2 = nl[2];
-        let n3 = nl[3];
-        let n4 = nl[4];
-        let n5 = nl[5];
-        let n6 = nl[6];
-        let n7 = nl[7];
+        let n0 = nl[0] as Index;
+        let n1 = nl[1] as Index;
+        let n2 = nl[2] as Index;
+        let n3 = nl[3] as Index;
+        let n4 = nl[4] as Index;
+        let n5 = nl[5] as Index;
+        let n6 = nl[6] as Index;
+        let n7 = nl[7] as Index;
 
         let x0 = d.x(n0);
         let x1 = d.x(n1);
@@ -173,13 +173,13 @@ pub fn calc_monotonic_q_region_for_elems(d: &Domain, elems: &[usize], p: &Params
         let norm = 1.0 / (d.delv_xi(i) + PTINY);
 
         let mut delvm = match bc_mask & bc::XI_M {
-            0 | bc::XI_M_COMM => d.delv_xi(d.m_lxim[i]),
+            0 | bc::XI_M_COMM => d.delv_xi(d.m_lxim[i] as Index),
             bc::XI_M_SYMM => d.delv_xi(i),
             bc::XI_M_FREE => 0.0,
             other => unreachable!("bad ξ− boundary flags {other:#x}"),
         };
         let mut delvp = match bc_mask & bc::XI_P {
-            0 | bc::XI_P_COMM => d.delv_xi(d.m_lxip[i]),
+            0 | bc::XI_P_COMM => d.delv_xi(d.m_lxip[i] as Index),
             bc::XI_P_SYMM => d.delv_xi(i),
             bc::XI_P_FREE => 0.0,
             other => unreachable!("bad ξ+ boundary flags {other:#x}"),
@@ -210,13 +210,13 @@ pub fn calc_monotonic_q_region_for_elems(d: &Domain, elems: &[usize], p: &Params
         let norm = 1.0 / (d.delv_eta(i) + PTINY);
 
         let mut delvm = match bc_mask & bc::ETA_M {
-            0 | bc::ETA_M_COMM => d.delv_eta(d.m_letam[i]),
+            0 | bc::ETA_M_COMM => d.delv_eta(d.m_letam[i] as Index),
             bc::ETA_M_SYMM => d.delv_eta(i),
             bc::ETA_M_FREE => 0.0,
             other => unreachable!("bad η− boundary flags {other:#x}"),
         };
         let mut delvp = match bc_mask & bc::ETA_P {
-            0 | bc::ETA_P_COMM => d.delv_eta(d.m_letap[i]),
+            0 | bc::ETA_P_COMM => d.delv_eta(d.m_letap[i] as Index),
             bc::ETA_P_SYMM => d.delv_eta(i),
             bc::ETA_P_FREE => 0.0,
             other => unreachable!("bad η+ boundary flags {other:#x}"),
@@ -247,13 +247,13 @@ pub fn calc_monotonic_q_region_for_elems(d: &Domain, elems: &[usize], p: &Params
         let norm = 1.0 / (d.delv_zeta(i) + PTINY);
 
         let mut delvm = match bc_mask & bc::ZETA_M {
-            0 | bc::ZETA_M_COMM => d.delv_zeta(d.m_lzetam[i]),
+            0 | bc::ZETA_M_COMM => d.delv_zeta(d.m_lzetam[i] as Index),
             bc::ZETA_M_SYMM => d.delv_zeta(i),
             bc::ZETA_M_FREE => 0.0,
             other => unreachable!("bad ζ− boundary flags {other:#x}"),
         };
         let mut delvp = match bc_mask & bc::ZETA_P {
-            0 | bc::ZETA_P_COMM => d.delv_zeta(d.m_lzetap[i]),
+            0 | bc::ZETA_P_COMM => d.delv_zeta(d.m_lzetap[i] as Index),
             bc::ZETA_P_SYMM => d.delv_zeta(i),
             bc::ZETA_P_FREE => 0.0,
             other => unreachable!("bad ζ+ boundary flags {other:#x}"),

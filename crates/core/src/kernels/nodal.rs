@@ -7,7 +7,7 @@
 //! the task driver chains them without barriers.
 
 use crate::domain::Domain;
-use crate::types::Real;
+use crate::types::{Index, Real};
 use parutil::Chunk;
 
 /// `a = F / m` per node.
@@ -28,13 +28,13 @@ pub fn calc_acceleration_for_nodes(d: &Domain, range: Chunk) {
 pub fn apply_acceleration_boundary_conditions(d: &Domain, range: Chunk) {
     for i in range.iter() {
         if i < d.m_symm_x.len() {
-            d.set_xdd(d.m_symm_x[i], 0.0);
+            d.set_xdd(d.m_symm_x[i] as Index, 0.0);
         }
         if i < d.m_symm_y.len() {
-            d.set_ydd(d.m_symm_y[i], 0.0);
+            d.set_ydd(d.m_symm_y[i] as Index, 0.0);
         }
         if i < d.m_symm_z.len() {
-            d.set_zdd(d.m_symm_z[i], 0.0);
+            d.set_zdd(d.m_symm_z[i] as Index, 0.0);
         }
     }
 }
@@ -145,13 +145,13 @@ mod tests {
             },
         );
         for &n in &d.m_symm_x {
-            assert_eq!(d.xdd(n), 0.0);
+            assert_eq!(d.xdd(n as Index), 0.0);
         }
         for &n in &d.m_symm_y {
-            assert_eq!(d.ydd(n), 0.0);
+            assert_eq!(d.ydd(n as Index), 0.0);
         }
         for &n in &d.m_symm_z {
-            assert_eq!(d.zdd(n), 0.0);
+            assert_eq!(d.zdd(n as Index), 0.0);
         }
         // The far corner node (on no symmetry plane) keeps its acceleration.
         let far = d.num_node() - 1;

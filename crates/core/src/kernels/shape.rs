@@ -22,9 +22,9 @@ pub fn gather_elem_coords(
 ) {
     let nl = d.nodelist(e);
     for c in 0..8 {
-        xl[c] = d.x(nl[c]);
-        yl[c] = d.y(nl[c]);
-        zl[c] = d.z(nl[c]);
+        xl[c] = d.x(nl[c] as Index);
+        yl[c] = d.y(nl[c] as Index);
+        zl[c] = d.z(nl[c] as Index);
     }
 }
 
@@ -40,9 +40,9 @@ pub fn gather_elem_velocities(
 ) {
     let nl = d.nodelist(e);
     for c in 0..8 {
-        xdl[c] = d.xd(nl[c]);
-        ydl[c] = d.yd(nl[c]);
-        zdl[c] = d.zd(nl[c]);
+        xdl[c] = d.xd(nl[c] as Index);
+        ydl[c] = d.yd(nl[c] as Index);
+        zdl[c] = d.zd(nl[c] as Index);
     }
 }
 
@@ -60,9 +60,9 @@ pub fn gather_elem_coords_lanes<const W: usize>(
     for l in 0..W {
         let nl = d.nodelist(e0 + l);
         for c in 0..8 {
-            xl[c].0[l] = d.x(nl[c]);
-            yl[c].0[l] = d.y(nl[c]);
-            zl[c].0[l] = d.z(nl[c]);
+            xl[c].0[l] = d.x(nl[c] as Index);
+            yl[c].0[l] = d.y(nl[c] as Index);
+            zl[c].0[l] = d.z(nl[c] as Index);
         }
     }
 }
@@ -80,9 +80,9 @@ pub fn gather_elem_velocities_lanes<const W: usize>(
     for l in 0..W {
         let nl = d.nodelist(e0 + l);
         for c in 0..8 {
-            xdl[c].0[l] = d.xd(nl[c]);
-            ydl[c].0[l] = d.yd(nl[c]);
-            zdl[c].0[l] = d.zd(nl[c]);
+            xdl[c].0[l] = d.xd(nl[c] as Index);
+            ydl[c].0[l] = d.yd(nl[c] as Index);
+            zdl[c].0[l] = d.zd(nl[c] as Index);
         }
     }
 }
@@ -336,6 +336,7 @@ mod tests {
             gather_elem_coords(&d, e, &mut x, &mut y, &mut z);
             gather_elem_velocities(&d, e, &mut xd, &mut yd, &mut zd);
             for (c, &n) in d.nodelist(e).iter().enumerate() {
+                let n = n as Index;
                 assert_eq!(x[c], d.x(n));
                 assert_eq!(y[c], d.y(n));
                 assert_eq!(z[c], d.z(n));

@@ -280,6 +280,7 @@ pub fn gather_forces_set(
         let mut fy = 0.0;
         let mut fz = 0.0;
         for &c in d.node_elem_corners(n) {
+            let c = c as Index;
             fx += fx_elem[c];
             fy += fy_elem[c];
             fz += fz_elem[c];
@@ -304,6 +305,7 @@ pub fn gather_forces_add(
         let mut fy = 0.0;
         let mut fz = 0.0;
         for &c in d.node_elem_corners(n) {
+            let c = c as Index;
             fx += fx_elem[c];
             fy += fy_elem[c];
             fz += fz_elem[c];
@@ -341,6 +343,7 @@ pub fn gather_forces_sum2(
         let mut gy = 0.0;
         let mut gz = 0.0;
         for &c in d.node_elem_corners(n) {
+            let c = c as Index;
             fx += fx_a[c];
             fy += fy_a[c];
             fz += fz_a[c];

@@ -15,7 +15,12 @@
 // Indexed loops intentionally mirror the reference's `SetupElementConnectivities` flat-index arithmetic.
 #![allow(clippy::needless_range_loop)]
 use crate::params::MESH_EXTENT;
-use crate::types::{bc, Index, Real};
+use crate::types::{bc, Index, MeshIndex, Real};
+
+/// Largest cube edge (`--s`) whose connectivity fits [`MeshIndex`]: the
+/// node→corner offsets run up to `8·num_elem`, and `8·812³ ≤ u32::MAX <
+/// 8·813³`.
+pub const MAX_EDGE: Index = 812;
 
 /// What sits on one face of a (sub)domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +148,18 @@ impl MeshShape {
         (self.nx + 1) * (self.ny + 1)
     }
 
+    /// `true` if every stored index of this brick fits [`MeshIndex`]: the
+    /// largest is the node→corner end offset `8·num_elem` (node ids, face
+    /// neighbours and ghost slots are all smaller). Computed from the
+    /// extents alone, so an oversized shape is rejected before any
+    /// allocation.
+    pub fn fits_mesh_index(&self) -> bool {
+        [self.nx, self.ny, self.nz, 8]
+            .into_iter()
+            .try_fold(1, Index::checked_mul)
+            .is_some_and(|n| n <= MeshIndex::MAX as Index)
+    }
+
     /// Offset along a face's axis (0 = ξ, 1 = η, 2 = ζ).
     fn axis_offset(&self, axis: usize) -> Index {
         [self.x_offset, self.y_offset, self.z_offset][axis]
@@ -259,14 +276,13 @@ impl MeshShape {
     }
 }
 
-/// Node coordinates of the `(nx+1)(ny+1)(nz+1)` lattice. The global mesh
-/// spans `[0, 1.125]` per dimension; coordinates account for the brick
-/// offset on every axis.
-pub fn build_coordinates(shape: MeshShape) -> (Vec<Real>, Vec<Real>, Vec<Real>) {
+/// Write the node coordinates of the `(nx+1)(ny+1)(nz+1)` lattice into
+/// `x`, `y` and `z` (each `num_node` long). The global mesh spans
+/// `[0, 1.125]` per dimension; coordinates account for the brick offset on
+/// every axis.
+pub fn fill_coordinates(shape: MeshShape, x: &mut [Real], y: &mut [Real], z: &mut [Real]) {
     let num_node = shape.num_node();
-    let mut x = vec![0.0; num_node];
-    let mut y = vec![0.0; num_node];
-    let mut z = vec![0.0; num_node];
+    assert!(x.len() == num_node && y.len() == num_node && z.len() == num_node);
 
     let mut nidx = 0;
     for plane in 0..=shape.nz {
@@ -282,12 +298,34 @@ pub fn build_coordinates(shape: MeshShape) -> (Vec<Real>, Vec<Real>, Vec<Real>) 
             }
         }
     }
-    (x, y, z)
+}
+
+/// Narrow a computed index to its stored width. Every `build_*` function
+/// that calls this asserts [`MeshShape::fits_mesh_index`] first, so no
+/// value is truncated.
+#[inline]
+fn stored(i: Index) -> MeshIndex {
+    debug_assert!(i <= MeshIndex::MAX as Index);
+    i as MeshIndex
+}
+
+/// Panic unless `shape`'s indices fit [`MeshIndex`]; checks the extents
+/// only, so it runs before anything is allocated.
+pub(crate) fn assert_fits(shape: MeshShape) {
+    assert!(
+        shape.fits_mesh_index(),
+        "a {}x{}x{} brick exceeds 32-bit mesh indices (8·elements must be at most \
+         u32::MAX: a cube edge of at most {MAX_EDGE})",
+        shape.nx,
+        shape.ny,
+        shape.nz
+    );
 }
 
 /// Element→node connectivity: 8 node indices per element, LULESH corner
 /// order (bottom face counter-clockwise, then top face).
-pub fn build_nodelist(shape: MeshShape) -> Vec<Index> {
+pub fn build_nodelist(shape: MeshShape) -> Vec<MeshIndex> {
+    assert_fits(shape);
     let rn = shape.nx + 1; // node row stride
     let pn = shape.nodes_per_plane(); // node plane stride
     let mut nodelist = vec![0; 8 * shape.num_elem()];
@@ -298,14 +336,14 @@ pub fn build_nodelist(shape: MeshShape) -> Vec<Index> {
             for col in 0..shape.nx {
                 let nidx = plane * pn + row * rn + col;
                 let nl = &mut nodelist[8 * zidx..8 * zidx + 8];
-                nl[0] = nidx;
-                nl[1] = nidx + 1;
-                nl[2] = nidx + rn + 1;
-                nl[3] = nidx + rn;
-                nl[4] = nidx + pn;
-                nl[5] = nidx + pn + 1;
-                nl[6] = nidx + pn + rn + 1;
-                nl[7] = nidx + pn + rn;
+                nl[0] = stored(nidx);
+                nl[1] = stored(nidx + 1);
+                nl[2] = stored(nidx + rn + 1);
+                nl[3] = stored(nidx + rn);
+                nl[4] = stored(nidx + pn);
+                nl[5] = stored(nidx + pn + 1);
+                nl[6] = stored(nidx + pn + rn + 1);
+                nl[7] = stored(nidx + pn + rn);
                 zidx += 1;
             }
         }
@@ -327,13 +365,14 @@ pub fn build_nodelist(shape: MeshShape) -> Vec<Index> {
 pub fn build_connectivity(
     shape: MeshShape,
 ) -> (
-    Vec<Index>,
-    Vec<Index>,
-    Vec<Index>,
-    Vec<Index>,
-    Vec<Index>,
-    Vec<Index>,
+    Vec<MeshIndex>,
+    Vec<MeshIndex>,
+    Vec<MeshIndex>,
+    Vec<MeshIndex>,
+    Vec<MeshIndex>,
+    Vec<MeshIndex>,
 ) {
+    assert_fits(shape);
     let num_elem = shape.num_elem();
     let nx = shape.nx;
     let plane = shape.elems_per_plane();
@@ -346,27 +385,27 @@ pub fn build_connectivity(
 
     lxim[0] = 0;
     for i in 1..num_elem {
-        lxim[i] = i - 1;
-        lxip[i - 1] = i;
+        lxim[i] = stored(i - 1);
+        lxip[i - 1] = stored(i);
     }
-    lxip[num_elem - 1] = num_elem - 1;
+    lxip[num_elem - 1] = stored(num_elem - 1);
 
     for i in 0..nx {
-        letam[i] = i;
-        letap[num_elem - nx + i] = num_elem - nx + i;
+        letam[i] = stored(i);
+        letap[num_elem - nx + i] = stored(num_elem - nx + i);
     }
     for i in nx..num_elem {
-        letam[i] = i - nx;
-        letap[i - nx] = i;
+        letam[i] = stored(i - nx);
+        letap[i - nx] = stored(i);
     }
 
     for i in 0..plane {
-        lzetam[i] = i;
-        lzetap[num_elem - plane + i] = num_elem - plane + i;
+        lzetam[i] = stored(i);
+        lzetap[num_elem - plane + i] = stored(num_elem - plane + i);
     }
     for i in plane..num_elem {
-        lzetam[i] = i - plane;
-        lzetap[i - plane] = i;
+        lzetam[i] = stored(i - plane);
+        lzetap[i - plane] = stored(i);
     }
 
     // Redirect COMM faces into their ghost regions.
@@ -374,7 +413,7 @@ pub fn build_connectivity(
         let Some(base) = shape.ghost_base(face) else {
             continue;
         };
-        let target: &mut Vec<Index> = match face {
+        let target: &mut Vec<MeshIndex> = match face {
             Face::Xm => &mut lxim,
             Face::Xp => &mut lxip,
             Face::Ym => &mut letam,
@@ -383,7 +422,7 @@ pub fn build_connectivity(
             Face::Zp => &mut lzetap,
         };
         for (k, e) in shape.face_elems(face).into_iter().enumerate() {
-            target[e] = base + k;
+            target[e] = stored(base + k);
         }
     }
 
@@ -427,7 +466,8 @@ pub fn build_boundary_conditions(shape: MeshShape) -> Vec<i32> {
 /// Node index lists of the symmetry planes: each axis contributes its min
 /// face's nodes when this sub-brick touches the corresponding global min
 /// plane (x = 0, y = 0, z = 0). Lists are empty for interior/upper bricks.
-pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<Index>, Vec<Index>, Vec<Index>) {
+pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<MeshIndex>, Vec<MeshIndex>, Vec<MeshIndex>) {
+    assert_fits(shape);
     let rn = shape.nx + 1;
     let pn = shape.nodes_per_plane();
     let mut symm_x = Vec::new();
@@ -438,7 +478,7 @@ pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<Index>, Vec<Index>, Vec<I
         symm_x.reserve((shape.ny + 1) * (shape.nz + 1));
         for plane in 0..=shape.nz {
             for row in 0..=shape.ny {
-                symm_x.push(plane * pn + row * rn);
+                symm_x.push(stored(plane * pn + row * rn));
             }
         }
     }
@@ -446,7 +486,7 @@ pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<Index>, Vec<Index>, Vec<I
         symm_y.reserve((shape.nx + 1) * (shape.nz + 1));
         for plane in 0..=shape.nz {
             for col in 0..=shape.nx {
-                symm_y.push(plane * pn + col);
+                symm_y.push(stored(plane * pn + col));
             }
         }
     }
@@ -454,7 +494,7 @@ pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<Index>, Vec<Index>, Vec<I
         symm_z.reserve(pn);
         for row in 0..=shape.ny {
             for col in 0..=shape.nx {
-                symm_z.push(row * rn + col);
+                symm_z.push(stored(row * rn + col));
             }
         }
     }
@@ -463,27 +503,35 @@ pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<Index>, Vec<Index>, Vec<I
 
 /// Node→element corner lists: for node `n`, the entries
 /// `corner_list[start[n]..start[n+1]]` are `8·elem + corner` for every
-/// element corner coincident with `n`. Force gathering iterates these in
-/// construction order, which fixes the floating-point summation order
-/// across serial and parallel drivers.
-pub fn build_node_elem_corners(nodelist: &[Index], num_node: Index) -> (Vec<Index>, Vec<Index>) {
-    let num_elem = nodelist.len() / 8;
-    let mut count = vec![0usize; num_node];
+/// element corner coincident with `n`, in strictly ascending order. Force
+/// gathering iterates these in that order, which fixes the floating-point
+/// summation order across serial and parallel drivers.
+pub fn build_node_elem_corners(
+    nodelist: &[MeshIndex],
+    num_node: Index,
+) -> (Vec<MeshIndex>, Vec<MeshIndex>) {
+    let corners = nodelist.len();
+    assert!(
+        corners <= MeshIndex::MAX as Index,
+        "corner ids exceed MeshIndex"
+    );
+    // Count node n's corners into start[n + 1], then turn the counts into
+    // each node's first slot, still one entry to the right. Filling then
+    // advances start[n + 1] as node n's cursor, leaving it at node n's end,
+    // which is node n + 1's start: no count or cursor array besides start.
+    let mut start: Vec<MeshIndex> = vec![0; num_node + 1];
     for &n in nodelist {
-        count[n] += 1;
+        start[n as Index + 1] += 1;
     }
-    let mut start = vec![0usize; num_node + 1];
-    for n in 0..num_node {
-        start[n + 1] = start[n] + count[n];
+    let mut first = 0;
+    for s in &mut start[1..] {
+        (*s, first) = (first, first + *s);
     }
-    let mut fill = vec![0usize; num_node];
-    let mut corner_list = vec![0usize; 8 * num_elem];
-    for e in 0..num_elem {
-        for c in 0..8 {
-            let n = nodelist[8 * e + c];
-            corner_list[start[n] + fill[n]] = 8 * e + c;
-            fill[n] += 1;
-        }
+    let mut corner_list = vec![0; corners];
+    for (corner, &n) in nodelist.iter().enumerate() {
+        let cursor = &mut start[n as Index + 1];
+        corner_list[*cursor as Index] = stored(corner);
+        *cursor += 1;
     }
     (start, corner_list)
 }
@@ -499,9 +547,21 @@ mod tests {
         MeshShape::cube(N)
     }
 
+    fn coords(shape: MeshShape) -> (Vec<Real>, Vec<Real>, Vec<Real>) {
+        let n = shape.num_node();
+        let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        fill_coordinates(shape, &mut x, &mut y, &mut z);
+        (x, y, z)
+    }
+
+    /// Widen a stored list for comparison with `Index` arithmetic.
+    fn wide(v: &[MeshIndex]) -> Vec<Index> {
+        v.iter().map(|&i| i as Index).collect()
+    }
+
     #[test]
     fn coordinates_span_extent() {
-        let (x, y, z) = build_coordinates(cube());
+        let (x, y, z) = coords(cube());
         let en = N + 1;
         assert_eq!(x.len(), en * en * en);
         assert_eq!(x[0], 0.0);
@@ -518,8 +578,8 @@ mod tests {
         // Global 4³ cube split into two 4×4×2 slabs.
         let lower = MeshShape::brick((N, N, 2), (N, N, N), (0, 0, 0));
         let upper = MeshShape::brick((N, N, 2), (N, N, N), (0, 0, 2));
-        let (_, _, zl) = build_coordinates(lower);
-        let (_, _, zu) = build_coordinates(upper);
+        let (_, _, zl) = coords(lower);
+        let (_, _, zu) = coords(upper);
         // The lower slab's top plane coincides with the upper's bottom.
         let pn = lower.nodes_per_plane();
         assert_eq!(&zl[2 * pn..3 * pn], &zu[0..pn]);
@@ -532,8 +592,8 @@ mod tests {
         // Global 4³ cube split into two 2×4×4 bricks along ξ.
         let left = MeshShape::brick((2, N, N), (N, N, N), (0, 0, 0));
         let right = MeshShape::brick((2, N, N), (N, N, N), (2, 0, 0));
-        let (xl, _, _) = build_coordinates(left);
-        let (xr, _, _) = build_coordinates(right);
+        let (xl, _, _) = coords(left);
+        let (xr, _, _) = coords(right);
         // The left brick's right column coincides with the right's left.
         assert_eq!(xl[2], xr[0]);
         assert!((xl[2] - MESH_EXTENT / 2.0).abs() < 1e-15);
@@ -542,7 +602,7 @@ mod tests {
 
     #[test]
     fn nodelist_first_element() {
-        let nl = build_nodelist(cube());
+        let nl = wide(&build_nodelist(cube()));
         let en = N + 1;
         assert_eq!(
             &nl[0..8],
@@ -573,6 +633,8 @@ mod tests {
     #[test]
     fn interior_neighbours_are_adjacent() {
         let (lxim, lxip, letam, letap, lzetam, lzetap) = build_connectivity(cube());
+        let [lxim, lxip, letam, letap, lzetam, lzetap] =
+            [lxim, lxip, letam, letap, lzetam, lzetap].map(|l| wide(&l));
         let e = N * N + N + 1;
         assert_eq!(lxim[e], e - 1);
         assert_eq!(lxip[e], e + 1);
@@ -586,6 +648,7 @@ mod tests {
     fn comm_faces_point_into_ghost_planes() {
         let shape = MeshShape::brick((N, N, 2), (N, N, N), (0, 0, 2));
         let (_, _, _, _, lzetam, lzetap) = build_connectivity(shape);
+        let (lzetam, lzetap) = (wide(&lzetam), wide(&lzetap));
         let ne = shape.num_elem();
         let plane = shape.elems_per_plane();
         // ζ− is COMM (interior): bottom plane points at ghosts [ne, ne+plane).
@@ -603,6 +666,7 @@ mod tests {
         // Right half of a ξ split: ξ− is COMM, everything else global.
         let shape = MeshShape::brick((2, N, N), (N, N, N), (2, 0, 0));
         let (lxim, lxip, ..) = build_connectivity(shape);
+        let (lxim, lxip) = (wide(&lxim), wide(&lxip));
         let base = shape.ghost_base(Face::Xm).expect("ξ− is COMM");
         assert_eq!(base, shape.num_elem());
         for (k, e) in shape.face_elems(Face::Xm).into_iter().enumerate() {
@@ -722,18 +786,18 @@ mod tests {
 
     #[test]
     fn symmetry_planes_have_zero_coordinate() {
-        let (x, y, z) = build_coordinates(cube());
+        let (x, y, z) = coords(cube());
         let (sx, sy, sz) = build_symmetry_planes(cube());
         let en = N + 1;
         assert_eq!(sx.len(), en * en);
         assert_eq!(sz.len(), en * en);
-        for &n in &sx {
+        for n in wide(&sx) {
             assert_eq!(x[n], 0.0);
         }
-        for &n in &sy {
+        for n in wide(&sy) {
             assert_eq!(y[n], 0.0);
         }
-        for &n in &sz {
+        for n in wide(&sz) {
             assert_eq!(z[n], 0.0);
         }
     }
@@ -762,6 +826,7 @@ mod tests {
         let nl = build_nodelist(shape);
         let num_node = shape.num_node();
         let (start, corners) = build_node_elem_corners(&nl, num_node);
+        let (nl, start, corners) = (wide(&nl), wide(&start), wide(&corners));
         assert_eq!(start[num_node], corners.len());
         assert_eq!(corners.len(), nl.len());
         for n in 0..num_node {
@@ -770,5 +835,18 @@ mod tests {
             }
         }
         assert_eq!(start[1] - start[0], 1, "corner node touches one element");
+    }
+
+    #[test]
+    fn index_width_admits_edge_812_and_rejects_813() {
+        // Extents only: neither shape is ever allocated.
+        assert!(MeshShape::cube(MAX_EDGE).fits_mesh_index());
+        assert!(!MeshShape::cube(MAX_EDGE + 1).fits_mesh_index());
+        // 8·812³ fits u32, 8·813³ does not.
+        assert!(8 * 812u64.pow(3) <= u32::MAX as u64);
+        assert!(8 * 813u64.pow(3) > u32::MAX as u64);
+        // A sub-brick is judged by its own extents.
+        let half = MeshShape::brick((813, 813, 407), (813, 813, 813), (0, 0, 0));
+        assert!(half.fits_mesh_index());
     }
 }

@@ -4,6 +4,7 @@
 //! (balance), `--c` (cost), `--q` (quiet) — plus `--seed` and `--simd`;
 //! anything else a binary reads is a row of that binary's [`Cli::flags`].
 
+use crate::mesh::MAX_EDGE;
 use crate::simd::LaneWidth;
 use crate::types::Index;
 use std::str::FromStr;
@@ -11,7 +12,8 @@ use std::str::FromStr;
 /// The flags every binary honours, with the reference defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Opts {
-    /// Problem size (elements per edge), `--s`. Default 30.
+    /// Problem size (elements per edge), `--s`, at most
+    /// [`MAX_EDGE`]. Default 30.
     pub size: Index,
     /// Number of regions, `--r`. Default 11.
     pub num_reg: usize,
@@ -100,6 +102,16 @@ pub fn pos<V: FromStr + Default + PartialEq>(v: Option<&str>) -> Result<V, Strin
     }
 }
 
+/// Parse a cube edge: positive, and small enough for 32-bit mesh indices.
+fn edge(v: Option<&str>) -> Result<Index, String> {
+    match pos(v)? {
+        s if s > MAX_EDGE => Err(format!(
+            "{s} exceeds {MAX_EDGE}, the largest edge whose mesh indices fit 32 bits"
+        )),
+        s => Ok(s),
+    }
+}
+
 /// Parse a flag's value into `Some`.
 pub fn opt<V: FromStr>(v: Option<&str>) -> Result<Option<V>, String> {
     val(v).map(Some)
@@ -114,7 +126,7 @@ pub fn put<V>(dst: &mut V, v: Result<V, String>) -> Result<(), String> {
 /// The artifact's rows, which head every binary's table.
 fn artifact_flags<C: Cli>() -> Vec<Flag<C>> {
     vec![
-        Flag::new("s", "SIZE", |c, v| put(&mut c.opts().size, pos(v))),
+        Flag::new("s", "SIZE", |c, v| put(&mut c.opts().size, edge(v))),
         Flag::new("r", "REGIONS", |c, v| put(&mut c.opts().num_reg, pos(v))),
         Flag::new("i", "ITERATIONS", |c, v| {
             put(&mut c.opts().max_cycles, val(v))
@@ -296,8 +308,17 @@ mod tests {
         assert!(Opts::parse(&["--s", "abc"]).is_err());
         assert!(Opts::parse(&["--bogus", "1"]).is_err());
         assert!(Opts::parse(&["--s", "0"]).is_err());
+        assert!(Opts::parse(&["--s", "-1"]).is_err());
         assert!(Opts::parse(&["--pin"]).is_err());
         assert!(Opts::parse(&["--pin", "all"]).is_err());
+    }
+
+    #[test]
+    fn size_is_bounded_by_the_mesh_index_width() {
+        // Parsing only: no mesh is built at either size.
+        assert_eq!(Opts::parse(&["--s", "812"]).unwrap().size, 812);
+        let err = Opts::parse(&["--s=813"]).unwrap_err();
+        assert!(err.0.starts_with("--s: 813 exceeds 812"), "{err}");
     }
 
     #[test]

@@ -528,8 +528,8 @@ pub struct StepScratch {
 
 impl StepScratch {
     /// Scratch for `plan`, with `threads` local slots. Only the arrays the
-    /// plan's kernels use are allocated, as untouched zero pages, so the
-    /// first thread to write a partition places it (NUMA first-touch).
+    /// plan's kernels use are allocated, as untouched zero pages that
+    /// become resident as the kernels first write them.
     pub fn new(plan: &StepPlan, threads: usize) -> Self {
         let used = plan.kernels().fold(0, |m, k| m | k.arrays());
         let shape = &plan.shape;

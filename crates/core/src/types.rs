@@ -4,8 +4,15 @@
 /// Floating-point type for all field data (`Real_t` in the C++ original).
 pub type Real = f64;
 
-/// Index type for mesh entities (`Index_t`).
+/// Arithmetic index type: loop counters, sizes and the index a kernel
+/// addresses memory with. Stored connectivity uses [`MeshIndex`].
 pub type Index = usize;
+
+/// Storage width of every mesh index array (node lists, face neighbours,
+/// symmetry planes, node→corner lists): LULESH's `Index_t`, a 32-bit
+/// `int`. A stored entry widens to [`Index`] where a kernel indexes with
+/// it.
+pub type MeshIndex = u32;
 
 /// Fatal conditions detected during a timestep, corresponding to the
 /// `VolumeError` / `QStopError` aborts of the reference implementation.

@@ -738,7 +738,7 @@ mod tests {
         }
         // The boundary elements' ξ neighbours resolve into the ghosts.
         let first_boundary = elems_a[0];
-        assert_eq!(a.m_lxip[first_boundary], base_a);
+        assert_eq!(a.m_lxip[first_boundary] as usize, base_a);
     }
 
     #[test]

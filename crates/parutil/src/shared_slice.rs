@@ -75,14 +75,26 @@ unsafe impl<T: Send + Sync> Sync for SharedVec<T> {}
 impl<T: Clone> SharedVec<T> {
     /// Allocate `n` elements, each initialized to `v`.
     ///
-    /// Note: this *writes* every element on the calling thread, so all
-    /// pages fault here. For NUMA first-touch placement use
-    /// [`zeroed`](SharedVec::zeroed), which leaves the pages untouched
-    /// until their first writer.
+    /// Every cell is written once, in place, on the calling thread, so
+    /// all pages fault here. [`zeroed`](SharedVec::zeroed) instead leaves
+    /// them untouched until their first write.
     pub fn from_elem(v: T, n: usize) -> Self {
-        // Clone into a Vec first so a panicking `clone` can never unwind
-        // across a partially initialized aligned allocation.
-        Self::from_vec(vec![v; n])
+        if n == 0 {
+            return Self::from_vec(Vec::new());
+        }
+        // SAFETY: the `n` cells of the fresh block are each written once
+        // before it is returned. Until then it sits in a `ManuallyDrop`:
+        // a panicking `clone` leaks the block and the cells written so far
+        // rather than dropping cells that were never written.
+        unsafe {
+            let s = std::mem::ManuallyDrop::new(Self::in_block(n, std::alloc::alloc));
+            let cells = s.ptr as *mut T;
+            for i in 0..n - 1 {
+                cells.add(i).write(v.clone());
+            }
+            cells.add(n - 1).write(v);
+            std::mem::ManuallyDrop::into_inner(s)
+        }
     }
 }
 
@@ -97,11 +109,10 @@ zero_bits!(f32, f64, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<T: ZeroBits> SharedVec<T> {
     /// Allocate `n` zero elements via `alloc_zeroed` **without touching
-    /// the memory**: for large arrays the allocator hands back fresh
-    /// zero pages that are physically faulted only on first write, so
-    /// whichever thread first writes an index places its page on that
-    /// thread's NUMA node (first-touch). `from_elem(0, n)` by contrast
-    /// writes — and therefore places — everything on the calling thread.
+    /// the memory**: for large arrays the allocator hands back fresh zero
+    /// pages, which are faulted in (and count towards the resident set)
+    /// only when first written. `from_elem(0, n)` by contrast writes, and
+    /// so faults, every page up front.
     pub fn zeroed(n: usize) -> Self {
         if n == 0 {
             return Self::from_vec(Vec::new());
@@ -386,6 +397,17 @@ mod tests {
         for (i, v) in sv.to_vec().into_iter().enumerate() {
             assert_eq!(v, i * 2);
         }
+    }
+
+    #[test]
+    fn from_elem_clones_into_every_cell() {
+        let mut sv = SharedVec::from_elem(String::from("ab"), 5);
+        assert_eq!(sv.as_ptr() as usize % CACHE_LINE, 0);
+        assert_eq!(unsafe { sv.as_slice() }, vec!["ab"; 5]);
+        sv.as_mut_slice()[4].push('c');
+        assert_eq!(unsafe { sv.get(3) }, "ab");
+        assert_eq!(SharedVec::from_elem(1.5f64, 0).len(), 0);
+        assert_eq!(SharedVec::from_elem(7u32, 1).to_vec(), [7]);
     }
 
     #[test]

@@ -178,6 +178,18 @@ lulesh-multidom|--partition table
 lulesh-multidom|--resume-cycle 3
 EOF_FLAGS
 
+echo "== --s past the 32-bit mesh index width is a usage error =="
+# Stored connectivity is 32-bit (LULESH's Index_t): 8·813³ corner ids
+# overflow it, so every binary must refuse --s 813 before building a mesh.
+for bin in lulesh-serial lulesh-omp lulesh-task lulesh-multidom; do
+  STATUS=0
+  ./target/debug/$bin --s 813 --i 0 < /dev/null > /dev/null 2> "$TMP/s813.log" || STATUS=$?
+  if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: $bin" "$TMP/s813.log"; then
+    echo "$bin --s 813 --i 0: expected exit 2 with usage, got $STATUS:"; cat "$TMP/s813.log"
+    exit 1
+  fi
+done
+
 echo "== TCP-loopback smoke run (2 ranks, s=6, 10 iterations) =="
 # The launcher re-spawns the binary once per rank over real loopback
 # sockets, waits for every worker, and re-binds the bootstrap port before

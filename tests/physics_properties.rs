@@ -101,13 +101,13 @@ proptest! {
         let d = Domain::build(size, 3, 1, 1, 0);
         lulesh::core::serial::run(&d, cycles).expect("stable");
         for &n in &d.m_symm_x {
-            prop_assert_eq!(d.x(n), 0.0, "x=0 plane node {} moved", n);
+            prop_assert_eq!(d.x(n as usize), 0.0, "x=0 plane node {} moved", n);
         }
         for &n in &d.m_symm_y {
-            prop_assert_eq!(d.y(n), 0.0);
+            prop_assert_eq!(d.y(n as usize), 0.0);
         }
         for &n in &d.m_symm_z {
-            prop_assert_eq!(d.z(n), 0.0);
+            prop_assert_eq!(d.z(n as usize), 0.0);
         }
     }
 
