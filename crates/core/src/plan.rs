@@ -12,6 +12,10 @@
 //!   ([`Chain::emit`], [`StepPlan::emit_phase`]);
 //! - `simsched` prices each kernel from its cost model.
 //!
+//! A multi-domain task rank runs [`StepPlan::tasks`] too, and reads from
+//! [`Phase::halo`] where its [`Halo`] exchanges go; the three interpreters
+//! above ignore that field.
+//!
 //! [`StepPlan::reference`] is the OpenMP reference's loop list (two-pass
 //! hourglass, the 12-loop EOS ladder); [`StepPlan::tasks`] is the paper's
 //! task graph for any [`Features`] combination. [`crate::serial`] stays
@@ -681,6 +685,36 @@ impl Chain {
     }
 }
 
+/// A halo: the boundary data neighbouring sub-domains of a multi-domain
+/// run trade. A rank exchanges nodal masses once at setup, then forces and
+/// velocity gradients every step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halo {
+    /// Nodal masses, summed over every sharer of a boundary node (the
+    /// setup `CommSBN`).
+    Mass,
+    /// Nodal forces `fx/fy/fz`, summed like the masses (the per-step
+    /// `CommSBN`).
+    Forces,
+    /// The face planes of `delv_xi/eta/zeta`, stored into the neighbour's
+    /// ghost elements (the per-step `CommMonoQ`).
+    Gradients,
+}
+
+impl Halo {
+    /// Every kind, in exchange order.
+    pub const ALL: [Halo; 3] = [Halo::Mass, Halo::Forces, Halo::Gradients];
+
+    /// Span label of one whole exchange of this kind.
+    pub fn label(self) -> &'static str {
+        match self {
+            Halo::Mass => "halo-mass",
+            Halo::Forces => "halo-forces",
+            Halo::Gradients => "halo-gradients",
+        }
+    }
+}
+
 /// Independent chains followed by one named sync.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
@@ -690,6 +724,12 @@ pub struct Phase {
     pub chains: Vec<Chain>,
     /// Label of the sync that ends the phase.
     pub sync: &'static str,
+    /// The halo a multi-domain rank exchanges in this phase: `Forces`
+    /// between the first kernel of its one chain (the gather) and the rest
+    /// (the update), any other kind after its sync. Only
+    /// [`StepPlan::tasks`] marks phases; the single-domain interpreters
+    /// ignore the field.
+    pub halo: Option<Halo>,
 }
 
 /// A task graph under construction, as [`Chain::emit`] and
@@ -772,7 +812,9 @@ impl StepPlan {
         Self { shape, phases }
     }
 
-    /// The paper's task graph for `f`: six syncs with every trick on.
+    /// The paper's task graph for `f`: six syncs with every trick on. The
+    /// node phase carries the force halo and the kinematics phase the
+    /// gradient halo ([`Phase::halo`]).
     pub fn tasks(shape: PlanShape, f: Features) -> Self {
         use Grain::{Elements, Nodal};
         use Kernel::*;
@@ -813,8 +855,14 @@ impl StepPlan {
             chain("qstop", &[QStop]),
         ]);
         phases.extend([
-            one(Nodal, "barrier-nodes", "node", &node),
-            one(Elements, "barrier-kinematics", "kinematics", &KINEMATICS),
+            Phase {
+                halo: Some(Halo::Forces),
+                ..one(Nodal, "barrier-nodes", "node", &node)
+            },
+            Phase {
+                halo: Some(Halo::Gradients),
+                ..one(Elements, "barrier-kinematics", "kinematics", &KINEMATICS)
+            },
             phase(Elements, "barrier-q", q),
         ]);
         if f.parallel_region_eos {
@@ -878,6 +926,7 @@ fn phase(grain: Grain, sync: &'static str, chains: Vec<Chain>) -> Phase {
         grain,
         chains,
         sync,
+        halo: None,
     }
 }
 
@@ -911,6 +960,25 @@ mod tests {
         let reference = StepScratch::new(&StepPlan::reference(shape(&[(100, 1), (25, 3)])), 1);
         assert_eq!(reference.eos[14].len(), 100);
         assert_eq!(reference.xyz8n[0].len(), 8 * 125);
+    }
+
+    #[test]
+    fn only_the_task_plan_marks_the_per_step_halos() {
+        let halos = |plan: &StepPlan| -> Vec<(&str, Halo)> {
+            let marked = plan.phases.iter().filter_map(|p| Some((p.sync, p.halo?)));
+            marked.collect()
+        };
+        for f in [Features::default(), Features::naive()] {
+            let plan = StepPlan::tasks(shape(&[(125, 1)]), f);
+            assert_eq!(
+                halos(&plan),
+                [
+                    ("barrier-nodes", Halo::Forces),
+                    ("barrier-kinematics", Halo::Gradients)
+                ]
+            );
+        }
+        assert!(halos(&StepPlan::reference(shape(&[(125, 1)]))).is_empty());
     }
 
     #[test]

@@ -212,11 +212,10 @@ fn merge_and_report(dir: &str, quiet: bool) {
 /// address, wait for all of them, and verify the port was released.
 ///
 /// With `--respawn` (which needs `--ckpt-dir`) a failed fleet is not
-/// fatal: the launcher reads the checkpoint directory, finds the newest
-/// cycle where **every** rank left a checksum-valid snapshot, and
-/// relaunches all ranks with `--resume-cycle C`. Each attempt passes its
-/// workers [`multidom::FaultPlan::attempt_kill`]: one `--die-at` entry,
-/// dropped when it is at or before the resume point.
+/// fatal: [`recovery::restart`] finds the newest cycle where **every**
+/// rank left a checksum-valid snapshot and the launcher relaunches all
+/// ranks with `--resume-cycle C`, each attempt's workers getting the one
+/// `--die-at` entry [`multidom::FaultPlan::attempt_kill`] leaves live.
 fn launch_workers(args: &Args, addr: &Option<String>) {
     let ranks = args.rank_grid().ranks();
     let exe = std::env::current_exe().unwrap_or_else(|e| {
@@ -225,21 +224,21 @@ fn launch_workers(args: &Args, addr: &Option<String>) {
     });
     // Forward the original CLI minus the launcher's own flags: the
     // transport is replaced with the resolved address, --ranks/--rank are
-    // set per worker and the fault/restart trio is re-derived per attempt.
+    // set per worker and the fault/restart trio comes from each fleet's
+    // plan.
     let launcher_args: Vec<String> = std::env::args().skip(1).collect();
     let forwarded = Args::forwarded(&launcher_args);
-    let (faults, die_at) = (&args.plan.faults, &args.plan.faults.die_at);
-    let max_attempts = if args.respawn { die_at.len() + 1 } else { 1 };
-    let mut resume_cycle = args.plan.resil.resume_cycle;
     let mut last_addr = String::new();
-    for attempt in 0..max_attempts {
+    // One fleet under `plan`'s kill list and resume cycle; true when any
+    // worker failed.
+    let mut launch = |plan: &RunPlan| -> bool {
         let addr = match addr {
             Some(a) => a.clone(),
             None => {
                 // Bind an ephemeral loopback port just to learn a free one,
                 // release it, and hand the address to rank 0 to re-bind. A
-                // fresh probe per attempt sidesteps rebind races after a
-                // crashed fleet.
+                // fresh probe per fleet sidesteps rebind races after a
+                // crashed one.
                 let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
                     eprintln!("cannot bind a loopback port: {e}");
                     std::process::exit(1);
@@ -248,14 +247,7 @@ fn launch_workers(args: &Args, addr: &Option<String>) {
             }
         };
         last_addr = addr.clone();
-        let kills = if args.respawn {
-            faults
-                .attempt_kill(attempt, resume_cycle)
-                .into_iter()
-                .collect()
-        } else {
-            die_at.clone()
-        };
+        let kills = &plan.faults.die_at;
         let die: Vec<String> = kills.iter().map(|&(r, c)| format!("{r}:{c}")).collect();
         let children: Vec<_> = (0..ranks)
             .map(|r| {
@@ -267,7 +259,7 @@ fn launch_workers(args: &Args, addr: &Option<String>) {
                 if !die.is_empty() {
                     cmd.arg(format!("--die-at={}", die.join(",")));
                 }
-                if let Some(c) = resume_cycle {
+                if let Some(c) = plan.resil.resume_cycle {
                     cmd.arg(format!("--resume-cycle={c}"));
                 }
                 cmd.spawn().unwrap_or_else(|e| {
@@ -290,23 +282,29 @@ fn launch_workers(args: &Args, addr: &Option<String>) {
                 }
             }
         }
-        if !failed {
-            break;
-        }
-        if attempt + 1 == max_attempts {
-            std::process::exit(1);
-        }
-        // Roll back to the newest wave where every rank left a
-        // checksum-valid snapshot; no wave at all means a cold restart.
-        let ckpt = &args.plan.resil.ckpt;
-        let dir = &ckpt.as_ref().expect("--respawn needs --ckpt-dir").dir;
-        resume_cycle = resil::latest_consistent_cycle(dir, ranks);
-        match resume_cycle {
-            Some(c) => {
-                eprintln!("respawn: relaunching all {ranks} ranks from checkpoint cycle {c}")
+        failed
+    };
+    let failed = if args.respawn {
+        let attempts = args.plan.faults.die_at.len() + 1;
+        let report = recovery::restart(&args.plan, ranks, attempts, |attempt, plan| {
+            match (attempt, plan.resil.resume_cycle) {
+                (0, _) => {}
+                (_, Some(c)) => {
+                    eprintln!("respawn: relaunching all {ranks} ranks from checkpoint cycle {c}")
+                }
+                (_, None) => {
+                    eprintln!("respawn: no consistent checkpoint yet, relaunching from scratch")
+                }
             }
-            None => eprintln!("respawn: no consistent checkpoint yet, relaunching from scratch"),
-        }
+            let failed = launch(plan);
+            (failed, failed)
+        });
+        report.results
+    } else {
+        launch(&args.plan)
+    };
+    if failed {
+        std::process::exit(1);
     }
     // All workers are gone, so the bootstrap port must be re-bindable
     // (std sets SO_REUSEADDR on Unix, so TIME_WAIT does not interfere —

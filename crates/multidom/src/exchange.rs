@@ -1,7 +1,7 @@
-//! Halo-exchange operations between grid-adjacent subdomains.
-//!
-//! Three exchanges per the LULESH MPI protocol, generalised from the ζ-slab
-//! chain to a full 3-D rank grid with up to 26 neighbours per rank:
+//! Halo exchange between grid-adjacent subdomains: one pack/apply path
+//! ([`HaloPlan::pack`], [`HaloPlan::apply`]) for the three [`Halo`] kinds
+//! of the LULESH MPI protocol, generalised from the ζ-slab chain to a 3-D
+//! rank grid with up to 26 neighbours per rank:
 //!
 //! 1. **nodal mass** (once, at setup): boundary nodes exist on every
 //!    sub-brick sharing them; each copy needs the *sum* of all sharers'
@@ -38,15 +38,16 @@
 //! list geometrically-coincident entries at the same position because grid
 //! neighbours share their tangential extents — so a packed message needs no
 //! index translation on the receiving side. This holds down to degenerate
-//! 1×1×1 sub-bricks, where every node lies on every surface of its axis
-//! (the minimal-size off-by-one class the ζ-slab helpers used to risk).
+//! 1×1×1 sub-bricks, where every node lies on every surface of its axis.
 
 use lulesh_core::domain::Domain;
 use lulesh_core::mesh::{Face, MeshShape};
-use lulesh_core::Real;
+use lulesh_core::plan::Halo;
+use lulesh_core::types::{Index, Real};
 use obs::{SpanKind, Tracer};
 use parcelnet::{dir, ParcelError, RankNet, Tag};
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::ops::Range;
 
 /// Optional comm tracing: `(tracer, lane)` — every transport send/recv in
@@ -64,6 +65,39 @@ fn spanned<T>(obs: ObsCtx, label: &'static str, f: impl FnOnce() -> T) -> T {
         None => f(),
     }
 }
+
+/// Fields per surface entry of a message, by kind.
+const WIDTH: [usize; 3] = [1, 3, 3];
+
+/// Field `f` of `kind`, in message order, at index `i` of `d`.
+fn get(kind: Halo, f: usize, d: &Domain, i: Index) -> Real {
+    match (kind, f) {
+        (Halo::Mass, _) => d.nodal_mass(i),
+        (Halo::Forces, 0) => d.fx(i),
+        (Halo::Forces, 1) => d.fy(i),
+        (Halo::Forces, _) => d.fz(i),
+        (Halo::Gradients, 0) => d.delv_xi(i),
+        (Halo::Gradients, 1) => d.delv_eta(i),
+        (Halo::Gradients, _) => d.delv_zeta(i),
+    }
+}
+
+/// The setter counterpart of [`get`].
+fn set(kind: Halo, f: usize, d: &Domain, i: Index, v: Real) {
+    match (kind, f) {
+        (Halo::Mass, _) => d.set_nodal_mass(i, v),
+        (Halo::Forces, 0) => d.set_fx(i, v),
+        (Halo::Forces, 1) => d.set_fy(i, v),
+        (Halo::Forces, _) => d.set_fz(i, v),
+        (Halo::Gradients, 0) => d.set_delv_xi(i, v),
+        (Halo::Gradients, 1) => d.set_delv_eta(i, v),
+        (Halo::Gradients, _) => d.set_delv_zeta(i, v),
+    }
+}
+
+/// The span labels of one link's send and receive, by kind.
+const SEND_LABELS: [&str; 3] = ["send-mass", "send-force", "send-gradient"];
+const RECV_LABELS: [&str; 3] = ["recv-mass", "recv-force", "recv-gradient"];
 
 /// Node indices on the `d`-side surface of the brick: the full face plane
 /// for a face direction, an edge line for an edge direction, a single
@@ -92,15 +126,10 @@ pub fn dir_nodes(shape: &MeshShape, d: usize) -> Vec<usize> {
 /// The COMM face a *face* direction corresponds to; `None` for edge and
 /// corner directions (which exchange nodal sums but no gradient ghosts).
 pub fn dir_face(d: usize) -> Option<Face> {
-    match d {
-        _ if d == dir::FACES[0] => Some(Face::Xm),
-        _ if d == dir::FACES[1] => Some(Face::Xp),
-        _ if d == dir::FACES[2] => Some(Face::Ym),
-        _ if d == dir::FACES[3] => Some(Face::Yp),
-        _ if d == dir::FACES[4] => Some(Face::Zm),
-        _ if d == dir::FACES[5] => Some(Face::Zp),
-        _ => None,
-    }
+    dir::FACES
+        .iter()
+        .position(|&f| f == d)
+        .map(|i| Face::ALL[i])
 }
 
 /// Where one contribution to a boundary node comes from.
@@ -128,9 +157,9 @@ pub struct HaloLink {
     pub dir: usize,
     /// This brick's nodes on the shared surface, canonical order.
     pub nodes: Vec<usize>,
-    /// `Some` for face links: the COMM face, its boundary element plane,
-    /// and the ghost-region base the neighbour's plane lands in.
-    grad: Option<(Face, Vec<usize>, usize)>,
+    /// `Some` for face links: the boundary element plane, and the
+    /// ghost-region base the neighbour's plane lands in.
+    grad: Option<(Vec<usize>, usize)>,
 }
 
 /// The precomputed exchange schedule for one rank: its links (sorted by
@@ -158,7 +187,7 @@ impl HaloPlan {
                     let base = shape
                         .ghost_base(face)
                         .expect("a grid neighbour implies a COMM face");
-                    (face, shape.face_elems(face), base)
+                    (shape.face_elems(face), base)
                 });
                 HaloLink {
                     rank: nrank,
@@ -234,320 +263,167 @@ impl HaloPlan {
         &self.boundary
     }
 
-    /// Pack link `l`'s surface masses.
-    pub fn pack_mass(&self, d: &Domain, l: usize) -> Vec<Real> {
-        self.links[l]
-            .nodes
-            .iter()
-            .map(|&n| d.nodal_mass(n))
-            .collect()
+    /// The indices link `l` moves for `kind`: its surface nodes for the
+    /// nodal sums, its boundary element plane for gradients — empty on an
+    /// edge or corner link, which trades no gradients.
+    fn surface(&self, kind: Halo, l: usize) -> &[usize] {
+        match (kind, &self.links[l].grad) {
+            (Halo::Gradients, Some((elems, _))) => elems,
+            (Halo::Gradients, None) => &[],
+            _ => &self.links[l].nodes,
+        }
+    }
+
+    /// Pack link `l`'s `kind` surface field after field: masses, `[fx…,
+    /// fy…, fz…]` or `[xi…, eta…, zeta…]` (empty where it trades none).
+    pub fn pack(&self, kind: Halo, d: &Domain, l: usize) -> Vec<Real> {
+        let index = self.surface(kind, l);
+        let mut out = Vec::with_capacity(WIDTH[kind as usize] * index.len());
+        for f in 0..WIDTH[kind as usize] {
+            out.extend(index.iter().map(|&i| get(kind, f, d, i)));
+        }
+        out
+    }
+
+    /// Apply every link's received `kind` surface (`recvs[l]` came over
+    /// link `l`): sum masses or forces into the boundary nodes, or store
+    /// gradient planes into each face's ghost region.
+    pub fn apply(&self, kind: Halo, d: &Domain, recvs: &[Vec<Real>]) {
+        debug_assert_eq!(recvs.len(), self.links.len());
+        match kind {
+            Halo::Mass => self.sum::<1>(kind, d, recvs),
+            Halo::Forces => self.sum::<3>(kind, d, recvs),
+            Halo::Gradients => {
+                for (link, m) in self.links.iter().zip(recvs) {
+                    if let Some((elems, base)) = &link.grad {
+                        for (f, plane) in m.chunks(elems.len()).enumerate() {
+                            for (i, &v) in plane.iter().enumerate() {
+                                set(kind, f, d, base + i, v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sum the `N` fields of `kind` into the boundary nodes in ascending
+    /// rank order (`N` is a constant, so the field loops unroll).
+    fn sum<const N: usize>(&self, kind: Halo, d: &Domain, recvs: &[Vec<Real>]) {
+        for c in &self.combine {
+            let mut acc = [0.0; N];
+            for s in &c.sources {
+                for (f, a) in acc.iter_mut().enumerate() {
+                    *a += match *s {
+                        Source::Own => get(kind, f, d, c.node),
+                        Source::Link { link, pos } => {
+                            recvs[link][f * self.links[link].nodes.len() + pos]
+                        }
+                    };
+                }
+            }
+            for (f, &a) in acc.iter().enumerate() {
+                set(kind, f, d, c.node, a);
+            }
+        }
     }
 
     /// Pack link `l`'s surface forces: `[fx…, fy…, fz…]`.
     pub fn pack_forces(&self, d: &Domain, l: usize) -> Vec<Real> {
-        let nodes = &self.links[l].nodes;
-        let mut out = Vec::with_capacity(3 * nodes.len());
-        for &n in nodes {
-            out.push(d.fx(n));
-        }
-        for &n in nodes {
-            out.push(d.fy(n));
-        }
-        for &n in nodes {
-            out.push(d.fz(n));
-        }
-        out
+        self.pack(Halo::Forces, d, l)
     }
 
-    /// Pack link `l`'s boundary element plane of velocity gradients:
-    /// `[xi…, eta…, zeta…]`. Face links only.
+    /// Pack link `l`'s gradient plane: `[xi…, eta…, zeta…]`.
     pub fn pack_gradients(&self, d: &Domain, l: usize) -> Vec<Real> {
-        let (_, elems, _) = self.links[l].grad.as_ref().expect("face link");
-        let mut out = Vec::with_capacity(3 * elems.len());
-        for &e in elems {
-            out.push(d.delv_xi(e));
-        }
-        for &e in elems {
-            out.push(d.delv_eta(e));
-        }
-        for &e in elems {
-            out.push(d.delv_zeta(e));
-        }
-        out
+        self.pack(Halo::Gradients, d, l)
     }
 
-    /// Combine every link's received surface masses into the boundary
-    /// nodes: per node, a fresh accumulator over all sharers' partials in
-    /// ascending rank order. `recvs[l]` is the message from link `l`.
-    pub fn combine_mass(&self, d: &Domain, recvs: &[Vec<Real>]) {
-        debug_assert_eq!(recvs.len(), self.links.len());
-        let own: Vec<Real> = self.combine.iter().map(|c| d.nodal_mass(c.node)).collect();
-        for (c, &own_m) in self.combine.iter().zip(&own) {
-            let mut acc = 0.0;
-            for s in &c.sources {
-                acc += match *s {
-                    Source::Own => own_m,
-                    Source::Link { link, pos } => recvs[link][pos],
-                };
-            }
-            d.set_nodal_mass(c.node, acc);
-        }
-    }
-
-    /// Combine every link's received surface forces (same ordering rule as
-    /// [`HaloPlan::combine_mass`], per component).
+    /// Sum every link's received surface forces into the boundary nodes.
     pub fn combine_forces(&self, d: &Domain, recvs: &[Vec<Real>]) {
-        debug_assert_eq!(recvs.len(), self.links.len());
-        for (l, link) in self.links.iter().enumerate() {
-            assert_eq!(recvs[l].len(), 3 * link.nodes.len());
-        }
-        let own: Vec<(Real, Real, Real)> = self
-            .combine
-            .iter()
-            .map(|c| (d.fx(c.node), d.fy(c.node), d.fz(c.node)))
-            .collect();
-        for (c, &(ox, oy, oz)) in self.combine.iter().zip(&own) {
-            let (mut ax, mut ay, mut az) = (0.0, 0.0, 0.0);
-            for s in &c.sources {
-                let (px, py, pz) = match *s {
-                    Source::Own => (ox, oy, oz),
-                    Source::Link { link, pos } => {
-                        let pn = self.links[link].nodes.len();
-                        let m = &recvs[link];
-                        (m[pos], m[pn + pos], m[2 * pn + pos])
-                    }
-                };
-                ax += px;
-                ay += py;
-                az += pz;
-            }
-            d.set_fx(c.node, ax);
-            d.set_fy(c.node, ay);
-            d.set_fz(c.node, az);
-        }
-    }
-
-    /// Store link `l`'s received gradient plane into this brick's ghost
-    /// region for that face. Face links only.
-    pub fn store_gradients(&self, d: &Domain, l: usize, remote: &[Real]) {
-        let (_, elems, base) = self.links[l].grad.as_ref().expect("face link");
-        let pe = elems.len();
-        assert_eq!(remote.len(), 3 * pe);
-        for i in 0..pe {
-            d.set_delv_xi(base + i, remote[i]);
-            d.set_delv_eta(base + i, remote[pe + i]);
-            d.set_delv_zeta(base + i, remote[2 * pe + i]);
-        }
+        self.apply(Halo::Forces, d, recvs)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Transport exchanges (threaded / task-parallel drivers).
-//
-// A message from rank A to rank B is tagged with A's *outgoing* direction,
-// so B receives from its link in direction d under tag `opposite(d)`.
-// Sends all go out before any receive: on transports whose sends never
-// block the protocol thread (bounded channel slots, the TCP writer thread)
-// that keeps the whole grid deadlock-free regardless of neighbour order.
-// ---------------------------------------------------------------------------
-
-/// Transport nodal-mass halo sum (setup-time `CommSBN` for masses).
-pub fn halo_exchange_mass(
+/// One whole `kind` exchange over `net`: [`send`], then [`recv_apply`].
+/// Sends all go out before any receive: on transports whose sends never
+/// block the protocol thread (bounded channel slots, the TCP writer
+/// thread) that keeps the whole grid deadlock-free in any neighbour order.
+pub fn exchange(
+    kind: Halo,
     d: &Domain,
     plan: &HaloPlan,
     net: &RankNet,
     obs: ObsCtx,
 ) -> Result<(), ParcelError> {
-    send_mass(d, plan, net, obs)?;
-    recv_combine_mass(d, plan, net, obs)
+    send(kind, d, plan, net, obs)?;
+    recv_apply(kind, d, plan, net, obs)
 }
 
-/// The send half of the mass exchange: every boundary surface goes out
-/// before any receive.
-fn send_mass(d: &Domain, plan: &HaloPlan, net: &RankNet, obs: ObsCtx) -> Result<(), ParcelError> {
+/// The send half of a `kind` exchange: pack and post every link's surface,
+/// tagged with this rank's outgoing direction.
+pub fn send(
+    kind: Halo,
+    d: &Domain,
+    plan: &HaloPlan,
+    net: &RankNet,
+    obs: ObsCtx,
+) -> Result<(), ParcelError> {
     for (l, nbr) in net.neighbors.iter().enumerate() {
-        let msg = plan.pack_mass(d, l);
-        spanned(obs, "send-mass", || {
-            nbr.link.send(Tag::mass(nbr.dir as usize), &msg)
-        })?;
+        if !plan.surface(kind, l).is_empty() {
+            let msg = plan.pack(kind, d, l);
+            let tag = Tag::halo(kind, nbr.dir as usize);
+            spanned(obs, SEND_LABELS[kind as usize], || nbr.link.send(tag, &msg))?;
+        }
     }
     Ok(())
 }
 
-/// The receive half of the mass exchange: collect every neighbour's
-/// surface, then run the deterministic combine.
-fn recv_combine_mass(
+/// The receive half of a `kind` exchange: receive every link's surface
+/// (tagged with the opposite direction) and [`HaloPlan::apply`] them all.
+/// A payload of the wrong length — a peer built for another mesh — is
+/// `Io(InvalidData)`, like any other malformed frame.
+pub fn recv_apply(
+    kind: Halo,
     d: &Domain,
     plan: &HaloPlan,
     net: &RankNet,
     obs: ObsCtx,
 ) -> Result<(), ParcelError> {
     let mut recvs = Vec::with_capacity(net.neighbors.len());
-    for nbr in &net.neighbors {
-        let tag = Tag::mass(dir::opposite(nbr.dir as usize));
-        recvs.push(spanned(obs, "recv-mass", || nbr.link.recv(tag))?);
-    }
-    plan.combine_mass(d, &recvs);
-    Ok(())
-}
-
-/// Transport force halo sum (per-iteration `CommSBN`).
-pub fn halo_exchange_forces(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    send_forces(d, plan, net, obs)?;
-    recv_combine_forces(d, plan, net, obs)
-}
-
-/// The send half of the force exchange, for comm/compute overlap: pack and
-/// post every boundary surface. Safe to run as soon as the *boundary* node
-/// forces are gathered; the interior can still be in flight.
-pub fn send_forces(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
     for (l, nbr) in net.neighbors.iter().enumerate() {
-        let msg = plan.pack_forces(d, l);
-        spanned(obs, "send-force", || {
-            nbr.link.send(Tag::force(nbr.dir as usize), &msg)
-        })?;
-    }
-    Ok(())
-}
-
-/// The receive half of the force exchange, for comm/compute overlap:
-/// receive every neighbour's surface, then run the ascending-rank combine
-/// (identical order to [`halo_exchange_forces`], so overlapped runs stay
-/// bit-identical). Runs concurrently with interior compute.
-pub fn recv_combine_forces(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    let mut recvs = Vec::with_capacity(net.neighbors.len());
-    for nbr in &net.neighbors {
-        let tag = Tag::force(dir::opposite(nbr.dir as usize));
-        recvs.push(spanned(obs, "recv-force", || nbr.link.recv(tag))?);
-    }
-    plan.combine_forces(d, &recvs);
-    Ok(())
-}
-
-/// Transport gradient ghost exchange (per-iteration `CommMonoQ`): face
-/// links only, each stored independently on arrival.
-pub fn halo_exchange_gradients(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    send_gradients(d, plan, net, obs)?;
-    recv_store_gradients(d, plan, net, obs)
-}
-
-/// The send half of the gradient exchange (face links only).
-fn send_gradients(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    for (l, nbr) in net.neighbors.iter().enumerate() {
-        if plan.links()[l].grad.is_none() {
-            continue;
+        let index = plan.surface(kind, l);
+        let tag = Tag::halo(kind, dir::opposite(nbr.dir as usize));
+        let msg = match index.is_empty() {
+            true => Vec::new(),
+            false => spanned(obs, RECV_LABELS[kind as usize], || nbr.link.recv(tag))?,
+        };
+        if msg.len() != WIDTH[kind as usize] * index.len() {
+            return Err(ParcelError::Io(ErrorKind::InvalidData));
         }
-        let msg = plan.pack_gradients(d, l);
-        spanned(obs, "send-gradient", || {
-            nbr.link.send(Tag::gradient(nbr.dir as usize), &msg)
-        })?;
+        recvs.push(msg);
     }
+    plan.apply(kind, d, &recvs);
     Ok(())
 }
 
-/// The receive half of the gradient exchange: each face plane is stored
-/// independently on arrival.
-fn recv_store_gradients(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    for (l, nbr) in net.neighbors.iter().enumerate() {
-        if plan.links()[l].grad.is_none() {
-            continue;
-        }
-        let tag = Tag::gradient(dir::opposite(nbr.dir as usize));
-        let remote = spanned(obs, "recv-gradient", || nbr.link.recv(tag))?;
-        plan.store_gradients(d, l, &remote);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep exchanges (the in-process World): the same pack/combine code
-// over direct memory instead of a wire, so the World is the bitwise
-// reference every transport is measured against.
-// ---------------------------------------------------------------------------
-
-/// Gather what every rank would receive: `recvs[r][l]` is the pack its
-/// link-`l` neighbour sent toward `r` (the neighbour's opposite surface).
-fn lockstep_recvs(
-    domains: &[Domain],
-    plans: &[HaloPlan],
-    pack: impl Fn(&HaloPlan, &Domain, usize) -> Vec<Real>,
-    faces_only: bool,
-) -> Vec<Vec<Vec<Real>>> {
-    plans
+/// Lockstep `kind` exchange across every rank of the in-process
+/// [`World`](crate::World): the same pack and apply as the transports over
+/// direct memory, so the `World` is the bitwise reference every transport
+/// is measured against. Every pack is taken before any apply.
+pub fn lockstep(kind: Halo, domains: &[Domain], plans: &[HaloPlan]) {
+    let toward = |link: &HaloLink| {
+        let nplan = &plans[link.rank];
+        let back = nplan
+            .link_index(dir::opposite(link.dir))
+            .expect("grid neighbour links are symmetric");
+        nplan.pack(kind, &domains[link.rank], back)
+    };
+    let recvs: Vec<Vec<Vec<Real>>> = plans
         .iter()
-        .map(|plan| {
-            plan.links()
-                .iter()
-                .map(|link| {
-                    if faces_only && link.grad.is_none() {
-                        return Vec::new();
-                    }
-                    let nplan = &plans[link.rank];
-                    let back = nplan
-                        .link_index(dir::opposite(link.dir))
-                        .expect("grid neighbour links are symmetric");
-                    pack(nplan, &domains[link.rank], back)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Lockstep nodal-mass halo sum across every rank of a world.
-pub fn lockstep_exchange_mass(domains: &[Domain], plans: &[HaloPlan]) {
-    let recvs = lockstep_recvs(domains, plans, HaloPlan::pack_mass, false);
+        .map(|plan| plan.links.iter().map(toward).collect())
+        .collect();
     for ((d, plan), r) in domains.iter().zip(plans).zip(&recvs) {
-        plan.combine_mass(d, r);
-    }
-}
-
-/// Lockstep force halo sum across every rank of a world.
-pub fn lockstep_exchange_forces(domains: &[Domain], plans: &[HaloPlan]) {
-    let recvs = lockstep_recvs(domains, plans, HaloPlan::pack_forces, false);
-    for ((d, plan), r) in domains.iter().zip(plans).zip(&recvs) {
-        plan.combine_forces(d, r);
-    }
-}
-
-/// Lockstep gradient ghost exchange across every rank of a world.
-pub fn lockstep_exchange_gradients(domains: &[Domain], plans: &[HaloPlan]) {
-    let recvs = lockstep_recvs(domains, plans, HaloPlan::pack_gradients, true);
-    for ((d, plan), r) in domains.iter().zip(plans).zip(&recvs) {
-        for (l, buf) in r.iter().enumerate() {
-            if plan.links()[l].grad.is_some() {
-                plan.store_gradients(d, l, buf);
-            }
-        }
+        plan.apply(kind, d, r);
     }
 }
 
@@ -555,6 +431,8 @@ pub fn lockstep_exchange_gradients(domains: &[Domain], plans: &[HaloPlan]) {
 mod tests {
     use super::*;
     use crate::{Decomposition, Grid3};
+    use parcelnet::channel::channel_mesh;
+    use std::time::Duration;
 
     /// Build one domain per rank of `grid` at global `size`, plus plans.
     fn world(size: usize, grid: Grid3) -> (Vec<Domain>, Vec<HaloPlan>) {
@@ -634,7 +512,7 @@ mod tests {
                 d.set_fz(n, 2.0 * partial(r, g));
             }
         }
-        lockstep_exchange_forces(&domains, &plans);
+        lockstep(Halo::Forces, &domains, &plans);
         // Independent reference: for each global node, the sharers are all
         // ranks whose brick contains it; sum ascending.
         let mut by_global: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
@@ -689,7 +567,7 @@ mod tests {
         let grid = Grid3::new(2, 1, 2);
         let decomp = Decomposition::with_grid(size, grid);
         let (domains, plans) = world(size, grid);
-        lockstep_exchange_mass(&domains, &plans);
+        lockstep(Halo::Mass, &domains, &plans);
         let single = Domain::build(size, 1, 1, 1, 0);
         let mut by_global: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
         for (r, d) in domains.iter().enumerate() {
@@ -728,9 +606,9 @@ mod tests {
         for e in 0..b.num_elem() {
             b.set_delv_xi(e, -(1.0 + e as Real));
         }
-        lockstep_exchange_gradients(&domains, &plans);
+        lockstep(Halo::Gradients, &domains, &plans);
         let la = plans[0].link_index(dir::index(1, 0, 0)).unwrap();
-        let (_, elems_a, _) = plans[0].links()[la].grad.as_ref().unwrap();
+        let (elems_a, _) = plans[0].links()[la].grad.as_ref().unwrap();
         let base_a = decomp.shape(0).ghost_base(Face::Xp).unwrap();
         let elems_b = decomp.shape(1).face_elems(Face::Xm);
         for (i, &eb) in elems_b.iter().enumerate() {
@@ -739,6 +617,31 @@ mod tests {
         // The boundary elements' ξ neighbours resolve into the ghosts.
         let first_boundary = elems_a[0];
         assert_eq!(a.m_lxip[first_boundary] as usize, base_a);
+    }
+
+    #[test]
+    fn wrong_length_payloads_are_invalid_data_not_panics() {
+        // Two ζ ranks over channels: rank 1 sends rank 0 a short force
+        // frame, a long mass frame and a short gradient frame, as a peer
+        // started with another --s would.
+        let decomp = Decomposition::with_grid(4, Grid3::new(1, 1, 2));
+        let mut nets = channel_mesh(2, Duration::from_secs(2)).into_iter();
+        let (net0, net1) = (nets.next().unwrap(), nets.next().unwrap());
+        let plan = HaloPlan::for_net(decomp.shape(0), &net0);
+        let d = Domain::build_subdomain(decomp.shape(0), 1, 1, 1, 0);
+        let n = plan.links()[0].nodes.len();
+        let down = &net1.neighbors[0].link;
+        down.send(Tag::force(dir::DOWN), &vec![0.0; 3 * n - 1])
+            .unwrap();
+        down.send(Tag::mass(dir::DOWN), &vec![0.0; n + 1]).unwrap();
+        down.send(Tag::gradient(dir::DOWN), &[0.0]).unwrap();
+        for kind in [Halo::Forces, Halo::Mass, Halo::Gradients] {
+            assert_eq!(
+                recv_apply(kind, &d, &plan, &net0, None),
+                Err(ParcelError::Io(ErrorKind::InvalidData)),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

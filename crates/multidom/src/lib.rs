@@ -47,6 +47,7 @@ use lulesh_core::domain::Domain;
 use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
+use lulesh_core::plan::Halo;
 use lulesh_core::serial::{
     advance_nodes, apply_q_and_materials, calc_force_for_nodes, calc_kinematics_and_gradients,
     SerialScratch,
@@ -352,8 +353,9 @@ impl FaultPlan {
     /// resuming after `resume_cycle`: only `die_at[attempt]` — each
     /// incarnation of the job dies at most once, like a re-launched fleet —
     /// and not even that when it is at or before the resume cycle, where it
-    /// is an unreachable replay. The `--respawn` launcher and
-    /// [`recovery::run_with_recovery`] both inject exactly this.
+    /// is an unreachable replay. [`recovery::restart`], the loop of the
+    /// `--respawn` launcher and of [`recovery::run_with_recovery`], injects
+    /// exactly this.
     pub fn attempt_kill(&self, attempt: usize, resume_cycle: Option<u64>) -> Option<(usize, u64)> {
         let live = |&(_, c): &(usize, u64)| resume_cycle.is_none_or(|rc| c > rc);
         self.die_at.get(attempt).copied().filter(live)
@@ -714,7 +716,7 @@ impl World {
         let plans: Vec<HaloPlan> = (0..decomp.ranks())
             .map(|r| HaloPlan::new(decomp.shape(r), r, &decomp.neighbors(r)))
             .collect();
-        exchange::lockstep_exchange_mass(&domains, &plans);
+        exchange::lockstep(Halo::Mass, &domains, &plans);
         let scratches = domains
             .iter()
             .map(|d| SerialScratch::new(d.num_elem()))
@@ -736,7 +738,7 @@ impl World {
         for (d, s) in self.domains.iter().zip(&mut self.scratches) {
             calc_force_for_nodes(d, s)?;
         }
-        exchange::lockstep_exchange_forces(&self.domains, &self.plans);
+        exchange::lockstep(Halo::Forces, &self.domains, &self.plans);
 
         // Phase 2: node state advance (boundary nodes compute identical
         // values on every sharing rank — same forces, same masses).
@@ -749,7 +751,7 @@ impl World {
         for d in &self.domains {
             calc_kinematics_and_gradients(d, dt)?;
         }
-        exchange::lockstep_exchange_gradients(&self.domains, &self.plans);
+        exchange::lockstep(Halo::Gradients, &self.domains, &self.plans);
 
         // Phase 4: q limiter, EOS, volume commit.
         for (d, s) in self.domains.iter().zip(&mut self.scratches) {

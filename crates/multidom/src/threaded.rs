@@ -20,10 +20,7 @@
 //!   and drops its links, which cascades — every surviving rank observes
 //!   `PeerClosed` or `Timeout` within one receive deadline.
 
-use crate::exchange::{
-    halo_exchange_forces, halo_exchange_gradients, halo_exchange_mass, recv_combine_forces,
-    send_forces, HaloPlan, ObsCtx,
-};
+use crate::exchange::{exchange, recv_apply, send, HaloPlan, ObsCtx};
 use crate::{
     connect, Decomposition, FaultPlan, MdError, RankExec, RankObs, RunPlan, SimArgs, TransportKind,
 };
@@ -31,7 +28,7 @@ use lulesh_core::domain::Domain;
 use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
-use lulesh_core::plan::{Chain, GraphSink, Phase, PlanShape, StepPlan, StepScratch};
+use lulesh_core::plan::{Chain, GraphSink, Halo, Phase, PlanShape, StepPlan, StepScratch};
 use lulesh_core::serial::{
     advance_nodes, apply_q_and_materials, calc_force_for_nodes, calc_kinematics_and_gradients,
     SerialScratch,
@@ -186,8 +183,8 @@ fn step_loop(
             resil::load_snapshot(&cfg.dir, rank, cycle).and_then(|snap| snap.restore(d))
         })?,
         _ => {
-            phase.timed("halo-mass", SpanKind::Halo, || {
-                halo_exchange_mass(d, &r.halo, net, obs)
+            phase.timed(Halo::Mass.label(), SpanKind::Halo, || {
+                exchange(Halo::Mass, d, &r.halo, net, obs)
             })?;
             SimState::new(d.initial_dt())
         }
@@ -300,8 +297,8 @@ fn serial_step(
     let mut local_err = phase.timed("forces", SpanKind::Region, || {
         calc_force_for_nodes(d, scratch).err()
     });
-    phase.timed("halo-forces", SpanKind::Halo, || {
-        halo_exchange_forces(d, &r.halo, &r.net, obs)
+    phase.timed(Halo::Forces.label(), SpanKind::Halo, || {
+        exchange(Halo::Forces, d, &r.halo, &r.net, obs)
     })?;
 
     // Node advance, then gradients + ghost exchange.
@@ -311,8 +308,8 @@ fn serial_step(
             calc_kinematics_and_gradients(d, dt).err()
         });
     }
-    phase.timed("halo-gradients", SpanKind::Halo, || {
-        halo_exchange_gradients(d, &r.halo, &r.net, obs)
+    phase.timed(Halo::Gradients.label(), SpanKind::Halo, || {
+        exchange(Halo::Gradients, d, &r.halo, &r.net, obs)
     })?;
 
     if local_err.is_none() {
@@ -329,19 +326,21 @@ fn serial_step(
     Ok((None, c, h))
 }
 
-/// One halo exchange, as a graph stage runs it.
-type Exchange = fn(&Domain, &HaloPlan, &RankNet, ObsCtx) -> Result<(), ParcelError>;
-
 impl Rank {
-    /// `exchange` as a graph stage body.
-    fn stage(self: &Arc<Self>, exchange: Exchange) -> impl Fn() + Send + Sync + 'static {
+    /// `run` ([`exchange`], [`send`] or [`recv_apply`]) of `kind` as a
+    /// graph stage body.
+    fn stage(
+        self: &Arc<Self>,
+        kind: Halo,
+        run: fn(Halo, &Domain, &HaloPlan, &RankNet, ObsCtx) -> Result<(), ParcelError>,
+    ) -> impl Fn() + Send + Sync + 'static {
         let r = Arc::clone(self);
         move || {
             if r.failed.lock().is_some() {
                 return;
             }
             let obs = r.trace.as_ref().map(|(t, lane)| (t.as_ref(), *lane));
-            if let Err(e) = exchange(&r.d, &r.halo, &r.net, obs) {
+            if let Err(e) = run(kind, &r.d, &r.halo, &r.net, obs) {
                 *r.failed.lock() = Some(e);
             }
         }
@@ -376,8 +375,9 @@ impl Rank {
         let boundary = gather.emit(b, &boundary, start, chained);
         let mut joined = gather.emit(b, &interior, start, chained);
         let gathered = b.sync("barrier-gather", &boundary);
-        let sent = b.stage("send-forces", &[gathered], self.stage(send_forces));
-        joined.push(b.stage("recv-forces", &[sent], self.stage(recv_combine_forces)));
+        let sent = b.stage("send-forces", &[gathered], self.stage(Halo::Forces, send));
+        let recv = self.stage(Halo::Forces, recv_apply);
+        joined.push(b.stage("recv-forces", &[sent], recv));
         let joined = b.sync("barrier-halo", &joined);
         let all: Vec<Chunk> = chunks_of(self.d.num_node(), part).collect();
         let updated = update.emit(b, &all, Some(joined), chained);
@@ -386,7 +386,8 @@ impl Rank {
 }
 
 /// A task rank: its runtime, its step graph — [`StepPlan::tasks`] with the
-/// halo exchanges as stages — and the scratch the graph's tasks share.
+/// halo exchanges its phases mark ([`Phase::halo`]) as stages — and the
+/// scratch the graph's tasks share.
 struct TaskRank {
     task: TaskLulesh,
     graph: StepGraph,
@@ -409,13 +410,16 @@ impl TaskRank {
         let mut dep = None;
         for phase in &step.phases {
             let part = partition.of(phase.grain);
-            let mut end = match phase.sync {
-                "barrier-nodes" => r.node_phase(&mut b, phase, part, dep, chained),
-                _ => step.emit_phase(&mut b, phase, part, dep, chained),
+            let end = match phase.halo {
+                Some(Halo::Forces) => r.node_phase(&mut b, phase, part, dep, chained),
+                halo => {
+                    let end = step.emit_phase(&mut b, phase, part, dep, chained);
+                    match halo {
+                        Some(kind) => b.stage(kind.label(), &[end], r.stage(kind, exchange)),
+                        None => end,
+                    }
+                }
             };
-            if phase.sync == "barrier-kinematics" {
-                end = b.stage("halo-gradients", &[end], r.stage(halo_exchange_gradients));
-            }
             dep = Some(end);
         }
         let graph = task.build(b);

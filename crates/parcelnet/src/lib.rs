@@ -32,6 +32,7 @@
 pub mod channel;
 pub mod tcp;
 
+use lulesh_core::plan::Halo;
 use lulesh_core::types::{LuleshError, Real};
 
 /// The 27 directions of a 3-D neighbour stencil, encoded as
@@ -124,19 +125,17 @@ macro_rules! dir27 {
 }
 
 /// Phase tag carried in every frame header, so a mis-sequenced exchange is
-/// detected as a protocol error instead of corrupting physics. The
-/// payload-carrying phases (mass, force, gradient) additionally name the
-/// stencil [`dir`]ection the frame travels in — the sender's outgoing
-/// direction — so the up-to-26 concurrent per-neighbour sends of one halo
-/// exchange never alias even when several ride the same link in flight.
+/// detected as a protocol error instead of corrupting physics. A halo frame
+/// additionally names its [`Halo`] kind and the stencil [`dir`]ection it
+/// travels in — the sender's outgoing direction — so the up-to-26
+/// concurrent per-neighbour sends of one halo exchange never alias even
+/// when several ride the same link in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tag {
-    /// One-time nodal-mass halo sum (setup `CommSBN`), with direction.
-    Mass(u8),
-    /// Per-iteration force halo sum (`CommSBN`), with direction.
-    Force(u8),
-    /// Per-iteration gradient ghost exchange (`CommMonoQ`), with direction.
-    Gradient(u8),
+    /// One neighbour's surface of a halo exchange: mass (setup
+    /// `CommSBN`), forces (`CommSBN`) or gradients (`CommMonoQ`), with
+    /// direction.
+    Halo(Halo, u8),
     /// dt min-allreduce contribution or broadcast.
     Dt,
     /// Graceful shutdown: both sides exchange `Bye` before closing.
@@ -149,59 +148,67 @@ pub enum Tag {
     Telemetry,
 }
 
-/// Wire encodings: directional tags occupy a 32-slot block per kind.
-/// Scalar codes must stay below `0x100` so the directional-block masking
-/// in [`Tag::from_u32`] keeps working.
+/// Wire encodings: halo kind `k` (in [`Halo::ALL`] order) occupies the
+/// 256-slot block at `0x100·(k+1)`, its direction in the low byte. Scalar
+/// codes must stay below `0x100` so the block decoding in
+/// [`Tag::from_u32`] keeps working.
 const TAG_DT: u32 = 4;
 const TAG_BYE: u32 = 5;
 const TAG_CLOCK: u32 = 6;
 const TAG_TELEMETRY: u32 = 7;
-const TAG_MASS_BASE: u32 = 0x100;
-const TAG_FORCE_BASE: u32 = 0x200;
-const TAG_GRADIENT_BASE: u32 = 0x300;
+const TAG_HALO_BLOCK: u32 = 0x100;
 
-static NAME_MASS: [&str; dir::COUNT] = dir27!("mass-");
-static NAME_FORCE: [&str; dir::COUNT] = dir27!("force-");
-static NAME_GRADIENT: [&str; dir::COUNT] = dir27!("gradient-");
-static SEND_MASS: [&str; dir::COUNT] = dir27!("parcel-send-mass-");
-static SEND_FORCE: [&str; dir::COUNT] = dir27!("parcel-send-force-");
-static SEND_GRADIENT: [&str; dir::COUNT] = dir27!("parcel-send-gradient-");
-static RECV_MASS: [&str; dir::COUNT] = dir27!("parcel-recv-mass-");
-static RECV_FORCE: [&str; dir::COUNT] = dir27!("parcel-recv-force-");
-static RECV_GRADIENT: [&str; dir::COUNT] = dir27!("parcel-recv-gradient-");
-static WAIT_MASS: [&str; dir::COUNT] = dir27!("parcel-wait-mass-");
-static WAIT_FORCE: [&str; dir::COUNT] = dir27!("parcel-wait-force-");
-static WAIT_GRADIENT: [&str; dir::COUNT] = dir27!("parcel-wait-gradient-");
-static SER_MASS: [&str; dir::COUNT] = dir27!("parcel-serialize-mass-");
-static SER_FORCE: [&str; dir::COUNT] = dir27!("parcel-serialize-force-");
-static SER_GRADIENT: [&str; dir::COUNT] = dir27!("parcel-serialize-gradient-");
+/// Per-direction label tables, indexed by halo kind, then direction.
+type Labels = [[&'static str; dir::COUNT]; 3];
+static NAME: Labels = [dir27!("mass-"), dir27!("force-"), dir27!("gradient-")];
+static SEND: Labels = [
+    dir27!("parcel-send-mass-"),
+    dir27!("parcel-send-force-"),
+    dir27!("parcel-send-gradient-"),
+];
+static RECV: Labels = [
+    dir27!("parcel-recv-mass-"),
+    dir27!("parcel-recv-force-"),
+    dir27!("parcel-recv-gradient-"),
+];
+static WAIT: Labels = [
+    dir27!("parcel-wait-mass-"),
+    dir27!("parcel-wait-force-"),
+    dir27!("parcel-wait-gradient-"),
+];
+static SER: Labels = [
+    dir27!("parcel-serialize-mass-"),
+    dir27!("parcel-serialize-force-"),
+    dir27!("parcel-serialize-gradient-"),
+];
 
 impl Tag {
+    /// A `kind` halo tag travelling in stencil direction `d`.
+    pub fn halo(kind: Halo, d: usize) -> Self {
+        debug_assert!(d < dir::COUNT && d != dir::SELF_INDEX);
+        Tag::Halo(kind, d as u8)
+    }
+
     /// A mass tag travelling in stencil direction `d`.
     pub fn mass(d: usize) -> Self {
-        debug_assert!(d < dir::COUNT && d != dir::SELF_INDEX);
-        Tag::Mass(d as u8)
+        Tag::halo(Halo::Mass, d)
     }
 
     /// A force tag travelling in stencil direction `d`.
     pub fn force(d: usize) -> Self {
-        debug_assert!(d < dir::COUNT && d != dir::SELF_INDEX);
-        Tag::Force(d as u8)
+        Tag::halo(Halo::Forces, d)
     }
 
     /// A gradient tag travelling in stencil direction `d`.
     pub fn gradient(d: usize) -> Self {
-        debug_assert!(d < dir::COUNT && d != dir::SELF_INDEX);
-        Tag::Gradient(d as u8)
+        Tag::halo(Halo::Gradients, d)
     }
 
     /// Stable lowercase name (used in span labels and error messages);
-    /// directional tags append the direction, e.g. `force-00m`.
+    /// halo tags append the direction, e.g. `force-00m`.
     pub fn name(self) -> &'static str {
         match self {
-            Tag::Mass(d) => NAME_MASS[d as usize],
-            Tag::Force(d) => NAME_FORCE[d as usize],
-            Tag::Gradient(d) => NAME_GRADIENT[d as usize],
+            Tag::Halo(k, d) => NAME[k as usize][d as usize],
             Tag::Dt => "dt",
             Tag::Bye => "bye",
             Tag::Clock => "clock",
@@ -212,9 +219,7 @@ impl Tag {
     /// Wire encoding of this tag.
     pub fn to_u32(self) -> u32 {
         match self {
-            Tag::Mass(d) => TAG_MASS_BASE + d as u32,
-            Tag::Force(d) => TAG_FORCE_BASE + d as u32,
-            Tag::Gradient(d) => TAG_GRADIENT_BASE + d as u32,
+            Tag::Halo(k, d) => TAG_HALO_BLOCK * (k as u32 + 1) + d as u32,
             Tag::Dt => TAG_DT,
             Tag::Bye => TAG_BYE,
             Tag::Clock => TAG_CLOCK,
@@ -222,18 +227,20 @@ impl Tag {
         }
     }
 
-    /// Decode a wire tag; `None` for unknown values.
+    /// Decode a wire tag; `None` for unknown values, and for a halo tag
+    /// naming the self direction, which no sender produces.
     pub fn from_u32(v: u32) -> Option<Self> {
-        let d = (v & 0xff) as u8;
-        match (v & !0xff, v) {
-            (_, TAG_DT) => Some(Tag::Dt),
-            (_, TAG_BYE) => Some(Tag::Bye),
-            (_, TAG_CLOCK) => Some(Tag::Clock),
-            (_, TAG_TELEMETRY) => Some(Tag::Telemetry),
-            (TAG_MASS_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Mass(d)),
-            (TAG_FORCE_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Force(d)),
-            (TAG_GRADIENT_BASE, _) if usize::from(d) < dir::COUNT => Some(Tag::Gradient(d)),
-            _ => None,
+        match v {
+            TAG_DT => Some(Tag::Dt),
+            TAG_BYE => Some(Tag::Bye),
+            TAG_CLOCK => Some(Tag::Clock),
+            TAG_TELEMETRY => Some(Tag::Telemetry),
+            _ => {
+                let block = (v / TAG_HALO_BLOCK).checked_sub(1)?;
+                let kind = *Halo::ALL.get(block as usize)?;
+                let d = (v % TAG_HALO_BLOCK) as usize;
+                (d < dir::COUNT && d != dir::SELF_INDEX).then_some(Tag::Halo(kind, d as u8))
+            }
         }
     }
 
@@ -241,9 +248,7 @@ impl Tag {
     /// [`obs::Span`]).
     pub fn send_label(self) -> &'static str {
         match self {
-            Tag::Mass(d) => SEND_MASS[d as usize],
-            Tag::Force(d) => SEND_FORCE[d as usize],
-            Tag::Gradient(d) => SEND_GRADIENT[d as usize],
+            Tag::Halo(k, d) => SEND[k as usize][d as usize],
             Tag::Dt => "parcel-send-dt",
             Tag::Bye => "parcel-send-bye",
             Tag::Clock => "parcel-send-clock",
@@ -254,9 +259,7 @@ impl Tag {
     /// `parcel-recv-<tag>` span label.
     pub fn recv_label(self) -> &'static str {
         match self {
-            Tag::Mass(d) => RECV_MASS[d as usize],
-            Tag::Force(d) => RECV_FORCE[d as usize],
-            Tag::Gradient(d) => RECV_GRADIENT[d as usize],
+            Tag::Halo(k, d) => RECV[k as usize][d as usize],
             Tag::Dt => "parcel-recv-dt",
             Tag::Bye => "parcel-recv-bye",
             Tag::Clock => "parcel-recv-clock",
@@ -267,9 +270,7 @@ impl Tag {
     /// `parcel-wait-<tag>` span label (time blocked before the frame).
     pub fn wait_label(self) -> &'static str {
         match self {
-            Tag::Mass(d) => WAIT_MASS[d as usize],
-            Tag::Force(d) => WAIT_FORCE[d as usize],
-            Tag::Gradient(d) => WAIT_GRADIENT[d as usize],
+            Tag::Halo(k, d) => WAIT[k as usize][d as usize],
             Tag::Dt => "parcel-wait-dt",
             Tag::Bye => "parcel-wait-bye",
             Tag::Clock => "parcel-wait-clock",
@@ -280,9 +281,7 @@ impl Tag {
     /// `parcel-serialize-<tag>` span label (TCP writer thread).
     pub fn serialize_label(self) -> &'static str {
         match self {
-            Tag::Mass(d) => SER_MASS[d as usize],
-            Tag::Force(d) => SER_FORCE[d as usize],
-            Tag::Gradient(d) => SER_GRADIENT[d as usize],
+            Tag::Halo(k, d) => SER[k as usize][d as usize],
             Tag::Dt => "parcel-serialize-dt",
             Tag::Bye => "parcel-serialize-bye",
             Tag::Clock => "parcel-serialize-clock",
@@ -818,14 +817,12 @@ mod tests {
         assert_eq!(dir::name(dir::SELF_INDEX), "000");
     }
 
-    /// Every tag: the scalar ones, then each directional kind in all 27
-    /// directions.
+    /// Every tag: the scalar ones, then each halo kind in all 26
+    /// directions a frame can travel in.
     fn every_tag() -> Vec<Tag> {
         let mut all = vec![Tag::Dt, Tag::Bye, Tag::Clock, Tag::Telemetry];
-        for d in 0..dir::COUNT {
-            all.push(Tag::Mass(d as u8));
-            all.push(Tag::Force(d as u8));
-            all.push(Tag::Gradient(d as u8));
+        for d in (0..dir::COUNT).filter(|&d| d != dir::SELF_INDEX) {
+            all.extend(Halo::ALL.map(|k| Tag::halo(k, d)));
         }
         all
     }
@@ -835,10 +832,19 @@ mod tests {
         for t in every_tag() {
             assert_eq!(Tag::from_u32(t.to_u32()), Some(t), "tag {t:?}");
         }
+        // The wire encodings of the three halo blocks are fixed.
+        assert_eq!(Tag::mass(dir::DOWN).to_u32(), 0x100 + 4);
+        assert_eq!(Tag::force(dir::UP).to_u32(), 0x200 + 22);
+        assert_eq!(Tag::gradient(0).to_u32(), 0x300);
         assert_eq!(Tag::from_u32(0), None);
         assert_eq!(Tag::from_u32(99), None);
-        assert_eq!(Tag::from_u32(TAG_MASS_BASE + 27), None);
-        assert_eq!(Tag::from_u32(TAG_GRADIENT_BASE + 0xff), None);
+        assert_eq!(Tag::from_u32(0x100 + 27), None);
+        assert_eq!(Tag::from_u32(0x300 + 0xff), None);
+        assert_eq!(Tag::from_u32(0x400), None);
+        // No sender produces the self direction, so no frame carries it.
+        for block in [0x100, 0x200, 0x300] {
+            assert_eq!(Tag::from_u32(block + dir::SELF_INDEX as u32), None);
+        }
         // Codes 8–11 are unassigned: a frame carrying one is a protocol
         // error, not a parcel.
         for v in 8..=11 {

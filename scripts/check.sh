@@ -276,6 +276,28 @@ grep -q "^6,11,6,8," "$TMP/grid_smoke.csv" || {
 ./target/debug/trace_lint "$TMP/tr3d/merged.trace.json" 48
 test -s "$TMP/tr3d/analysis.json"
 
+echo "== 3-D grid bit-identity (2x2x2: channels == TCP workers == task ranks) =="
+# The one binary-level run that sends face, edge and corner traffic for
+# all three halo kinds over both transports: every CSV column but wall
+# clock (column 5) must match across in-process channels, TCP worker
+# processes and 2-worker task ranks.
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 2x2x2 --q \
+  | cut -d, -f1-4,6- > "$TMP/grid_channel.csv"
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 2x2x2 --q --transport tcp \
+  2> /dev/null | cut -d, -f1-4,6- > "$TMP/grid_tcp.csv"
+./target/debug/lulesh-multidom --s 6 --i 10 --grid 2x2x2 --q --threads 2 \
+  | cut -d, -f1-4,6- > "$TMP/grid_tasks.csv"
+grep -q "^6,11,10,8" "$TMP/grid_channel.csv" || {
+  echo "2x2x2 channel run produced no report:"; cat "$TMP/grid_channel.csv"; exit 1;
+}
+for form in tcp tasks; do
+  if ! cmp -s "$TMP/grid_channel.csv" "$TMP/grid_$form.csv"; then
+    echo "2x2x2 $form run diverged from in-process channels:"
+    diff "$TMP/grid_channel.csv" "$TMP/grid_$form.csv" || true
+    exit 1
+  fi
+done
+
 echo "== live-metrics smoke run (2 TCP ranks, JSONL schema) =="
 # --live-metrics makes rank 0 stream one JSONL step summary per sampled
 # step to stdout (telemetry rides the dt allreduce, so this works across
