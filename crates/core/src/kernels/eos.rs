@@ -14,7 +14,9 @@
 
 use crate::domain::Domain;
 use crate::params::Params;
-use crate::simd::{self, lane_groups, Lanes, SimdReal};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2Pack;
+use crate::simd::{self, lane_groups, Lanes, Pack, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{AlignedBuf, Chunk};
 
@@ -765,15 +767,11 @@ pub fn eval_eos_for_elems_lanes<const W: usize>(
     rep: usize,
     p: &Params,
 ) {
-    let rho0 = p.refdens;
-    for r in 0..rep {
-        let store = r + 1 == rep;
-        lane_groups!(W, 0, elems.len(), |i| eos_lane_group
-            / eos_tail(d, vnewc, elems, i, p, rho0, store));
-    }
+    eos_groups::<Lanes<W>>(d, vnewc, elems, rep, p)
 }
 
-/// [`eval_eos_for_elems_lanes::<4>`] compiled for AVX2.
+/// [`eval_eos_for_elems`] on AVX2 packs: the same body as
+/// [`eval_eos_for_elems_lanes::<4>`], bit for bit.
 ///
 /// # Safety
 /// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
@@ -786,7 +784,18 @@ pub fn eval_eos_for_elems_avx2(
     rep: usize,
     p: &Params,
 ) {
-    eval_eos_for_elems_lanes::<4>(d, vnewc, elems, rep, p)
+    eos_groups::<Avx2Pack>(d, vnewc, elems, rep, p)
+}
+
+/// The list walk behind both lane entry points, in groups of `P::LANES`.
+#[inline(always)]
+fn eos_groups<P: Pack>(d: &Domain, vnewc: &[Real], elems: &[Index], rep: usize, p: &Params) {
+    let rho0 = p.refdens;
+    for r in 0..rep {
+        let store = r + 1 == rep;
+        lane_groups!(P, 0, elems.len(), |i| eos_lane_group
+            / eos_tail(d, vnewc, elems, i, p, rho0, store));
+    }
 }
 
 /// List entries `i0..end` one at a time: the ragged tail of every width
@@ -804,14 +813,14 @@ fn eos_tail(
     end: usize,
 ) {
     for i in i0..end {
-        eos_lane_group::<1>(d, vnewc, elems, i, p, rho0, store);
+        eos_lane_group::<Lanes<1>>(d, vnewc, elems, i, p, rho0, store);
     }
 }
 
-/// One group of `W` entries of the region element list: gather the seven
-/// inputs, run the fused kernel, optionally scatter the four outputs.
+/// One group of `P::LANES` entries of the region element list: gather the
+/// seven inputs, run the fused kernel, optionally scatter the four outputs.
 #[inline(always)]
-fn eos_lane_group<const W: usize>(
+fn eos_lane_group<P: Pack>(
     d: &Domain,
     vnewc: &[Real],
     elems: &[Index],
@@ -821,24 +830,24 @@ fn eos_lane_group<const W: usize>(
     store: bool,
 ) {
     let idx = |l: usize| elems[i0 + l];
-    let vz = Lanes::<W>::gather(|l| vnewc[idx(l)]);
-    let e_old = Lanes::<W>::gather(|l| d.e(idx(l)));
-    let delvc = Lanes::<W>::gather(|l| d.delv(idx(l)));
-    let p_old = Lanes::<W>::gather(|l| d.p(idx(l)));
-    let q_old = Lanes::<W>::gather(|l| d.q(idx(l)));
-    let qq_old = Lanes::<W>::gather(|l| d.qq(idx(l)));
-    let ql_old = Lanes::<W>::gather(|l| d.ql(idx(l)));
+    let vz = P::gather(|l| vnewc[idx(l)]);
+    let e_old = P::gather(|l| d.e(idx(l)));
+    let delvc = P::gather(|l| d.delv(idx(l)));
+    let p_old = P::gather(|l| d.p(idx(l)));
+    let q_old = P::gather(|l| d.q(idx(l)));
+    let qq_old = P::gather(|l| d.qq(idx(l)));
+    let ql_old = P::gather(|l| d.ql(idx(l)));
 
     let (p_new, e_new, q_new, ss) =
         eos_elem_kernel(vz, e_old, delvc, p_old, q_old, qq_old, ql_old, p, rho0);
 
     if store {
-        for l in 0..W {
+        for l in 0..P::LANES {
             let z = idx(l);
-            d.set_p(z, p_new.0[l]);
-            d.set_e(z, e_new.0[l]);
-            d.set_q(z, q_new.0[l]);
-            d.set_ss(z, ss.0[l]);
+            d.set_p(z, p_new.lane(l));
+            d.set_e(z, e_new.lane(l));
+            d.set_q(z, q_new.lane(l));
+            d.set_ss(z, ss.lane(l));
         }
     }
 }

@@ -19,7 +19,9 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes, scatter_elem_corners_lanes,
 };
 use crate::kernels::volume::calc_elem_volume_derivative;
-use crate::simd::{self, lane_groups, Lanes, SimdReal};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2Pack;
+use crate::simd::{self, lane_groups, Lanes, Pack, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -141,11 +143,43 @@ struct HourglassGeometry<V> {
     determ: V,
 }
 
+/// Hourglass mode `i1` of the geometry: `Σ_j Γ[i1][j]·(x, y, z)[j]`.
+#[inline(always)]
+fn hourglass_mode<V: SimdReal>(g: &HourglassGeometry<V>, i1: usize) -> [V; 3] {
+    let mut hourmodx = V::zero();
+    let mut hourmody = V::zero();
+    let mut hourmodz = V::zero();
+    for j in 0..8 {
+        let gamma = V::splat(GAMMA[i1][j]);
+        hourmodx = hourmodx + g.x[j] * gamma;
+        hourmody = hourmody + g.y[j] * gamma;
+        hourmodz = hourmodz + g.z[j] * gamma;
+    }
+    [hourmodx, hourmody, hourmodz]
+}
+
+/// Row `j` of `hourgam`: `Γ[i1][j] − volinv·(∇V[j] · mode i1)` per mode.
+#[inline(always)]
+fn hourgam_row<V: SimdReal>(
+    g: &HourglassGeometry<V>,
+    volinv: V,
+    modes: &[[V; 3]; 4],
+    j: usize,
+) -> [V; 4] {
+    let mut row = [V::zero(); 4];
+    for i1 in 0..4 {
+        let [hourmodx, hourmody, hourmodz] = modes[i1];
+        row[i1] = V::splat(GAMMA[i1][j])
+            - volinv * (g.dvdx[j] * hourmodx + g.dvdy[j] * hourmody + g.dvdz[j] * hourmodz);
+    }
+    row
+}
+
 /// The per-element body of `CalcFBHourglassForceForElems`: Γ-projection of
 /// the geometry (`hourgam`), force coefficient, corner forces. `c0` is the
 /// hoisted scalar prefix `-hourg · 0.01` of the coefficient. The one body
 /// behind both the two-pass path (`V = f64`, geometry read back from
-/// scratch) and the fused kernel (`V = Lanes<W>`, geometry in registers).
+/// scratch) and the fused kernel (`V` a lane pack, geometry in registers).
 #[inline(always)]
 fn elem_hourglass_force<V: SimdReal>(
     g: &HourglassGeometry<V>,
@@ -157,22 +191,24 @@ fn elem_hourglass_force<V: SimdReal>(
     c0: Real,
 ) -> ([V; 8], [V; 8], [V; 8]) {
     let volinv = V::splat(1.0) / g.determ;
-    let mut hourgam = [[V::zero(); 4]; 8];
-    for i1 in 0..4 {
-        let mut hourmodx = V::zero();
-        let mut hourmody = V::zero();
-        let mut hourmodz = V::zero();
-        for j in 0..8 {
-            let gamma = V::splat(GAMMA[i1][j]);
-            hourmodx = hourmodx + g.x[j] * gamma;
-            hourmody = hourmody + g.y[j] * gamma;
-            hourmodz = hourmodz + g.z[j] * gamma;
-        }
-        for j in 0..8 {
-            hourgam[j][i1] = V::splat(GAMMA[i1][j])
-                - volinv * (g.dvdx[j] * hourmodx + g.dvdy[j] * hourmody + g.dvdz[j] * hourmodz);
-        }
-    }
+    // Built from constant-index calls rather than zeroed and filled in a
+    // loop, so the AVX2 body makes no `memset` call per group.
+    let m = [
+        hourglass_mode(g, 0),
+        hourglass_mode(g, 1),
+        hourglass_mode(g, 2),
+        hourglass_mode(g, 3),
+    ];
+    let hourgam = [
+        hourgam_row(g, volinv, &m, 0),
+        hourgam_row(g, volinv, &m, 1),
+        hourgam_row(g, volinv, &m, 2),
+        hourgam_row(g, volinv, &m, 3),
+        hourgam_row(g, volinv, &m, 4),
+        hourgam_row(g, volinv, &m, 5),
+        hourgam_row(g, volinv, &m, 6),
+        hourgam_row(g, volinv, &m, 7),
+    ];
 
     let volume13 = g.determ.cbrt();
     let coefficient = V::splat(c0) * ss * mass / volume13;
@@ -272,11 +308,42 @@ pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
     fz_elem: &mut [Real],
     range: Chunk,
 ) -> Result<(), LuleshError> {
+    hourglass_groups::<Lanes<W>>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+}
+
+/// [`calc_hourglass_force_for_elems`] on AVX2 packs: the same body as
+/// [`calc_hourglass_force_for_elems_lanes::<4>`], bit for bit.
+///
+/// # Safety
+/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn calc_hourglass_force_for_elems_avx2(
+    d: &Domain,
+    hourg: Real,
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) -> Result<(), LuleshError> {
+    hourglass_groups::<Avx2Pack>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+}
+
+/// The chunk walk behind both lane entry points, in groups of `P::LANES`.
+#[inline(always)]
+fn hourglass_groups<P: Pack>(
+    d: &Domain,
+    hourg: Real,
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) -> Result<(), LuleshError> {
     debug_assert_eq!(fx_elem.len(), 8 * range.len());
 
     let c0 = -hourg * 0.01;
     let mut failed = false;
-    lane_groups!(W, range.begin, range.end, |e| hourglass_lane_group
+    lane_groups!(P, range.begin, range.end, |e| hourglass_lane_group
         / hourglass_tail(
             d,
             range.begin,
@@ -292,23 +359,6 @@ pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
     } else {
         Ok(())
     }
-}
-
-/// [`calc_hourglass_force_for_elems_lanes::<4>`] compiled for AVX2.
-///
-/// # Safety
-/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub fn calc_hourglass_force_for_elems_avx2(
-    d: &Domain,
-    hourg: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) -> Result<(), LuleshError> {
-    calc_hourglass_force_for_elems_lanes::<4>(d, hourg, fx_elem, fy_elem, fz_elem, range)
 }
 
 /// Elements `e0..end` one at a time: the ragged tail of every width and
@@ -327,15 +377,16 @@ fn hourglass_tail(
     end: Index,
 ) {
     for e in e0..end {
-        hourglass_lane_group::<1>(d, begin, e, c0, fx_elem, fy_elem, fz_elem, failed);
+        hourglass_lane_group::<Lanes<1>>(d, begin, e, c0, fx_elem, fy_elem, fz_elem, failed);
     }
 }
 
-/// One group of `W` consecutive elements starting at `e0` of the fused
-/// kernel; sets `failed` when a lane's relative volume is non-positive.
+/// One group of `P::LANES` consecutive elements starting at `e0` of the
+/// fused kernel; sets `failed` when a lane's relative volume is
+/// non-positive.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn hourglass_lane_group<const W: usize>(
+fn hourglass_lane_group<P: Pack>(
     d: &Domain,
     begin: Index,
     e0: Index,
@@ -345,12 +396,14 @@ fn hourglass_lane_group<const W: usize>(
     fz_elem: &mut [Real],
     failed: &mut bool,
 ) {
-    let zero = Lanes::<W>::zero();
+    let zero = P::zero();
     let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
     gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
     let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
-    let v = Lanes::<W>::gather(|l| d.v(e0 + l));
-    *failed |= v.0.iter().any(|&v| v <= 0.0);
+    let v = P::gather(|l| d.v(e0 + l));
+    for l in 0..P::LANES {
+        *failed |= v.lane(l) <= 0.0;
+    }
     let g = HourglassGeometry {
         x,
         y,
@@ -358,13 +411,13 @@ fn hourglass_lane_group<const W: usize>(
         dvdx,
         dvdy,
         dvdz,
-        determ: Lanes::gather(|l| d.volo(e0 + l)) * v,
+        determ: P::gather(|l| d.volo(e0 + l)) * v,
     };
 
     let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
     gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
-    let ss = Lanes::gather(|l| d.ss(e0 + l));
-    let mass = Lanes::gather(|l| d.elem_mass(e0 + l));
+    let ss = P::gather(|l| d.ss(e0 + l));
+    let mass = P::gather(|l| d.elem_mass(e0 + l));
     let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, c0);
 
     let k0 = e0 - begin;

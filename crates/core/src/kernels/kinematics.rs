@@ -8,7 +8,9 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes,
 };
 use crate::kernels::volume::{calc_elem_characteristic_length, calc_elem_volume};
-use crate::simd::{self, lane_groups, Lanes, SimdReal};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2Pack;
+use crate::simd::{self, lane_groups, Lanes, Pack};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -30,18 +32,25 @@ pub fn calc_kinematics_for_elems(d: &Domain, dt: Real, range: Chunk) {
 /// scalar reference).
 #[inline(always)]
 pub fn calc_kinematics_for_elems_lanes<const W: usize>(d: &Domain, dt: Real, range: Chunk) {
-    lane_groups!(W, range.begin, range.end, |e| kinematics_lane_group
-        / kinematics_tail(d, dt, e));
+    kinematics_groups::<Lanes<W>>(d, dt, range)
 }
 
-/// [`calc_kinematics_for_elems_lanes::<4>`] compiled for AVX2.
+/// [`calc_kinematics_for_elems`] on AVX2 packs: the same body as
+/// [`calc_kinematics_for_elems_lanes::<4>`], bit for bit.
 ///
 /// # Safety
 /// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub fn calc_kinematics_for_elems_avx2(d: &Domain, dt: Real, range: Chunk) {
-    calc_kinematics_for_elems_lanes::<4>(d, dt, range)
+    kinematics_groups::<Avx2Pack>(d, dt, range)
+}
+
+/// The chunk walk behind every entry point, in groups of `P::LANES`.
+#[inline(always)]
+fn kinematics_groups<P: Pack>(d: &Domain, dt: Real, range: Chunk) {
+    lane_groups!(P, range.begin, range.end, |e| kinematics_lane_group
+        / kinematics_tail(d, dt, e));
 }
 
 /// Elements `begin..end` one at a time: the ragged tail of every width and
@@ -49,21 +58,21 @@ pub fn calc_kinematics_for_elems_avx2(d: &Domain, dt: Real, range: Chunk) {
 #[inline(never)]
 fn kinematics_tail(d: &Domain, dt: Real, begin: Index, end: Index) {
     for e in begin..end {
-        kinematics_lane_group::<1>(d, dt, e);
+        kinematics_lane_group::<Lanes<1>>(d, dt, e);
     }
 }
 
-/// One group of `W` consecutive elements starting at `e0`.
+/// One group of `P::LANES` consecutive elements starting at `e0`.
 #[inline(always)]
-fn kinematics_lane_group<const W: usize>(d: &Domain, dt: Real, e0: Index) {
-    let zero = Lanes::<W>::zero();
+fn kinematics_lane_group<P: Pack>(d: &Domain, dt: Real, e0: Index) {
+    let zero = P::zero();
     let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
     gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
 
     // Volume calculations.
     let volume = calc_elem_volume(&x, &y, &z);
-    let relative_volume = volume / Lanes::gather(|l| d.volo(e0 + l));
-    let delv = relative_volume - Lanes::gather(|l| d.v(e0 + l));
+    let relative_volume = volume / P::gather(|l| d.volo(e0 + l));
+    let delv = relative_volume - P::gather(|l| d.v(e0 + l));
 
     // Characteristic length for time increment.
     let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
@@ -72,7 +81,7 @@ fn kinematics_lane_group<const W: usize>(d: &Domain, dt: Real, e0: Index) {
     gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
 
     // Move the geometry half a timestep back.
-    let dt2 = Lanes::splat(0.5 * dt);
+    let dt2 = P::splat(0.5 * dt);
     for j in 0..8 {
         x[j] = x[j] - dt2 * xd[j];
         y[j] = y[j] - dt2 * yd[j];
@@ -83,14 +92,14 @@ fn kinematics_lane_group<const W: usize>(d: &Domain, dt: Real, e0: Index) {
     let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
     let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
 
-    for l in 0..W {
+    for l in 0..P::LANES {
         let k = e0 + l;
-        d.set_vnew(k, relative_volume.0[l]);
-        d.set_delv(k, delv.0[l]);
-        d.set_arealg(k, arealg.0[l]);
-        d.set_dxx(k, dvg[0].0[l]);
-        d.set_dyy(k, dvg[1].0[l]);
-        d.set_dzz(k, dvg[2].0[l]);
+        d.set_vnew(k, relative_volume.lane(l));
+        d.set_delv(k, delv.lane(l));
+        d.set_arealg(k, arealg.lane(l));
+        d.set_dxx(k, dvg[0].lane(l));
+        d.set_dyy(k, dvg[1].lane(l));
+        d.set_dzz(k, dvg[2].lane(l));
     }
 }
 

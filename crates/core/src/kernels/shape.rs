@@ -6,7 +6,7 @@
 //! `SumElemStressesToNodeForces`, and `CalcElemVelocityGradient`.
 
 use crate::domain::Domain;
-use crate::simd::{Lanes, SimdReal};
+use crate::simd::{Pack, SimdReal};
 use crate::types::{Index, Real};
 
 /// Gather the 8 corner coordinates of element `e` into local arrays — the
@@ -47,43 +47,39 @@ pub fn gather_elem_velocities(
 }
 
 /// Transposed coordinate gather for a lane group: corner `c` of elements
-/// `e0 .. e0 + W` lands in `xl[c]`'s `W` lanes. Each lane performs exactly
-/// the loads of [`gather_elem_coords`] for its element.
+/// `e0 .. e0 + P::LANES` lands in `xl[c]`'s lanes. Each lane performs
+/// exactly the loads of [`gather_elem_coords`] for its element.
 #[inline(always)]
-pub fn gather_elem_coords_lanes<const W: usize>(
+pub(crate) fn gather_elem_coords_lanes<P: Pack>(
     d: &Domain,
     e0: Index,
-    xl: &mut [Lanes<W>; 8],
-    yl: &mut [Lanes<W>; 8],
-    zl: &mut [Lanes<W>; 8],
+    xl: &mut [P; 8],
+    yl: &mut [P; 8],
+    zl: &mut [P; 8],
 ) {
-    for l in 0..W {
-        let nl = d.nodelist(e0 + l);
-        for c in 0..8 {
-            xl[c].0[l] = d.x(nl[c] as Index);
-            yl[c].0[l] = d.y(nl[c] as Index);
-            zl[c].0[l] = d.z(nl[c] as Index);
-        }
+    for c in 0..8 {
+        let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
+        xl[c] = P::gather(|l| d.x(node(l)));
+        yl[c] = P::gather(|l| d.y(node(l)));
+        zl[c] = P::gather(|l| d.z(node(l)));
     }
 }
 
 /// Transposed velocity gather for a lane group (see
 /// [`gather_elem_coords_lanes`]).
 #[inline(always)]
-pub fn gather_elem_velocities_lanes<const W: usize>(
+pub(crate) fn gather_elem_velocities_lanes<P: Pack>(
     d: &Domain,
     e0: Index,
-    xdl: &mut [Lanes<W>; 8],
-    ydl: &mut [Lanes<W>; 8],
-    zdl: &mut [Lanes<W>; 8],
+    xdl: &mut [P; 8],
+    ydl: &mut [P; 8],
+    zdl: &mut [P; 8],
 ) {
-    for l in 0..W {
-        let nl = d.nodelist(e0 + l);
-        for c in 0..8 {
-            xdl[c].0[l] = d.xd(nl[c] as Index);
-            ydl[c].0[l] = d.yd(nl[c] as Index);
-            zdl[c].0[l] = d.zd(nl[c] as Index);
-        }
+    for c in 0..8 {
+        let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
+        xdl[c] = P::gather(|l| d.xd(node(l)));
+        ydl[c] = P::gather(|l| d.yd(node(l)));
+        zdl[c] = P::gather(|l| d.zd(node(l)));
     }
 }
 
@@ -91,19 +87,19 @@ pub fn gather_elem_velocities_lanes<const W: usize>(
 /// corner `c` of lane `l` goes to `dst[8·(k0 + l) + c]`, where `k0` is the
 /// group's first chunk-local element slot.
 #[inline(always)]
-pub fn scatter_elem_corners_lanes<const W: usize>(dst: &mut [Real], k0: usize, v: &[Lanes<W>; 8]) {
-    let dst = &mut dst[8 * k0..8 * (k0 + W)];
-    for l in 0..W {
+pub(crate) fn scatter_elem_corners_lanes<P: Pack>(dst: &mut [Real], k0: usize, v: &[P; 8]) {
+    let dst = &mut dst[8 * k0..8 * (k0 + P::LANES)];
+    for l in 0..P::LANES {
         for c in 0..8 {
-            dst[8 * l + c] = v[c].0[l];
+            dst[8 * l + c] = v[c].lane(l);
         }
     }
 }
 
 /// Shape-function derivatives `b[dim][corner]` and the Jacobian-based
 /// element volume. Generic over [`SimdReal`]: the `f64` instantiation is
-/// the scalar reference; `Lanes<W>` processes `W` elements at once with a
-/// bit-identical per-element operation sequence.
+/// the scalar reference; a lane pack processes `LANES` elements at once
+/// with a bit-identical per-element operation sequence.
 #[inline(always)]
 pub fn calc_elem_shape_function_derivatives<V: SimdReal>(
     x: &[V; 8],

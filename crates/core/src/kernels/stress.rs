@@ -20,7 +20,9 @@ use crate::kernels::shape::{
     calc_elem_node_normals, calc_elem_shape_function_derivatives, gather_elem_coords,
     gather_elem_coords_lanes, scatter_elem_corners_lanes, sum_elem_stresses_to_node_forces,
 };
-use crate::simd::{self, lane_groups, Lanes, SimdReal};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2Pack;
+use crate::simd::{self, lane_groups, Lanes, Pack};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -149,25 +151,13 @@ pub fn integrate_stress_for_elems_lanes<const W: usize>(
     fz_elem: &mut [Real],
     range: Chunk,
 ) {
-    debug_assert_eq!(determ.len(), range.len());
-    debug_assert_eq!(fx_elem.len(), 8 * range.len());
-
-    lane_groups!(W, range.begin, range.end, |e| stress_lane_group
-        / stress_tail(
-            d,
-            range.begin,
-            e,
-            sigxx,
-            sigyy,
-            sigzz,
-            determ,
-            fx_elem,
-            fy_elem,
-            fz_elem
-        ));
+    stress_groups::<Lanes<W>>(
+        d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
+    )
 }
 
-/// [`integrate_stress_for_elems_lanes::<4>`] compiled for AVX2.
+/// [`integrate_stress_for_elems`] on AVX2 packs: the same body as
+/// [`integrate_stress_for_elems_lanes::<4>`], bit for bit.
 ///
 /// # Safety
 /// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
@@ -185,9 +175,41 @@ pub fn integrate_stress_for_elems_avx2(
     fz_elem: &mut [Real],
     range: Chunk,
 ) {
-    integrate_stress_for_elems_lanes::<4>(
+    stress_groups::<Avx2Pack>(
         d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
     )
+}
+
+/// The chunk walk behind both lane entry points, in groups of `P::LANES`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stress_groups<P: Pack>(
+    d: &Domain,
+    sigxx: &[Real],
+    sigyy: &[Real],
+    sigzz: &[Real],
+    determ: &mut [Real],
+    fx_elem: &mut [Real],
+    fy_elem: &mut [Real],
+    fz_elem: &mut [Real],
+    range: Chunk,
+) {
+    debug_assert_eq!(determ.len(), range.len());
+    debug_assert_eq!(fx_elem.len(), 8 * range.len());
+
+    lane_groups!(P, range.begin, range.end, |e| stress_lane_group
+        / stress_tail(
+            d,
+            range.begin,
+            e,
+            sigxx,
+            sigyy,
+            sigzz,
+            determ,
+            fx_elem,
+            fy_elem,
+            fz_elem
+        ));
 }
 
 /// Elements `e0..end` one at a time: the ragged tail of every width and
@@ -208,17 +230,18 @@ fn stress_tail(
     end: Index,
 ) {
     for e in e0..end {
-        stress_lane_group::<1>(
+        stress_lane_group::<Lanes<1>>(
             d, begin, e, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem,
         );
     }
 }
 
-/// One group of `W` consecutive elements starting at `e0` (chunk-local slot
-/// `e0 - begin`), computed entirely in lane registers and scattered back.
+/// One group of `P::LANES` consecutive elements starting at `e0`
+/// (chunk-local slot `e0 - begin`), computed entirely in lane registers
+/// and scattered back.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn stress_lane_group<const W: usize>(
+fn stress_lane_group<P: Pack>(
     d: &Domain,
     begin: Index,
     e0: Index,
@@ -231,23 +254,20 @@ fn stress_lane_group<const W: usize>(
     fz_elem: &mut [Real],
 ) {
     let k0 = e0 - begin;
-    let mut xl = [Lanes::<W>::splat(0.0); 8];
-    let mut yl = [Lanes::<W>::splat(0.0); 8];
-    let mut zl = [Lanes::<W>::splat(0.0); 8];
+    let zero = P::zero();
+    let (mut xl, mut yl, mut zl) = ([zero; 8], [zero; 8], [zero; 8]);
     gather_elem_coords_lanes(d, e0, &mut xl, &mut yl, &mut zl);
 
-    let mut b = [[Lanes::<W>::splat(0.0); 8]; 3];
+    let mut b = [[zero; 8]; 3];
     let det = calc_elem_shape_function_derivatives(&xl, &yl, &zl, &mut b);
     let (b0, b12) = b.split_first_mut().expect("b has 3 rows");
     let (b1, b2) = b12.split_first_mut().expect("b has 3 rows");
     calc_elem_node_normals(b0, b1, &mut b2[0], &xl, &yl, &zl);
 
-    let sx = Lanes::<W>::load(sigxx, k0);
-    let sy = Lanes::<W>::load(sigyy, k0);
-    let sz = Lanes::<W>::load(sigzz, k0);
-    let mut fxl = [Lanes::<W>::splat(0.0); 8];
-    let mut fyl = [Lanes::<W>::splat(0.0); 8];
-    let mut fzl = [Lanes::<W>::splat(0.0); 8];
+    let sx = P::load(sigxx, k0);
+    let sy = P::load(sigyy, k0);
+    let sz = P::load(sigzz, k0);
+    let (mut fxl, mut fyl, mut fzl) = ([zero; 8], [zero; 8], [zero; 8]);
     sum_elem_stresses_to_node_forces(&b, sx, sy, sz, &mut fxl, &mut fyl, &mut fzl);
 
     det.store(determ, k0);

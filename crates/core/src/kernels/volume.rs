@@ -2,8 +2,8 @@
 //! volume derivatives — straight ports of `CalcElemVolume`, `AreaFace`,
 //! `CalcElemCharacteristicLength`, `VoluDer` and `CalcElemVolumeDerivative`
 //! from the LULESH 2.0 reference, generic over [`SimdReal`] (`f64` is the
-//! scalar reference; `Lanes<W>` runs `W` elements in lockstep with the same
-//! per-element operation sequence).
+//! scalar reference; a lane pack — `Lanes<W>`, or the AVX2 pack — runs its
+//! elements in lockstep with the same per-element operation sequence).
 
 // Signatures and branch structure mirror `CalcElemVolume`/`VoluDer`/`AreaFace` one-to-one.
 #![allow(clippy::too_many_arguments)]

@@ -1,23 +1,46 @@
 //! Explicit-width SIMD lane engine for the hot element kernels.
 //!
-//! Stable-Rust, zero-dependency data parallelism: [`Lanes<W>`] packs `W`
-//! independent elements into one value and implements every arithmetic op
+//! Stable-Rust, zero-dependency data parallelism: a *pack* holds `LANES`
+//! independent elements and implements every arithmetic op
 //! *elementwise*, so a lane-blocked kernel performs, per element, exactly
 //! the same IEEE-754 operation sequence as the scalar loop — results are
 //! bit-identical at every width (no reassociation, no horizontal
-//! reductions). How the fixed-length `[f64; W]` loops become instructions
-//! is the compiler's business and correctness never depends on it — but
-//! speed does: built for baseline x86_64 (SSE2) LLVM leaves most of the
-//! kinematics and EOS lane bodies scalar, so the four hot kernels compile
-//! their `Lanes<4>` body a second time under
-//! `#[target_feature(enable = "avx2")]` ([`Isa::Avx2`]; no `fma`, so the
-//! operation sequence and every bit stay the same) and `dispatch!` runs
-//! that copy when the CPU has AVX2. The choice is made from the platform
-//! alone ([`Isa::detect`]); there is no flag for it.
+//! reductions, no FMA).
+//!
+//! Two packs carry the kernels:
+//!
+//! - [`Lanes<W>`], the portable one: an `[f64; W]` whose ops are
+//!   `for i in 0..W` loops. How those loops become instructions is the
+//!   compiler's business. Built for baseline x86_64 (SSE2), LLVM's SLP
+//!   vectoriser packs some of them and leaves most scalar; that is what
+//!   `--simd w2`, `w8`, w4 on a CPU without AVX2, and every other
+//!   architecture run. Its ops are `#[inline]`, not `#[inline(always)]`:
+//!   each is a few instructions once optimised, so the cost model always
+//!   takes them, whereas forcing them copies thousands of unoptimised
+//!   `0..W` loops into each kernel and LLVM's loop passes then take 20×
+//!   as long over the crate (3 s → 68 s, EXPERIMENTS.md).
+//! - `Avx2Pack` (x86_64 only, crate-private): one `__m256d`, every op a
+//!   single `#[inline(always)]` intrinsic — `_mm256_{add,sub,mul,div,
+//!   sqrt}_pd`, a sign-bit `xor`/`andnot` for `neg`/`abs`, ordered-quiet
+//!   compares (`LT_OQ`, `LE_OQ`, `GT_OQ`, `GE_OQ`, false on NaN like the
+//!   scalar operators) with `blendv` for the selects, and libm `cbrt` per
+//!   lane. The four hot kernels run their one body on it in their
+//!   `#[target_feature(enable = "avx2")]` entries (`*_avx2`), and
+//!   `dispatch!` calls those at w4 when the CPU has AVX2 ([`Isa::Avx2`]).
+//!   No FMA is enabled or used, so each lane rounds exactly as the scalar
+//!   SSE2 operation does. The choice is made from the platform alone
+//!   ([`Isa::detect`]); there is no flag for it.
+//!
+//! Soundness rule: `Avx2Pack`'s safe methods execute AVX instructions, so
+//! the type is crate-private and only constructed inside the `*_avx2`
+//! entries, which `dispatch!` reaches only after
+//! `is_x86_feature_detected!("avx2")` held. No safe public path reaches it.
 //!
 //! The shared per-element math of each ported kernel is written once,
-//! generic over [`SimdReal`], and instantiated with `f64` (the `W = 1`
-//! reference mode, also used for ragged tails) and with `Lanes<2|4|8>`.
+//! generic over [`SimdReal`], and each kernel's `*_lane_group` body once,
+//! generic over the crate's pack trait (`gather`, `load`, `store`,
+//! `lane`). They are instantiated with `Lanes<1>` (the ragged tails and
+//! the `W = 1` reference mode), `Lanes<2|4|8>` and `Avx2Pack`.
 //! Divergent branches are handled with per-lane selects
 //! ([`SimdReal::select_lt`] etc.): both sides are computed and the untaken
 //! lane's value discarded, which preserves bit-identity because the taken
@@ -31,17 +54,15 @@
 //! tests that flip the global cannot change any result.
 //!
 //! Every lane kernel is a single pass per element, so a chunk is walked
-//! as plain `W`-element groups (`lane_groups!`) — there is no cache
+//! as plain `LANES`-element groups (`lane_groups!`) — there is no cache
 //! blocking layer to tune.
 //!
 //! Inlining is load-bearing here: a helper LLVM declines to inline into an
-//! AVX2 entry point stays baseline code and the entry degenerates into a
-//! list of calls. The kernels' helper chain (`volume.rs`, `shape.rs`, the
-//! `*_lane_group` bodies) is therefore `#[inline(always)]`. The lane
-//! operations in this module are not: each is a few instructions once
-//! optimised, so the cost model always takes them, whereas forcing them
-//! copies thousands of unoptimised `0..W` loops into each kernel and LLVM's
-//! loop passes then take 30× as long over the crate (3 s → 90 s).
+//! AVX2 entry point is compiled as baseline code — and for `Avx2Pack` a
+//! call would cross a target-feature boundary — so the kernels' helper
+//! chain (`volume.rs`, `shape.rs`, the `*_lane_group` bodies) and every
+//! `Avx2Pack` op are `#[inline(always)]`. `scripts/check.sh` fails if a
+//! pack op or pack-trait method is left out of line in the release binary.
 
 // The elementwise loops index several arrays at once; iterator zips would
 // obscure the per-lane operation.
@@ -88,35 +109,9 @@ impl<const W: usize> Neg for Lanes<W> {
     }
 }
 
-impl<const W: usize> Lanes<W> {
-    /// Load `W` consecutive values from `src[at..at + W]`.
-    #[inline]
-    pub fn load(src: &[Real], at: usize) -> Self {
-        let mut out = [0.0; W];
-        out.copy_from_slice(&src[at..at + W]);
-        Lanes(out)
-    }
-
-    /// Store the lanes to `dst[at..at + W]`.
-    #[inline]
-    pub fn store(self, dst: &mut [Real], at: usize) {
-        dst[at..at + W].copy_from_slice(&self.0);
-    }
-
-    /// Build from a per-lane function (the gather primitive).
-    #[inline]
-    pub fn gather(mut f: impl FnMut(usize) -> Real) -> Self {
-        let mut out = [0.0; W];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = f(l);
-        }
-        Lanes(out)
-    }
-}
-
 /// The value abstraction the generic kernel bodies are written against:
-/// either a scalar `f64` or a [`Lanes<W>`] pack. Every operation is
-/// elementwise, so `f64` and any `Lanes<W>` produce bit-identical
+/// a scalar `f64` or a lane pack ([`Lanes<W>`], or the AVX2 pack). Every
+/// operation is elementwise, so `f64` and every pack produce bit-identical
 /// per-element results.
 pub trait SimdReal:
     Copy
@@ -252,20 +247,205 @@ impl<const W: usize> SimdReal for Lanes<W> {
     lanes_select!(select_ge, >=);
 }
 
-/// Walk `$lo..$hi` in groups of `$w` consecutive elements through
-/// `$group::<$w>($args)` with `$e` bound to each group's first element,
+/// A lane pack the kernels' `*_lane_group` bodies walk memory with: the
+/// [`SimdReal`] arithmetic plus the four ways a group meets the arrays.
+/// [`Lanes<W>`] is the portable pack (every baseline width and the `W = 1`
+/// tails); on x86_64 [`Avx2Pack`] is the one the `*_avx2` entries run.
+pub(crate) trait Pack: SimdReal {
+    /// Build from a per-lane function (the gather primitive).
+    fn gather(f: impl FnMut(usize) -> Real) -> Self;
+    /// Load `LANES` consecutive values from `src[at..]`.
+    fn load(src: &[Real], at: usize) -> Self;
+    /// Store the lanes to `dst[at..at + LANES]`.
+    fn store(self, dst: &mut [Real], at: usize);
+    /// The value of lane `l`.
+    fn lane(&self, l: usize) -> Real;
+}
+
+impl<const W: usize> Pack for Lanes<W> {
+    #[inline]
+    fn gather(mut f: impl FnMut(usize) -> Real) -> Self {
+        let mut out = [0.0; W];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = f(l);
+        }
+        Lanes(out)
+    }
+    #[inline]
+    fn load(src: &[Real], at: usize) -> Self {
+        let mut out = [0.0; W];
+        out.copy_from_slice(&src[at..at + W]);
+        Lanes(out)
+    }
+    #[inline]
+    fn store(self, dst: &mut [Real], at: usize) {
+        dst[at..at + W].copy_from_slice(&self.0);
+    }
+    #[inline]
+    fn lane(&self, l: usize) -> Real {
+        self.0[l]
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx2::Avx2Pack;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Pack, SimdReal};
+    use crate::types::Real;
+    use std::arch::x86_64::*;
+    use std::ops::{Add, Div, Mul, Neg, Sub};
+
+    /// Four `f64` lanes in one AVX register, for the four `*_avx2` kernel
+    /// entries. Every operation is one `#[inline(always)]` intrinsic, so
+    /// it is compiled inside the `#[target_feature(enable = "avx2")]`
+    /// entry that uses it, never as baseline code.
+    ///
+    /// Soundness: the operations execute AVX instructions with no check of
+    /// their own, so a value of this type may only exist on a CPU with
+    /// AVX2. It is crate-private and constructed only inside the `*_avx2`
+    /// entries, which `simd::dispatch!` calls after `Isa::detect` saw
+    /// `is_x86_feature_detected!("avx2")`; no safe public path reaches it.
+    /// `scripts/check.sh` fails if the type is named in any file but this
+    /// one and the four kernels'.
+    ///
+    /// Bit identity with `f64`: `vaddpd`/`vsubpd`/`vmulpd`/`vdivpd`/
+    /// `vsqrtpd` are the IEEE-754 operations of their SSE2 scalar forms,
+    /// lane by lane (no FMA, so no fused rounding); `neg` and `abs` only
+    /// touch the sign bit, as `-x` and `f64::abs` do; the selects compare
+    /// with the ordered-quiet predicates, false on NaN like the scalar
+    /// `<`/`<=`/`>`/`>=`; `cbrt` calls libm's per lane.
+    #[derive(Copy, Clone)]
+    pub(crate) struct Avx2Pack(__m256d);
+
+    impl Avx2Pack {
+        #[inline(always)]
+        fn to_array(self) -> [Real; 4] {
+            // SAFETY: `__m256d` and `[f64; 4]` are both 32 plain bytes.
+            unsafe { std::mem::transmute::<__m256d, [Real; 4]>(self.0) }
+        }
+
+        /// Per lane: `if cmp(self, rhs) { t } else { f }`.
+        #[inline(always)]
+        fn select<const CMP: i32>(self, rhs: Self, t: Self, f: Self) -> Self {
+            // SAFETY: a value of this type exists only on an AVX2 CPU (type
+            // docs).
+            unsafe {
+                let mask = _mm256_cmp_pd::<CMP>(self.0, rhs.0);
+                Avx2Pack(_mm256_blendv_pd(f.0, t.0, mask))
+            }
+        }
+    }
+
+    macro_rules! pack_binop {
+        ($trait:ident, $method:ident, $intrinsic:ident) => {
+            impl $trait for Avx2Pack {
+                type Output = Self;
+                #[inline(always)]
+                fn $method(self, rhs: Self) -> Self {
+                    // SAFETY: a value of this type exists only on an AVX2
+                    // CPU (type docs).
+                    unsafe { Avx2Pack($intrinsic(self.0, rhs.0)) }
+                }
+            }
+        };
+    }
+    pack_binop!(Add, add, _mm256_add_pd);
+    pack_binop!(Sub, sub, _mm256_sub_pd);
+    pack_binop!(Mul, mul, _mm256_mul_pd);
+    pack_binop!(Div, div, _mm256_div_pd);
+
+    impl Neg for Avx2Pack {
+        type Output = Self;
+        #[inline(always)]
+        fn neg(self) -> Self {
+            // SAFETY: as for the binary ops.
+            unsafe { Avx2Pack(_mm256_xor_pd(self.0, _mm256_set1_pd(-0.0))) }
+        }
+    }
+
+    impl SimdReal for Avx2Pack {
+        const LANES: usize = 4;
+        #[inline(always)]
+        fn splat(v: Real) -> Self {
+            // SAFETY: called only where a pack may exist (type docs).
+            unsafe { Avx2Pack(_mm256_set1_pd(v)) }
+        }
+        #[inline(always)]
+        fn sqrt(self) -> Self {
+            // SAFETY: as for the binary ops.
+            unsafe { Avx2Pack(_mm256_sqrt_pd(self.0)) }
+        }
+        #[inline(always)]
+        fn cbrt(self) -> Self {
+            let a = self.to_array();
+            Self::gather(|l| a[l].cbrt())
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: as for the binary ops.
+            unsafe { Avx2Pack(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0)) }
+        }
+        #[inline(always)]
+        fn select_lt(self, rhs: Self, t: Self, f: Self) -> Self {
+            self.select::<_CMP_LT_OQ>(rhs, t, f)
+        }
+        #[inline(always)]
+        fn select_le(self, rhs: Self, t: Self, f: Self) -> Self {
+            self.select::<_CMP_LE_OQ>(rhs, t, f)
+        }
+        #[inline(always)]
+        fn select_gt(self, rhs: Self, t: Self, f: Self) -> Self {
+            self.select::<_CMP_GT_OQ>(rhs, t, f)
+        }
+        #[inline(always)]
+        fn select_ge(self, rhs: Self, t: Self, f: Self) -> Self {
+            self.select::<_CMP_GE_OQ>(rhs, t, f)
+        }
+    }
+
+    impl Pack for Avx2Pack {
+        #[inline(always)]
+        fn gather(mut f: impl FnMut(usize) -> Real) -> Self {
+            let (a, b, c, d) = (f(0), f(1), f(2), f(3));
+            // SAFETY: called only where a pack may exist (type docs).
+            unsafe { Avx2Pack(_mm256_setr_pd(a, b, c, d)) }
+        }
+        #[inline(always)]
+        fn load(src: &[Real], at: usize) -> Self {
+            let src = &src[at..at + 4];
+            // SAFETY: `src` holds 4 values (unaligned load); AVX as above.
+            unsafe { Avx2Pack(_mm256_loadu_pd(src.as_ptr())) }
+        }
+        #[inline(always)]
+        fn store(self, dst: &mut [Real], at: usize) {
+            let dst = &mut dst[at..at + 4];
+            // SAFETY: `dst` holds 4 values (unaligned store); AVX as above.
+            unsafe { _mm256_storeu_pd(dst.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn lane(&self, l: usize) -> Real {
+            self.to_array()[l]
+        }
+    }
+}
+
+/// Walk `$lo..$hi` in groups of `$p::LANES` consecutive elements through
+/// `$group::<$p>($args)` with `$e` bound to each group's first element,
 /// then hand the ragged tail `$e..$hi` to `$tail($args, $hi)`. `$tail` is
-/// the kernel's `W = 1` loop (operation-identical to the scalar reference)
-/// behind `#[inline(never)]`, and at `$w == 1` it is the whole walk: one
-/// baseline copy of the scalar body per kernel instead of one inlined into
-/// every width × ISA instantiation.
+/// the kernel's `Lanes<1>` loop (operation-identical to the scalar
+/// reference) behind `#[inline(never)]`, and for a one-lane pack it is the
+/// whole walk: one baseline copy of the scalar body per kernel instead of
+/// one inlined into every pack instantiation.
 macro_rules! lane_groups {
-    ($w:ident, $lo:expr, $hi:expr, |$e:ident| $group:ident / $tail:ident($($arg:expr),* $(,)?)) => {{
+    ($p:ty, $lo:expr, $hi:expr, |$e:ident| $group:ident / $tail:ident($($arg:expr),* $(,)?)) => {{
+        let w = <$p as $crate::simd::SimdReal>::LANES;
         let hi = $hi;
         let mut $e = $lo;
-        while $w > 1 && $e + $w <= hi {
-            $group::<$w>($($arg),*);
-            $e += $w;
+        while w > 1 && $e + w <= hi {
+            $group::<$p>($($arg),*);
+            $e += w;
         }
         if $e < hi {
             $tail($($arg),*, hi);
@@ -315,8 +495,11 @@ impl LaneWidth {
     pub const ALL: [LaneWidth; 4] = [Self::W1, Self::W2, Self::W4, Self::W8];
 
     /// The width a plain run uses: [`active`]'s initial value and the
-    /// `--simd` default. Measured in release (EXPERIMENTS.md): w4 wins or
-    /// ties on every lane kernel; w2 and w8 are within a few percent.
+    /// `--simd` default. On an x86_64 CPU with AVX2 it is the only width
+    /// whose kernels run on `__m256d` registers (`Avx2Pack`); w2 and w8 run
+    /// the portable [`Lanes<W>`] body and are slower than w4 there by the
+    /// gap recorded in EXPERIMENTS.md ("Explicit AVX2 packs"). Without AVX2
+    /// all three run [`Lanes<W>`] and measured within a few percent.
     pub const DEFAULT: LaneWidth = Self::W4;
 
     /// The element count per lane group.
@@ -379,8 +562,10 @@ pub enum Isa {
 
 impl Isa {
     /// The ISA the kernel dispatchers run `width` at on this host. AVX2
-    /// bodies exist at w4 only: scalar gains nothing from the wider ISA and
-    /// w8 loses to w4 under it (EXPERIMENTS.md), and each copy costs text.
+    /// bodies exist at w4 only: they run the kernels on `Avx2Pack`, one
+    /// `__m256d` per value, which is four lanes wide. Scalar gains nothing
+    /// from the wider ISA, w2 and w8 stay on the portable [`Lanes<W>`]
+    /// body, and each further copy would cost text.
     #[inline]
     pub fn detect(width: LaneWidth) -> Isa {
         #[cfg(target_arch = "x86_64")]
@@ -485,6 +670,114 @@ mod tests {
         assert_eq!(dst, [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]);
         let g = Lanes::<3>::gather(|i| src[2 * i]);
         assert_eq!(g.0, [1.0, 3.0, 5.0]);
+        assert_eq!(g.lane(2), 5.0);
+    }
+
+    /// Every [`SimdReal`] operation on one pair of values: the twelve of
+    /// `simd_ops` in `tests/simd_equivalence.rs`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn ops<V: SimdReal>(a: V, b: V) -> [V; 12] {
+        [
+            a + b,
+            a - b,
+            a * b,
+            a / b,
+            -a,
+            a.sqrt(),
+            a.cbrt(),
+            a.abs(),
+            a.select_lt(b, a, b),
+            a.select_le(b, a, b),
+            a.select_gt(b, a, b),
+            a.select_ge(b, a, b),
+        ]
+    }
+
+    /// [`ops`] on one AVX2 pack per operand, compiled as the `*_avx2`
+    /// kernels compile the pack ops they inline; lanes read back with
+    /// `store`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2_ops(a: [Real; 4], b: [Real; 4]) -> [[Real; 4]; 12] {
+        let packed = ops(Avx2Pack::load(&a, 0), Avx2Pack::gather(|l| b[l]));
+        let mut out = [[0.0; 4]; 12];
+        for (o, p) in out.iter_mut().zip(packed) {
+            p.store(o, 0);
+        }
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_pack_ops_match_scalar_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skip: no AVX2 on this host, the AVX2 pack ops not run");
+            return;
+        }
+        // NaN, both infinities, both zeros, subnormals of both signs, the
+        // largest finite values and a few ordinary ones. Every ordered pair
+        // is tried, so each select also sees equal operands (±0 against
+        // each other too) and every invalid operation (∞ − ∞, 0 · ∞, 0 / 0,
+        // √−1) makes its fresh NaN.
+        let vals = [
+            Real::NAN,
+            Real::INFINITY,
+            -Real::INFINITY,
+            0.0,
+            -0.0,
+            4.9e-324,
+            -2.2e-308,
+            Real::MAX,
+            -Real::MAX,
+            1.5,
+            -2.5,
+            27.0,
+        ];
+        let pairs: Vec<(Real, Real)> = vals
+            .iter()
+            .flat_map(|&x| vals.iter().map(move |&y| (x, y)))
+            .collect();
+        for group in pairs.chunks(4) {
+            // black_box: compare run-time arithmetic, not LLVM's folding.
+            let a = std::hint::black_box(std::array::from_fn(|l| group[l].0));
+            let b = std::hint::black_box(std::array::from_fn(|l| group[l].1));
+            // SAFETY: AVX2 was detected on this CPU above.
+            let packed = unsafe { avx2_ops(a, b) };
+            for (l, &(x, y)) in group.iter().enumerate() {
+                let (x, y) = std::hint::black_box((x, y));
+                for (op, scalar) in ops(x, y).into_iter().enumerate() {
+                    assert_eq!(
+                        packed[op][l].to_bits(),
+                        scalar.to_bits(),
+                        "op {op} on ({x:e}, {y:e}): {:e} vs {scalar:e}",
+                        packed[op][l]
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_pack_load_store_gather_lane_roundtrip() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skip: no AVX2 on this host, the AVX2 pack not built");
+            return;
+        }
+        /// The four pack ways in and out of memory, under AVX2.
+        #[target_feature(enable = "avx2")]
+        fn roundtrip(src: &[Real; 6]) -> ([Real; 6], [Real; 4]) {
+            let l = Avx2Pack::load(src, 1);
+            let mut dst = [0.0; 6];
+            l.store(&mut dst, 2);
+            let g = Avx2Pack::gather(|i| src[5 - i]);
+            (dst, [g.lane(0), g.lane(1), g.lane(2), g.lane(3)])
+        }
+        // SAFETY: AVX2 was detected on this CPU above.
+        let (dst, lanes) = unsafe { roundtrip(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) };
+        assert_eq!(dst, [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(lanes, [6.0, 5.0, 4.0, 3.0]);
     }
 
     #[test]

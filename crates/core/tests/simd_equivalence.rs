@@ -1,12 +1,14 @@
 //! Bitwise scalar-vs-lane equivalence for every SIMD-ported kernel.
 //!
 //! Each test runs the scalar reference and every fixed-(width, ISA) entry
-//! point — `*_lanes::<1|2|4|8>`, and the `*_avx2` compilation of the
-//! `Lanes<4>` body where the CPU has AVX2 (a skip line where not) — on the
-//! same state and compares outputs with `f64::to_bits`, not approximate
-//! equality. Element counts are deliberately non-multiples of every width
-//! (27 or 125 dense elements; region lists of odd lengths) so the
-//! ragged-tail paths are always exercised. The references are the scalar
+//! point — `*_lanes::<1|2|4|8>` (the portable `Lanes<W>` body), and the
+//! `*_avx2` entry, the same body on the crate's `__m256d` pack, where the
+//! CPU has AVX2 (a skip line where not) — on the same state and compares
+//! outputs with `f64::to_bits`, not approximate equality. So each kernel's
+//! `*_avx2` ≡ `*_lanes::<4>` ≡ scalar chain is checked leg by leg.
+//! Element counts are deliberately non-multiples of every width (27 or
+//! 125 dense elements; region lists of odd lengths) so the ragged-tail
+//! paths are always exercised. The references are the scalar
 //! twin (stress, EOS), the reference's two-pass path (fused hourglass) and
 //! a frozen copy of the pre-lane scalar body (kinematics).
 
@@ -477,11 +479,15 @@ fn eos_case(w: &str, kernel: EosKernel, rep: usize) {
 
 #[test]
 fn eos_every_width_matches_scalar_bitwise() {
-    let kernels = entry_points!(
+    let mut kernels = entry_points!(
         EosKernel,
         eos::eval_eos_for_elems_lanes / eval_eos_for_elems_avx2,
         |d, vnewc, elems, rep, p|
     );
+    // The dispatcher, at whatever width is active.
+    kernels.push(("dispatch", |d, vnewc, elems, rep, p| {
+        eos::eval_eos_for_elems(d, vnewc, elems, rep, p, &mut eos::EosScratch::new(0))
+    }));
     // The rep loop re-runs the whole pipeline; results must not depend on it.
     for rep in [1, 3] {
         for &(w, kernel) in &kernels {
@@ -510,8 +516,6 @@ fn eos_rep_zero_stores_fresh_zeros_whatever_the_scratch_held() {
 
 // ------------------------------------------------------------- lane ops --
 
-type Lanes4Ops = fn(Lanes<4>, Lanes<4>) -> [Lanes<4>; 12];
-
 /// Every `SimdReal` operation on one pair of values.
 #[inline(always)]
 fn simd_ops<V: SimdReal>(a: V, b: V) -> [V; 12] {
@@ -531,50 +535,34 @@ fn simd_ops<V: SimdReal>(a: V, b: V) -> [V; 12] {
     ]
 }
 
-/// [`simd_ops`] on `Lanes<4>` compiled for AVX2, as the `*_avx2` kernels
-/// compile the lane operations they inline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn simd_ops_avx2(a: Lanes<4>, b: Lanes<4>) -> [Lanes<4>; 12] {
-    simd_ops(a, b)
-}
-
+/// The portable `Lanes<4>` ops, as the baseline w4 body runs them (also the
+/// fallback for `--simd w4` on a CPU without AVX2). The `*_avx2` kernels
+/// run the crate-private AVX2 pack instead, whose ops are checked the same
+/// way by `simd::tests::avx2_pack_ops_match_scalar_bitwise`; `Lanes<4>`
+/// compiled under AVX2 is no kernel's code, so it is not tested here.
 #[test]
-fn lane_ops_match_scalar_bitwise_on_non_finite_inputs_under_every_isa() {
+fn lane_ops_match_scalar_bitwise_on_non_finite_inputs() {
     // NaN (one operand at a time: which payload survives NaN ∘ NaN is not
     // defined), infinities of both signs, signed zeros, a subnormal, and
     // the invalid operations ∞ − ∞, 0 · ∞, 0 / 0, √−1 that make fresh NaNs.
     let inf = Real::INFINITY;
     let xs = [Real::NAN, inf, -inf, 0.0, -0.0, 4.9e-324, -1.0, 2.5];
     let ys = [1.5, inf, inf, inf, 0.0, -0.0, Real::NAN, -inf];
-    let mut isas: Vec<(&str, Lanes4Ops)> = vec![("baseline", simd_ops::<Lanes<4>>)];
-    let avx2 = simd::Isa::detect(LaneWidth::W4) == simd::Isa::Avx2;
-    #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `Isa::detect` found AVX2 on this CPU.
-        isas.push(("avx2", |a, b| unsafe { simd_ops_avx2(a, b) }));
-    }
-    if !avx2 {
-        println!("skip: no AVX2 on this host, simd_ops_avx2 not run");
-    }
-    for (isa, ops) in isas {
-        for (xs, ys) in [(xs, ys), (ys, xs)] {
-            for g in [0, 4] {
-                // black_box: compare run-time arithmetic, not LLVM's folding.
-                let lane = |v: &[Real; 8]| {
-                    Lanes(std::hint::black_box([v[g], v[g + 1], v[g + 2], v[g + 3]]))
-                };
-                let packed = ops(lane(&xs), lane(&ys));
-                for l in 0..4 {
-                    let (x, y) = std::hint::black_box((xs[g + l], ys[g + l]));
-                    for (op, scalar) in simd_ops(x, y).into_iter().enumerate() {
-                        assert_eq!(
-                            packed[op].0[l].to_bits(),
-                            scalar.to_bits(),
-                            "{isa} op {op} on ({x}, {y}): {} vs {scalar}",
-                            packed[op].0[l]
-                        );
-                    }
+    for (xs, ys) in [(xs, ys), (ys, xs)] {
+        for g in [0, 4] {
+            // black_box: compare run-time arithmetic, not LLVM's folding.
+            let lane =
+                |v: &[Real; 8]| Lanes(std::hint::black_box([v[g], v[g + 1], v[g + 2], v[g + 3]]));
+            let packed = simd_ops(lane(&xs), lane(&ys));
+            for l in 0..4 {
+                let (x, y) = std::hint::black_box((xs[g + l], ys[g + l]));
+                for (op, scalar) in simd_ops(x, y).into_iter().enumerate() {
+                    assert_eq!(
+                        packed[op].0[l].to_bits(),
+                        scalar.to_bits(),
+                        "op {op} on ({x}, {y}): {} vs {scalar}",
+                        packed[op].0[l]
+                    );
                 }
             }
         }

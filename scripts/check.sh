@@ -116,10 +116,24 @@ for run in "lulesh-serial --s 6 --i 10" "lulesh-omp --s 6 --i 10 --threads 2" \
     exit 1
   fi
 done
+# On an AVX2 host w4 runs the AVX2 pack body, so w2 and w8 (the portable
+# Lanes<W> body) no longer share its code: check them against scalar too.
+for run in "lulesh-serial --s 6 --i 10" "lulesh-task --s 6 --i 10 --threads 2"; do
+  ./target/debug/$run --q --simd scalar | cut -d, -f1-4,6 > "$TMP/scalar.csv"
+  for width in w2 w8; do
+    ./target/debug/$run --q --simd $width | cut -d, -f1-4,6 > "$TMP/width.csv"
+    if ! cmp -s "$TMP/width.csv" "$TMP/scalar.csv"; then
+      echo "$run: --simd $width diverged from --simd scalar:"
+      diff "$TMP/width.csv" "$TMP/scalar.csv" || true
+      exit 1
+    fi
+  done
+done
 
 echo "== AVX2 kernels inline every lane op (x86_64 only) =="
-# The four *_for_elems_avx2 bodies only run at AVX2 width if every
-# simd::Lanes / SimdReal op is inlined into them: an out-of-line lane op
+# The four *_for_elems_avx2 bodies only run at AVX2 width if every lane op
+# is inlined into them: an out-of-line Lanes / SimdReal op, Avx2Pack op or
+# pack-trait method (`<…Avx2Pack as Add>::add`, `<… as simd::Pack>::gather`)
 # is compiled for the baseline ISA and every call into it drops back to
 # SSE2. If the release binary holds no lane-op symbol at all, no AVX2 body
 # can call one.
@@ -132,10 +146,19 @@ if [ "$(uname -m)" = x86_64 ]; then
     grep '_avx2' "$TMP/serial.syms" || true
     exit 1
   fi
-  if grep -E 'simd::Lanes|SimdReal' "$TMP/serial.syms"; then
+  if grep -E 'simd::(Lanes|Pack|SimdReal)|Avx2Pack' "$TMP/serial.syms"; then
     echo "lane ops above were compiled out of line; AVX2 bodies may call them"
     exit 1
   fi
+fi
+# Avx2Pack executes AVX instructions from safe methods, so it may be named
+# only where it is defined and in the four kernels whose *_avx2 entries
+# (reached through simd::dispatch! after AVX2 detection) construct it.
+PACK_FILES=$(grep -rlw Avx2Pack crates src tests examples --include='*.rs' | sort | tr '\n' ' ')
+if [ "$PACK_FILES" != "crates/core/src/kernels/eos.rs crates/core/src/kernels/hourglass.rs \
+crates/core/src/kernels/kinematics.rs crates/core/src/kernels/stress.rs crates/core/src/simd.rs " ]; then
+  echo "Avx2Pack is named outside simd.rs and the four *_avx2 kernels: $PACK_FILES"
+  exit 1
 fi
 
 echo "== no --pin flag (worker pinning is not a run option) =="
