@@ -17,9 +17,12 @@ const PTINY: Real = 1.0e-36;
 /// Velocity and position gradients in the three logical directions
 /// (`delv_xi/eta/zeta`, `delx_xi/eta/zeta`).
 ///
-/// Scalar at every `--simd` width: the kernel is bound by its 48 nodal
-/// gathers and six scattered stores, and a lane body measured slower than
-/// this loop at every width (EXPERIMENTS.md), so none is kept.
+/// Scalar at every `--simd` width. The kernel is bound by its 48 nodal
+/// gathers and six scattered stores, and its `Lanes<W>` port measured
+/// slower than this loop at every width (EXPERIMENTS.md). A trial port onto
+/// the four hot kernels' `__m256d` pack was bit-identical and ran 2.50 ms
+/// against this loop's 3.75 ms at s45, so it would pay on AVX2 hosts; it is
+/// not in the tree (ROADMAP item 10).
 pub fn calc_monotonic_q_gradients_for_elems(d: &Domain, range: Chunk) {
     for i in range.iter() {
         let nl = d.nodelist(i);

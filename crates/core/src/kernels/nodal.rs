@@ -54,22 +54,35 @@ pub fn symm_list_len(d: &Domain) -> usize {
 /// a 3-D rank grid a sub-brick's local min plane may be a communication
 /// interface rather than a global symmetry plane, and zeroing accelerations
 /// there would corrupt the halo-summed forces.
+///
+/// The node's grid row `(j, k)` is divided out once at `range.begin` and
+/// then stepped row by row (a row is the `nx + 1` nodes of one `(j, k)`),
+/// so the loop does no division and touches only the nodes it zeroes.
 pub fn apply_acceleration_bc_by_node_range(d: &Domain, range: Chunk) {
     let shape = d.shape();
-    let rn = shape.nx + 1;
-    let pn = shape.nodes_per_plane();
+    let (rn, cn) = (shape.nx + 1, shape.ny + 1);
     let has_symm_x = !d.m_symm_x.is_empty();
     let has_symm_y = !d.m_symm_y.is_empty();
     let has_symm_z = !d.m_symm_z.is_empty();
-    for n in range.iter() {
-        if has_symm_x && n % rn == 0 {
+    let row = range.begin / rn;
+    let (mut j, mut k) = (row % cn, row / cn);
+    let (mut n, mut row_begin) = (range.begin, row * rn);
+    while n < range.end {
+        let end = (row_begin + rn).min(range.end);
+        if has_symm_x && n == row_begin {
             d.set_xdd(n, 0.0);
         }
-        if has_symm_y && (n / rn).is_multiple_of(shape.ny + 1) {
-            d.set_ydd(n, 0.0);
+        if has_symm_y && j == 0 {
+            (n..end).for_each(|m| d.set_ydd(m, 0.0));
         }
-        if has_symm_z && n / pn == 0 {
-            d.set_zdd(n, 0.0);
+        if has_symm_z && k == 0 {
+            (n..end).for_each(|m| d.set_zdd(m, 0.0));
+        }
+        (n, row_begin) = (end, row_begin + rn);
+        j += 1;
+        if j == cn {
+            j = 0;
+            k += 1;
         }
     }
 }
@@ -192,7 +205,9 @@ mod tests {
         // z=0) plane is a communication interface has an empty symmetry
         // list for that axis, and the index-arithmetic variant must not
         // zero accelerations there. One brick per grid octant of a 2x2x2
-        // split of a size-4 cube.
+        // split of a size-4 cube. Chunks of 1 and of `nx + 2` nodes start
+        // mid-row and mid-plane, where the variant's stepped grid position
+        // must pick up.
         use crate::mesh::MeshShape;
         for &(ox, oy, oz) in &[
             (0, 0, 0),
@@ -203,15 +218,16 @@ mod tests {
             (2, 2, 2),
         ] {
             let shape = MeshShape::brick((2, 2, 2), (4, 4, 4), (ox, oy, oz));
-            let d1 = Domain::build_subdomain(shape, 1, 1, 1, 0);
-            let d2 = Domain::build_subdomain(shape, 1, 1, 1, 0);
-            for n in 0..d1.num_node() {
-                for d in [&d1, &d2] {
+            let build = || {
+                let d = Domain::build_subdomain(shape, 1, 1, 1, 0);
+                for n in 0..d.num_node() {
                     d.set_xdd(n, 1.0 + n as Real);
                     d.set_ydd(n, 2.0 + n as Real);
                     d.set_zdd(n, 3.0 + n as Real);
                 }
-            }
+                d
+            };
+            let d1 = build();
             apply_acceleration_boundary_conditions(
                 &d1,
                 Chunk {
@@ -219,13 +235,17 @@ mod tests {
                     end: symm_list_len(&d1),
                 },
             );
-            for range in parutil::chunks_of(d2.num_node(), 7) {
-                apply_acceleration_bc_by_node_range(&d2, range);
-            }
-            for n in 0..d1.num_node() {
-                assert_eq!(d1.xdd(n), d2.xdd(n), "offset {:?} node {n}", (ox, oy, oz));
-                assert_eq!(d1.ydd(n), d2.ydd(n), "offset {:?} node {n}", (ox, oy, oz));
-                assert_eq!(d1.zdd(n), d2.zdd(n), "offset {:?} node {n}", (ox, oy, oz));
+            for part in [1, 7, shape.nx + 2] {
+                let d2 = build();
+                for range in parutil::chunks_of(d2.num_node(), part) {
+                    apply_acceleration_bc_by_node_range(&d2, range);
+                }
+                for n in 0..d1.num_node() {
+                    let at = format!("offset {:?} chunk {part} node {n}", (ox, oy, oz));
+                    assert_eq!(d1.xdd(n), d2.xdd(n), "{at}");
+                    assert_eq!(d1.ydd(n), d2.ydd(n), "{at}");
+                    assert_eq!(d1.zdd(n), d2.zdd(n), "{at}");
+                }
             }
         }
     }

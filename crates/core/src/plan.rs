@@ -10,16 +10,20 @@
 //! - `lulesh-omp` runs one statically split parallel region per stage;
 //! - `lulesh-task` turns every chain into task-graph nodes
 //!   ([`Chain::emit`], [`StepPlan::emit_phase`]);
-//! - `simsched` prices each kernel from its cost model.
+//! - `simsched` prices each kernel from its cost model, and its
+//!   calibration times each loop of [`StepPlan::reference`] in order.
 //!
-//! A multi-domain task rank runs [`StepPlan::tasks`] too, and reads from
-//! [`Phase::halo`] where its [`Halo`] exchanges go; the three interpreters
-//! above ignore that field.
+//! Multi-domain ranks run [`StepPlan::tasks`] too — a serial rank walks it
+//! in order on one thread, a task rank as a graph — and read from
+//! [`Phase::halo`] where their [`Halo`] exchanges go; the three
+//! interpreters above ignore that field.
 //!
 //! [`StepPlan::reference`] is the OpenMP reference's loop list (two-pass
 //! hourglass, the 12-loop EOS ladder); [`StepPlan::tasks`] is the paper's
-//! task graph for any [`Features`] combination. [`crate::serial`] stays
-//! hand-written: it is the reference the interpreters are compared against.
+//! task graph for any [`Features`] combination. Two oracles stay
+//! hand-written, so that a fault in a plan cannot hide in its own
+//! reference: [`crate::serial`] for one domain, and the multi-domain
+//! crate's lockstep `World::step`.
 //!
 //! Bit-identity holds by construction: every interpreter makes the same
 //! kernel calls in a dependency order, node sums keep the reference corner

@@ -1,9 +1,12 @@
 //! The serial reference driver: `LagrangeLeapFrog` composed from the
 //! kernels in reference order, one chunk covering the whole mesh.
 //!
-//! This driver is the golden reference for the two parallel ports — they
-//! must reproduce its results to the last bit (same kernels, same summation
-//! orders).
+//! This driver is the golden reference for every interpreter of
+//! [`crate::plan::StepPlan`] — they must reproduce its results to the last
+//! bit (same kernels, same summation orders) — so it spells the step out
+//! by hand instead of walking a plan. Its phase functions are split where
+//! the lockstep multi-domain reference (`multidom::World::step`) exchanges
+//! halos.
 
 use crate::domain::Domain;
 use crate::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
@@ -78,8 +81,8 @@ fn nodes(d: &Domain) -> Chunk {
 
 /// `CalcForceForNodes`: the element-force half of `LagrangeNodal` (stress
 /// and hourglass pipelines plus the nodal gathers). Separated out so the
-/// multi-domain driver can exchange boundary-plane forces before the node
-/// state advance.
+/// lockstep multi-domain reference can exchange boundary-plane forces
+/// before the node state advance.
 pub fn calc_force_for_nodes(d: &Domain, s: &mut SerialScratch) -> Result<(), LuleshError> {
     stress::init_stress_terms_for_elems(d, &mut s.sigxx, &mut s.sigyy, &mut s.sigzz, elems(d));
     stress::integrate_stress_for_elems(
@@ -146,8 +149,8 @@ pub fn lagrange_nodal(d: &Domain, s: &mut SerialScratch, dt: Real) -> Result<(),
 }
 
 /// Element kinematics and monotonic-q gradients (the first half of
-/// `LagrangeElements`). After this, the multi-domain driver exchanges the
-/// ghost-plane velocity gradients.
+/// `LagrangeElements`). After this, the lockstep multi-domain reference
+/// exchanges the ghost-plane velocity gradients.
 pub fn calc_kinematics_and_gradients(d: &Domain, dt: Real) -> Result<(), LuleshError> {
     kinematics::calc_kinematics_for_elems(d, dt, elems(d));
     kinematics::calc_lagrange_elements_finish(d, elems(d))?;

@@ -17,8 +17,9 @@
 //! by hand to span multiple machines.
 //!
 //! `--threads N` picks how each rank computes a step: with N = 1 (the
-//! default) the serial phase calls, with N > 1 one task graph per rank on
-//! N workers, its partition derived from the rank's sub-brick and its halo
+//! default) the task driver's step list walked in order on the rank's
+//! thread, with N > 1 the same list as one task graph per rank on N
+//! workers, its partition derived from the rank's sub-brick and its halo
 //! exchanges stages of the graph. Either way every rank runs the same rank
 //! loop, so every other flag applies to both.
 //!

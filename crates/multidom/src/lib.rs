@@ -24,9 +24,13 @@
 //! faults, telemetry, checkpoints; all off by default) and owns everything
 //! around a step: bootstrap, subdomain build, fault check, checkpoints and
 //! the dt/telemetry reduction. [`RunPlan::exec`] picks how a rank computes
-//! the step in between: the serial phase calls, or — the paper's
-//! anticipated "HPX-native multi-node" configuration — one task graph per
-//! rank whose halo exchanges are stages of the graph ([`RankExec`]).
+//! the step in between, and either way the rank runs the task driver's
+//! step list (`StepPlan::tasks`) with its exchanges where the plan marks
+//! them: walked in order on the rank's thread, or — the paper's
+//! anticipated "HPX-native multi-node" configuration — as one task graph
+//! per rank whose halo exchanges are stages of the graph ([`RankExec`]).
+//! Only [`World::step`], the lockstep reference, spells the step out by
+//! hand.
 //! [`recovery::run_with_recovery`] reruns [`threaded::run`] from
 //! checkpoints after a rank death.
 //!
@@ -400,9 +404,10 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 /// its dt allreduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankExec {
-    /// The serial phase calls of `lulesh_core::serial` on the rank's
-    /// thread, with a blocking halo exchange after the forces and after
-    /// the gradients.
+    /// `StepPlan::tasks` walked in order on the rank's thread, each chain
+    /// over its whole space, with a blocking halo exchange wherever the
+    /// plan marks one (`Phase::halo`): the forces between the node chain's
+    /// gather and its update, the gradients after `barrier-kinematics`.
     #[default]
     Serial,
     /// One task graph per rank, built once from `StepPlan::tasks` and run
@@ -730,6 +735,11 @@ impl World {
     }
 
     /// Advance the whole world one `LagrangeLeapFrog` iteration.
+    ///
+    /// The multi-domain oracle: it calls `lulesh_core::serial`'s phase
+    /// functions by hand instead of walking a `StepPlan`, so the plan-driven
+    /// ranks of [`threaded`] are checked against code that shares no step
+    /// list with them.
     pub fn step(&mut self, state: &mut SimState) -> Result<(), LuleshError> {
         let dt = state.deltatime;
 

@@ -25,14 +25,9 @@ use crate::{
     connect, Decomposition, FaultPlan, MdError, RankExec, RankObs, RunPlan, SimArgs, TransportKind,
 };
 use lulesh_core::domain::Domain;
-use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
-use lulesh_core::plan::{Chain, GraphSink, Halo, Phase, PlanShape, StepPlan, StepScratch};
-use lulesh_core::serial::{
-    advance_nodes, apply_q_and_materials, calc_force_for_nodes, calc_kinematics_and_gradients,
-    SerialScratch,
-};
+use lulesh_core::plan::{Chain, GraphSink, Halo, Kernel, Phase, PlanShape, StepPlan, StepScratch};
 use lulesh_core::timestep::time_increment;
 use lulesh_core::types::{LuleshError, Real};
 use lulesh_task::{Features, PartitionPlan, StepBuilder, TaskLulesh};
@@ -106,9 +101,9 @@ pub fn run_transport(
 /// multi-process TCP launcher calls with a net from
 /// [`parcelnet::tcp::root`]/[`parcelnet::tcp::join`].
 ///
-/// With `plan.trace`, rank `r` records on lane `r`: its serial phases as
-/// [`SpanKind::Region`] spans (a task rank: one `task-graph` region per
-/// step), its exchanges as [`SpanKind::Halo`] spans (a serial rank's outer
+/// With `plan.trace`, rank `r` records on lane `r`: a serial rank's plan
+/// phases as [`SpanKind::Region`] spans (a task rank: one `task-graph`
+/// region per step), its exchanges as [`SpanKind::Halo`] spans (a serial rank's outer
 /// `halo-*` span plus the links' parcel-level spans; writer-thread
 /// serialize spans go on lane `ranks + r` when the tracer has that many
 /// lanes) and the dt allreduce as a [`SpanKind::Barrier`] span; rank 0's
@@ -198,7 +193,7 @@ fn step_loop(
     };
 
     let mut exec = match plan.exec {
-        RankExec::Serial => Exec::Serial(Box::new(SerialScratch::new(d.num_elem()))),
+        RankExec::Serial => Exec::Serial(Box::new(SerialRank::new(d))),
         RankExec::Tasks { threads, partition } => {
             Exec::Tasks(TaskRank::new(&r, threads, partition, plan))
         }
@@ -226,7 +221,7 @@ fn step_loop(
         let dt = state.deltatime;
 
         let (local_err, c, h) = match &mut exec {
-            Exec::Serial(scratch) => serial_step(&r, scratch, phase, dt)?,
+            Exec::Serial(s) => s.step(&r, phase, dt)?,
             Exec::Tasks(t) => t.step(&r, phase, dt)?,
         };
 
@@ -275,55 +270,74 @@ type StepOut = (Option<LuleshError>, Real, Real);
 
 /// How this rank computes its steps ([`RankExec`]).
 enum Exec {
-    Serial(Box<SerialScratch>),
+    Serial(Box<SerialRank>),
     Tasks(TaskRank),
 }
 
-/// One serial step between the fault check and the dt allreduce.
-///
-/// A mid-iteration *simulation* error must not abandon the exchange
-/// protocol — the neighbours are blocked on our messages. Record it, keep
-/// exchanging (the data is garbage but every rank aborts together at the
-/// allreduce), and skip the remaining local phases. A *transport* error
-/// aborts the step: the rank returns and drops its links, which the
-/// neighbours observe within their deadline.
-fn serial_step(
-    r: &Rank,
-    scratch: &mut SerialScratch,
-    phase: &RankObs,
-    dt: Real,
-) -> Result<StepOut, ParcelError> {
-    let (d, obs) = (&*r.d, phase.ctx());
-    let mut local_err = phase.timed("forces", SpanKind::Region, || {
-        calc_force_for_nodes(d, scratch).err()
-    });
-    phase.timed(Halo::Forces.label(), SpanKind::Halo, || {
-        exchange(Halo::Forces, d, &r.halo, &r.net, obs)
-    })?;
+/// A serial rank: [`StepPlan::tasks`] walked in order on the rank's thread,
+/// each chain as one chunk over its whole space, with a one-slot scratch.
+struct SerialRank {
+    plan: StepPlan,
+    sc: StepScratch,
+}
 
-    // Node advance, then gradients + ghost exchange.
-    if local_err.is_none() {
-        phase.timed("node", SpanKind::Region, || advance_nodes(d, dt));
-        local_err = phase.timed("kinematics", SpanKind::Region, || {
-            calc_kinematics_and_gradients(d, dt).err()
-        });
+impl SerialRank {
+    fn new(d: &Domain) -> Self {
+        let plan = StepPlan::tasks(PlanShape::of(d), Features::default());
+        let sc = StepScratch::new(&plan, 1);
+        Self { plan, sc }
     }
-    phase.timed(Halo::Gradients.label(), SpanKind::Halo, || {
-        exchange(Halo::Gradients, d, &r.halo, &r.net, obs)
-    })?;
 
-    if local_err.is_none() {
-        local_err = phase.timed("eos", SpanKind::Region, || {
-            apply_q_and_materials(d, scratch).err()
-        });
+    /// One step between the fault check and the dt allreduce. Each phase is
+    /// a `Region` span named after its sync (`forces`, `nodes`, ...), each
+    /// exchange its phase marks ([`Phase::halo`]) a `Halo` span: `Forces`
+    /// between the node chain's gather and its update, any other kind after
+    /// the phase.
+    ///
+    /// A *simulation* error must not abandon the exchange protocol — the
+    /// neighbours are blocked on our messages. It skips the step's
+    /// remaining kernels but not its exchanges (the data is garbage, but
+    /// every rank aborts together at the allreduce). A *transport* error
+    /// aborts the step: the rank returns and drops its links, which the
+    /// neighbours observe within their deadline.
+    fn step(&self, r: &Rank, phase: &RankObs, dt: Real) -> Result<StepOut, ParcelError> {
+        let (d, sc) = (&*r.d, &self.sc);
+        sc.begin_iteration(dt);
+        let run = |chain: &Chain, kernels: &[Kernel]| {
+            let whole = Chunk {
+                begin: 0,
+                end: self.plan.shape.len(chain.space),
+            };
+            for k in kernels.iter().take_while(|_| sc.error().is_none()) {
+                // SAFETY: this thread runs every kernel of the plan, in
+                // plan order, each over its chain's whole space.
+                unsafe { k.run(d, sc, sc.local(0), whole, dt) };
+            }
+        };
+        let halo = |kind: Halo| {
+            phase.timed(kind.label(), SpanKind::Halo, || {
+                exchange(kind, d, &r.halo, &r.net, phase.ctx())
+            })
+        };
+        for p in &self.plan.phases {
+            let label = p.sync.trim_start_matches("barrier-");
+            if p.halo == Some(Halo::Forces) {
+                let node = &p.chains[0];
+                phase.timed(label, SpanKind::Region, || run(node, &node.kernels[..1]));
+                halo(Halo::Forces)?;
+                phase.timed(label, SpanKind::Region, || run(node, &node.kernels[1..]));
+                continue;
+            }
+            phase.timed(label, SpanKind::Region, || {
+                p.chains.iter().for_each(|c| run(c, &c.kernels))
+            });
+            if let Some(kind) = p.halo {
+                halo(kind)?;
+            }
+        }
+        let (c, h) = sc.dt_mins();
+        Ok((sc.error(), c, h))
     }
-    if local_err.is_some() {
-        return Ok((local_err, 1.0e20, 1.0e20));
-    }
-    let (c, h) = phase.timed("constraints", SpanKind::Region, || {
-        constraints::calc_time_constraints(d, d.params.qqc, d.params.dvovmax)
-    });
-    Ok((None, c, h))
 }
 
 impl Rank {

@@ -1,12 +1,15 @@
 //! Per-kernel cost coefficients (ns per item) used to translate LULESH
 //! configurations into simulator workloads.
 //!
-//! The default values were measured on this repository's own serial kernels
-//! (release build, mid-blast state at size 30) via [`crate::calibrate`];
-//! re-run the calibration on your host with
+//! Each coefficient prices one loop of `StepPlan::reference`
+//! ([`CostModel::coefficient`]). The default values were measured on this
+//! repository's own serial kernels (release build, mid-blast state at size
+//! 30) via [`crate::calibrate`]; re-run the calibration on your host with
 //! `cargo run --release -p lulesh-bench -- calibrate` to regenerate
 //! them. Only *ratios* between kernels matter for the reproduced figure
 //! shapes; the absolute scale shifts every curve equally.
+
+use lulesh_core::plan::{Kernel, EOS_FINISH, EOS_LADDER};
 
 /// ns-per-item coefficients for every kernel in the leapfrog.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +95,83 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// The coefficient that prices loop `k` of `StepPlan::reference`, and
+    /// how many loops split it: a loop costs `coefficient / split` ns per
+    /// item. The 12 loops of an EOS repetition split `eos_per_rep` and the
+    /// 2 finishing loops `eos_finish`; every other loop has its own.
+    ///
+    /// # Panics
+    /// If `k` is a fused kernel of the task plan, which no coefficient
+    /// prices on its own.
+    pub fn coefficient(&mut self, k: Kernel) -> (&mut f64, f64) {
+        use Kernel::*;
+        let c = match k {
+            EosLoop(step, _) if EOS_FINISH.contains(&step) => {
+                return (&mut self.eos_finish, EOS_FINISH.len() as f64)
+            }
+            EosLoop(..) => return (&mut self.eos_per_rep, EOS_LADDER.len() as f64),
+            ZeroForces => &mut self.zero_forces,
+            InitStress => &mut self.init_stress,
+            IntegrateStress => &mut self.integrate_stress,
+            CheckVolume => &mut self.volume_check,
+            GatherSet => &mut self.gather_set,
+            HourglassControl => &mut self.hg_control,
+            HourglassFb => &mut self.hg_fb,
+            GatherAdd => &mut self.gather_add,
+            Acceleration => &mut self.accel,
+            AccelerationBc => &mut self.accel_bc,
+            Velocity => &mut self.velocity,
+            Position => &mut self.position,
+            Kinematics => &mut self.kinematics,
+            LagrangeFinish => &mut self.lagrange_finish,
+            MonoqGradients => &mut self.monoq_gradients,
+            MonoqRegion(_) => &mut self.monoq_region,
+            QStop => &mut self.qstop_check,
+            VnewcFill => &mut self.vnewc_fill,
+            VnewcCheck => &mut self.vnewc_check,
+            UpdateVolumes => &mut self.update_volumes,
+            Constraints(_) => &mut self.constraints,
+            _ => panic!("{k:?} is a fused task kernel, not a reference loop"),
+        };
+        (c, 1.0)
+    }
+
+    /// ns per item of reference loop `k` ([`Self::coefficient`]).
+    pub(crate) fn per_item(&self, k: Kernel) -> f64 {
+        let mut cm = *self;
+        let (c, split) = cm.coefficient(k);
+        *c / split
+    }
+
+    /// Every coefficient, in declaration order.
+    pub(crate) fn coefficients_mut(&mut self) -> [&mut f64; 23] {
+        [
+            &mut self.zero_forces,
+            &mut self.init_stress,
+            &mut self.integrate_stress,
+            &mut self.volume_check,
+            &mut self.gather_set,
+            &mut self.hg_control,
+            &mut self.hg_fb,
+            &mut self.gather_add,
+            &mut self.accel,
+            &mut self.accel_bc,
+            &mut self.velocity,
+            &mut self.position,
+            &mut self.kinematics,
+            &mut self.lagrange_finish,
+            &mut self.monoq_gradients,
+            &mut self.monoq_region,
+            &mut self.qstop_check,
+            &mut self.vnewc_fill,
+            &mut self.vnewc_check,
+            &mut self.eos_per_rep,
+            &mut self.eos_finish,
+            &mut self.update_volumes,
+            &mut self.constraints,
+        ]
+    }
+
     /// Serial work of one whole leapfrog iteration, in ns (used for
     /// sanity checks and the figure harness's derived columns).
     pub fn iteration_work_ns(

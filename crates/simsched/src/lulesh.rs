@@ -8,7 +8,7 @@ use crate::costmodel::CostModel;
 use crate::forkjoin::{ForkJoinTrace, Region};
 use crate::machine::{MachineParams, SimResult};
 use crate::steal::TaskGraph;
-use lulesh_core::plan::{Grain, GraphSink, Kernel, PlanShape, StepPlan, EOS_FINISH, EOS_LADDER};
+use lulesh_core::plan::{Grain, GraphSink, Kernel, PlanShape, StepPlan, EOS_FINISH};
 use lulesh_core::regions::Regions;
 use parutil::Chunk;
 
@@ -178,51 +178,40 @@ impl LuleshModel {
         }
     }
 
-    /// `(ns per item, memory weight)` of one loop.
+    /// `(ns per item, memory weight)` of one loop. A loop of the reference
+    /// plan costs what its coefficient says ([`CostModel::coefficient`]):
+    /// every loop of the EOS ladder is its own parallel region, and the
+    /// per-loop barrier cost is what grows with the region count in
+    /// Figure 10. A fused task kernel costs what the loops it replaces cost.
     fn rate(&self, k: Kernel, w: &MemWeights) -> (f64, f64) {
         use Kernel::*;
         let cm = &self.cm;
         let cw = CommonWeights::DEFAULT;
-        match k {
-            ZeroForces => (cm.zero_forces, cw.field),
-            InitStress => (cm.init_stress, w.init_stress),
-            IntegrateStress => (cm.integrate_stress, w.integrate_stress),
-            CheckVolume => (cm.volume_check, cw.field),
-            IntegrateStressChecked => (cm.integrate_stress + cm.volume_check, w.integrate_stress),
-            HourglassControl => (cm.hg_control, w.hg_control),
-            HourglassFb => (cm.hg_fb, w.hg_fb),
-            GatherSet => (cm.gather_set, w.gather),
-            GatherAdd => (cm.gather_add, w.gather),
-            GatherSum2 => (cm.gather_set + cm.gather_add, w.gather),
-            Acceleration => (cm.accel, cw.field),
-            AccelerationBc => (cm.accel_bc, cw.bc),
+        let per_item = match k {
+            IntegrateStressChecked => cm.per_item(IntegrateStress) + cm.per_item(CheckVolume),
+            GatherSum2 => cm.per_item(GatherSet) + cm.per_item(GatherAdd),
             // Index arithmetic over every node: charge the same *total* work
             // as the reference's three symmetry-list loops.
-            AccelerationBcByNode => (
-                cm.accel_bc * (3.0 * self.symm_len as f64) / self.num_node as f64,
-                cw.bc,
-            ),
-            Velocity => (cm.velocity, cw.field),
-            Position => (cm.position, cw.field),
-            Kinematics => (cm.kinematics, cw.compute),
-            LagrangeFinish => (cm.lagrange_finish, cw.field),
-            MonoqGradients => (cm.monoq_gradients, cw.compute),
-            MonoqRegion(_) => (cm.monoq_region, cw.field),
-            QStop => (cm.qstop_check, cw.field),
-            VnewcFill => (cm.vnewc_fill, cw.field),
-            VnewcCheck => (cm.vnewc_check, cw.field),
-            Eos(r) => (cm.eos_per_rep * self.reps[r] as f64 + cm.eos_finish, w.eos),
-            // Every loop of the reference ladder is its own parallel region:
-            // the per-loop barrier cost is what grows with the region count
-            // in Figure 10. The loops split each cost evenly.
-            EosLoop(step, _) if EOS_FINISH.contains(&step) => {
-                (cm.eos_finish / EOS_FINISH.len() as f64, cw.eos_finish)
+            AccelerationBcByNode => {
+                cm.accel_bc * (3.0 * self.symm_len as f64) / self.num_node as f64
             }
-            EosLoop(..) => (cm.eos_per_rep / EOS_LADDER.len() as f64, w.eos),
-            UpdateVolumes => (cm.update_volumes, cw.field),
-            Constraints(_) => (cm.constraints, cw.field),
+            Eos(r) => cm.eos_per_rep * self.reps[r] as f64 + cm.eos_finish,
             Stress | Hourglass => unreachable!("fused kernels are priced as their loops"),
-        }
+            k => cm.per_item(k),
+        };
+        let weight = match k {
+            InitStress => w.init_stress,
+            IntegrateStress | IntegrateStressChecked => w.integrate_stress,
+            HourglassControl => w.hg_control,
+            HourglassFb => w.hg_fb,
+            GatherSet | GatherAdd | GatherSum2 => w.gather,
+            AccelerationBc | AccelerationBcByNode => cw.bc,
+            Kinematics | MonoqGradients => cw.compute,
+            EosLoop(step, _) if EOS_FINISH.contains(&step) => cw.eos_finish,
+            Eos(_) | EosLoop(..) => w.eos,
+            _ => cw.field,
+        };
+        (per_item, weight)
     }
 }
 

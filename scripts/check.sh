@@ -69,6 +69,7 @@ for svg in fig9_size45 fig9_size60 fig9_size75 fig9_size90 fig9_size120 fig9_siz
            fig10_speedup fig11_utilization; do
   test -s "$TMP/fig/$svg.svg" || { echo "graphs did not write $svg.svg"; exit 1; }
 done
+[ "$(./target/debug/lulesh-bench calibrate 6 2 1 2>/dev/null | grep -cxE 'CostModel \{|    [a-z_]+: [0-9]+\.[0-9],|\}')" = 25 ] || { echo "calibrate printed no 23-field CostModel literal"; exit 1; }
 STATUS=0
 ./target/debug/lulesh-bench fig12 > /dev/null 2> "$TMP/bench_usage.log" || STATUS=$?
 if [ "$STATUS" -ne 2 ] || ! grep -q "^usage: lulesh-bench" "$TMP/bench_usage.log"; then
