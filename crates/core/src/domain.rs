@@ -341,18 +341,6 @@ impl Domain {
         self.shape.ghost_base(face)
     }
 
-    /// Ghost-region base index for the ζ− halo of the gradient arrays.
-    #[inline]
-    pub fn ghost_zm_base(&self) -> Option<Index> {
-        self.shape.ghost_base(Face::Zm)
-    }
-
-    /// Ghost-region base index for the ζ+ halo of the gradient arrays.
-    #[inline]
-    pub fn ghost_zp_base(&self) -> Option<Index> {
-        self.shape.ghost_base(Face::Zp)
-    }
-
     /// Total element count (`nx·ny·nz`).
     #[inline]
     pub fn num_elem(&self) -> Index {

@@ -7,10 +7,13 @@
 //! locally (`0..elems.len()`); `vnewc` is the only mesh-length array and is
 //! indexed through `elems`.
 //!
-//! Each step of `CalcEnergyForElems` is exposed as its own function so the
-//! OpenMP-style driver can mirror the reference's one-parallel-loop-per-step
-//! structure, while the serial and task drivers call the composed
-//! [`calc_energy_for_elems`] / [`eval_eos_for_elems`] on whole sublists.
+//! The reference `EvalEOSForElems` is one table and one match: [`ladder`]
+//! lists its loops ([`EOS_LADDER`] per repetition, then [`EOS_FINISH`]), and
+//! [`eos_step`] runs one of them over the [`EOS_ARRAYS`] region arrays. The
+//! scalar body walks the ladder on one [`EosScratch`]; the OpenMP-style
+//! reference plan runs each loop as its own parallel region
+//! (`plan::Kernel::EosLoop`). The lane bodies fuse the whole ladder per
+//! element ([`eos_elem_kernel`]) and touch no scratch.
 
 use crate::domain::Domain;
 use crate::params::Params;
@@ -20,41 +23,72 @@ use crate::simd::{self, lane_groups, Lanes, Pack, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{AlignedBuf, Chunk};
 
-/// Region-length scratch for one EOS evaluation. Reusable across regions
-/// (`resize` keeps capacity).
-#[derive(Debug, Default, Clone)]
-pub struct EosScratch {
-    /// Gathered old energies.
-    pub e_old: AlignedBuf<Real>,
-    /// Gathered volume deltas.
-    pub delvc: AlignedBuf<Real>,
-    /// Gathered old pressures.
-    pub p_old: AlignedBuf<Real>,
-    /// Gathered old viscosities.
-    pub q_old: AlignedBuf<Real>,
-    /// Gathered quadratic q terms.
-    pub qq_old: AlignedBuf<Real>,
-    /// Gathered linear q terms.
-    pub ql_old: AlignedBuf<Real>,
-    /// Full-step compression.
-    pub compression: AlignedBuf<Real>,
-    /// Half-step compression.
-    pub comp_half_step: AlignedBuf<Real>,
-    /// External work (always zero in LULESH).
-    pub work: AlignedBuf<Real>,
-    /// New pressure.
-    pub p_new: AlignedBuf<Real>,
-    /// New energy.
-    pub e_new: AlignedBuf<Real>,
-    /// New viscosity.
-    pub q_new: AlignedBuf<Real>,
-    /// Bulk viscosity coefficient.
-    pub bvc: AlignedBuf<Real>,
-    /// Pressure derivative coefficient.
-    pub pbvc: AlignedBuf<Real>,
+/// One loop of the reference's `EvalEOSForElems` over a region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EosStep {
+    /// Gather the old element state.
+    Gather,
+    /// Full- and half-step compression.
+    Compression,
+    /// Clamp the compressions at the volume bounds.
+    ClampCompression,
+    /// Zero the external work.
+    ZeroWork,
+    /// `CalcEnergyForElems` step 1.
+    Energy1,
     /// Half-step pressure.
-    pub p_half_step: AlignedBuf<Real>,
+    PressureHalfStep,
+    /// `CalcEnergyForElems` step 2.
+    Energy2,
+    /// `CalcEnergyForElems` step 3.
+    Energy3,
+    /// Full-step pressure.
+    Pressure,
+    /// `CalcEnergyForElems` step 4.
+    Energy4,
+    /// `CalcEnergyForElems` step 5.
+    Energy5,
+    /// Store p, e, q back to the mesh.
+    Store,
+    /// `CalcSoundSpeedForElems`.
+    SoundSpeed,
 }
+
+/// The loops of one EOS repetition, in reference order.
+pub const EOS_LADDER: [EosStep; 12] = {
+    use EosStep::*;
+    [
+        Gather,
+        Compression,
+        ClampCompression,
+        ZeroWork,
+        Energy1,
+        PressureHalfStep,
+        Energy2,
+        Energy3,
+        Pressure,
+        Energy4,
+        Pressure,
+        Energy5,
+    ]
+};
+
+/// The loops after a region's last repetition.
+pub const EOS_FINISH: [EosStep; 2] = [EosStep::Store, EosStep::SoundSpeed];
+
+/// The region-length arrays the ladder's loops share ([`eos_step`]).
+pub const EOS_ARRAYS: usize = 15;
+
+/// Every loop of a region's `EvalEOSForElems`, in reference order: `rep`
+/// repetitions of [`EOS_LADDER`], then [`EOS_FINISH`].
+pub fn ladder(rep: usize) -> impl Iterator<Item = EosStep> {
+    (0..rep).flat_map(|_| EOS_LADDER).chain(EOS_FINISH)
+}
+
+/// Region-length scratch for one EOS evaluation: the [`EOS_ARRAYS`] arrays
+/// of [`eos_step`]. Reusable across regions (`resize` keeps capacity).
+#[derive(Debug, Default, Clone)]
+pub struct EosScratch([AlignedBuf<Real>; EOS_ARRAYS]);
 
 impl EosScratch {
     /// Fresh scratch sized for `len` elements.
@@ -65,52 +99,63 @@ impl EosScratch {
     }
 
     /// Resize every array to `len` (existing prefix kept, growth zeroed;
-    /// every consumer fully rewrites each array before reading it).
+    /// every repetition rewrites each array before reading it).
     pub fn resize(&mut self, len: usize) {
-        for v in [
-            &mut self.e_old,
-            &mut self.delvc,
-            &mut self.p_old,
-            &mut self.q_old,
-            &mut self.qq_old,
-            &mut self.ql_old,
-            &mut self.compression,
-            &mut self.comp_half_step,
-            &mut self.work,
-            &mut self.p_new,
-            &mut self.e_new,
-            &mut self.q_new,
-            &mut self.bvc,
-            &mut self.pbvc,
-            &mut self.p_half_step,
-        ] {
+        for v in &mut self.0 {
             v.resize_zeroed(len);
         }
     }
 
-    /// Restore the exact state of a fresh [`new(len)`](Self::new): every
-    /// array `len` zeros. Lets a pooled scratch be reused across tasks
-    /// with bit-identical results to per-task allocation, without
-    /// releasing its capacity (no allocation once warmed up).
-    pub fn reset(&mut self, len: usize) {
-        for v in [
-            &mut self.e_old,
-            &mut self.delvc,
-            &mut self.p_old,
-            &mut self.q_old,
-            &mut self.qq_old,
-            &mut self.ql_old,
-            &mut self.compression,
-            &mut self.comp_half_step,
-            &mut self.work,
-            &mut self.p_new,
-            &mut self.e_new,
-            &mut self.q_new,
-            &mut self.bvc,
-            &mut self.pbvc,
-            &mut self.p_half_step,
-        ] {
-            v.reset_zeroed(len);
+    /// The arrays, as [`eos_step`] takes them.
+    fn arrays(&mut self) -> [&mut [Real]; EOS_ARRAYS] {
+        self.0.each_mut().map(|v| &mut v[..])
+    }
+}
+
+/// Run loop `step` of the reference ladder over the region list `elems`,
+/// on its region-length `arrays` (`vnewc` is mesh-length). The arrays are,
+/// in order: the gathered old e, delv, p, q, qq and ql; the full- and
+/// half-step compressions; the external work; the new p, e and q; `bvc`,
+/// `pbvc`; and the half-step pressure.
+pub fn eos_step(
+    step: EosStep,
+    d: &Domain,
+    p: &Params,
+    vnewc: &[Real],
+    elems: &[Index],
+    arrays: [&mut [Real]; EOS_ARRAYS],
+) {
+    let rho0 = p.refdens;
+    let [e_old, delvc, p_old, q_old, qq_old, ql_old, comp, comp_half, work, p_new, e_new, q_new, bvc, pbvc, p_half] =
+        arrays;
+    match step {
+        EosStep::Gather => eos_gather(d, elems, e_old, delvc, p_old, q_old, qq_old, ql_old),
+        EosStep::Compression => eos_compression(elems, vnewc, delvc, comp, comp_half),
+        EosStep::ClampCompression => {
+            eos_clamp_compression(elems, vnewc, p.eosvmin, p.eosvmax, comp, comp_half, p_old)
+        }
+        EosStep::ZeroWork => work.fill(0.0),
+        EosStep::Energy1 => energy_step1(e_new, e_old, delvc, p_old, q_old, work, p.emin),
+        EosStep::PressureHalfStep => calc_pressure_for_elems(
+            p_half, bvc, pbvc, e_new, comp_half, vnewc, elems, p.pmin, p.p_cut, p.eosvmax,
+        ),
+        EosStep::Energy2 => energy_step2(
+            e_new, q_new, comp_half, p_half, bvc, pbvc, delvc, p_old, q_old, ql_old, qq_old, rho0,
+        ),
+        EosStep::Energy3 => energy_step3(e_new, work, p.e_cut, p.emin),
+        EosStep::Pressure => calc_pressure_for_elems(
+            p_new, bvc, pbvc, e_new, comp, vnewc, elems, p.pmin, p.p_cut, p.eosvmax,
+        ),
+        EosStep::Energy4 => energy_step4(
+            e_new, delvc, p_old, q_old, p_half, q_new, p_new, bvc, pbvc, ql_old, qq_old, vnewc,
+            elems, rho0, p.e_cut, p.emin,
+        ),
+        EosStep::Energy5 => energy_step5(
+            q_new, delvc, pbvc, e_new, vnewc, elems, bvc, p_new, ql_old, qq_old, rho0, p.q_cut,
+        ),
+        EosStep::Store => eos_store(d, elems, p_new, e_new, q_new),
+        EosStep::SoundSpeed => {
+            calc_sound_speed_for_elems(d, vnewc, rho0, e_new, p_new, pbvc, bvc, elems)
         }
     }
 }
@@ -163,7 +208,7 @@ pub fn check_eos_volume_bounds(
 /// Gather element state into region-local arrays (one `rep` iteration's
 /// prologue of `EvalEOSForElems`).
 #[allow(clippy::too_many_arguments)]
-pub fn eos_gather(
+fn eos_gather(
     d: &Domain,
     elems: &[Index],
     e_old: &mut [Real],
@@ -184,7 +229,7 @@ pub fn eos_gather(
 }
 
 /// Full- and half-step compressions from the clamped new volumes.
-pub fn eos_compression(
+fn eos_compression(
     elems: &[Index],
     vnewc: &[Real],
     delvc: &[Real],
@@ -200,7 +245,7 @@ pub fn eos_compression(
 
 /// Apply the `eosvmin`/`eosvmax` special cases to the compressions.
 #[allow(clippy::too_many_arguments)]
-pub fn eos_clamp_compression(
+fn eos_clamp_compression(
     elems: &[Index],
     vnewc: &[Real],
     eosvmin: Real,
@@ -232,7 +277,7 @@ pub fn eos_clamp_compression(
 /// Ideal-gas pressure (`CalcPressureForElems`): two loops like the
 /// reference.
 #[allow(clippy::too_many_arguments)]
-pub fn calc_pressure_for_elems(
+fn calc_pressure_for_elems(
     p_new: &mut [Real],
     bvc: &mut [Real],
     pbvc: &mut [Real],
@@ -269,7 +314,7 @@ const SSC_LOW: Real = 0.1111111e-36;
 const SSC_FLOOR: Real = 0.3333333e-18;
 
 /// Step 1 of `CalcEnergyForElems`: provisional half-step energy.
-pub fn energy_step1(
+fn energy_step1(
     e_new: &mut [Real],
     e_old: &[Real],
     delvc: &[Real],
@@ -288,7 +333,7 @@ pub fn energy_step1(
 
 /// Step 2: half-step viscosity and the predictor energy update.
 #[allow(clippy::too_many_arguments)]
-pub fn energy_step2(
+fn energy_step2(
     e_new: &mut [Real],
     q_new: &mut [Real],
     comp_half_step: &[Real],
@@ -323,7 +368,7 @@ pub fn energy_step2(
 }
 
 /// Step 3: add the external work and apply the energy cut-offs.
-pub fn energy_step3(e_new: &mut [Real], work: &[Real], e_cut: Real, emin: Real) {
+fn energy_step3(e_new: &mut [Real], work: &[Real], e_cut: Real, emin: Real) {
     for i in 0..e_new.len() {
         e_new[i] += 0.5 * work[i];
         if e_new[i].abs() < e_cut {
@@ -337,7 +382,7 @@ pub fn energy_step3(e_new: &mut [Real], work: &[Real], e_cut: Real, emin: Real) 
 
 /// Step 4: corrector energy update using the full-step pressure.
 #[allow(clippy::too_many_arguments)]
-pub fn energy_step4(
+fn energy_step4(
     e_new: &mut [Real],
     delvc: &[Real],
     p_old: &[Real],
@@ -385,7 +430,7 @@ pub fn energy_step4(
 
 /// Step 5: final viscosity from the corrected state.
 #[allow(clippy::too_many_arguments)]
-pub fn energy_step5(
+fn energy_step5(
     q_new: &mut [Real],
     delvc: &[Real],
     pbvc: &[Real],
@@ -415,111 +460,8 @@ pub fn energy_step5(
     }
 }
 
-/// The composed `CalcEnergyForElems` (steps and pressure evaluations in
-/// reference order).
-pub fn calc_energy_for_elems(
-    s: &mut EosScratch,
-    vnewc: &[Real],
-    elems: &[Index],
-    p: &Params,
-    rho0: Real,
-) {
-    energy_step1(
-        &mut s.e_new,
-        &s.e_old,
-        &s.delvc,
-        &s.p_old,
-        &s.q_old,
-        &s.work,
-        p.emin,
-    );
-    calc_pressure_for_elems(
-        &mut s.p_half_step,
-        &mut s.bvc,
-        &mut s.pbvc,
-        &s.e_new,
-        &s.comp_half_step,
-        vnewc,
-        elems,
-        p.pmin,
-        p.p_cut,
-        p.eosvmax,
-    );
-    energy_step2(
-        &mut s.e_new,
-        &mut s.q_new,
-        &s.comp_half_step,
-        &s.p_half_step,
-        &s.bvc,
-        &s.pbvc,
-        &s.delvc,
-        &s.p_old,
-        &s.q_old,
-        &s.ql_old,
-        &s.qq_old,
-        rho0,
-    );
-    energy_step3(&mut s.e_new, &s.work, p.e_cut, p.emin);
-    calc_pressure_for_elems(
-        &mut s.p_new,
-        &mut s.bvc,
-        &mut s.pbvc,
-        &s.e_new,
-        &s.compression,
-        vnewc,
-        elems,
-        p.pmin,
-        p.p_cut,
-        p.eosvmax,
-    );
-    energy_step4(
-        &mut s.e_new,
-        &s.delvc,
-        &s.p_old,
-        &s.q_old,
-        &s.p_half_step,
-        &s.q_new,
-        &s.p_new,
-        &s.bvc,
-        &s.pbvc,
-        &s.ql_old,
-        &s.qq_old,
-        vnewc,
-        elems,
-        rho0,
-        p.e_cut,
-        p.emin,
-    );
-    calc_pressure_for_elems(
-        &mut s.p_new,
-        &mut s.bvc,
-        &mut s.pbvc,
-        &s.e_new,
-        &s.compression,
-        vnewc,
-        elems,
-        p.pmin,
-        p.p_cut,
-        p.eosvmax,
-    );
-    energy_step5(
-        &mut s.q_new,
-        &s.delvc,
-        &s.pbvc,
-        &s.e_new,
-        vnewc,
-        elems,
-        &s.bvc,
-        &s.p_new,
-        &s.ql_old,
-        &s.qq_old,
-        rho0,
-        p.q_cut,
-    );
-}
-
 /// Scatter the new state back to the mesh.
-pub fn eos_store(d: &Domain, elems: &[Index], p_new: &[Real], e_new: &[Real], q_new: &[Real]) {
+fn eos_store(d: &Domain, elems: &[Index], p_new: &[Real], e_new: &[Real], q_new: &[Real]) {
     for (i, &z) in elems.iter().enumerate() {
         d.set_p(z, p_new[i]);
         d.set_e(z, e_new[i]);
@@ -529,7 +471,7 @@ pub fn eos_store(d: &Domain, elems: &[Index], p_new: &[Real], e_new: &[Real], q_
 
 /// `CalcSoundSpeedForElems`.
 #[allow(clippy::too_many_arguments)]
-pub fn calc_sound_speed_for_elems(
+fn calc_sound_speed_for_elems(
     d: &Domain,
     vnewc: &[Real],
     rho0: Real,
@@ -551,7 +493,8 @@ pub fn calc_sound_speed_for_elems(
 }
 
 /// The full `EvalEOSForElems` for one region sublist, including the `rep`
-/// repetition loop, ending with the store and sound-speed update.
+/// repetition loop, ending with the store and sound-speed update. `rep`
+/// must be at least 1 ([`crate::regions::rep_for`] never returns less).
 ///
 /// Dispatches on the process-wide SIMD width and the host's ISA
 /// (`simd::dispatch!`): the lane path fuses the whole per-element pipeline
@@ -566,19 +509,15 @@ pub fn eval_eos_for_elems(
     p: &Params,
     s: &mut EosScratch,
 ) {
-    // `rep == 0` performs no energy evaluation in the reference (the store
-    // reads whatever the scratch holds); only the scalar path reproduces
-    // that, so route the degenerate case there too.
-    if rep == 0 {
-        return eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s);
-    }
+    debug_assert!(rep >= 1, "EvalEOSForElems needs at least one repetition");
     simd::dispatch!(
         eval_eos_for_elems_lanes / eval_eos_for_elems_avx2(d, vnewc, elems, rep, p),
         scalar: eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s)
     )
 }
 
-/// Scalar reference implementation of [`eval_eos_for_elems`].
+/// Scalar reference implementation of [`eval_eos_for_elems`]: the loops of
+/// [`ladder`] one after another on `s`.
 pub fn eval_eos_for_elems_scalar(
     d: &Domain,
     vnewc: &[Real],
@@ -587,52 +526,10 @@ pub fn eval_eos_for_elems_scalar(
     p: &Params,
     s: &mut EosScratch,
 ) {
-    let rho0 = p.refdens;
-    // Every repetition rewrites each array before reading it, so only the
-    // degenerate `rep == 0` store needs defined contents: the zeros of a
-    // fresh scratch, whatever a pooled one held before.
-    if rep == 0 {
-        s.reset(elems.len());
-    } else {
-        s.resize(elems.len());
+    s.resize(elems.len());
+    for step in ladder(rep) {
+        eos_step(step, d, p, vnewc, elems, s.arrays());
     }
-
-    // Loop to add load imbalance based on region number.
-    for _ in 0..rep {
-        // These temporaries will be of different size for each call
-        // (due to different sized region element lists).
-        eos_gather(
-            d,
-            elems,
-            &mut s.e_old,
-            &mut s.delvc,
-            &mut s.p_old,
-            &mut s.q_old,
-            &mut s.qq_old,
-            &mut s.ql_old,
-        );
-        eos_compression(
-            elems,
-            vnewc,
-            &s.delvc,
-            &mut s.compression,
-            &mut s.comp_half_step,
-        );
-        eos_clamp_compression(
-            elems,
-            vnewc,
-            p.eosvmin,
-            p.eosvmax,
-            &mut s.compression,
-            &mut s.comp_half_step,
-            &mut s.p_old,
-        );
-        s.work.fill(0.0);
-        calc_energy_for_elems(s, vnewc, elems, p, rho0);
-    }
-
-    eos_store(d, elems, &s.p_new, &s.e_new, &s.q_new);
-    calc_sound_speed_for_elems(d, vnewc, rho0, &s.e_new, &s.p_new, &s.pbvc, &s.bvc, elems);
 }
 
 /// `CalcPressureForElems` for one value: returns `(p_new, bvc)`. `pbvc` is

@@ -377,13 +377,6 @@ pub fn gather_forces_sum2(
     }
 }
 
-/// Local per-corner index of element `e`'s corner `c` within chunk-local
-/// `f*_elem` storage for `range`.
-#[inline]
-pub fn corner_slot(range: Chunk, e: Index, c: usize) -> usize {
-    8 * (e - range.begin) + c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,10 +33,6 @@ pub enum FaceBoundary {
     Comm,
 }
 
-/// Backwards-compatible alias from the ζ-slab era: the same three kinds
-/// now apply to every face.
-pub type ZetaBoundary = FaceBoundary;
-
 /// The six faces of a sub-brick, in the fixed order used for ghost-plane
 /// layout: ξ−, ξ+, η−, η+, ζ−, ζ+.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,11 +187,6 @@ impl MeshShape {
         } else {
             FaceBoundary::Comm
         }
-    }
-
-    /// The ζ boundary kinds (compatibility helper from the ζ-slab era).
-    pub fn zeta_boundaries(&self) -> (FaceBoundary, FaceBoundary) {
-        (self.face_boundary(Face::Zm), self.face_boundary(Face::Zp))
     }
 
     /// Number of elements on one face of the brick.

@@ -27,7 +27,7 @@ pub struct Opts {
     pub quiet: bool,
     /// Region assignment seed, `--seed` (not in the reference). Default 0.
     pub seed: u64,
-    /// Kernel lane width, `--simd scalar|w1|w2|w4|w8`. Default
+    /// Kernel lane width, `--simd scalar|w4|w8`. Default
     /// [`LaneWidth::DEFAULT`].
     pub simd: LaneWidth,
 }
@@ -135,7 +135,7 @@ fn artifact_flags<C: Cli>() -> Vec<Flag<C>> {
         Flag::new("c", "COST", |c, v| put(&mut c.opts().cost, val(v))),
         Flag::new("q", "", |c, _| put(&mut c.opts().quiet, Ok(true))),
         Flag::new("seed", "N", |c, v| put(&mut c.opts().seed, val(v))),
-        Flag::new("simd", "scalar|w1|w2|w4|w8", |c, v| {
+        Flag::new("simd", "scalar|w4|w8", |c, v| {
             put(&mut c.opts().simd, val(v))
         }),
     ]
@@ -283,15 +283,12 @@ mod tests {
         assert_eq!(o.simd, crate::simd::active());
         let o = Opts::parse(&["--simd", "scalar"]).unwrap();
         assert_eq!(o.simd, LaneWidth::W1);
-        // `w1` is an alias for scalar (handy in width sweeps).
-        let o = Opts::parse(&["--simd=w1"]).unwrap();
-        assert_eq!(o.simd, LaneWidth::W1);
-        let o = Opts::parse(&["--simd", "w2"]).unwrap();
-        assert_eq!(o.simd, LaneWidth::W2);
         let o = Opts::parse(&["--simd=w4"]).unwrap();
         assert_eq!(o.simd, LaneWidth::W4);
         let o = Opts::parse(&["--simd", "w8"]).unwrap();
         assert_eq!(o.simd, LaneWidth::W8);
+        assert!(Opts::parse(&["--simd", "w2"]).is_err());
+        assert!(Opts::parse(&["--simd=w1"]).is_err());
         assert!(Opts::parse(&["--simd", "auto"]).is_err());
         assert!(Opts::parse(&["--simd", "w16"]).is_err());
         assert!(Opts::parse(&["--simd", "avx"]).is_err());
@@ -331,7 +328,7 @@ mod tests {
         assert_eq!(
             Opts::usage("lulesh-serial"),
             "Usage: lulesh-serial [--s SIZE] [--r REGIONS] [--i ITERATIONS] [--b BALANCE] \
-             [--c COST] [--q] [--seed N] [--simd scalar|w1|w2|w4|w8]"
+             [--c COST] [--q] [--seed N] [--simd scalar|w4|w8]"
         );
     }
 

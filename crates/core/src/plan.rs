@@ -20,7 +20,10 @@
 //!
 //! [`StepPlan::reference`] is the OpenMP reference's loop list (two-pass
 //! hourglass, the 12-loop EOS ladder); [`StepPlan::tasks`] is the paper's
-//! task graph for any [`Features`] combination. Two oracles stay
+//! task graph for any [`Features`] combination. The EOS ladder is not
+//! spelled out here: the reference's EOS phases are [`eos::ladder`], one
+//! [`Kernel::EosLoop`] per loop, each running [`eos::eos_step`] — the one
+//! table and one match the scalar EOS body walks too. Two oracles stay
 //! hand-written, so that a fault in a plan cannot hide in its own
 //! reference: [`crate::serial`] for one domain, and the multi-domain
 //! crate's lockstep `World::step`.
@@ -136,59 +139,6 @@ impl PlanShape {
     }
 }
 
-/// One loop of the reference's `EvalEOSForElems` over a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EosStep {
-    /// Gather the old element state.
-    Gather,
-    /// Full- and half-step compression.
-    Compression,
-    /// Clamp the compressions at the volume bounds.
-    ClampCompression,
-    /// Zero the external work.
-    ZeroWork,
-    /// `CalcEnergyForElems` step 1.
-    Energy1,
-    /// Half-step pressure.
-    PressureHalfStep,
-    /// `CalcEnergyForElems` step 2.
-    Energy2,
-    /// `CalcEnergyForElems` step 3.
-    Energy3,
-    /// Full-step pressure.
-    Pressure,
-    /// `CalcEnergyForElems` step 4.
-    Energy4,
-    /// `CalcEnergyForElems` step 5.
-    Energy5,
-    /// Store p, e, q back to the mesh.
-    Store,
-    /// `CalcSoundSpeedForElems`.
-    SoundSpeed,
-}
-
-/// The loops of one EOS repetition, in reference order.
-pub const EOS_LADDER: [EosStep; 12] = {
-    use EosStep::*;
-    [
-        Gather,
-        Compression,
-        ClampCompression,
-        ZeroWork,
-        Energy1,
-        PressureHalfStep,
-        Energy2,
-        Energy3,
-        Pressure,
-        Energy4,
-        Pressure,
-        Energy5,
-    ]
-};
-
-/// The loops after a region's last repetition.
-pub const EOS_FINISH: [EosStep; 2] = [EosStep::Store, EosStep::SoundSpeed];
-
 /// One loop body of the step. Region kernels carry their region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
@@ -244,7 +194,7 @@ pub enum Kernel {
     /// `EvalEOSForElems` of a region, every repetition, local temporaries.
     Eos(usize),
     /// One loop of a region's reference EOS ladder.
-    EosLoop(EosStep, usize),
+    EosLoop(eos::EosStep, usize),
     /// `UpdateVolumesForElems`.
     UpdateVolumes,
     /// Courant and hydro constraints of a region, folded into the minima.
@@ -416,7 +366,10 @@ impl Kernel {
                 let (vnewc, elems) = (s.vnewc.as_slice(), region(d, r, c));
                 eos::eval_eos_for_elems(d, vnewc, elems, d.regions.rep(r), p, &mut local.eos);
             }
-            EosLoop(step, r) => eos_loop(step, d, s, region(d, r, c), c),
+            EosLoop(step, r) => {
+                let (vnewc, elems) = (s.vnewc.as_slice(), region(d, r, c));
+                eos::eos_step(step, d, p, vnewc, elems, cut_mut(&s.eos, c));
+            }
             UpdateVolumes => kinematics::update_volumes_for_elems(d, p.v_cut, c),
             Constraints(r) => {
                 let elems = region(d, r, c);
@@ -451,48 +404,6 @@ unsafe fn cut_mut<const N: usize>(v: &[SharedVec<Real>; N], c: Chunk) -> [&mut [
     v.each_ref().map(|a| a.slice_mut(c.begin, c.end))
 }
 
-/// One loop of the reference EOS ladder over positions `c` of a region.
-///
-/// # Safety
-/// As [`Kernel::run`]: chunk `c` of the region arrays belongs to the call.
-unsafe fn eos_loop(step: EosStep, d: &Domain, s: &StepScratch, elems: &[Index], c: Chunk) {
-    let p = &d.params;
-    let rho0 = p.refdens;
-    let vnewc = s.vnewc.as_slice();
-    let [e_old, delvc, p_old, q_old, qq_old, ql_old, comp, comp_half, work, p_new, e_new, q_new, bvc, pbvc, p_half] =
-        cut_mut(&s.eos, c);
-    match step {
-        EosStep::Gather => eos::eos_gather(d, elems, e_old, delvc, p_old, q_old, qq_old, ql_old),
-        EosStep::Compression => eos::eos_compression(elems, vnewc, delvc, comp, comp_half),
-        EosStep::ClampCompression => {
-            eos::eos_clamp_compression(elems, vnewc, p.eosvmin, p.eosvmax, comp, comp_half, p_old)
-        }
-        EosStep::ZeroWork => work.fill(0.0),
-        EosStep::Energy1 => eos::energy_step1(e_new, e_old, delvc, p_old, q_old, work, p.emin),
-        EosStep::PressureHalfStep => eos::calc_pressure_for_elems(
-            p_half, bvc, pbvc, e_new, comp_half, vnewc, elems, p.pmin, p.p_cut, p.eosvmax,
-        ),
-        EosStep::Energy2 => eos::energy_step2(
-            e_new, q_new, comp_half, p_half, bvc, pbvc, delvc, p_old, q_old, ql_old, qq_old, rho0,
-        ),
-        EosStep::Energy3 => eos::energy_step3(e_new, work, p.e_cut, p.emin),
-        EosStep::Pressure => eos::calc_pressure_for_elems(
-            p_new, bvc, pbvc, e_new, comp, vnewc, elems, p.pmin, p.p_cut, p.eosvmax,
-        ),
-        EosStep::Energy4 => eos::energy_step4(
-            e_new, delvc, p_old, q_old, p_half, q_new, p_new, bvc, pbvc, ql_old, qq_old, vnewc,
-            elems, rho0, p.e_cut, p.emin,
-        ),
-        EosStep::Energy5 => eos::energy_step5(
-            q_new, delvc, pbvc, e_new, vnewc, elems, bvc, p_new, ql_old, qq_old, rho0, p.q_cut,
-        ),
-        EosStep::Store => eos::eos_store(d, elems, p_new, e_new, q_new),
-        EosStep::SoundSpeed => {
-            eos::calc_sound_speed_for_elems(d, vnewc, rho0, e_new, p_new, pbvc, bvc, elems)
-        }
-    }
-}
-
 /// Fold `v` into the running minimum stored as `f64` bits in `slot`.
 fn lower(slot: &AtomicU64, v: Option<Real>) {
     if let Some(v) = v {
@@ -523,7 +434,7 @@ pub struct StepScratch {
     dvd: [SharedVec<Real>; 3],
     xyz8n: [SharedVec<Real>; 3],
     vnewc: SharedVec<Real>,
-    eos: [SharedVec<Real>; 15],
+    eos: [SharedVec<Real>; eos::EOS_ARRAYS],
     local: SharedVec<CachePadded<KernelScratch>>,
     /// The current iteration's time increment, as `f64` bits.
     dt: AtomicU64,
@@ -803,11 +714,7 @@ impl StepPlan {
         ];
         // The regions share the ladder's arrays, so they run one at a time.
         for r in regions.clone() {
-            let reps = EOS_LADDER
-                .iter()
-                .cycle()
-                .take(EOS_LADDER.len() * shape.reps[r]);
-            let kernels: Vec<_> = reps.chain(&EOS_FINISH).map(|&s| EosLoop(s, r)).collect();
+            let kernels: Vec<_> = eos::ladder(shape.reps[r]).map(|s| EosLoop(s, r)).collect();
             phases.push(one(Elements, "barrier-eos-region", "eos", &kernels));
         }
         let mut end = vec![loops("volume", &[UpdateVolumes])];

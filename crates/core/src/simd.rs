@@ -13,7 +13,7 @@
 //!   `for i in 0..W` loops. How those loops become instructions is the
 //!   compiler's business. Built for baseline x86_64 (SSE2), LLVM's SLP
 //!   vectoriser packs some of them and leaves most scalar; that is what
-//!   `--simd w2`, `w8`, w4 on a CPU without AVX2, and every other
+//!   `--simd w8`, w4 on a CPU without AVX2, and every other
 //!   architecture run. Its ops are `#[inline]`, not `#[inline(always)]`:
 //!   each is a few instructions once optimised, so the cost model always
 //!   takes them, whereas forcing them copies thousands of unoptimised
@@ -40,7 +40,7 @@
 //! generic over [`SimdReal`], and each kernel's `*_lane_group` body once,
 //! generic over the crate's pack trait (`gather`, `load`, `store`,
 //! `lane`). They are instantiated with `Lanes<1>` (the ragged tails and
-//! the `W = 1` reference mode), `Lanes<2|4|8>` and `Avx2Pack`.
+//! the `W = 1` reference mode), `Lanes<4|8>` and `Avx2Pack`.
 //! Divergent branches are handled with per-lane selects
 //! ([`SimdReal::select_lt`] etc.): both sides are computed and the untaken
 //! lane's value discarded, which preserves bit-identity because the taken
@@ -73,7 +73,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// `W` elements processed in lockstep. `W` must be a power of two ≤ 8 in
-/// practice (2, 4, 8); `Lanes<1>` is legal and equivalent to `f64`.
+/// practice (4, 8); `Lanes<1>` is legal and equivalent to `f64`.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Lanes<const W: usize>(pub [Real; W]);
 
@@ -464,7 +464,6 @@ macro_rules! dispatch {
         let width = $crate::simd::active();
         match (width, Isa::detect(width)) {
             (LaneWidth::W1, _) => $scalar,
-            (LaneWidth::W2, _) => $lanes::<2>($($arg),*),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Isa::detect` answers `Avx2` only after
             // `is_x86_feature_detected!("avx2")` held on this CPU, and AVX2
@@ -482,8 +481,6 @@ pub(crate) use dispatch;
 pub enum LaneWidth {
     /// Scalar reference mode (the ground truth).
     W1,
-    /// 2 lanes (one SSE2 register).
-    W2,
     /// 4 lanes (one AVX2 register).
     W4,
     /// 8 lanes (one AVX-512 register, or two AVX2).
@@ -492,14 +489,14 @@ pub enum LaneWidth {
 
 impl LaneWidth {
     /// Every width, scalar first.
-    pub const ALL: [LaneWidth; 4] = [Self::W1, Self::W2, Self::W4, Self::W8];
+    pub const ALL: [LaneWidth; 3] = [Self::W1, Self::W4, Self::W8];
 
     /// The width a plain run uses: [`active`]'s initial value and the
     /// `--simd` default. On an x86_64 CPU with AVX2 it is the only width
-    /// whose kernels run on `__m256d` registers (`Avx2Pack`); w2 and w8 run
-    /// the portable [`Lanes<W>`] body and are slower than w4 there by the
-    /// gap recorded in EXPERIMENTS.md ("Explicit AVX2 packs"). Without AVX2
-    /// all three run [`Lanes<W>`] and measured within a few percent.
+    /// whose kernels run on `__m256d` registers (`Avx2Pack`); w8 runs the
+    /// portable [`Lanes<W>`] body and is slower than w4 there by the gap
+    /// recorded in EXPERIMENTS.md ("Explicit AVX2 packs"). Without AVX2
+    /// both run [`Lanes<W>`] and measured within a few percent.
     pub const DEFAULT: LaneWidth = Self::W4;
 
     /// The element count per lane group.
@@ -507,7 +504,6 @@ impl LaneWidth {
     pub const fn lanes(self) -> usize {
         match self {
             Self::W1 => 1,
-            Self::W2 => 2,
             Self::W4 => 4,
             Self::W8 => 8,
         }
@@ -517,7 +513,6 @@ impl LaneWidth {
     pub fn from_lanes(n: usize) -> Option<Self> {
         match n {
             1 => Some(Self::W1),
-            2 => Some(Self::W2),
             4 => Some(Self::W4),
             8 => Some(Self::W8),
             _ => None,
@@ -529,24 +524,22 @@ impl std::fmt::Display for LaneWidth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::W1 => write!(f, "scalar"),
-            Self::W2 => write!(f, "w2"),
             Self::W4 => write!(f, "w4"),
             Self::W8 => write!(f, "w8"),
         }
     }
 }
 
-/// The `--simd` values: `scalar` (alias `w1`), `w2`, `w4`, `w8`.
+/// The `--simd` values: `scalar`, `w4`, `w8`.
 impl std::str::FromStr for LaneWidth {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "scalar" | "w1" => Ok(Self::W1),
-            "w2" => Ok(Self::W2),
+            "scalar" => Ok(Self::W1),
             "w4" => Ok(Self::W4),
             "w8" => Ok(Self::W8),
-            _ => Err("expected scalar|w1|w2|w4|w8".into()),
+            _ => Err("expected scalar|w4|w8".into()),
         }
     }
 }
@@ -564,8 +557,8 @@ impl Isa {
     /// The ISA the kernel dispatchers run `width` at on this host. AVX2
     /// bodies exist at w4 only: they run the kernels on `Avx2Pack`, one
     /// `__m256d` per value, which is four lanes wide. Scalar gains nothing
-    /// from the wider ISA, w2 and w8 stay on the portable [`Lanes<W>`]
-    /// body, and each further copy would cost text.
+    /// from the wider ISA, w8 stays on the portable [`Lanes<W>`] body, and
+    /// each further copy would cost text.
     #[inline]
     pub fn detect(width: LaneWidth) -> Isa {
         #[cfg(target_arch = "x86_64")]
@@ -795,7 +788,7 @@ mod tests {
 
     #[test]
     fn only_w4_ever_runs_an_avx2_body() {
-        for w in [LaneWidth::W1, LaneWidth::W2, LaneWidth::W8] {
+        for w in [LaneWidth::W1, LaneWidth::W8] {
             assert_eq!(Isa::detect(w), Isa::Baseline, "{w}");
         }
         #[cfg(not(target_arch = "x86_64"))]

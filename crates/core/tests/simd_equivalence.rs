@@ -1,7 +1,7 @@
 //! Bitwise scalar-vs-lane equivalence for every SIMD-ported kernel.
 //!
 //! Each test runs the scalar reference and every fixed-(width, ISA) entry
-//! point — `*_lanes::<1|2|4|8>` (the portable `Lanes<W>` body), and the
+//! point — `*_lanes::<1|4|8>` (the portable `Lanes<W>` body), and the
 //! `*_avx2` entry, the same body on the crate's `__m256d` pack, where the
 //! CPU has AVX2 (a skip line where not) — on the same state and compares
 //! outputs with `f64::to_bits`, not approximate equality. So each kernel's
@@ -19,13 +19,12 @@ use lulesh_core::{Domain, LuleshError, Params};
 use parutil::Chunk;
 
 /// `[(label, entry point)]` of one lane kernel as `$ty` fn pointers:
-/// `$m::$lanes::<1|2|4|8>`, then `$m::$avx2` behind a closure taking
+/// `$m::$lanes::<1|4|8>`, then `$m::$avx2` behind a closure taking
 /// `|$a, ..|` where AVX2 is detected.
 macro_rules! entry_points {
     ($ty:ty, $m:ident::$lanes:ident / $avx2:ident, |$($a:ident),*|) => {{
         let mut v: Vec<(&'static str, $ty)> = vec![
             ("w1", $m::$lanes::<1>),
-            ("w2", $m::$lanes::<2>),
             ("w4", $m::$lanes::<4>),
             ("w8", $m::$lanes::<8>),
         ];
@@ -493,24 +492,6 @@ fn eos_every_width_matches_scalar_bitwise() {
         for &(w, kernel) in &kernels {
             eos_case(w, kernel, rep);
         }
-    }
-}
-
-#[test]
-fn eos_rep_zero_stores_fresh_zeros_whatever_the_scratch_held() {
-    // `rep == 0` evaluates nothing and stores the scratch: a pooled scratch
-    // must behave like a fresh one, at every width (all route to scalar).
-    let d = seeded_domain();
-    seed_eos_state(&d);
-    let p = Params::default();
-    let vnewc: Vec<Real> = (0..d.num_elem()).map(|e| d.vnew(e)).collect();
-    let elems = &d.regions.reg_elem_list[0];
-    let mut s = eos::EosScratch::new(elems.len());
-    eos::eval_eos_for_elems_scalar(&d, &vnewc, elems, 1, &p, &mut s);
-    assert!(elems.iter().any(|&z| d.e(z) != 0.0), "scratch left dirty");
-    eos::eval_eos_for_elems(&d, &vnewc, elems, 0, &p, &mut s);
-    for &z in elems {
-        assert_eq!((d.p(z), d.e(z), d.q(z)), (0.0, 0.0, 0.0), "element {z}");
     }
 }
 

@@ -39,11 +39,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Block until all `n` participants have called `wait`. Returns `true`
     /// for exactly one participant per round (the last to arrive), mirroring
     /// `std::sync::Barrier`'s leader flag.

@@ -22,8 +22,10 @@
 //!   `lulesh_core::regions` tests).
 //!
 //! With `debug_assertions` enabled, [`SharedVec`] can optionally record
-//! writers per index and panic on overlap (see [`SharedVec::with_overlap_checks`]),
-//! which the integration tests use to validate the drivers' partitioning.
+//! writers per index and panic on overlap (see [`SharedVec::with_overlap_checks`]).
+//! Only this module's own unit tests turn the checks on; no driver or
+//! integration test does. A checker that runs over the drivers' step plans
+//! is ROADMAP item 13.
 
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
@@ -180,7 +182,7 @@ impl<T> SharedVec<T> {
     }
 
     /// Enable per-index writer tracking (costs one `AtomicU32` per element).
-    /// Used by tests to validate that drivers never overlap writes.
+    /// Only this module's unit tests turn it on (see the module docs).
     pub fn with_overlap_checks(mut self) -> Self {
         let n = self.len;
         self.check = Some((0..n).map(|_| AtomicU32::new(u32::MAX)).collect());

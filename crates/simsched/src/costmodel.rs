@@ -9,7 +9,8 @@
 //! them. Only *ratios* between kernels matter for the reproduced figure
 //! shapes; the absolute scale shifts every curve equally.
 
-use lulesh_core::plan::{Kernel, EOS_FINISH, EOS_LADDER};
+use lulesh_core::kernels::eos::{EOS_FINISH, EOS_LADDER};
+use lulesh_core::plan::Kernel;
 
 /// ns-per-item coefficients for every kernel in the leapfrog.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,44 +172,6 @@ impl CostModel {
             &mut self.constraints,
         ]
     }
-
-    /// Serial work of one whole leapfrog iteration, in ns (used for
-    /// sanity checks and the figure harness's derived columns).
-    pub fn iteration_work_ns(
-        &self,
-        num_elem: usize,
-        num_node: usize,
-        region_sizes: &[usize],
-        reps: &[usize],
-    ) -> f64 {
-        let ne = num_elem as f64;
-        let nn = num_node as f64;
-        let mut total = nn
-            * (self.zero_forces
-                + self.gather_set
-                + self.gather_add
-                + self.accel
-                + self.velocity
-                + self.position)
-            + ne * (self.init_stress
-                + self.integrate_stress
-                + self.volume_check
-                + self.hg_control
-                + self.hg_fb
-                + self.kinematics
-                + self.lagrange_finish
-                + self.monoq_gradients
-                + self.qstop_check
-                + self.vnewc_fill
-                + self.vnewc_check
-                + self.update_volumes);
-        for (len, rep) in region_sizes.iter().zip(reps) {
-            let l = *len as f64;
-            total += l * (self.monoq_region + self.eos_finish + self.constraints);
-            total += l * self.eos_per_rep * *rep as f64;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -245,21 +208,5 @@ mod tests {
         ] {
             assert!(v > 0.0);
         }
-    }
-
-    #[test]
-    fn iteration_work_scales_with_mesh() {
-        let m = CostModel::default();
-        let w1 = m.iteration_work_ns(1000, 1331, &[1000], &[1]);
-        let w8 = m.iteration_work_ns(8000, 9261, &[8000], &[1]);
-        assert!(w8 > 7.0 * w1 && w8 < 9.0 * w1);
-    }
-
-    #[test]
-    fn reps_increase_work() {
-        let m = CostModel::default();
-        let w1 = m.iteration_work_ns(1000, 1331, &[500, 500], &[1, 1]);
-        let w20 = m.iteration_work_ns(1000, 1331, &[500, 500], &[1, 20]);
-        assert!(w20 > w1);
     }
 }

@@ -8,7 +8,8 @@ use crate::costmodel::CostModel;
 use crate::forkjoin::{ForkJoinTrace, Region};
 use crate::machine::{MachineParams, SimResult};
 use crate::steal::TaskGraph;
-use lulesh_core::plan::{Grain, GraphSink, Kernel, PlanShape, StepPlan, EOS_FINISH};
+use lulesh_core::kernels::eos::EOS_FINISH;
+use lulesh_core::plan::{Grain, GraphSink, Kernel, PlanShape, StepPlan};
 use lulesh_core::regions::Regions;
 use parutil::Chunk;
 
@@ -411,13 +412,21 @@ mod tests {
     #[test]
     fn eos_ladder_keeps_the_total_eos_work() {
         // Splitting `eos_per_rep` over the ladder's loops and `eos_finish`
-        // over the finish loops leaves Σ work what the cost model says.
+        // over the finish loops leaves each region's EOS work what the
+        // cost model says: Σ_r len_r·(rep_r·eos_per_rep + eos_finish).
         let m = model(20, 11);
         let cm = &m.cm;
-        // `iteration_work_ns` leaves out only the symmetry-plane loop.
-        let per_iter = cm.iteration_work_ns(m.num_elem, m.num_node, &m.region_sizes, &m.reps);
-        let bc = cm.accel_bc * m.symm_len as f64;
-        let rel = (m.omp_trace().total_work_ns() - per_iter - bc).abs() / per_iter;
+        let plan = StepPlan::reference(m.shape());
+        let ladder: f64 = plan
+            .stages()
+            .zip(m.omp_trace().regions)
+            .filter(|((_, stage), _)| matches!(stage, [Kernel::EosLoop(..)]))
+            .map(|(_, region)| region.items as f64 * region.cost_per_item_ns)
+            .sum();
+        let expected: f64 = (m.region_sizes.iter().zip(&m.reps))
+            .map(|(&len, &rep)| len as f64 * (rep as f64 * cm.eos_per_rep + cm.eos_finish))
+            .sum();
+        let rel = (ladder - expected).abs() / expected;
         assert!(rel < 1e-12, "relative gap {rel}");
     }
 

@@ -18,7 +18,7 @@
 //! in the harness output; the single-node term is the calibrated
 //! per-iteration makespan from the main simulator.
 
-use crate::lulesh::{estimate_omp, estimate_task, LuleshModel, SimFeatures};
+use crate::lulesh::{estimate_task, LuleshModel, SimFeatures};
 use crate::machine::MachineParams;
 
 /// Cluster interconnect and overlap parameters.
@@ -180,11 +180,6 @@ pub fn task_compute_1node_ns(model: &LuleshModel, pn: usize, pe: usize) -> f64 {
         SimFeatures::default(),
     )
     .iteration_ns
-}
-
-/// Convenience: the OpenMP reference's single-node per-iteration makespan.
-pub fn omp_compute_1node_ns(model: &LuleshModel) -> f64 {
-    estimate_omp(model, &MachineParams::epyc_7443p(24)).iteration_ns
 }
 
 #[cfg(test)]
