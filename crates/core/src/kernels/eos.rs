@@ -17,9 +17,7 @@
 
 use crate::domain::Domain;
 use crate::params::Params;
-#[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2Pack;
-use crate::simd::{self, lane_groups, Lanes, Pack, SimdReal};
+use crate::simd::{self, LaneKernel, LaneWidth, Pack, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{AlignedBuf, Chunk};
 
@@ -496,11 +494,13 @@ fn calc_sound_speed_for_elems(
 /// repetition loop, ending with the store and sound-speed update. `rep`
 /// must be at least 1 ([`crate::regions::rep_for`] never returns less).
 ///
-/// Dispatches on the process-wide SIMD width and the host's ISA
-/// (`simd::dispatch!`): the lane path fuses the whole per-element pipeline
-/// (gather → compression → energy steps → pressure → sound speed) into
-/// registers, never touching `s`, and is bit-identical to the scalar
-/// reference.
+/// At [`LaneWidth::W1`] this is the scalar reference
+/// [`eval_eos_for_elems_scalar`]. At the lane widths each repetition runs
+/// the lane walk (`simd::walk`) on the host's ISA: the fused
+/// per-element pipeline (gather → compression → energy steps → pressure →
+/// sound speed) in registers, never touching `s`, bit-identical to the
+/// reference. The repetition loop stays outermost like the reference (the
+/// recomputation is idempotent), and only the last repetition stores.
 pub fn eval_eos_for_elems(
     d: &Domain,
     vnewc: &[Real],
@@ -510,10 +510,20 @@ pub fn eval_eos_for_elems(
     s: &mut EosScratch,
 ) {
     debug_assert!(rep >= 1, "EvalEOSForElems needs at least one repetition");
-    simd::dispatch!(
-        eval_eos_for_elems_lanes / eval_eos_for_elems_avx2(d, vnewc, elems, rep, p),
-        scalar: eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s)
-    )
+    if simd::active() == LaneWidth::W1 {
+        return eval_eos_for_elems_scalar(d, vnewc, elems, rep, p, s);
+    }
+    let mut k = Eos {
+        d,
+        vnewc,
+        elems,
+        p,
+        store: false,
+    };
+    for r in 0..rep {
+        k.store = r + 1 == rep;
+        simd::walk(&mut k, 0, elems.len());
+    }
 }
 
 /// Scalar reference implementation of [`eval_eos_for_elems`]: the loops of
@@ -651,100 +661,49 @@ pub fn eos_elem_kernel<V: SimdReal>(
     (p_new, e_new, q_new, ss)
 }
 
-/// Lane implementation of [`eval_eos_for_elems`] for `rep ≥ 1`: the region
-/// list is walked in `W`-lane groups, each running the fused
-/// [`eos_elem_kernel`]; no scratch arrays are touched. The repetition loop
-/// stays outermost like the reference (the recomputation is idempotent),
-/// and only the final repetition stores.
-#[inline(always)]
-pub fn eval_eos_for_elems_lanes<const W: usize>(
-    d: &Domain,
-    vnewc: &[Real],
-    elems: &[Index],
-    rep: usize,
-    p: &Params,
-) {
-    eos_groups::<Lanes<W>>(d, vnewc, elems, rep, p)
-}
-
-/// [`eval_eos_for_elems`] on AVX2 packs: the same body as
-/// [`eval_eos_for_elems_lanes::<4>`], bit for bit.
-///
-/// # Safety
-/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub fn eval_eos_for_elems_avx2(
-    d: &Domain,
-    vnewc: &[Real],
-    elems: &[Index],
-    rep: usize,
-    p: &Params,
-) {
-    eos_groups::<Avx2Pack>(d, vnewc, elems, rep, p)
-}
-
-/// The list walk behind both lane entry points, in groups of `P::LANES`.
-#[inline(always)]
-fn eos_groups<P: Pack>(d: &Domain, vnewc: &[Real], elems: &[Index], rep: usize, p: &Params) {
-    let rho0 = p.refdens;
-    for r in 0..rep {
-        let store = r + 1 == rep;
-        lane_groups!(P, 0, elems.len(), |i| eos_lane_group
-            / eos_tail(d, vnewc, elems, i, p, rho0, store));
-    }
-}
-
-/// List entries `i0..end` one at a time: the ragged tail of every width
-/// and the whole of `W = 1` (see [`lane_groups!`]).
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn eos_tail(
-    d: &Domain,
-    vnewc: &[Real],
-    elems: &[Index],
-    i0: usize,
-    p: &Params,
-    rho0: Real,
+/// The arguments of one lane repetition of [`eval_eos_for_elems`]: the
+/// walk runs over positions in the region list `elems`, and `store` marks
+/// the last repetition.
+struct Eos<'a> {
+    d: &'a Domain,
+    vnewc: &'a [Real],
+    elems: &'a [Index],
+    p: &'a Params,
     store: bool,
-    end: usize,
-) {
-    for i in i0..end {
-        eos_lane_group::<Lanes<1>>(d, vnewc, elems, i, p, rho0, store);
-    }
 }
 
-/// One group of `P::LANES` entries of the region element list: gather the
-/// seven inputs, run the fused kernel, optionally scatter the four outputs.
-#[inline(always)]
-fn eos_lane_group<P: Pack>(
-    d: &Domain,
-    vnewc: &[Real],
-    elems: &[Index],
-    i0: usize,
-    p: &Params,
-    rho0: Real,
-    store: bool,
-) {
-    let idx = |l: usize| elems[i0 + l];
-    let vz = P::gather(|l| vnewc[idx(l)]);
-    let e_old = P::gather(|l| d.e(idx(l)));
-    let delvc = P::gather(|l| d.delv(idx(l)));
-    let p_old = P::gather(|l| d.p(idx(l)));
-    let q_old = P::gather(|l| d.q(idx(l)));
-    let qq_old = P::gather(|l| d.qq(idx(l)));
-    let ql_old = P::gather(|l| d.ql(idx(l)));
+impl LaneKernel for Eos<'_> {
+    /// Gather the seven inputs, run the fused kernel, and on the last
+    /// repetition scatter the four outputs.
+    #[inline(always)]
+    fn group<P: Pack>(&mut self, i0: usize) {
+        let Self {
+            d,
+            vnewc,
+            elems,
+            p,
+            store,
+        } = *self;
+        let idx = |l: usize| elems[i0 + l];
+        let vz = P::gather(|l| vnewc[idx(l)]);
+        let e_old = P::gather(|l| d.e(idx(l)));
+        let delvc = P::gather(|l| d.delv(idx(l)));
+        let p_old = P::gather(|l| d.p(idx(l)));
+        let q_old = P::gather(|l| d.q(idx(l)));
+        let qq_old = P::gather(|l| d.qq(idx(l)));
+        let ql_old = P::gather(|l| d.ql(idx(l)));
 
-    let (p_new, e_new, q_new, ss) =
-        eos_elem_kernel(vz, e_old, delvc, p_old, q_old, qq_old, ql_old, p, rho0);
+        let (p_new, e_new, q_new, ss) =
+            eos_elem_kernel(vz, e_old, delvc, p_old, q_old, qq_old, ql_old, p, p.refdens);
 
-    if store {
-        for l in 0..P::LANES {
-            let z = idx(l);
-            d.set_p(z, p_new.lane(l));
-            d.set_e(z, e_new.lane(l));
-            d.set_q(z, q_new.lane(l));
-            d.set_ss(z, ss.lane(l));
+        if store {
+            for l in 0..P::LANES {
+                let z = idx(l);
+                d.set_p(z, p_new.lane(l));
+                d.set_e(z, e_new.lane(l));
+                d.set_q(z, q_new.lane(l));
+                d.set_ss(z, ss.lane(l));
+            }
         }
     }
 }
@@ -752,6 +711,8 @@ fn eos_lane_group<P: Pack>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testutil::{assert_bits_eq, seeded_domain};
+    use crate::simd::Leg;
 
     fn ideal_params() -> Params {
         Params::default()
@@ -1022,6 +983,76 @@ mod tests {
                 prop_assert!(d.ss(0) > 0.0);
                 prop_assert!(d.e(0).is_finite() && d.p(0).is_finite() && d.q(0).is_finite());
             }
+        }
+    }
+
+    /// EOS state designed to hit every branch: mixed-sign `delv` (the
+    /// `q = 0` expansion path), tiny and negative energies
+    /// (`e_cut`/`emin`), and small q terms (`q_cut`). The sound speed, the
+    /// one output the EOS does not also read, is poisoned with NaN.
+    fn seeded_eos_domain() -> Domain {
+        let d = seeded_domain();
+        for e in 0..d.num_elem() {
+            d.set_ss(e, Real::NAN);
+            d.set_e(e, (e as Real * 0.37).sin() * 2.0);
+            d.set_vnew(e, 0.6 + 0.5 * (e as Real * 0.17).cos().abs());
+            d.set_delv(e, 0.2 * (e as Real * 0.53).sin());
+            d.set_ql(e, (e as Real * 0.19).sin().abs() * 0.05);
+            d.set_qq(e, (e as Real * 0.23).cos().abs() * 0.05);
+        }
+        d.set_e(1, 0.0); // exact zero: p_cut/e_cut paths
+        d.set_e(2, -2.0e15); // emin floor
+        d.set_delv(3, 0.0); // boundary of the delv > 0 branch
+        d
+    }
+
+    fn outputs(d: &Domain) -> Vec<Real> {
+        (0..d.num_elem())
+            .flat_map(|i| [d.p(i), d.e(i), d.q(i), d.ss(i)])
+            .collect()
+    }
+
+    /// Every region of a seeded domain through `run(d, vnewc, elems, rep)`.
+    fn by_region(rep: usize, run: impl Fn(&Domain, &[Real], &[Index], usize)) -> Vec<Real> {
+        let d = seeded_eos_domain();
+        let vnewc: Vec<Real> = (0..d.num_elem()).map(|e| d.vnew(e)).collect();
+        for elems in &d.regions.reg_elem_list {
+            run(&d, &vnewc, elems, rep);
+        }
+        outputs(&d)
+    }
+
+    #[test]
+    fn every_leg_matches_the_ladder_bitwise() {
+        let p = Params::default();
+        // The rep loop re-runs the whole pipeline; results must not
+        // depend on it.
+        for rep in [1, 3] {
+            let ladder = by_region(rep, |d, vnewc, elems, rep| {
+                let mut s = EosScratch::new(elems.len());
+                eval_eos_for_elems_scalar(d, vnewc, elems, rep, &p, &mut s);
+            });
+            for leg in Leg::all() {
+                let lanes = by_region(rep, |d, vnewc, elems, rep| {
+                    let mut k = Eos {
+                        d,
+                        vnewc,
+                        elems,
+                        p: &p,
+                        store: false,
+                    };
+                    for r in 0..rep {
+                        k.store = r + 1 == rep;
+                        leg.walk(&mut k, 0, elems.len());
+                    }
+                });
+                assert_bits_eq(&lanes, &ladder, &format!("eos {leg} rep {rep}"));
+            }
+            // The dispatcher, at whatever width is active.
+            let dispatch = by_region(rep, |d, vnewc, elems, rep| {
+                eval_eos_for_elems(d, vnewc, elems, rep, &p, &mut EosScratch::new(0));
+            });
+            assert_bits_eq(&dispatch, &ladder, &format!("eos dispatch rep {rep}"));
         }
     }
 

@@ -19,9 +19,7 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes, scatter_elem_corners_lanes,
 };
 use crate::kernels::volume::calc_elem_volume_derivative;
-#[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2Pack;
-use crate::simd::{self, lane_groups, Lanes, Pack, SimdReal};
+use crate::simd::{self, LaneKernel, Pack, SimdReal};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -280,8 +278,8 @@ pub fn calc_fb_hourglass_force_for_elems(
 /// [`calc_fb_hourglass_force_for_elems`], including the volume error when
 /// any relative volume is non-positive (the forces are still written).
 ///
-/// Dispatches on the process-wide SIMD width and the host's ISA
-/// (`simd::dispatch!`).
+/// Runs on the lane walk (`simd::walk`) at the process-wide SIMD width
+/// and the host's ISA.
 pub fn calc_hourglass_force_for_elems(
     d: &Domain,
     hourg: Real,
@@ -290,140 +288,91 @@ pub fn calc_hourglass_force_for_elems(
     fz_elem: &mut [Real],
     range: Chunk,
 ) -> Result<(), LuleshError> {
-    simd::dispatch!(
-        calc_hourglass_force_for_elems_lanes
-            / calc_hourglass_force_for_elems_avx2(d, hourg, fx_elem, fy_elem, fz_elem, range),
-        scalar: calc_hourglass_force_for_elems_lanes::<1>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-    )
+    let mut k = Hourglass::new(d, hourg, fx_elem, fy_elem, fz_elem, range);
+    simd::walk(&mut k, range.begin, range.end);
+    k.status()
 }
 
-/// [`calc_hourglass_force_for_elems`] at a fixed lane width (`W = 1` is
-/// the scalar instantiation of the same body).
-#[inline(always)]
-pub fn calc_hourglass_force_for_elems_lanes<const W: usize>(
-    d: &Domain,
-    hourg: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) -> Result<(), LuleshError> {
-    hourglass_groups::<Lanes<W>>(d, hourg, fx_elem, fy_elem, fz_elem, range)
+/// The arguments of [`calc_hourglass_force_for_elems`] and its volume
+/// error flag; the chunk-local slot of element `e` is `e - begin`.
+struct Hourglass<'a> {
+    d: &'a Domain,
+    begin: Index,
+    /// The hoisted scalar prefix `-hourg · 0.01` of the force coefficient.
+    c0: Real,
+    fx_elem: &'a mut [Real],
+    fy_elem: &'a mut [Real],
+    fz_elem: &'a mut [Real],
+    failed: bool,
 }
 
-/// [`calc_hourglass_force_for_elems`] on AVX2 packs: the same body as
-/// [`calc_hourglass_force_for_elems_lanes::<4>`], bit for bit.
-///
-/// # Safety
-/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub fn calc_hourglass_force_for_elems_avx2(
-    d: &Domain,
-    hourg: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) -> Result<(), LuleshError> {
-    hourglass_groups::<Avx2Pack>(d, hourg, fx_elem, fy_elem, fz_elem, range)
-}
-
-/// The chunk walk behind both lane entry points, in groups of `P::LANES`.
-#[inline(always)]
-fn hourglass_groups<P: Pack>(
-    d: &Domain,
-    hourg: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) -> Result<(), LuleshError> {
-    debug_assert_eq!(fx_elem.len(), 8 * range.len());
-
-    let c0 = -hourg * 0.01;
-    let mut failed = false;
-    lane_groups!(P, range.begin, range.end, |e| hourglass_lane_group
-        / hourglass_tail(
+impl<'a> Hourglass<'a> {
+    fn new(
+        d: &'a Domain,
+        hourg: Real,
+        fx_elem: &'a mut [Real],
+        fy_elem: &'a mut [Real],
+        fz_elem: &'a mut [Real],
+        range: Chunk,
+    ) -> Self {
+        debug_assert_eq!(fx_elem.len(), 8 * range.len());
+        Self {
             d,
-            range.begin,
-            e,
-            c0,
+            begin: range.begin,
+            c0: -hourg * 0.01,
             fx_elem,
             fy_elem,
             fz_elem,
-            &mut failed
-        ));
-    if failed {
-        Err(LuleshError::VolumeError)
-    } else {
-        Ok(())
+            failed: false,
+        }
+    }
+
+    /// The volume error once some walked element had a non-positive
+    /// relative volume.
+    fn status(&self) -> Result<(), LuleshError> {
+        if self.failed {
+            Err(LuleshError::VolumeError)
+        } else {
+            Ok(())
+        }
     }
 }
 
-/// Elements `e0..end` one at a time: the ragged tail of every width and
-/// the whole of `W = 1` (see [`lane_groups!`]).
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn hourglass_tail(
-    d: &Domain,
-    begin: Index,
-    e0: Index,
-    c0: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    failed: &mut bool,
-    end: Index,
-) {
-    for e in e0..end {
-        hourglass_lane_group::<Lanes<1>>(d, begin, e, c0, fx_elem, fy_elem, fz_elem, failed);
+impl LaneKernel for Hourglass<'_> {
+    /// The fused kernel on one group; flags `failed` when a lane's
+    /// relative volume is non-positive.
+    #[inline(always)]
+    fn group<P: Pack>(&mut self, e0: Index) {
+        let d = self.d;
+        let zero = P::zero();
+        let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
+        let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
+        let v = P::gather(|l| d.v(e0 + l));
+        for l in 0..P::LANES {
+            self.failed |= v.lane(l) <= 0.0;
+        }
+        let g = HourglassGeometry {
+            x,
+            y,
+            z,
+            dvdx,
+            dvdy,
+            dvdz,
+            determ: P::gather(|l| d.volo(e0 + l)) * v,
+        };
+
+        let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
+        let ss = P::gather(|l| d.ss(e0 + l));
+        let mass = P::gather(|l| d.elem_mass(e0 + l));
+        let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, self.c0);
+
+        let k0 = e0 - self.begin;
+        scatter_elem_corners_lanes(self.fx_elem, k0, &hgfx);
+        scatter_elem_corners_lanes(self.fy_elem, k0, &hgfy);
+        scatter_elem_corners_lanes(self.fz_elem, k0, &hgfz);
     }
-}
-
-/// One group of `P::LANES` consecutive elements starting at `e0` of the
-/// fused kernel; sets `failed` when a lane's relative volume is
-/// non-positive.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn hourglass_lane_group<P: Pack>(
-    d: &Domain,
-    begin: Index,
-    e0: Index,
-    c0: Real,
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    failed: &mut bool,
-) {
-    let zero = P::zero();
-    let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
-    gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
-    let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
-    let v = P::gather(|l| d.v(e0 + l));
-    for l in 0..P::LANES {
-        *failed |= v.lane(l) <= 0.0;
-    }
-    let g = HourglassGeometry {
-        x,
-        y,
-        z,
-        dvdx,
-        dvdy,
-        dvdz,
-        determ: P::gather(|l| d.volo(e0 + l)) * v,
-    };
-
-    let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
-    gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
-    let ss = P::gather(|l| d.ss(e0 + l));
-    let mass = P::gather(|l| d.elem_mass(e0 + l));
-    let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, c0);
-
-    let k0 = e0 - begin;
-    scatter_elem_corners_lanes(fx_elem, k0, &hgfx);
-    scatter_elem_corners_lanes(fy_elem, k0, &hgfy);
-    scatter_elem_corners_lanes(fz_elem, k0, &hgfz);
 }
 
 /// The volume check of [`calc_hourglass_control_for_elems`] alone, for a
@@ -439,7 +388,9 @@ pub fn check_relative_volumes(d: &Domain, range: Chunk) -> Result<(), LuleshErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parutil::Chunk;
+    use crate::kernels::stress;
+    use crate::kernels::testutil::{assert_bits_eq, mid_blast_domain};
+    use crate::simd::Leg;
 
     fn full(d: &Domain) -> Chunk {
         Chunk {
@@ -753,5 +704,144 @@ mod tests {
         assert_eq!(fx1, fx2);
         assert_eq!(fy1, fy2);
         assert_eq!(fz1, fz2);
+    }
+
+    type CornerForces = (Vec<Real>, Vec<Real>, Vec<Real>);
+
+    /// The reference's two passes (control, then FB force) through
+    /// chunk-local scratch: the scalar path the fused kernel must reproduce.
+    fn two_pass(d: &Domain, hourg: Real, range: Chunk) -> (Result<(), LuleshError>, CornerForces) {
+        let n = range.len();
+        let (mut dvdx, mut dvdy, mut dvdz, mut x8n, mut y8n, mut z8n, mut determ) = scratch(n);
+        let status = calc_hourglass_control_for_elems(
+            d,
+            &mut dvdx,
+            &mut dvdy,
+            &mut dvdz,
+            &mut x8n,
+            &mut y8n,
+            &mut z8n,
+            &mut determ,
+            range,
+        );
+        let (mut fx, mut fy, mut fz) = (vec![0.0; 8 * n], vec![0.0; 8 * n], vec![0.0; 8 * n]);
+        calc_fb_hourglass_force_for_elems(
+            d, &determ, &x8n, &y8n, &z8n, &dvdx, &dvdy, &dvdz, hourg, &mut fx, &mut fy, &mut fz,
+            range,
+        );
+        (status, (fx, fy, fz))
+    }
+
+    /// The fused kernel on `leg` into NaN-poisoned corner arrays.
+    fn fused(
+        leg: Leg,
+        d: &Domain,
+        hourg: Real,
+        range: Chunk,
+    ) -> (Result<(), LuleshError>, CornerForces) {
+        let poisoned = || vec![Real::NAN; 8 * range.len()];
+        let (mut fx, mut fy, mut fz) = (poisoned(), poisoned(), poisoned());
+        let mut k = Hourglass::new(d, hourg, &mut fx, &mut fy, &mut fz, range);
+        leg.walk(&mut k, range.begin, range.end);
+        (k.status(), (fx, fy, fz))
+    }
+
+    /// Every walk leg against the two passes, bit for bit: the fused
+    /// kernel must write every corner slot and report the same status.
+    fn fused_every_leg_matches_two_pass(d: &Domain, range: Chunk) {
+        let hourg = 3.0;
+        let (status1, (fx1, fy1, fz1)) = two_pass(d, hourg, range);
+        for leg in Leg::all() {
+            let (status2, (fx2, fy2, fz2)) = fused(leg, d, hourg, range);
+            assert_eq!(status1, status2, "fused hourglass status {leg}");
+            assert_bits_eq(&fx1, &fx2, &format!("fused hg fx_elem {leg}"));
+            assert_bits_eq(&fy1, &fy2, &format!("fused hg fy_elem {leg}"));
+            assert_bits_eq(&fz1, &fz2, &format!("fused hg fz_elem {leg}"));
+        }
+    }
+
+    #[test]
+    fn fused_every_leg_matches_two_pass_bitwise() {
+        let d = mid_blast_domain();
+        // A task-style chunk too: nonzero begin (chunk-local slot =
+        // e - begin) and a length (114) ragged at every width.
+        let off = Chunk {
+            begin: 7,
+            end: d.num_elem() - 4,
+        };
+        for range in [full(&d), off] {
+            fused_every_leg_matches_two_pass(&d, range);
+        }
+        // The dispatcher runs the same kernel at whatever width is active.
+        let hourg = d.params.hgcoef;
+        let (_, (fx1, fy1, fz1)) = two_pass(&d, hourg, full(&d));
+        let poisoned = || vec![Real::NAN; 8 * d.num_elem()];
+        let (mut fx2, mut fy2, mut fz2) = (poisoned(), poisoned(), poisoned());
+        calc_hourglass_force_for_elems(&d, hourg, &mut fx2, &mut fy2, &mut fz2, full(&d)).unwrap();
+        assert_bits_eq(&fx1, &fx2, "fused hg dispatcher fx_elem");
+        assert_bits_eq(&fy1, &fy2, "fused hg dispatcher fy_elem");
+        assert_bits_eq(&fz1, &fz2, "fused hg dispatcher fz_elem");
+    }
+
+    #[test]
+    fn fused_reports_non_positive_volume_like_control() {
+        use LuleshError::VolumeError;
+        let d = mid_blast_domain();
+        // An inverted element inside a lane group: both paths flag the
+        // error and still write the same forces for every element.
+        d.set_v(42, -0.25);
+        assert_eq!(two_pass(&d, 3.0, full(&d)).0, Err(VolumeError));
+        fused_every_leg_matches_two_pass(&d, full(&d));
+        assert_eq!(check_relative_volumes(&d, full(&d)), Err(VolumeError));
+        d.set_v(42, 1.0);
+        assert_eq!(check_relative_volumes(&d, full(&d)), Ok(()));
+
+        // An exactly-zero volume in the ragged tail divides by zero: the
+        // forces are non-finite garbage, but the kernel reports the error,
+        // not a panic.
+        d.set_v(d.num_elem() - 1, 0.0);
+        for leg in Leg::all() {
+            let status = fused(leg, &d, 3.0, full(&d)).0;
+            assert_eq!(status, Err(VolumeError), "zero volume in the tail, {leg}");
+        }
+    }
+
+    #[test]
+    fn single_force_gather_matches_set_then_add_bitwise() {
+        // Real stress and hourglass corner forces of a mid-blast step.
+        let d = mid_blast_domain();
+        let n = d.num_elem();
+        let nodes = Chunk {
+            begin: 0,
+            end: d.num_node(),
+        };
+        let (mut sx, mut sy, mut sz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        stress::init_stress_terms_for_elems(&d, &mut sx, &mut sy, &mut sz, full(&d));
+        let mut determ = vec![0.0; n];
+        let (mut ax, mut ay, mut az) = (vec![0.0; 8 * n], vec![0.0; 8 * n], vec![0.0; 8 * n]);
+        stress::integrate_stress_for_elems(
+            &d,
+            &sx,
+            &sy,
+            &sz,
+            &mut determ,
+            &mut ax,
+            &mut ay,
+            &mut az,
+            full(&d),
+        );
+        let (_, (bx, by, bz)) = two_pass(&d, d.params.hgcoef, full(&d));
+
+        let nodal = |d: &Domain| -> Vec<Real> {
+            (0..d.num_node())
+                .flat_map(|i| [d.fx(i), d.fy(i), d.fz(i)])
+                .collect()
+        };
+        stress::zero_forces(&d, nodes);
+        stress::gather_forces_set(&d, &ax, &ay, &az, nodes);
+        stress::gather_forces_add(&d, &bx, &by, &bz, nodes);
+        let reference = nodal(&d);
+        stress::gather_forces_sum2(&d, &ax, &ay, &az, &bx, &by, &bz, nodes);
+        assert_bits_eq(&nodal(&d), &reference, "nodal force");
     }
 }

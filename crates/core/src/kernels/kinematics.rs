@@ -8,9 +8,7 @@ use crate::kernels::shape::{
     gather_elem_velocities_lanes,
 };
 use crate::kernels::volume::{calc_elem_characteristic_length, calc_elem_volume};
-#[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2Pack;
-use crate::simd::{self, lane_groups, Lanes, Pack};
+use crate::simd::{self, LaneKernel, Pack};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -18,88 +16,59 @@ use parutil::Chunk;
 /// characteristic length (`arealg`), and principal strain rates
 /// (`dxx/dyy/dzz`) evaluated at the half-step geometry.
 ///
-/// Dispatches on the process-wide SIMD width and the host's ISA
-/// (`simd::dispatch!`); every arm, scalar included, is the same generic
-/// body at a different `W`.
+/// Runs on the lane walk (`simd::walk`) at the process-wide SIMD width
+/// and the host's ISA; every leg, scalar included, is the same `group`
+/// body on a different pack.
 pub fn calc_kinematics_for_elems(d: &Domain, dt: Real, range: Chunk) {
-    simd::dispatch!(
-        calc_kinematics_for_elems_lanes / calc_kinematics_for_elems_avx2(d, dt, range),
-        scalar: calc_kinematics_for_elems_lanes::<1>(d, dt, range)
-    )
+    simd::walk(&mut Kinematics { d, dt }, range.begin, range.end)
 }
 
-/// [`calc_kinematics_for_elems`] at a fixed lane width (`W = 1` is the
-/// scalar reference).
-#[inline(always)]
-pub fn calc_kinematics_for_elems_lanes<const W: usize>(d: &Domain, dt: Real, range: Chunk) {
-    kinematics_groups::<Lanes<W>>(d, dt, range)
+/// The arguments of [`calc_kinematics_for_elems`].
+struct Kinematics<'a> {
+    d: &'a Domain,
+    dt: Real,
 }
 
-/// [`calc_kinematics_for_elems`] on AVX2 packs: the same body as
-/// [`calc_kinematics_for_elems_lanes::<4>`], bit for bit.
-///
-/// # Safety
-/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub fn calc_kinematics_for_elems_avx2(d: &Domain, dt: Real, range: Chunk) {
-    kinematics_groups::<Avx2Pack>(d, dt, range)
-}
+impl LaneKernel for Kinematics<'_> {
+    #[inline(always)]
+    fn group<P: Pack>(&mut self, e0: Index) {
+        let Self { d, dt } = *self;
+        let zero = P::zero();
+        let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
 
-/// The chunk walk behind every entry point, in groups of `P::LANES`.
-#[inline(always)]
-fn kinematics_groups<P: Pack>(d: &Domain, dt: Real, range: Chunk) {
-    lane_groups!(P, range.begin, range.end, |e| kinematics_lane_group
-        / kinematics_tail(d, dt, e));
-}
+        // Volume calculations.
+        let volume = calc_elem_volume(&x, &y, &z);
+        let relative_volume = volume / P::gather(|l| d.volo(e0 + l));
+        let delv = relative_volume - P::gather(|l| d.v(e0 + l));
 
-/// Elements `begin..end` one at a time: the ragged tail of every width and
-/// the whole of `W = 1` (see [`lane_groups!`]).
-#[inline(never)]
-fn kinematics_tail(d: &Domain, dt: Real, begin: Index, end: Index) {
-    for e in begin..end {
-        kinematics_lane_group::<Lanes<1>>(d, dt, e);
-    }
-}
+        // Characteristic length for time increment.
+        let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
 
-/// One group of `P::LANES` consecutive elements starting at `e0`.
-#[inline(always)]
-fn kinematics_lane_group<P: Pack>(d: &Domain, dt: Real, e0: Index) {
-    let zero = P::zero();
-    let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
-    gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
+        let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
 
-    // Volume calculations.
-    let volume = calc_elem_volume(&x, &y, &z);
-    let relative_volume = volume / P::gather(|l| d.volo(e0 + l));
-    let delv = relative_volume - P::gather(|l| d.v(e0 + l));
+        // Move the geometry half a timestep back.
+        let dt2 = P::splat(0.5 * dt);
+        for j in 0..8 {
+            x[j] = x[j] - dt2 * xd[j];
+            y[j] = y[j] - dt2 * yd[j];
+            z[j] = z[j] - dt2 * zd[j];
+        }
 
-    // Characteristic length for time increment.
-    let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
+        let mut b = [[zero; 8]; 3];
+        let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
+        let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
 
-    let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
-    gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
-
-    // Move the geometry half a timestep back.
-    let dt2 = P::splat(0.5 * dt);
-    for j in 0..8 {
-        x[j] = x[j] - dt2 * xd[j];
-        y[j] = y[j] - dt2 * yd[j];
-        z[j] = z[j] - dt2 * zd[j];
-    }
-
-    let mut b = [[zero; 8]; 3];
-    let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
-    let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
-
-    for l in 0..P::LANES {
-        let k = e0 + l;
-        d.set_vnew(k, relative_volume.lane(l));
-        d.set_delv(k, delv.lane(l));
-        d.set_arealg(k, arealg.lane(l));
-        d.set_dxx(k, dvg[0].lane(l));
-        d.set_dyy(k, dvg[1].lane(l));
-        d.set_dzz(k, dvg[2].lane(l));
+        for l in 0..P::LANES {
+            let k = e0 + l;
+            d.set_vnew(k, relative_volume.lane(l));
+            d.set_delv(k, delv.lane(l));
+            d.set_arealg(k, arealg.lane(l));
+            d.set_dxx(k, dvg[0].lane(l));
+            d.set_dyy(k, dvg[1].lane(l));
+            d.set_dzz(k, dvg[2].lane(l));
+        }
     }
 }
 
@@ -142,6 +111,8 @@ pub fn update_volumes_for_elems(d: &Domain, v_cut: Real, range: Chunk) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testutil::{assert_bits_eq, mid_blast_domain};
+    use crate::simd::Leg;
 
     fn elems(d: &Domain) -> Chunk {
         Chunk {
@@ -232,5 +203,107 @@ mod tests {
             calc_lagrange_elements_finish(&d, elems(&d)),
             Err(LuleshError::VolumeError)
         );
+    }
+
+    /// Frozen copy of the scalar `calc_kinematics_for_elems` body as it
+    /// stood before the kernel moved onto the lane engine (including the
+    /// `f64::max`-based characteristic length), kept as the reference.
+    fn frozen_scalar_kinematics(d: &Domain, dt: Real, range: Chunk) {
+        use crate::kernels::shape::{gather_elem_coords, gather_elem_velocities};
+        use crate::kernels::volume::area_face;
+        const FACES: [[usize; 4]; 6] = [
+            [0, 1, 2, 3],
+            [4, 5, 6, 7],
+            [0, 1, 5, 4],
+            [1, 2, 6, 5],
+            [2, 3, 7, 6],
+            [3, 0, 4, 7],
+        ];
+        let mut b = [[0.0; 8]; 3];
+        let (mut x, mut y, mut z) = ([0.0; 8], [0.0; 8], [0.0; 8]);
+        let (mut xd, mut yd, mut zd) = ([0.0; 8], [0.0; 8], [0.0; 8]);
+        for k in range.iter() {
+            gather_elem_coords(d, k, &mut x, &mut y, &mut z);
+            let volume: Real = calc_elem_volume(&x, &y, &z);
+            let relative_volume = volume / d.volo(k);
+            d.set_vnew(k, relative_volume);
+            d.set_delv(k, relative_volume - d.v(k));
+
+            let mut char_length: Real = 0.0;
+            for [i, j, m, n] in FACES {
+                char_length = char_length.max(area_face(
+                    x[i], x[j], x[m], x[n], y[i], y[j], y[m], y[n], z[i], z[j], z[m], z[n],
+                ));
+            }
+            d.set_arealg(k, 4.0 * volume / char_length.sqrt());
+
+            gather_elem_velocities(d, k, &mut xd, &mut yd, &mut zd);
+            let dt2 = 0.5 * dt;
+            for j in 0..8 {
+                x[j] -= dt2 * xd[j];
+                y[j] -= dt2 * yd[j];
+                z[j] -= dt2 * zd[j];
+            }
+            let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
+            let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
+            d.set_dxx(k, dvg[0]);
+            d.set_dyy(k, dvg[1]);
+            d.set_dzz(k, dvg[2]);
+        }
+    }
+
+    fn outputs(d: &Domain) -> Vec<Real> {
+        (0..d.num_elem())
+            .flat_map(|i| {
+                [
+                    d.vnew(i),
+                    d.delv(i),
+                    d.arealg(i),
+                    d.dxx(i),
+                    d.dyy(i),
+                    d.dzz(i),
+                ]
+            })
+            .collect()
+    }
+
+    /// NaN in all six outputs of every element of `range`: the kernel
+    /// must write each of them.
+    fn poison(d: &Domain, range: Chunk) {
+        for e in range.iter() {
+            for set in [
+                Domain::set_vnew,
+                Domain::set_delv,
+                Domain::set_arealg,
+                Domain::set_dxx,
+                Domain::set_dyy,
+                Domain::set_dzz,
+            ] {
+                set(d, e, Real::NAN);
+            }
+        }
+    }
+
+    #[test]
+    fn every_leg_matches_frozen_scalar_bitwise() {
+        let d = mid_blast_domain();
+        let dt = 3.0e-4;
+        let off = Chunk {
+            begin: 5,
+            end: d.num_elem() - 2,
+        };
+        for range in [elems(&d), off] {
+            frozen_scalar_kinematics(&d, dt, range);
+            let reference = outputs(&d);
+            for leg in Leg::all() {
+                poison(&d, range);
+                leg.walk(&mut Kinematics { d: &d, dt }, range.begin, range.end);
+                assert_bits_eq(&outputs(&d), &reference, &format!("kinematics {leg}"));
+            }
+            // The dispatcher, at whatever width is active.
+            poison(&d, range);
+            calc_kinematics_for_elems(&d, dt, range);
+            assert_bits_eq(&outputs(&d), &reference, "kinematics dispatch");
+        }
     }
 }

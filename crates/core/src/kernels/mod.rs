@@ -13,4 +13,6 @@ pub mod monoq;
 pub mod nodal;
 pub mod shape;
 pub mod stress;
+#[cfg(test)]
+mod testutil;
 pub mod volume;

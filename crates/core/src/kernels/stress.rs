@@ -20,9 +20,7 @@ use crate::kernels::shape::{
     calc_elem_node_normals, calc_elem_shape_function_derivatives, gather_elem_coords,
     gather_elem_coords_lanes, scatter_elem_corners_lanes, sum_elem_stresses_to_node_forces,
 };
-#[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2Pack;
-use crate::simd::{self, lane_groups, Lanes, Pack};
+use crate::simd::{self, LaneKernel, LaneWidth, Pack};
 use crate::types::{Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -59,10 +57,11 @@ pub fn init_stress_terms_for_elems(
 /// (`IntegrateStressForElems`, threaded variant). Writes `determ` (for the
 /// volume-error check) and `f*_elem[8·(i − range.begin) + c]`.
 ///
-/// Dispatches on the process-wide SIMD width and the host's ISA
-/// (`simd::dispatch!`): the scalar path is the reference, the lane paths
-/// are bit-identical by construction (same per-element IEEE operation
-/// sequence, no reassociation).
+/// At [`LaneWidth::W1`] this is the scalar reference
+/// [`integrate_stress_for_elems_scalar`]; at the lane widths it runs the
+/// lane walk (`simd::walk`) on the host's ISA, bit-identical by
+/// construction (same per-element IEEE operation sequence, no
+/// reassociation).
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_stress_for_elems(
     d: &Domain,
@@ -75,15 +74,25 @@ pub fn integrate_stress_for_elems(
     fz_elem: &mut [Real],
     range: Chunk,
 ) {
-    simd::dispatch!(
-        integrate_stress_for_elems_lanes
-            / integrate_stress_for_elems_avx2(
-                d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range
-            ),
-        scalar: integrate_stress_for_elems_scalar(
-            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range
-        )
-    )
+    if simd::active() == LaneWidth::W1 {
+        return integrate_stress_for_elems_scalar(
+            d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
+        );
+    }
+    debug_assert_eq!(determ.len(), range.len());
+    debug_assert_eq!(fx_elem.len(), 8 * range.len());
+    let mut k = Stress {
+        d,
+        begin: range.begin,
+        sigxx,
+        sigyy,
+        sigzz,
+        determ,
+        fx_elem,
+        fy_elem,
+        fz_elem,
+    };
+    simd::walk(&mut k, range.begin, range.end)
 }
 
 /// Scalar reference implementation of [`integrate_stress_for_elems`].
@@ -134,146 +143,46 @@ pub fn integrate_stress_for_elems_scalar(
     }
 }
 
-/// Lane implementation of [`integrate_stress_for_elems`]: the chunk is
-/// walked in groups of `W` elements computed with [`Lanes<W>`]; the ragged
-/// tail reuses the same generic body at `W = 1`, which is
-/// operation-identical to the scalar reference.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_stress_for_elems_lanes<const W: usize>(
-    d: &Domain,
-    sigxx: &[Real],
-    sigyy: &[Real],
-    sigzz: &[Real],
-    determ: &mut [Real],
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) {
-    stress_groups::<Lanes<W>>(
-        d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-    )
-}
-
-/// [`integrate_stress_for_elems`] on AVX2 packs: the same body as
-/// [`integrate_stress_for_elems_lanes::<4>`], bit for bit.
-///
-/// # Safety
-/// The CPU must have AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_stress_for_elems_avx2(
-    d: &Domain,
-    sigxx: &[Real],
-    sigyy: &[Real],
-    sigzz: &[Real],
-    determ: &mut [Real],
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) {
-    stress_groups::<Avx2Pack>(
-        d, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem, range,
-    )
-}
-
-/// The chunk walk behind both lane entry points, in groups of `P::LANES`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn stress_groups<P: Pack>(
-    d: &Domain,
-    sigxx: &[Real],
-    sigyy: &[Real],
-    sigzz: &[Real],
-    determ: &mut [Real],
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    range: Chunk,
-) {
-    debug_assert_eq!(determ.len(), range.len());
-    debug_assert_eq!(fx_elem.len(), 8 * range.len());
-
-    lane_groups!(P, range.begin, range.end, |e| stress_lane_group
-        / stress_tail(
-            d,
-            range.begin,
-            e,
-            sigxx,
-            sigyy,
-            sigzz,
-            determ,
-            fx_elem,
-            fy_elem,
-            fz_elem
-        ));
-}
-
-/// Elements `e0..end` one at a time: the ragged tail of every width and
-/// the whole of `W = 1` (see [`lane_groups!`]).
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn stress_tail(
-    d: &Domain,
+/// The arguments of the lane path of [`integrate_stress_for_elems`]; the
+/// chunk-local slot of element `e` is `e - begin`.
+struct Stress<'a> {
+    d: &'a Domain,
     begin: Index,
-    e0: Index,
-    sigxx: &[Real],
-    sigyy: &[Real],
-    sigzz: &[Real],
-    determ: &mut [Real],
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-    end: Index,
-) {
-    for e in e0..end {
-        stress_lane_group::<Lanes<1>>(
-            d, begin, e, sigxx, sigyy, sigzz, determ, fx_elem, fy_elem, fz_elem,
-        );
+    sigxx: &'a [Real],
+    sigyy: &'a [Real],
+    sigzz: &'a [Real],
+    determ: &'a mut [Real],
+    fx_elem: &'a mut [Real],
+    fy_elem: &'a mut [Real],
+    fz_elem: &'a mut [Real],
+}
+
+impl LaneKernel for Stress<'_> {
+    /// The group computed entirely in lane registers and scattered back.
+    #[inline(always)]
+    fn group<P: Pack>(&mut self, e0: Index) {
+        let k0 = e0 - self.begin;
+        let zero = P::zero();
+        let (mut xl, mut yl, mut zl) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_coords_lanes(self.d, e0, &mut xl, &mut yl, &mut zl);
+
+        let mut b = [[zero; 8]; 3];
+        let det = calc_elem_shape_function_derivatives(&xl, &yl, &zl, &mut b);
+        let (b0, b12) = b.split_first_mut().expect("b has 3 rows");
+        let (b1, b2) = b12.split_first_mut().expect("b has 3 rows");
+        calc_elem_node_normals(b0, b1, &mut b2[0], &xl, &yl, &zl);
+
+        let sx = P::load(self.sigxx, k0);
+        let sy = P::load(self.sigyy, k0);
+        let sz = P::load(self.sigzz, k0);
+        let (mut fxl, mut fyl, mut fzl) = ([zero; 8], [zero; 8], [zero; 8]);
+        sum_elem_stresses_to_node_forces(&b, sx, sy, sz, &mut fxl, &mut fyl, &mut fzl);
+
+        det.store(self.determ, k0);
+        scatter_elem_corners_lanes(self.fx_elem, k0, &fxl);
+        scatter_elem_corners_lanes(self.fy_elem, k0, &fyl);
+        scatter_elem_corners_lanes(self.fz_elem, k0, &fzl);
     }
-}
-
-/// One group of `P::LANES` consecutive elements starting at `e0`
-/// (chunk-local slot `e0 - begin`), computed entirely in lane registers
-/// and scattered back.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn stress_lane_group<P: Pack>(
-    d: &Domain,
-    begin: Index,
-    e0: Index,
-    sigxx: &[Real],
-    sigyy: &[Real],
-    sigzz: &[Real],
-    determ: &mut [Real],
-    fx_elem: &mut [Real],
-    fy_elem: &mut [Real],
-    fz_elem: &mut [Real],
-) {
-    let k0 = e0 - begin;
-    let zero = P::zero();
-    let (mut xl, mut yl, mut zl) = ([zero; 8], [zero; 8], [zero; 8]);
-    gather_elem_coords_lanes(d, e0, &mut xl, &mut yl, &mut zl);
-
-    let mut b = [[zero; 8]; 3];
-    let det = calc_elem_shape_function_derivatives(&xl, &yl, &zl, &mut b);
-    let (b0, b12) = b.split_first_mut().expect("b has 3 rows");
-    let (b1, b2) = b12.split_first_mut().expect("b has 3 rows");
-    calc_elem_node_normals(b0, b1, &mut b2[0], &xl, &yl, &zl);
-
-    let sx = P::load(sigxx, k0);
-    let sy = P::load(sigyy, k0);
-    let sz = P::load(sigzz, k0);
-    let (mut fxl, mut fyl, mut fzl) = ([zero; 8], [zero; 8], [zero; 8]);
-    sum_elem_stresses_to_node_forces(&b, sx, sy, sz, &mut fxl, &mut fyl, &mut fzl);
-
-    det.store(determ, k0);
-    scatter_elem_corners_lanes(fx_elem, k0, &fxl);
-    scatter_elem_corners_lanes(fy_elem, k0, &fyl);
-    scatter_elem_corners_lanes(fz_elem, k0, &fzl);
 }
 
 /// Fail with [`LuleshError::VolumeError`] if any determinant in the slice is
@@ -380,7 +289,8 @@ pub fn gather_forces_sum2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parutil::Chunk;
+    use crate::kernels::testutil::{assert_bits_eq, mid_blast_domain, seeded_domain};
+    use crate::simd::Leg;
 
     fn full(d: &Domain) -> Chunk {
         Chunk {
@@ -553,6 +463,60 @@ mod tests {
         gather_forces_sum2(&d, &a, &a, &a, &b, &b, &b, nodes);
         for (nn, &e) in expect.iter().enumerate() {
             assert_eq!(d.fx(nn), e, "node {nn}");
+        }
+    }
+
+    /// The scalar twin, then every walk leg on NaN-poisoned outputs (the
+    /// kernel must write every slot), compared bit for bit.
+    fn every_leg_matches_scalar(d: &Domain, range: Chunk) {
+        let n = range.len();
+        let (mut sx, mut sy, mut sz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        init_stress_terms_for_elems(d, &mut sx, &mut sy, &mut sz, range);
+        let corners = |v: Real| vec![v; 8 * n];
+        let mut det1 = vec![0.0; n];
+        let (mut fx1, mut fy1, mut fz1) = (corners(0.0), corners(0.0), corners(0.0));
+        integrate_stress_for_elems_scalar(
+            d, &sx, &sy, &sz, &mut det1, &mut fx1, &mut fy1, &mut fz1, range,
+        );
+        for leg in Leg::all() {
+            let mut det2 = vec![Real::NAN; n];
+            let (mut fx2, mut fy2, mut fz2) =
+                (corners(Real::NAN), corners(Real::NAN), corners(Real::NAN));
+            let mut k = Stress {
+                d,
+                begin: range.begin,
+                sigxx: &sx,
+                sigyy: &sy,
+                sigzz: &sz,
+                determ: &mut det2,
+                fx_elem: &mut fx2,
+                fy_elem: &mut fy2,
+                fz_elem: &mut fz2,
+            };
+            leg.walk(&mut k, range.begin, range.end);
+            assert_bits_eq(&det1, &det2, &format!("determ {leg}"));
+            assert_bits_eq(&fx1, &fx2, &format!("fx_elem {leg}"));
+            assert_bits_eq(&fy1, &fy2, &format!("fy_elem {leg}"));
+            assert_bits_eq(&fz1, &fz2, &format!("fz_elem {leg}"));
+        }
+    }
+
+    #[test]
+    fn every_leg_matches_scalar_bitwise() {
+        // 27 and 125 elements: ragged for every width; also a nonzero chunk
+        // begin (19 and 114 elements: ragged again) to catch chunk-local
+        // offset bugs, on flat and on blast-distorted geometry.
+        for (d, begin, trim) in [(seeded_domain(), 8, 0), (mid_blast_domain(), 7, 4)] {
+            let n = d.num_elem();
+            for range in [
+                full(&d),
+                Chunk {
+                    begin,
+                    end: n - trim,
+                },
+            ] {
+                every_leg_matches_scalar(&d, range);
+            }
         }
     }
 

@@ -24,23 +24,33 @@
 //!   sqrt}_pd`, a sign-bit `xor`/`andnot` for `neg`/`abs`, ordered-quiet
 //!   compares (`LT_OQ`, `LE_OQ`, `GT_OQ`, `GE_OQ`, false on NaN like the
 //!   scalar operators) with `blendv` for the selects, and libm `cbrt` per
-//!   lane. The four hot kernels run their one body on it in their
-//!   `#[target_feature(enable = "avx2")]` entries (`*_avx2`), and
-//!   `dispatch!` calls those at w4 when the CPU has AVX2 ([`Isa::Avx2`]).
-//!   No FMA is enabled or used, so each lane rounds exactly as the scalar
-//!   SSE2 operation does. The choice is made from the platform alone
-//!   ([`Isa::detect`]); there is no flag for it.
+//!   lane. At w4 on a CPU with AVX2 ([`Isa::Avx2`]) the lane walk runs
+//!   every kernel's groups on it, inside its one
+//!   `#[target_feature(enable = "avx2")]` function. No FMA is enabled or
+//!   used, so each lane rounds exactly as the scalar SSE2 operation does.
+//!   The choice is made from the platform alone ([`Isa::detect`]); there
+//!   is no flag for it.
+//!
+//! One walk runs every lane kernel. A kernel is a struct of its arguments
+//! implementing the crate-private `LaneKernel` trait, whose one generic
+//! method `group::<P>(e0)` computes `P::LANES` consecutive elements on
+//! any pack. The walk (`walk`) holds the one width × ISA match: the
+//! `Lanes<1>` tail at `W = 1`, `Lanes<4|8>` groups at the lane widths, and
+//! at w4 on an AVX2 CPU the same groups on `Avx2Pack`. Every pack's walk
+//! ends in the same `#[inline(never)]` `Lanes<1>` tail for the ragged
+//! remainder, one baseline copy of the body per kernel. Each kernel
+//! dispatcher builds its struct and calls the walk; stress and EOS keep
+//! their scalar twins as the `W = 1` reference instead.
 //!
 //! Soundness rule: `Avx2Pack`'s safe methods execute AVX instructions, so
-//! the type is crate-private and only constructed inside the `*_avx2`
-//! entries, which `dispatch!` reaches only after
-//! `is_x86_feature_detected!("avx2")` held. No safe public path reaches it.
+//! the type is private to this file and constructed only inside the AVX2
+//! walk (`walk_avx2`), which the walk calls only after
+//! `is_x86_feature_detected!("avx2")` held. No safe path reaches it
+//! otherwise, and no other file can name it.
 //!
 //! The shared per-element math of each ported kernel is written once,
-//! generic over [`SimdReal`], and each kernel's `*_lane_group` body once,
-//! generic over the crate's pack trait (`gather`, `load`, `store`,
-//! `lane`). They are instantiated with `Lanes<1>` (the ragged tails and
-//! the `W = 1` reference mode), `Lanes<4|8>` and `Avx2Pack`.
+//! generic over [`SimdReal`], and each kernel's `group` body once, generic
+//! over the crate's pack trait (`gather`, `load`, `store`, `lane`).
 //! Divergent branches are handled with per-lane selects
 //! ([`SimdReal::select_lt`] etc.): both sides are computed and the untaken
 //! lane's value discarded, which preserves bit-identity because the taken
@@ -54,15 +64,16 @@
 //! tests that flip the global cannot change any result.
 //!
 //! Every lane kernel is a single pass per element, so a chunk is walked
-//! as plain `LANES`-element groups (`lane_groups!`) — there is no cache
-//! blocking layer to tune.
+//! as plain `LANES`-element groups — there is no cache blocking layer to
+//! tune.
 //!
-//! Inlining is load-bearing here: a helper LLVM declines to inline into an
-//! AVX2 entry point is compiled as baseline code — and for `Avx2Pack` a
-//! call would cross a target-feature boundary — so the kernels' helper
-//! chain (`volume.rs`, `shape.rs`, the `*_lane_group` bodies) and every
-//! `Avx2Pack` op are `#[inline(always)]`. `scripts/check.sh` fails if a
-//! pack op or pack-trait method is left out of line in the release binary.
+//! Inlining is load-bearing here: a helper LLVM declines to inline into
+//! the AVX2 walk is compiled as baseline code — and for `Avx2Pack` a call
+//! would cross a target-feature boundary — so the kernels' helper chain
+//! (`volume.rs`, `shape.rs`, the `group` bodies) and every `Avx2Pack` op
+//! are `#[inline(always)]`. `scripts/check.sh` fails if a pack op,
+//! pack-trait method or `group` body is left out of line in the release
+//! binary.
 
 // The elementwise loops index several arrays at once; iterator zips would
 // obscure the per-lane operation.
@@ -247,10 +258,10 @@ impl<const W: usize> SimdReal for Lanes<W> {
     lanes_select!(select_ge, >=);
 }
 
-/// A lane pack the kernels' `*_lane_group` bodies walk memory with: the
+/// A lane pack the kernels' `group` bodies walk memory with: the
 /// [`SimdReal`] arithmetic plus the four ways a group meets the arrays.
 /// [`Lanes<W>`] is the portable pack (every baseline width and the `W = 1`
-/// tails); on x86_64 [`Avx2Pack`] is the one the `*_avx2` entries run.
+/// tails); on x86_64 [`Avx2Pack`] is the one the AVX2 walk runs.
 pub(crate) trait Pack: SimdReal {
     /// Build from a per-lane function (the gather primitive).
     fn gather(f: impl FnMut(usize) -> Real) -> Self;
@@ -288,7 +299,7 @@ impl<const W: usize> Pack for Lanes<W> {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::Avx2Pack;
+use avx2::Avx2Pack;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -297,18 +308,18 @@ mod avx2 {
     use std::arch::x86_64::*;
     use std::ops::{Add, Div, Mul, Neg, Sub};
 
-    /// Four `f64` lanes in one AVX register, for the four `*_avx2` kernel
-    /// entries. Every operation is one `#[inline(always)]` intrinsic, so
-    /// it is compiled inside the `#[target_feature(enable = "avx2")]`
-    /// entry that uses it, never as baseline code.
+    /// Four `f64` lanes in one AVX register, for the AVX2 lane walk. Every
+    /// operation is one `#[inline(always)]` intrinsic, so it is compiled
+    /// inside the `#[target_feature(enable = "avx2")]` walk that uses it,
+    /// never as baseline code.
     ///
     /// Soundness: the operations execute AVX instructions with no check of
     /// their own, so a value of this type may only exist on a CPU with
-    /// AVX2. It is crate-private and constructed only inside the `*_avx2`
-    /// entries, which `simd::dispatch!` calls after `Isa::detect` saw
-    /// `is_x86_feature_detected!("avx2")`; no safe public path reaches it.
-    /// `scripts/check.sh` fails if the type is named in any file but this
-    /// one and the four kernels'.
+    /// AVX2. It is private to `simd.rs` and constructed only inside
+    /// `simd::walk_avx2`, which `simd::walk` calls after `Isa::detect` saw
+    /// `is_x86_feature_detected!("avx2")`; no safe path reaches it.
+    /// `scripts/check.sh` fails if the type is named in any file but
+    /// `simd.rs`.
     ///
     /// Bit identity with `f64`: `vaddpd`/`vsubpd`/`vmulpd`/`vdivpd`/
     /// `vsqrtpd` are the IEEE-754 operations of their SSE2 scalar forms,
@@ -317,7 +328,7 @@ mod avx2 {
     /// with the ordered-quiet predicates, false on NaN like the scalar
     /// `<`/`<=`/`>`/`>=`; `cbrt` calls libm's per lane.
     #[derive(Copy, Clone)]
-    pub(crate) struct Avx2Pack(__m256d);
+    pub(super) struct Avx2Pack(__m256d);
 
     impl Avx2Pack {
         #[inline(always)]
@@ -431,50 +442,114 @@ mod avx2 {
     }
 }
 
-/// Walk `$lo..$hi` in groups of `$p::LANES` consecutive elements through
-/// `$group::<$p>($args)` with `$e` bound to each group's first element,
-/// then hand the ragged tail `$e..$hi` to `$tail($args, $hi)`. `$tail` is
-/// the kernel's `Lanes<1>` loop (operation-identical to the scalar
-/// reference) behind `#[inline(never)]`, and for a one-lane pack it is the
-/// whole walk: one baseline copy of the scalar body per kernel instead of
-/// one inlined into every pack instantiation.
-macro_rules! lane_groups {
-    ($p:ty, $lo:expr, $hi:expr, |$e:ident| $group:ident / $tail:ident($($arg:expr),* $(,)?)) => {{
-        let w = <$p as $crate::simd::SimdReal>::LANES;
-        let hi = $hi;
-        let mut $e = $lo;
-        while w > 1 && $e + w <= hi {
-            $group::<$p>($($arg),*);
-            $e += w;
-        }
-        if $e < hi {
-            $tail($($arg),*, hi);
-        }
-    }};
+/// A lane kernel as [`walk`] runs it: one body, [`group`](Self::group),
+/// over `P::LANES` consecutive elements, generic over the pack. The
+/// kernel's arguments live in the implementing struct.
+pub(crate) trait LaneKernel {
+    /// Elements `e0..e0 + P::LANES`.
+    fn group<P: Pack>(&mut self, e0: usize);
 }
-pub(crate) use lane_groups;
 
-/// The width × ISA choice of a lane kernel's entry point, in one place:
-/// `$scalar` at [`LaneWidth::W1`], `$lanes::<W>($args)` at the lane widths,
-/// and at [`LaneWidth::W4`] on a CPU with AVX2 the `$avx2($args)` copy of
-/// the same `Lanes<4>` body.
-macro_rules! dispatch {
-    ($lanes:ident / $avx2:ident($($arg:expr),* $(,)?), scalar: $scalar:expr) => {{
-        use $crate::simd::{Isa, LaneWidth};
-        let width = $crate::simd::active();
-        match (width, Isa::detect(width)) {
-            (LaneWidth::W1, _) => $scalar,
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::detect` answers `Avx2` only after
-            // `is_x86_feature_detected!("avx2")` held on this CPU, and AVX2
-            // is the one feature `$avx2` is compiled with.
-            (LaneWidth::W4, Isa::Avx2) => unsafe { $avx2($($arg),*) },
-            (LaneWidth::W4, _) => $lanes::<4>($($arg),*),
-            (LaneWidth::W8, _) => $lanes::<8>($($arg),*),
-        }
-    }};
+/// Run `k` over `lo..hi` at the process-wide width ([`active`]) on the
+/// ISA this host runs that width at ([`Isa::detect`]).
+#[inline(always)]
+pub(crate) fn walk<K: LaneKernel>(k: &mut K, lo: usize, hi: usize) {
+    let width = active();
+    // SAFETY: `Isa::detect` answers `Avx2` only after
+    // `is_x86_feature_detected!("avx2")` held on this CPU.
+    unsafe { walk_at(width, Isa::detect(width), k, lo, hi) }
 }
-pub(crate) use dispatch;
+
+/// The width × ISA choice of every lane kernel, in one place: the
+/// `Lanes<1>` [`tail`] at [`LaneWidth::W1`], [`groups`] of [`Lanes<W>`] at
+/// the lane widths, and at w4 on an AVX2 CPU the same groups on
+/// `Avx2Pack` ([`walk_avx2`]).
+///
+/// # Safety
+/// `isa` may be [`Isa::Avx2`] only on a CPU with AVX2.
+#[inline(always)]
+unsafe fn walk_at<K: LaneKernel>(width: LaneWidth, isa: Isa, k: &mut K, lo: usize, hi: usize) {
+    match (width, isa) {
+        (LaneWidth::W1, _) => tail(k, lo, hi),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU has AVX2 (this function's contract), the one
+        // feature `walk_avx2` is compiled with.
+        (LaneWidth::W4, Isa::Avx2) => unsafe { walk_avx2(k, lo, hi) },
+        (LaneWidth::W4, _) => groups::<Lanes<4>, K>(k, lo, hi),
+        (LaneWidth::W8, _) => groups::<Lanes<8>, K>(k, lo, hi),
+    }
+}
+
+/// [`groups`] on `Avx2Pack`, compiled for AVX2: the kernel's `group` body
+/// and every pack op inline here, one `ymm` instruction per op. The only
+/// place an `Avx2Pack` is made.
+///
+/// # Safety
+/// The CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn walk_avx2<K: LaneKernel>(k: &mut K, lo: usize, hi: usize) {
+    groups::<Avx2Pack, K>(k, lo, hi)
+}
+
+/// `lo..hi` in groups of `P::LANES` consecutive elements, then the ragged
+/// tail.
+#[inline(always)]
+fn groups<P: Pack, K: LaneKernel>(k: &mut K, lo: usize, hi: usize) {
+    let mut e = lo;
+    while e + P::LANES <= hi {
+        k.group::<P>(e);
+        e += P::LANES;
+    }
+    if e < hi {
+        tail(k, e, hi);
+    }
+}
+
+/// Elements `lo..hi` one at a time on `Lanes<1>`, operation-identical to
+/// the scalar reference: the ragged tail of every pack and the whole of
+/// `W = 1`. Out of line, so each kernel has one baseline copy of its body
+/// for this instead of one inlined into every pack's walk.
+#[inline(never)]
+fn tail<K: LaneKernel>(k: &mut K, lo: usize, hi: usize) {
+    for e in lo..hi {
+        k.group::<Lanes<1>>(e);
+    }
+}
+
+/// One (width, ISA) leg of [`walk`], pinned for tests. Only [`Leg::all`]
+/// makes one, so an AVX2 leg exists only where AVX2 was detected.
+#[cfg(test)]
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Leg(LaneWidth, Isa);
+
+#[cfg(test)]
+impl Leg {
+    /// `Lanes<1>`, `Lanes<4>`, `Lanes<8>`, and `Avx2Pack` where this CPU
+    /// has AVX2 (a skip line where not).
+    pub(crate) fn all() -> Vec<Leg> {
+        let mut legs: Vec<Leg> = LaneWidth::ALL.map(|w| Leg(w, Isa::Baseline)).into();
+        match Isa::detect(LaneWidth::W4) {
+            Isa::Avx2 => legs.push(Leg(LaneWidth::W4, Isa::Avx2)),
+            Isa::Baseline => println!("skip: no AVX2 on this host, the AVX2 walk not run"),
+        }
+        legs
+    }
+
+    /// [`walk`] on this leg.
+    pub(crate) fn walk<K: LaneKernel>(self, k: &mut K, lo: usize, hi: usize) {
+        // SAFETY: `all` makes an AVX2 leg only after `Isa::detect` found
+        // AVX2 on this CPU.
+        unsafe { walk_at(self.0, self.1, k, lo, hi) }
+    }
+}
+
+#[cfg(test)]
+impl std::fmt::Display for Leg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}", self.0, self.1)
+    }
+}
 
 /// The lane widths the kernels are instantiated at.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -687,9 +762,8 @@ mod tests {
         ]
     }
 
-    /// [`ops`] on one AVX2 pack per operand, compiled as the `*_avx2`
-    /// kernels compile the pack ops they inline; lanes read back with
-    /// `store`.
+    /// [`ops`] on one AVX2 pack per operand, compiled as the AVX2 walk
+    /// compiles the pack ops it inlines; lanes read back with `store`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn avx2_ops(a: [Real; 4], b: [Real; 4]) -> [[Real; 4]; 12] {
@@ -771,6 +845,34 @@ mod tests {
         let (dst, lanes) = unsafe { roundtrip(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) };
         assert_eq!(dst, [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(lanes, [6.0, 5.0, 4.0, 3.0]);
+    }
+
+    /// Records every group the walk hands it as `(first element, lanes)`.
+    struct Visits(Vec<(usize, usize)>);
+
+    impl LaneKernel for Visits {
+        fn group<P: Pack>(&mut self, e0: usize) {
+            self.0.push((e0, P::LANES));
+        }
+    }
+
+    #[test]
+    fn walk_visits_every_index_once_on_every_leg() {
+        let lo = 5;
+        for leg in Leg::all() {
+            let lanes = leg.0.lanes();
+            for len in 0..=17 {
+                let mut k = Visits(Vec::new());
+                leg.walk(&mut k, lo, lo + len);
+                // Whole groups of the leg's width, then one-lane tail steps.
+                let whole = if lanes > 1 { len / lanes } else { 0 };
+                let expect: Vec<(usize, usize)> = (0..whole)
+                    .map(|g| (lo + g * lanes, lanes))
+                    .chain((lo + whole * lanes..lo + len).map(|e| (e, 1)))
+                    .collect();
+                assert_eq!(k.0, expect, "{leg}, {len} elements from {lo}");
+            }
+        }
     }
 
     #[test]

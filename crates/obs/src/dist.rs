@@ -27,7 +27,7 @@
 //! spans (the innermost, latest-started span owns each instant).
 
 use crate::jsonlint::{self, Value};
-use crate::Span;
+use crate::{Span, SpanKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -62,6 +62,21 @@ impl OwnedSpan {
     /// Duration in nanoseconds.
     pub fn dur_ns(&self) -> u64 {
         self.end_ns - self.start_ns
+    }
+}
+
+impl From<&Span> for OwnedSpan {
+    fn from(s: &Span) -> Self {
+        Self {
+            id: s.task_id,
+            label: s.label.to_string(),
+            lane: s.worker,
+            start_ns: s.start_ns,
+            end_ns: s.end_ns,
+            cat: s.kind.name().to_string(),
+            bytes: s.bytes,
+            peer: s.peer as i64,
+        }
     }
 }
 
@@ -118,19 +133,7 @@ impl RankTrace {
             main_lane,
             offset_ns,
             lane_names,
-            spans: spans
-                .iter()
-                .map(|s| OwnedSpan {
-                    id: s.task_id,
-                    label: s.label.to_string(),
-                    lane: s.worker,
-                    start_ns: s.start_ns,
-                    end_ns: s.end_ns,
-                    cat: s.kind.name().to_string(),
-                    bytes: s.bytes,
-                    peer: s.peer as i64,
-                })
-                .collect(),
+            spans: spans.iter().map(OwnedSpan::from).collect(),
         }
     }
 
@@ -414,25 +417,36 @@ pub fn merged_chrome_trace(m: &MergedTrace) -> String {
             esc(name)
         ));
     }
-    for ms in &m.spans {
-        let s = &ms.span;
-        let args = if s.cat == "parcel" {
-            format!(r#", "args": {{"bytes": {}, "peer": {}}}"#, s.bytes, s.peer)
-        } else {
-            String::new()
-        };
-        events.push(format!(
-            r#"  {{"name": "{}-{}", "cat": "{}", "ph": "X", "ts": {:.3}, "dur": {:.3}, "pid": {}, "tid": {}{}}}"#,
-            esc(&s.label),
-            s.id,
-            s.cat,
-            s.start_ns as f64 / 1000.0,
-            s.dur_ns() as f64 / 1000.0,
-            ms.rank,
-            s.lane,
-            args,
-        ));
-    }
+    events.extend(m.spans.iter().map(|ms| x_event(&ms.span, ms.rank)));
+    json_array(&events)
+}
+
+/// One Chrome-trace `ph: "X"` complete event for `s` in process `pid`,
+/// the line both [`crate::chrome_trace`] and [`merged_chrome_trace`]
+/// write: name `label-id`, the category, microsecond timestamps. Parcel
+/// spans carry payload size and peer rank as event args so Perfetto can
+/// aggregate bytes-on-wire per lane.
+pub(crate) fn x_event(s: &OwnedSpan, pid: usize) -> String {
+    let args = if s.cat == SpanKind::Parcel.name() {
+        format!(r#", "args": {{"bytes": {}, "peer": {}}}"#, s.bytes, s.peer)
+    } else {
+        String::new()
+    };
+    format!(
+        r#"  {{"name": "{}-{}", "cat": "{}", "ph": "X", "ts": {:.3}, "dur": {:.3}, "pid": {}, "tid": {}{}}}"#,
+        esc(&s.label),
+        s.id,
+        s.cat,
+        s.start_ns as f64 / 1000.0,
+        s.dur_ns() as f64 / 1000.0,
+        pid,
+        s.lane,
+        args,
+    )
+}
+
+/// Chrome-trace events as a JSON array, one event per line.
+pub(crate) fn json_array(events: &[String]) -> String {
     let mut out = String::from("[\n");
     out.push_str(&events.join(",\n"));
     out.push_str("\n]\n");

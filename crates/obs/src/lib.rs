@@ -236,30 +236,8 @@ impl Tracer {
 /// `simsched::timeline::to_chrome_trace` emits (`ph: "X"` complete
 /// events, microsecond timestamps), with the span kind as `cat`.
 pub fn chrome_trace(spans: &[Span]) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(spans.len());
-    for s in spans {
-        // Parcel spans carry payload size and peer rank as event args so
-        // Perfetto can aggregate bytes-on-wire per lane.
-        let args = if s.kind == SpanKind::Parcel {
-            format!(r#", "args": {{"bytes": {}, "peer": {}}}"#, s.bytes, s.peer)
-        } else {
-            String::new()
-        };
-        events.push(format!(
-            r#"  {{"name": "{}-{}", "cat": "{}", "ph": "X", "ts": {:.3}, "dur": {:.3}, "pid": 0, "tid": {}{}}}"#,
-            s.label,
-            s.task_id,
-            s.kind.name(),
-            s.start_ns as f64 / 1000.0,
-            s.dur_ns() as f64 / 1000.0,
-            s.worker,
-            args,
-        ));
-    }
-    let mut out = String::from("[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]\n");
-    out
+    let events: Vec<String> = spans.iter().map(|s| dist::x_event(&s.into(), 0)).collect();
+    dist::json_array(&events)
 }
 
 /// Write the standard observability outputs for a finished run: the

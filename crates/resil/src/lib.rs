@@ -288,31 +288,40 @@ impl DomainSnapshot {
         HEADER_LEN + NODE_ARRAYS * num_node + ELEM_ARRAYS * num_elem + GRAD_ARRAYS * grad_len
     }
 
+    /// The header both encoders write first, in [`encode`](Self::encode)'s
+    /// slot order (a u64 fingerprint does not round-trip through one f64,
+    /// hence its two halves).
+    fn header(&self) -> [Real; HEADER_LEN] {
+        [
+            SNAPSHOT_SCHEMA_VERSION as Real,
+            SNAPSHOT_MAGIC as Real,
+            self.rank as Real,
+            self.cycle as Real,
+            self.time,
+            self.deltatime,
+            self.dtcourant,
+            self.dthydro,
+            self.num_node as Real,
+            self.num_elem as Real,
+            self.grad_len as Real,
+            (self.region_fp >> 32) as u32 as Real,
+            self.region_fp as u32 as Real,
+        ]
+    }
+
     /// Flat-`Real` encoding (the `StepSummary` idiom): a fixed scalar
     /// header — version, magic, rank, cycle, the four dt-state fields,
     /// the three extents, the region fingerprint split into two 32-bit
-    /// halves (a u64 does not round-trip through one f64) — followed by
-    /// every array. All integer fields are far below 2^53, and `Real`
-    /// fields are stored as themselves, so the encoding is exact.
+    /// halves — followed by every array. All integer fields are far below
+    /// 2^53, and `Real` fields are stored as themselves, so the encoding
+    /// is exact.
     pub fn encode(&self) -> Vec<Real> {
         let mut v = Vec::with_capacity(Self::encoded_len(
             self.num_node,
             self.num_elem,
             self.grad_len,
         ));
-        v.push(SNAPSHOT_SCHEMA_VERSION as Real);
-        v.push(SNAPSHOT_MAGIC as Real);
-        v.push(self.rank as Real);
-        v.push(self.cycle as Real);
-        v.push(self.time);
-        v.push(self.deltatime);
-        v.push(self.dtcourant);
-        v.push(self.dthydro);
-        v.push(self.num_node as Real);
-        v.push(self.num_elem as Real);
-        v.push(self.grad_len as Real);
-        v.push((self.region_fp >> 32) as u32 as Real);
-        v.push(self.region_fp as u32 as Real);
+        v.extend_from_slice(&self.header());
         for a in &self.arrays {
             v.extend_from_slice(a);
         }
@@ -380,22 +389,7 @@ impl DomainSnapshot {
         out.clear();
         out.reserve(Self::encoded_len(self.num_node, self.num_elem, self.grad_len) * 8 + 8);
         let mut sum = FNV_OFFSET;
-        let header: [Real; HEADER_LEN] = [
-            SNAPSHOT_SCHEMA_VERSION as Real,
-            SNAPSHOT_MAGIC as Real,
-            self.rank as Real,
-            self.cycle as Real,
-            self.time,
-            self.deltatime,
-            self.dtcourant,
-            self.dthydro,
-            self.num_node as Real,
-            self.num_elem as Real,
-            self.grad_len as Real,
-            (self.region_fp >> 32) as u32 as Real,
-            self.region_fp as u32 as Real,
-        ];
-        for v in header {
+        for v in self.header() {
             sum = fold_word(sum, v.to_bits());
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -698,6 +692,16 @@ mod tests {
             DomainSnapshot::from_bytes(cut),
             Err(SnapshotError::ChecksumMismatch { .. } | SnapshotError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn byte_form_is_the_flat_encoding_plus_checksum() {
+        // The two encoders share their header: the on-disk payload is
+        // `encode()` value for value, as little-endian f64 bytes.
+        let snap = test_snapshot(1, 5);
+        let bytes = snap.to_bytes();
+        let flat: Vec<u8> = snap.encode().iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(&bytes[..bytes.len() - 8], &flat[..]);
     }
 
     #[test]

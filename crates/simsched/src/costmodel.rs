@@ -180,33 +180,16 @@ mod tests {
 
     #[test]
     fn defaults_are_positive() {
-        let m = CostModel::default();
-        for v in [
-            m.zero_forces,
-            m.init_stress,
-            m.integrate_stress,
-            m.volume_check,
-            m.gather_set,
-            m.hg_control,
-            m.hg_fb,
-            m.gather_add,
-            m.accel,
-            m.accel_bc,
-            m.velocity,
-            m.position,
-            m.kinematics,
-            m.lagrange_finish,
-            m.monoq_gradients,
-            m.monoq_region,
-            m.qstop_check,
-            m.vnewc_fill,
-            m.vnewc_check,
-            m.eos_per_rep,
-            m.eos_finish,
-            m.update_volumes,
-            m.constraints,
-        ] {
-            assert!(v > 0.0);
+        let mut m = CostModel::default();
+        // Every field is an f64 coefficient, so a field left out of
+        // `coefficients_mut` shows up as a size mismatch.
+        let n = m.coefficients_mut().len();
+        assert_eq!(
+            std::mem::size_of::<CostModel>(),
+            n * std::mem::size_of::<f64>()
+        );
+        for (i, v) in m.coefficients_mut().into_iter().enumerate() {
+            assert!(*v > 0.0, "coefficient {i} is {v}");
         }
     }
 }

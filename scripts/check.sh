@@ -142,33 +142,35 @@ for run in "lulesh-serial --s 6 --i 10" "lulesh-task --s 6 --i 10 --threads 2"; 
 done
 
 echo "== AVX2 kernels inline every lane op (x86_64 only) =="
-# The four *_for_elems_avx2 bodies only run at AVX2 width if every lane op
-# is inlined into them: an out-of-line Lanes / SimdReal op, Avx2Pack op or
-# pack-trait method (`<…Avx2Pack as Add>::add`, `<… as simd::Pack>::gather`)
-# is compiled for the baseline ISA and every call into it drops back to
-# SSE2. If the release binary holds no lane-op symbol at all, no AVX2 body
-# can call one.
+# One AVX2 lane walk, simd::walk_avx2, runs each of the four lane kernels
+# (stress, fused hourglass, kinematics, EOS), so release lulesh-serial holds
+# exactly four instantiations of it. Each only runs at AVX2 width if the
+# kernel's group body and every lane op are inlined into it: an
+# out-of-line Lanes / SimdReal op, Avx2Pack op, pack-trait method
+# (`<…Avx2Pack as Add>::add`, `<… as simd::Pack>::gather`) or group body
+# (`<… as simd::LaneKernel>::group`) is compiled for the baseline ISA and
+# every call into it drops back to SSE2. If the release binary holds no
+# such symbol at all, no AVX2 walk can call one.
 if [ "$(uname -m)" = x86_64 ]; then
   cargo build --release -q -p lulesh-core --bin lulesh-serial
   nm -C target/release/lulesh-serial > "$TMP/serial.syms"
-  AVX2_ENTRIES=$(grep -c '_for_elems_avx2$' "$TMP/serial.syms" || true)
-  if [ "$AVX2_ENTRIES" -ne 4 ]; then
-    echo "expected 4 *_for_elems_avx2 symbols, found $AVX2_ENTRIES:"
-    grep '_avx2' "$TMP/serial.syms" || true
+  AVX2_WALKS=$(grep -c ' lulesh_core::simd::walk_avx2$' "$TMP/serial.syms" || true)
+  if [ "$AVX2_WALKS" -ne 4 ]; then
+    echo "expected 4 simd::walk_avx2 instantiations, found $AVX2_WALKS:"
+    grep 'avx2' "$TMP/serial.syms" || true
     exit 1
   fi
-  if grep -E 'simd::(Lanes|Pack|SimdReal)|Avx2Pack' "$TMP/serial.syms"; then
-    echo "lane ops above were compiled out of line; AVX2 bodies may call them"
+  if grep -E 'simd::(Lanes|Pack|SimdReal|LaneKernel)|Avx2Pack' "$TMP/serial.syms"; then
+    echo "lane ops or group bodies above were compiled out of line; the AVX2 walk may call them"
     exit 1
   fi
 fi
 # Avx2Pack executes AVX instructions from safe methods, so it may be named
-# only where it is defined and in the four kernels whose *_avx2 entries
-# (reached through simd::dispatch! after AVX2 detection) construct it.
+# only in simd.rs, where simd::walk_avx2 (reached through simd::walk after
+# AVX2 detection) is the one place that constructs it.
 PACK_FILES=$(grep -rlw Avx2Pack crates src tests examples --include='*.rs' | sort | tr '\n' ' ')
-if [ "$PACK_FILES" != "crates/core/src/kernels/eos.rs crates/core/src/kernels/hourglass.rs \
-crates/core/src/kernels/kinematics.rs crates/core/src/kernels/stress.rs crates/core/src/simd.rs " ]; then
-  echo "Avx2Pack is named outside simd.rs and the four *_avx2 kernels: $PACK_FILES"
+if [ "$PACK_FILES" != "crates/core/src/simd.rs " ]; then
+  echo "Avx2Pack is named outside simd.rs: $PACK_FILES"
   exit 1
 fi
 
