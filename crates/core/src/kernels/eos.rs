@@ -496,7 +496,8 @@ fn calc_sound_speed_for_elems(
 ///
 /// At [`LaneWidth::W1`] this is the scalar reference
 /// [`eval_eos_for_elems_scalar`]. At the lane widths each repetition runs
-/// the lane walk (`simd::walk`) on the host's ISA: the fused
+/// the lane walk (`simd::walk`) on the host's ISA, at w8 on an AVX-512
+/// host on the 4-lane AVX2 pack (the kernel pins it): the fused
 /// per-element pipeline (gather → compression → energy steps → pressure →
 /// sound speed) in registers, never touching `s`, bit-identical to the
 /// reference. The repetition loop stays outermost like the reference (the
@@ -673,6 +674,12 @@ struct Eos<'a> {
 }
 
 impl LaneKernel for Eos<'_> {
+    /// The walk gathers every input through the region list, so an 8-lane
+    /// group gathers twice the lanes and leaves longer scalar tails: EOS
+    /// ran 2.32 → 3.69 ms per iteration at s45 on the AVX-512 pack against
+    /// the AVX2 one (EXPERIMENTS.md, "AVX-512 pack and row loads").
+    const PIN_AVX2: bool = true;
+
     /// Gather the seven inputs, run the fused kernel, and on the last
     /// repetition scatter the four outputs.
     #[inline(always)]

@@ -16,7 +16,7 @@
 use crate::domain::Domain;
 use crate::kernels::shape::{
     gather_elem_coords, gather_elem_coords_lanes, gather_elem_velocities,
-    gather_elem_velocities_lanes, scatter_elem_corners_lanes,
+    gather_elem_velocities_lanes, load_lanes, scatter_elem_corners_lanes,
 };
 use crate::kernels::volume::calc_elem_volume_derivative;
 use crate::simd::{self, LaneKernel, Pack, SimdReal};
@@ -348,7 +348,7 @@ impl LaneKernel for Hourglass<'_> {
         let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
         gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
         let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
-        let v = P::gather(|l| d.v(e0 + l));
+        let v = load_lanes::<P>(&d.m_v, e0);
         for l in 0..P::LANES {
             self.failed |= v.lane(l) <= 0.0;
         }
@@ -359,13 +359,13 @@ impl LaneKernel for Hourglass<'_> {
             dvdx,
             dvdy,
             dvdz,
-            determ: P::gather(|l| d.volo(e0 + l)) * v,
+            determ: load_lanes::<P>(&d.m_volo, e0) * v,
         };
 
         let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
         gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
-        let ss = P::gather(|l| d.ss(e0 + l));
-        let mass = P::gather(|l| d.elem_mass(e0 + l));
+        let ss = load_lanes(&d.m_ss, e0);
+        let mass = load_lanes(&d.m_elem_mass, e0);
         let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, self.c0);
 
         let k0 = e0 - self.begin;

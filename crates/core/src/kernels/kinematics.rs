@@ -5,7 +5,7 @@
 use crate::domain::Domain;
 use crate::kernels::shape::{
     calc_elem_shape_function_derivatives, calc_elem_velocity_gradient, gather_elem_coords_lanes,
-    gather_elem_velocities_lanes,
+    gather_elem_velocities_lanes, load_lanes, store_lanes,
 };
 use crate::kernels::volume::{calc_elem_characteristic_length, calc_elem_volume};
 use crate::simd::{self, LaneKernel, Pack};
@@ -39,8 +39,8 @@ impl LaneKernel for Kinematics<'_> {
 
         // Volume calculations.
         let volume = calc_elem_volume(&x, &y, &z);
-        let relative_volume = volume / P::gather(|l| d.volo(e0 + l));
-        let delv = relative_volume - P::gather(|l| d.v(e0 + l));
+        let relative_volume = volume / load_lanes::<P>(&d.m_volo, e0);
+        let delv = relative_volume - load_lanes::<P>(&d.m_v, e0);
 
         // Characteristic length for time increment.
         let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
@@ -60,15 +60,12 @@ impl LaneKernel for Kinematics<'_> {
         let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
         let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
 
-        for l in 0..P::LANES {
-            let k = e0 + l;
-            d.set_vnew(k, relative_volume.lane(l));
-            d.set_delv(k, delv.lane(l));
-            d.set_arealg(k, arealg.lane(l));
-            d.set_dxx(k, dvg[0].lane(l));
-            d.set_dyy(k, dvg[1].lane(l));
-            d.set_dzz(k, dvg[2].lane(l));
-        }
+        store_lanes(&d.m_vnew, e0, relative_volume);
+        store_lanes(&d.m_delv, e0, delv);
+        store_lanes(&d.m_arealg, e0, arealg);
+        store_lanes(&d.m_dxx, e0, dvg[0]);
+        store_lanes(&d.m_dyy, e0, dvg[1]);
+        store_lanes(&d.m_dzz, e0, dvg[2]);
     }
 }
 

@@ -8,7 +8,11 @@
 //! between the two (one of the 7 per iteration).
 
 use crate::domain::Domain;
+use crate::kernels::shape::{
+    gather_elem_coords_lanes, gather_elem_velocities_lanes, load_lanes, store_lanes,
+};
 use crate::params::Params;
+use crate::simd::{self, LaneKernel, Pack, SimdReal};
 use crate::types::{bc, Index, LuleshError, Real};
 use parutil::Chunk;
 
@@ -17,144 +21,87 @@ const PTINY: Real = 1.0e-36;
 /// Velocity and position gradients in the three logical directions
 /// (`delv_xi/eta/zeta`, `delx_xi/eta/zeta`).
 ///
-/// Scalar at every `--simd` width. The kernel is bound by its 48 nodal
-/// gathers and six scattered stores, and its `Lanes<W>` port measured
-/// slower than this loop at every width (EXPERIMENTS.md). A trial port onto
-/// the four hot kernels' `__m256d` pack was bit-identical and ran 2.50 ms
-/// against this loop's 3.75 ms at s45, so it would pay on AVX2 hosts; it is
-/// not in the tree (ROADMAP item 10).
+/// Runs on the lane walk (`simd::walk`) at the process-wide SIMD width
+/// and the host's ISA; every leg, scalar included, is the same `group`
+/// body on a different pack. The corners come through the row loads that
+/// kinematics uses, and the element fields load and store as packs.
 pub fn calc_monotonic_q_gradients_for_elems(d: &Domain, range: Chunk) {
-    for i in range.iter() {
-        let nl = d.nodelist(i);
-        let n0 = nl[0] as Index;
-        let n1 = nl[1] as Index;
-        let n2 = nl[2] as Index;
-        let n3 = nl[3] as Index;
-        let n4 = nl[4] as Index;
-        let n5 = nl[5] as Index;
-        let n6 = nl[6] as Index;
-        let n7 = nl[7] as Index;
+    simd::walk(&mut Gradients { d }, range.begin, range.end)
+}
 
-        let x0 = d.x(n0);
-        let x1 = d.x(n1);
-        let x2 = d.x(n2);
-        let x3 = d.x(n3);
-        let x4 = d.x(n4);
-        let x5 = d.x(n5);
-        let x6 = d.x(n6);
-        let x7 = d.x(n7);
+/// The arguments of [`calc_monotonic_q_gradients_for_elems`].
+struct Gradients<'a> {
+    d: &'a Domain,
+}
 
-        let y0 = d.y(n0);
-        let y1 = d.y(n1);
-        let y2 = d.y(n2);
-        let y3 = d.y(n3);
-        let y4 = d.y(n4);
-        let y5 = d.y(n5);
-        let y6 = d.y(n6);
-        let y7 = d.y(n7);
+impl LaneKernel for Gradients<'_> {
+    #[inline(always)]
+    fn group<P: Pack>(&mut self, e0: Index) {
+        let d = self.d;
+        let zero = P::zero();
+        let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
+        let (mut xv, mut yv, mut zv) = ([zero; 8], [zero; 8], [zero; 8]);
+        gather_elem_velocities_lanes(d, e0, &mut xv, &mut yv, &mut zv);
 
-        let z0 = d.z(n0);
-        let z1 = d.z(n1);
-        let z2 = d.z(n2);
-        let z3 = d.z(n3);
-        let z4 = d.z(n4);
-        let z5 = d.z(n5);
-        let z6 = d.z(n6);
-        let z7 = d.z(n7);
+        let vol = load_lanes::<P>(&d.m_volo, e0) * load_lanes(&d.m_vnew, e0);
+        let norm = P::splat(1.0) / (vol + P::splat(PTINY));
 
-        let xv0 = d.xd(n0);
-        let xv1 = d.xd(n1);
-        let xv2 = d.xd(n2);
-        let xv3 = d.xd(n3);
-        let xv4 = d.xd(n4);
-        let xv5 = d.xd(n5);
-        let xv6 = d.xd(n6);
-        let xv7 = d.xd(n7);
-
-        let yv0 = d.yd(n0);
-        let yv1 = d.yd(n1);
-        let yv2 = d.yd(n2);
-        let yv3 = d.yd(n3);
-        let yv4 = d.yd(n4);
-        let yv5 = d.yd(n5);
-        let yv6 = d.yd(n6);
-        let yv7 = d.yd(n7);
-
-        let zv0 = d.zd(n0);
-        let zv1 = d.zd(n1);
-        let zv2 = d.zd(n2);
-        let zv3 = d.zd(n3);
-        let zv4 = d.zd(n4);
-        let zv5 = d.zd(n5);
-        let zv6 = d.zd(n6);
-        let zv7 = d.zd(n7);
-
-        let vol = d.volo(i) * d.vnew(i);
-        let norm = 1.0 / (vol + PTINY);
-
-        let dxj = -0.25 * ((x0 + x1 + x5 + x4) - (x3 + x2 + x6 + x7));
-        let dyj = -0.25 * ((y0 + y1 + y5 + y4) - (y3 + y2 + y6 + y7));
-        let dzj = -0.25 * ((z0 + z1 + z5 + z4) - (z3 + z2 + z6 + z7));
-
-        let dxi = 0.25 * ((x1 + x2 + x6 + x5) - (x0 + x3 + x7 + x4));
-        let dyi = 0.25 * ((y1 + y2 + y6 + y5) - (y0 + y3 + y7 + y4));
-        let dzi = 0.25 * ((z1 + z2 + z6 + z5) - (z0 + z3 + z7 + z4));
-
-        let dxk = 0.25 * ((x4 + x5 + x6 + x7) - (x0 + x1 + x2 + x3));
-        let dyk = 0.25 * ((y4 + y5 + y6 + y7) - (y0 + y1 + y2 + y3));
-        let dzk = 0.25 * ((z4 + z5 + z6 + z7) - (z0 + z1 + z2 + z3));
+        let dx = [face_diffs(&x), face_diffs(&y), face_diffs(&z)];
+        let dv = [face_diffs(&xv), face_diffs(&yv), face_diffs(&zv)];
+        let (xi, eta, zeta) = (axis(&dx, XI), axis(&dx, ETA), axis(&dx, ZETA));
 
         // find delvk and delxk ( i cross j ).
-        let mut ax = dyi * dzj - dzi * dyj;
-        let mut ay = dzi * dxj - dxi * dzj;
-        let mut az = dxi * dyj - dyi * dxj;
-
-        d.set_delx_zeta(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
-
-        ax *= norm;
-        ay *= norm;
-        az *= norm;
-
-        let mut dxv = 0.25 * ((xv4 + xv5 + xv6 + xv7) - (xv0 + xv1 + xv2 + xv3));
-        let mut dyv = 0.25 * ((yv4 + yv5 + yv6 + yv7) - (yv0 + yv1 + yv2 + yv3));
-        let mut dzv = 0.25 * ((zv4 + zv5 + zv6 + zv7) - (zv0 + zv1 + zv2 + zv3));
-
-        d.set_delv_zeta(i, ax * dxv + ay * dyv + az * dzv);
+        let (delx, delv) = gradients(xi, eta, axis(&dv, ZETA), vol, norm);
+        store_lanes(&d.m_delx_zeta, e0, delx);
+        store_lanes(&d.m_delv_zeta, e0, delv);
 
         // find delxi and delvi ( j cross k ).
-        ax = dyj * dzk - dzj * dyk;
-        ay = dzj * dxk - dxj * dzk;
-        az = dxj * dyk - dyj * dxk;
-
-        d.set_delx_xi(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
-
-        ax *= norm;
-        ay *= norm;
-        az *= norm;
-
-        dxv = 0.25 * ((xv1 + xv2 + xv6 + xv5) - (xv0 + xv3 + xv7 + xv4));
-        dyv = 0.25 * ((yv1 + yv2 + yv6 + yv5) - (yv0 + yv3 + yv7 + yv4));
-        dzv = 0.25 * ((zv1 + zv2 + zv6 + zv5) - (zv0 + zv3 + zv7 + zv4));
-
-        d.set_delv_xi(i, ax * dxv + ay * dyv + az * dzv);
+        let (delx, delv) = gradients(eta, zeta, axis(&dv, XI), vol, norm);
+        store_lanes(&d.m_delx_xi, e0, delx);
+        store_lanes(&d.m_delv_xi, e0, delv);
 
         // find delxj and delvj ( k cross i ).
-        ax = dyk * dzi - dzk * dyi;
-        ay = dzk * dxi - dxk * dzi;
-        az = dxk * dyi - dyk * dxi;
-
-        d.set_delx_eta(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
-
-        ax *= norm;
-        ay *= norm;
-        az *= norm;
-
-        dxv = -0.25 * ((xv0 + xv1 + xv5 + xv4) - (xv3 + xv2 + xv6 + xv7));
-        dyv = -0.25 * ((yv0 + yv1 + yv5 + yv4) - (yv3 + yv2 + yv6 + yv7));
-        dzv = -0.25 * ((zv0 + zv1 + zv5 + zv4) - (zv3 + zv2 + zv6 + zv7));
-
-        d.set_delv_eta(i, ax * dxv + ay * dyv + az * dzv);
+        let (delx, delv) = gradients(zeta, xi, axis(&dv, ETA), vol, norm);
+        store_lanes(&d.m_delx_eta, e0, delx);
+        store_lanes(&d.m_delv_eta, e0, delv);
     }
+}
+
+/// Slots of [`face_diffs`]' result.
+const XI: usize = 0;
+const ETA: usize = 1;
+const ZETA: usize = 2;
+
+/// The ξ, η and ζ differences of one corner field: a quarter of the
+/// difference between the sums over opposite faces, in the reference's
+/// summation order.
+#[inline(always)]
+fn face_diffs<V: SimdReal>(a: &[V; 8]) -> [V; 3] {
+    let quarter = V::splat(0.25);
+    [
+        quarter * ((a[1] + a[2] + a[6] + a[5]) - (a[0] + a[3] + a[7] + a[4])),
+        V::splat(-0.25) * ((a[0] + a[1] + a[5] + a[4]) - (a[3] + a[2] + a[6] + a[7])),
+        quarter * ((a[4] + a[5] + a[6] + a[7]) - (a[0] + a[1] + a[2] + a[3])),
+    ]
+}
+
+/// The (x, y, z) vector of direction `dir` out of three [`face_diffs`].
+#[inline(always)]
+fn axis<V: Copy>(d: &[[V; 3]; 3], dir: usize) -> [V; 3] {
+    [d[0][dir], d[1][dir], d[2][dir]]
+}
+
+/// One direction's position gradient `vol / |a|` and velocity gradient
+/// `(a · norm) · dv`, where `a = p × q` is the face-area vector.
+#[inline(always)]
+fn gradients<V: SimdReal>(p: [V; 3], q: [V; 3], dv: [V; 3], vol: V, norm: V) -> (V, V) {
+    let ax = p[1] * q[2] - p[2] * q[1];
+    let ay = p[2] * q[0] - p[0] * q[2];
+    let az = p[0] * q[1] - p[1] * q[0];
+    let delx = vol / (ax * ax + ay * ay + az * az + V::splat(PTINY)).sqrt();
+    let (ax, ay, az) = (ax * norm, ay * norm, az * norm);
+    (delx, ax * dv[0] + ay * dv[1] + az * dv[2])
 }
 
 /// The monotonic-q limiter for a slice of one region's element list:
@@ -338,6 +285,8 @@ pub fn check_q_stop(d: &Domain, qstop: Real, range: Chunk) -> Result<(), LuleshE
 mod tests {
     use super::*;
     use crate::kernels::kinematics::calc_kinematics_for_elems;
+    use crate::kernels::testutil::{assert_bits_eq, mid_blast_domain};
+    use crate::simd::Leg;
 
     fn elems(d: &Domain) -> Chunk {
         Chunk {
@@ -349,6 +298,207 @@ mod tests {
     fn prep(d: &Domain) {
         calc_kinematics_for_elems(d, 0.0, elems(d));
         crate::kernels::kinematics::calc_lagrange_elements_finish(d, elems(d)).unwrap();
+    }
+
+    /// Frozen copy of the scalar `calc_monotonic_q_gradients_for_elems`
+    /// loop as it stood before the kernel moved onto the lane engine, kept
+    /// as the reference.
+    fn frozen_scalar_gradients(d: &Domain, range: Chunk) {
+        for i in range.iter() {
+            let nl = d.nodelist(i);
+            let n0 = nl[0] as Index;
+            let n1 = nl[1] as Index;
+            let n2 = nl[2] as Index;
+            let n3 = nl[3] as Index;
+            let n4 = nl[4] as Index;
+            let n5 = nl[5] as Index;
+            let n6 = nl[6] as Index;
+            let n7 = nl[7] as Index;
+
+            let x0 = d.x(n0);
+            let x1 = d.x(n1);
+            let x2 = d.x(n2);
+            let x3 = d.x(n3);
+            let x4 = d.x(n4);
+            let x5 = d.x(n5);
+            let x6 = d.x(n6);
+            let x7 = d.x(n7);
+
+            let y0 = d.y(n0);
+            let y1 = d.y(n1);
+            let y2 = d.y(n2);
+            let y3 = d.y(n3);
+            let y4 = d.y(n4);
+            let y5 = d.y(n5);
+            let y6 = d.y(n6);
+            let y7 = d.y(n7);
+
+            let z0 = d.z(n0);
+            let z1 = d.z(n1);
+            let z2 = d.z(n2);
+            let z3 = d.z(n3);
+            let z4 = d.z(n4);
+            let z5 = d.z(n5);
+            let z6 = d.z(n6);
+            let z7 = d.z(n7);
+
+            let xv0 = d.xd(n0);
+            let xv1 = d.xd(n1);
+            let xv2 = d.xd(n2);
+            let xv3 = d.xd(n3);
+            let xv4 = d.xd(n4);
+            let xv5 = d.xd(n5);
+            let xv6 = d.xd(n6);
+            let xv7 = d.xd(n7);
+
+            let yv0 = d.yd(n0);
+            let yv1 = d.yd(n1);
+            let yv2 = d.yd(n2);
+            let yv3 = d.yd(n3);
+            let yv4 = d.yd(n4);
+            let yv5 = d.yd(n5);
+            let yv6 = d.yd(n6);
+            let yv7 = d.yd(n7);
+
+            let zv0 = d.zd(n0);
+            let zv1 = d.zd(n1);
+            let zv2 = d.zd(n2);
+            let zv3 = d.zd(n3);
+            let zv4 = d.zd(n4);
+            let zv5 = d.zd(n5);
+            let zv6 = d.zd(n6);
+            let zv7 = d.zd(n7);
+
+            let vol = d.volo(i) * d.vnew(i);
+            let norm = 1.0 / (vol + PTINY);
+
+            let dxj = -0.25 * ((x0 + x1 + x5 + x4) - (x3 + x2 + x6 + x7));
+            let dyj = -0.25 * ((y0 + y1 + y5 + y4) - (y3 + y2 + y6 + y7));
+            let dzj = -0.25 * ((z0 + z1 + z5 + z4) - (z3 + z2 + z6 + z7));
+
+            let dxi = 0.25 * ((x1 + x2 + x6 + x5) - (x0 + x3 + x7 + x4));
+            let dyi = 0.25 * ((y1 + y2 + y6 + y5) - (y0 + y3 + y7 + y4));
+            let dzi = 0.25 * ((z1 + z2 + z6 + z5) - (z0 + z3 + z7 + z4));
+
+            let dxk = 0.25 * ((x4 + x5 + x6 + x7) - (x0 + x1 + x2 + x3));
+            let dyk = 0.25 * ((y4 + y5 + y6 + y7) - (y0 + y1 + y2 + y3));
+            let dzk = 0.25 * ((z4 + z5 + z6 + z7) - (z0 + z1 + z2 + z3));
+
+            // find delvk and delxk ( i cross j ).
+            let mut ax = dyi * dzj - dzi * dyj;
+            let mut ay = dzi * dxj - dxi * dzj;
+            let mut az = dxi * dyj - dyi * dxj;
+
+            d.set_delx_zeta(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
+
+            ax *= norm;
+            ay *= norm;
+            az *= norm;
+
+            let mut dxv = 0.25 * ((xv4 + xv5 + xv6 + xv7) - (xv0 + xv1 + xv2 + xv3));
+            let mut dyv = 0.25 * ((yv4 + yv5 + yv6 + yv7) - (yv0 + yv1 + yv2 + yv3));
+            let mut dzv = 0.25 * ((zv4 + zv5 + zv6 + zv7) - (zv0 + zv1 + zv2 + zv3));
+
+            d.set_delv_zeta(i, ax * dxv + ay * dyv + az * dzv);
+
+            // find delxi and delvi ( j cross k ).
+            ax = dyj * dzk - dzj * dyk;
+            ay = dzj * dxk - dxj * dzk;
+            az = dxj * dyk - dyj * dxk;
+
+            d.set_delx_xi(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
+
+            ax *= norm;
+            ay *= norm;
+            az *= norm;
+
+            dxv = 0.25 * ((xv1 + xv2 + xv6 + xv5) - (xv0 + xv3 + xv7 + xv4));
+            dyv = 0.25 * ((yv1 + yv2 + yv6 + yv5) - (yv0 + yv3 + yv7 + yv4));
+            dzv = 0.25 * ((zv1 + zv2 + zv6 + zv5) - (zv0 + zv3 + zv7 + zv4));
+
+            d.set_delv_xi(i, ax * dxv + ay * dyv + az * dzv);
+
+            // find delxj and delvj ( k cross i ).
+            ax = dyk * dzi - dzk * dyi;
+            ay = dzk * dxi - dxk * dzi;
+            az = dxk * dyi - dyk * dxi;
+
+            d.set_delx_eta(i, vol / (ax * ax + ay * ay + az * az + PTINY).sqrt());
+
+            ax *= norm;
+            ay *= norm;
+            az *= norm;
+
+            dxv = -0.25 * ((xv0 + xv1 + xv5 + xv4) - (xv3 + xv2 + xv6 + xv7));
+            dyv = -0.25 * ((yv0 + yv1 + yv5 + yv4) - (yv3 + yv2 + yv6 + yv7));
+            dzv = -0.25 * ((zv0 + zv1 + zv5 + zv4) - (zv3 + zv2 + zv6 + zv7));
+
+            d.set_delv_eta(i, ax * dxv + ay * dyv + az * dzv);
+        }
+    }
+
+    /// The six gradient outputs of every element.
+    fn gradient_outputs(d: &Domain) -> Vec<Real> {
+        (0..d.num_elem())
+            .flat_map(|i| {
+                [
+                    d.delv_xi(i),
+                    d.delv_eta(i),
+                    d.delv_zeta(i),
+                    d.delx_xi(i),
+                    d.delx_eta(i),
+                    d.delx_zeta(i),
+                ]
+            })
+            .collect()
+    }
+
+    /// NaN in the six outputs of every element of `range`: the kernel
+    /// must write each of them.
+    fn poison(d: &Domain, range: Chunk) {
+        for e in range.iter() {
+            for set in [
+                Domain::set_delv_xi,
+                Domain::set_delv_eta,
+                Domain::set_delv_zeta,
+                Domain::set_delx_xi,
+                Domain::set_delx_eta,
+                Domain::set_delx_zeta,
+            ] {
+                set(d, e, Real::NAN);
+            }
+        }
+    }
+
+    #[test]
+    fn gradients_every_leg_matches_frozen_scalar_bitwise() {
+        let d = mid_blast_domain();
+        let off = Chunk {
+            begin: 3,
+            end: d.num_elem() - 5,
+        };
+        for range in [elems(&d), off] {
+            poison(&d, elems(&d));
+            frozen_scalar_gradients(&d, range);
+            let reference = gradient_outputs(&d);
+            for leg in Leg::all() {
+                poison(&d, range);
+                leg.walk(&mut Gradients { d: &d }, range.begin, range.end);
+                assert_bits_eq(
+                    &gradient_outputs(&d),
+                    &reference,
+                    &format!("monoq gradients {leg}"),
+                );
+            }
+            // The dispatcher, at whatever width is active.
+            poison(&d, range);
+            calc_monotonic_q_gradients_for_elems(&d, range);
+            assert_bits_eq(
+                &gradient_outputs(&d),
+                &reference,
+                "monoq gradients dispatch",
+            );
+        }
     }
 
     #[test]

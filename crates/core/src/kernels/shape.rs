@@ -8,10 +8,11 @@
 use crate::domain::Domain;
 use crate::simd::{Pack, SimdReal};
 use crate::types::{Index, Real};
+use parutil::SharedVec;
 
 /// Gather the 8 corner coordinates of element `e` into local arrays — the
-/// single shared gather used by the stress and hourglass pipelines (and the
-/// lane-blocked kernel variants, which call it once per lane).
+/// shared gather of the scalar stress and hourglass loops (the lane
+/// kernels use `gather_elem_coords_lanes`).
 #[inline]
 pub fn gather_elem_coords(
     d: &Domain,
@@ -46,9 +47,74 @@ pub fn gather_elem_velocities(
     }
 }
 
+/// `P::LANES` consecutive values of `field` from index `i`, as one
+/// `P::load`.
+#[inline(always)]
+pub(crate) fn load_lanes<P: Pack>(field: &SharedVec<Real>, i: Index) -> P {
+    assert!(i + P::LANES <= field.len());
+    // SAFETY: `i..i + LANES` is in bounds (checked above), and the
+    // domain's phase-disjoint access contract (`Domain` docs) covers these
+    // indices as it covers `d.x(i)`: no task writes them during this phase.
+    P::load(unsafe { field.slice(i, i + P::LANES) }, 0)
+}
+
+/// Store `v` to `field[i..i + P::LANES]` as one `P::store`.
+#[inline(always)]
+pub(crate) fn store_lanes<P: Pack>(field: &SharedVec<Real>, i: Index, v: P) {
+    assert!(i + P::LANES <= field.len());
+    // SAFETY: in bounds (checked above); the group owning elements
+    // `i..i + LANES` is their only reader or writer in this phase (the
+    // contract `d.set_x(i)` relies on, `Domain` docs).
+    v.store(unsafe { field.slice_mut(i, i + P::LANES) }, 0)
+}
+
+/// Whether the lane group `e0 .. e0 + P::LANES` lies in one x-row of the
+/// brick, checked with one compare. Every domain's connectivity comes from
+/// `mesh::build_nodelist`, where a row's consecutive elements sit on
+/// consecutive nodes at every corner: then corner `c` of lane `l` is node
+/// `nodelist(e0)[c] + l`, and each corner is one [`load_lanes`]. A group
+/// that crosses into the next row or plane steps its first corner by more
+/// than `LANES − 1`.
+#[inline(always)]
+fn in_one_row<P: Pack>(d: &Domain, e0: Index) -> bool {
+    let last = e0 + P::LANES - 1;
+    d.nodelist(last)[0] as Index == d.nodelist(e0)[0] as Index + P::LANES - 1
+}
+
+/// Transposed corner gather of three nodal fields for a lane group: corner
+/// `c` of elements `e0 .. e0 + P::LANES` lands in `out[i][c]`'s lanes. Each
+/// lane reads exactly the values [`gather_elem_coords`] reads for its
+/// element: one load per corner when the group lies in one row
+/// ([`in_one_row`]), else lane by lane.
+#[inline(always)]
+fn gather_corners_lanes<P: Pack>(
+    d: &Domain,
+    e0: Index,
+    fields: [&SharedVec<Real>; 3],
+    out: [&mut [P; 8]; 3],
+) {
+    let nl = d.nodelist(e0);
+    if in_one_row::<P>(d, e0) {
+        for (field, out) in fields.into_iter().zip(out) {
+            for (o, &n) in out.iter_mut().zip(nl) {
+                *o = load_lanes(field, n as Index);
+            }
+        }
+    } else {
+        for (field, out) in fields.into_iter().zip(out) {
+            for (c, o) in out.iter_mut().enumerate() {
+                let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
+                // SAFETY: as for `d.x(i)`, the phase-disjoint access
+                // contract (`Domain` docs).
+                *o = P::gather(|l| unsafe { field.load(node(l)) });
+            }
+        }
+    }
+}
+
 /// Transposed coordinate gather for a lane group: corner `c` of elements
-/// `e0 .. e0 + P::LANES` lands in `xl[c]`'s lanes. Each lane performs
-/// exactly the loads of [`gather_elem_coords`] for its element.
+/// `e0 .. e0 + P::LANES` lands in `xl[c]`'s lanes. Each lane holds exactly
+/// the values of [`gather_elem_coords`] for its element.
 #[inline(always)]
 pub(crate) fn gather_elem_coords_lanes<P: Pack>(
     d: &Domain,
@@ -57,12 +123,7 @@ pub(crate) fn gather_elem_coords_lanes<P: Pack>(
     yl: &mut [P; 8],
     zl: &mut [P; 8],
 ) {
-    for c in 0..8 {
-        let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
-        xl[c] = P::gather(|l| d.x(node(l)));
-        yl[c] = P::gather(|l| d.y(node(l)));
-        zl[c] = P::gather(|l| d.z(node(l)));
-    }
+    gather_corners_lanes(d, e0, [&d.m_x, &d.m_y, &d.m_z], [xl, yl, zl]);
 }
 
 /// Transposed velocity gather for a lane group (see
@@ -75,12 +136,7 @@ pub(crate) fn gather_elem_velocities_lanes<P: Pack>(
     ydl: &mut [P; 8],
     zdl: &mut [P; 8],
 ) {
-    for c in 0..8 {
-        let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
-        xdl[c] = P::gather(|l| d.xd(node(l)));
-        ydl[c] = P::gather(|l| d.yd(node(l)));
-        zdl[c] = P::gather(|l| d.zd(node(l)));
-    }
+    gather_corners_lanes(d, e0, [&d.m_xd, &d.m_yd, &d.m_zd], [xdl, ydl, zdl]);
 }
 
 /// Transposed per-corner store for a lane group, the inverse of the gathers:
@@ -313,6 +369,75 @@ mod tests {
     use super::*;
     use crate::kernels::volume::{calc_elem_volume, unit_cube};
     use proptest::prelude::*;
+
+    /// Every lane group `e0 .. e0 + P::LANES` of `d` that passes
+    /// [`in_one_row`] has all eight corners on consecutive nodes; returns
+    /// how many groups passed.
+    fn row_groups_are_consecutive<P: Pack>(d: &Domain) -> usize {
+        let lanes = P::LANES;
+        let mut rows = 0;
+        for e0 in 0..(d.num_elem() + 1).saturating_sub(lanes) {
+            if !in_one_row::<P>(d, e0) {
+                continue;
+            }
+            rows += 1;
+            let first = d.nodelist(e0);
+            for l in 0..lanes {
+                for (c, &n) in d.nodelist(e0 + l).iter().enumerate() {
+                    assert_eq!(
+                        n,
+                        first[c] + l as u32,
+                        "element {e0} + lane {l}, corner {c}"
+                    );
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn one_compare_row_check_implies_consecutive_corners() {
+        use crate::mesh::MeshShape;
+        use crate::simd::Lanes;
+        // Cubes of edge 1-6 and 9 (rows long enough for 8 lanes), the
+        // sub-bricks of a 2x2x2 rank grid of a size-4 cube (`nodal.rs`'s BC
+        // test), and three uneven sub-bricks.
+        let mut shapes: Vec<MeshShape> = [1, 2, 3, 4, 5, 6, 9].map(MeshShape::cube).into();
+        for offset in [
+            (0, 0, 0),
+            (2, 0, 0),
+            (0, 2, 0),
+            (0, 0, 2),
+            (2, 2, 0),
+            (2, 2, 2),
+        ] {
+            shapes.push(MeshShape::brick((2, 2, 2), (4, 4, 4), offset));
+        }
+        for (local, offset) in [
+            ((5, 2, 3), (1, 4, 0)),
+            ((6, 3, 1), (0, 3, 5)),
+            ((10, 2, 3), (2, 9, 4)),
+        ] {
+            shapes.push(MeshShape::brick(local, (12, 12, 12), offset));
+        }
+        for shape in shapes {
+            let d = Domain::build_subdomain(shape, 1, 1, 1, 0);
+            // The check also passes every group that does lie in one row:
+            // `nx − L + 1` per row.
+            let rows = shape.ny * shape.nz;
+            let expect = |lanes: usize| rows * (shape.nx + 1).saturating_sub(lanes);
+            assert_eq!(
+                row_groups_are_consecutive::<Lanes<4>>(&d),
+                expect(4),
+                "{shape:?}"
+            );
+            assert_eq!(
+                row_groups_are_consecutive::<Lanes<8>>(&d),
+                expect(8),
+                "{shape:?}"
+            );
+        }
+    }
 
     #[test]
     fn gather_helpers_match_domain_accessors() {

@@ -28,7 +28,7 @@ pub struct Opts {
     /// Region assignment seed, `--seed` (not in the reference). Default 0.
     pub seed: u64,
     /// Kernel lane width, `--simd scalar|w4|w8`. Default
-    /// [`LaneWidth::DEFAULT`].
+    /// [`LaneWidth::native`]: w8 on a CPU with AVX-512, w4 elsewhere.
     pub simd: LaneWidth,
 }
 
@@ -42,7 +42,7 @@ impl Default for Opts {
             cost: 1,
             quiet: false,
             seed: 0,
-            simd: LaneWidth::DEFAULT,
+            simd: LaneWidth::native(),
         }
     }
 }
@@ -276,11 +276,13 @@ mod tests {
 
     #[test]
     fn simd_modes() {
-        // A plain run takes the one default width, the same constant the
-        // kernels' global starts at.
+        // A plain run takes the platform's width, the one the kernels'
+        // global starts at: w8 where AVX-512 is detected, w4 elsewhere.
         let o = Opts::parse(&NONE).unwrap();
-        assert_eq!(o.simd, LaneWidth::DEFAULT);
-        assert_eq!(o.simd, crate::simd::active());
+        assert_eq!(o.simd, LaneWidth::native());
+        let avx512 = crate::simd::Isa::detect(LaneWidth::W8) == crate::simd::Isa::Avx512;
+        let platform = if avx512 { LaneWidth::W8 } else { LaneWidth::W4 };
+        assert_eq!(o.simd, platform);
         let o = Opts::parse(&["--simd", "scalar"]).unwrap();
         assert_eq!(o.simd, LaneWidth::W1);
         let o = Opts::parse(&["--simd=w4"]).unwrap();

@@ -3,7 +3,7 @@
 //! The per-kernel matrix — every (pack, ISA) leg of the lane walk against
 //! each kernel's reference — needs the crate-private walk, so it lives in
 //! the kernels' unit tests (`kernels::{stress, hourglass, kinematics,
-//! eos}::tests`, `simd::tests`). Here: the public `Lanes<W>` ops on
+//! monoq, eos}::tests`, `simd::tests`). Here: the public `Lanes<W>` ops on
 //! non-finite inputs, and a public dispatcher following the process-wide
 //! width, compared with `f64::to_bits`, not approximate equality.
 
@@ -48,10 +48,11 @@ fn simd_ops<V: SimdReal>(a: V, b: V) -> [V; 12] {
 }
 
 /// The portable `Lanes<4>` ops, as the baseline w4 body runs them (also the
-/// fallback for `--simd w4` on a CPU without AVX2). The AVX2 walk runs the
-/// crate-private AVX2 pack instead, whose ops are checked the same way by
-/// `simd::tests::avx2_pack_ops_match_scalar_bitwise`; `Lanes<4>` compiled
-/// under AVX2 is no kernel's code, so it is not tested here.
+/// fallback for `--simd w4` on a CPU without AVX2). The x86 walks run the
+/// crate-private AVX2 and AVX-512 packs instead, whose ops are checked the
+/// same way by `simd::tests::avx{2,512}_pack_ops_match_scalar_bitwise`;
+/// `Lanes<4>` compiled under AVX2 is no kernel's code, so it is not tested
+/// here.
 #[test]
 fn lane_ops_match_scalar_bitwise_on_non_finite_inputs() {
     // NaN (one operand at a time: which payload survives NaN ∘ NaN is not

@@ -905,13 +905,13 @@ mod tests {
     }
 
     #[test]
-    fn w4_runs_match_scalar_lockstep_across_transports() {
-        // `--simd w4` must be invisible to the physics everywhere: a
-        // 4-lane multidomain run — over in-process channels AND over real
-        // loopback sockets — stays bit-identical to the scalar lockstep
-        // reference. Safe to flip the global width mid-suite: every width
-        // is bit-identical by construction, so concurrent tests only ever
-        // change speed.
+    fn every_width_matches_scalar_lockstep_across_transports() {
+        // `--simd` must be invisible to the physics everywhere: a
+        // multidomain run at every width, on every pack this host runs it
+        // on — over in-process channels AND over real loopback sockets —
+        // stays bit-identical to the scalar lockstep reference. Safe to
+        // flip the global width mid-suite: every width is bit-identical by
+        // construction, so concurrent tests only ever change speed.
         use lulesh_core::simd::{self, LaneWidth};
         let prior = simd::active();
         let decomp = Decomposition::new(6, 2);
@@ -920,37 +920,39 @@ mod tests {
         let mut world = World::build(decomp, 2, 1, 1, 0);
         let st_lock = world.run(10).unwrap();
 
-        simd::set_active(LaneWidth::W4);
-        let chan = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 10));
-        let tcp = run_transport(
-            decomp,
-            TransportKind::TcpLoopback,
-            Duration::from_secs(10),
-            SimArgs::new(2, 1, 1, 0, 10),
-            None,
-            FaultPlan::NONE,
-        );
-        simd::set_active(prior);
+        for w in LaneWidth::ALL {
+            simd::set_active(w);
+            let chan = run_fold(decomp, SimArgs::new(2, 1, 1, 0, 10));
+            let tcp = run_transport(
+                decomp,
+                TransportKind::TcpLoopback,
+                Duration::from_secs(10),
+                SimArgs::new(2, 1, 1, 0, 10),
+                None,
+                FaultPlan::NONE,
+            );
 
-        let (chan_domains, st_chan) = chan.unwrap();
-        assert_eq!(st_lock.cycle, st_chan.cycle);
-        assert_eq!(st_lock.dtcourant, st_chan.dtcourant);
-        for (r, (a, b)) in world.domains.iter().zip(&chan_domains).enumerate() {
-            assert_eq!(
-                lulesh_core::validate::max_field_difference(a, b),
-                0.0,
-                "rank {r}: w4 channel run must match the scalar lockstep"
-            );
+            let (chan_domains, st_chan) = chan.unwrap();
+            assert_eq!(st_lock.cycle, st_chan.cycle);
+            assert_eq!(st_lock.dtcourant, st_chan.dtcourant);
+            for (r, (a, b)) in world.domains.iter().zip(&chan_domains).enumerate() {
+                assert_eq!(
+                    lulesh_core::validate::max_field_difference(a, b),
+                    0.0,
+                    "rank {r}: {w} channel run must match the scalar lockstep"
+                );
+            }
+            for (r, (a, res)) in world.domains.iter().zip(tcp).enumerate() {
+                let (d, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
+                assert_eq!(st.cycle, st_lock.cycle);
+                assert_eq!(
+                    lulesh_core::validate::max_field_difference(a, &d),
+                    0.0,
+                    "rank {r}: {w} TCP run must match the scalar lockstep"
+                );
+            }
         }
-        for (r, (a, res)) in world.domains.iter().zip(tcp).enumerate() {
-            let (d, st) = res.unwrap_or_else(|e| panic!("rank {r}: {e}"));
-            assert_eq!(st.cycle, st_lock.cycle);
-            assert_eq!(
-                lulesh_core::validate::max_field_difference(a, &d),
-                0.0,
-                "rank {r}: w4 TCP run must match the scalar lockstep"
-            );
-        }
+        simd::set_active(prior);
     }
 
     #[test]

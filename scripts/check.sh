@@ -109,13 +109,13 @@ if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: lulesh-task" "$TMP/auto.log"; then
   exit 1
 fi
 
-echo "== simd smoke runs (every driver's default, w4, is bit-identical to scalar) =="
+echo "== simd smoke runs (every driver's default width is bit-identical to scalar) =="
 # Lane width and ISA are pure performance knobs: a plain run of every
-# driver (kernels at LaneWidth::DEFAULT = w4, compiled for the ISA this
-# host was detected to have) must print what --simd scalar — the baseline
-# reference body — prints in every CSV column but wall clock,
-# single-domain and split 1x1x2. (clippy above already covers
-# crates/core, including the lane engine.)
+# driver (kernels at LaneWidth::native(), w8 on an AVX-512 host and w4
+# elsewhere, compiled for the ISA this host was detected to have) must
+# print what --simd scalar — the baseline reference body — prints in every
+# CSV column but wall clock, single-domain and split 1x1x2. (clippy above
+# already covers crates/core, including the lane engine.)
 for run in "lulesh-serial --s 6 --i 10" "lulesh-omp --s 6 --i 10 --threads 2" \
            "lulesh-task --s 6 --i 10 --threads 2" \
            "lulesh-multidom --s 6 --i 10 --grid 1x1x2"; do
@@ -127,11 +127,11 @@ for run in "lulesh-serial --s 6 --i 10" "lulesh-omp --s 6 --i 10 --threads 2" \
     exit 1
   fi
 done
-# On an AVX2 host w4 runs the AVX2 pack body, so w8 (the portable
-# Lanes<W> body) no longer shares its code: check it against scalar too.
+# Each width runs its own pack body (w4: Avx2Pack or Lanes<4>; w8:
+# Avx512Pack or Lanes<8>), so check both forced widths against scalar too.
 for run in "lulesh-serial --s 6 --i 10" "lulesh-task --s 6 --i 10 --threads 2"; do
   ./target/debug/$run --q --simd scalar | cut -d, -f1-4,6 > "$TMP/scalar.csv"
-  for width in w8; do
+  for width in w4 w8; do
     ./target/debug/$run --q --simd $width | cut -d, -f1-4,6 > "$TMP/width.csv"
     if ! cmp -s "$TMP/width.csv" "$TMP/scalar.csv"; then
       echo "$run: --simd $width diverged from --simd scalar:"
@@ -141,38 +141,47 @@ for run in "lulesh-serial --s 6 --i 10" "lulesh-task --s 6 --i 10 --threads 2"; 
   done
 done
 
-echo "== AVX2 kernels inline every lane op (x86_64 only) =="
-# One AVX2 lane walk, simd::walk_avx2, runs each of the four lane kernels
-# (stress, fused hourglass, kinematics, EOS), so release lulesh-serial holds
-# exactly four instantiations of it. Each only runs at AVX2 width if the
-# kernel's group body and every lane op are inlined into it: an
-# out-of-line Lanes / SimdReal op, Avx2Pack op, pack-trait method
-# (`<…Avx2Pack as Add>::add`, `<… as simd::Pack>::gather`) or group body
-# (`<… as simd::LaneKernel>::group`) is compiled for the baseline ISA and
-# every call into it drops back to SSE2. If the release binary holds no
-# such symbol at all, no AVX2 walk can call one.
+echo "== x86 lane walks inline every lane op (x86_64 only) =="
+# Two x86 lane walks run the five lane kernels (stress, fused hourglass,
+# kinematics, monoq gradients, EOS): simd::walk_avx2 runs all five (at w4,
+# and EOS also at w8, which pins Avx2Pack), simd::walk_avx512 the four
+# that do not pin it. So release lulesh-serial holds exactly five
+# instantiations of the one and four of the other. Each only runs at its
+# width if the kernel's group body and every lane op are inlined into it:
+# an out-of-line Lanes / SimdReal op, Avx2Pack or Avx512Pack op,
+# pack-trait method (`<…Avx2Pack as Add>::add`, `<… as simd::Pack>::gather`)
+# or group body (`<… as simd::LaneKernel>::group`) is compiled for the
+# baseline ISA and every call into it drops back to SSE2. If the release
+# binary holds no such symbol at all, no x86 walk can call one.
 if [ "$(uname -m)" = x86_64 ]; then
   cargo build --release -q -p lulesh-core --bin lulesh-serial
   nm -C target/release/lulesh-serial > "$TMP/serial.syms"
-  AVX2_WALKS=$(grep -c ' lulesh_core::simd::walk_avx2$' "$TMP/serial.syms" || true)
-  if [ "$AVX2_WALKS" -ne 4 ]; then
-    echo "expected 4 simd::walk_avx2 instantiations, found $AVX2_WALKS:"
-    grep 'avx2' "$TMP/serial.syms" || true
-    exit 1
-  fi
-  if grep -E 'simd::(Lanes|Pack|SimdReal|LaneKernel)|Avx2Pack' "$TMP/serial.syms"; then
-    echo "lane ops or group bodies above were compiled out of line; the AVX2 walk may call them"
+  for walk in avx2:5 avx512:4; do
+    WALK_ISA=${walk%:*}
+    WANT=${walk#*:}
+    FOUND=$(grep -c " lulesh_core::simd::walk_$WALK_ISA\$" "$TMP/serial.syms" || true)
+    if [ "$FOUND" -ne "$WANT" ]; then
+      echo "expected $WANT simd::walk_$WALK_ISA instantiations, found $FOUND:"
+      grep "walk_$WALK_ISA" "$TMP/serial.syms" || true
+      exit 1
+    fi
+  done
+  if grep -E 'simd::(Lanes|Pack|SimdReal|LaneKernel)|Avx2Pack|Avx512Pack' "$TMP/serial.syms"; then
+    echo "lane ops or group bodies above were compiled out of line; an x86 walk may call them"
     exit 1
   fi
 fi
-# Avx2Pack executes AVX instructions from safe methods, so it may be named
-# only in simd.rs, where simd::walk_avx2 (reached through simd::walk after
-# AVX2 detection) is the one place that constructs it.
-PACK_FILES=$(grep -rlw Avx2Pack crates src tests examples --include='*.rs' | sort | tr '\n' ' ')
-if [ "$PACK_FILES" != "crates/core/src/simd.rs " ]; then
-  echo "Avx2Pack is named outside simd.rs: $PACK_FILES"
-  exit 1
-fi
+# Avx2Pack and Avx512Pack execute AVX / AVX-512 instructions from safe
+# methods, so each may be named only in simd.rs, where its walk
+# (simd::walk_avx2, simd::walk_avx512, reached through simd::walk after
+# feature detection) is the one place that constructs it.
+for pack in Avx2Pack Avx512Pack; do
+  PACK_FILES=$(grep -rlw $pack crates src tests examples --include='*.rs' | sort | tr '\n' ' ')
+  if [ "$PACK_FILES" != "crates/core/src/simd.rs " ]; then
+    echo "$pack is named outside simd.rs: $PACK_FILES"
+    exit 1
+  fi
+done
 
 echo "== no --pin flag (worker pinning is not a run option) =="
 for bin in lulesh-task lulesh-multidom; do

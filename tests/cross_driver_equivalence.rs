@@ -164,7 +164,8 @@ fn field_bits(d: &Domain) -> Vec<u64> {
 #[test]
 fn default_width_runs_are_bitwise_equal_to_scalar_in_every_driver() {
     // The default-width contract: what a plain run of any driver computes
-    // (kernels at `LaneWidth::DEFAULT`, the global's initial value) is,
+    // (kernels at the platform's `LaneWidth::native()`, the global's
+    // initial value: w8 on an AVX-512 host, w4 elsewhere) is,
     // bit for bit, what the same run computes on the scalar reference
     // loops. Other tests of this binary may flip the global meanwhile;
     // that can only change which widths a run mixes, never a result.
@@ -191,6 +192,11 @@ fn default_width_runs_are_bitwise_equal_to_scalar_in_every_driver() {
             ),
         ]
     };
+
+    // The platform default: w8 where AVX-512F/DQ is detected, w4 elsewhere.
+    let avx512 = simd::Isa::detect(LaneWidth::W8) == simd::Isa::Avx512;
+    let platform = if avx512 { LaneWidth::W8 } else { LaneWidth::W4 };
+    assert_eq!(LaneWidth::native(), platform);
 
     let prior = simd::active();
     let at_default = run_all();
