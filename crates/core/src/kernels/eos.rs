@@ -662,6 +662,11 @@ pub fn eos_elem_kernel<V: SimdReal>(
     (p_new, e_new, q_new, ss)
 }
 
+/// Whether the lane EOS pins the 4-lane AVX2 pack where the other lane
+/// kernels run the 8-lane AVX-512 one (its `LaneKernel::PIN_AVX2`), for
+/// the run banner.
+pub(crate) const LANES_PIN_AVX2: bool = <Eos<'static> as LaneKernel>::PIN_AVX2;
+
 /// The arguments of one lane repetition of [`eval_eos_for_elems`]: the
 /// walk runs over positions in the region list `elems`, and `store` marks
 /// the last repetition.

@@ -36,6 +36,7 @@ pub mod regions;
 pub mod report;
 pub mod serial;
 pub mod simd;
+mod slab;
 pub mod timestep;
 pub mod types;
 pub mod validate;

@@ -34,6 +34,7 @@
 
 use crate::domain::Domain;
 use crate::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
+use crate::slab::{Layout, Plane};
 use crate::types::{Index, LuleshError, Real};
 use parutil::{chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -266,28 +267,24 @@ impl Kernel {
             begin: 8 * c.begin,
             end: 8 * c.end,
         };
-        let all = |v: &[SharedVec<Real>; 3]| Chunk {
-            begin: 0,
-            end: v[0].len(),
-        };
         match *self {
             ZeroForces => stress::zero_forces(d, c),
             InitStress => {
-                let [sx, sy, sz] = cut_mut(&s.sig, c);
+                let [sx, sy, sz] = s.cut_mut(s.sig, c);
                 stress::init_stress_terms_for_elems(d, sx, sy, sz, c);
             }
             IntegrateStress => {
-                let [sx, sy, sz] = cut(&s.sig, c);
-                let [fx, fy, fz] = cut_mut(&s.f_elem, c8);
-                let determ = s.determ.slice_mut(c.begin, c.end);
+                let [sx, sy, sz] = s.cut(s.sig, c);
+                let [fx, fy, fz] = s.cut_mut(s.f_elem, c8);
+                let determ = s.part_mut(s.determ, c);
                 stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
             }
             CheckVolume => {
-                s.flag(stress::check_volume_error(s.determ.slice(c.begin, c.end)));
+                s.flag(stress::check_volume_error(s.part(s.determ, c)));
             }
             IntegrateStressChecked => {
-                let [sx, sy, sz] = cut(&s.sig, c);
-                let [fx, fy, fz] = cut_mut(&s.f_elem, c8);
+                let [sx, sy, sz] = s.cut(s.sig, c);
+                let [fx, fy, fz] = s.cut_mut(s.f_elem, c8);
                 local.determ.reset_len(c.len());
                 let determ = &mut local.determ;
                 stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
@@ -301,23 +298,23 @@ impl Kernel {
                 }
                 let [sx, sy, sz] = sig;
                 stress::init_stress_terms_for_elems(d, sx, sy, sz, c);
-                let [fx, fy, fz] = cut_mut(&s.f_elem, c8);
+                let [fx, fy, fz] = s.cut_mut(s.f_elem, c8);
                 stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
                 s.flag(stress::check_volume_error(determ));
             }
             HourglassControl => {
-                let [dx, dy, dz] = cut_mut(&s.dvd, c8);
-                let [x8, y8, z8] = cut_mut(&s.xyz8n, c8);
-                let determ = s.determ.slice_mut(c.begin, c.end);
+                let [dx, dy, dz] = s.cut_mut(s.dvd, c8);
+                let [x8, y8, z8] = s.cut_mut(s.xyz8n, c8);
+                let determ = s.part_mut(s.determ, c);
                 s.flag(hourglass::calc_hourglass_control_for_elems(
                     d, dx, dy, dz, x8, y8, z8, determ, c,
                 ));
             }
             HourglassFb if p.hgcoef > 0.0 => {
-                let [dx, dy, dz] = cut(&s.dvd, c8);
-                let [x8, y8, z8] = cut(&s.xyz8n, c8);
-                let [fx, fy, fz] = cut_mut(&s.f_hg, c8);
-                let determ = s.determ.slice(c.begin, c.end);
+                let [dx, dy, dz] = s.cut(s.dvd, c8);
+                let [x8, y8, z8] = s.cut(s.xyz8n, c8);
+                let [fx, fy, fz] = s.cut_mut(s.f_hg, c8);
+                let determ = s.part(s.determ, c);
                 hourglass::calc_fb_hourglass_force_for_elems(
                     d, determ, x8, y8, z8, dx, dy, dz, p.hgcoef, fx, fy, fz, c,
                 );
@@ -325,24 +322,24 @@ impl Kernel {
             Hourglass if p.hgcoef > 0.0 => {
                 // The geometry the two-pass kernels stream through
                 // memory stays on the stack.
-                let [fx, fy, fz] = cut_mut(&s.f_hg, c8);
+                let [fx, fy, fz] = s.cut_mut(s.f_hg, c8);
                 let r = hourglass::calc_hourglass_force_for_elems(d, p.hgcoef, fx, fy, fz, c);
                 s.flag(r);
             }
             Hourglass => s.flag(hourglass::check_relative_volumes(d, c)),
             GatherSet => {
-                let [fx, fy, fz] = cut(&s.f_elem, all(&s.f_elem));
+                let [fx, fy, fz] = s.cut(s.f_elem, s.f_elem[0].all());
                 stress::gather_forces_set(d, fx, fy, fz, c);
             }
             GatherAdd if p.hgcoef > 0.0 => {
-                let [fx, fy, fz] = cut(&s.f_hg, all(&s.f_hg));
+                let [fx, fy, fz] = s.cut(s.f_hg, s.f_hg[0].all());
                 stress::gather_forces_add(d, fx, fy, fz, c);
             }
             // No hourglass forces when `hgcoef == 0`.
             HourglassFb | GatherAdd => {}
             GatherSum2 => {
-                let [ax, ay, az] = cut(&s.f_elem, all(&s.f_elem));
-                let [bx, by, bz] = cut(&s.f_hg, all(&s.f_hg));
+                let [ax, ay, az] = s.cut(s.f_elem, s.f_elem[0].all());
+                let [bx, by, bz] = s.cut(s.f_hg, s.f_hg[0].all());
                 stress::gather_forces_sum2(d, ax, ay, az, bx, by, bz, c);
             }
             Acceleration => nodal::calc_acceleration_for_nodes(d, c),
@@ -356,19 +353,19 @@ impl Kernel {
             MonoqRegion(r) => monoq::calc_monotonic_q_region_for_elems(d, region(d, r, c), p),
             QStop => s.flag(monoq::check_q_stop(d, p.qstop, c)),
             VnewcFill => {
-                let vnewc = s.vnewc.slice_mut(c.begin, c.end);
+                let vnewc = s.part_mut(s.vnewc, c);
                 eos::fill_vnewc_clamped(d, vnewc, p.eosvmin, p.eosvmax, c);
             }
             VnewcCheck => s.flag(eos::check_eos_volume_bounds(d, p.eosvmin, p.eosvmax, c)),
             Eos(r) => {
                 // Only the scalar arm touches `local.eos`; the lane arms
                 // keep the whole pipeline in registers.
-                let (vnewc, elems) = (s.vnewc.as_slice(), region(d, r, c));
+                let (vnewc, elems) = (s.part(s.vnewc, s.vnewc.all()), region(d, r, c));
                 eos::eval_eos_for_elems(d, vnewc, elems, d.regions.rep(r), p, &mut local.eos);
             }
             EosLoop(step, r) => {
-                let (vnewc, elems) = (s.vnewc.as_slice(), region(d, r, c));
-                eos::eos_step(step, d, p, vnewc, elems, cut_mut(&s.eos, c));
+                let (vnewc, elems) = (s.part(s.vnewc, s.vnewc.all()), region(d, r, c));
+                eos::eos_step(step, d, p, vnewc, elems, s.cut_mut(s.eos, c));
             }
             UpdateVolumes => kinematics::update_volumes_for_elems(d, p.v_cut, c),
             Constraints(r) => {
@@ -385,23 +382,6 @@ impl Kernel {
 /// Positions `c` of region `r`'s element list.
 fn region(d: &Domain, r: usize, c: Chunk) -> &[Index] {
     &d.regions.reg_elem_list[r][c.begin..c.end]
-}
-
-/// Chunk `c` of each of `N` arrays, for reading.
-///
-/// # Safety
-/// No thread may write `c` of any of them meanwhile.
-unsafe fn cut<const N: usize>(v: &[SharedVec<Real>; N], c: Chunk) -> [&[Real]; N] {
-    v.each_ref().map(|a| a.slice(c.begin, c.end))
-}
-
-/// Chunk `c` of each of `N` arrays, for writing.
-///
-/// # Safety
-/// No other thread may touch `c` of any of them meanwhile.
-#[allow(clippy::mut_from_ref)]
-unsafe fn cut_mut<const N: usize>(v: &[SharedVec<Real>; N], c: Chunk) -> [&mut [Real]; N] {
-    v.each_ref().map(|a| a.slice_mut(c.begin, c.end))
 }
 
 /// Fold `v` into the running minimum stored as `f64` bits in `slot`.
@@ -424,17 +404,20 @@ pub struct KernelScratch {
 }
 
 /// The state one step shares between kernels: the mesh-length arrays that
-/// cross a sync, the region-length arrays of the reference EOS ladder, the
-/// error flags, the dt minima, and one [`KernelScratch`] per thread.
+/// cross a sync and the region-length arrays of the reference EOS ladder,
+/// all planes of one block; the error flags, the dt minima, and one
+/// [`KernelScratch`] per thread.
 pub struct StepScratch {
-    sig: [SharedVec<Real>; 3],
-    determ: SharedVec<Real>,
-    f_elem: [SharedVec<Real>; 3],
-    f_hg: [SharedVec<Real>; 3],
-    dvd: [SharedVec<Real>; 3],
-    xyz8n: [SharedVec<Real>; 3],
-    vnewc: SharedVec<Real>,
-    eos: [SharedVec<Real>; eos::EOS_ARRAYS],
+    /// The block every array below is a plane of.
+    slab: SharedVec<Real>,
+    sig: [Plane; 3],
+    determ: Plane,
+    f_elem: [Plane; 3],
+    f_hg: [Plane; 3],
+    dvd: [Plane; 3],
+    xyz8n: [Plane; 3],
+    vnewc: Plane,
+    eos: [Plane; eos::EOS_ARRAYS],
     local: SharedVec<CachePadded<KernelScratch>>,
     /// The current iteration's time increment, as `f64` bits.
     dt: AtomicU64,
@@ -447,23 +430,37 @@ pub struct StepScratch {
 
 impl StepScratch {
     /// Scratch for `plan`, with `threads` local slots. Only the arrays the
-    /// plan's kernels use are allocated, as untouched zero pages that
-    /// become resident as the kernels first write them.
+    /// plan's kernels use take space: each is a 64-byte-aligned plane of
+    /// one block of untouched zero pages, which become resident as the
+    /// kernels first write them. At the paper's sizes the block is one
+    /// huge-page mapping ([`SharedVec::zeroed`]), so those first writes
+    /// fault once per 2 MiB.
     pub fn new(plan: &StepPlan, threads: usize) -> Self {
         let used = plan.kernels().fold(0, |m, k| m | k.arrays());
         let shape = &plan.shape;
-        let zeroed = |bit, n| SharedVec::zeroed(if used & bit != 0 { n } else { 0 });
+        let ne = shape.num_elem;
         let longest_region = shape.region_lens.iter().copied().max().unwrap_or(0);
+        let mut layout = Layout::default();
+        let mut plane = |bit, n| layout.plane(if used & bit != 0 { n } else { 0 });
+        let sig = [(); 3].map(|_| plane(SIG, ne));
+        let determ = plane(DETERM, ne);
+        let f_elem = [(); 3].map(|_| plane(F_ELEM, 8 * ne));
+        let f_hg = [(); 3].map(|_| plane(F_HG, 8 * ne));
+        let dvd = [(); 3].map(|_| plane(GEOMETRY, 8 * ne));
+        let xyz8n = [(); 3].map(|_| plane(GEOMETRY, 8 * ne));
+        let vnewc = plane(VNEWC, ne);
+        let eos = [(); eos::EOS_ARRAYS].map(|_| plane(EOS, longest_region));
         let local = (0..threads).map(|_| CachePadded(KernelScratch::default()));
         Self {
-            sig: std::array::from_fn(|_| zeroed(SIG, shape.num_elem)),
-            determ: zeroed(DETERM, shape.num_elem),
-            f_elem: std::array::from_fn(|_| zeroed(F_ELEM, 8 * shape.num_elem)),
-            f_hg: std::array::from_fn(|_| zeroed(F_HG, 8 * shape.num_elem)),
-            dvd: std::array::from_fn(|_| zeroed(GEOMETRY, 8 * shape.num_elem)),
-            xyz8n: std::array::from_fn(|_| zeroed(GEOMETRY, 8 * shape.num_elem)),
-            vnewc: zeroed(VNEWC, shape.num_elem),
-            eos: std::array::from_fn(|_| zeroed(EOS, longest_region)),
+            slab: layout.block(),
+            sig,
+            determ,
+            f_elem,
+            f_hg,
+            dvd,
+            xyz8n,
+            vnewc,
+            eos,
             local: SharedVec::from_vec(local.collect()),
             dt: AtomicU64::new(0),
             volume_error: AtomicBool::new(false),
@@ -518,6 +515,43 @@ impl StepScratch {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn local(&self, i: usize) -> &mut KernelScratch {
         &mut self.local.get_mut(i).0
+    }
+
+    /// Chunk `c` of plane `p`, for reading.
+    ///
+    /// # Safety
+    /// No thread may write `c` of `p` meanwhile.
+    unsafe fn part(&self, p: Plane, c: Chunk) -> &[Real] {
+        assert!(
+            c.begin <= c.end && c.end <= p.len,
+            "chunk outside its plane"
+        );
+        self.slab.slice(p.off + c.begin, p.off + c.end)
+    }
+
+    /// Chunk `c` of plane `p`, for writing.
+    ///
+    /// # Safety
+    /// No other thread may touch `c` of `p` meanwhile.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn part_mut(&self, p: Plane, c: Chunk) -> &mut [Real] {
+        assert!(
+            c.begin <= c.end && c.end <= p.len,
+            "chunk outside its plane"
+        );
+        self.slab.slice_mut(p.off + c.begin, p.off + c.end)
+    }
+
+    /// Chunk `c` of each of `N` planes, for reading (as [`Self::part`]).
+    unsafe fn cut<const N: usize>(&self, planes: [Plane; N], c: Chunk) -> [&[Real]; N] {
+        planes.map(|p| self.part(p, c))
+    }
+
+    /// Chunk `c` of each of `N` planes, for writing (as
+    /// [`Self::part_mut`]).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn cut_mut<const N: usize>(&self, planes: [Plane; N], c: Chunk) -> [&mut [Real]; N] {
+        planes.map(|p| self.part_mut(p, c))
     }
 
     fn flag(&self, r: Result<(), LuleshError>) {
@@ -863,14 +897,108 @@ mod tests {
         assert_eq!(plan.stages().count(), 19 + 2 * regions.len() + eos);
     }
 
+    /// Every plane of `s`, with the [`Kernel::arrays`] bit that names it.
+    fn planes(s: &StepScratch) -> Vec<(u8, Plane)> {
+        let mut all = vec![(DETERM, s.determ), (VNEWC, s.vnewc)];
+        let groups = [(SIG, s.sig), (F_ELEM, s.f_elem), (F_HG, s.f_hg)];
+        let groups = groups
+            .into_iter()
+            .chain([(GEOMETRY, s.dvd), (GEOMETRY, s.xyz8n)]);
+        for (bit, group) in groups {
+            all.extend(group.map(|p| (bit, p)));
+        }
+        all.extend(s.eos.map(|p| (EOS, p)));
+        all
+    }
+
     #[test]
     fn scratch_holds_only_what_the_plan_uses() {
-        let merged = StepScratch::new(&StepPlan::tasks(shape(&[(125, 1)]), Features::default()), 1);
-        assert!(merged.sig[0].is_empty() && merged.determ.is_empty() && merged.eos[0].is_empty());
-        assert_eq!(merged.f_elem[2].len(), 8 * 125);
-        let reference = StepScratch::new(&StepPlan::reference(shape(&[(100, 1), (25, 3)])), 1);
-        assert_eq!(reference.eos[14].len(), 100);
-        assert_eq!(reference.xyz8n[0].len(), 8 * 125);
+        // Each plan's arrays are disjoint, 64-byte-aligned planes of one
+        // block; the arrays its kernels do not name take no space.
+        let regions = [(100, 1), (0, 2), (25, 3)];
+        let all = SIG | DETERM | F_ELEM | F_HG | GEOMETRY | VNEWC | EOS;
+        let plans = [
+            (Features::default(), F_ELEM | F_HG | VNEWC),
+            (Features::naive(), all & !EOS),
+        ];
+        let plans = plans.map(|(f, used)| (StepPlan::tasks(shape(&regions), f), used));
+        for (plan, used) in plans
+            .into_iter()
+            .chain([(StepPlan::reference(shape(&regions)), all)])
+        {
+            let s = StepScratch::new(&plan, 2);
+            let mut planes = planes(&s);
+            for &(bit, p) in &planes {
+                let len = match bit {
+                    EOS => 100,
+                    F_ELEM | F_HG | GEOMETRY => 8 * 125,
+                    _ => 125,
+                };
+                assert_eq!(p.len, if used & bit != 0 { len } else { 0 }, "bit {bit}");
+                // SAFETY: no other access to the scratch is in flight.
+                let at = unsafe { s.part(p, p.all()) }.as_ptr() as usize;
+                assert!(
+                    p.len == 0 || at.is_multiple_of(parutil::CACHE_LINE),
+                    "bit {bit}"
+                );
+            }
+            planes.sort_by_key(|&(_, p)| (p.off, p.len));
+            for pair in planes.windows(2) {
+                assert!(pair[0].1.off + pair[0].1.len <= pair[1].1.off);
+            }
+            let last = planes.last().unwrap().1;
+            assert!(last.off + last.len <= s.slab.len());
+        }
+    }
+
+    /// This thread's minor page faults so far (`getrusage(RUSAGE_THREAD)`).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn minor_faults() -> i64 {
+        /// `struct rusage` of x86-64 Linux: two `timeval`s, then 14 longs.
+        #[repr(C)]
+        struct Rusage {
+            times: [i64; 4],
+            maxrss_ixrss_idrss_isrss: [i64; 4],
+            minflt: i64,
+            rest: [i64; 9],
+        }
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+        }
+        const RUSAGE_THREAD: i32 = 1;
+        let mut u = std::mem::MaybeUninit::<Rusage>::zeroed();
+        // SAFETY: `u` is a writable `struct rusage`; the call fills it.
+        assert_eq!(unsafe { getrusage(RUSAGE_THREAD, u.as_mut_ptr()) }, 0);
+        // SAFETY: zeroed, then filled by the kernel: every field is an
+        // integer.
+        unsafe { u.assume_init() }.minflt
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn first_writes_to_an_s45_scratch_fault_once_per_huge_page() {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        if thp.as_deref().map_or(true, |t| t.contains("[never]")) {
+            eprintln!("skip: transparent huge pages are off on this host");
+            return;
+        }
+        let n = 45;
+        let s45 = PlanShape {
+            num_elem: n * n * n,
+            num_node: (n + 1) * (n + 1) * (n + 1),
+            symm_len: (n + 1) * (n + 1),
+            region_lens: vec![n * n * n],
+            reps: vec![1],
+        };
+        // Six corner-force planes and `vnewc`: 36 MB, ~8.7k 4 KiB pages.
+        let s = StepScratch::new(&StepPlan::tasks(s45, Features::default()), 1);
+        let before = minor_faults();
+        for (_, p) in planes(&s) {
+            // SAFETY: no other access to the scratch is in flight.
+            unsafe { s.part_mut(p, p.all()) }.fill(1.0);
+        }
+        let faults = minor_faults() - before;
+        assert!(faults < 1000, "{faults} minor faults writing the scratch");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! final-output block the reference prints.
 
 use crate::domain::Domain;
+use crate::kernels::eos;
 use crate::params::SimState;
 use crate::simd;
 use crate::validate::{final_origin_energy, symmetry_check};
@@ -71,15 +72,15 @@ impl RunReport {
     }
 
     /// The verbose block the reference prints after a run, plus the lane
-    /// kernel body (`width/isa`) the dispatchers resolve to right now.
+    /// kernel body (`width/isa`, plus EOS's own pack where it differs) the
+    /// dispatchers resolve to right now.
     pub fn verbose(&self) -> String {
-        let width = simd::active();
         format!(
             "Run completed:\n\
              \x20  Problem size        =  {}\n\
              \x20  MPI tasks           =  1\n\
              \x20  Iteration count     =  {}\n\
-             \x20  Kernel lanes        =  {width}/{}\n\
+             \x20  Kernel lanes        =  {}\n\
              \x20  Final Origin Energy =  {:.6e}\n\
              \x20  Testing Plane 0 of Energy Array on rank 0:\n\
              \x20       MaxAbsDiff   = {:.6e}\n\
@@ -88,7 +89,7 @@ impl RunReport {
              Elapsed time         = {:>10.2} (s)",
             self.size,
             self.iterations,
-            simd::Isa::detect(width),
+            kernel_lanes(simd::active()),
             self.final_energy,
             self.max_abs_diff,
             self.total_abs_diff,
@@ -96,6 +97,15 @@ impl RunReport {
             self.elapsed.as_secs_f64(),
         )
     }
+}
+
+/// The lane body the kernels run at `width` on this host, as `width/isa`,
+/// naming EOS's own pack where it pins AVX2 under an AVX-512 walk:
+/// `w8/avx512 (eos avx2)`.
+fn kernel_lanes(width: simd::LaneWidth) -> String {
+    let isa = simd::Isa::detect(width);
+    let pinned = isa == simd::Isa::Avx512 && eos::LANES_PIN_AVX2;
+    format!("{width}/{isa}{}", if pinned { " (eos avx2)" } else { "" })
 }
 
 #[cfg(test)]
@@ -129,5 +139,15 @@ mod tests {
         let v = r.verbose();
         assert!(v.contains("Final Origin Energy"));
         assert!(v.contains("Problem size        =  4"));
+        // EOS pins the AVX2 pack under the AVX-512 walk, and says so.
+        let width = simd::active();
+        let lanes = match simd::Isa::detect(width) {
+            simd::Isa::Avx512 => "w8/avx512 (eos avx2)".to_string(),
+            isa => format!("{width}/{isa}"),
+        };
+        assert!(
+            v.contains(&format!("Kernel lanes        =  {lanes}\n")),
+            "{v}"
+        );
     }
 }

@@ -11,57 +11,66 @@
 use crate::domain::Domain;
 use crate::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
 use crate::params::SimState;
+use crate::slab::{split_mut, Layout, Plane};
 use crate::timestep::time_increment;
 use crate::types::{LuleshError, Real};
-use parutil::Chunk;
+use parutil::{Chunk, SharedVec};
 
 /// Whole-mesh scratch arrays reused across iterations (the reference
-/// allocates/frees them every call; persistence changes no results).
+/// allocates/frees them every call; persistence changes no results). The
+/// eleven mesh-length arrays — stress diagonal, `determ`, per-corner
+/// stress and hourglass forces, `vnewc` — are planes of one block, laid
+/// out like the parallel drivers' [`StepScratch`](crate::plan::StepScratch),
+/// so serial and parallel runs pay the same first-touch cost.
 #[derive(Debug)]
 pub struct SerialScratch {
-    /// Stress diagonal (`sigxx/yy/zz`), mesh length.
-    pub sigxx: Vec<Real>,
-    /// See [`Self::sigxx`].
-    pub sigyy: Vec<Real>,
-    /// See [`Self::sigxx`].
-    pub sigzz: Vec<Real>,
-    /// Jacobian determinants / absolute volumes, mesh length.
-    pub determ: Vec<Real>,
-    /// Per-corner stress forces, `8·num_elem`.
-    pub fx_elem: Vec<Real>,
-    /// See [`Self::fx_elem`].
-    pub fy_elem: Vec<Real>,
-    /// See [`Self::fx_elem`].
-    pub fz_elem: Vec<Real>,
-    /// Per-corner hourglass forces, `8·num_elem`.
-    pub fx_hg: Vec<Real>,
-    /// See [`Self::fx_hg`].
-    pub fy_hg: Vec<Real>,
-    /// See [`Self::fx_hg`].
-    pub fz_hg: Vec<Real>,
-    /// Clamped new relative volumes, mesh length.
-    pub vnewc: Vec<Real>,
+    /// The block holding every plane.
+    slab: SharedVec<Real>,
+    /// The eleven planes, in the order of [`Planes`]' fields.
+    planes: [Plane; 11],
     /// Region-length EOS scratch.
-    pub eos: eos::EosScratch,
+    eos: eos::EosScratch,
+}
+
+/// The arrays of a [`SerialScratch`], borrowed all at once.
+struct Planes<'a> {
+    /// Stress diagonal (`sigxx/yy/zz`), mesh length.
+    sig: [&'a mut [Real]; 3],
+    /// Jacobian determinants / absolute volumes, mesh length.
+    determ: &'a mut [Real],
+    /// Per-corner stress forces, `8·num_elem` each.
+    f_elem: [&'a mut [Real]; 3],
+    /// Per-corner hourglass forces, `8·num_elem` each.
+    f_hg: [&'a mut [Real]; 3],
+    /// Clamped new relative volumes, mesh length.
+    vnewc: &'a mut [Real],
 }
 
 impl SerialScratch {
     /// Scratch sized for `num_elem` elements.
     pub fn new(num_elem: usize) -> Self {
+        let mut layout = Layout::default();
+        let lens = [1, 1, 1, 1, 8, 8, 8, 8, 8, 8, 1];
+        let planes = lens.map(|per_elem| layout.plane(per_elem * num_elem));
         Self {
-            sigxx: vec![0.0; num_elem],
-            sigyy: vec![0.0; num_elem],
-            sigzz: vec![0.0; num_elem],
-            determ: vec![0.0; num_elem],
-            fx_elem: vec![0.0; 8 * num_elem],
-            fy_elem: vec![0.0; 8 * num_elem],
-            fz_elem: vec![0.0; 8 * num_elem],
-            fx_hg: vec![0.0; 8 * num_elem],
-            fy_hg: vec![0.0; 8 * num_elem],
-            fz_hg: vec![0.0; 8 * num_elem],
-            vnewc: vec![0.0; num_elem],
+            slab: layout.block(),
+            planes,
             eos: eos::EosScratch::default(),
         }
+    }
+
+    /// Every array, plus the EOS scratch.
+    fn planes(&mut self) -> (Planes<'_>, &mut eos::EosScratch) {
+        let [sx, sy, sz, determ, fxe, fye, fze, fxh, fyh, fzh, vnewc] =
+            split_mut(self.slab.as_mut_slice(), self.planes);
+        let planes = Planes {
+            sig: [sx, sy, sz],
+            determ,
+            f_elem: [fxe, fye, fze],
+            f_hg: [fxh, fyh, fzh],
+            vnewc,
+        };
+        (planes, &mut self.eos)
     }
 }
 
@@ -84,44 +93,22 @@ fn nodes(d: &Domain) -> Chunk {
 /// lockstep multi-domain reference can exchange boundary-plane forces
 /// before the node state advance.
 pub fn calc_force_for_nodes(d: &Domain, s: &mut SerialScratch) -> Result<(), LuleshError> {
-    stress::init_stress_terms_for_elems(d, &mut s.sigxx, &mut s.sigyy, &mut s.sigzz, elems(d));
-    stress::integrate_stress_for_elems(
-        d,
-        &s.sigxx,
-        &s.sigyy,
-        &s.sigzz,
-        &mut s.determ,
-        &mut s.fx_elem,
-        &mut s.fy_elem,
-        &mut s.fz_elem,
-        elems(d),
-    );
-    stress::check_volume_error(&s.determ)?;
+    let (s, _) = s.planes();
+    let [sx, sy, sz] = s.sig;
+    let [fx, fy, fz] = s.f_elem;
+    stress::init_stress_terms_for_elems(d, sx, sy, sz, elems(d));
+    stress::integrate_stress_for_elems(d, sx, sy, sz, s.determ, fx, fy, fz, elems(d));
+    stress::check_volume_error(s.determ)?;
 
     // One walk over the corner lists sets every nodal force: bit-identical
     // to the reference's zero + stress gather + hourglass gather-add.
     if d.params.hgcoef > 0.0 {
-        hourglass::calc_hourglass_force_for_elems(
-            d,
-            d.params.hgcoef,
-            &mut s.fx_hg,
-            &mut s.fy_hg,
-            &mut s.fz_hg,
-            elems(d),
-        )?;
-        stress::gather_forces_sum2(
-            d,
-            &s.fx_elem,
-            &s.fy_elem,
-            &s.fz_elem,
-            &s.fx_hg,
-            &s.fy_hg,
-            &s.fz_hg,
-            nodes(d),
-        );
+        let [hx, hy, hz] = s.f_hg;
+        hourglass::calc_hourglass_force_for_elems(d, d.params.hgcoef, hx, hy, hz, elems(d))?;
+        stress::gather_forces_sum2(d, fx, fy, fz, hx, hy, hz, nodes(d));
     } else {
         hourglass::check_relative_volumes(d, elems(d))?;
-        stress::gather_forces_set(d, &s.fx_elem, &s.fy_elem, &s.fz_elem, nodes(d));
+        stress::gather_forces_set(d, fx, fy, fz, nodes(d));
     }
     Ok(())
 }
@@ -167,18 +154,12 @@ pub fn apply_q_and_materials(d: &Domain, s: &mut SerialScratch) -> Result<(), Lu
     }
     monoq::check_q_stop(d, p.qstop, elems(d))?;
 
-    eos::fill_vnewc_clamped(d, &mut s.vnewc, p.eosvmin, p.eosvmax, elems(d));
+    let (Planes { vnewc, .. }, scratch) = s.planes();
+    eos::fill_vnewc_clamped(d, vnewc, p.eosvmin, p.eosvmax, elems(d));
     eos::check_eos_volume_bounds(d, p.eosvmin, p.eosvmax, elems(d))?;
     for r in 0..d.num_reg() {
         let rep = d.regions.rep(r);
-        eos::eval_eos_for_elems(
-            d,
-            &s.vnewc,
-            &d.regions.reg_elem_list[r],
-            rep,
-            &p,
-            &mut s.eos,
-        );
+        eos::eval_eos_for_elems(d, vnewc, &d.regions.reg_elem_list[r], rep, &p, scratch);
     }
 
     kinematics::update_volumes_for_elems(d, p.v_cut, elems(d));

@@ -27,4 +27,4 @@ pub use aligned::AlignedBuf;
 pub use barrier::SenseBarrier;
 pub use chunks::{chunk_count, chunk_range, chunks_in, chunks_of, static_split, Chunk};
 pub use counters::{aggregate, BusyIdleClock, CachePadded, Utilization, UTILIZATION_EPS};
-pub use shared_slice::{SharedVec, ZeroBits, CACHE_LINE};
+pub use shared_slice::{SharedVec, ZeroBits, CACHE_LINE, HUGE_PAGE};

@@ -26,6 +26,15 @@
 //! Only this module's own unit tests turn the checks on; no driver or
 //! integration test does. A checker that runs over the drivers' step plans
 //! is ROADMAP item 13.
+//!
+//! # Huge blocks
+//!
+//! A block of at least [`HUGE_PAGE`] bytes is an anonymous mapping of its
+//! own, starting on a huge-page boundary and advised `MADV_HUGEPAGE`, so
+//! its first writes fault once per 2 MiB instead of once per 4 KiB (see
+//! [`SharedVec::zeroed`]). This file is the only one that declares or
+//! calls `mmap`, `munmap` or `madvise` (`scripts/check.sh` holds it to
+//! that).
 
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
@@ -50,6 +59,112 @@ fn block_layout<T>(n: usize) -> Layout {
     Layout::from_size_align(cells.size() + CACHE_LINE, cells.align()).expect("layout overflow")
 }
 
+/// One x86-64 transparent huge page (bytes): the size from which a
+/// [`SharedVec`]'s cells get a mapping of their own.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// Whether the `n` cells of a `SharedVec<T>` are their own huge-page
+/// mapping ([`huge::map`]) instead of an allocator block. The mapping path
+/// exists on x86-64 Linux outside Miri; elsewhere every block comes from
+/// the allocator. Recomputed identically at drop time.
+fn mapped<T>(n: usize) -> bool {
+    cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)))
+        && n * std::mem::size_of::<T>() >= HUGE_PAGE
+}
+
+/// Anonymous mappings for huge blocks, through the C library's `mmap`,
+/// `munmap` and `madvise`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+mod huge {
+    use super::HUGE_PAGE;
+    use std::ffi::c_void;
+
+    const PAGE: usize = 4096;
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 2;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MADV_HUGEPAGE: i32 = 14;
+    const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+
+    /// A fresh zero-filled read-write mapping of `bytes` (rounded up to
+    /// whole 4 KiB pages, no further), starting on a [`HUGE_PAGE`]
+    /// boundary and advised `MADV_HUGEPAGE`. It over-reserves one huge page
+    /// and trims both ends, so no part of the returned range is shared with
+    /// another mapping. The pages fault in on first touch; where the kernel
+    /// has transparent huge pages on `madvise` or `always`, each 2 MiB of
+    /// the range faults once, and the 4 KiB tail past the last boundary
+    /// page by page. Where they are off the advice changes nothing, and
+    /// where the kernel lacks them its failure is ignored.
+    pub(super) fn map(bytes: usize) -> *mut u8 {
+        let span = bytes.div_ceil(PAGE) * PAGE;
+        // SAFETY: an anonymous private mapping at an address of the
+        // kernel's choosing aliases no existing memory; the two `munmap`s
+        // release page-aligned parts of it that nothing refers to, and
+        // `madvise` only changes how the kept range is backed.
+        unsafe {
+            let raw = mmap(
+                std::ptr::null_mut(),
+                span + HUGE_PAGE,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            if raw == MAP_FAILED {
+                let layout = std::alloc::Layout::from_size_align(span, HUGE_PAGE);
+                std::alloc::handle_alloc_error(layout.expect("layout overflow"));
+            }
+            // `raw` is page aligned, so `lead` is a whole number of pages
+            // below one huge page, and the trailing part is never empty.
+            let raw = raw as *mut u8;
+            let lead = raw.align_offset(HUGE_PAGE);
+            let start = raw.add(lead);
+            if lead > 0 {
+                munmap(raw as *mut c_void, lead);
+            }
+            munmap(start.add(span) as *mut c_void, HUGE_PAGE - lead);
+            madvise(start as *mut c_void, span, MADV_HUGEPAGE);
+            start
+        }
+    }
+
+    /// Release a mapping of `bytes` from [`map`]. It runs in `Drop`, so a
+    /// failed `munmap` is not raised: the range then just stays mapped.
+    ///
+    /// # Safety
+    /// `start` came from `map(bytes)`, and nothing refers to it any more.
+    pub(super) unsafe fn unmap(start: *mut u8, bytes: usize) {
+        munmap(start as *mut c_void, bytes);
+    }
+}
+
+/// Stand-in where huge blocks stay with the allocator: [`mapped`] is then
+/// always false, so neither function is reached.
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
+mod huge {
+    pub(super) fn map(_bytes: usize) -> *mut u8 {
+        unreachable!("huge blocks are allocator blocks on this target")
+    }
+
+    pub(super) unsafe fn unmap(_start: *mut u8, _bytes: usize) {
+        unreachable!("huge blocks are allocator blocks on this target")
+    }
+}
+
 /// An owning array with interior mutability for disjoint parallel writes.
 ///
 /// This is the storage type used by the LULESH `Domain`: tasks hold an
@@ -60,8 +175,9 @@ pub struct SharedVec<T> {
     /// dangling when `len == 0`.
     ptr: *mut UnsafeCell<T>,
     len: usize,
-    /// Owned allocation of [`block_layout`]`::<T>(len)`: its cells are
-    /// dropped and it is freed in `Drop` with the recomputed layout.
+    /// Owned allocation of [`block_layout`]`::<T>(len)`, or the cells' own
+    /// mapping when [`mapped`]`::<T>(len)`: its cells are dropped and it is
+    /// freed or unmapped in `Drop`, which recomputes which.
     base: *mut u8,
     /// Writer tags per index; allocated only when overlap checking is on.
     check: Option<Box<[AtomicU32]>>,
@@ -110,11 +226,17 @@ macro_rules! zero_bits {
 zero_bits!(f32, f64, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<T: ZeroBits> SharedVec<T> {
-    /// Allocate `n` zero elements via `alloc_zeroed` **without touching
-    /// the memory**: for large arrays the allocator hands back fresh zero
-    /// pages, which are faulted in (and count towards the resident set)
-    /// only when first written. `from_elem(0, n)` by contrast writes, and
-    /// so faults, every page up front.
+    /// Allocate `n` zero elements **without touching the memory**: fresh
+    /// zero pages, which are faulted in (and count towards the resident
+    /// set) only when first written. `from_elem(0, n)` by contrast writes,
+    /// and so faults, every page up front.
+    ///
+    /// A block of at least [`HUGE_PAGE`] bytes is its own mapping of
+    /// exactly its length, on a huge-page boundary and advised
+    /// `MADV_HUGEPAGE` (on x86-64 Linux): where the kernel grants
+    /// transparent huge pages, its first writes fault once per 2 MiB
+    /// rather than once per 4 KiB page. Smaller blocks come from
+    /// `alloc_zeroed`, which for large sizes hands back untouched pages too.
     pub fn zeroed(n: usize) -> Self {
         if n == 0 {
             return Self::from_vec(Vec::new());
@@ -152,13 +274,24 @@ impl<T> SharedVec<T> {
     }
 
     /// `n > 0` cells at the first 64-byte boundary of a block from
-    /// `alloc(block_layout::<T>(n))`.
+    /// `alloc(block_layout::<T>(n))`, or at the start of a zeroed mapping
+    /// of their own when they fill at least a [`HUGE_PAGE`].
     ///
     /// # Safety
     /// The block's bytes must be valid `T`s before any cell is read or
     /// dropped (`Drop` drops all `n`).
     unsafe fn in_block(n: usize, alloc: unsafe fn(Layout) -> *mut u8) -> Self {
         let layout = block_layout::<T>(n);
+        if mapped::<T>(n) {
+            // A huge-page boundary is aligned for any `T`.
+            let base = huge::map(n * std::mem::size_of::<T>());
+            return Self {
+                ptr: base as *mut UnsafeCell<T>,
+                len: n,
+                base,
+                check: None,
+            };
+        }
         let base = alloc(layout);
         if base.is_null() {
             std::alloc::handle_alloc_error(layout);
@@ -307,14 +440,18 @@ impl<T> Drop for SharedVec<T> {
             return;
         }
         // SAFETY: `ptr`/`len` describe owned, initialized cells inside the
-        // block `base` allocated with exactly this layout; `&mut self`
-        // proves no aliases remain.
+        // block `base`, mapped or allocated by `in_block` for exactly this
+        // `len`; `&mut self` proves no aliases remain.
         unsafe {
             std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
                 self.ptr as *mut T,
                 self.len,
             ));
-            std::alloc::dealloc(self.base, block_layout::<T>(self.len));
+            if mapped::<T>(self.len) {
+                huge::unmap(self.base, self.len * std::mem::size_of::<T>());
+            } else {
+                std::alloc::dealloc(self.base, block_layout::<T>(self.len));
+            }
         }
     }
 }
@@ -493,6 +630,65 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 0, "moved, not dropped");
         drop(sv);
         assert_eq!(DROPS.load(Ordering::Relaxed), 3);
+    }
+
+    /// The mapping of `/proc/self/smaps` that holds `addr`: its
+    /// `start..end` and its `VmFlags` line.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn vma_of(addr: usize) -> Option<(std::ops::Range<usize>, String)> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut range = None;
+        for line in smaps.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = first.split_once('-') {
+                let hex = |s| usize::from_str_radix(s, 16).ok();
+                range = hex(lo).zip(hex(hi)).map(|(lo, hi)| lo..hi);
+            } else if let (Some(flags), Some(r)) = (line.strip_prefix("VmFlags:"), &range) {
+                if r.contains(&addr) {
+                    return Some((r.clone(), flags.to_string()));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn huge_blocks_are_their_own_advised_mapping() {
+        // Not a whole number of pages: the mapping still ends on the first
+        // 4 KiB boundary past the cells.
+        let n = HUGE_PAGE / 8 + 1000;
+        let mut big = SharedVec::<f64>::zeroed(n);
+        let start = big.as_ptr() as usize;
+        assert_eq!(start % HUGE_PAGE, 0);
+        assert!(big.as_mut_slice().iter().all(|&v| v == 0.0));
+        let (range, flags) = vma_of(start).expect("the block is mapped");
+        assert_eq!(range, start..start + (8 * n).div_ceil(4096) * 4096);
+        // `hg` is the `MADV_HUGEPAGE` mark; a kernel built without
+        // transparent huge pages refuses the advice.
+        if std::path::Path::new("/sys/kernel/mm/transparent_hugepage").exists() {
+            assert!(flags.split_whitespace().any(|f| f == "hg"), "{flags}");
+        }
+        unsafe { big.write(n - 1, 2.0) };
+        assert_eq!(big.to_vec()[n - 1], 2.0);
+        drop(big);
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let gone = !maps.lines().any(|l| l.starts_with(&format!("{start:x}-")));
+        assert!(gone, "the block's mapping outlived it");
+        // The other constructors take the same path.
+        let e = SharedVec::from_elem(1.5f64, n);
+        assert_eq!(e.as_ptr() as usize % HUGE_PAGE, 0);
+        assert_eq!(unsafe { e.load(n - 1) }, 1.5);
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn blocks_under_a_huge_page_stay_with_the_allocator() {
+        let n = (1 << 20) / 8;
+        let small = SharedVec::<f64>::zeroed(n);
+        assert!(!mapped::<f64>(n) && mapped::<f64>(2 * n));
+        let (_, flags) = vma_of(small.as_ptr() as usize).expect("the block is mapped");
+        assert!(!flags.split_whitespace().any(|f| f == "hg"), "{flags}");
     }
 
     #[test]

@@ -183,6 +183,18 @@ for pack in Avx2Pack Avx512Pack; do
   fi
 done
 
+echo "== only shared_slice.rs maps memory (mmap/munmap/madvise) =="
+# SharedVec gives every block of at least a huge page an anonymous mapping
+# of its own and unmaps it on drop; like the packs above, that unsafe
+# surface lives in one file, so no other file may declare or call the
+# three functions.
+MAP_FILES=$(grep -rlE '\b(mmap|munmap|madvise)[[:space:]]*\(' crates src tests examples \
+  --include='*.rs' | sort | tr '\n' ' ')
+if [ "$MAP_FILES" != "crates/parutil/src/shared_slice.rs " ]; then
+  echo "mmap/munmap/madvise declared or called outside shared_slice.rs: $MAP_FILES"
+  exit 1
+fi
+
 echo "== no --pin flag (worker pinning is not a run option) =="
 for bin in lulesh-task lulesh-multidom; do
   STATUS=0
