@@ -2,14 +2,30 @@
 //! connectivity, region decomposition, and problem initialization (Sedov
 //! blast energy deposit, masses, initial timestep).
 //!
+//! # Field table
+//!
+//! Each of the 35 mesh-resident arrays is named once, as a [`Field`], in
+//! the `fields!` table below: its variant, its accessor pair (`d.x(i)`,
+//! `d.set_x(i, v)`) and its [`FieldSpace`]. Code that walks "every field"
+//! (snapshots, halo packs, test digests) iterates [`Field::ALL`] or names a
+//! `Field`, instead of listing accessors.
+//!
+//! All fields are 64-byte-aligned planes of one block, laid out as the
+//! step scratch is (`core::slab`). At the paper's sizes that block spans
+//! tens of MB, so it is one huge-page mapping ([`SharedVec::zeroed`]):
+//! building the domain writes every plane, and those first writes fault
+//! once per 2 MiB rather than once per 4 KiB page per array. The two
+//! corner-length connectivity lists are blocks of their own, built in
+//! place under the same rule.
+//!
 //! # Sharing model
 //!
 //! The C++ original passes `Domain&` everywhere and lets OpenMP threads
-//! write disjoint indices. We reproduce that model: every mutable field is a
+//! write disjoint indices. We reproduce that model: the field block is a
 //! [`SharedVec`] and the getter/setter accessors (`d.x(i)`, `d.set_x(i, v)`)
 //! compile to raw-pointer loads/stores. **The safety contract lives at the
 //! driver level**: within one parallel phase, no two tasks may touch the
-//! same index of the same array with a write involved, and phases are
+//! same index of the same field with a write involved, and phases are
 //! separated by barriers/dependencies. The serial driver trivially satisfies
 //! this; the parallel drivers satisfy it structurally (disjoint partitions,
 //! disjoint regions, element-owned scratch) and the integration tests verify
@@ -19,26 +35,143 @@ use crate::kernels::volume::calc_elem_volume;
 use crate::mesh::{self, Face, MeshShape};
 use crate::params::{Params, EBASE};
 use crate::regions::Regions;
+use crate::slab::{split_mut, Layout, Plane};
 use crate::types::{Index, MeshIndex, Real};
 use parutil::SharedVec;
+use std::ops::Range;
 
-macro_rules! real_fields {
-    ($(#[$m:meta] $get:ident $set:ident $field:ident;)*) => {
-        $(
-            #[$m]
-            #[inline]
-            pub fn $get(&self, i: Index) -> Real {
-                // SAFETY: phase-disjoint access contract (see type docs).
-                unsafe { self.$field.load(i) }
+/// The index space a [`Field`] spans: its plane's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldSpace {
+    /// One value per node (`num_node`).
+    Node,
+    /// One value per element (`num_elem`).
+    Elem,
+    /// One value per element plus the ghost regions of the COMM faces
+    /// ([`MeshShape::grad_len`]), which the halo exchange fills.
+    Grad,
+}
+
+/// Declares [`Field`] and the `Domain` accessors from one table: each row
+/// is a field's doc line, variant, getter, setter and [`FieldSpace`], in
+/// plane order.
+macro_rules! fields {
+    ($(#[$doc:meta] $field:ident $get:ident $set:ident $space:ident;)*) => {
+        /// A mesh-resident array of [`Domain`]: one plane of its field block.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Field {
+            $(#[$doc] $field,)*
+        }
+
+        impl Field {
+            /// Every field, in plane order.
+            pub const ALL: [Field; Field::COUNT] = [$(Field::$field,)*];
+            /// Number of fields.
+            pub const COUNT: usize = [$(stringify!($field),)*].len();
+
+            /// The field's name: that of its getter (`"nodal_mass"`).
+            pub const fn label(self) -> &'static str {
+                match self {
+                    $(Field::$field => stringify!($get),)*
+                }
             }
-            #[doc = concat!("Setter counterpart of [`Self::", stringify!($get), "`].")]
-            #[inline]
-            pub fn $set(&self, i: Index, v: Real) {
-                // SAFETY: phase-disjoint access contract (see type docs).
-                unsafe { self.$field.write(i, v) }
+
+            /// The index space the field spans.
+            pub const fn space(self) -> FieldSpace {
+                match self {
+                    $(Field::$field => FieldSpace::$space,)*
+                }
             }
-        )*
+        }
+
+        impl Domain {
+            $(
+                #[$doc]
+                #[inline]
+                pub fn $get(&self, i: Index) -> Real {
+                    self.get(Field::$field, i)
+                }
+                #[doc = concat!("Setter counterpart of [`Self::", stringify!($get), "`].")]
+                #[inline]
+                pub fn $set(&self, i: Index, v: Real) {
+                    self.set(Field::$field, i, v)
+                }
+            )*
+        }
     };
+}
+
+fields! {
+    /// Node x-coordinate.
+    X x set_x Node;
+    /// Node y-coordinate.
+    Y y set_y Node;
+    /// Node z-coordinate.
+    Z z set_z Node;
+    /// Node x-velocity.
+    Xd xd set_xd Node;
+    /// Node y-velocity.
+    Yd yd set_yd Node;
+    /// Node z-velocity.
+    Zd zd set_zd Node;
+    /// Node x-acceleration.
+    Xdd xdd set_xdd Node;
+    /// Node y-acceleration.
+    Ydd ydd set_ydd Node;
+    /// Node z-acceleration.
+    Zdd zdd set_zdd Node;
+    /// Nodal x-force.
+    Fx fx set_fx Node;
+    /// Nodal y-force.
+    Fy fy set_fy Node;
+    /// Nodal z-force.
+    Fz fz set_fz Node;
+    /// Nodal mass.
+    NodalMass nodal_mass set_nodal_mass Node;
+    /// Element internal energy.
+    E e set_e Elem;
+    /// Element pressure.
+    P p set_p Elem;
+    /// Element artificial viscosity.
+    Q q set_q Elem;
+    /// Linear q term.
+    Ql ql set_ql Elem;
+    /// Quadratic q term.
+    Qq qq set_qq Elem;
+    /// Element relative volume.
+    V v set_v Elem;
+    /// Element reference (initial) volume.
+    Volo volo set_volo Elem;
+    /// Relative volume change this step (`vnew − v`).
+    Delv delv set_delv Elem;
+    /// Volume derivative over volume.
+    Vdov vdov set_vdov Elem;
+    /// Element characteristic length.
+    Arealg arealg set_arealg Elem;
+    /// Sound speed.
+    Ss ss set_ss Elem;
+    /// Element mass.
+    ElemMass elem_mass set_elem_mass Elem;
+    /// New relative volume (step scratch in the reference; persistent here).
+    Vnew vnew set_vnew Elem;
+    /// Principal strain xx (scratch).
+    Dxx dxx set_dxx Elem;
+    /// Principal strain yy (scratch).
+    Dyy dyy set_dyy Elem;
+    /// Principal strain zz (scratch).
+    Dzz dzz set_dzz Elem;
+    /// Monotonic-q velocity gradient ξ (scratch; ghost regions included).
+    DelvXi delv_xi set_delv_xi Grad;
+    /// Monotonic-q velocity gradient η (scratch; ghost regions included).
+    DelvEta delv_eta set_delv_eta Grad;
+    /// Monotonic-q velocity gradient ζ (scratch; ghost regions included).
+    DelvZeta delv_zeta set_delv_zeta Grad;
+    /// Monotonic-q position gradient ξ (scratch).
+    DelxXi delx_xi set_delx_xi Elem;
+    /// Monotonic-q position gradient η (scratch).
+    DelxEta delx_eta set_delx_eta Elem;
+    /// Monotonic-q position gradient ζ (scratch).
+    DelxZeta delx_zeta set_delx_zeta Elem;
 }
 
 /// All mesh-resident state of a LULESH problem.
@@ -48,83 +181,15 @@ pub struct Domain {
     num_elem: Index,
     num_node: Index,
 
-    // --- node-centered fields ---
-    /// Node coordinates.
-    pub m_x: SharedVec<Real>,
-    /// Node coordinates.
-    pub m_y: SharedVec<Real>,
-    /// Node coordinates.
-    pub m_z: SharedVec<Real>,
-    /// Node velocities.
-    pub m_xd: SharedVec<Real>,
-    /// Node velocities.
-    pub m_yd: SharedVec<Real>,
-    /// Node velocities.
-    pub m_zd: SharedVec<Real>,
-    /// Node accelerations.
-    pub m_xdd: SharedVec<Real>,
-    /// Node accelerations.
-    pub m_ydd: SharedVec<Real>,
-    /// Node accelerations.
-    pub m_zdd: SharedVec<Real>,
-    /// Nodal forces.
-    pub m_fx: SharedVec<Real>,
-    /// Nodal forces.
-    pub m_fy: SharedVec<Real>,
-    /// Nodal forces.
-    pub m_fz: SharedVec<Real>,
-    /// Nodal mass.
-    pub m_nodal_mass: SharedVec<Real>,
-
-    // --- element-centered fields ---
-    /// Internal energy.
-    pub m_e: SharedVec<Real>,
-    /// Pressure.
-    pub m_p: SharedVec<Real>,
-    /// Artificial viscosity.
-    pub m_q: SharedVec<Real>,
-    /// Linear term of q.
-    pub m_ql: SharedVec<Real>,
-    /// Quadratic term of q.
-    pub m_qq: SharedVec<Real>,
-    /// Relative volume.
-    pub m_v: SharedVec<Real>,
-    /// Reference (initial) volume.
-    pub m_volo: SharedVec<Real>,
-    /// Relative volume change this step (`vnew − v`).
-    pub m_delv: SharedVec<Real>,
-    /// Volume derivative over volume.
-    pub m_vdov: SharedVec<Real>,
-    /// Element characteristic length.
-    pub m_arealg: SharedVec<Real>,
-    /// Sound speed.
-    pub m_ss: SharedVec<Real>,
-    /// Element mass.
-    pub m_elem_mass: SharedVec<Real>,
-    /// New relative volume (step-scratch in the reference; persistent here).
-    pub m_vnew: SharedVec<Real>,
-    /// Principal strain scratch.
-    pub m_dxx: SharedVec<Real>,
-    /// Principal strain scratch.
-    pub m_dyy: SharedVec<Real>,
-    /// Principal strain scratch.
-    pub m_dzz: SharedVec<Real>,
-    /// Monotonic-q velocity gradient scratch.
-    pub m_delv_xi: SharedVec<Real>,
-    /// Monotonic-q velocity gradient scratch.
-    pub m_delv_eta: SharedVec<Real>,
-    /// Monotonic-q velocity gradient scratch.
-    pub m_delv_zeta: SharedVec<Real>,
-    /// Monotonic-q position gradient scratch.
-    pub m_delx_xi: SharedVec<Real>,
-    /// Monotonic-q position gradient scratch.
-    pub m_delx_eta: SharedVec<Real>,
-    /// Monotonic-q position gradient scratch.
-    pub m_delx_zeta: SharedVec<Real>,
+    // --- the fields ---
+    /// The block every field is a plane of.
+    slab: SharedVec<Real>,
+    /// Each field's plane of `slab`, in [`Field::ALL`] order.
+    planes: [Plane; Field::COUNT],
 
     // --- immutable connectivity, stored at `Index_t` width ---
-    /// 8 node indices per element.
-    pub m_nodelist: Vec<MeshIndex>,
+    /// 8 node indices per element; never written after the build.
+    nodelist: SharedVec<MeshIndex>,
     /// ξ− face neighbour.
     pub m_lxim: Vec<MeshIndex>,
     /// ξ+ face neighbour.
@@ -147,8 +212,9 @@ pub struct Domain {
     pub m_symm_z: Vec<MeshIndex>,
     /// Node→element-corner list offsets (length `num_node + 1`).
     pub m_node_elem_start: Vec<MeshIndex>,
-    /// Node→element-corner entries (`8·elem + corner`).
-    pub m_node_elem_corner_list: Vec<MeshIndex>,
+    /// Node→element-corner entries (`8·elem + corner`); never written
+    /// after the build.
+    node_elem_corner_list: SharedVec<MeshIndex>,
 
     /// Region decomposition.
     pub regions: Regions,
@@ -196,39 +262,47 @@ impl Domain {
         );
         let num_elem = shape.num_elem();
         let num_node = shape.num_node();
+        let grad_len = shape.grad_len();
 
-        // Every array is allocated once and written in place: a page is
-        // faulted by its first write, never by a copy.
-        let blank_e = || SharedVec::zeroed(num_elem);
-        let blank_n = || SharedVec::zeroed(num_node);
-        let (mut m_x, mut m_y, mut m_z) = (blank_n(), blank_n(), blank_n());
-        mesh::fill_coordinates(
-            shape,
-            m_x.as_mut_slice(),
-            m_y.as_mut_slice(),
-            m_z.as_mut_slice(),
-        );
-        let nodelist = mesh::build_nodelist(shape);
+        // Every array is allocated once and written in place, the field
+        // block in full (zeros included): each page faults here, by its
+        // first write, and never inside the step loop or by a copy.
+        let mut layout = Layout::default();
+        let planes = Field::ALL.map(|f| {
+            layout.plane(match f.space() {
+                FieldSpace::Node => num_node,
+                FieldSpace::Elem => num_elem,
+                FieldSpace::Grad => grad_len,
+            })
+        });
+        let mut slab = layout.block();
+        slab.fill(0.0);
+        use Field::{ElemMass, NodalMass, Volo, E, V, X, Y, Z};
+        let written = [X, Y, Z, NodalMass, E, V, Volo, ElemMass];
+        let [x, y, z, nodal_mass, e, v, volo, elem_mass] =
+            split_mut(slab.as_mut_slice(), written.map(|f| planes[f as usize]));
+        v.fill(1.0);
+        mesh::fill_coordinates(shape, x, y, z);
+
+        let mut nodelist = SharedVec::zeroed(8 * num_elem);
+        mesh::fill_nodelist(shape, nodelist.as_mut_slice());
+        let mut node_elem_corner_list = SharedVec::zeroed(8 * num_elem);
+        let nl: &[MeshIndex] = nodelist.as_mut_slice();
+        let node_elem_start =
+            mesh::fill_node_elem_corners(nl, num_node, node_elem_corner_list.as_mut_slice());
         let (lxim, lxip, letam, letap, lzetam, lzetap) = mesh::build_connectivity(shape);
         let elem_bc = mesh::build_boundary_conditions(shape);
         let (symm_x, symm_y, symm_z) = mesh::build_symmetry_planes(shape);
-        let (node_elem_start, node_elem_corner_list) =
-            mesh::build_node_elem_corners(&nodelist, num_node);
         let regions = Regions::create(num_elem, num_reg, balance, cost, seed);
 
         // Initialize volumes and masses from the initial geometry. For
         // subdomains, boundary-plane nodal masses are completed by the
         // halo exchange in `multidom`.
-        let (mut m_volo, mut m_elem_mass, mut m_nodal_mass) = (blank_e(), blank_e(), blank_n());
-        let (x, y, z) = (m_x.as_mut_slice(), m_y.as_mut_slice(), m_z.as_mut_slice());
-        let volo = m_volo.as_mut_slice();
-        let elem_mass = m_elem_mass.as_mut_slice();
-        let nodal_mass = m_nodal_mass.as_mut_slice();
         let mut xl = [0.0; 8];
         let mut yl = [0.0; 8];
         let mut zl = [0.0; 8];
-        for e in 0..num_elem {
-            let nl = &nodelist[8 * e..8 * e + 8];
+        for el in 0..num_elem {
+            let nl = &nl[8 * el..8 * el + 8];
             for c in 0..8 {
                 let n = nl[c] as Index;
                 xl[c] = x[n];
@@ -236,8 +310,8 @@ impl Domain {
                 zl[c] = z[n];
             }
             let volume = calc_elem_volume(&xl, &yl, &zl);
-            volo[e] = volume;
-            elem_mass[e] = volume;
+            volo[el] = volume;
+            elem_mass[el] = volume;
             for &n in nl {
                 nodal_mass[n as Index] += volume / 8.0;
             }
@@ -250,60 +324,18 @@ impl Domain {
         // every sub-brick of one problem agrees on the deposit.
         let scale = shape.global_nx as Real / 45.0;
         let einit = EBASE * scale * scale * scale;
-        let mut m_e = blank_e();
         if shape.x_offset == 0 && shape.y_offset == 0 && shape.z_offset == 0 {
-            m_e.as_mut_slice()[0] = einit;
+            e[0] = einit;
         }
         let initial_dt = 0.5 * volo[0].cbrt() / (2.0 * einit).sqrt();
-
-        // Ghost element regions for the monotonic-q gradients: one region
-        // per COMM face, laid out after the real elements in Face order.
-        let grad_len = shape.grad_len();
-
-        let zeros_e = || SharedVec::from_elem(0.0, num_elem);
-        let zeros_g = || SharedVec::from_elem(0.0, grad_len);
-        let zeros_n = || SharedVec::from_elem(0.0, num_node);
 
         Self {
             shape,
             num_elem,
             num_node,
-            m_x,
-            m_y,
-            m_z,
-            m_xd: zeros_n(),
-            m_yd: zeros_n(),
-            m_zd: zeros_n(),
-            m_xdd: zeros_n(),
-            m_ydd: zeros_n(),
-            m_zdd: zeros_n(),
-            m_fx: zeros_n(),
-            m_fy: zeros_n(),
-            m_fz: zeros_n(),
-            m_nodal_mass,
-            m_e,
-            m_p: zeros_e(),
-            m_q: zeros_e(),
-            m_ql: zeros_e(),
-            m_qq: zeros_e(),
-            m_v: SharedVec::from_elem(1.0, num_elem),
-            m_volo,
-            m_delv: zeros_e(),
-            m_vdov: zeros_e(),
-            m_arealg: zeros_e(),
-            m_ss: zeros_e(),
-            m_elem_mass,
-            m_vnew: zeros_e(),
-            m_dxx: zeros_e(),
-            m_dyy: zeros_e(),
-            m_dzz: zeros_e(),
-            m_delv_xi: zeros_g(),
-            m_delv_eta: zeros_g(),
-            m_delv_zeta: zeros_g(),
-            m_delx_xi: zeros_e(),
-            m_delx_eta: zeros_e(),
-            m_delx_zeta: zeros_e(),
-            m_nodelist: nodelist,
+            slab,
+            planes,
+            nodelist,
             m_lxim: lxim,
             m_lxip: lxip,
             m_letam: letam,
@@ -315,7 +347,7 @@ impl Domain {
             m_symm_y: symm_y,
             m_symm_z: symm_z,
             m_node_elem_start: node_elem_start,
-            m_node_elem_corner_list: node_elem_corner_list,
+            node_elem_corner_list,
             regions,
             params: Params::default(),
             initial_dt,
@@ -368,7 +400,9 @@ impl Domain {
     /// The 8 node indices of element `e`.
     #[inline]
     pub fn nodelist(&self, e: Index) -> &[MeshIndex] {
-        &self.m_nodelist[8 * e..8 * e + 8]
+        // SAFETY: the list is written only by the build.
+        let list = unsafe { self.nodelist.as_slice() };
+        &list[8 * e..8 * e + 8]
     }
 
     /// Element-corner entries of node `n` (each is `8·elem + corner`), in
@@ -376,80 +410,61 @@ impl Domain {
     #[inline]
     pub fn node_elem_corners(&self, n: Index) -> &[MeshIndex] {
         let start = &self.m_node_elem_start;
-        &self.m_node_elem_corner_list[start[n] as Index..start[n + 1] as Index]
+        // SAFETY: the list is written only by the build.
+        let list = unsafe { self.node_elem_corner_list.as_slice() };
+        &list[start[n] as Index..start[n + 1] as Index]
     }
 
-    real_fields! {
-        /// Node x-coordinate.
-        x set_x m_x;
-        /// Node y-coordinate.
-        y set_y m_y;
-        /// Node z-coordinate.
-        z set_z m_z;
-        /// Node x-velocity.
-        xd set_xd m_xd;
-        /// Node y-velocity.
-        yd set_yd m_yd;
-        /// Node z-velocity.
-        zd set_zd m_zd;
-        /// Node x-acceleration.
-        xdd set_xdd m_xdd;
-        /// Node y-acceleration.
-        ydd set_ydd m_ydd;
-        /// Node z-acceleration.
-        zdd set_zdd m_zdd;
-        /// Nodal x-force.
-        fx set_fx m_fx;
-        /// Nodal y-force.
-        fy set_fy m_fy;
-        /// Nodal z-force.
-        fz set_fz m_fz;
-        /// Nodal mass.
-        nodal_mass set_nodal_mass m_nodal_mass;
-        /// Element internal energy.
-        e set_e m_e;
-        /// Element pressure.
-        p set_p m_p;
-        /// Element artificial viscosity.
-        q set_q m_q;
-        /// Linear q term.
-        ql set_ql m_ql;
-        /// Quadratic q term.
-        qq set_qq m_qq;
-        /// Element relative volume.
-        v set_v m_v;
-        /// Element reference volume.
-        volo set_volo m_volo;
-        /// Relative volume change.
-        delv set_delv m_delv;
-        /// Volume derivative over volume.
-        vdov set_vdov m_vdov;
-        /// Characteristic length.
-        arealg set_arealg m_arealg;
-        /// Sound speed.
-        ss set_ss m_ss;
-        /// Element mass.
-        elem_mass set_elem_mass m_elem_mass;
-        /// New relative volume (scratch).
-        vnew set_vnew m_vnew;
-        /// Principal strain xx (scratch).
-        dxx set_dxx m_dxx;
-        /// Principal strain yy (scratch).
-        dyy set_dyy m_dyy;
-        /// Principal strain zz (scratch).
-        dzz set_dzz m_dzz;
-        /// Velocity gradient ξ (scratch).
-        delv_xi set_delv_xi m_delv_xi;
-        /// Velocity gradient η (scratch).
-        delv_eta set_delv_eta m_delv_eta;
-        /// Velocity gradient ζ (scratch).
-        delv_zeta set_delv_zeta m_delv_zeta;
-        /// Position gradient ξ (scratch).
-        delx_xi set_delx_xi m_delx_xi;
-        /// Position gradient η (scratch).
-        delx_eta set_delx_eta m_delx_eta;
-        /// Position gradient ζ (scratch).
-        delx_zeta set_delx_zeta m_delx_zeta;
+    /// Length of `f`'s plane: `num_node`, `num_elem` or the gradient
+    /// length, by its [`FieldSpace`].
+    #[inline]
+    pub fn field_len(&self, f: Field) -> Index {
+        self.planes[f as usize].len
+    }
+
+    /// Position of value `i` of `f` in the field block.
+    #[inline]
+    fn at(&self, f: Field, i: Index) -> usize {
+        let p = self.planes[f as usize];
+        debug_assert!(i < p.len, "{} index {i} past {}", f.label(), p.len);
+        p.off + i
+    }
+
+    /// Value `i` of field `f` (what `d.x(i)` reads for [`Field::X`]).
+    #[inline]
+    pub fn get(&self, f: Field, i: Index) -> Real {
+        // SAFETY: phase-disjoint access contract (see type docs).
+        unsafe { self.slab.load(self.at(f, i)) }
+    }
+
+    /// Set value `i` of field `f`.
+    #[inline]
+    pub fn set(&self, f: Field, i: Index, v: Real) {
+        // SAFETY: phase-disjoint access contract (see type docs).
+        unsafe { self.slab.write(self.at(f, i), v) }
+    }
+
+    /// Field `f`'s values at positions `r`, for reading.
+    ///
+    /// # Safety
+    /// No thread may write any of them while the slice lives.
+    #[inline]
+    pub(crate) unsafe fn values(&self, f: Field, r: Range<Index>) -> &[Real] {
+        let p = self.planes[f as usize];
+        assert!(r.start <= r.end && r.end <= p.len, "outside the field");
+        self.slab.slice(p.off + r.start, p.off + r.end)
+    }
+
+    /// Field `f`'s values at positions `r`, for writing.
+    ///
+    /// # Safety
+    /// No other thread may access any of them while the slice lives.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn values_mut(&self, f: Field, r: Range<Index>) -> &mut [Real] {
+        let p = self.planes[f as usize];
+        assert!(r.start <= r.end && r.end <= p.len, "outside the field");
+        self.slab.slice_mut(p.off + r.start, p.off + r.end)
     }
 }
 
@@ -563,6 +578,79 @@ mod tests {
         // 813³ elements would need ~34 GB of nodelist alone; the bound is
         // checked on the extents first.
         Domain::build(crate::mesh::MAX_EDGE + 1, 1, 1, 1, 0);
+    }
+
+    #[test]
+    fn field_planes_are_disjoint_aligned_and_sized_by_space() {
+        // A cube, and an uneven interior brick of a 7³ mesh: every face is
+        // COMM, so the gradient planes are longer than the element ones.
+        let brick = MeshShape::brick((2, 3, 5), (7, 7, 7), (1, 2, 1));
+        assert!(brick.grad_len() > brick.num_elem());
+        for d in [
+            Domain::build(4, 1, 1, 1, 0),
+            Domain::build_subdomain(brick, 2, 1, 1, 0),
+        ] {
+            let block = d.slab.as_ptr() as usize..d.slab.as_ptr() as usize + 8 * d.slab.len();
+            let mut spans = Field::ALL.map(|f| {
+                let len = match f.space() {
+                    FieldSpace::Node => d.num_node(),
+                    FieldSpace::Elem => d.num_elem(),
+                    FieldSpace::Grad => d.shape().grad_len(),
+                };
+                assert_eq!(d.field_len(f), len, "{}", f.label());
+                // SAFETY: no other access to the domain is in flight.
+                let plane = unsafe { d.values(f, 0..len) };
+                let at = plane.as_ptr() as usize;
+                assert!(at.is_multiple_of(parutil::CACHE_LINE), "{}", f.label());
+                assert!(
+                    block.start <= at && at + 8 * len <= block.end,
+                    "{}",
+                    f.label()
+                );
+                (at, at + 8 * len, f)
+            });
+            spans.sort_by_key(|s| s.0);
+            for w in spans.windows(2) {
+                assert!(
+                    w[0].1 <= w[1].0,
+                    "{} overlaps {}",
+                    w[0].2.label(),
+                    w[1].2.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fields_are_named_once() {
+        let labels: std::collections::BTreeSet<_> = Field::ALL.map(Field::label).into();
+        assert_eq!(labels.len(), Field::COUNT);
+        assert_eq!(Field::COUNT, 35);
+        let d = Domain::build(2, 1, 1, 1, 0);
+        for (k, f) in Field::ALL.into_iter().enumerate() {
+            d.set(f, 1, k as Real);
+        }
+        assert_eq!((d.x(1), d.nodal_mass(1), d.e(1)), (0.0, 12.0, 13.0));
+        assert_eq!((d.delv_xi(1), d.delx_zeta(1)), (29.0, 34.0));
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    fn an_s45_build_faults_once_per_huge_page() {
+        use crate::slab::faults::{minor_faults, thp_off};
+        if thp_off() {
+            eprintln!("skip: transparent huge pages are off on this host");
+            return;
+        }
+        // 35 fields of ~0.75 MB on 4 KiB pages alone are ~6.4k faults.
+        let before = minor_faults();
+        let d = Domain::build(45, 11, 1, 1, 0);
+        let faults = minor_faults() - before;
+        drop(d);
+        assert!(
+            faults < 3000,
+            "{faults} minor faults building an s45 domain"
+        );
     }
 
     #[test]

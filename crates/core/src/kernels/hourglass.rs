@@ -13,7 +13,7 @@
 // Indexed Γ-matrix loops and wide signatures mirror the reference kernels one-to-one.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #![cfg_attr(test, allow(clippy::type_complexity))]
-use crate::domain::Domain;
+use crate::domain::{Domain, Field};
 use crate::kernels::shape::{
     gather_elem_coords, gather_elem_coords_lanes, gather_elem_velocities,
     gather_elem_velocities_lanes, load_lanes, scatter_elem_corners_lanes,
@@ -348,7 +348,7 @@ impl LaneKernel for Hourglass<'_> {
         let (mut x, mut y, mut z) = ([zero; 8], [zero; 8], [zero; 8]);
         gather_elem_coords_lanes(d, e0, &mut x, &mut y, &mut z);
         let (dvdx, dvdy, dvdz) = calc_elem_volume_derivative(&x, &y, &z);
-        let v = load_lanes::<P>(&d.m_v, e0);
+        let v = load_lanes::<P>(d, Field::V, e0);
         for l in 0..P::LANES {
             self.failed |= v.lane(l) <= 0.0;
         }
@@ -359,13 +359,13 @@ impl LaneKernel for Hourglass<'_> {
             dvdx,
             dvdy,
             dvdz,
-            determ: load_lanes::<P>(&d.m_volo, e0) * v,
+            determ: load_lanes::<P>(d, Field::Volo, e0) * v,
         };
 
         let (mut xd, mut yd, mut zd) = ([zero; 8], [zero; 8], [zero; 8]);
         gather_elem_velocities_lanes(d, e0, &mut xd, &mut yd, &mut zd);
-        let ss = load_lanes(&d.m_ss, e0);
-        let mass = load_lanes(&d.m_elem_mass, e0);
+        let ss = load_lanes(d, Field::Ss, e0);
+        let mass = load_lanes(d, Field::ElemMass, e0);
         let (hgfx, hgfy, hgfz) = elem_hourglass_force(&g, &xd, &yd, &zd, ss, mass, self.c0);
 
         let k0 = e0 - self.begin;

@@ -2,7 +2,7 @@
 //! `CalcLagrangeElements`): new relative volumes, characteristic lengths,
 //! and the deviatoric strain rate.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, Field};
 use crate::kernels::shape::{
     calc_elem_shape_function_derivatives, calc_elem_velocity_gradient, gather_elem_coords_lanes,
     gather_elem_velocities_lanes, load_lanes, store_lanes,
@@ -39,8 +39,8 @@ impl LaneKernel for Kinematics<'_> {
 
         // Volume calculations.
         let volume = calc_elem_volume(&x, &y, &z);
-        let relative_volume = volume / load_lanes::<P>(&d.m_volo, e0);
-        let delv = relative_volume - load_lanes::<P>(&d.m_v, e0);
+        let relative_volume = volume / load_lanes::<P>(d, Field::Volo, e0);
+        let delv = relative_volume - load_lanes::<P>(d, Field::V, e0);
 
         // Characteristic length for time increment.
         let arealg = calc_elem_characteristic_length(&x, &y, &z, volume);
@@ -60,12 +60,12 @@ impl LaneKernel for Kinematics<'_> {
         let detj = calc_elem_shape_function_derivatives(&x, &y, &z, &mut b);
         let dvg = calc_elem_velocity_gradient(&xd, &yd, &zd, &b, detj);
 
-        store_lanes(&d.m_vnew, e0, relative_volume);
-        store_lanes(&d.m_delv, e0, delv);
-        store_lanes(&d.m_arealg, e0, arealg);
-        store_lanes(&d.m_dxx, e0, dvg[0]);
-        store_lanes(&d.m_dyy, e0, dvg[1]);
-        store_lanes(&d.m_dzz, e0, dvg[2]);
+        store_lanes(d, Field::Vnew, e0, relative_volume);
+        store_lanes(d, Field::Delv, e0, delv);
+        store_lanes(d, Field::Arealg, e0, arealg);
+        store_lanes(d, Field::Dxx, e0, dvg[0]);
+        store_lanes(d, Field::Dyy, e0, dvg[1]);
+        store_lanes(d, Field::Dzz, e0, dvg[2]);
     }
 }
 

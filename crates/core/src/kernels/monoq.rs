@@ -7,7 +7,7 @@
 //! `lxim`/`lxip`/…, which is exactly why the paper needs a global barrier
 //! between the two (one of the 7 per iteration).
 
-use crate::domain::Domain;
+use crate::domain::{Domain, Field};
 use crate::kernels::shape::{
     gather_elem_coords_lanes, gather_elem_velocities_lanes, load_lanes, store_lanes,
 };
@@ -44,7 +44,7 @@ impl LaneKernel for Gradients<'_> {
         let (mut xv, mut yv, mut zv) = ([zero; 8], [zero; 8], [zero; 8]);
         gather_elem_velocities_lanes(d, e0, &mut xv, &mut yv, &mut zv);
 
-        let vol = load_lanes::<P>(&d.m_volo, e0) * load_lanes(&d.m_vnew, e0);
+        let vol = load_lanes::<P>(d, Field::Volo, e0) * load_lanes(d, Field::Vnew, e0);
         let norm = P::splat(1.0) / (vol + P::splat(PTINY));
 
         let dx = [face_diffs(&x), face_diffs(&y), face_diffs(&z)];
@@ -53,18 +53,18 @@ impl LaneKernel for Gradients<'_> {
 
         // find delvk and delxk ( i cross j ).
         let (delx, delv) = gradients(xi, eta, axis(&dv, ZETA), vol, norm);
-        store_lanes(&d.m_delx_zeta, e0, delx);
-        store_lanes(&d.m_delv_zeta, e0, delv);
+        store_lanes(d, Field::DelxZeta, e0, delx);
+        store_lanes(d, Field::DelvZeta, e0, delv);
 
         // find delxi and delvi ( j cross k ).
         let (delx, delv) = gradients(eta, zeta, axis(&dv, XI), vol, norm);
-        store_lanes(&d.m_delx_xi, e0, delx);
-        store_lanes(&d.m_delv_xi, e0, delv);
+        store_lanes(d, Field::DelxXi, e0, delx);
+        store_lanes(d, Field::DelvXi, e0, delv);
 
         // find delxj and delvj ( k cross i ).
         let (delx, delv) = gradients(zeta, xi, axis(&dv, ETA), vol, norm);
-        store_lanes(&d.m_delx_eta, e0, delx);
-        store_lanes(&d.m_delv_eta, e0, delv);
+        store_lanes(d, Field::DelxEta, e0, delx);
+        store_lanes(d, Field::DelvEta, e0, delv);
     }
 }
 

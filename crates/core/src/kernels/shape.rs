@@ -5,10 +5,9 @@
 //! `SumElemFaceNormal`/`CalcElemNodeNormals`,
 //! `SumElemStressesToNodeForces`, and `CalcElemVelocityGradient`.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, Field};
 use crate::simd::{Pack, SimdReal};
 use crate::types::{Index, Real};
-use parutil::SharedVec;
 
 /// Gather the 8 corner coordinates of element `e` into local arrays — the
 /// shared gather of the scalar stress and hourglass loops (the lane
@@ -47,25 +46,23 @@ pub fn gather_elem_velocities(
     }
 }
 
-/// `P::LANES` consecutive values of `field` from index `i`, as one
+/// `P::LANES` consecutive values of field `f` from index `i`, as one
 /// `P::load`.
 #[inline(always)]
-pub(crate) fn load_lanes<P: Pack>(field: &SharedVec<Real>, i: Index) -> P {
-    assert!(i + P::LANES <= field.len());
-    // SAFETY: `i..i + LANES` is in bounds (checked above), and the
-    // domain's phase-disjoint access contract (`Domain` docs) covers these
-    // indices as it covers `d.x(i)`: no task writes them during this phase.
-    P::load(unsafe { field.slice(i, i + P::LANES) }, 0)
+pub(crate) fn load_lanes<P: Pack>(d: &Domain, f: Field, i: Index) -> P {
+    // SAFETY: `Domain::values` checks the bounds, and the domain's
+    // phase-disjoint access contract (`Domain` docs) covers these indices
+    // as it covers `d.x(i)`: no task writes them during this phase.
+    P::load(unsafe { d.values(f, i..i + P::LANES) }, 0)
 }
 
-/// Store `v` to `field[i..i + P::LANES]` as one `P::store`.
+/// Store `v` to field `f`'s values `i..i + P::LANES` as one `P::store`.
 #[inline(always)]
-pub(crate) fn store_lanes<P: Pack>(field: &SharedVec<Real>, i: Index, v: P) {
-    assert!(i + P::LANES <= field.len());
-    // SAFETY: in bounds (checked above); the group owning elements
-    // `i..i + LANES` is their only reader or writer in this phase (the
-    // contract `d.set_x(i)` relies on, `Domain` docs).
-    v.store(unsafe { field.slice_mut(i, i + P::LANES) }, 0)
+pub(crate) fn store_lanes<P: Pack>(d: &Domain, f: Field, i: Index, v: P) {
+    // SAFETY: `Domain::values_mut` checks the bounds; the group owning
+    // elements `i..i + LANES` is their only reader or writer in this phase
+    // (the contract `d.set_x(i)` relies on, `Domain` docs).
+    v.store(unsafe { d.values_mut(f, i..i + P::LANES) }, 0)
 }
 
 /// Whether the lane group `e0 .. e0 + P::LANES` lies in one x-row of the
@@ -87,26 +84,19 @@ fn in_one_row<P: Pack>(d: &Domain, e0: Index) -> bool {
 /// element: one load per corner when the group lies in one row
 /// ([`in_one_row`]), else lane by lane.
 #[inline(always)]
-fn gather_corners_lanes<P: Pack>(
-    d: &Domain,
-    e0: Index,
-    fields: [&SharedVec<Real>; 3],
-    out: [&mut [P; 8]; 3],
-) {
+fn gather_corners_lanes<P: Pack>(d: &Domain, e0: Index, fields: [Field; 3], out: [&mut [P; 8]; 3]) {
     let nl = d.nodelist(e0);
     if in_one_row::<P>(d, e0) {
         for (field, out) in fields.into_iter().zip(out) {
             for (o, &n) in out.iter_mut().zip(nl) {
-                *o = load_lanes(field, n as Index);
+                *o = load_lanes(d, field, n as Index);
             }
         }
     } else {
         for (field, out) in fields.into_iter().zip(out) {
             for (c, o) in out.iter_mut().enumerate() {
                 let node = |l: usize| d.nodelist(e0 + l)[c] as Index;
-                // SAFETY: as for `d.x(i)`, the phase-disjoint access
-                // contract (`Domain` docs).
-                *o = P::gather(|l| unsafe { field.load(node(l)) });
+                *o = P::gather(|l| d.get(field, node(l)));
             }
         }
     }
@@ -123,7 +113,7 @@ pub(crate) fn gather_elem_coords_lanes<P: Pack>(
     yl: &mut [P; 8],
     zl: &mut [P; 8],
 ) {
-    gather_corners_lanes(d, e0, [&d.m_x, &d.m_y, &d.m_z], [xl, yl, zl]);
+    gather_corners_lanes(d, e0, [Field::X, Field::Y, Field::Z], [xl, yl, zl]);
 }
 
 /// Transposed velocity gather for a lane group (see
@@ -136,7 +126,7 @@ pub(crate) fn gather_elem_velocities_lanes<P: Pack>(
     ydl: &mut [P; 8],
     zdl: &mut [P; 8],
 ) {
-    gather_corners_lanes(d, e0, [&d.m_xd, &d.m_yd, &d.m_zd], [xdl, ydl, zdl]);
+    gather_corners_lanes(d, e0, [Field::Xd, Field::Yd, Field::Zd], [xdl, ydl, zdl]);
 }
 
 /// Transposed per-corner store for a lane group, the inverse of the gathers:

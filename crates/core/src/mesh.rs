@@ -291,7 +291,7 @@ pub fn fill_coordinates(shape: MeshShape, x: &mut [Real], y: &mut [Real], z: &mu
     }
 }
 
-/// Narrow a computed index to its stored width. Every `build_*` function
+/// Narrow a computed index to its stored width. Every `build_*` or `fill_*` function
 /// that calls this asserts [`MeshShape::fits_mesh_index`] first, so no
 /// value is truncated.
 #[inline]
@@ -313,13 +313,14 @@ pub(crate) fn assert_fits(shape: MeshShape) {
     );
 }
 
-/// Element→node connectivity: 8 node indices per element, LULESH corner
-/// order (bottom face counter-clockwise, then top face).
-pub fn build_nodelist(shape: MeshShape) -> Vec<MeshIndex> {
+/// Write the element→node connectivity into `nodelist` (`8·num_elem`
+/// long): 8 node indices per element, LULESH corner order (bottom face
+/// counter-clockwise, then top face).
+pub fn fill_nodelist(shape: MeshShape, nodelist: &mut [MeshIndex]) {
     assert_fits(shape);
+    assert_eq!(nodelist.len(), 8 * shape.num_elem());
     let rn = shape.nx + 1; // node row stride
     let pn = shape.nodes_per_plane(); // node plane stride
-    let mut nodelist = vec![0; 8 * shape.num_elem()];
 
     let mut zidx = 0;
     for plane in 0..shape.nz {
@@ -339,7 +340,6 @@ pub fn build_nodelist(shape: MeshShape) -> Vec<MeshIndex> {
             }
         }
     }
-    nodelist
 }
 
 /// Face-neighbour element indices in the six logical directions
@@ -492,20 +492,23 @@ pub fn build_symmetry_planes(shape: MeshShape) -> (Vec<MeshIndex>, Vec<MeshIndex
     (symm_x, symm_y, symm_z)
 }
 
-/// Node→element corner lists: for node `n`, the entries
+/// Node→element corner lists, written into `corner_list` (as long as
+/// `nodelist`); returns `start`. For node `n`, the entries
 /// `corner_list[start[n]..start[n+1]]` are `8·elem + corner` for every
 /// element corner coincident with `n`, in strictly ascending order. Force
 /// gathering iterates these in that order, which fixes the floating-point
 /// summation order across serial and parallel drivers.
-pub fn build_node_elem_corners(
+pub fn fill_node_elem_corners(
     nodelist: &[MeshIndex],
     num_node: Index,
-) -> (Vec<MeshIndex>, Vec<MeshIndex>) {
+    corner_list: &mut [MeshIndex],
+) -> Vec<MeshIndex> {
     let corners = nodelist.len();
     assert!(
         corners <= MeshIndex::MAX as Index,
         "corner ids exceed MeshIndex"
     );
+    assert_eq!(corner_list.len(), corners);
     // Count node n's corners into start[n + 1], then turn the counts into
     // each node's first slot, still one entry to the right. Filling then
     // advances start[n + 1] as node n's cursor, leaving it at node n's end,
@@ -518,13 +521,12 @@ pub fn build_node_elem_corners(
     for s in &mut start[1..] {
         (*s, first) = (first, first + *s);
     }
-    let mut corner_list = vec![0; corners];
     for (corner, &n) in nodelist.iter().enumerate() {
         let cursor = &mut start[n as Index + 1];
         corner_list[*cursor as Index] = stored(corner);
         *cursor += 1;
     }
-    (start, corner_list)
+    start
 }
 
 #[cfg(test)]
@@ -543,6 +545,12 @@ mod tests {
         let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         fill_coordinates(shape, &mut x, &mut y, &mut z);
         (x, y, z)
+    }
+
+    fn build_nodelist(shape: MeshShape) -> Vec<MeshIndex> {
+        let mut nl = vec![0; 8 * shape.num_elem()];
+        fill_nodelist(shape, &mut nl);
+        nl
     }
 
     /// Widen a stored list for comparison with `Index` arithmetic.
@@ -816,7 +824,8 @@ mod tests {
         let shape = MeshShape::brick((3, 4, 2), (3, 4, 2), (0, 0, 0));
         let nl = build_nodelist(shape);
         let num_node = shape.num_node();
-        let (start, corners) = build_node_elem_corners(&nl, num_node);
+        let mut corners = vec![0; nl.len()];
+        let start = fill_node_elem_corners(&nl, num_node, &mut corners);
         let (nl, start, corners) = (wide(&nl), wide(&start), wide(&corners));
         assert_eq!(start[num_node], corners.len());
         assert_eq!(corners.len(), nl.len());

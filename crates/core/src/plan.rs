@@ -36,7 +36,7 @@ use crate::domain::Domain;
 use crate::kernels::{constraints, eos, hourglass, kinematics, monoq, nodal, stress};
 use crate::slab::{Layout, Plane};
 use crate::types::{Index, LuleshError, Real};
-use parutil::{chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
+use parutil::{chunks_in, chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Toggles for the paper's optimization tricks (all on by default; the
@@ -263,10 +263,7 @@ impl Kernel {
     ) {
         use Kernel::*;
         let p = &d.params;
-        let c8 = Chunk {
-            begin: 8 * c.begin,
-            end: 8 * c.end,
-        };
+        let c8 = corners(c);
         match *self {
             ZeroForces => stress::zero_forces(d, c),
             InitStress => {
@@ -282,25 +279,33 @@ impl Kernel {
             CheckVolume => {
                 s.flag(stress::check_volume_error(s.part(s.determ, c)));
             }
+            // The two kernels with temporaries in `local` take at most
+            // `LOCAL_CHUNK` elements per pass, so a whole-space chunk (a
+            // serial rank's, a fork-join thread's static share) never grows
+            // the slot past that inside the step loop.
             IntegrateStressChecked => {
-                let [sx, sy, sz] = s.cut(s.sig, c);
-                let [fx, fy, fz] = s.cut_mut(s.f_elem, c8);
-                local.determ.reset_len(c.len());
-                let determ = &mut local.determ;
-                stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
-                s.flag(stress::check_volume_error(determ));
+                for c in chunks_in(c.begin..c.end, LOCAL_CHUNK) {
+                    let [sx, sy, sz] = s.cut(s.sig, c);
+                    let [fx, fy, fz] = s.cut_mut(s.f_elem, corners(c));
+                    local.determ.reset_len(c.len());
+                    let determ = &mut local.determ;
+                    stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
+                    s.flag(stress::check_volume_error(determ));
+                }
             }
             Stress => {
-                // No clearing: both kernels write all `c.len()` values.
-                let KernelScratch { sig, determ, .. } = local;
-                for buf in sig.iter_mut().chain([&mut *determ]) {
-                    buf.reset_len(c.len());
+                for c in chunks_in(c.begin..c.end, LOCAL_CHUNK) {
+                    // No clearing: both kernels write all `c.len()` values.
+                    let KernelScratch { sig, determ, .. } = &mut *local;
+                    for buf in sig.iter_mut().chain([&mut *determ]) {
+                        buf.reset_len(c.len());
+                    }
+                    let [sx, sy, sz] = sig;
+                    stress::init_stress_terms_for_elems(d, sx, sy, sz, c);
+                    let [fx, fy, fz] = s.cut_mut(s.f_elem, corners(c));
+                    stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
+                    s.flag(stress::check_volume_error(determ));
                 }
-                let [sx, sy, sz] = sig;
-                stress::init_stress_terms_for_elems(d, sx, sy, sz, c);
-                let [fx, fy, fz] = s.cut_mut(s.f_elem, c8);
-                stress::integrate_stress_for_elems(d, sx, sy, sz, determ, fx, fy, fz, c);
-                s.flag(stress::check_volume_error(determ));
             }
             HourglassControl => {
                 let [dx, dy, dz] = s.cut_mut(s.dvd, c8);
@@ -376,6 +381,18 @@ impl Kernel {
                 lower(&s.dthydro, hydro);
             }
         }
+    }
+}
+
+/// Elements per pass of a kernel whose temporaries live in its thread's
+/// [`KernelScratch`]: at most four slot arrays of this length, 64 KiB.
+const LOCAL_CHUNK: usize = 2048;
+
+/// The per-corner positions (`8·e + corner`) of the elements of `c`.
+fn corners(c: Chunk) -> Chunk {
+    Chunk {
+        begin: 8 * c.begin,
+        end: 8 * c.end,
     }
 }
 
@@ -951,34 +968,11 @@ mod tests {
         }
     }
 
-    /// This thread's minor page faults so far (`getrusage(RUSAGE_THREAD)`).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-    fn minor_faults() -> i64 {
-        /// `struct rusage` of x86-64 Linux: two `timeval`s, then 14 longs.
-        #[repr(C)]
-        struct Rusage {
-            times: [i64; 4],
-            maxrss_ixrss_idrss_isrss: [i64; 4],
-            minflt: i64,
-            rest: [i64; 9],
-        }
-        extern "C" {
-            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-        }
-        const RUSAGE_THREAD: i32 = 1;
-        let mut u = std::mem::MaybeUninit::<Rusage>::zeroed();
-        // SAFETY: `u` is a writable `struct rusage`; the call fills it.
-        assert_eq!(unsafe { getrusage(RUSAGE_THREAD, u.as_mut_ptr()) }, 0);
-        // SAFETY: zeroed, then filled by the kernel: every field is an
-        // integer.
-        unsafe { u.assume_init() }.minflt
-    }
-
     #[test]
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     fn first_writes_to_an_s45_scratch_fault_once_per_huge_page() {
-        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
-        if thp.as_deref().map_or(true, |t| t.contains("[never]")) {
+        use crate::slab::faults::{minor_faults, thp_off};
+        if thp_off() {
             eprintln!("skip: transparent huge pages are off on this host");
             return;
         }
@@ -1018,6 +1012,30 @@ mod tests {
             );
         }
         assert!(halos(&StepPlan::reference(shape(&[(125, 1)]))).is_empty());
+    }
+
+    #[test]
+    fn a_whole_mesh_stress_pass_keeps_the_thread_slot_one_pass_long() {
+        // A serial rank or a fork-join thread hands the fused stress
+        // kernel one chunk of thousands of elements; its temporaries must
+        // still fit the slot a `LOCAL_CHUNK` pass warmed, so the first
+        // step allocates nothing mesh-sized.
+        let d = Domain::build(14, 1, 1, 1, 0);
+        assert!(d.num_elem() > LOCAL_CHUNK);
+        let s = StepScratch::new(&StepPlan::tasks(PlanShape::of(&d), Features::default()), 1);
+        let run = |end| {
+            // SAFETY: this thread is the only user of the scratch.
+            unsafe { Kernel::Stress.run(&d, &s, s.local(0), Chunk { begin: 0, end }, 0.0) };
+            // SAFETY: as above; the pass has returned.
+            let local = unsafe { s.local(0) };
+            (
+                local.sig.each_ref().map(|b| b.as_ptr()),
+                local.determ.as_ptr(),
+            )
+        };
+        let warm = run(LOCAL_CHUNK);
+        assert_eq!(run(d.num_elem()), warm, "a whole-mesh pass regrew the slot");
+        assert!(s.error().is_none());
     }
 
     #[test]

@@ -69,6 +69,40 @@ pub(crate) fn split_mut<const N: usize>(
     })
 }
 
+/// Page-fault probes for the tests that check a block faults once per huge
+/// page.
+#[cfg(all(test, target_os = "linux", target_arch = "x86_64", not(miri)))]
+pub(crate) mod faults {
+    /// This thread's minor page faults so far (`getrusage(RUSAGE_THREAD)`).
+    pub fn minor_faults() -> i64 {
+        /// `struct rusage` of x86-64 Linux: two `timeval`s, then 14 longs.
+        #[repr(C)]
+        struct Rusage {
+            times: [i64; 4],
+            maxrss_ixrss_idrss_isrss: [i64; 4],
+            minflt: i64,
+            rest: [i64; 9],
+        }
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+        }
+        const RUSAGE_THREAD: i32 = 1;
+        let mut u = std::mem::MaybeUninit::<Rusage>::zeroed();
+        // SAFETY: `u` is a writable `struct rusage`; the call fills it.
+        assert_eq!(unsafe { getrusage(RUSAGE_THREAD, u.as_mut_ptr()) }, 0);
+        // SAFETY: zeroed, then filled by the kernel: every field is an
+        // integer.
+        unsafe { u.assume_init() }.minflt
+    }
+
+    /// Whether transparent huge pages are off (or unknown) on this host,
+    /// where a huge block faults per 4 KiB page and the tests skip.
+    pub fn thp_off() -> bool {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        thp.as_deref().map_or(true, |t| t.contains("[never]"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //! on the ζ=0 plane, and some extra whole-mesh invariants used by the test
 //! suite.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, Field};
 use crate::types::Real;
 
 /// The reference's symmetry check over the ζ=0 element plane.
@@ -53,27 +53,18 @@ pub fn final_origin_energy(d: &Domain) -> Real {
     d.e(0)
 }
 
-/// Maximum absolute field difference between two domains, over energy,
-/// pressure, viscosity, relative volume and node positions. Used by the
-/// cross-driver equivalence tests.
+/// Maximum absolute difference between two domains of one shape, over
+/// every value of every [`Field`]. Used by the cross-driver equivalence
+/// tests.
 pub fn max_field_difference(a: &Domain, b: &Domain) -> Real {
     assert_eq!(a.num_elem(), b.num_elem());
     assert_eq!(a.num_node(), b.num_node());
     let mut max: Real = 0.0;
-    for e in 0..a.num_elem() {
-        max = max.max((a.e(e) - b.e(e)).abs());
-        max = max.max((a.p(e) - b.p(e)).abs());
-        max = max.max((a.q(e) - b.q(e)).abs());
-        max = max.max((a.v(e) - b.v(e)).abs());
-        max = max.max((a.ss(e) - b.ss(e)).abs());
-    }
-    for n in 0..a.num_node() {
-        max = max.max((a.x(n) - b.x(n)).abs());
-        max = max.max((a.y(n) - b.y(n)).abs());
-        max = max.max((a.z(n) - b.z(n)).abs());
-        max = max.max((a.xd(n) - b.xd(n)).abs());
-        max = max.max((a.yd(n) - b.yd(n)).abs());
-        max = max.max((a.zd(n) - b.zd(n)).abs());
+    for f in Field::ALL {
+        assert_eq!(a.field_len(f), b.field_len(f), "{}", f.label());
+        for i in 0..a.field_len(f) {
+            max = max.max((a.get(f, i) - b.get(f, i)).abs());
+        }
     }
     max
 }

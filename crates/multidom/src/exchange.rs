@@ -40,10 +40,10 @@
 //! index translation on the receiving side. This holds down to degenerate
 //! 1×1×1 sub-bricks, where every node lies on every surface of its axis.
 
-use lulesh_core::domain::Domain;
+use lulesh_core::domain::{Domain, Field};
 use lulesh_core::mesh::{Face, MeshShape};
 use lulesh_core::plan::Halo;
-use lulesh_core::types::{Index, Real};
+use lulesh_core::types::Real;
 use obs::{SpanKind, Tracer};
 use parcelnet::{dir, ParcelError, RankNet, Tag};
 use std::collections::BTreeMap;
@@ -66,32 +66,13 @@ fn spanned<T>(obs: ObsCtx, label: &'static str, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Fields per surface entry of a message, by kind.
-const WIDTH: [usize; 3] = [1, 3, 3];
-
-/// Field `f` of `kind`, in message order, at index `i` of `d`.
-fn get(kind: Halo, f: usize, d: &Domain, i: Index) -> Real {
-    match (kind, f) {
-        (Halo::Mass, _) => d.nodal_mass(i),
-        (Halo::Forces, 0) => d.fx(i),
-        (Halo::Forces, 1) => d.fy(i),
-        (Halo::Forces, _) => d.fz(i),
-        (Halo::Gradients, 0) => d.delv_xi(i),
-        (Halo::Gradients, 1) => d.delv_eta(i),
-        (Halo::Gradients, _) => d.delv_zeta(i),
-    }
-}
-
-/// The setter counterpart of [`get`].
-fn set(kind: Halo, f: usize, d: &Domain, i: Index, v: Real) {
-    match (kind, f) {
-        (Halo::Mass, _) => d.set_nodal_mass(i, v),
-        (Halo::Forces, 0) => d.set_fx(i, v),
-        (Halo::Forces, 1) => d.set_fy(i, v),
-        (Halo::Forces, _) => d.set_fz(i, v),
-        (Halo::Gradients, 0) => d.set_delv_xi(i, v),
-        (Halo::Gradients, 1) => d.set_delv_eta(i, v),
-        (Halo::Gradients, _) => d.set_delv_zeta(i, v),
+/// The fields a `kind` message carries, in message order: the masses,
+/// `[fx, fy, fz]` or `[delv_xi, delv_eta, delv_zeta]`.
+fn fields(kind: Halo) -> &'static [Field] {
+    match kind {
+        Halo::Mass => &[Field::NodalMass],
+        Halo::Forces => &[Field::Fx, Field::Fy, Field::Fz],
+        Halo::Gradients => &[Field::DelvXi, Field::DelvEta, Field::DelvZeta],
     }
 }
 
@@ -278,9 +259,9 @@ impl HaloPlan {
     /// fy…, fz…]` or `[xi…, eta…, zeta…]` (empty where it trades none).
     pub fn pack(&self, kind: Halo, d: &Domain, l: usize) -> Vec<Real> {
         let index = self.surface(kind, l);
-        let mut out = Vec::with_capacity(WIDTH[kind as usize] * index.len());
-        for f in 0..WIDTH[kind as usize] {
-            out.extend(index.iter().map(|&i| get(kind, f, d, i)));
+        let mut out = Vec::with_capacity(fields(kind).len() * index.len());
+        for &f in fields(kind) {
+            out.extend(index.iter().map(|&i| d.get(f, i)));
         }
         out
     }
@@ -296,9 +277,9 @@ impl HaloPlan {
             Halo::Gradients => {
                 for (link, m) in self.links.iter().zip(recvs) {
                     if let Some((elems, base)) = &link.grad {
-                        for (f, plane) in m.chunks(elems.len()).enumerate() {
+                        for (&f, plane) in fields(kind).iter().zip(m.chunks(elems.len())) {
                             for (i, &v) in plane.iter().enumerate() {
-                                set(kind, f, d, base + i, v);
+                                d.set(f, base + i, v);
                             }
                         }
                     }
@@ -310,12 +291,13 @@ impl HaloPlan {
     /// Sum the `N` fields of `kind` into the boundary nodes in ascending
     /// rank order (`N` is a constant, so the field loops unroll).
     fn sum<const N: usize>(&self, kind: Halo, d: &Domain, recvs: &[Vec<Real>]) {
+        let fields = fields(kind);
         for c in &self.combine {
             let mut acc = [0.0; N];
             for s in &c.sources {
                 for (f, a) in acc.iter_mut().enumerate() {
                     *a += match *s {
-                        Source::Own => get(kind, f, d, c.node),
+                        Source::Own => d.get(fields[f], c.node),
                         Source::Link { link, pos } => {
                             recvs[link][f * self.links[link].nodes.len() + pos]
                         }
@@ -323,7 +305,7 @@ impl HaloPlan {
                 }
             }
             for (f, &a) in acc.iter().enumerate() {
-                set(kind, f, d, c.node, a);
+                d.set(fields[f], c.node, a);
             }
         }
     }
@@ -397,7 +379,7 @@ pub fn recv_apply(
             true => Vec::new(),
             false => spanned(obs, RECV_LABELS[kind as usize], || nbr.link.recv(tag))?,
         };
-        if msg.len() != WIDTH[kind as usize] * index.len() {
+        if msg.len() != fields(kind).len() * index.len() {
             return Err(ParcelError::Io(ErrorKind::InvalidData));
         }
         recvs.push(msg);

@@ -47,7 +47,7 @@ pub mod recovery;
 pub mod threaded;
 
 use exchange::{HaloPlan, ObsCtx};
-use lulesh_core::domain::Domain;
+use lulesh_core::domain::{Domain, Field, FieldSpace};
 use lulesh_core::kernels::constraints;
 use lulesh_core::mesh::MeshShape;
 use lulesh_core::params::SimState;
@@ -820,9 +820,13 @@ impl World {
     }
 
     /// Maximum absolute mismatch of duplicated boundary-node state across
-    /// every pair of adjacent ranks — faces, edges and corners alike (must
-    /// be exactly zero: every sharer computes identical values).
+    /// every pair of adjacent ranks, over every node field — faces, edges
+    /// and corners alike (must be exactly zero: every sharer computes
+    /// identical values).
     pub fn interface_mismatch(&self) -> Real {
+        let nodal = Field::ALL
+            .into_iter()
+            .filter(|f| f.space() == FieldSpace::Node);
         let mut max: Real = 0.0;
         for (r, plan) in self.plans.iter().enumerate() {
             let d = &self.domains[r];
@@ -833,12 +837,9 @@ impl World {
                 let nd = &self.domains[link.rank];
                 let theirs = exchange::dir_nodes(&nd.shape(), dir::opposite(link.dir));
                 for (&a, &b) in link.nodes.iter().zip(&theirs) {
-                    max = max.max((d.x(a) - nd.x(b)).abs());
-                    max = max.max((d.xd(a) - nd.xd(b)).abs());
-                    max = max.max((d.y(a) - nd.y(b)).abs());
-                    max = max.max((d.yd(a) - nd.yd(b)).abs());
-                    max = max.max((d.z(a) - nd.z(b)).abs());
-                    max = max.max((d.zd(a) - nd.zd(b)).abs());
+                    for f in nodal.clone() {
+                        max = max.max((d.get(f, a) - nd.get(f, b)).abs());
+                    }
                 }
             }
         }

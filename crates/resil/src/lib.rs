@@ -25,15 +25,15 @@
 
 #![warn(missing_docs)]
 
-use lulesh_core::domain::Domain;
+use lulesh_core::domain::{Domain, Field, FieldSpace};
 use lulesh_core::params::SimState;
 use lulesh_core::types::Real;
 use parcelnet::fnv1a64;
 use std::path::{Path, PathBuf};
 
 /// Version stamped first into every snapshot; bump on layout changes.
-/// v2 dropped the 21 scratch arrays (see `for_each_snapshot_field!`'s
-/// liveness note) — a v1 file is rejected as [`SnapshotError::SchemaMismatch`].
+/// v2 dropped the 21 scratch arrays (see [`SNAPSHOT_FIELDS`]' liveness
+/// note) — a v1 file is rejected as [`SnapshotError::SchemaMismatch`].
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
 /// Magic word stored after the version, so a stray file is rejected as a
@@ -44,16 +44,8 @@ pub const SNAPSHOT_MAGIC: u64 = 11;
 /// Scalar header slots before the flat arrays (see [`DomainSnapshot::encode`]).
 const HEADER_LEN: usize = 13;
 
-/// Node-, element-, and gradient-length arrays captured per snapshot.
-/// Only the arrays *live* at the top of the step loop are stored; the
-/// gradient arrays are pure intra-cycle scratch, so none are captured
-/// (the `grad_len` header slot remains as a shape check).
-const NODE_ARRAYS: usize = 7;
-const ELEM_ARRAYS: usize = 7;
-const GRAD_ARRAYS: usize = 0;
-
-/// Total SoA arrays in a snapshot, in fixed capture order.
-pub const ARRAY_COUNT: usize = NODE_ARRAYS + ELEM_ARRAYS + GRAD_ARRAYS;
+/// Total SoA arrays in a snapshot: the length of [`SNAPSHOT_FIELDS`].
+pub const ARRAY_COUNT: usize = SNAPSHOT_FIELDS.len();
 
 /// Typed snapshot failures: a truncated or bit-flipped checkpoint must
 /// surface as one of these, never as a corrupt resume.
@@ -153,7 +145,7 @@ pub fn region_fingerprint(d: &Domain) -> u64 {
 /// them deterministically from the decomposition, and the region
 /// fingerprint in the header verifies the rebuild matches. Intra-cycle
 /// scratch arrays are not stored either (see
-/// `for_each_snapshot_field!`): the first post-restore cycle rewrites
+/// [`SNAPSHOT_FIELDS`]): the first post-restore cycle rewrites
 /// them before reading, so the trajectory is still bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DomainSnapshot {
@@ -181,10 +173,10 @@ pub struct DomainSnapshot {
     pub arrays: Vec<Vec<Real>>,
 }
 
-/// Apply `$f!(len, getter, setter)` to every captured array in capture
-/// order — the one place the field list lives.
+/// The captured fields, in capture order: node fields, then element
+/// fields.
 ///
-/// Only arrays **live at the top of the step loop** are captured. Every
+/// Only fields **live at the top of the step loop** are captured. Every
 /// cycle writes the rest before its first read, so a restored domain
 /// regenerates them on its first post-resume cycle and the trajectory
 /// stays bit-identical (asserted end-to-end by the failure-injection
@@ -194,30 +186,29 @@ pub struct DomainSnapshot {
 /// * `xdd/ydd/zdd` — recomputed from the fresh forces in `advance_nodes`;
 /// * `vnew/delv/vdov/arealg/dxx/dyy/dzz` — kinematics scratch;
 /// * `delx_*`/`delv_*` — monotonic-q gradients, rebuilt (and re-exchanged)
-///   each cycle before the q calculation reads them;
+///   each cycle before the q calculation reads them, so no gradient-length
+///   field is captured (the `grad_len` header slot remains as a shape
+///   check);
 /// * `ql/qq` — written by the q region pass just before the EOS consumes
 ///   them.
 ///
-/// Skipping the 21 dead arrays shrinks a snapshot by ~60%, which is what
+/// Skipping the 21 dead fields shrinks a snapshot by ~60%, which is what
 /// keeps the armed checkpointing cost inside the regress harness's CPU
 /// budget.
-macro_rules! for_each_snapshot_field {
-    ($f:ident, $nn:expr, $ne:expr, $ng:expr) => {
-        $f!($nn, x, set_x);
-        $f!($nn, y, set_y);
-        $f!($nn, z, set_z);
-        $f!($nn, xd, set_xd);
-        $f!($nn, yd, set_yd);
-        $f!($nn, zd, set_zd);
-        $f!($nn, nodal_mass, set_nodal_mass);
-        $f!($ne, e, set_e);
-        $f!($ne, p, set_p);
-        $f!($ne, q, set_q);
-        $f!($ne, v, set_v);
-        $f!($ne, volo, set_volo);
-        $f!($ne, ss, set_ss);
-        $f!($ne, elem_mass, set_elem_mass);
-    };
+pub const SNAPSHOT_FIELDS: [Field; 14] = {
+    use Field::*;
+    [
+        X, Y, Z, Xd, Yd, Zd, NodalMass, E, P, Q, V, Volo, Ss, ElemMass,
+    ]
+};
+
+/// Length of `f`'s array in a snapshot of these extents.
+fn snapshot_len(f: Field, num_node: usize, num_elem: usize, grad_len: usize) -> usize {
+    match f.space() {
+        FieldSpace::Node => num_node,
+        FieldSpace::Elem => num_elem,
+        FieldSpace::Grad => grad_len,
+    }
 }
 
 impl DomainSnapshot {
@@ -228,13 +219,10 @@ impl DomainSnapshot {
         let nn = d.num_node();
         let ne = d.num_elem();
         let ng = d.shape().grad_len();
-        let mut arrays = Vec::with_capacity(ARRAY_COUNT);
-        macro_rules! grab {
-            ($len:expr, $get:ident, $set:ident) => {
-                arrays.push((0..$len).map(|i| d.$get(i)).collect());
-            };
-        }
-        for_each_snapshot_field!(grab, nn, ne, ng);
+        let arrays = SNAPSHOT_FIELDS
+            .iter()
+            .map(|&f| (0..d.field_len(f)).map(|i| d.get(f, i)).collect())
+            .collect();
         Self {
             rank,
             cycle: state.cycle,
@@ -264,16 +252,13 @@ impl DomainSnapshot {
         if region_fingerprint(d) != self.region_fp {
             return Err(SnapshotError::RegionMismatch);
         }
-        let mut it = self.arrays.iter();
-        macro_rules! put {
-            ($len:expr, $get:ident, $set:ident) => {
-                let a = it.next().expect("snapshot holds ARRAY_COUNT arrays");
-                for (i, &v) in a.iter().enumerate() {
-                    d.$set(i, v);
-                }
-            };
+        assert_eq!(self.arrays.len(), ARRAY_COUNT, "one array per field");
+        for (&f, a) in SNAPSHOT_FIELDS.iter().zip(&self.arrays) {
+            assert_eq!(a.len(), d.field_len(f), "{} array length", f.label());
+            for (i, &v) in a.iter().enumerate() {
+                d.set(f, i, v);
+            }
         }
-        for_each_snapshot_field!(put, 0, 0, 0);
         Ok(SimState {
             time: self.time,
             deltatime: self.deltatime,
@@ -285,7 +270,8 @@ impl DomainSnapshot {
 
     /// Values in the flat encoding for these extents.
     fn encoded_len(num_node: usize, num_elem: usize, grad_len: usize) -> usize {
-        HEADER_LEN + NODE_ARRAYS * num_node + ELEM_ARRAYS * num_elem + GRAD_ARRAYS * grad_len
+        let len = |&f| snapshot_len(f, num_node, num_elem, grad_len);
+        HEADER_LEN + SNAPSHOT_FIELDS.iter().map(len).sum::<usize>()
     }
 
     /// The header both encoders write first, in [`encode`](Self::encode)'s
@@ -353,11 +339,8 @@ impl DomainSnapshot {
         let region_fp = ((p[11] as u32 as u64) << 32) | (p[12] as u32 as u64);
         let mut arrays = Vec::with_capacity(ARRAY_COUNT);
         let mut off = HEADER_LEN;
-        let lens = [num_node; NODE_ARRAYS]
-            .into_iter()
-            .chain([num_elem; ELEM_ARRAYS])
-            .chain([grad_len; GRAD_ARRAYS]);
-        for len in lens {
+        for f in SNAPSHOT_FIELDS {
+            let len = snapshot_len(f, num_node, num_elem, grad_len);
             arrays.push(p[off..off + len].to_vec());
             off += len;
         }

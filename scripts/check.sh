@@ -195,6 +195,18 @@ if [ "$MAP_FILES" != "crates/parutil/src/shared_slice.rs " ]; then
   exit 1
 fi
 
+echo "== Domain's fields are planes of one block (one SharedVec<Real>) =="
+# Every Domain field is a plane of one SharedVec<Real> (domain::Field), so
+# at the paper's sizes the whole field table is one huge-page mapping. A
+# second SharedVec<Real> member in the struct would bring back per-field
+# allocator blocks, each faulting per 4 KiB page.
+FIELD_BLOCKS=$(sed -n '/^pub struct Domain {/,/^}/p' crates/core/src/domain.rs \
+  | grep -c 'SharedVec<Real>' || true)
+if [ "$FIELD_BLOCKS" -ne 1 ]; then
+  echo "Domain declares $FIELD_BLOCKS SharedVec<Real> members, expected the one field block"
+  exit 1
+fi
+
 echo "== no --pin flag (worker pinning is not a run option) =="
 for bin in lulesh-task lulesh-multidom; do
   STATUS=0

@@ -3,6 +3,7 @@
 //! bit-identical physics for any configuration, thread count, partitioning
 //! and feature set.
 
+use lulesh::core::domain::Field;
 use lulesh::core::{serial, validate, Domain};
 use lulesh::omp::OmpLulesh;
 use lulesh::task::{Features, PartitionPlan, TaskLulesh};
@@ -154,11 +155,14 @@ fn full_runs_reach_stoptime_identically() {
     );
 }
 
-/// Every field `max_field_difference` looks at, as raw bits.
+/// Every value of every field, as raw bits.
 fn field_bits(d: &Domain) -> Vec<u64> {
-    let elem = (0..d.num_elem()).flat_map(|e| [d.e(e), d.p(e), d.q(e), d.v(e), d.ss(e)]);
-    let node = (0..d.num_node()).flat_map(|n| [d.x(n), d.y(n), d.z(n), d.xd(n), d.yd(n), d.zd(n)]);
-    elem.chain(node).map(f64::to_bits).collect()
+    let values = |f| (0..d.field_len(f)).map(move |i| d.get(f, i));
+    Field::ALL
+        .into_iter()
+        .flat_map(values)
+        .map(f64::to_bits)
+        .collect()
 }
 
 #[test]
