@@ -4,9 +4,10 @@
 //! checksum: frames never leave process memory).
 
 use crate::{
-    dir, failed, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelObs, RankNet, Tag, Transport,
+    dir, failed, poll_before_blocking, DtLinks, Neighbor, NeighborSpec, ParcelError, ParcelObs,
+    RankNet, Tag, Transport,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use lulesh_core::types::Real;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -90,7 +91,13 @@ impl Transport for ChannelTransport {
     fn recv(&self, tag: Tag) -> Result<Vec<Real>, ParcelError> {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, ParcelObs::now_ns);
-        let frame = self.rx.recv_timeout(self.deadline).map_err(|e| {
+        let polled = poll_before_blocking(|| match self.rx.try_recv() {
+            Ok(frame) => Some(Ok(frame)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+        });
+        let frame = polled.unwrap_or_else(|| self.rx.recv_timeout(self.deadline));
+        let frame = frame.map_err(|e| {
             let e = match e {
                 RecvTimeoutError::Timeout => ParcelError::Timeout { peer: self.peer },
                 RecvTimeoutError::Disconnected => ParcelError::PeerClosed { peer: self.peer },

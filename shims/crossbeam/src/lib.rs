@@ -177,6 +177,15 @@ pub mod channel {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
 
+    /// Error returned by [`Receiver::try_recv`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TryRecvError {
+        /// The channel is empty.
+        Empty,
+        /// The channel is empty and every sender is gone.
+        Disconnected,
+    }
+
     /// Error returned by [`Receiver::recv_timeout`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum RecvTimeoutError {
@@ -251,6 +260,21 @@ pub mod channel {
             }
         }
 
+        /// Take the next value if one is queued, without blocking. Errors
+        /// when the channel is empty, telling apart whether every sender
+        /// is gone.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            let mut q = self.inner.q.lock();
+            if let Some(v) = q.pop_front() {
+                self.inner.not_full.notify_one();
+                return Ok(v);
+            }
+            if self.inner.senders.load(Ordering::Acquire) == 0 {
+                return Err(TryRecvError::Disconnected);
+            }
+            Err(TryRecvError::Empty)
+        }
+
         /// Receive the next value, blocking at most `timeout` while the
         /// channel is empty. Errors on timeout or when the channel is empty
         /// and every sender is gone.
@@ -314,7 +338,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::bounded;
+    use super::channel::{bounded, TryRecvError};
     use super::deque::{Injector, Steal, Worker};
 
     #[test]
@@ -375,6 +399,19 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv().unwrap(), 7);
         assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn try_recv_is_empty_then_a_value_then_disconnected() {
+        let (tx, rx) = bounded::<u8>(2);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(7).unwrap();
+        tx.send(8).unwrap();
+        assert_eq!(rx.try_recv(), Ok(7));
+        drop(tx);
+        // Queued values outlive the last sender; only then is it gone.
+        assert_eq!(rx.try_recv(), Ok(8));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
