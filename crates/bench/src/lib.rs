@@ -39,11 +39,26 @@ pub const THREADS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 48];
 /// The region counts of Figure 10.
 pub const REGION_COUNTS: [usize; 3] = [11, 16, 21];
 
-/// Table I's partition plan per size, from the canonical table in
-/// `lulesh_task::PartitionPlan` (single source of truth).
+/// The paper's Table I: the `(nodal, elements)` partition sizes its
+/// authors found best per problem size on 24 EPYC cores. The simulator's
+/// T7 reproduction prices these; the task driver derives its own grain
+/// from the worker count (`lulesh_task::PartitionPlan::for_size_threads`).
+pub const TABLE_I: [(usize, (usize, usize)); 6] = [
+    (45, (2048, 2048)),
+    (60, (4096, 2048)),
+    (75, (8192, 4096)),
+    (90, (8192, 4096)),
+    (120, (8192, 2048)),
+    (150, (8192, 2048)),
+];
+
+/// Table I's `(nodal, elements)` partition sizes for one of the paper's
+/// [`SIZES`]. Panics on any other size: the table has no entry for it.
 pub fn paper_partition(size: usize) -> (usize, usize) {
-    let p = lulesh_task::PartitionPlan::for_size(size);
-    (p.nodal, p.elements)
+    match TABLE_I.iter().find(|&&(s, _)| s == size) {
+        Some(&(_, plan)) => plan,
+        None => panic!("Table I has no partition for size {size}"),
+    }
 }
 
 /// One Figure 9 data point.
@@ -493,6 +508,23 @@ mod tests {
             rows[0].omp_utilization < 0.6,
             "small size is sync-bound for OpenMP"
         );
+    }
+
+    #[test]
+    fn table_i_values() {
+        assert_eq!(TABLE_I.map(|(s, _)| s), SIZES);
+        assert_eq!(paper_partition(45), (2048, 2048));
+        assert_eq!(paper_partition(60), (4096, 2048));
+        assert_eq!(paper_partition(75), (8192, 4096));
+        assert_eq!(paper_partition(90), (8192, 4096));
+        assert_eq!(paper_partition(120), (8192, 2048));
+        assert_eq!(paper_partition(150), (8192, 2048));
+    }
+
+    #[test]
+    #[should_panic(expected = "Table I has no partition for size 10")]
+    fn paper_partition_rejects_sizes_outside_table_i() {
+        let _ = paper_partition(10);
     }
 
     #[test]

@@ -1,33 +1,28 @@
 //! Many-task LULESH binary — the paper's implementation. CLI matches the
 //! artifact (`--s`, `--r`, `--i`, `--q`, `--hpx:threads`/`--threads`),
 //! CSV output format `size,regions,iterations,threads,runtime,result`,
-//! plus `--partition table|fixed:N` selecting the run's partition plan.
+//! plus `--partition fixed:N` fixing the run's partition size; without it
+//! the run uses `PartitionPlan::for_size_threads` (a rule of `--s` and
+//! `--threads`).
 
-use lulesh_core::opts::{opt, pos, put, val, Flag};
+use lulesh_core::opts::{opt, pos, put, Flag};
 use lulesh_core::{Cli, Domain, Opts, RunReport};
 use lulesh_task::{Features, PartitionPlan, TaskLulesh};
 use obs::Tracer;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The run's partition plan, `--partition`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum PartitionMode {
-    /// Static Table I lookup (thread-aware). The default.
-    #[default]
-    Table,
-    /// One explicit size for both phases (`--partition fixed:N`).
-    Fixed(usize),
-}
+/// `--partition fixed:N`: one explicit partition size for both phases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fixed(usize);
 
-impl std::str::FromStr for PartitionMode {
+impl std::str::FromStr for Fixed {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.strip_prefix("fixed:") {
-            _ if s == "table" => Ok(Self::Table),
-            Some(n) => pos(Some(n)).map(Self::Fixed),
-            None => Err("expected table|fixed:N".into()),
+            Some(n) => pos(Some(n)).map(Fixed),
+            None => Err("expected fixed:N".into()),
         }
     }
 }
@@ -40,7 +35,7 @@ struct Args {
     threads: Option<usize>,
     trace: Option<String>,
     metrics: Option<String>,
-    partition: PartitionMode,
+    partition: Option<Fixed>,
 }
 
 impl Cli for Args {
@@ -51,9 +46,7 @@ impl Cli for Args {
             }),
             Flag::new("trace", "FILE.json", |a, v| put(&mut a.trace, opt(v))),
             Flag::new("metrics", "FILE.csv", |a, v| put(&mut a.metrics, opt(v))),
-            Flag::new("partition", "table|fixed:N", |a, v| {
-                put(&mut a.partition, val(v))
-            }),
+            Flag::new("partition", "fixed:N", |a, v| put(&mut a.partition, opt(v))),
         ]
     }
 
@@ -75,8 +68,8 @@ fn main() {
     ));
     lulesh_core::simd::set_active(opts.simd);
     let plan = match args.partition {
-        PartitionMode::Table => PartitionPlan::for_size_threads(opts.size, threads),
-        PartitionMode::Fixed(n) => PartitionPlan::fixed(n, n),
+        None => PartitionPlan::for_size_threads(opts.size, threads),
+        Some(Fixed(n)) => PartitionPlan::fixed(n, n),
     };
 
     // One lane per worker plus a control lane for iteration spans.
@@ -126,11 +119,10 @@ mod tests {
     #[test]
     fn partition_modes() {
         let o = Args::parse(&[] as &[&str]).unwrap();
-        assert_eq!(o.partition, PartitionMode::Table);
+        assert_eq!(o.partition, None);
         let o = Args::parse(&["--partition=fixed:2048"]).unwrap();
-        assert_eq!(o.partition, PartitionMode::Fixed(2048));
-        let o = Args::parse(&["--partition", "table"]).unwrap();
-        assert_eq!(o.partition, PartitionMode::Table);
+        assert_eq!(o.partition, Some(Fixed(2048)));
+        assert!(Args::parse(&["--partition", "table"]).is_err());
         assert!(Args::parse(&["--partition", "auto"]).is_err());
         assert!(Args::parse(&["--partition", "bogus"]).is_err());
         assert!(Args::parse(&["--partition", "fixed:0"]).is_err());

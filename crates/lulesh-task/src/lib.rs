@@ -5,7 +5,9 @@
 //! task graph** of a leapfrog iteration, applying the paper's tricks:
 //!
 //! * **T1 — manual partitioning**: each loop becomes `⌈N/P⌉` tasks of `P`
-//!   iterations, with `P` from [`PartitionPlan`] (Table I).
+//!   iterations, with `P` from [`PartitionPlan`] (the paper's Table I
+//!   tuned `P` per size for 24 cores; here a closed-form rule of the loop
+//!   length and the worker count).
 //! * **T2 — continuation chains across loops** (`Features::chain_continuations`):
 //!   kernels with only element-/node-local dependencies chain per
 //!   partition instead of synchronizing globally.
@@ -51,11 +53,11 @@
 //! capturing it. This preserves behaviour — the same
 //! nodes, the same edges, the same six sync points, executed by the same
 //! work-stealing pool — and changes only the graph's lifetime: at
-//! microsecond task grain (`--s 10`) building 177 closures and ~200
-//! promise pairs per step cost more than running them. The [`Features`]
-//! toggles change the graph's *shape* exactly as before. A multi-domain
-//! rank owns the loop around its graph instead and runs it one step at a
-//! time ([`TaskLulesh::run_once`]).
+//! microsecond task grain (`--s 10` at partition 64) building 177
+//! closures and ~200 promise pairs per step cost more than running them.
+//! The [`Features`] toggles change the graph's *shape* exactly as before.
+//! A multi-domain rank owns the loop around its graph instead and runs it
+//! one step at a time ([`TaskLulesh::run_once`]).
 
 #![warn(missing_docs)]
 

@@ -1,18 +1,22 @@
-//! Partition sizes (the paper's Table I plus a thread-count floor).
+//! Partition sizes: one closed-form rule of the loop length and the
+//! worker count.
 //!
 //! The partition size `P` is the number of elements/nodes each task
-//! iterates over (paper §IV, Fig 5). Table I records the sizes the authors
-//! found best per problem size; `PartitionPlan::for_size` reproduces that
-//! table and falls back to a bounded heuristic for sizes the paper did not
-//! evaluate (e.g. the small meshes used in tests). A run uses one plan
-//! throughout.
+//! iterates over (paper §IV, Fig 5). The paper tuned `P` per problem size
+//! for 24 cores (Table I, kept as the simulator's T7 reproduction in
+//! `lulesh-bench`); the driver derives it from the loop length and the
+//! worker count `T` instead:
+//!
+//! `P = min(cap(items, T), max(MIN_GRAIN, pow2floor(items / (TASKS_PER_WORKER · T))))`
+//!
+//! — about `TASKS_PER_WORKER` (16) tasks per worker per loop, never
+//! under `MIN_GRAIN` (256) items per task, and never fewer tasks than
+//! workers. A run uses one plan throughout.
 
 use lulesh_core::plan::Grain;
 
-/// Smallest partition size the thread-count floor of
-/// [`PartitionPlan::for_size_threads`] caps down to. Below this the
-/// per-task overhead dwarfs the kernel work on any machine we model. Must
-/// stay ≥ [`MAX_LANE_WIDTH`] so even the smallest partition feeds the
+/// Smallest partition size the task-count cap ever lowers a plan to.
+/// Must stay ≥ [`MAX_LANE_WIDTH`] so even the smallest partition feeds the
 /// lane-blocked kernels one full lane group.
 pub const MIN_PARTITION: usize = 8;
 
@@ -22,15 +26,33 @@ pub const MIN_PARTITION: usize = 8;
 /// ragged-tail path and waste the vector units.
 pub const MAX_LANE_WIDTH: usize = 8;
 
+/// Tasks per worker per loop the rule aims for: enough for work stealing
+/// to even out uneven partitions, few enough that dispatch stays small
+/// next to the work.
+const TASKS_PER_WORKER: usize = 16;
+
+/// Fewest items per task the rule picks on its own (the cap may go lower,
+/// to give every worker a task): at s10 on two workers, 128- and 64-item
+/// tasks ran 3–16% slower than 256 (EXPERIMENTS.md "Grain from T").
+const MIN_GRAIN: usize = 256;
+
+/// Largest power of two ≤ `n` (1 for 0).
+fn pow2floor(n: usize) -> usize {
+    1 << (usize::BITS - 1 - n.max(1).leading_zeros())
+}
+
 /// Largest power-of-two partition size that still yields at least
-/// `threads` tasks over a loop of `items`, floored at [`MIN_PARTITION`]:
-/// the task-count floor of [`PartitionPlan::for_size_threads`]. With fewer
-/// tasks than workers, some cores are guaranteed idle no matter how the
-/// scheduler places work.
+/// `threads` tasks over a loop of `items`, floored at [`MIN_PARTITION`].
+/// With fewer tasks than workers, some cores are guaranteed idle no matter
+/// how the scheduler places work.
 fn partition_cap(items: usize, threads: usize) -> usize {
-    let per = (items / threads.max(1)).max(MIN_PARTITION);
-    // Largest power of two ≤ per.
-    1 << (usize::BITS - 1 - per.leading_zeros())
+    pow2floor((items / threads.max(1)).max(MIN_PARTITION))
+}
+
+/// The rule (module doc) for a loop of `items` on `threads` workers.
+fn partition(items: usize, threads: usize) -> usize {
+    let grain = pow2floor(items / (TASKS_PER_WORKER * threads.max(1))).max(MIN_GRAIN);
+    grain.min(partition_cap(items, threads))
 }
 
 /// Partition sizes for the two leapfrog phases.
@@ -43,98 +65,20 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// Fixed sizes (Table I of the paper).
-    pub const TABLE_I: [(usize, PartitionPlan); 6] = [
-        (
-            45,
-            PartitionPlan {
-                nodal: 2048,
-                elements: 2048,
-            },
-        ),
-        (
-            60,
-            PartitionPlan {
-                nodal: 4096,
-                elements: 2048,
-            },
-        ),
-        (
-            75,
-            PartitionPlan {
-                nodal: 8192,
-                elements: 4096,
-            },
-        ),
-        (
-            90,
-            PartitionPlan {
-                nodal: 8192,
-                elements: 4096,
-            },
-        ),
-        (
-            120,
-            PartitionPlan {
-                nodal: 8192,
-                elements: 2048,
-            },
-        ),
-        (
-            150,
-            PartitionPlan {
-                nodal: 8192,
-                elements: 2048,
-            },
-        ),
-    ];
-
-    /// The plan for a given problem size: Table I when listed, otherwise a
-    /// heuristic that keeps roughly 32–128 tasks per loop, clamped to
-    /// [64, 8192]. Thread-count blind — prefer
-    /// [`for_size_threads`](Self::for_size_threads) when the worker count
-    /// is known.
-    pub fn for_size(size: usize) -> Self {
-        for (s, plan) in Self::TABLE_I {
-            if s == size {
-                return plan;
-            }
-        }
-        Self::heuristic(size * size * size)
+    /// The plan for a `size³` mesh on `threads` workers: the rule (module
+    /// doc) over `size³` items, for both phases.
+    pub fn for_size_threads(size: usize, threads: usize) -> Self {
+        Self::for_elems_threads(size * size * size, threads)
     }
 
-    /// The off-table heuristic for a mesh of `num_elem` elements.
-    fn heuristic(num_elem: usize) -> Self {
-        let p = (num_elem / 64).next_power_of_two().clamp(64, 8192);
+    /// The plan for a mesh of `num_elem` elements on `threads` workers — a
+    /// multi-domain rank's sub-brick: the rule (module doc) over `num_elem`
+    /// items, for both phases.
+    pub fn for_elems_threads(num_elem: usize, threads: usize) -> Self {
+        let p = partition(num_elem, threads);
         PartitionPlan {
             nodal: p,
             elements: p,
-        }
-    }
-
-    /// [`for_size`](Self::for_size) with the task count floored at the
-    /// runtime's thread count: each partition size is capped at the largest
-    /// power of two that still gives every worker a task (floored at
-    /// [`MIN_PARTITION`]), so a small mesh on a wide pool still produces at
-    /// least one task per worker. At the paper's 24 threads the cap leaves
-    /// every Table I entry unchanged.
-    pub fn for_size_threads(size: usize, threads: usize) -> Self {
-        Self::for_size(size).capped(size * size * size, threads)
-    }
-
-    /// The plan for a mesh that is not a Table I cube — a multi-domain
-    /// rank's sub-brick of `num_elem` elements: the off-table heuristic,
-    /// with the same thread-count floor as
-    /// [`for_size_threads`](Self::for_size_threads).
-    pub fn for_elems_threads(num_elem: usize, threads: usize) -> Self {
-        Self::heuristic(num_elem).capped(num_elem, threads)
-    }
-
-    fn capped(self, num_elem: usize, threads: usize) -> Self {
-        let cap = partition_cap(num_elem, threads);
-        PartitionPlan {
-            nodal: self.nodal.min(cap),
-            elements: self.elements.min(cap),
         }
     }
 
@@ -146,7 +90,8 @@ impl PartitionPlan {
         }
     }
 
-    /// An explicit plan (used by the Table-I sweep bench and tests).
+    /// An explicit plan (`--partition fixed:N`, the simulator's Table I
+    /// and tests).
     pub fn fixed(nodal: usize, elements: usize) -> Self {
         assert!(nodal > 0 && elements > 0);
         PartitionPlan { nodal, elements }
@@ -158,107 +103,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_i_values() {
-        assert_eq!(
-            PartitionPlan::for_size(45),
-            PartitionPlan {
-                nodal: 2048,
-                elements: 2048
-            }
-        );
-        assert_eq!(
-            PartitionPlan::for_size(60),
-            PartitionPlan {
-                nodal: 4096,
-                elements: 2048
-            }
-        );
-        assert_eq!(
-            PartitionPlan::for_size(75),
-            PartitionPlan {
-                nodal: 8192,
-                elements: 4096
-            }
-        );
-        assert_eq!(
-            PartitionPlan::for_size(90),
-            PartitionPlan {
-                nodal: 8192,
-                elements: 4096
-            }
-        );
-        assert_eq!(
-            PartitionPlan::for_size(120),
-            PartitionPlan {
-                nodal: 8192,
-                elements: 2048
-            }
-        );
-        assert_eq!(
-            PartitionPlan::for_size(150),
-            PartitionPlan {
-                nodal: 8192,
-                elements: 2048
-            }
-        );
+    fn pinned_plans_at_two_workers() {
+        // s6 is check.sh's partition smoke mesh (the cap binds: 216 / 2 →
+        // 64); s10, s24 and s45 are the benchmark's task-driver inputs.
+        for (size, p) in [(6, 64), (10, 256), (24, 256), (45, 2048)] {
+            assert_eq!(
+                PartitionPlan::for_size_threads(size, 2),
+                PartitionPlan::fixed(p, p),
+                "size {size}"
+            );
+        }
+    }
+
+    /// The rule's invariants for a loop of `items` on `threads` workers.
+    fn assert_rule_holds(p: PartitionPlan, items: usize, threads: usize) {
+        for part in [p.nodal, p.elements] {
+            assert!(part.is_power_of_two(), "{items} × {threads}: {part}");
+            assert!(part >= MIN_PARTITION, "{items} × {threads}: {part}");
+            let tasks = items.div_ceil(part);
+            assert!(
+                tasks >= threads.min(items / MIN_PARTITION),
+                "{items} items × {threads} threads: partition {part} gives \
+                 only {tasks} tasks"
+            );
+        }
     }
 
     #[test]
-    fn heuristic_for_unlisted_sizes() {
-        let p = PartitionPlan::for_size(8); // 512 elements
-        assert!(p.nodal >= 64 && p.nodal <= 8192);
-        let big = PartitionPlan::for_size(200); // 8M elements
-        assert_eq!(big.nodal, 8192, "clamped at the Table I maximum");
+    fn every_plan_is_a_power_of_two_that_feeds_every_worker() {
+        for threads in [1, 2, 3, 5, 24] {
+            for size in [5usize, 8, 10, 12, 24, 45, 60, 150] {
+                let p = PartitionPlan::for_size_threads(size, threads);
+                assert_rule_holds(p, size * size * size, threads);
+            }
+        }
     }
 
     #[test]
-    fn heuristic_gives_multiple_tasks_for_moderate_meshes() {
-        // A 20³ mesh (8000 elements) should split into several tasks.
-        let p = PartitionPlan::for_size(20);
-        assert!(
-            8000 / p.elements >= 2,
-            "partition {} too coarse",
-            p.elements
-        );
+    fn rank_sub_bricks_follow_the_same_rule() {
+        // The two ranks of a `--grid 1x1x2` split at s10 and s24.
+        for (num_elem, pinned) in [(10 * 10 * 5, 128), (24 * 24 * 12, 256)] {
+            for threads in [1, 2, 3, 5, 24] {
+                let p = PartitionPlan::for_elems_threads(num_elem, threads);
+                assert_rule_holds(p, num_elem, threads);
+            }
+            assert_eq!(
+                PartitionPlan::for_elems_threads(num_elem, 2),
+                PartitionPlan::fixed(pinned, pinned),
+                "{num_elem} elements"
+            );
+        }
     }
 
     #[test]
     #[should_panic]
     fn fixed_rejects_zero() {
         let _ = PartitionPlan::fixed(0, 128);
-    }
-
-    #[test]
-    fn thread_floor_guarantees_a_task_per_worker() {
-        // Regression: `for_size` is thread-count blind — an 8³ mesh (512
-        // elements) got partition 64, i.e. 8 tasks, starving a 16-wide
-        // pool. The thread-aware variant must cap the partition size so
-        // every worker gets at least one task.
-        for threads in [1, 2, 4, 8, 16, 32] {
-            for size in [5usize, 8, 12, 20, 45] {
-                let num_elem = size * size * size;
-                let p = PartitionPlan::for_size_threads(size, threads);
-                let tasks = num_elem.div_ceil(p.elements);
-                assert!(
-                    tasks >= threads.min(num_elem / MIN_PARTITION).max(1),
-                    "size {size} × {threads} threads: partition {} gives \
-                     only {tasks} tasks",
-                    p.elements
-                );
-                assert!(p.nodal >= MIN_PARTITION && p.elements >= MIN_PARTITION);
-            }
-        }
-    }
-
-    #[test]
-    fn thread_floor_leaves_table_i_unchanged_at_paper_width() {
-        for (size, plan) in PartitionPlan::TABLE_I {
-            assert_eq!(
-                PartitionPlan::for_size_threads(size, 24),
-                plan,
-                "24-thread cap must not disturb Table I for size {size}"
-            );
-        }
     }
 
     #[test]

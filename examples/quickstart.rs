@@ -47,8 +47,12 @@ fn main() {
     let d_task = Arc::new(Domain::build(size, regions, 1, 1, 0));
     let task = TaskLulesh::new(threads);
     let t0 = Instant::now();
-    task.run(&d_task, PartitionPlan::for_size(size), cycles)
-        .expect("stable run");
+    task.run(
+        &d_task,
+        PartitionPlan::for_size_threads(size, threads),
+        cycles,
+    )
+    .expect("stable run");
     let g = task.graph_stats();
     println!(
         "task   : {:>8.3}s  utilization = {:.1}%  ({} tasks, {} sync points / iter)",

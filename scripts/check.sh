@@ -88,9 +88,9 @@ if [ "$STATUS" -ne 2 ] || ! grep -q "^usage: lulesh-bench" "$TMP/bench_usage.log
 fi
 
 echo "== partition smoke runs (every plan is bit-identical to the default) =="
-# Partition size is a pure performance knob: the Table I default, the
-# finest plan and one coarser than the whole mesh must print the same CSV
-# in every column but wall clock.
+# Partition size is a pure performance knob: the default (the rule of
+# --s and --threads), the finest plan and one coarser than the whole mesh
+# must print the same CSV in every column but wall clock.
 ./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q | cut -d, -f1-4,6 > "$TMP/table.csv"
 for part in fixed:8 fixed:4096; do
   ./target/debug/lulesh-task --s 6 --i 10 --threads 2 --q --partition "$part" \
@@ -101,13 +101,16 @@ for part in fixed:8 fixed:4096; do
     exit 1
   fi
 done
-# `--partition` takes table|fixed:N only; `auto` is a usage error.
-STATUS=0
-./target/debug/lulesh-task --partition auto > /dev/null 2> "$TMP/auto.log" || STATUS=$?
-if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: lulesh-task" "$TMP/auto.log"; then
-  echo "--partition auto: expected exit 2 with usage, got $STATUS:"; cat "$TMP/auto.log"
-  exit 1
-fi
+# `--partition` takes fixed:N only; `auto` and `table` (Table I, which the
+# driver no longer reads) are usage errors.
+for mode in auto table; do
+  STATUS=0
+  ./target/debug/lulesh-task --partition $mode > /dev/null 2> "$TMP/mode.log" || STATUS=$?
+  if [ "$STATUS" -ne 2 ] || ! grep -q "^Usage: lulesh-task" "$TMP/mode.log"; then
+    echo "--partition $mode: expected exit 2 with usage, got $STATUS:"; cat "$TMP/mode.log"
+    exit 1
+  fi
+done
 
 echo "== simd smoke runs (every driver's default width is bit-identical to scalar) =="
 # Lane width and ISA are pure performance knobs: a plain run of every
@@ -223,6 +226,18 @@ if [ "$FIELD_BLOCKS" -ne 1 ]; then
   exit 1
 fi
 
+echo "== Table I lives only in the simulator's harness (crates/bench) =="
+# The task driver derives its grain from the worker count
+# (PartitionPlan::for_size_threads); the paper's per-size table is the
+# simulator's T7 reproduction. A TABLE_I anywhere else would let a
+# driver's default grain quietly go back to the 24-core table.
+TABLE_FILES=$(grep -rl 'TABLE_I' crates src tests examples shims --include='*.rs' \
+  | grep -v '^crates/bench/' | tr '\n' ' ' || true)
+if [ -n "$TABLE_FILES" ]; then
+  echo "TABLE_I outside crates/bench: $TABLE_FILES"
+  exit 1
+fi
+
 echo "== no --pin flag (worker pinning is not a run option) =="
 for bin in lulesh-task lulesh-multidom; do
   STATUS=0
@@ -248,10 +263,10 @@ while IFS='|' read -r bin flags; do
 done <<'EOF_FLAGS'
 lulesh-serial|--threads 2
 lulesh-serial|--trace t.json
-lulesh-serial|--partition table
+lulesh-serial|--partition fixed:8
 lulesh-serial|--grid 1x1x2
 lulesh-serial|--die-at 0:1
-lulesh-omp|--partition table
+lulesh-omp|--partition fixed:8
 lulesh-omp|--trace-dir d
 lulesh-omp|--ckpt-dir d
 lulesh-omp|--live-metrics
@@ -259,7 +274,7 @@ lulesh-task|--grid 1x1x2
 lulesh-task|--transport tcp
 lulesh-task|--slow-rank 0:1
 lulesh-task|--respawn
-lulesh-multidom|--partition table
+lulesh-multidom|--partition fixed:8
 lulesh-multidom|--resume-cycle 3
 EOF_FLAGS
 

@@ -35,7 +35,7 @@ fn all_three_agree_on_a_medium_problem() {
 
     let d_task = Arc::new(Domain::build(size, regs, 1, 1, 0));
     TaskLulesh::new(3)
-        .run(&d_task, PartitionPlan::for_size(size), cycles)
+        .run(&d_task, PartitionPlan::for_size_threads(size, 3), cycles)
         .unwrap();
     assert_eq!(validate::max_field_difference(&d_ref, &d_task), 0.0);
 }
