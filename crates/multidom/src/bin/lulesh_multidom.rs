@@ -67,9 +67,7 @@ fn main() {
 /// The run half of the CLI, for `decomp`: the parsed [`Args::plan`], task
 /// ranks when `--threads` asks for more than one worker (partitioned for
 /// the rank's sub-brick), and a tracer when any trace output was asked
-/// for — a protocol lane per rank, a `ranks + rank` comm lane per rank for
-/// TCP writer-thread spans, so those never land on a protocol lane, and a
-/// lane per task worker.
+/// for — a protocol lane per rank and a lane per task worker.
 fn run_plan(args: &Args, decomp: Decomposition) -> RunPlan {
     let exec = match args.threads.unwrap_or(1) {
         1 => RankExec::Serial,
@@ -86,13 +84,10 @@ fn run_plan(args: &Args, decomp: Decomposition) -> RunPlan {
     }
 }
 
-/// Rank `rank`'s trace lanes and their names: its protocol lane, its TCP
-/// writer lane, then its task workers' lanes.
+/// Rank `rank`'s trace lanes and their names: its protocol lane, then
+/// its task workers' lanes.
 fn rank_lanes(plan: &RunPlan, rank: usize, ranks: usize) -> Vec<(usize, String)> {
-    let mut lanes = vec![
-        (rank, format!("rank{rank}")),
-        (ranks + rank, format!("rank{rank}-comm")),
-    ];
+    let mut lanes = vec![(rank, format!("rank{rank}"))];
     let workers = plan.exec.worker_lanes(rank, ranks).enumerate();
     lanes.extend(workers.map(|(i, lane)| (lane, format!("rank{rank}-w{i}"))));
     lanes

@@ -328,8 +328,8 @@ impl HaloPlan {
 
 /// One whole `kind` exchange over `net`: [`send`], then [`recv_apply`].
 /// Sends all go out before any receive: on transports whose sends never
-/// block the protocol thread (bounded channel slots, the TCP writer
-/// thread) that keeps the whole grid deadlock-free in any neighbour order.
+/// block the protocol thread (bounded channel slots, the TCP link's
+/// outbox) that keeps the whole grid deadlock-free in any neighbour order.
 pub fn exchange(
     kind: Halo,
     d: &Domain,

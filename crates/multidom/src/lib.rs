@@ -427,14 +427,14 @@ pub enum RankExec {
 
 impl RankExec {
     /// The lanes rank `rank`'s task workers record on (empty for serial
-    /// ranks): past every rank's protocol lane `r` and TCP writer lane
-    /// `ranks + r`, one block of workers per rank.
+    /// ranks): past every rank's protocol lane `r`, one block of workers
+    /// per rank.
     pub fn worker_lanes(&self, rank: usize, ranks: usize) -> Range<usize> {
         let workers = match self {
             RankExec::Serial => 0,
             RankExec::Tasks { threads, .. } => *threads,
         };
-        2 * ranks + rank * workers..2 * ranks + (rank + 1) * workers
+        ranks + rank * workers..ranks + (rank + 1) * workers
     }
 
     /// Tracer lanes a traced job of `ranks` ranks records on: through the
@@ -584,24 +584,20 @@ pub(crate) struct RankObs {
 
 impl RankObs {
     /// Build the recorder `plan` asks for on `net`'s rank and attach it to
-    /// every link. Traced, protocol spans go on lane `rank` of
-    /// `plan.trace` and TCP writer-thread spans on lane `ranks + rank` when
-    /// the tracer has that many lanes. Live-only, the rank records into a
-    /// private two-lane tracer (protocol lane 0, writer lane 1) that its
-    /// sampler drains every telemetry step, so it never holds more than
-    /// one sampling window of spans.
+    /// every link. Traced, the rank's parcel spans go on lane `rank` of
+    /// `plan.trace`. Live-only, the rank records into a private one-lane
+    /// tracer that its sampler drains every telemetry step, so it never
+    /// holds more than one sampling window of spans.
     pub(crate) fn attach(plan: &RunPlan, net: &RankNet) -> Self {
         let (rank, ranks) = (net.rank, net.ranks);
-        let hook = match (&plan.trace, &plan.live) {
-            (Some(t), _) if t.lanes() >= 2 * ranks => Some((Arc::clone(t), rank, ranks + rank)),
-            (Some(t), _) => Some((Arc::clone(t), rank, rank)),
-            (None, Some(_)) => Some((Tracer::shared(2), 0, 1)),
+        let tracer = match (&plan.trace, &plan.live) {
+            (Some(t), _) => Some((Arc::clone(t), rank)),
+            (None, Some(_)) => Some((Tracer::shared(1), 0)),
             (None, None) => None,
         };
-        if let Some((t, lane, aux)) = &hook {
-            net.attach_obs(&ParcelObs::new(Arc::clone(t), *lane, *aux));
+        if let Some((t, lane)) = &tracer {
+            net.attach_obs(&ParcelObs::new(Arc::clone(t), *lane));
         }
-        let tracer = hook.map(|(t, lane, _)| (t, lane));
         let owned = plan.trace.is_none();
         let live = plan
             .live
@@ -946,8 +942,8 @@ mod tests {
         let net = parcelnet::channel::channel_mesh(1, DEFAULT_DEADLINE).remove(0);
         let robs = RankObs::attach(&plan, &net);
         let (tracer, lane) = robs.ctx().expect("live metrics record spans");
-        assert_eq!((tracer.lanes(), lane), (2, 0), "a private tracer");
-        let held = || tracer.lane_since(0, 0).len() + tracer.lane_since(1, 0).len();
+        assert_eq!((tracer.lanes(), lane), (1, 0), "a private one-lane tracer");
+        let held = || tracer.lane_since(0, 0).len();
         for cycle in 1..=4u64 {
             let since = robs.mark();
             robs.timed("forces", SpanKind::Region, || ());

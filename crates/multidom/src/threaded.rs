@@ -103,11 +103,10 @@ pub fn run_transport(
 ///
 /// With `plan.trace`, rank `r` records on lane `r`: a serial rank's plan
 /// phases as [`SpanKind::Region`] spans (a task rank: one `task-graph`
-/// region per step), its exchanges as [`SpanKind::Halo`] spans (a serial rank's outer
-/// `halo-*` span plus the links' parcel-level spans; writer-thread
-/// serialize spans go on lane `ranks + r` when the tracer has that many
-/// lanes) and the dt allreduce as a [`SpanKind::Barrier`] span; rank 0's
-/// lane also carries one `iteration` span per step. A task rank's workers
+/// region per step), its exchanges as [`SpanKind::Halo`] spans (a serial
+/// rank's outer `halo-*` span plus the links' parcel-level spans) and the
+/// dt allreduce as a [`SpanKind::Barrier`] span; rank 0's lane also
+/// carries one `iteration` span per step. A task rank's workers
 /// record the graph's tasks, syncs and halo stages on
 /// [`RankExec::worker_lanes`]. `plan.live` samples the step summaries from
 /// lane `r` (recorded into a private tracer when `plan.trace` is off), and
@@ -661,14 +660,13 @@ mod tests {
     /// The span *census* — how many spans of each (kind, label, lane) a
     /// traced run records — must not depend on the wire. Channel and TCP
     /// place their instrumentation symmetrically (wait + recv + send per
-    /// frame), so the only transport-specific spans are the TCP writer
-    /// thread's `parcel-serialize-*` intervals, which are excluded here.
+    /// frame), so no span is transport-specific.
     #[test]
     fn traced_cross_transport_equivalence_span_counts() {
         use std::collections::BTreeMap;
         let ranks = 3;
         let census = |kind: TransportKind| {
-            let tracer = obs::Tracer::shared(2 * ranks);
+            let tracer = obs::Tracer::shared(ranks);
             let results = run_transport(
                 Decomposition::new(6, ranks),
                 kind,
@@ -682,9 +680,6 @@ mod tests {
             }
             let mut m: BTreeMap<(obs::SpanKind, &'static str, usize), usize> = BTreeMap::new();
             for s in tracer.drain() {
-                if s.label.starts_with("parcel-serialize-") {
-                    continue;
-                }
                 *m.entry((s.kind, s.label, s.worker)).or_insert(0) += 1;
             }
             m
@@ -1178,8 +1173,8 @@ mod tests {
         let exec = tasks(2, 16).exec;
         let tasks: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Task).collect();
         assert!(
-            tasks.iter().all(|s| s.worker >= 4),
-            "worker tasks must stay off every protocol and writer lane"
+            tasks.iter().all(|s| s.worker >= 2),
+            "worker tasks must stay off every protocol lane"
         );
         for rank in 0..2 {
             let workers = exec.worker_lanes(rank, 2);

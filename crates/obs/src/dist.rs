@@ -89,8 +89,7 @@ pub struct RankTrace {
     /// World size the run used.
     pub ranks: usize,
     /// The lane carrying this rank's protocol-thread spans (the lane the
-    /// taxonomy sweep attributes); other lanes are background (e.g. the
-    /// parcelnet writer's serialize spans).
+    /// taxonomy sweep attributes); other lanes are its task workers'.
     pub main_lane: usize,
     /// `local_clock − rank0_clock` in ns: subtracted at merge time.
     pub offset_ns: i64,
@@ -547,7 +546,7 @@ pub fn categorize(cat: &str, label: &str) -> Option<Category> {
         "parcel" => {
             if label.contains("clock") {
                 Category::Startup
-            } else if label.contains("send") || label.contains("serialize") {
+            } else if label.contains("send") {
                 Category::Send
             } else {
                 // parcel-wait-*, parcel-recv-*, and the zero-length
@@ -588,10 +587,6 @@ pub struct RankBreakdown {
     pub shutdown_ns: u64,
     /// Uncovered gaps between spans.
     pub idle_ns: u64,
-    /// Background lanes' parcel time (writer-thread serialize) — runs
-    /// *concurrently* with the main lane, so it is reported separately
-    /// and not part of the wall-clock sum.
-    pub background_ns: u64,
 }
 
 impl RankBreakdown {
@@ -757,18 +752,11 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
         let main_lane = m.main_lanes.get(rank).copied().unwrap_or(rank);
         let mut lane_idx: Vec<usize> = Vec::new();
         let mut lane_spans: Vec<(u64, u64, Category)> = Vec::new();
-        let mut background_ns = 0u64;
         for (idx, ms) in m.spans.iter().enumerate() {
-            if ms.rank != rank {
-                continue;
-            }
+            // A task rank's worker lanes hold its compute, which the main
+            // lane's step region covers.
             let s = &ms.span;
-            if s.lane != main_lane {
-                // Only parcel spans: a task rank's worker lanes hold its
-                // compute, which the main lane's step region covers.
-                if s.cat == "parcel" {
-                    background_ns += s.dur_ns();
-                }
+            if ms.rank != rank || s.lane != main_lane {
                 continue;
             }
             if let Some(cat) = categorize(&s.cat, &s.label) {
@@ -785,7 +773,6 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
             per_rank.push(RankBreakdown {
                 rank,
                 wall_ns,
-                background_ns,
                 startup_ns: wall_ns,
                 ..RankBreakdown::default()
             });
@@ -802,7 +789,6 @@ pub fn analyze(m: &MergedTrace) -> Analysis {
         });
         b.rank = rank;
         b.wall_ns = wall_ns;
-        b.background_ns = background_ns;
         b.startup_ns += first;
         b.shutdown_ns += wall_ns - last;
         debug_assert_eq!(b.accounted_ns(), wall_ns, "attribution must partition");
@@ -963,8 +949,8 @@ impl Analysis {
             }
             let _ = writeln!(
                 out,
-                "    {{\"rank\": {}, \"wall_ns\": {}{fields}, \"background_ns\": {}}}{}",
-                b.rank, b.wall_ns, b.background_ns, sep
+                "    {{\"rank\": {}, \"wall_ns\": {}{fields}}}{}",
+                b.rank, b.wall_ns, sep
             );
         }
         out.push_str("  ]\n}\n");
@@ -1008,14 +994,12 @@ impl Analysis {
         for cat in Category::ALL {
             let _ = write!(header, "{:>9}", cat.name());
         }
-        header.push_str("   bg-comm");
         let _ = writeln!(out, "{header}");
         for b in &self.per_rank {
             let mut row = format!("{:<5}", b.rank);
             for cat in Category::ALL {
                 let _ = write!(row, "{:>8.1}%", pct(b.get(cat)));
             }
-            let _ = write!(row, "{:>9.1}%", pct(b.background_ns));
             let _ = writeln!(out, "{row}");
         }
         out
@@ -1065,9 +1049,7 @@ const KNOWN_CATS: [&str; 6] = ["task", "steal", "barrier", "region", "halo", "pa
 
 /// Structurally validate a Chrome-trace document: top-level array,
 /// non-negative timestamps/durations (a span predating the aligned epoch
-/// means clock correction went wrong), known `cat` values, writer-thread
-/// `parcel-serialize-*` spans on a `(pid, tid)` lane of their own (on a
-/// rank's protocol lane they would overlap its phases), and — for
+/// means clock correction went wrong), known `cat` values, and — for
 /// multi-process (merged) traces — `process_name` metadata naming every
 /// rank lane group. `min_barriers` guards against silently-empty traces.
 pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats, String> {
@@ -1082,8 +1064,6 @@ pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats
     };
     let mut span_pids: Vec<i64> = Vec::new();
     let mut named_pids: Vec<i64> = Vec::new();
-    // (pid, tid) → (holds parcel-serialize-* events, holds other events)
-    let mut lanes: BTreeMap<(i64, i64), (bool, bool)> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
@@ -1124,22 +1104,9 @@ pub fn lint_chrome_trace(content: &str, min_barriers: usize) -> Result<LintStats
                 if !span_pids.contains(&pid) {
                     span_pids.push(pid);
                 }
-                let tid = ev.get("tid").and_then(Value::num).unwrap_or(0.0) as i64;
-                let name = ev.get("name").and_then(Value::str).unwrap_or("");
-                let lane = lanes.entry((pid, tid)).or_default();
-                if name.starts_with("parcel-serialize-") {
-                    lane.0 = true;
-                } else {
-                    lane.1 = true;
-                }
             }
             _ => {}
         }
-    }
-    if let Some(((pid, tid), _)) = lanes.iter().find(|(_, &(ser, other))| ser && other) {
-        return Err(format!(
-            "lane (pid {pid}, tid {tid}) mixes parcel-serialize-* writer spans with other events"
-        ));
     }
     stats.pids = span_pids.len();
     if span_pids.len() > 1 {
@@ -1247,28 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn background_counts_writer_parcels_not_worker_tasks() {
-        // A task rank: its step region on the main lane, its compute on a
-        // worker lane, a writer-thread serialize span on the comm lane.
-        let spans = vec![
-            own(0, "task-graph", 0, 0, 1000, "region", 0, -1),
-            own(1, "stress", 2, 100, 900, "task", 0, -1),
-            own(2, "parcel-serialize-force", 1, 200, 260, "parcel", 800, 1),
-        ];
-        let trace = RankTrace {
-            rank: 0,
-            ranks: 1,
-            main_lane: 0,
-            offset_ns: 0,
-            lane_names: vec![(0, "rank0".into()), (1, "rank0-comm".into())],
-            spans,
-        };
-        let a = analyze(&merge(vec![trace]).unwrap());
-        assert_eq!(a.per_rank[0].background_ns, 60);
-        assert_eq!(a.per_rank[0].busy_ns, 1000);
-    }
-
-    #[test]
     fn rank_trace_roundtrips_through_json() {
         let t = Tracer::new(2);
         t.record_interval(0, SpanKind::Region, "forces", 10, 20);
@@ -1279,7 +1224,7 @@ mod tests {
             2,
             0,
             -12345,
-            vec![(0, "rank0".into()), (1, "rank0-comm".into())],
+            vec![(0, "rank0".into()), (1, "rank0-w0".into())],
             &spans,
         );
         let json = rt.to_json();
@@ -1446,24 +1391,6 @@ mod tests {
         assert_eq!(lint_chrome_trace(ok, 1).unwrap().barriers, 1);
         // Single-process traces need no process_name metadata.
         assert!(lint_chrome_trace(ok, 0).is_ok());
-    }
-
-    #[test]
-    fn lint_rejects_writer_spans_on_a_protocol_lane() {
-        let ser = r#"{"name": "parcel-serialize-force-00p-1", "cat": "parcel", "ph": "X", "ts": 1.0, "dur": 1.0, "pid": 0, "tid": 2}"#;
-        let send = r#"{"name": "parcel-send-force-00p-0", "cat": "parcel", "ph": "X", "ts": 1.0, "dur": 1.0, "pid": 0, "tid": 0}"#;
-        // The writer thread's spans on their own lane pass ...
-        assert!(lint_chrome_trace(&format!("[{send}, {ser}]"), 0).is_ok());
-        // ... and fail once they share a lane with the protocol thread.
-        let shared = ser.replace(r#""tid": 2"#, r#""tid": 0"#);
-        assert!(lint_chrome_trace(&format!("[{send}, {shared}]"), 0)
-            .unwrap_err()
-            .contains("parcel-serialize"));
-        // The same tid under another pid is another lane.
-        let other_rank = shared.replace(r#""pid": 0"#, r#""pid": 1"#);
-        let meta = r#"{"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "rank0"}},
-          {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "rank1"}}"#;
-        assert!(lint_chrome_trace(&format!("[{meta}, {send}, {other_rank}]"), 0).is_ok());
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub enum SpanKind {
     Region,
     /// Inter-domain halo communication (multidom exchanges).
     Halo,
-    /// One transport-level frame operation inside `parcelnet` (send
-    /// enqueue, deadline-bounded wait, payload read, writer-thread
-    /// serialize). Carries [`Span::bytes`] and [`Span::peer`].
+    /// One transport-level frame operation inside `parcelnet` (send,
+    /// deadline-bounded wait, payload read). Carries [`Span::bytes`] and
+    /// [`Span::peer`].
     Parcel,
 }
 

@@ -303,8 +303,8 @@ mod tests {
         let (a, b) = ChannelTransport::pair(0, 1, D);
         let tracer = Tracer::shared(1);
         // The hook's one sink is the tracer; a second attach is ignored.
-        a.attach_obs(ParcelObs::new(Arc::clone(&tracer), 0, 0));
-        a.attach_obs(ParcelObs::new(Tracer::shared(1), 0, 0));
+        a.attach_obs(ParcelObs::new(Arc::clone(&tracer), 0));
+        a.attach_obs(ParcelObs::new(Tracer::shared(1), 0));
         a.send(force(), &[1.0, 2.0]).unwrap();
         b.send(force(), &[3.0]).unwrap();
         assert_eq!(a.recv(force()).unwrap(), vec![3.0]);

@@ -177,11 +177,6 @@ static WAIT: Labels = [
     dir27!("parcel-wait-force-"),
     dir27!("parcel-wait-gradient-"),
 ];
-static SER: Labels = [
-    dir27!("parcel-serialize-mass-"),
-    dir27!("parcel-serialize-force-"),
-    dir27!("parcel-serialize-gradient-"),
-];
 
 impl Tag {
     /// A `kind` halo tag travelling in stencil direction `d`.
@@ -278,43 +273,26 @@ impl Tag {
             Tag::Telemetry => "parcel-wait-telemetry",
         }
     }
-
-    /// `parcel-serialize-<tag>` span label (TCP writer thread).
-    pub fn serialize_label(self) -> &'static str {
-        match self {
-            Tag::Halo(k, d) => SER[k as usize][d as usize],
-            Tag::Dt => "parcel-serialize-dt",
-            Tag::Bye => "parcel-serialize-bye",
-            Tag::Clock => "parcel-serialize-clock",
-            Tag::Telemetry => "parcel-serialize-telemetry",
-        }
-    }
 }
 
 /// A rank's one recorder hook on its links, attached via
-/// [`Transport::attach_obs`]: a tracer taking protocol-thread spans on
-/// `lane` and TCP writer-thread spans on `aux_lane`. A frame becomes
-/// [`obs::SpanKind::Parcel`] spans (send enqueue, receive wait, payload
-/// read, writer serialize) with byte counts and peer ranks, one clock read
-/// per event edge; a typed failure becomes one zero-length
-/// [`ParcelError::span_label`] span. The live telemetry stream is sampled
-/// from the same spans ([`obs::live::LaneSampler`]).
+/// [`Transport::attach_obs`]: a tracer taking the rank's parcel spans on
+/// `lane`, whichever of the rank's threads sends or receives. A frame
+/// becomes [`obs::SpanKind::Parcel`] spans (send, receive wait, payload
+/// read) with byte counts and peer ranks, one clock read per event edge; a
+/// typed failure becomes one zero-length [`ParcelError::span_label`] span.
+/// The live telemetry stream is sampled from the same spans
+/// ([`obs::live::LaneSampler`]).
 #[derive(Clone)]
 pub struct ParcelObs {
     tracer: std::sync::Arc<obs::Tracer>,
     lane: usize,
-    aux_lane: usize,
 }
 
 impl ParcelObs {
-    /// A hook recording protocol spans on `lane` and writer-thread spans
-    /// on `aux_lane` of `tracer`.
-    pub fn new(tracer: std::sync::Arc<obs::Tracer>, lane: usize, aux_lane: usize) -> Self {
-        Self {
-            tracer,
-            lane,
-            aux_lane,
-        }
+    /// A hook recording parcel spans on `lane` of `tracer`.
+    pub fn new(tracer: std::sync::Arc<obs::Tracer>, lane: usize) -> Self {
+        Self { tracer, lane }
     }
 
     /// Nanoseconds on the tracer's clock (the clock
@@ -323,8 +301,8 @@ impl ParcelObs {
         self.tracer.now_ns()
     }
 
-    /// A frame of `bytes` for `peer` was enqueued/written, starting at
-    /// `start_ns` (from [`now_ns`](Self::now_ns)).
+    /// A frame of `bytes` for `peer` was sent, starting at `start_ns`
+    /// (from [`now_ns`](Self::now_ns)).
     pub fn sent(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
         let end = self.now_ns();
         self.tracer
@@ -346,22 +324,6 @@ impl ParcelObs {
         let end = self.now_ns();
         self.tracer
             .record_parcel(self.lane, tag.recv_label(), arrival_ns, end, bytes, peer);
-    }
-
-    /// The writer thread wrote an encoded frame to `peer`, or the part of
-    /// one an inline send left it, starting at `start_ns` (from
-    /// [`now_ns`](Self::now_ns)). Frames written inline record no such
-    /// span.
-    pub fn serialize(&self, tag: Tag, start_ns: u64, bytes: u64, peer: usize) {
-        let end = self.now_ns();
-        self.tracer.record_parcel(
-            self.aux_lane,
-            tag.serialize_label(),
-            start_ns,
-            end,
-            bytes,
-            peer,
-        );
     }
 }
 
@@ -525,7 +487,8 @@ pub trait Transport: Send + Sync {
 
     /// Send one tagged frame. Must not block indefinitely on a slow or dead
     /// peer (channel sends use bounded buffers; a TCP send writes what the
-    /// socket takes at once and leaves the rest to a writer thread).
+    /// socket takes at once and leaves the rest in the link's outbox, which
+    /// the rank's next wait on any link flushes).
     fn send(&self, tag: Tag, payload: &[Real]) -> Result<(), ParcelError>;
 
     /// Receive the next frame, which must carry `tag`, within the link's
@@ -890,7 +853,7 @@ mod tests {
     #[test]
     fn tag_wire_encodings_and_labels_are_unique() {
         // Satellite: the 27-neighbour tag layout must never alias — across
-        // every direction of every kind, wire codes, names, and all four
+        // every direction of every kind, wire codes, names, and all three
         // span labels are pairwise distinct.
         let all = every_tag();
         let mut codes: Vec<u32> = all.iter().map(|t| t.to_u32()).collect();
@@ -902,7 +865,6 @@ mod tests {
             Tag::send_label,
             Tag::recv_label,
             Tag::wait_label,
-            Tag::serialize_label,
         ] {
             let mut labels: Vec<&str> = all.iter().map(|&t| get(t)).collect();
             labels.sort_unstable();

@@ -27,31 +27,32 @@
 //! bootstrap cannot deadlock. No port arithmetic, no contiguous port
 //! ranges.
 //!
-//! **No blocked senders.** A send writes its frame on the calling thread
-//! with one non-blocking `send` when nothing of the link is queued, and
-//! hands whatever the socket does not take at once to a per-link writer
-//! thread with a bounded queue. Every later frame of the link queues
-//! behind it until the writer has drained, so frames keep their `seq`
-//! order on the wire. A rank never wedges inside `send` when planes
-//! exceed socket buffers — the classic MPI_Send cycle deadlock can't
-//! form; the protocol thread always reaches its `recv`, which drains the
-//! wire.
+//! **One progress engine per rank.** After the handshake a link's socket
+//! is non-blocking. A send writes its frame on the calling thread; a tail
+//! the socket refuses stays in the link's outbox, and later frames of the
+//! link queue behind it, so frames keep their `seq` order and no send
+//! blocks. All TCP links of one [`RankNet`] share one engine: a thread of
+//! the rank waiting in `recv` on any of them flushes every pending outbox
+//! of the rank, sleeping in one `poll(2)`. A receive reads the rest of a
+//! frame the same way, so the classic MPI_Send cycle deadlock can't form,
+//! and offers its own link's tail to the socket once more when the frame
+//! is in. A tail waits while its rank computes between transport calls;
+//! only a frame larger than the socket buffers leaves one.
 //!
 //! **Receives.** A receive polls the socket for about 20 µs before it
-//! blocks for the full deadline, so a frame that is already on its way is
+//! sleeps for the full deadline, so a frame that is already on its way is
 //! read without a sleep/wake round trip.
 
 use crate::{
     dir, failed, fnv1a64, poll_before_blocking, DtLinks, Neighbor, NeighborSpec, ParcelError,
     ParcelObs, RankNet, Tag, Transport,
 };
-use crossbeam::channel::{bounded, Sender};
 use lulesh_core::types::Real;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -119,9 +120,9 @@ fn prep_stream(stream: &TcpStream, peer: usize, cfg: &TcpConfig) -> Result<(), P
         .map_err(|e| map_io(peer, &e))
 }
 
-/// Encode one frame into `bytes`, replacing what it held.
+/// Append one encoded frame to `bytes`.
 fn encode_frame(bytes: &mut Vec<u8>, tag: Tag, seq: u32, src: u32, payload: &[Real]) {
-    bytes.clear();
+    let start = bytes.len();
     bytes.reserve(HEADER + payload.len() * 8);
     bytes.extend_from_slice(&tag.to_u32().to_le_bytes());
     bytes.extend_from_slice(&seq.to_le_bytes());
@@ -131,287 +132,250 @@ fn encode_frame(bytes: &mut Vec<u8>, tag: Tag, seq: u32, src: u32, payload: &[Re
     for v in payload {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    let ck = fnv1a64(&bytes[HEADER..]);
-    bytes[16..HEADER].copy_from_slice(&ck.to_le_bytes());
+    let ck = fnv1a64(&bytes[start + HEADER..]);
+    bytes[start + 16..start + HEADER].copy_from_slice(&ck.to_le_bytes());
 }
 
 fn u32_at(b: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
 }
 
-/// The socket calls `std` has no per-call non-blocking form of: `send`
-/// and `recv` with `MSG_DONTWAIT`, which leave the descriptor's blocking
-/// mode — shared with the writer thread's clone of the stream — as it is.
-#[cfg(target_os = "linux")]
-mod sock {
-    use std::ffi::c_void;
-    use std::io::{Error, ErrorKind};
-    use std::os::fd::RawFd;
+/// `poll(2)`, the one socket call `std` has no form of.
+mod sys {
+    use std::ffi::{c_int, c_short, c_ulong};
 
-    const MSG_PEEK: i32 = 0x2;
-    const MSG_DONTWAIT: i32 = 0x40;
-    const MSG_NOSIGNAL: i32 = 0x4000;
+    pub(super) const POLLIN: c_short = 0x1;
+    pub(super) const POLLOUT: c_short = 0x4;
+
+    /// One `poll(2)` entry: `(fd, events, revents)`.
+    #[repr(C)]
+    pub(super) struct PollFd(pub c_int, pub c_short, pub c_short);
 
     extern "C" {
-        fn send(fd: i32, buf: *const c_void, len: usize, flags: i32) -> isize;
-        fn recv(fd: i32, buf: *mut c_void, len: usize, flags: i32) -> isize;
+        pub(super) fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
-
-    /// Write as much of `bytes` as the socket takes without waiting;
-    /// `Ok(0)` when its send buffer is full.
-    pub(super) fn send_now(fd: RawFd, bytes: &[u8]) -> std::io::Result<usize> {
-        loop {
-            // SAFETY: `bytes` is readable for its length; the kernel only
-            // reads it.
-            let n = unsafe {
-                send(
-                    fd,
-                    bytes.as_ptr().cast(),
-                    bytes.len(),
-                    MSG_DONTWAIT | MSG_NOSIGNAL,
-                )
-            };
-            if n >= 0 {
-                return Ok(n as usize);
-            }
-            let e = Error::last_os_error();
-            match e.kind() {
-                ErrorKind::WouldBlock => return Ok(0),
-                ErrorKind::Interrupted => continue,
-                _ => return Err(e),
-            }
-        }
-    }
-
-    /// Whether a read of `fd` would return without waiting: a byte is
-    /// queued, the peer has closed, or the socket holds an error.
-    pub(super) fn readable(fd: RawFd) -> bool {
-        let mut byte = 0u8;
-        // SAFETY: `byte` is writable for the one byte asked for.
-        let n = unsafe {
-            recv(
-                fd,
-                (&mut byte as *mut u8).cast(),
-                1,
-                MSG_PEEK | MSG_DONTWAIT,
-            )
-        };
-        n >= 0
-            || !matches!(
-                Error::last_os_error().kind(),
-                ErrorKind::WouldBlock | ErrorKind::Interrupted
-            )
-    }
-}
-
-/// Without the calls above every frame goes through the writer thread and
-/// every receive blocks at once.
-#[cfg(not(target_os = "linux"))]
-mod sock {
-    use std::os::fd::RawFd;
-
-    pub(super) fn send_now(_fd: RawFd, _bytes: &[u8]) -> std::io::Result<usize> {
-        Ok(0)
-    }
-
-    pub(super) fn readable(_fd: RawFd) -> bool {
-        false
-    }
-}
-
-/// A frame-writer request.
-enum WriteReq {
-    /// Write an encoded frame from byte `from` on: the part an inline send
-    /// could not write at once, or the whole frame (`from` 0) when it was
-    /// sent behind one the writer still held.
-    Tail(Tag, Vec<u8>, usize),
-    /// Acknowledge once every frame queued before this request is on the
-    /// wire (written and flushed). `close` uses it so a process may exit
-    /// right after closing without losing its queued `Bye` — the writer
-    /// thread dies with the process, and an unwritten Bye would leave the
-    /// peer reading a bare EOF instead of a graceful shutdown.
-    Flush(Sender<()>),
 }
 
 /// The send side of a link, behind one lock so a frame's `seq` and its
 /// place on the wire are taken together.
+#[derive(Default)]
 struct Outbox {
     seq: u32,
-    /// The buffer every send encodes into, reused from frame to frame
-    /// while frames go out inline.
-    frame: Vec<u8>,
+    /// Encoded frames; those from byte `sent` on are not on the wire yet.
+    /// Emptied whenever everything is written, so an idle link encodes
+    /// every frame into this one reused buffer.
+    bytes: Vec<u8>,
+    sent: usize,
+    /// The write error that ended the link; its every later call returns it.
+    err: Option<ParcelError>,
 }
 
-/// The receive side of a link: the stream and the buffer payloads are
-/// read into, reused from frame to frame.
-struct Inbox {
+/// One connection: the stream owning its descriptor, and the outbox any
+/// waiting thread of the rank may flush.
+struct Link {
+    peer: usize,
     stream: TcpStream,
-    bytes: Vec<u8>,
+    outbox: Mutex<Outbox>,
+}
+
+impl Link {
+    /// Write what the socket takes of `out` now: `Ok(true)` once nothing is
+    /// pending. A write error stays on the link.
+    fn flush(&self, out: &mut Outbox) -> Result<bool, ParcelError> {
+        if let Some(e) = out.err {
+            return Err(e);
+        }
+        while out.sent < out.bytes.len() {
+            match (&self.stream).write(&out.bytes[out.sent..]) {
+                Ok(n) => out.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(*out.err.insert(map_io(self.peer, &e))),
+            }
+        }
+        out.bytes.clear();
+        out.sent = 0;
+        Ok(true)
+    }
+}
+
+/// The progress engine of one rank's TCP links. Links are never removed,
+/// so every descriptor it polls stays open while a transport holds it.
+#[derive(Clone, Default)]
+struct Engine(Arc<Mutex<Vec<Arc<Link>>>>);
+
+impl Engine {
+    /// A link of this rank over the handshaken `stream`.
+    fn link(
+        &self,
+        stream: TcpStream,
+        my_rank: usize,
+        peer: usize,
+        cfg: &TcpConfig,
+    ) -> Result<TcpTransport, ParcelError> {
+        stream
+            .set_nodelay(true)
+            .and_then(|()| stream.set_nonblocking(true))
+            .map_err(|e| map_io(peer, &e))?;
+        let link = Arc::new(Link {
+            peer,
+            stream,
+            outbox: Mutex::default(),
+        });
+        self.0.lock().push(Arc::clone(&link));
+        Ok(TcpTransport {
+            src: my_rank as u32,
+            deadline: cfg.deadline,
+            link,
+            engine: self.clone(),
+            inbox: Mutex::default(),
+            recv_seq: AtomicU32::new(0),
+            obs: OnceLock::new(),
+        })
+    }
+
+    /// The link to the neighbour `spec` over `stream`, as [`RankNet`] holds
+    /// it.
+    fn neighbor(
+        &self,
+        (spec, stream): (NeighborSpec, TcpStream),
+        me: usize,
+        cfg: &TcpConfig,
+    ) -> Result<Neighbor, ParcelError> {
+        Ok(Neighbor {
+            rank: spec.rank,
+            dir: spec.dir,
+            link: Box::new(self.link(stream, me, spec.rank, cfg)?),
+        })
+    }
+
+    /// Flush every pending outbox of the rank, then sleep in one `poll(2)`
+    /// until `read` (when given) is readable, a socket with bytes pending
+    /// takes more, a signal arrives, or `until` passes, which is a timeout
+    /// of the link to `peer`. With nothing to wait for it returns at once.
+    fn wait(&self, read: Option<RawFd>, until: Instant, peer: usize) -> Result<(), ParcelError> {
+        let mut fds: Vec<sys::PollFd> = read
+            .map(|fd| sys::PollFd(fd, sys::POLLIN, 0))
+            .into_iter()
+            .collect();
+        for link in self.0.lock().iter() {
+            // A failed flush leaves its error on its own link.
+            if let Ok(false) = link.flush(&mut link.outbox.lock()) {
+                fds.push(sys::PollFd(link.stream.as_raw_fd(), sys::POLLOUT, 0));
+            }
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if fds.is_empty() {
+            return Ok(());
+        } else if left.is_zero() {
+            return Err(ParcelError::Timeout { peer });
+        }
+        let ms = left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is a writable array of `fds.len()` entries.
+        if unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as _, ms) } < 0 {
+            let e = std::io::Error::last_os_error();
+            if e.kind() != ErrorKind::Interrupted {
+                return Err(map_io(peer, &e));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// [`Transport`] over one TCP connection.
 pub struct TcpTransport {
-    peer: usize,
     src: u32,
-    /// The connection's descriptor, owned by `inbox`'s stream and kept
-    /// apart from it so a send never waits on a receive blocked inside
-    /// that lock.
-    fd: RawFd,
-    inbox: Mutex<Inbox>,
-    outbox: Mutex<Outbox>,
-    /// Requests handed to the writer that still have bytes to write. A
-    /// send writes inline only when this reads 0, so no frame overtakes
-    /// one the writer still holds.
-    queued: Arc<AtomicUsize>,
-    writer_tx: Sender<WriteReq>,
-    writer_err: Arc<Mutex<Option<ParcelError>>>,
+    deadline: Duration,
+    link: Arc<Link>,
+    engine: Engine,
+    /// The buffer payloads are read into, reused from frame to frame; its
+    /// lock keeps one receive at a time on the link.
+    inbox: Mutex<Vec<u8>>,
     recv_seq: AtomicU32,
     // `OnceLock`, not a mutex: read on every parcel (the hot path), and
-    // the drivers only ever attach once before the run. `obs` is shared
-    // with the writer thread, hence the `Arc`.
-    obs: Arc<OnceLock<ParcelObs>>,
+    // the drivers only ever attach once before the run.
+    obs: OnceLock<ParcelObs>,
 }
 
 impl TcpTransport {
-    /// Wrap an already-handshaken stream. `my_rank` stamps outgoing frames'
-    /// `src_rank`; `peer` is verified on every incoming frame.
+    /// Wrap an already-handshaken stream as a link with a progress engine
+    /// of its own. `my_rank` stamps outgoing frames' `src_rank`; `peer` is
+    /// verified on every incoming frame.
     pub fn from_stream(
         stream: TcpStream,
         my_rank: usize,
         peer: usize,
         cfg: &TcpConfig,
     ) -> Result<Self, ParcelError> {
-        prep_stream(&stream, peer, cfg)?;
-        let write_half = stream.try_clone().map_err(|e| map_io(peer, &e))?;
-
-        // Writer thread: writes, in queue order, what inline sends could
-        // not, so `send` never blocks the protocol thread on a full socket
-        // buffer. Queue capacity 32: a 3-D halo exchange posts up to 26
-        // frames before the first recv.
-        let (writer_tx, writer_rx) = bounded::<WriteReq>(32);
-        let writer_err = Arc::new(Mutex::new(None::<ParcelError>));
-        let queued = Arc::new(AtomicUsize::new(0));
-        let obs = Arc::new(OnceLock::<ParcelObs>::new());
-        {
-            let err = Arc::clone(&writer_err);
-            let queued = Arc::clone(&queued);
-            let obs = Arc::clone(&obs);
-            std::thread::Builder::new()
-                .name(format!("parcelnet-writer-{my_rank}-to-{peer}"))
-                .spawn(move || {
-                    let mut stream = write_half;
-                    while let Ok(req) = writer_rx.recv() {
-                        let (tag, whole, from) = match req {
-                            WriteReq::Flush(ack) => {
-                                // Queue order means everything before this
-                                // request has been written and flushed.
-                                let _ = ack.send(());
-                                continue;
-                            }
-                            WriteReq::Tail(tag, whole, from) => (tag, whole, from),
-                        };
-                        let o = obs.get();
-                        let t0 = o.map_or(0, ParcelObs::now_ns);
-                        let bytes = &whole[from..];
-                        if let Err(e) = stream.write_all(bytes).and_then(|()| stream.flush()) {
-                            *err.lock() = Some(map_io(peer, &e));
-                            return;
-                        }
-                        if let Some(o) = o {
-                            // A tail may start inside the header.
-                            let payload_bytes = bytes.len().min(whole.len() - HEADER);
-                            o.serialize(tag, t0, payload_bytes as u64, peer);
-                        }
-                        // Last, so a count of 0 also means every span of
-                        // what was queued is recorded.
-                        queued.fetch_sub(1, Ordering::Release);
-                    }
-                })
-                .map_err(|_| ParcelError::Io(std::io::ErrorKind::OutOfMemory))?;
-        }
-
-        Ok(Self {
-            peer,
-            src: my_rank as u32,
-            fd: stream.as_raw_fd(),
-            inbox: Mutex::new(Inbox {
-                stream,
-                bytes: Vec::new(),
-            }),
-            outbox: Mutex::new(Outbox {
-                seq: 0,
-                frame: Vec::new(),
-            }),
-            queued,
-            writer_tx,
-            writer_err,
-            recv_seq: AtomicU32::new(0),
-            obs,
-        })
+        Engine::default().link(stream, my_rank, peer, cfg)
     }
 
-    /// Hand `req` to the writer thread.
-    fn enqueue(&self, req: WriteReq) -> Result<(), ParcelError> {
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        self.writer_tx.send(req).map_err(|_| {
-            self.writer_err
-                .lock()
-                .unwrap_or(ParcelError::PeerClosed { peer: self.peer })
-        })
+    /// Fill `buf` from the socket without blocking in a read: while its
+    /// bytes are not there, wait on the rank's engine. The deadline
+    /// restarts whenever bytes arrive.
+    fn read_full(&self, buf: &mut [u8]) -> Result<(), ParcelError> {
+        let (peer, fd) = (self.link.peer, self.link.stream.as_raw_fd());
+        let mut until = None;
+        let mut got = 0;
+        while got < buf.len() {
+            match (&self.link.stream).read(&mut buf[got..]) {
+                Ok(0) => return Err(ParcelError::PeerClosed { peer }),
+                Ok(n) => {
+                    got += n;
+                    until = None;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let until = *until.get_or_insert_with(|| Instant::now() + self.deadline);
+                    self.engine.wait(Some(fd), until, peer)?;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(map_io(peer, &e)),
+            }
+        }
+        Ok(())
     }
 }
 
 impl Transport for TcpTransport {
     fn peer(&self) -> usize {
-        self.peer
+        self.link.peer
     }
 
     fn send(&self, tag: Tag, payload: &[Real]) -> Result<(), ParcelError> {
-        let obs = self.obs.get();
-        let fail = |e: ParcelError| failed(obs, e, self.peer);
-        if let Some(e) = *self.writer_err.lock() {
-            return Err(fail(e));
-        }
+        let (obs, peer) = (self.obs.get(), self.link.peer);
         let t0 = obs.map_or(0, ParcelObs::now_ns);
-        let mut out = self.outbox.lock();
+        let mut out = self.link.outbox.lock();
         let seq = out.seq;
         out.seq = seq.wrapping_add(1);
-        encode_frame(&mut out.frame, tag, seq, self.src, payload);
-        // Acquire pairs with the writer's release after its last write:
-        // reading 0 means every queued byte is already in the socket, so
-        // this frame can go out here without overtaking one.
-        let sent = if self.queued.load(Ordering::Acquire) == 0 {
-            sock::send_now(self.fd, &out.frame).map_err(|e| fail(map_io(self.peer, &e)))?
-        } else {
-            0
-        };
-        if sent < out.frame.len() {
-            let frame = std::mem::take(&mut out.frame);
-            self.enqueue(WriteReq::Tail(tag, frame, sent))
-                .map_err(fail)?;
-        }
+        encode_frame(&mut out.bytes, tag, seq, self.src, payload);
+        self.link
+            .flush(&mut out)
+            .map_err(|e| failed(obs, e, peer))?;
         drop(out);
         if let Some(o) = obs {
-            o.sent(tag, t0, payload.len() as u64 * 8, self.peer);
+            o.sent(tag, t0, payload.len() as u64 * 8, peer);
         }
         Ok(())
     }
 
     fn recv(&self, tag: Tag) -> Result<Vec<Real>, ParcelError> {
-        let obs = self.obs.get();
-        let fail = |e: ParcelError| failed(obs, e, self.peer);
+        let (obs, peer) = (self.obs.get(), self.link.peer);
+        let fail = |e: ParcelError| failed(obs, e, peer);
         let t0 = obs.map_or(0, ParcelObs::now_ns);
-        let mut inbox = self.inbox.lock();
-        let Inbox { stream, bytes } = &mut *inbox;
-        poll_before_blocking(|| sock::readable(self.fd).then_some(()));
+        self.link
+            .flush(&mut self.link.outbox.lock())
+            .map_err(fail)?;
+        let mut bytes = self.inbox.lock();
+        poll_before_blocking(|| {
+            let peek = self.link.stream.peek(&mut [0u8]);
+            (!matches!(peek, Err(e) if e.kind() == ErrorKind::WouldBlock)).then_some(())
+        });
         let mut header = [0u8; HEADER];
-        stream
-            .read_exact(&mut header)
-            .map_err(|e| fail(map_io(self.peer, &e)))?;
-        let arrival = obs.map_or(0, |o| o.arrived(tag, t0, self.peer));
+        self.read_full(&mut header).map_err(fail)?;
+        let arrival = obs.map_or(0, |o| o.arrived(tag, t0, peer));
 
         let got_tag = Tag::from_u32(u32_at(&header, 0))
-            .ok_or_else(|| fail(ParcelError::Io(std::io::ErrorKind::InvalidData)))?;
+            .ok_or_else(|| fail(ParcelError::Io(ErrorKind::InvalidData)))?;
         let seq = u32_at(&header, 4);
         let src = u32_at(&header, 8) as usize;
         let len = u32_at(&header, 12) as usize;
@@ -421,30 +385,28 @@ impl Transport for TcpTransport {
             bytes.resize(len * 8, 0);
         }
         let payload_bytes = &mut bytes[..len * 8];
-        stream
-            .read_exact(payload_bytes)
-            .map_err(|e| fail(map_io(self.peer, &e)))?;
+        self.read_full(payload_bytes).map_err(fail)?;
 
-        if src != self.peer {
-            return Err(fail(ParcelError::Handshake { peer: self.peer }));
+        if src != peer {
+            return Err(fail(ParcelError::Handshake { peer }));
         }
         let expected = self.recv_seq.fetch_add(1, Ordering::Relaxed);
         if seq != expected {
             return Err(fail(ParcelError::SeqMismatch {
-                peer: self.peer,
+                peer,
                 expected,
                 got: seq,
             }));
         }
         if fnv1a64(payload_bytes) != ck {
-            return Err(fail(ParcelError::ChecksumMismatch { peer: self.peer }));
+            return Err(fail(ParcelError::ChecksumMismatch { peer }));
         }
         if got_tag != tag {
             if got_tag == Tag::Bye {
-                return Err(fail(ParcelError::PeerClosed { peer: self.peer }));
+                return Err(fail(ParcelError::PeerClosed { peer }));
             }
             return Err(fail(ParcelError::TagMismatch {
-                peer: self.peer,
+                peer,
                 expected: tag,
                 got: got_tag,
             }));
@@ -453,24 +415,29 @@ impl Transport for TcpTransport {
             .chunks_exact(8)
             .map(|c| Real::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
-        drop(inbox);
+        drop(bytes);
+        // The peer may be reading this link's tail right now; a write error
+        // stays on the link for its next call.
+        let _ = self.link.flush(&mut self.link.outbox.lock());
         if let Some(o) = obs {
-            o.received(tag, arrival, payload.len() as u64 * 8, self.peer);
+            o.received(tag, arrival, payload.len() as u64 * 8, peer);
         }
         Ok(payload)
     }
 
     fn close(&self) -> Result<(), ParcelError> {
         self.send(Tag::Bye, &[])?;
-        // Wait until the Bye is actually on the wire: the caller may exit
-        // the process the moment every link is closed, which kills the
-        // writer thread — a Bye still sitting in its queue would be lost
-        // and the peer would see a bare EOF instead of a shutdown.
-        let (ack_tx, ack_rx) = bounded::<()>(1);
-        if self.writer_tx.send(WriteReq::Flush(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
-        }
-        self.recv(Tag::Bye).map(|_| ())
+        self.recv(Tag::Bye)?;
+        // The caller may exit the process the moment every link is closed,
+        // so the rest of this side's frames must be on the wire first.
+        let until = Instant::now() + self.deadline;
+        let drain = || -> Result<(), ParcelError> {
+            while !self.link.flush(&mut self.link.outbox.lock())? {
+                self.engine.wait(None, until, self.link.peer)?;
+            }
+            Ok(())
+        };
+        drain().map_err(|e| failed(self.obs.get(), e, self.link.peer))
     }
 
     fn attach_obs(&self, obs: ParcelObs) {
@@ -674,26 +641,20 @@ pub fn root(
     }
 
     // Neighbours dial back on the root listener once they have the map.
+    let engine = Engine::default();
     let mut pending = specs.to_vec();
     let mut neighbors = Vec::with_capacity(specs.len());
     while !pending.is_empty() {
-        let (spec, stream) = accept_neighbor(&listener, 0, ranks, &mut pending, cfg)?;
-        neighbors.push(Neighbor {
-            rank: spec.rank,
-            dir: spec.dir,
-            link: Box::new(TcpTransport::from_stream(stream, 0, spec.rank, cfg)?)
-                as Box<dyn Transport>,
-        });
+        let accepted = accept_neighbor(&listener, 0, ranks, &mut pending, cfg)?;
+        neighbors.push(engine.neighbor(accepted, 0, cfg)?);
     }
     neighbors.sort_by_key(|n| n.dir);
 
     let members = dt_streams
         .into_iter()
         .enumerate()
-        .filter_map(|(r, s)| s.map(|s| (r, s)))
-        .map(|(r, s)| {
-            TcpTransport::from_stream(s, 0, r, cfg).map(|t| Box::new(t) as Box<dyn Transport>)
-        })
+        .filter_map(|(r, s)| s.map(|s| engine.link(s, 0, r, cfg)))
+        .map(|t| Ok(Box::new(t?) as Box<dyn Transport>))
         .collect::<Result<Vec<_>, _>>()?;
 
     Ok(RankNet {
@@ -754,26 +715,17 @@ pub fn join(
 
     // Dial every lower-rank neighbour, ascending; then accept the higher
     // ones. Rank-ordered dialing keeps the bootstrap wait-DAG acyclic.
+    let engine = Engine::default();
     let mut neighbors = Vec::with_capacity(specs.len());
     for spec in lower {
         let stream = dial_neighbor(&addrs[spec.rank], rank, ranks, spec, cfg)?;
-        neighbors.push(Neighbor {
-            rank: spec.rank,
-            dir: spec.dir,
-            link: Box::new(TcpTransport::from_stream(stream, rank, spec.rank, cfg)?)
-                as Box<dyn Transport>,
-        });
+        neighbors.push(engine.neighbor((spec, stream), rank, cfg)?);
     }
     if let Some(l) = &listener {
         let mut pending = higher;
         while !pending.is_empty() {
-            let (spec, stream) = accept_neighbor(l, rank, ranks, &mut pending, cfg)?;
-            neighbors.push(Neighbor {
-                rank: spec.rank,
-                dir: spec.dir,
-                link: Box::new(TcpTransport::from_stream(stream, rank, spec.rank, cfg)?)
-                    as Box<dyn Transport>,
-            });
+            let accepted = accept_neighbor(l, rank, ranks, &mut pending, cfg)?;
+            neighbors.push(engine.neighbor(accepted, rank, cfg)?);
         }
     }
     neighbors.sort_by_key(|n| n.dir);
@@ -782,9 +734,7 @@ pub fn join(
         rank,
         ranks,
         neighbors,
-        dt: DtLinks::Leaf(Box::new(TcpTransport::from_stream(
-            dt_stream, rank, 0, cfg,
-        )?)),
+        dt: DtLinks::Leaf(Box::new(engine.link(dt_stream, rank, 0, cfg)?)),
     })
 }
 
@@ -942,81 +892,115 @@ mod tests {
         close_both(a, b);
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn small_sends_bypass_the_writer_and_queue_behind_a_partial_frame() {
-        let (a, b) = loopback_pair(&cfg()).unwrap();
-        let tracer = obs::Tracer::shared(2);
-        a.attach_obs(ParcelObs::new(Arc::clone(&tracer), 0, 1));
-        let queued = || a.queued.load(Ordering::Acquire);
-        let bits = |v: &[Real]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // The spans recorded since the last call, as (sends on the
-        // protocol lane, writer writes on the writer lane). Only the
-        // writer records on its lane, and it records nothing else.
-        let phase = || {
-            let spans = tracer.drain();
-            assert!(spans
-                .iter()
-                .all(|s| (s.worker == 1) == s.label.starts_with("parcel-serialize-")));
-            let on = |lane: usize, prefix: &str| {
-                spans
-                    .iter()
-                    .filter(|s| s.worker == lane && s.label.starts_with(prefix))
-                    .count()
-            };
-            (on(0, "parcel-send-"), on(1, "parcel-serialize-"))
-        };
+    /// Bytes of `t`'s outbox not yet on the wire.
+    fn pending(t: &TcpTransport) -> usize {
+        let out = t.link.outbox.lock();
+        out.bytes.len() - out.sent
+    }
 
-        // An idle link: the sending thread writes every small frame.
+    /// A 16 MiB plane: more than a loopback socket's send and receive
+    /// buffers take together.
+    fn big_plane(seed: Real) -> Vec<Real> {
+        (0..1 << 21).map(|i| seed + (i as Real).sqrt()).collect()
+    }
+
+    #[test]
+    fn small_sends_go_inline_and_queue_behind_a_partial_frame() {
+        let (a, b) = loopback_pair(&cfg()).unwrap();
+        let bits = |v: &[Real]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // An idle link: the sending thread writes every small frame whole.
         for i in 0..10 {
             a.send(force(), &[i as Real, 0.25]).unwrap();
+            assert_eq!(pending(&a), 0, "frame {i} left bytes behind");
         }
         for i in 0..10 {
             assert_eq!(b.recv(force()).unwrap(), [i as Real, 0.25]);
         }
-        assert_eq!(
-            phase(),
-            (10, 0),
-            "the writer thread wrote an idle link's frame"
-        );
 
-        // Nobody reads: a 16 MiB frame overfills both socket buffers, so
-        // the socket takes part of it and the writer holds the tail...
-        let big: Vec<Real> = (0..1 << 21).map(|i| (i as Real).sqrt()).collect();
+        // Nobody reads: the socket takes part of a 16 MiB frame and the
+        // tail stays in the outbox...
+        let big = big_plane(0.0);
         a.send(force(), &big).unwrap();
-        assert_eq!(
-            queued(),
-            1,
-            "the tail of a partial frame goes to the writer"
-        );
+        let tail = pending(&a);
+        assert!(tail > 0, "the socket took a 16 MiB frame whole");
         // ...and frames sent behind it queue behind it, not beside it.
         let smalls: Vec<Vec<Real>> = (0..5).map(|i| vec![-(i as Real), 1e-300]).collect();
         for s in &smalls {
             a.send(Tag::gradient(dir::UP), s).unwrap();
         }
-        assert_eq!(queued(), 1 + smalls.len());
+        assert_eq!(pending(&a), tail + smalls.len() * (HEADER + 16));
 
-        // Everything arrives in `seq` order (a frame out of order would be
-        // a `SeqMismatch`), bit for bit.
-        assert_eq!(bits(&b.recv(force()).unwrap()), bits(&big));
-        for s in &smalls {
-            assert_eq!(bits(&b.recv(Tag::gradient(dir::UP)).unwrap()), bits(s));
+        // The receiver gets all six in `seq` order (a frame out of order
+        // would be a `SeqMismatch`), bit for bit, while the sender waits
+        // for its reply and so flushes its outbox.
+        let reader = std::thread::spawn(move || {
+            let got_big = b.recv(force()).unwrap();
+            let got: Vec<Vec<Real>> = (0..5)
+                .map(|_| b.recv(Tag::gradient(dir::UP)).unwrap())
+                .collect();
+            b.send(Tag::Dt, &[1.0]).unwrap();
+            (b, got_big, got)
+        });
+        assert_eq!(a.recv(Tag::Dt).unwrap(), [1.0]);
+        let (b, got_big, got) = reader.join().unwrap();
+        assert_eq!(bits(&got_big), bits(&big));
+        for (g, s) in got.iter().zip(&smalls) {
+            assert_eq!(bits(g), bits(s));
         }
-        let t0 = Instant::now();
-        while queued() > 0 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(1),
-                "writer never drained"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(phase(), (1 + smalls.len(), 1 + smalls.len()));
+        assert_eq!(pending(&a), 0, "the outbox outlived the sender's recv");
 
-        // Once the writer has drained, small frames go inline again.
+        // Once drained, small frames go inline again.
         a.send(force(), &[7.0]).unwrap();
+        assert_eq!(pending(&a), 0);
         assert_eq!(b.recv(force()).unwrap(), [7.0]);
-        assert_eq!(phase(), (1, 0));
         close_both(a, b);
+    }
+
+    #[test]
+    fn a_rank_waiting_on_any_link_flushes_every_outbox() {
+        // Every rank sends a 16 MiB plane down the chain and a small one
+        // up, then receives in direction order. Rank 1's small receive
+        // from rank 0 ends at once, with most of its tail to rank 0 still
+        // pending; rank 1 then waits on rank 2 and on the dt star, and
+        // rank 2, its own tail to rank 1 pending, on the dt star. Only
+        // waits that flush every outbox of the rank let rank 0 and rank 1
+        // finish their receives. (With 16 MiB both ways each receive ends
+        // with at most a socket buffer's worth of tail, which the
+        // receive's last flush of its own link writes.)
+        let plane = |from: usize, d: usize| match d {
+            dir::DOWN => big_plane(from as Real),
+            _ => vec![from as Real; 2],
+        };
+        let nets = chain_mesh(3, cfg());
+        let handles: Vec<_> = nets
+            .into_iter()
+            .map(|net| {
+                std::thread::spawn(move || {
+                    for n in &net.neighbors {
+                        let d = usize::from(n.dir);
+                        n.link.send(Tag::force(d), &plane(net.rank, d)).unwrap();
+                    }
+                    for n in &net.neighbors {
+                        let d = dir::opposite(usize::from(n.dir));
+                        let got = n.link.recv(Tag::force(d)).unwrap();
+                        assert!(
+                            got == plane(n.rank, d),
+                            "rank {}: plane from {}",
+                            net.rank,
+                            n.rank
+                        );
+                    }
+                    let rank = net.rank as Real;
+                    let (gc, gh, gerr) = net.allreduce_dt(rank + 1.0, 10.0, None).unwrap();
+                    assert_eq!((gc, gh, gerr), (1.0, 10.0, None));
+                    net.close().unwrap();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 
     #[test]

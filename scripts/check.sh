@@ -198,19 +198,39 @@ if [ "$MAP_FILES" != "crates/parutil/src/shared_slice.rs " ]; then
   exit 1
 fi
 
-echo "== only tcp.rs declares socket calls (send/recv/fcntl) =="
-# The TCP transport writes frames and peeks for them with per-call
-# MSG_DONTWAIT, leaving the descriptor it shares with its writer thread
-# blocking; a socket call declared anywhere else could change that mode
-# or read the wire behind the transport's back.
+echo "== only tcp.rs declares socket calls (send/recv/fcntl/poll) =="
+# After the handshake each TCP link's descriptor is non-blocking, and only
+# the rank's own threads touch it: they write and read it through std and
+# wait on it with poll(2), declared in tcp.rs. A socket call declared
+# anywhere else could change that mode or read the wire behind the
+# transport's back.
 SOCK_FILES=$(grep -rl 'extern "C"' crates src tests examples shims --include='*.rs' \
   | xargs awk '
       /extern "C"[[:space:]]*\{/ { inblock = 1 }
-      inblock && /fn[[:space:]]+(send|sendto|sendmsg|recv|recvfrom|recvmsg|fcntl)[[:space:]]*\(/ { print FILENAME }
+      inblock && /fn[[:space:]]+(send|sendto|sendmsg|recv|recvfrom|recvmsg|fcntl|poll)[[:space:]]*\(/ { print FILENAME }
       inblock && /\}[[:space:]]*$/ { inblock = 0 }' \
   | sort -u | tr '\n' ' ')
 if [ "$SOCK_FILES" != "crates/parcelnet/src/tcp.rs " ]; then
   echo "socket calls declared in an extern \"C\" block outside tcp.rs: $SOCK_FILES"
+  exit 1
+fi
+
+echo "== the TCP transport starts no thread per link =="
+# A rank's own threads are the progress engine of its TCP links: a link
+# keeps the tail the socket refused in its outbox, and any thread of the
+# rank that waits on a link flushes it. Outside its tests tcp.rs starts a
+# thread only in loopback_pair (the dialler) and measure_loopback (the
+# echo peer).
+SPAWN_FNS=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn / {
+      name = $0; sub(/^[^f]*fn /, "", name); sub(/[^A-Za-z_0-9].*/, "", name)
+    }
+    /thread::(spawn|Builder)/ && name != "loopback_pair" && name != "measure_loopback" {
+      print name
+    }' crates/parcelnet/src/tcp.rs | sort -u | tr '\n' ' ')
+if [ -n "$SPAWN_FNS" ]; then
+  echo "tcp.rs starts a thread outside loopback_pair/measure_loopback, in: $SPAWN_FNS"
   exit 1
 fi
 
@@ -430,11 +450,7 @@ test -s "$TMP/livetr/analysis.json"
 
 echo "== per-worker --trace smoke (2 TCP ranks, each worker's trace lints) =="
 # Without --trace-dir each TCP worker writes trace.json.rank<R>, and each
-# must lint. At --s 6 every frame goes out on the rank's own thread, so
-# these traces hold no writer parcel-serialize-* span; the rule that such
-# spans sit on the writer's lane alone is checked by
-# tcp::tests::small_sends_bypass_the_writer_and_queue_behind_a_partial_frame,
-# which forces frames through the writer.
+# must lint.
 ./target/debug/lulesh-multidom --transport tcp --ranks 2 --s 6 --i 8 --q \
   --trace "$TMP/wtrace.json" > /dev/null
 ./target/debug/trace_lint "$TMP/wtrace.json.rank0" 8

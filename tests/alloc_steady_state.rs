@@ -8,9 +8,10 @@
 //! process pins this down: a 12-cycle run must allocate exactly as often
 //! as a 3-cycle run.
 //!
-//! The allocator is process-global, so both interpreters run inside one
-//! `#[test]`, one after the other: parallel tests would count each
-//! other's allocations. The task driver gets one worker on purpose: with
+//! The allocator is process-global, so the target has no libtest harness
+//! (`harness = false`): `main` runs the drivers one after the other on
+//! the process's only thread, and no harness thread allocates while a
+//! window is counted. The task driver gets one worker on purpose: with
 //! several, *which* worker first executes each body type (and therefore
 //! when its scratch slot and its deque warm up) depends on stealing order,
 //! which would make the strict equality flaky. A single worker warms every
@@ -78,8 +79,7 @@ fn task(cycles: u64) -> u64 {
     TaskLulesh::new(1).run(&d, plan, cycles).unwrap().cycle
 }
 
-#[test]
-fn iterations_stop_allocating_once_warm() {
+fn main() {
     for (driver, run) in [
         ("omp", omp as fn(u64) -> u64),
         ("omp reference", omp_reference),
@@ -99,4 +99,7 @@ fn iterations_stop_allocating_once_warm() {
         // Self-check that the counter works at all.
         assert!(short > 0, "{driver}: counting allocator saw no allocations");
     }
+    // The summary libtest would print, so the target reads like the rest.
+    println!("test iterations_stop_allocating_once_warm ... ok");
+    println!("test result: ok. 1 passed; 0 failed; 0 ignored; 0 measured; 0 filtered out");
 }
